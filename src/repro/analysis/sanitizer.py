@@ -359,23 +359,24 @@ def sanitize_matrix(
     whose findings are the observed escapes (empty on a sound engine +
     footprint model).
     """
-    from repro.numeric.solver import SolverOptions, SparseLUSolver
     from repro.obs.trace import Tracer as _Tracer
     from repro.parallel.dispatch import resolve_engine
     from repro.analysis.runner import suppress_hooks
+    from repro.serve.plan import build_plan
+    from repro.serve.refactor import refactorize_with_plan
 
     tr = tracer if tracer is not None else _Tracer(enabled=False)
-    opts = options if options is not None else SolverOptions()
     choice = resolve_engine(engine)
     report = AnalysisReport(modes=["sanitize"])
     sub = report.subject(f"{name}/sanitize-{choice}")
     with tr.span("analysis.sanitize", subject=name, engine=choice) as span:
         with suppress_hooks():
-            solver = SparseLUSolver(a, opts)
-            solver.analyze()
-        assert solver.bp is not None and solver.fill is not None
-        san = build_sanitizer(solver.bp, solver.fill)
-        solver.factorize(engine=choice, n_workers=n_workers, sanitizer=san)
+            plan = build_plan(a, options)
+        san = build_sanitizer(plan.bp, plan.fill)
+        refactorize_with_plan(
+            plan, a, check_pattern=False, engine=choice, n_workers=n_workers,
+            sanitizer=san, tracer=tr,
+        )
         sub.extend(san.findings)
         sub.stats.update(san.stats())
         sub.stats["engine"] = choice

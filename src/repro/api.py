@@ -117,18 +117,16 @@ def lu(
     options apply (so ``plan=`` and option keywords are mutually
     exclusive).
     """
-    if plan is not None:
-        if options:
-            raise ValueError(
-                "lu(plan=...) uses the plan's options; do not also pass "
-                f"option keywords {sorted(options)}"
-            )
-        solver = SparseLUSolver(a, plan.options, trace=trace)
-        solver.adopt_plan(plan).factorize(engine=engine, n_workers=n_workers)
-        return LUHandle(solver=solver)
-    solver = SparseLUSolver(a, SolverOptions(**options), trace=trace)
-    solver.analyze().factorize(engine=engine, n_workers=n_workers)
-    return LUHandle(solver=solver)
+    if plan is not None and options:
+        raise ValueError(
+            "lu(plan=...) uses the plan's options; do not also pass "
+            f"option keywords {sorted(options)}"
+        )
+    if plan is None:
+        solver = SparseLUSolver(a, SolverOptions(**options), trace=trace).analyze()
+    else:
+        solver = SparseLUSolver(a, plan.options, trace=trace).adopt_plan(plan)
+    return LUHandle(solver=solver.factorize(engine=engine, n_workers=n_workers))
 
 
 def solve(a: CSCMatrix, b: np.ndarray, **options) -> np.ndarray:

@@ -15,12 +15,13 @@ Selection order: an explicit ``impl=`` argument wins, then the
 ``REPRO_SOLVE`` environment variable, then the default (``"block"``).
 The block path agrees with the reference to <= 1e-12 relative error
 (``tests/numeric/test_supersolve.py`` pins the bound); selecting
-``"reference"`` restores the scalar path exactly.
+``"reference"`` restores the scalar path exactly. Unknown names raise
+:class:`repro.util.errors.DispatchError` at resolution time.
 """
 
 from __future__ import annotations
 
-import os
+from repro.util.dispatch import resolve_choice
 
 #: Environment variable consulted when no explicit ``impl`` is passed.
 ENV_VAR = "REPRO_SOLVE"
@@ -33,17 +34,6 @@ DEFAULT_IMPL = "block"
 
 
 def resolve_impl(impl: str | None = None) -> str:
-    """Resolve the solve implementation to use.
-
-    ``impl`` (if not ``None``) overrides the ``REPRO_SOLVE`` environment
-    variable, which overrides the default. Raises :class:`ValueError` on an
-    unrecognized name so typos fail loudly instead of silently falling back.
-    """
-    choice = impl if impl is not None else os.environ.get(ENV_VAR) or DEFAULT_IMPL
-    if choice not in IMPLEMENTATIONS:
-        source = "impl argument" if impl is not None else f"${ENV_VAR}"
-        raise ValueError(
-            f"unknown solve implementation {choice!r} (from {source}); "
-            f"expected one of {IMPLEMENTATIONS}"
-        )
-    return choice
+    """The solve implementation to use: ``impl`` > ``$REPRO_SOLVE`` >
+    ``"block"`` (:func:`repro.util.resolve_choice`)."""
+    return resolve_choice(impl, ENV_VAR, IMPLEMENTATIONS, DEFAULT_IMPL, "solve impl")

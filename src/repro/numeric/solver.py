@@ -21,15 +21,12 @@ and reuse them across numeric refactorizations.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from repro.numeric.blockdata import BlockLayout
-from repro.numeric.factor import FactorResult, LUFactorization
-from repro.numeric.solve_dispatch import resolve_impl as resolve_solve_impl
+from repro.numeric.factor import FactorResult
 from repro.obs.trace import Tracer
 from repro.ordering.amd import amd_ata
 from repro.ordering.dissect import nested_dissection_ata
@@ -57,23 +54,6 @@ from repro.util.errors import ReproError, ShapeError
 #: (row-permuted) pattern and return old-index → elimination-position
 #: permutations applied symmetrically; ``natural`` is the identity.
 ORDERINGS: tuple[str, ...] = ("mindeg", "amd", "rcm", "dissect", "natural")
-
-#: One-shot flag behind the deprecated ``timings`` alias: the warning fires
-#: once per process, not once per access (PR-2 satellite fix).
-_TIMINGS_WARNED = False
-
-
-def _warn_timings_deprecated() -> None:
-    global _TIMINGS_WARNED
-    if _TIMINGS_WARNED:
-        return
-    _TIMINGS_WARNED = True
-    warnings.warn(
-        "SparseLUSolver.timings is deprecated; read solver.tracer "
-        "(Tracer.stage_seconds() gives the same mapping)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 @dataclass
@@ -334,10 +314,13 @@ class SparseLUSolver:
     """One-stop solver for ``A x = b`` by the paper's parallel sparse LU.
 
     Call :meth:`analyze` (symbolic pipeline), then :meth:`factorize`
-    (numeric), then :meth:`solve`. Intermediate artefacts (static fill,
-    partition, block pattern, task graph) stay accessible for the
-    benchmarks and the parallel executors. :meth:`adopt_plan` replaces
-    :meth:`analyze` with a cached :class:`repro.serve.SymbolicPlan`.
+    (numeric), then :meth:`solve`. A facade over the one request path of
+    the library: it holds the :class:`repro.serve.SymbolicPlan` that
+    :meth:`analyze` builds (or :meth:`adopt_plan` is handed) and the
+    :class:`repro.serve.NumericFactorization` that
+    :func:`repro.serve.refactorize_with_plan` makes of it. The plan's
+    artefacts (static fill, partition, block pattern, task graph) stay
+    readable as attributes for the benchmarks and the parallel executors.
     """
 
     def __init__(
@@ -355,113 +338,111 @@ class SparseLUSolver:
         self.a = a
         self.options = options or SolverOptions()
         # Observability (docs/observability.md). The tracer always records
-        # the coarse stage spans (they back the legacy ``timings`` view at
-        # ~10 spans per solve); ``trace=True`` additionally turns on
-        # fine-grained detail: per-kernel counters/histograms in the
-        # numeric engine and the machine-model schedule projection.
+        # the coarse stage spans (~10 per solve); ``trace=True`` additionally
+        # turns on fine-grained detail: per-kernel counters/histograms in
+        # the numeric engine and the machine-model schedule projection.
         self.tracer = tracer if tracer is not None else Tracer(detail=bool(trace))
-        # Populated by analyze() / adopt_plan():
-        self.row_perm: Optional[np.ndarray] = None
-        self.col_perm: Optional[np.ndarray] = None
-        self.a_work: Optional[CSCMatrix] = None
-        self.fill: Optional[StaticFill] = None
-        self.partition: Optional[SupernodePartition] = None
-        self.partition_raw: Optional[SupernodePartition] = None
-        self.bp: Optional[BlockPattern] = None
-        self.graph: Optional[TaskGraph] = None
-        self.n_btf_blocks: int = 0
-        self.equil = None  # set by analyze() when options.equilibrate
-        self._layout: Optional[BlockLayout] = None  # shared across refactorizations
-        self._solve_schedule = None  # SolveSchedule, shared like the layout
-        self._row_perm_inv: Optional[np.ndarray] = None  # cached argsort
-        # Populated by factorize():
-        self.result: Optional[FactorResult] = None
+        self._plan = None  # SymbolicPlan, from analyze() / adopt_plan()
+        self._fac = None  # NumericFactorization, from factorize() / refactorize()
+        # (a_work, equil) for callers that read them after analyze() and
+        # drive an engine themselves; the factorization carries its own.
+        self._values = None
+
+    def _require_plan(self):
+        if self._plan is None:
+            raise ReproError("call analyze() first")
+        return self._plan
+
+    def _require_factors(self):
+        if self._fac is None:
+            raise ReproError("call factorize() first")
+        return self._fac
+
+    # ---- the plan's artefacts (None before analyze()) -------------------
+    @property
+    def row_perm(self) -> Optional[np.ndarray]:
+        return self._plan.row_perm if self._plan is not None else None
 
     @property
-    def timings(self) -> dict[str, float]:
-        """Deprecated alias: wall seconds per stage, backed by the tracer.
+    def col_perm(self) -> Optional[np.ndarray]:
+        return self._plan.col_perm if self._plan is not None else None
 
-        Keys are the span names (``transversal``, ``ordering``,
-        ``static_fill``, ``postorder``, ``supernodes``, ``task_graph``,
-        ``factorize``, ...). Prefer ``self.tracer`` — spans carry nesting
-        and attributes this flat view drops. Values accumulate across
-        repeated calls (e.g. several ``refactorize()`` rounds).
+    @property
+    def fill(self) -> Optional[StaticFill]:
+        return self._plan.fill if self._plan is not None else None
 
-        Emits a :class:`DeprecationWarning` once per process.
-        """
-        _warn_timings_deprecated()
-        return self.tracer.stage_seconds()
+    @property
+    def partition(self) -> Optional[SupernodePartition]:
+        return self._plan.partition if self._plan is not None else None
 
-    # ------------------------------------------------------------------
-    def _adopt_artifacts(self, art: SymbolicArtifacts) -> None:
-        self.row_perm = art.row_perm
-        self.col_perm = art.col_perm
-        self.fill = art.fill
-        self.partition_raw = art.partition_raw
-        self.partition = art.partition
-        self.bp = art.bp
-        self.graph = art.graph
-        self.n_btf_blocks = art.n_btf_blocks
-        self._layout = None
-        self._solve_schedule = None
-        self._row_perm_inv = None
+    @property
+    def partition_raw(self) -> Optional[SupernodePartition]:
+        return self._plan.artifacts.partition_raw if self._plan is not None else None
 
-    def _prepare_source(self, a: CSCMatrix) -> CSCMatrix:
-        """Apply (and record) equilibration when the options ask for it."""
-        if not self.options.equilibrate:
-            self.equil = None
-            return a
-        from repro.numeric.scaling import equilibrate
+    @property
+    def bp(self) -> Optional[BlockPattern]:
+        return self._plan.bp if self._plan is not None else None
 
-        with self.tracer.span("equilibrate"):
-            self.equil = equilibrate(a)
-            return self.equil.apply(a)
+    @property
+    def graph(self) -> Optional[TaskGraph]:
+        return self._plan.graph if self._plan is not None else None
 
-    def _ensure_layout(self) -> BlockLayout:
-        if self._layout is None:
-            assert self.bp is not None
-            self._layout = BlockLayout(self.bp)
-        return self._layout
+    @property
+    def n_btf_blocks(self) -> int:
+        return self._plan.artifacts.n_btf_blocks if self._plan is not None else 0
 
-    def _ensure_solve_schedule(self):
-        """Static level schedule of the solve graph (cached like the layout,
-        and carried by frozen plans the same way)."""
-        if self._solve_schedule is None:
-            from repro.taskgraph.solve_graph import level_schedule
+    # ---- the numeric state ----------------------------------------------
+    def _current_values(self):
+        if self._fac is not None:
+            return self._fac.a_work, self._fac.equil
+        if self._plan is None:
+            return None, None
+        if self._values is None:
+            from repro.serve.refactor import permuted_values
 
-            assert self.bp is not None
-            self._solve_schedule = level_schedule(self.bp)
-        return self._solve_schedule
+            self._values = permuted_values(self._plan, self.a)
+        return self._values
 
-    def _row_perm_inverse(self) -> np.ndarray:
-        """Inverse of ``row_perm``, so the RHS permutation is one gather
-        (``b[inv]``) instead of an ``empty_like`` + scatter pair."""
-        if self._row_perm_inv is None:
-            assert self.row_perm is not None
-            inv = np.empty(self.row_perm.size, dtype=np.int64)
-            inv[self.row_perm] = np.arange(self.row_perm.size, dtype=np.int64)
-            self._row_perm_inv = inv
-        return self._row_perm_inv
+    @property
+    def a_work(self) -> Optional[CSCMatrix]:
+        """The matrix the engines factor: ``a`` equilibrated (when the
+        options ask for it) and permuted by the plan."""
+        return self._current_values()[0]
+
+    @property
+    def equil(self):
+        """The :class:`~repro.numeric.scaling.Equilibration` applied to
+        ``a``, or ``None`` without ``options.equilibrate``."""
+        return self._current_values()[1]
+
+    @property
+    def result(self) -> Optional[FactorResult]:
+        return self._fac.result if self._fac is not None else None
+
+    @result.setter
+    def result(self, result: FactorResult) -> None:
+        """Adopt factors of ``a_work`` computed outside :meth:`factorize`
+        (callers that drive an executor themselves), so :meth:`solve` works."""
+        from repro.serve.refactor import NumericFactorization
+
+        a_work, equil = self._current_values()
+        self._fac = NumericFactorization(
+            self._require_plan(), self.a, a_work, result, equil, self.tracer
+        )
 
     # ------------------------------------------------------------------
     def analyze(self) -> "SparseLUSolver":
-        """Steps (1)-(2) plus §3 postordering/supernodes and the §4 graph.
+        """Steps (1)-(2) plus §3 postordering/supernodes and the §4 graph:
+        :func:`repro.serve.build_plan` on this matrix's pattern.
 
         Every stage runs inside a tracer span nested under ``analyze``
         (hierarchy documented in docs/observability.md); the spans carry
         the symbolic statistics as attributes.
         """
-        tr = self.tracer
-        with tr.span("analyze", n=self.a.n_cols, nnz=self.a.nnz) as analyze_span:
-            source = self._prepare_source(self.a)
-            art = run_symbolic_pipeline(source.pattern_only(), self.options, tr)
-            self._adopt_artifacts(art)
-            self.a_work = permute(
-                source, row_perm=self.row_perm, col_perm=self.col_perm
-            )
-            analyze_span.set(
-                nnz_filled=art.fill.nnz, fill_ratio=art.fill.fill_ratio
-            )
+        from repro.serve.plan import build_plan
+
+        self._plan = build_plan(self.a, self.options, tracer=self.tracer)
+        self._fac = self._values = None
         return self
 
     def adopt_plan(self, plan) -> "SparseLUSolver":
@@ -471,8 +452,8 @@ class SparseLUSolver:
         The plan's pattern must equal this matrix's pattern (verified
         entry-for-entry, not just by fingerprint). The solver takes over
         the plan's options, so numeric pre-processing (equilibration)
-        matches what the plan was built for. No symbolic-stage span is
-        opened — this is the warm path of the serving subsystem.
+        matches what the plan was built for. No span is opened — this is
+        the warm path of the serving subsystem.
         """
         from repro.util.errors import PlanMismatchError
 
@@ -483,44 +464,42 @@ class SparseLUSolver:
                 f"matrix with nnz={self.a.nnz})"
             )
         self.options = plan.options
-        tr = self.tracer
-        with tr.span("adopt_plan", fingerprint=plan.fingerprint.digest):
-            self._adopt_artifacts(plan.artifacts)
-            self._layout = plan.layout
-            self._solve_schedule = plan.solve_schedule
-            source = self._prepare_source(self.a)
-            self.a_work = permute(
-                source, row_perm=self.row_perm, col_perm=self.col_perm
-            )
+        self._plan = plan
+        self._fac = self._values = None
         return self
 
     def plan(self):
-        """Freeze this solver's symbolic analysis as a shareable
-        :class:`repro.serve.SymbolicPlan` (requires :meth:`analyze`)."""
-        from repro.serve.plan import plan_from_solver
-
-        if self.bp is None:
-            raise ReproError("call analyze() first")
-        return plan_from_solver(self)
+        """This solver's symbolic analysis — the frozen, shareable
+        :class:`repro.serve.SymbolicPlan` it holds (requires
+        :meth:`analyze` or :meth:`adopt_plan`)."""
+        return self._require_plan()
 
     def stats(self) -> AnalysisStats:
-        if self.fill is None or self.bp is None or self.graph is None:
-            raise ReproError("call analyze() first")
-        assert self.partition is not None and self.partition_raw is not None
+        art = self._require_plan().artifacts
         return AnalysisStats(
-            n=self.fill.n,
+            n=art.fill.n,
             nnz=self.a.nnz,
-            nnz_filled=self.fill.nnz,
-            fill_ratio=self.fill.fill_ratio,
-            n_supernodes_raw=self.partition_raw.n_supernodes,
-            n_supernodes=self.partition.n_supernodes,
-            mean_supernode_size=self.partition.mean_size(),
-            n_btf_blocks=self.n_btf_blocks,
-            n_tasks=self.graph.n_tasks,
-            n_edges=self.graph.n_edges,
+            nnz_filled=art.fill.nnz,
+            fill_ratio=art.fill.fill_ratio,
+            n_supernodes_raw=art.partition_raw.n_supernodes,
+            n_supernodes=art.partition.n_supernodes,
+            mean_supernode_size=art.partition.mean_size(),
+            n_btf_blocks=art.n_btf_blocks,
+            n_tasks=art.graph.n_tasks,
+            n_edges=art.graph.n_edges,
         )
 
     # ------------------------------------------------------------------
+    def _factorize(self, a: CSCMatrix, **kwargs) -> "SparseLUSolver":
+        from repro.serve.refactor import refactorize_with_plan
+
+        self._fac = refactorize_with_plan(
+            self._require_plan(), a, tracer=self.tracer, check_pattern=False, **kwargs
+        )
+        self.a = a
+        self._values = None
+        return self
+
     def factorize(
         self,
         order=None,
@@ -530,33 +509,14 @@ class SparseLUSolver:
         n_workers: int = 4,
         sanitizer=None,
     ) -> "SparseLUSolver":
-        """Numerical factorization (step (3)).
+        """Numerical factorization (step (3)):
+        :func:`repro.serve.refactorize_with_plan` against the held plan,
+        which documents the arguments.
 
         ``order`` may be any topological order of the task graph; ``None``
-        uses the execution engine instead (see below).
-
-        ``engine`` selects the executor — ``"sequential"`` (default),
-        ``"threaded"``, or ``"proc"`` — with the dispatch precedence
-        ``engine=`` argument > ``$REPRO_ENGINE`` > default
-        (:mod:`repro.parallel.dispatch`). The parallel engines run the
-        task graph with ``n_workers`` threads/processes and produce
-        factors bitwise identical to the sequential order. ``order`` and
-        ``engine`` are mutually exclusive: an explicit order *is* a
-        schedule, replayed sequentially.
-
-        ``retain_blocks`` controls whether the factors are additionally
-        kept in supernodal panel form for the block solve engine
-        (:mod:`repro.numeric.supersolve`); ``None`` retains them exactly
-        when the resolved solve implementation is ``"block"`` (see
-        :mod:`repro.numeric.solve_dispatch`).
-
-        ``sanitizer`` optionally attaches a caller-owned
-        :class:`repro.analysis.sanitizer.AccessSanitizer` to the run
-        (its findings stay on the object — no exception); without one,
-        ``REPRO_SANITIZE=1`` builds a strict sanitizer that raises
-        :class:`~repro.util.errors.SanitizerError` on any footprint
-        escape. Both need the symbolic plan, which this method forwards
-        as ``fill=``.
+        uses the execution engine instead — ``engine`` selects
+        ``"sequential"`` (default), ``"threaded"``, or ``"proc"``, with
+        ``n_workers`` threads/processes.
 
         With detail tracing on, the numeric engine feeds per-kernel
         counters/histograms into ``tracer.metrics``, and the analyzed task
@@ -564,50 +524,15 @@ class SparseLUSolver:
         simulation (span ``simulate_schedule``) so the document carries the
         ``engine.*`` busy/idle/message metrics of the paper's platform.
         """
-        from repro.parallel.dispatch import resolve_engine, run_engine
-
-        if self.a_work is None or self.bp is None:
-            raise ReproError("call analyze() first")
-        if order is not None and engine is not None:
-            raise ValueError("pass either an explicit order or engine=, not both")
-        if retain_blocks is None:
-            retain_blocks = resolve_solve_impl() == "block"
-        tr = self.tracer
-        with tr.span("factorize") as s:
-            eng = LUFactorization(
-                self.a_work,
-                self.bp,
-                metrics=tr.metrics if tr.detail else None,
-                layout=self._ensure_layout(),
-            )
-            if order is not None:
-                eng.run_order(order)
-            else:
-                run_engine(
-                    eng,
-                    self.graph,
-                    resolve_engine(engine),
-                    n_workers=n_workers,
-                    metrics=tr.metrics if tr.detail else None,
-                    tracer=tr,
-                    fill=self.fill,
-                    sanitizer=sanitizer,
-                )
-            self.result = eng.extract(
-                retain_blocks=retain_blocks,
-                solve_schedule=(
-                    self._ensure_solve_schedule() if retain_blocks else None
-                ),
-            )
-            ls = eng.lazy_stats
-            s.set(
-                n_tasks=len(eng.done),
-                n_updates_run=ls.n_updates_run,
-                n_updates_skipped=ls.n_updates_skipped,
-                flops_spent=ls.flops_spent,
-                flops_saved=ls.flops_saved,
-            )
-        if tr.detail:
+        self._factorize(
+            self.a,
+            order=order,
+            retain_blocks=retain_blocks,
+            engine=engine,
+            n_workers=n_workers,
+            sanitizer=sanitizer,
+        )
+        if self.tracer.detail:
             self._simulate_for_trace()
         return self
 
@@ -645,108 +570,31 @@ class SparseLUSolver:
         of a reservoir simulation, time steps of a transient solve — pays
         for ``analyze()`` once and calls this per step. ``a_new`` must have
         exactly the pattern of the original matrix (values free, pivoting
-        handled anew). The block layout from the first factorization is
-        reused, so this path runs no symbolic or structural work at all.
-
-        ``engine``/``n_workers`` select the executor exactly as in
-        :meth:`factorize`.
+        handled anew); no symbolic or structural work runs at all. The
+        other arguments are :meth:`factorize`'s.
         """
-        from repro.parallel.dispatch import resolve_engine, run_engine
-        from repro.sparse.pattern import pattern_equal
-
-        if self.bp is None or self.row_perm is None:
-            raise ReproError("call analyze() first")
-        if not pattern_equal(a_new.pattern_only(), self.a.pattern_only()):
+        if not self._require_plan().matches(a_new):
             raise ShapeError(
                 "refactorize() requires the original sparsity pattern; run a "
                 "fresh SparseLUSolver for a different structure"
             )
-        if not a_new.has_values:
-            raise ShapeError("refactorize() requires values")
-        if order is not None and engine is not None:
-            raise ValueError("pass either an explicit order or engine=, not both")
-        if retain_blocks is None:
-            retain_blocks = resolve_solve_impl() == "block"
-        self.a = a_new
-        tr = self.tracer
-        with tr.span("refactorize"):
-            source = self._prepare_source(a_new)
-            self.a_work = permute(
-                source, row_perm=self.row_perm, col_perm=self.col_perm
-            )
-            eng = LUFactorization(
-                self.a_work,
-                self.bp,
-                metrics=tr.metrics if tr.detail else None,
-                layout=self._ensure_layout(),
-            )
-            if order is not None:
-                eng.run_order(order)
-            else:
-                run_engine(
-                    eng,
-                    self.graph,
-                    resolve_engine(engine),
-                    n_workers=n_workers,
-                    metrics=tr.metrics if tr.detail else None,
-                    tracer=tr,
-                    fill=self.fill,
-                )
-            self.result = eng.extract(
-                retain_blocks=retain_blocks,
-                solve_schedule=(
-                    self._ensure_solve_schedule() if retain_blocks else None
-                ),
-            )
-        return self
+        return self._factorize(
+            a_new,
+            order=order,
+            retain_blocks=retain_blocks,
+            engine=engine,
+            n_workers=n_workers,
+        )
 
     def solve(self, b: np.ndarray, *, impl: Optional[str] = None) -> np.ndarray:
-        """Solve ``A x = b`` using the computed factors (step (4)).
+        """Solve ``A x = b`` using the computed factors (step (4)):
+        :meth:`repro.serve.NumericFactorization.solve`.
 
         ``b`` may be a vector of shape ``(n,)`` or a matrix of ``k``
-        right-hand sides of shape ``(n, k)``; the triangular solves cover
-        all columns at once, which is what the serving layer's request
-        batching relies on.
-
-        ``impl`` selects the solve engine (``"block"`` — supernodal panel
-        solves over the retained block factors — or ``"reference"``, the
-        scalar CSC substitutions); it overrides ``$REPRO_SOLVE``, which
-        overrides the default (see :mod:`repro.numeric.solve_dispatch`).
-        The block path needs block factors: when the factorization did not
-        retain them, the solve falls back to the reference path.
+        right-hand sides of shape ``(n, k)``; ``impl`` selects the solve
+        engine (``"block"`` or ``"reference"``), overriding ``$REPRO_SOLVE``.
         """
-        if self.result is None:
-            raise ReproError("call factorize() first")
-        assert self.row_perm is not None and self.col_perm is not None
-        choice = resolve_solve_impl(impl)
-        use_block = choice == "block" and self.result.blocks is not None
-        impl_used = "block" if use_block else "reference"
-        b = np.asarray(b, dtype=np.float64)
-        n = self.a.n_cols
-        if b.ndim not in (1, 2) or b.shape[0] != n:
-            raise ShapeError(f"rhs has shape {b.shape}, expected ({n},) or ({n}, k)")
-        n_rhs = 1 if b.ndim == 1 else b.shape[1]
-        with self.tracer.span("solve", n_rhs=n_rhs, impl=impl_used):
-            if self.tracer.enabled:
-                self.tracer.metrics.histogram("solve.n_rhs", unit="cols").observe(
-                    n_rhs
-                )
-            if self.equil is not None:
-                b = self.equil.scale_rhs(b)
-            b_work = b[self._row_perm_inverse()]
-            with self.tracer.span(f"solve.{impl_used}") as s:
-                x_work = self.result.solve(b_work, impl=impl_used)
-                if use_block:
-                    sched = self.result.blocks.schedule
-                    s.set(
-                        n_blocks=self.result.blocks.n_blocks,
-                        n_fwd_levels=sched.n_fwd_levels,
-                        n_bwd_levels=sched.n_bwd_levels,
-                    )
-            x = x_work[self.col_perm]
-            if self.equil is not None:
-                x = self.equil.unscale_solution(x)
-        return x
+        return self._require_factors().solve(b, impl=impl)
 
     def solve_refined(self, b: np.ndarray, *, max_iters: int = 5, tol: float = 1e-14):
         """Solve with iterative refinement; returns a ``RefinementResult``.
@@ -756,11 +604,10 @@ class SparseLUSolver:
         """
         from repro.numeric.refine import iterative_refinement
 
-        if self.result is None:
-            raise ReproError("call factorize() first")
+        fac = self._require_factors()
         with self.tracer.span("solve_refined") as s:
             rr = iterative_refinement(
-                self.a, self.solve, b, max_iters=max_iters, tol=tol
+                self.a, fac.solve, b, max_iters=max_iters, tol=tol
             )
             s.set(iterations=rr.iterations, converged=rr.converged)
         return rr
@@ -769,16 +616,11 @@ class SparseLUSolver:
         """Hager-Higham 1-norm condition estimate from the factors."""
         from repro.numeric.refine import condest_1norm
 
-        if self.result is None:
-            raise ReproError("call factorize() first")
+        fac = self._require_factors()
         # Fold the symbolic permutations into a factor-level solve: the
         # estimator works on A_work, whose conditioning equals A's.
-        return condest_1norm(
-            self.a_work,
-            self.result.l_factor,
-            self.result.u_factor,
-            self.result.orig_at,
-        )
+        res = fac.result
+        return condest_1norm(fac.a_work, res.l_factor, res.u_factor, res.orig_at)
 
     def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
         """``‖A x − b‖_∞ / ‖b‖_∞`` — the acceptance metric of the tests."""

@@ -179,12 +179,10 @@ class Tracer:
     def stage_seconds(self) -> dict[str, float]:
         """Total wall seconds per span name, summed over occurrences.
 
-        This backs the deprecated ``SparseLUSolver.timings`` mapping: the
-        old per-stage keys (``transversal``, ``ordering``, ``static_fill``,
-        ``postorder``, ``supernodes``, ``task_graph``, ``factorize``, ...)
-        are span names, so old code keeps reading the same numbers. Values
-        are cumulative across repeated calls (e.g. several refactorize()
-        rounds), where the old dict kept only the last.
+        The flat per-stage view (``transversal``, ``ordering``,
+        ``static_fill``, ``postorder``, ``supernodes``, ``task_graph``,
+        ``factorize``, ...). Values are cumulative across repeated calls
+        (e.g. several refactorize() rounds).
         """
         out: dict[str, float] = {}
         for s in self.walk():

@@ -27,10 +27,9 @@ shape, factors are bitwise-identical across engines and schedules.
 
 from __future__ import annotations
 
-import os
-
 from repro.numeric.factor import LUFactorization
 from repro.taskgraph.dag import TaskGraph
+from repro.util.dispatch import resolve_choice
 
 #: Environment override, weaker than an explicit ``engine=`` argument.
 ENV_VAR = "REPRO_ENGINE"
@@ -42,22 +41,9 @@ DEFAULT_ENGINE = "sequential"
 
 
 def resolve_engine(choice: "str | None" = None) -> str:
-    """Resolve the numeric engine name by the documented precedence.
-
-    ``choice`` (an explicit ``engine=`` argument) wins; otherwise
-    ``$REPRO_ENGINE``; otherwise ``"sequential"``. Unknown names raise
-    ``ValueError`` listing the valid engines.
-    """
-    picked = choice if choice is not None else os.environ.get(ENV_VAR)
-    if picked is None or picked == "":
-        return DEFAULT_ENGINE
-    if picked not in ENGINES:
-        source = "engine argument" if choice is not None else f"${ENV_VAR}"
-        raise ValueError(
-            f"unknown engine {picked!r} (from {source}); valid engines: "
-            + ", ".join(ENGINES)
-        )
-    return picked
+    """The numeric engine to use: ``choice`` (an ``engine=`` argument) >
+    ``$REPRO_ENGINE`` > ``"sequential"`` (:func:`repro.util.resolve_choice`)."""
+    return resolve_choice(choice, ENV_VAR, ENGINES, DEFAULT_ENGINE, "engine")
 
 
 def run_engine(

@@ -14,7 +14,8 @@ serving layer:
 * :class:`PlanCache` — bounded LRU over plans, instrumented via
   :mod:`repro.obs`;
 * :func:`refactorize_with_plan` / :class:`NumericFactorization` — the
-  numeric-only warm path;
+  numeric phase and the solves, shared by every entry point (a cold
+  request is ``build_plan`` followed by this);
 * :class:`SolverService` — worker pool with bounded-queue backpressure,
   per-request deadlines, and same-matrix multi-RHS batching.
 
@@ -23,7 +24,7 @@ See ``docs/serving.md`` for the workflow and guarantees.
 
 from repro.serve.cache import PlanCache
 from repro.serve.fingerprint import PatternFingerprint, fingerprint, values_digest
-from repro.serve.plan import SymbolicPlan, build_plan, plan_from_solver
+from repro.serve.plan import SymbolicPlan, build_plan
 from repro.serve.refactor import NumericFactorization, refactorize_with_plan
 from repro.serve.service import PendingResult, SolverService
 from repro.util.errors import (
@@ -40,7 +41,6 @@ __all__ = [
     "values_digest",
     "SymbolicPlan",
     "build_plan",
-    "plan_from_solver",
     "PlanCache",
     "NumericFactorization",
     "refactorize_with_plan",

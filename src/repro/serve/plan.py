@@ -83,10 +83,10 @@ class SymbolicPlan:
     #: numeric factorization against this plan (the block solve engine
     #: swaps in an exact schedule only when pivot renames escape the
     #: static structure — see repro.numeric.supersolve).
-    solve_schedule: "SolveSchedule | None" = None
-    #: Inverse of ``row_perm``, so the serving hot path permutes each RHS
-    #: with a single gather.
-    row_perm_inv: "np.ndarray | None" = None
+    solve_schedule: SolveSchedule
+    #: Inverse of ``row_perm``, so every solve permutes its RHS with a
+    #: single gather.
+    row_perm_inv: np.ndarray
     #: The tuned :class:`~repro.tune.OrderingRecipe` this plan was built
     #: from, when one was supplied (``build_plan(recipe=...)`` or the
     #: autotuned serving path); ``None`` for plain-options builds. The
@@ -183,25 +183,6 @@ class SymbolicPlan:
         )
 
 
-def _assemble(
-    a: CSCMatrix,
-    options: SolverOptions,
-    art: SymbolicArtifacts,
-    recipe=None,
-) -> SymbolicPlan:
-    return SymbolicPlan(
-        fingerprint=fingerprint(a),
-        options=dataclasses.replace(options),
-        indptr=_frozen_copy(a.indptr, np.int64),
-        indices=_frozen_copy(a.indices, np.int32),
-        artifacts=art,
-        layout=BlockLayout(art.bp),
-        solve_schedule=level_schedule(art.bp),
-        row_perm_inv=_inverse_perm(art.row_perm),
-        recipe=recipe,
-    )
-
-
 def build_plan(
     a: CSCMatrix,
     options: Optional[SolverOptions] = None,
@@ -211,12 +192,14 @@ def build_plan(
 ) -> SymbolicPlan:
     """Run the symbolic pipeline on ``a``'s pattern and freeze the result.
 
-    ``a`` may be pattern-only. When ``recipe`` (a
-    :class:`repro.tune.OrderingRecipe`) is given, its ordering and
-    amalgamation knobs are applied on top of ``options`` and the plan
-    records the recipe as its provenance. When ``tracer`` is given, the
-    symbolic stages record their usual spans (``transversal`` …
-    ``task_graph``) under a ``build_plan`` parent.
+    The one constructor of plans, and the whole symbolic phase of every
+    request path: a cold request is this plus the warm path
+    (:func:`repro.serve.refactor.refactorize_with_plan`). ``a`` may be
+    pattern-only. When ``recipe`` (a :class:`repro.tune.OrderingRecipe`) is
+    given, its ordering and amalgamation knobs are applied on top of
+    ``options`` and the plan records the recipe as its provenance. When
+    ``tracer`` is given, the symbolic stages record their usual spans
+    (``transversal`` … ``task_graph``) under an ``analyze`` parent.
     """
     from repro.symbolic.dispatch import resolve_impl
 
@@ -225,49 +208,29 @@ def build_plan(
         opts = recipe.apply(opts)
     tr = tracer if tracer is not None else Tracer(enabled=False)
     with tr.span(
-        "build_plan",
+        "analyze",
         n=a.n_cols,
         nnz=a.nnz,
         symbolic_impl=resolve_impl(),
         recipe=recipe.spec() if recipe is not None else "",
-    ):
+    ) as s:
         art = run_symbolic_pipeline(a.pattern_only(), opts, tr)
-    plan = _assemble(a, opts, art, recipe=recipe)
+        s.set(nnz_filled=art.fill.nnz, fill_ratio=art.fill.fill_ratio)
+        plan = SymbolicPlan(
+            fingerprint=fingerprint(a),
+            options=dataclasses.replace(opts),
+            indptr=_frozen_copy(a.indptr, np.int64),
+            indices=_frozen_copy(a.indices, np.int32),
+            artifacts=art,
+            layout=BlockLayout(art.bp),
+            solve_schedule=level_schedule(art.bp),
+            row_perm_inv=_inverse_perm(art.row_perm),
+            recipe=recipe,
+        )
     from repro.analysis.runner import analysis_enabled
 
     if analysis_enabled():  # REPRO_ANALYZE=1 debug hook
         from repro.analysis.runner import verify_plan
 
         verify_plan(plan, tracer=tr)
-    return plan
-
-
-def plan_from_solver(solver) -> SymbolicPlan:
-    """Freeze an already-analyzed :class:`SparseLUSolver`'s symbolic state.
-
-    Reuses the solver's artifacts (and its block layout, if one was built)
-    instead of re-running the analysis.
-    """
-    if solver.bp is None:
-        raise ValueError("solver has no analysis; call analyze() first")
-    art = SymbolicArtifacts(
-        row_perm=solver.row_perm,
-        col_perm=solver.col_perm,
-        fill=solver.fill,
-        partition_raw=solver.partition_raw,
-        partition=solver.partition,
-        bp=solver.bp,
-        graph=solver.graph,
-        n_btf_blocks=solver.n_btf_blocks,
-    )
-    plan = SymbolicPlan(
-        fingerprint=fingerprint(solver.a),
-        options=dataclasses.replace(solver.options),
-        indptr=_frozen_copy(solver.a.indptr, np.int64),
-        indices=_frozen_copy(solver.a.indices, np.int32),
-        artifacts=art,
-        layout=solver._ensure_layout(),
-        solve_schedule=solver._ensure_solve_schedule(),
-        row_perm_inv=_inverse_perm(solver.row_perm),
-    )
     return plan

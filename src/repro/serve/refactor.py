@@ -1,15 +1,21 @@
-"""Numeric refactorization against a cached symbolic plan.
+"""The numeric phase: factorization and solves against a symbolic plan.
 
-The warm path of the serving subsystem: given a :class:`SymbolicPlan` and a
-matrix carrying *new values on the plan's pattern*, run only the numeric
-phase — value permutation, panel scatter, supernodal elimination, factor
-extraction — and return a self-contained :class:`NumericFactorization`.
-No ordering, fill, postorder, supernode, or task-graph work happens here;
-the ``refactor`` tracer span contains no symbolic child span, which the
-test suite pins as the subsystem's core guarantee.
+The only numeric path of the library. Given a :class:`SymbolicPlan` and a
+matrix carrying values on the plan's pattern, :func:`refactorize_with_plan`
+runs value permutation, panel scatter, supernodal elimination and factor
+extraction, and returns a self-contained :class:`NumericFactorization`
+whose :meth:`~NumericFactorization.solve` is the only permuted/equilibrated
+solve. Every entry point lands here — ``lu(a)`` and
+``SparseLUSolver.factorize`` after building a plan, ``lu(a, plan=)``,
+``LUHandle.refactor``, ``SparseLUSolver.refactorize`` and
+``SolverService`` with a plan already in hand — so a cold request is
+*build the plan, then the warm request*. No ordering, fill, postorder,
+supernode, or task-graph work happens here; the ``factorize`` tracer span
+contains no symbolic child span, which the test suite pins as the
+subsystem's core guarantee.
 
 Because the plan (including its :class:`~repro.numeric.blockdata.BlockLayout`)
-is immutable, any number of refactorizations may run concurrently against
+is immutable, any number of factorizations may run concurrently against
 the same plan; each allocates its own value panels.
 """
 
@@ -29,6 +35,21 @@ from repro.sparse.ops import matvec, permute
 from repro.util.errors import PlanMismatchError, ShapeError
 
 
+def permuted_values(plan: SymbolicPlan, a: CSCMatrix, tracer: Optional[Tracer] = None):
+    """``(a_work, equil)``: ``a`` equilibrated (when the plan's options ask
+    for it; ``equil`` is ``None`` otherwise) and permuted into the plan's
+    elimination order — the matrix the engines factor."""
+    equil = None
+    if plan.options.equilibrate:
+        from repro.numeric.scaling import equilibrate
+
+        tr = tracer if tracer is not None else Tracer(enabled=False)
+        with tr.span("equilibrate"):
+            equil = equilibrate(a)
+            a = equil.apply(a)
+    return permute(a, row_perm=plan.row_perm, col_perm=plan.col_perm), equil
+
+
 @dataclass
 class NumericFactorization:
     """Factors of one value assignment, bound to the plan that produced them.
@@ -40,6 +61,7 @@ class NumericFactorization:
 
     plan: SymbolicPlan
     a: CSCMatrix
+    a_work: CSCMatrix  # ``a`` as factored: equilibrated and permuted
     result: FactorResult
     equil: object = None  # Equilibration | None
     tracer: Optional[Tracer] = None
@@ -50,8 +72,10 @@ class NumericFactorization:
         Multi-RHS solves are blocked: one pass over each triangular factor
         covers all columns — the kernel the service's request batching
         relies on. ``impl`` overrides the ``$REPRO_SOLVE`` dispatch
-        (``"block"`` panel solves when the factors were retained in block
-        form, ``"reference"`` scalar CSC solves).
+        (``"block"`` panel solves, ``"reference"`` scalar CSC solves —
+        :mod:`repro.numeric.solve_dispatch`); the block path needs block
+        factors, so when the factorization did not retain them the solve
+        falls back to the reference path.
         """
         n = self.plan.n
         b = np.asarray(b, dtype=np.float64)
@@ -67,10 +91,7 @@ class NumericFactorization:
                 tr.metrics.histogram("solve.n_rhs", unit="cols").observe(n_rhs)
             if self.equil is not None:
                 b = self.equil.scale_rhs(b)
-            row_perm_inv = self.plan.row_perm_inv
-            if row_perm_inv is None:
-                row_perm_inv = np.argsort(self.plan.row_perm, kind="stable")
-            b_work = b[row_perm_inv]
+            b_work = b[self.plan.row_perm_inv]
             with tr.span(f"solve.{impl_used}") as s:
                 if use_block:
                     sched = self.result.blocks.schedule
@@ -93,12 +114,33 @@ class NumericFactorization:
         return float(np.max(np.abs(r))) / denom
 
 
+def _execution_graph(plan: SymbolicPlan, policy: str, n_workers: int):
+    """``(graph, mapping)`` for the plan's mapping ``policy``.
+
+    ``cyclic`` (the default, and every plan without a recipe) keeps each
+    engine's own placement on the 1-D graph; a ``2d``/``2d:PRxPC`` recipe
+    swaps in the plan's 2-D task graph with the matching
+    :class:`~repro.parallel.mapping.GridMapping`; any other 1-D policy
+    name builds that owner map.
+    """
+    if policy == "cyclic":
+        return plan.graph, None
+    from repro.parallel.mapping import is_grid_spec, make_mapping, parse_grid_spec
+
+    if is_grid_spec(policy):
+        return plan.graph_2d, parse_grid_spec(policy, n_workers)
+    return plan.graph, make_mapping(policy, plan.bp, n_workers)
+
+
 def refactorize_with_plan(
     plan: SymbolicPlan,
     a: CSCMatrix,
     *,
     tracer: Optional[Tracer] = None,
     check_pattern: bool = True,
+    order=None,
+    retain_blocks: Optional[bool] = None,
+    sanitizer=None,
     engine: Optional[str] = None,
     n_workers: int = 4,
     pool=None,
@@ -113,17 +155,32 @@ def refactorize_with_plan(
     symbolic work (the paper's Theorem 3 argument).
 
     ``engine``/``n_workers`` select the numeric executor with the usual
-    precedence (argument > ``$REPRO_ENGINE`` > sequential); the plan
-    already carries the task graph the parallel engines schedule by.
-    When the plan's tuned recipe pins a non-default ``mapping``, the
-    refactorization transparently runs under it: a ``2d``/``2d:PRxPC``
-    recipe swaps in the plan's 2-D task graph with the matching
-    :class:`~repro.parallel.mapping.GridMapping`, a 1-D policy name
-    builds that owner map (``cyclic``, the field default, keeps each
-    engine's own default placement). ``pool`` optionally shares one
+    precedence (argument > ``$REPRO_ENGINE`` > sequential,
+    :mod:`repro.parallel.dispatch`); the parallel engines produce factors
+    bitwise identical to the sequential order. When the plan's tuned
+    recipe pins a non-default ``mapping``, the factorization transparently
+    runs under it (``cyclic``, the field default, keeps each engine's own
+    placement on the 1-D graph). ``order`` instead replays an explicit
+    topological order of ``plan.graph`` sequentially — an order *is* a
+    schedule, so it excludes ``engine=``. ``pool`` optionally shares one
     :class:`repro.parallel.procengine.ProcPool` across calls — the
     :class:`~repro.serve.service.SolverService` passes its own so serving
     threads never each spawn a process pool.
+
+    ``retain_blocks`` controls whether the factors are additionally kept
+    in supernodal panel form for the block solve engine
+    (:mod:`repro.numeric.supersolve`); ``None`` retains them exactly when
+    the resolved solve implementation is ``"block"``.
+
+    ``sanitizer`` optionally attaches a caller-owned
+    :class:`repro.analysis.sanitizer.AccessSanitizer` to the run (its
+    findings stay on the object — no exception); without one,
+    ``REPRO_SANITIZE=1`` builds a strict sanitizer from the plan's static
+    fill that raises :class:`~repro.util.errors.SanitizerError` on any
+    footprint escape.
+
+    With detail tracing on, the engine feeds per-kernel counters and
+    histograms into ``tracer.metrics``.
     """
     from repro.parallel.dispatch import resolve_engine, run_engine
 
@@ -134,54 +191,45 @@ def refactorize_with_plan(
             f"matrix pattern ({a.n_rows}x{a.n_cols}, nnz={a.nnz}) does not "
             f"match the plan's ({plan.fingerprint})"
         )
+    if order is not None and engine is not None:
+        raise ValueError("pass either an explicit order or engine=, not both")
+    if retain_blocks is None:
+        retain_blocks = resolve_solve_impl() == "block"
     tr = tracer if tracer is not None else Tracer(enabled=False)
-    with tr.span("refactor", n=plan.n, nnz=plan.nnz) as s:
-        equil = None
-        source = a
-        if plan.options.equilibrate:
-            from repro.numeric.scaling import equilibrate
-
-            equil = equilibrate(a)
-            source = equil.apply(a)
-        a_work = permute(source, row_perm=plan.row_perm, col_perm=plan.col_perm)
-        eng = LUFactorization(
-            a_work,
-            plan.bp,
-            metrics=tr.metrics if tr.detail else None,
-            layout=plan.layout,
-        )
-        graph = plan.graph
-        mapping = None
-        map_policy = plan.recipe.mapping if plan.recipe is not None else "cyclic"
-        if map_policy != "cyclic":
-            from repro.parallel.mapping import (
-                is_grid_spec,
-                make_mapping,
-                parse_grid_spec,
+    metrics = tr.metrics if tr.detail else None
+    with tr.span("factorize", n=plan.n, nnz=plan.nnz) as s:
+        a_work, equil = permuted_values(plan, a, tr)
+        eng = LUFactorization(a_work, plan.bp, metrics=metrics, layout=plan.layout)
+        policy = plan.recipe.mapping if plan.recipe is not None else "cyclic"
+        if order is not None:
+            eng.run_order(order)
+        else:
+            graph, mapping = _execution_graph(plan, policy, n_workers)
+            run_engine(
+                eng,
+                graph,
+                resolve_engine(engine),
+                n_workers=n_workers,
+                mapping=mapping,
+                metrics=metrics,
+                tracer=tr,
+                pool=pool,
+                fill=plan.fill,
+                sanitizer=sanitizer,
             )
-
-            if is_grid_spec(map_policy):
-                graph = plan.graph_2d
-                mapping = parse_grid_spec(map_policy, n_workers)
-            else:
-                mapping = make_mapping(map_policy, plan.bp, n_workers)
-        s.set(mapping=map_policy)
-        run_engine(
-            eng,
-            graph,
-            resolve_engine(engine),
-            n_workers=n_workers,
-            mapping=mapping,
-            metrics=tr.metrics if tr.detail else None,
-            tracer=tr,
-            pool=pool,
-        )
-        retain = resolve_solve_impl() == "block"
         result = eng.extract(
-            retain_blocks=retain,
-            solve_schedule=plan.solve_schedule if retain else None,
+            retain_blocks=retain_blocks,
+            solve_schedule=plan.solve_schedule if retain_blocks else None,
         )
-        s.set(n_tasks=len(eng.done))
+        ls = eng.lazy_stats
+        s.set(
+            mapping=policy,
+            n_tasks=len(eng.done),
+            n_updates_run=ls.n_updates_run,
+            n_updates_skipped=ls.n_updates_skipped,
+            flops_spent=ls.flops_spent,
+            flops_saved=ls.flops_saved,
+        )
     return NumericFactorization(
-        plan=plan, a=a, result=result, equil=equil, tracer=tracer
+        plan=plan, a=a, a_work=a_work, result=result, equil=equil, tracer=tracer
     )

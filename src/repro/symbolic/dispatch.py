@@ -32,9 +32,7 @@ of surfacing deep inside the pipeline.
 
 from __future__ import annotations
 
-import os
-
-from repro.util.errors import DispatchError
+from repro.util.dispatch import resolve_choice
 
 #: Environment variable consulted when no explicit ``impl`` is passed.
 ENV_VAR = "REPRO_SYMBOLIC"
@@ -47,19 +45,6 @@ DEFAULT_IMPL = "fast"
 
 
 def resolve_impl(impl: str | None = None) -> str:
-    """Resolve the symbolic implementation to use.
-
-    ``impl`` (if not ``None``) overrides the ``REPRO_SYMBOLIC`` environment
-    variable, which overrides the default. Raises
-    :class:`~repro.util.errors.DispatchError` on an unrecognized name so
-    typos fail loudly — and at resolution time — instead of silently
-    falling back or failing deep in dispatch.
-    """
-    choice = impl if impl is not None else os.environ.get(ENV_VAR) or DEFAULT_IMPL
-    if choice not in IMPLEMENTATIONS:
-        source = "impl argument" if impl is not None else f"${ENV_VAR}"
-        raise DispatchError(
-            f"unknown symbolic implementation {choice!r} (from {source}); "
-            f"expected one of {IMPLEMENTATIONS}"
-        )
-    return choice
+    """The symbolic implementation to use: ``impl`` > ``$REPRO_SYMBOLIC`` >
+    ``"fast"`` (:func:`repro.util.resolve_choice`)."""
+    return resolve_choice(impl, ENV_VAR, IMPLEMENTATIONS, DEFAULT_IMPL, "symbolic impl")

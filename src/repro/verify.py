@@ -194,9 +194,8 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
     )
 
     from repro.analysis import analyze_plan
-    from repro.serve.plan import plan_from_solver
 
-    analysis = analyze_plan(plan_from_solver(solver), name="selfcheck")
+    analysis = analyze_plan(solver.plan(), name="selfcheck")
     report.add(
         "static analyzer finds no races or broken invariants",
         analysis.ok,

@@ -150,8 +150,6 @@ class TestCLI:
 
 class TestAnalyzePlanFromSolver:
     def test_plan_from_solver_analyzes_clean(self):
-        from repro.serve.plan import plan_from_solver
-
         s = SparseLUSolver(random_pivot_matrix(40, 9)).analyze().factorize()
-        report = analyze_plan(plan_from_solver(s), name="solver")
+        report = analyze_plan(s.plan(), name="solver")
         assert report.ok, report.render()

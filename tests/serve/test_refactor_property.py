@@ -11,17 +11,24 @@ Two pinned properties:
 2. *Warm path purity* — a refactorization against a cached plan opens no
    symbolic or task-graph span: the symbolic phase is skipped entirely,
    not merely accelerated.
+3. *One request path* — every entry point (``lu``, ``lu(plan=)``,
+   ``LUHandle.refactor``, ``SparseLUSolver.refactorize``,
+   ``refactorize_with_plan``, ``SolverService``) gives the same bits under
+   the same three root span names, including with ``REPRO_SANITIZE=1``
+   and under a recipe's 2-D mapping.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import lu
+from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.trace import Tracer
-from repro.serve import PlanCache, build_plan, refactorize_with_plan
+from repro.serve import PlanCache, SolverService, build_plan, refactorize_with_plan
 from repro.serve.plan import SymbolicPlan
-from repro.util.errors import PlanMismatchError
-from repro.sparse.generators import random_sparse
+from repro.sparse.generators import paper_matrix, random_sparse
+from repro.tune import OrderingRecipe
+from repro.util.errors import PlanMismatchError, ShapeError
 from tests.conftest import random_pivot_matrix
 
 #: Span names of the symbolic/task-graph pipeline; none of these may
@@ -29,7 +36,6 @@ from tests.conftest import random_pivot_matrix
 SYMBOLIC_SPANS = frozenset(
     {
         "analyze",
-        "build_plan",
         "transversal",
         "ordering",
         "static_fill",
@@ -142,7 +148,7 @@ class TestWarmPathSkipsSymbolic:
         a_new = a.with_values(a.data * 2.0)
         refactorize_with_plan(plan, a_new, tracer=warm_tracer)
         warm_names = {s.name for s in warm_tracer.walk()}
-        assert "refactor" in warm_names
+        assert "factorize" in warm_names
         assert not (warm_names & SYMBOLIC_SPANS), warm_names
 
     def test_lu_plan_path_opens_no_symbolic_span(self):
@@ -150,7 +156,7 @@ class TestWarmPathSkipsSymbolic:
         plan = lu(a).plan
         warm = lu(a, plan=plan)
         names = {s.name for s in warm.trace.walk()}
-        assert "adopt_plan" in names and "factorize" in names
+        assert "factorize" in names
         assert not (names & SYMBOLIC_SPANS), names
 
     def test_solver_refactorize_opens_no_symbolic_span(self):
@@ -160,5 +166,110 @@ class TestWarmPathSkipsSymbolic:
         handle.solver.tracer.roots.clear()
         handle.refactor(a.data * 0.5)
         names = {s.name for s in handle.solver.tracer.walk()}
-        assert "refactorize" in names
+        assert "factorize" in names
         assert not (names & SYMBOLIC_SPANS), names
+
+
+#: The whole root-span vocabulary of the request path.
+ROOT_SPANS = frozenset({"analyze", "factorize", "solve", "solve_refined"})
+
+
+def _served(plan, a, b, tracer=None):
+    """``x`` from a ``SolverService`` whose cache already holds ``plan``."""
+    cache = PlanCache(max_entries=4)
+    cache.put(plan)
+    with SolverService(n_workers=0, cache=cache, tracer=tracer) as service:
+        return service.solve(a, b, options=plan.options)
+
+
+def _warm_entry_points(a0, a, plan, b):
+    """Every warm way to factor ``a`` (new values on ``a0``'s pattern) and
+    solve ``b``: ``{name: (FactorResult | None, x, tracer)}``."""
+    opts = plan.options
+    out = {}
+
+    handle = lu(a, plan=plan)
+    out["lu(plan=)"] = (handle.solver.result, handle.solve(b), handle.trace)
+
+    handle = lu(a0, equilibrate=opts.equilibrate)
+    handle.trace.roots.clear()  # drop the cold spans of the first lu()
+    handle.refactor(a.data)
+    out["LUHandle.refactor"] = (handle.solver.result, handle.solve(b), handle.trace)
+
+    solver = SparseLUSolver(a0, opts).analyze()
+    solver.tracer.roots.clear()
+    solver.refactorize(a)
+    out["SparseLUSolver.refactorize"] = (solver.result, solver.solve(b), solver.tracer)
+
+    tracer = Tracer()
+    fac = refactorize_with_plan(plan, a, tracer=tracer)
+    out["refactorize_with_plan"] = (fac.result, fac.solve(b), tracer)
+
+    tracer = Tracer()
+    out["SolverService"] = (None, _served(plan, a, b, tracer), tracer)
+    return out
+
+
+class TestEntryPointEquivalence:
+    @pytest.mark.parametrize(
+        "seed, zero_diag, equilibrate", [(0, 0, False), (7, 3, False), (2, 0, True)]
+    )
+    def test_same_bits_and_span_names(self, seed, zero_diag, equilibrate):
+        a0 = random_pivot_matrix(35, seed)
+        rng = np.random.default_rng(300 + seed)
+        a = _random_values(a0, rng, zero_diag_count=zero_diag)
+        while np.linalg.cond(a.to_dense()) > 1e10:
+            a = _random_values(a0, rng, zero_diag_count=zero_diag)
+        plan = build_plan(a0, SolverOptions(equilibrate=equilibrate))
+        b = np.arange(1.0, 36.0)
+
+        cold = lu(a, equilibrate=equilibrate)
+        x_cold = cold.solve(b)
+        assert {s.name for s in cold.trace.roots} == {"analyze", "factorize", "solve"}
+        for name, (result, x, tracer) in _warm_entry_points(a0, a, plan, b).items():
+            if result is not None:
+                _assert_same_factors(cold.solver.result, result)
+            assert np.array_equal(x_cold, x), name
+            names = {s.name for s in tracer.walk()}
+            assert not (names & SYMBOLIC_SPANS), (name, names)
+            assert {s.name for s in tracer.roots} == {"factorize", "solve"}, name
+        cold.solve_refined(b)
+        assert {s.name for s in cold.trace.roots} <= ROOT_SPANS
+
+    def test_pattern_mismatch_keeps_typed_errors(self):
+        a = random_pivot_matrix(30, 3)
+        other = random_sparse(30, density=0.15, seed=11)
+        plan = build_plan(a)
+        with pytest.raises(ShapeError):
+            SparseLUSolver(a).analyze().refactorize(other)
+        with pytest.raises(PlanMismatchError):
+            lu(other, plan=plan)
+        with pytest.raises(PlanMismatchError):
+            SparseLUSolver(other).adopt_plan(plan)
+
+    def test_sanitized_warm_paths_run_clean(self, monkeypatch):
+        # REPRO_SANITIZE=1 needs the plan's static fill at every engine call,
+        # whichever entry point made it.
+        a = random_pivot_matrix(35, 4)
+        plan = build_plan(a)
+        b = np.arange(1.0, 36.0)
+        plain = refactorize_with_plan(plan, a)
+        x_plain, x_served = plain.solve(b), _served(plan, a, b)
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        sanitized = refactorize_with_plan(plan, a)  # raises on any finding
+        _assert_same_factors(plain.result, sanitized.result)
+        assert np.array_equal(sanitized.solve(b), x_plain)
+        assert np.array_equal(_served(plan, a, b), x_served)
+
+    def test_2d_recipe_runs_the_2d_graph_on_every_path(self):
+        # The recipe's mapping must reach the engine from lu(plan=) as well.
+        a = paper_matrix("sherman3", scale=0.1)
+        plan = build_plan(a, recipe=OrderingRecipe(mapping="2d"))
+        assert plan.graph_2d.n_tasks != plan.graph.n_tasks
+        handle = lu(a, plan=plan)
+        _assert_same_factors(
+            handle.solver.result, refactorize_with_plan(plan, a).result
+        )
+        (span,) = [s for s in handle.trace.roots if s.name == "factorize"]
+        assert span.attrs["mapping"] == "2d"
+        assert span.attrs["n_tasks"] == plan.graph_2d.n_tasks

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.util.errors import (
+    DispatchError,
     FormatError,
     PatternError,
     ReproError,
@@ -108,3 +109,62 @@ class TestErrors:
     def test_raising(self):
         with pytest.raises(ReproError):
             raise SchedulingError("x")
+
+
+def _selectors():
+    from repro.numeric import solve_dispatch
+    from repro.parallel import dispatch as engine_dispatch
+    from repro.symbolic import dispatch as symbolic_dispatch
+
+    return [
+        pytest.param(
+            symbolic_dispatch.resolve_impl,
+            symbolic_dispatch.ENV_VAR,
+            symbolic_dispatch.IMPLEMENTATIONS,
+            symbolic_dispatch.DEFAULT_IMPL,
+            id="symbolic",
+        ),
+        pytest.param(
+            solve_dispatch.resolve_impl,
+            solve_dispatch.ENV_VAR,
+            solve_dispatch.IMPLEMENTATIONS,
+            solve_dispatch.DEFAULT_IMPL,
+            id="solve",
+        ),
+        pytest.param(
+            engine_dispatch.resolve_engine,
+            engine_dispatch.ENV_VAR,
+            engine_dispatch.ENGINES,
+            engine_dispatch.DEFAULT_ENGINE,
+            id="engine",
+        ),
+    ]
+
+
+@pytest.mark.parametrize("resolve, env_var, valid, default", _selectors())
+class TestResolveChoice:
+    """The three selectors are one ``repro.util.resolve_choice``."""
+
+    def test_bad_argument_names_source_and_valid_set(
+        self, monkeypatch, resolve, env_var, valid, default
+    ):
+        monkeypatch.setenv(env_var, valid[-1])  # the argument is what is blamed
+        with pytest.raises(DispatchError, match="argument") as exc:
+            resolve("turbo")
+        assert isinstance(exc.value, ValueError)
+        assert all(name in str(exc.value) for name in valid)
+
+    def test_bad_env_var_names_source_and_valid_set(
+        self, monkeypatch, resolve, env_var, valid, default
+    ):
+        monkeypatch.setenv(env_var, "typo")
+        with pytest.raises(DispatchError, match=env_var) as exc:
+            resolve()
+        assert all(name in str(exc.value) for name in valid)
+        assert resolve(valid[-1]) == valid[-1]  # an argument still wins
+
+    def test_empty_env_var_falls_back_to_default(
+        self, monkeypatch, resolve, env_var, valid, default
+    ):
+        monkeypatch.setenv(env_var, "")
+        assert resolve() == default
