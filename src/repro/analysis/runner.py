@@ -44,7 +44,6 @@ from repro.taskgraph.solve_graph import (
     SolveSchedule,
     backward_task,
     forward_task,
-    level_schedule,
 )
 from repro.util.errors import AnalysisError
 
@@ -160,7 +159,7 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     factor2d.stats["n_edges"] = graph_2d.n_edges
 
     solve = report.subject(f"{name}/solve-graph")
-    schedule = plan.solve_schedule or level_schedule(plan.bp)
+    schedule = plan.solve_schedule
     sfps = solve_footprints(plan.bp)
     solve.extend(
         check_liveness(schedule.graph, expected_solve_tasks(plan.bp.n_blocks))

@@ -399,7 +399,7 @@ def check_plan(plan: "SymbolicPlan") -> list[Finding]:
     n = plan.n
     findings += _check_permutation(plan.row_perm, n, "row_perm")
     findings += _check_permutation(plan.col_perm, n, "col_perm")
-    if plan.row_perm_inv is not None and not findings:
+    if not findings:
         if not np.array_equal(
             np.asarray(plan.row_perm)[np.asarray(plan.row_perm_inv)],
             np.arange(n, dtype=np.int64),
@@ -443,41 +443,40 @@ def check_plan(plan: "SymbolicPlan") -> list[Finding]:
                 detail={"graph": plan.graph.n_tasks, "expected": n_expected},
             )
         )
-    if plan.solve_schedule is not None:
-        sched = plan.solve_schedule
-        if sched.n_blocks != plan.bp.n_blocks:
+    sched = plan.solve_schedule
+    if sched.n_blocks != plan.bp.n_blocks:
+        findings.append(
+            Finding(
+                check="plan.schedule_blocks",
+                message=(
+                    f"solve schedule covers {sched.n_blocks} blocks, "
+                    f"the pattern has {plan.bp.n_blocks}"
+                ),
+                detail={
+                    "schedule": sched.n_blocks,
+                    "bp": plan.bp.n_blocks,
+                },
+            )
+        )
+    else:
+        findings += check_schedule(sched)
+        have = set(sched.graph.tasks())
+        want = {
+            t
+            for k in range(plan.bp.n_blocks)
+            for t in (forward_task(k), backward_task(k))
+        }
+        if have != want:
             findings.append(
                 Finding(
-                    check="plan.schedule_blocks",
-                    message=(
-                        f"solve schedule covers {sched.n_blocks} blocks, "
-                        f"the pattern has {plan.bp.n_blocks}"
-                    ),
+                    check="plan.schedule_tasks",
+                    message="solve-schedule graph tasks do not match the block set",
                     detail={
-                        "schedule": sched.n_blocks,
-                        "bp": plan.bp.n_blocks,
+                        "missing": len(want - have),
+                        "unknown": len(have - want),
                     },
                 )
             )
-        else:
-            findings += check_schedule(sched)
-            have = set(sched.graph.tasks())
-            want = {
-                t
-                for k in range(plan.bp.n_blocks)
-                for t in (forward_task(k), backward_task(k))
-            }
-            if have != want:
-                findings.append(
-                    Finding(
-                        check="plan.schedule_tasks",
-                        message="solve-schedule graph tasks do not match the block set",
-                        detail={
-                            "missing": len(want - have),
-                            "unknown": len(have - want),
-                        },
-                    )
-                )
     return findings
 
 

@@ -2,17 +2,16 @@
 
 Each block column ``j`` stores one contiguous dense panel covering the full
 row ranges of its stored blocks ``B̄_{i,j}`` (padding inside a block is
-explicit zeros, as in S+). Rows are addressed by *global row id*; the id →
-panel-position lookup goes through the block boundaries, so it is O(log
-#blocks) vectorized.
+explicit zeros, as in S+). Rows are addressed by *global row id*.
 
 The storage is split in two layers mirroring the paper's static/numeric
 phase boundary: :class:`BlockLayout` holds everything derivable from the
-block pattern alone (boundaries, per-column block lists, panel offsets,
-candidate-row ids) and is immutable once built, so a cached symbolic plan
-can share one layout across arbitrarily many numeric refactorizations and
-threads; :class:`BlockColumnData` allocates the panels and scatters one
-matrix's values into them.
+block pattern alone — boundaries, per-column block lists and panel offsets,
+candidate-row ids and the *relative indices* that map every update's source
+rows to panel positions of its target column — and is immutable once built,
+so a cached symbolic plan can share one layout across arbitrarily many
+numeric refactorizations and threads; :class:`BlockColumnData` allocates
+the panels and scatters one matrix's values into them.
 """
 
 from __future__ import annotations
@@ -21,7 +20,14 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import BlockPattern
-from repro.util.errors import PatternError, ShapeError
+from repro.util.errors import PatternError, SchedulingError, ShapeError
+
+
+def concat_ranges(lo: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """``concatenate([arange(l, l + n) for l, n in zip(lo, lens)])``."""
+    ends = np.cumsum(lens)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(lo - (ends - lens), lens)
 
 
 class BlockLayout:
@@ -32,61 +38,101 @@ class BlockLayout:
     pattern. All arrays are precomputed and never mutated after
     construction, which makes sharing a layout across concurrently running
     factorizations safe.
-    """
 
-    __slots__ = (
-        "bp",
-        "n",
-        "n_blocks",
-        "starts",
-        "block_of_row",
-        "col_blocks",
-        "col_offsets",
-        "panel_heights",
-        "_diag_offsets",
-        "_sub_rows",
-    )
+    The relative indices follow the supernodal idiom (HiGHS ``relind_*``):
+    for every stored update ``(k → j)`` — block ``(k, j)`` above the
+    diagonal with ``F(k)`` defined — one int32 row per candidate row of
+    panel ``k`` holding its position in panel ``j``, or −1 when column
+    ``j`` does not store that row. The numeric kernels index with them
+    instead of searching the block boundaries per task.
+    """
 
     def __init__(self, bp: BlockPattern) -> None:
         part = bp.partition
+        nb = bp.n_blocks
         self.bp = bp
         self.n = part.n
-        self.n_blocks = bp.n_blocks
-        self.starts = part.starts  # scalar boundaries of block rows/cols
+        self.n_blocks = nb
+        self.starts = starts = part.starts  # scalar boundaries of block rows/cols
+        self.widths = widths = np.diff(starts)
         # block_of_row[r] = block-row index of scalar row r.
         self.block_of_row = part.member_of()
 
-        self.col_blocks: list[np.ndarray] = []  # ascending block ids per column
-        self.col_offsets: list[np.ndarray] = []  # panel offset of each block
-        self.panel_heights: list[int] = []
-        self._diag_offsets: list[int] = []  # -1 when the diagonal block is absent
-        self._sub_rows: list = []  # candidate-row ids, None when diag absent
-        for k in range(self.n_blocks):
-            blocks = bp.col_blocks(k).astype(np.int64)
-            heights = self.starts[blocks + 1] - self.starts[blocks]
-            offsets = np.zeros(blocks.size, dtype=np.int64)
-            np.cumsum(heights[:-1], out=offsets[1:])
-            self.col_blocks.append(blocks)
-            self.col_offsets.append(offsets)
-            self.panel_heights.append(int(heights.sum()))
-            idx = int(np.searchsorted(blocks, k))
-            if idx < blocks.size and blocks[idx] == k:
-                self._diag_offsets.append(int(offsets[idx]))
-                subs = np.concatenate(
-                    [
-                        np.arange(self.starts[b], self.starts[b + 1], dtype=np.int64)
-                        for b in blocks[idx:]
-                    ]
-                )
-                subs.setflags(write=False)
-                self._sub_rows.append(subs)
-            else:
-                self._diag_offsets.append(-1)
-                self._sub_rows.append(None)
+        # Stored blocks, flat in (column, row) order: block row ids and
+        # panel offsets; the per-column lists are views into them.
+        counts = np.fromiter((b.size for b in bp.blocks), dtype=np.int64, count=nb)
+        ptr = np.concatenate(([0], np.cumsum(counts)))
+        rows = np.concatenate([*bp.blocks, np.empty(0, np.int64)]).astype(np.int64)
+        cols = np.repeat(np.arange(nb, dtype=np.int64), counts)
+        below = np.concatenate(([0], np.cumsum(widths[rows])))
+        offs = below[:-1] - below[ptr[cols]]
+        bounds = list(zip(ptr[:-1].tolist(), ptr[1:].tolist()))
+        self.col_blocks = [rows[s:e] for s, e in bounds]  # ascending block ids
+        self.col_offsets = [offs[s:e] for s, e in bounds]  # panel offset of each
+        self.panel_heights: list[int] = (below[ptr[1:]] - below[ptr[:-1]]).tolist()
+        self._block_keys = cols * nb + rows  # ascending by construction
+        self._block_offs = offs
+        self._n_upper: list[int] = np.bincount(cols[rows < cols], minlength=nb).tolist()
+
+        diag = np.full(nb, -1, dtype=np.int64)  # -1: diagonal block absent
+        diag[cols[rows == cols]] = offs[rows == cols]
+        self._diag_offsets: list[int] = diag.tolist()
+        # Candidate rows (diagonal block and below) of every column that
+        # stores its diagonal; None marks the columns that do not.
+        cand = (rows >= cols) & (diag[cols] >= 0)
+        sub_flat = concat_ranges(starts[rows[cand]], widths[rows[cand]])
+        sub_flat.setflags(write=False)
+        sub_len = np.bincount(cols[cand], weights=widths[rows[cand]], minlength=nb)
+        sub_ptr = np.concatenate(([0], np.cumsum(sub_len))).astype(np.int64)
+        self._sub_rows = [
+            sub_flat[s:e] if d >= 0 else None
+            for s, e, d in zip(sub_ptr[:-1].tolist(), sub_ptr[1:].tolist(), diag)
+        ]
+
+        # Relative indices of every update (k -> j), one flat int32 array.
+        upd = (rows < cols) & (diag[rows] >= 0)
+        uk, uj = rows[upd], cols[upd]
+        lens = sub_ptr[uk + 1] - sub_ptr[uk]
+        rel = self.locate(
+            np.repeat(uj, lens), sub_flat[concat_ranges(sub_ptr[uk], lens)]
+        ).astype(np.int32)
+        rel.setflags(write=False)
+        self._rel = rel
+        self._rel_ptr = np.concatenate(([0], np.cumsum(lens)))
+        # update key j * n_blocks + k -> its ordinal in the flat arrays
+        self._rel_index: dict[int, int] = dict(
+            zip((uj * nb + uk).tolist(), range(uk.size))
+        )
 
     # ------------------------------------------------------------------
     def width(self, k: int) -> int:
-        return int(self.starts[k + 1] - self.starts[k])
+        return int(self.widths[k])
+
+    def _find(
+        self, block_rows: np.ndarray, block_cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(idx, found)``: where block ``(block_rows[i], block_cols[i])``
+        sits in the flat stored-block arrays, and whether it is stored."""
+        keys = block_cols * self.n_blocks + block_rows
+        if not self._block_keys.size:
+            return np.zeros(keys.shape, np.int64), np.zeros(keys.shape, bool)
+        idx = np.minimum(
+            np.searchsorted(self._block_keys, keys), self._block_keys.size - 1
+        )
+        return idx, self._block_keys[idx] == keys
+
+    def has_blocks(self, block_rows: np.ndarray, block_cols: np.ndarray) -> np.ndarray:
+        """Elementwise: is block ``(block_rows[i], block_cols[i])`` stored?"""
+        return self._find(block_rows, block_cols)[1]
+
+    def locate(self, block_cols: np.ndarray, global_rows: np.ndarray) -> np.ndarray:
+        """Panel position of row ``global_rows[i]`` in block column
+        ``block_cols[i]``, −1 where that column does not store the row."""
+        bid = self.block_of_row[global_rows]
+        idx, found = self._find(bid, block_cols)
+        out = np.full(found.shape, -1, dtype=np.int64)
+        out[found] = self._block_offs[idx[found]] + (global_rows - self.starts[bid])[found]
+        return out
 
     def positions(
         self, k: int, global_rows: np.ndarray
@@ -94,6 +140,9 @@ class BlockLayout:
         """Panel positions of ``global_rows`` in block column ``k``.
 
         Returns ``(pos, present)``; ``pos`` is only valid where ``present``.
+        Searches column ``k``'s own block list, independently of
+        :meth:`locate` — the oracle the relative indices are tested
+        against; nothing on the numeric path calls it.
         """
         global_rows = np.asarray(global_rows, dtype=np.int64)
         blocks = self.col_blocks[k]
@@ -113,6 +162,32 @@ class BlockLayout:
                 global_rows[ok] - self.starts[blocks[b]]
             )
         return pos, present
+
+    def relative_rows(self, k: int, j: int) -> np.ndarray:
+        """Panel-``j`` position of every row of ``sub_rows(k)`` (−1 when
+        absent) for the stored update ``(k → j)``; shared and read-only.
+        The first ``width(k)`` entries are the rows of ``U`` block
+        ``(k, j)``, always present and contiguous."""
+        u = self._rel_index.get(j * self.n_blocks + k)
+        if u is None:
+            raise SchedulingError(
+                f"update ({k}->{j}) scheduled but block ({k},{j}) is not stored"
+            )
+        return self._rel[self._rel_ptr[u] : self._rel_ptr[u + 1]]
+
+    def block_offset(self, i: int, j: int) -> int:
+        """Panel offset of stored block ``(i, j)`` in block column ``j``."""
+        idx, found = self._find(np.array([i]), np.array([j]))
+        if not found[0]:
+            raise PatternError(f"block ({i},{j}) is not stored")
+        return int(self._block_offs[idx[0]])
+
+    def upper_blocks(self, k: int) -> list[tuple[int, int, int]]:
+        """``(block row, panel offset, height)`` of the blocks above the
+        diagonal of column ``k`` — the static U side of the factors."""
+        b = self.col_blocks[k][: self._n_upper[k]]
+        offs = self.col_offsets[k][: self._n_upper[k]]
+        return list(zip(b.tolist(), offs.tolist(), self.widths[b].tolist()))
 
     def has_diag(self, k: int) -> bool:
         """Whether block column ``k`` stores its diagonal block (and thus
@@ -179,55 +254,49 @@ class BlockColumnData:
         elif layout.n != a.n_cols or layout.n_blocks != bp.n_blocks:
             raise ShapeError("layout does not match the given block pattern")
         self.layout = layout
-        self.bp = bp
         self.n = a.n_cols
         self.n_blocks = bp.n_blocks
         self.starts = layout.starts
         self.block_of_row = layout.block_of_row
-        self.col_blocks = layout.col_blocks
-        self.col_offsets = layout.col_offsets
 
-        self.owned_columns = (
-            set(range(self.n_blocks)) if owned_columns is None else set(owned_columns)
-        )
-        self.panels: list = [
-            np.zeros((layout.panel_heights[k], layout.width(k)), dtype=np.float64)
-            if k in self.owned_columns
-            else None
-            for k in range(self.n_blocks)
+        owned = np.ones(self.n_blocks, dtype=bool)
+        if owned_columns is not None:
+            owned[:] = False
+            owned[list(owned_columns)] = True
+        # One zeroed buffer; panel k is its (height, width) view at base[k].
+        sizes = np.where(owned, np.asarray(layout.panel_heights) * layout.widths, 0)
+        base = np.concatenate(([0], np.cumsum(sizes)))
+        buf = np.zeros(int(base[-1]), dtype=np.float64)
+        self.panels: list[np.ndarray | None] = [
+            buf[s:e].reshape(h, w) if own else None
+            for s, e, h, w, own in zip(
+                base[:-1].tolist(),
+                base[1:].tolist(),
+                layout.panel_heights,
+                layout.widths.tolist(),
+                owned.tolist(),
+            )
         ]
 
-        # Scatter A's values (owned columns only).
-        for col in range(self.n):
-            k = int(self.block_of_row[col])  # block column of scalar col
-            if k not in self.owned_columns:
-                continue
-            local_col = col - int(self.starts[k])
-            rows = a.col_rows(col)
-            vals = a.col_values(col)
-            pos, present = self.positions(k, rows)
-            if not np.all(present):
-                missing = rows[~present][:5]
-                raise PatternError(
-                    f"entries of column {col} fall outside the block pattern "
-                    f"(rows {missing.tolist()}): the pattern must cover Ā ⊇ A"
-                )
-            self.panels[k][pos, local_col] = vals
+        # Scatter A's values (owned columns only): one position lookup over
+        # all stored entries, one assignment into the shared buffer.
+        cols = np.repeat(np.arange(self.n, dtype=np.int64), np.diff(a.indptr))
+        mine = owned[self.block_of_row[cols]]
+        cols, rows, vals = cols[mine], a.indices[mine].astype(np.int64), a.data[mine]
+        kcol = self.block_of_row[cols]
+        pos = layout.locate(kcol, rows)
+        if pos.size and pos.min() < 0:
+            col = int(cols[np.argmax(pos < 0)])
+            missing = rows[(pos < 0) & (cols == col)][:5]
+            raise PatternError(
+                f"entries of column {col} fall outside the block pattern "
+                f"(rows {missing.tolist()}): the pattern must cover Ā ⊇ A"
+            )
+        buf[base[kcol] + pos * layout.widths[kcol] + (cols - self.starts[kcol])] = vals
 
     # ------------------------------------------------------------------
     def width(self, k: int) -> int:
         return self.layout.width(k)
-
-    def positions(self, k: int, global_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Panel positions of ``global_rows`` in block column ``k``.
-
-        Returns ``(pos, present)``; ``pos`` is only valid where ``present``.
-        """
-        return self.layout.positions(k, global_rows)
-
-    def diag_offset(self, k: int) -> int:
-        """Panel offset of the diagonal block in block column ``k``."""
-        return self.layout.diag_offset(k)
 
     def sub_rows(self, k: int) -> np.ndarray:
         """Global row ids of the candidate (diagonal-and-below) panel rows."""
@@ -239,8 +308,9 @@ class BlockColumnData:
         Contiguous because blocks are stored in ascending order, so the
         diagonal-and-below region is the bottom slice of the panel.
         """
-        if self.panels[k] is None:
+        panel = self.panels[k]
+        if panel is None:
             raise PatternError(
                 f"block column {k} is not materialized on this process"
             )
-        return self.panels[k][self.diag_offset(k) :, :]
+        return panel[self.layout.diag_offset(k) :, :]

@@ -24,8 +24,10 @@ sequence and agree to rounding.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from functools import partial
+from typing import TYPE_CHECKING, Callable, Iterable
 
 import numpy as np
 
@@ -81,22 +83,49 @@ class LazyStats:
         return self.flops_saved / denom if denom else 0.0
 
 
-@dataclass
 class FactorResult:
-    """Factors ``P A = L U`` in scalar CSC form.
+    """Factors ``P A = L U``.
 
     ``orig_at[i]`` is the original row of ``A`` living at pivoted position
     ``i``, i.e. ``(PA)[i, :] = A[orig_at[i], :]``.
 
-    ``blocks`` optionally carries the same factors in supernodal panel
-    form (:class:`repro.numeric.supersolve.BlockFactors`), produced by
+    ``blocks`` optionally carries the factors in supernodal panel form
+    (:class:`repro.numeric.supersolve.BlockFactors`), produced by
     ``extract(retain_blocks=True)`` and consumed by the block solve path.
+
+    ``l_factor``/``u_factor`` are the scalar CSC form. The block solve
+    never reads them, so they are assembled from the engine's panels on
+    first access: once, under a lock (concurrent readers share one build),
+    after which the panels are released.
     """
 
-    l_factor: CSCMatrix
-    u_factor: CSCMatrix
-    orig_at: np.ndarray
-    blocks: "BlockFactors | None" = None
+    def __init__(
+        self,
+        orig_at: np.ndarray,
+        blocks: "BlockFactors | None",
+        assemble: "Callable[[], tuple[CSCMatrix, CSCMatrix]]",
+    ) -> None:
+        self.orig_at = orig_at
+        self.blocks = blocks
+        self._assemble: "Callable[[], tuple[CSCMatrix, CSCMatrix]] | None" = assemble
+        self._csc: "tuple[CSCMatrix, CSCMatrix] | None" = None
+        self._lock = threading.Lock()
+
+    def _scalar_factors(self) -> "tuple[CSCMatrix, CSCMatrix]":
+        if self._csc is None:
+            with self._lock:
+                if self._csc is None:
+                    self._csc = self._assemble()
+                    self._assemble = None  # drops the panel references
+        return self._csc
+
+    @property
+    def l_factor(self) -> CSCMatrix:
+        return self._scalar_factors()[0]
+
+    @property
+    def u_factor(self) -> CSCMatrix:
+        return self._scalar_factors()[1]
 
     def solve(self, b: np.ndarray, *, impl: "str | None" = None) -> np.ndarray:
         """Solve ``A x = b`` via ``L U x = P b`` (vector or multi-RHS).
@@ -126,7 +155,6 @@ class FactorResult:
         y = upper_transpose_solve_csc(self.u_factor, b)
         z = lower_transpose_unit_solve_csc(self.l_factor, y)
         out = np.empty_like(z)
-        out[...] = 0.0
         # PA = LU => Aᵀ Pᵀ = UᵀLᵀ => x = Pᵀ z: x[orig_at[i]] = z[i].
         out[self.orig_at] = z
         return out
@@ -154,10 +182,6 @@ class FactorResult:
             sign = -sign
         logdet = float(np.sum(np.log(np.abs(dvals))))
         return sign, logdet
-
-    def reconstruct_pa_dense(self) -> np.ndarray:
-        """Dense ``L @ U`` (small-matrix tests only)."""
-        return self.l_factor.to_dense() @ self.u_factor.to_dense()
 
 
 def _permutation_sign(perm: np.ndarray) -> float:
@@ -257,7 +281,7 @@ class LUFactorization:
         if task.kind == "F":
             self._factor(task.k)
         elif task.kind == "U":
-            self._update(task.k, task.j)
+            self._apply_update(task.j, task.k)
         elif task.kind == "SL":
             self._scale_lower(task.k, task.i)
         elif task.kind == "SU":
@@ -319,65 +343,67 @@ class LUFactorization:
                 self.metrics.counter("pivot.rows_deferred", unit="rows").inc(n_moved)
                 self.metrics.counter("pivot.panels_with_swaps", unit="panels").inc()
 
-    def _update(self, k: int, j: int) -> None:
-        if self.check_dependencies and Task("F", k, k) not in self.done:
-            raise SchedulingError(f"U({k},{j}) ran before F({k})")
-        self._apply_update(
-            j,
-            k,
-            self.sub_rows[k],
-            self.pivoted_rows[k],
-            self.data.sub_panel(k),
-        )
-
-    def _apply_update(
+    def _rename_and_solve(
         self,
-        j: int,
+        kind: str,
         k: int,
-        subs: np.ndarray,
-        pivoted: np.ndarray,
-        m: np.ndarray,
-    ) -> None:
-        """Update column ``j`` using block column ``k``'s factored panel.
+        j: int,
+        subs: "np.ndarray | None",
+        pivoted: "np.ndarray | None",
+        m: "np.ndarray | None",
+    ) -> "tuple[np.ndarray, ...] | None":
+        """Renames + TRSM of block ``(k, j)``: all of ``SU(k, j)`` and the
+        first two phases of ``U(k, j)`` (``kind`` says which). Returns
+        ``(panel_j, rel, u_kj, subs, m)`` — ``rel`` the layout's relative
+        indices of update ``(k → j)`` — or ``None`` when the LazyS+
+        shortcut skipped the update.
 
-        The panel may be local (shared-memory execution) or a received copy
-        (message-passing execution) — the math is identical.
+        ``subs``/``pivoted``/``m`` are block ``k``'s published pivot data
+        and factored panel; ``None`` takes the local bookkeeping, the proc
+        and message-passing engines pass the shared arena slot or a
+        received copy — the math is identical. Every renamed id is a row
+        of ``subs``, so its panel-``j`` position is a lookup in ``rel``.
         """
+        if self.check_dependencies and k not in self.pivoted_rows:
+            raise SchedulingError(f"{kind}({k},{j}) ran before F({k})")
+        if subs is None:
+            subs = self.sub_rows[k]
+        if pivoted is None:
+            pivoted = self.pivoted_rows[k]
+        if m is None:
+            m = self.data.sub_panel(k)
         w = self.data.width(k)
         panel_j = self.data.panels[j]
         if panel_j is None:
             raise SchedulingError(
-                f"U({k},{j}) ran on a process that does not own column {j}"
+                f"{kind}({k},{j}) ran on a process that does not own column {j}"
             )
+        rel = self.data.layout.relative_rows(k, j)
         san = self.sanitizer
         if san is not None:
             from repro.analysis.sanitizer import pivot_region
 
-            # ``subs``/``pivoted`` are the published pivot data of block
-            # k — local bookkeeping or the shared arena slot alike.
             san.record_read(pivot_region(k), subs)
-            san.record_read(k, subs)
+            # U(k, j) goes on to read the multipliers below the diagonal.
+            san.record_read(k, subs if kind == "U" else subs[:w])
 
         # 1. Apply F(k)'s row renaming to column j (gather, then scatter —
         #    safe under permutation cycles). Ids absent from column j carry
         #    exact zeros, so dropping/injecting them is a no-op.
-        changed = pivoted != subs
-        if np.any(changed):
-            old_ids = pivoted[changed]
-            new_ids = subs[changed]
-            old_pos, old_present = self.data.positions(j, old_ids)
-            new_pos, new_present = self.data.positions(j, new_ids)
-            vals = np.zeros((old_ids.size, panel_j.shape[1]), dtype=np.float64)
-            if np.any(old_present):
-                vals[old_present] = panel_j[old_pos[old_present]]
-            if np.any(new_present):
-                panel_j[new_pos[new_present]] = vals[new_present]
+        moved = (pivoted != subs).nonzero()[0]
+        if moved.size:
+            src = rel[np.searchsorted(subs, pivoted[moved])]
+            dst = rel[moved]
+            have, put = src >= 0, dst >= 0
+            vals = np.zeros((moved.size, panel_j.shape[1]), dtype=np.float64)
+            vals[have] = panel_j[src[have]]
+            panel_j[dst[put]] = vals[put]
             if san is not None:
-                san.record_read(j, old_ids[old_present])
-                san.record_write(j, new_ids[new_present])
+                san.record_read(j, pivoted[moved][have])
+                san.record_write(j, subs[moved][put])
             if self.metrics is not None:
                 self.metrics.counter("pivot.renames_applied", unit="rows").inc(
-                    int(old_ids.size)
+                    int(moved.size)
                 )
 
         # 2. TRSM: finalize the U block B̄_{k,j}. LazyS+ optimization (the
@@ -385,23 +411,18 @@ class LUFactorization:
         #    from the computation"): a block that is numerically zero after
         #    the renames solves to zero, so both the TRSM and the GEMM it
         #    would feed are skipped — bitwise identical, strictly less work.
-        diag_start = self.data.starts[k]
-        pos, present = self.data.positions(j, np.array([diag_start]))
-        if not present[0]:
-            raise SchedulingError(
-                f"U({k},{j}) scheduled but block ({k},{j}) is not stored"
-            )
-        off = int(pos[0])
+        off = int(rel[0])
+        block = panel_j[off : off + w, :]
         w_j = panel_j.shape[1]
         if san is not None:
             san.record_read(j, subs[:w])
-        if not panel_j[off : off + w, :].any():
+        if not block.any():
             self.lazy_stats.skip_update(w, int(subs.size) - w, w_j)
             if self.metrics is not None:
                 self.metrics.counter("update.skipped_zero_block", unit="updates").inc()
-            return
-        u_kj = solve_unit_lower(m[:w, :w], panel_j[off : off + w, :])
-        panel_j[off : off + w, :] = u_kj
+            return None
+        u_kj = solve_unit_lower(m[:w, :w], block)
+        block[...] = u_kj
         if san is not None:
             san.record_write(j, subs[:w])
         if self.metrics is not None:
@@ -410,50 +431,71 @@ class LUFactorization:
                 trsm_flops(w, w_j)
             )
             self.metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
+        return panel_j, rel, u_kj, subs, m
 
-        # 3. GEMM: push the update into the rows below block k that column
-        #    j materializes. Padded rows (all-zero multipliers) are skipped:
-        #    they contribute nothing, and — critically for the threaded
-        #    executor — writing their zero deltas would race with concurrent
-        #    independent-subtree updates that own those rows for real.
-        below_ids = subs[w:]
-        if not below_ids.size:
-            self.lazy_stats.note_gemm_rows(0, 0, w, w_j)
-        else:
-            l_below = m[w:, :]
-            active = np.any(l_below != 0.0, axis=1)
-            n_active = int(active.sum())
-            self.lazy_stats.note_gemm_rows(int(active.size), n_active, w, w_j)
-            if n_active:
-                bpos, bpresent = self.data.positions(j, below_ids[active])
-                if np.any(bpresent):
-                    panel_j[bpos[bpresent], :] -= l_below[active][bpresent] @ u_kj
-                    if san is not None:
-                        gemm_rows = below_ids[active][bpresent]
-                        san.record_read(j, gemm_rows)
-                        san.record_write(j, gemm_rows)
-                if self.metrics is not None:
-                    self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
-                    self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
-                        gemm_flops(n_active, w, w_j)
-                    )
-                    self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(
-                        n_active
-                    )
-                    self.metrics.histogram("kernel.gemm.width", unit="cols").observe(
-                        w_j
-                    )
+    def _push_gemm(
+        self,
+        j: int,
+        panel_j: np.ndarray,
+        ids: np.ndarray,
+        tgt: np.ndarray,
+        l_rows: np.ndarray,
+        active: np.ndarray,
+        u_kj: np.ndarray,
+    ) -> None:
+        """``panel_j[tgt] -= l_rows @ u_kj`` over the ``active`` rows that
+        column ``j`` stores (``tgt`` are their relative indices, ``ids``
+        their global row ids). Padded rows (all-zero multipliers) are
+        skipped: they contribute nothing, and — critically for the threaded
+        executor — writing their zero deltas would race with concurrent
+        independent-subtree updates that own those rows for real."""
+        sel = (active & (tgt >= 0)).nonzero()[0]
+        if sel.size:
+            panel_j[tgt[sel], :] -= l_rows[sel] @ u_kj
+            if self.sanitizer is not None:
+                self.sanitizer.record_read(j, ids[sel])
+                self.sanitizer.record_write(j, ids[sel])
+        if self.metrics is not None:
+            n_active = int(np.count_nonzero(active))
+            w, w_j = u_kj.shape
+            self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
+            self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
+                gemm_flops(n_active, w, w_j)
+            )
+            self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(n_active)
+            self.metrics.histogram("kernel.gemm.width", unit="cols").observe(w_j)
+
+    def _apply_update(
+        self,
+        j: int,
+        k: int,
+        subs: "np.ndarray | None" = None,
+        pivoted: "np.ndarray | None" = None,
+        m: "np.ndarray | None" = None,
+    ) -> None:
+        """``U(k, j)``: update column ``j`` by block column ``k``'s factored
+        panel — renames, TRSM, then the GEMM into the rows below block
+        ``k`` that column ``j`` materializes."""
+        solved = self._rename_and_solve("U", k, j, subs, pivoted, m)
+        if solved is None:
+            return
+        panel_j, rel, u_kj, subs, m = solved
+        w, w_j = u_kj.shape
+        l_below = m[w:, :]
+        active = l_below.any(axis=1)
+        n_active = int(np.count_nonzero(active))
+        self.lazy_stats.note_gemm_rows(int(active.size), n_active, w, w_j)
+        if n_active:
+            self._push_gemm(j, panel_j, subs[w:], rel[w:], l_below, active, u_kj)
 
     # ------------------------------------------------------------------
     # 2-D per-block task bodies (repro.parallel.two_d)
     # ------------------------------------------------------------------
     def _block_slice(self, k: int, i: int) -> tuple[int, int]:
         """Rows of block ``i`` inside panel ``k``'s candidate sub-panel."""
-        subs = self.data.sub_rows(k)
-        starts = self.data.starts
-        lo = int(np.searchsorted(subs, starts[i]))
-        hi = int(np.searchsorted(subs, starts[i + 1]))
-        return lo, hi
+        layout = self.data.layout
+        lo = layout.block_offset(i, k) - layout.diag_offset(k)
+        return lo, lo + layout.width(i)
 
     def _scale_lower(self, k: int, i: int) -> None:
         """``SL(k, i)``: publish the active-row mask of lower block (i, k).
@@ -469,7 +511,7 @@ class LUFactorization:
         block = self.data.sub_panel(k)[lo:hi, :]
         if self.sanitizer is not None:
             self.sanitizer.record_read(k, self.data.sub_rows(k)[lo:hi])
-        self._lower_active[(k, i)] = np.any(block != 0.0, axis=1)
+        self._lower_active[(k, i)] = block.any(axis=1)
 
     def _scale_upper(
         self,
@@ -479,78 +521,21 @@ class LUFactorization:
         pivoted: "np.ndarray | None" = None,
         m: "np.ndarray | None" = None,
     ) -> None:
-        """``SU(k, j)``: renames + TRSM of block (k, j) — phases 1-2 of
-        :meth:`_apply_update`, leaving the per-block GEMMs to ``UP``.
+        """``SU(k, j)``: renames + TRSM of block (k, j), leaving the
+        per-block GEMMs of :meth:`_apply_update` to ``UP``.
 
         The rename scatter may touch *any* supported row of column ``j``
         (pivot swaps cross block rows), which is why the 2-D graph
-        serializes a column's steps on its ``SU`` tasks. ``subs``/
-        ``pivoted``/``m`` override the local bookkeeping when ``F(k)`` ran
-        on another process (proc engine: pivots come from the shared
-        arena).
+        serializes a column's steps on its ``SU`` tasks.
         """
-        if self.check_dependencies and ("F", k, k, k) not in self.done:
-            raise SchedulingError(f"SU({k},{j}) ran before F({k})")
-        if subs is None:
-            subs = self.sub_rows[k]
-        if pivoted is None:
-            pivoted = self.pivoted_rows[k]
-        if m is None:
-            m = self.data.sub_panel(k)
-        w = self.data.width(k)
-        panel_j = self.data.panels[j]
-        if panel_j is None:
-            raise SchedulingError(
-                f"SU({k},{j}) ran on a process that does not own column {j}"
-            )
-        san = self.sanitizer
-        if san is not None:
-            from repro.analysis.sanitizer import pivot_region
-
-            san.record_read(pivot_region(k), subs)
-            san.record_read(k, subs[:w])
-        changed = pivoted != subs
-        if np.any(changed):
-            old_ids = pivoted[changed]
-            new_ids = subs[changed]
-            old_pos, old_present = self.data.positions(j, old_ids)
-            new_pos, new_present = self.data.positions(j, new_ids)
-            vals = np.zeros((old_ids.size, panel_j.shape[1]), dtype=np.float64)
-            if np.any(old_present):
-                vals[old_present] = panel_j[old_pos[old_present]]
-            if np.any(new_present):
-                panel_j[new_pos[new_present]] = vals[new_present]
-            if san is not None:
-                san.record_read(j, old_ids[old_present])
-                san.record_write(j, new_ids[new_present])
-            if self.metrics is not None:
-                self.metrics.counter("pivot.renames_applied", unit="rows").inc(
-                    int(old_ids.size)
-                )
-        off = self._upper_block_offset(k, j, panel_j)
-        w_j = panel_j.shape[1]
-        if san is not None:
-            san.record_read(j, subs[:w])
-        if not panel_j[off : off + w, :].any():
-            # LazyS+: the whole update (k → j) is structurally dead; the
+        solved = self._rename_and_solve("SU", k, j, subs, pivoted, m)
+        if solved is not None:
+            # A skip (LazyS+) means the whole update (k → j) is dead: the
             # UP(k, ·, j) tasks see the still-zero U block and return, so
-            # one skip here accounts for the full 1-D-equivalent update.
-            self.lazy_stats.skip_update(w, int(subs.size) - w, w_j)
-            if self.metrics is not None:
-                self.metrics.counter("update.skipped_zero_block", unit="updates").inc()
-            return
-        u_kj = solve_unit_lower(m[:w, :w], panel_j[off : off + w, :])
-        panel_j[off : off + w, :] = u_kj
-        if san is not None:
-            san.record_write(j, subs[:w])
-        self.lazy_stats.n_updates_run += 1
-        self.lazy_stats.flops_spent += trsm_flops(w, w_j)
-        if self.metrics is not None:
-            self.metrics.counter("kernel.trsm.calls", unit="calls").inc()
-            self.metrics.counter("kernel.trsm.flops", unit="flops").inc(
-                trsm_flops(w, w_j)
-            )
-            self.metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
+            # the helper's one skip accounts for the 1-D-equivalent update.
+            w, w_j = solved[2].shape
+            self.lazy_stats.n_updates_run += 1
+            self.lazy_stats.flops_spent += trsm_flops(w, w_j)
 
     def _block_update(self, k: int, i: int, j: int) -> None:
         """``UP(k, i, j)``: GEMM of block row ``i`` into column ``j``.
@@ -570,50 +555,27 @@ class LUFactorization:
             raise SchedulingError(
                 f"UP({k},{i},{j}) ran on a process that does not own column {j}"
             )
-        off = self._upper_block_offset(k, j, panel_j)
+        rel = self.data.layout.relative_rows(k, j)
+        off = int(rel[0])
         u_kj = panel_j[off : off + w, :]
+        subs = self.data.sub_rows(k)
         san = self.sanitizer
         if san is not None:
-            san.record_read(j, self.data.sub_rows(k)[:w])
+            san.record_read(j, subs[:w])
         if not u_kj.any():
             return  # SU(k, j) took the LazyS+ skip; nothing to push.
         lo, hi = self._block_slice(k, i)
         if san is not None:
-            san.record_read(k, self.data.sub_rows(k)[lo:hi])
+            san.record_read(k, subs[lo:hi])
         active = self._lower_active.get((k, i))
         if active is None:
-            active = np.any(m[lo:hi, :] != 0.0, axis=1)
-        n_active = int(active.sum())
+            active = m[lo:hi, :].any(axis=1)
+        n_active = int(np.count_nonzero(active))
         w_j = panel_j.shape[1]
         self.lazy_stats.flops_saved += 2 * (int(active.size) - n_active) * w * w_j
         self.lazy_stats.flops_spent += 2 * n_active * w * w_j
-        if not n_active:
-            return
-        block_ids = self.data.sub_rows(k)[lo:hi]
-        bpos, bpresent = self.data.positions(j, block_ids[active])
-        if np.any(bpresent):
-            panel_j[bpos[bpresent], :] -= m[lo:hi][active][bpresent] @ u_kj
-            if san is not None:
-                gemm_rows = block_ids[active][bpresent]
-                san.record_read(j, gemm_rows)
-                san.record_write(j, gemm_rows)
-        if self.metrics is not None:
-            self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
-            self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
-                gemm_flops(n_active, w, w_j)
-            )
-            self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(n_active)
-            self.metrics.histogram("kernel.gemm.width", unit="cols").observe(w_j)
-
-    def _upper_block_offset(self, k: int, j: int, panel_j: np.ndarray) -> int:
-        """Panel offset of stored block (k, j); raises when absent."""
-        diag_start = self.data.starts[k]
-        pos, present = self.data.positions(j, np.array([diag_start]))
-        if not present[0]:
-            raise SchedulingError(
-                f"update ({k}->{j}) scheduled but block ({k},{j}) is not stored"
-            )
-        return int(pos[0])
+        if n_active:
+            self._push_gemm(j, panel_j, subs[lo:hi], rel[lo:hi], m[lo:hi], active, u_kj)
 
     def _require_column_updates_done(self, k: int) -> None:
         stored = None
@@ -670,69 +632,73 @@ class LUFactorization:
         retain_blocks: bool = False,
         solve_schedule=None,
     ) -> FactorResult:
-        """Assemble scalar CSC factors; entries with ``|v| <= drop_tol`` in
-        padded positions are dropped (0.0 keeps everything nonzero).
+        """The factors of the completed run as a :class:`FactorResult`.
 
-        Assembly is whole-block vectorized (one ``nonzero`` scan per block
-        instead of per-column Python loops); the COO builder sorts by
-        (column, row), so the result is independent of emission order.
+        The scalar CSC factors are assembled lazily, on first access of
+        ``result.l_factor``/``u_factor`` (entries with ``|v| <= drop_tol``
+        in padded positions are dropped; 0.0 keeps everything nonzero).
 
         ``retain_blocks=True`` additionally keeps the factors in panel
         form as a :class:`~repro.numeric.supersolve.BlockFactors` on the
         result, enabling the supernodal block solve path.
-        ``solve_schedule`` optionally supplies a precomputed
-        :class:`~repro.taskgraph.solve_graph.SolveSchedule` (a cached plan
-        carries one); otherwise it is derived from the block pattern.
+        ``solve_schedule`` optionally supplies the plan's static
+        :class:`~repro.taskgraph.solve_graph.SolveSchedule` for threaded
+        block solves; an exact one is derived on demand when it does not
+        cover the pivots actually chosen.
         """
         if len(self.sub_rows) != self.bp.n_blocks:
             missing = self.bp.n_blocks - len(self.sub_rows)
             raise SchedulingError(f"{missing} block columns were never factored")
-        n = self.n
-        lb = COOBuilder(n, n)
-        ub = COOBuilder(n, n)
-        starts = self.data.starts
         l_labels = self._final_l_labels()
-        # Unit diagonal of L, all columns at once.
-        diag = np.arange(n, dtype=np.int64)
-        lb.extend(diag, diag, np.ones(n, dtype=np.float64))
-        for k in range(self.bp.n_blocks):
-            w = self.data.width(k)
-            gcol0 = int(starts[k])
-            panel = self.data.sub_panel(k)
-            rows_final = l_labels[k]
-            # L: the strictly-below-diagonal part of the candidate panel.
-            rr, cc = np.nonzero(np.abs(panel) > drop_tol)
-            keep = rr > cc
-            if np.any(keep):
-                rk, ck = rr[keep], cc[keep]
-                lb.extend(rows_final[rk], gcol0 + ck, panel[rk, ck])
-            # U: upper blocks of column k plus the diagonal block's upper part.
-            panel_full = self.data.panels[k]
-            for bi, b in enumerate(self.data.col_blocks[k]):
-                b = int(b)
-                if b > k:
-                    continue
-                off = int(self.data.col_offsets[k][bi])
-                h = int(starts[b + 1] - starts[b])
-                block = panel_full[off : off + h, :]
-                if b < k:
-                    rr, cc = np.nonzero(np.abs(block) > drop_tol)
-                else:  # diagonal block: keep the upper triangle, diag forced
-                    nz = np.triu(np.abs(block) > drop_tol)
-                    np.fill_diagonal(nz, True)
-                    rr, cc = np.nonzero(nz)
-                if rr.size:
-                    ub.extend(int(starts[b]) + rr, gcol0 + cc, block[rr, cc])
         blocks = None
         if retain_blocks:
             from repro.numeric.supersolve import BlockFactors
 
-            blocks = BlockFactors.from_engine(
+            blocks = BlockFactors(
                 self.data, l_labels, self.orig_at, schedule=solve_schedule
             )
         return FactorResult(
-            l_factor=lb.to_csc(),
-            u_factor=ub.to_csc(),
-            orig_at=self.orig_at.copy(),
-            blocks=blocks,
+            self.orig_at.copy(),
+            blocks,
+            partial(_assemble_csc, self.data, l_labels, drop_tol),
         )
+
+
+def _assemble_csc(
+    data: BlockColumnData, l_labels: "dict[int, np.ndarray]", drop_tol: float
+) -> tuple[CSCMatrix, CSCMatrix]:
+    """Scalar CSC ``(L, U)`` from factored panels and final row labels.
+
+    Whole-block vectorized (one ``nonzero`` scan per block); the COO
+    builder sorts by (column, row), so the result is independent of
+    emission order.
+    """
+    n = data.n
+    lb = COOBuilder(n, n)
+    ub = COOBuilder(n, n)
+    starts = data.starts
+    # Unit diagonal of L, all columns at once.
+    diag = np.arange(n, dtype=np.int64)
+    lb.extend(diag, diag, np.ones(n, dtype=np.float64))
+    for k in range(data.n_blocks):
+        w = data.width(k)
+        gcol0 = int(starts[k])
+        panel = data.sub_panel(k)
+        # L: the strictly-below-diagonal part of the candidate panel.
+        rr, cc = np.nonzero(np.abs(panel) > drop_tol)
+        keep = rr > cc
+        if np.any(keep):
+            rk, ck = rr[keep], cc[keep]
+            lb.extend(l_labels[k][rk], gcol0 + ck, panel[rk, ck])
+        # U: the diagonal block's upper triangle (diagonal forced) ...
+        nz = np.triu(np.abs(panel[:w]) > drop_tol)
+        np.fill_diagonal(nz, True)
+        rr, cc = np.nonzero(nz)
+        ub.extend(gcol0 + rr, gcol0 + cc, panel[rr, cc])
+        # ... plus the blocks above it in column k.
+        for b, off, h in data.layout.upper_blocks(k):
+            block = data.panels[k][off : off + h, :]
+            rr, cc = np.nonzero(np.abs(block) > drop_tol)
+            if rr.size:
+                ub.extend(int(starts[b]) + rr, gcol0 + cc, block[rr, cc])
+    return lb.to_csc(), ub.to_csc()

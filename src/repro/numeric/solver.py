@@ -34,7 +34,7 @@ from repro.ordering.mindeg import minimum_degree_ata
 from repro.ordering.rcm import reverse_cuthill_mckee
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import matvec, permute
+from repro.sparse.ops import permute
 from repro.symbolic.dispatch import resolve_impl
 from repro.symbolic.postorder import postorder_pipeline
 from repro.symbolic.static_fill import StaticFill, static_symbolic_factorization
@@ -623,7 +623,6 @@ class SparseLUSolver:
         return condest_1norm(fac.a_work, res.l_factor, res.u_factor, res.orig_at)
 
     def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
-        """``‖A x − b‖_∞ / ‖b‖_∞`` — the acceptance metric of the tests."""
-        r = matvec(self.a, x) - np.asarray(b, dtype=np.float64)
-        denom = float(np.max(np.abs(b))) or 1.0
-        return float(np.max(np.abs(r))) / denom
+        """``‖A x − b‖_∞ / ‖b‖_∞`` — the acceptance metric of the tests:
+        :meth:`repro.serve.NumericFactorization.residual_norm`."""
+        return self._require_factors().residual_norm(x, b)

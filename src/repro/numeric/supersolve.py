@@ -33,22 +33,25 @@ The row structure of L depends on the pivots actually chosen: deferred
 pivoting renames multiplier rows, and a rename in a later block can move
 a row *across block boundaries*, outside the static block pattern of the
 source column. (U is immune — its row structure lives in position space
-and is fully static.) The build therefore checks, per L block, whether
-the final row labels stay inside the static structure: if they do, the
-precomputed static :class:`~repro.taskgraph.solve_graph.SolveSchedule`
-(cached on a :class:`repro.serve.SymbolicPlan`) is used as-is; if any
-block escapes, an exact schedule is rebuilt from the actual block
-dependence lists via
-:func:`~repro.taskgraph.solve_graph.schedule_from_structure` — one cheap
-graph pass over ~#stored-blocks edges, amortized over every solve
-against these factors. ``static_covered`` records which case occurred.
+and is fully static, so the build reads it off the
+:class:`~repro.numeric.blockdata.BlockLayout`.) Rows below a diagonal only
+ever land in strictly later blocks, so the sequential solve needs no
+schedule at all: blocks ascending, then descending, is a topological order
+of every solve graph. Only a threaded solve needs the graph; for it a
+static :class:`~repro.taskgraph.solve_graph.SolveSchedule` supplied by the
+caller (``SymbolicPlan.solve_schedule``) serves when every L block stayed
+inside the static structure (``static_covered``), and otherwise an exact
+one is derived on first use from the actual block dependence lists via
+:func:`~repro.taskgraph.solve_graph.schedule_from_structure`.
 """
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
-from repro.numeric.blockdata import BlockColumnData
+from repro.numeric.blockdata import BlockColumnData, BlockLayout, concat_ranges
 from repro.numeric.kernels import solve_unit_lower, solve_upper
 from repro.taskgraph.solve_graph import SolveSchedule, schedule_from_structure
 from repro.util.errors import SchedulingError, ShapeError
@@ -62,60 +65,13 @@ class BlockFactors:
     are safe to share read-only across threads.
     """
 
-    __slots__ = (
-        "n",
-        "n_blocks",
-        "starts",
-        "orig_at",
-        "diag_linv",
-        "diag_uinv",
-        "fwd_mats",
-        "fwd_cols",
-        "bwd_mats",
-        "bwd_cols",
-        "schedule",
-        "static_covered",
-    )
-
     def __init__(
         self,
-        *,
-        n: int,
-        starts: np.ndarray,
-        orig_at: np.ndarray,
-        diag_linv: list,
-        diag_uinv: list,
-        fwd_mats: list,
-        fwd_cols: list,
-        bwd_mats: list,
-        bwd_cols: list,
-        schedule: SolveSchedule,
-        static_covered: bool = True,
-    ) -> None:
-        self.n = n
-        self.n_blocks = len(diag_linv)
-        self.starts = starts
-        self.orig_at = orig_at
-        self.diag_linv = diag_linv
-        self.diag_uinv = diag_uinv
-        self.fwd_mats = fwd_mats
-        self.fwd_cols = fwd_cols
-        self.bwd_mats = bwd_mats
-        self.bwd_cols = bwd_cols
-        self.schedule = schedule
-        self.static_covered = static_covered
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_engine(
-        cls,
         data: BlockColumnData,
         l_labels: dict,
         orig_at: np.ndarray,
         schedule: "SolveSchedule | None" = None,
-    ) -> "BlockFactors":
+    ) -> None:
         """Assemble block factors from a completed factorization's storage.
 
         ``l_labels`` is ``LUFactorization._final_l_labels()`` — the final
@@ -124,27 +80,34 @@ class BlockFactors:
         renames only touch positions below finished diagonals), so the
         diagonal block is the top ``(w, w)`` slice of the candidate panel
         and the rows below it scatter into strictly later blocks.
+        ``schedule`` is the plan's static solve schedule, kept only when
+        the L blocks stay inside the static pattern.
         """
         layout = data.layout
         n_blocks = data.n_blocks
         starts = layout.starts
-        diag_linv: list = []
-        diag_uinv: list = []
+        widths = layout.widths.tolist()
+        eyes = {w: np.eye(w, dtype=np.float64) for w in set(widths)}
+        self.n = data.n
+        self.n_blocks = n_blocks
+        self.starts = starts
+        self.orig_at = np.array(orig_at, dtype=np.int64)
+        self.orig_at.setflags(write=False)
+        self.diag_linv: list = []
+        self.diag_uinv: list = []
         fwd_parts: list = [[] for _ in range(n_blocks)]
         fwd_srcs: list = [[] for _ in range(n_blocks)]
         bwd_parts: list = [[] for _ in range(n_blocks)]
         bwd_srcs: list = [[] for _ in range(n_blocks)]
-        static_covered = True
         for k in range(n_blocks):
-            w = layout.width(k)
+            w = widths[k]
             sub = data.sub_panel(k)
             diag = sub[:w, :w]
-            eye = np.eye(w, dtype=np.float64)
             # The substitution kernels read only their own triangle of the
             # intertwined diagonal block; inverting against the identity
             # once makes every later per-block solve a plain GEMM.
-            diag_linv.append(solve_unit_lower(diag, eye))
-            diag_uinv.append(solve_upper(diag, eye))
+            self.diag_linv.append(solve_unit_lower(diag, eyes[w]))
+            self.diag_uinv.append(solve_upper(diag, eyes[w]))
 
             # L blocks of block *rows* below k: group the candidate-panel
             # rows by the target block of their final label. All-zero
@@ -156,67 +119,60 @@ class BlockFactors:
                 tb = layout.block_of_row[labels_below]
                 order = np.argsort(tb, kind="stable")
                 tb_sorted = tb[order]
-                bounds = np.flatnonzero(
-                    np.r_[True, tb_sorted[1:] != tb_sorted[:-1], True]
-                )
-                stored = layout.col_blocks[k]
+                cuts = (tb_sorted[1:] != tb_sorted[:-1]).nonzero()[0] + 1
+                bounds = [0, *cuts.tolist(), order.size]
                 for s, e in zip(bounds[:-1], bounds[1:]):
                     t = int(tb_sorted[s])
                     pos = order[s:e]
                     block_vals = vals_below[pos, :]
                     if not block_vals.any():
                         continue
-                    # Is block (t, k) inside the static pattern? That is
-                    # what generates the FS(k) -> FS(t) edge of the static
-                    # solve graph; a pivot rename that moved rows here from
-                    # another block demands the exact schedule instead.
-                    i = int(np.searchsorted(stored, t))
-                    if i >= stored.size or int(stored[i]) != t:
-                        static_covered = False
-                    mat = np.zeros((layout.width(t), w), dtype=np.float64)
+                    mat = np.zeros((widths[t], w), dtype=np.float64)
                     mat[labels_below[pos] - starts[t], :] = block_vals
                     fwd_parts[t].append(mat)
                     fwd_srcs[t].append(k)
 
             # U blocks of block row b < k stored in column k contribute to
-            # BS(b); their row structure is static (position space), so no
-            # label translation is needed. The backward dependence
-            # BS(k) -> BS(b) is in the static graph by construction.
+            # BS(b); their row structure is static (position space), so the
+            # layout lists them and no label translation is needed. The
+            # backward dependence BS(k) -> BS(b) is in the static graph by
+            # construction.
             panel_full = data.panels[k]
-            for bi, b in enumerate(layout.col_blocks[k]):
-                b = int(b)
-                if b >= k:
-                    break
-                off = int(layout.col_offsets[k][bi])
-                h = int(starts[b + 1] - starts[b])
+            for b, off, h in layout.upper_blocks(k):
                 block_vals = panel_full[off : off + h, :]
-                if not block_vals.any():
-                    continue
-                bwd_parts[b].append(block_vals.copy())
-                bwd_srcs[b].append(k)
+                if block_vals.any():
+                    bwd_parts[b].append(block_vals)
+                    bwd_srcs[b].append(k)
 
-        fwd_mats, fwd_cols = _fuse(fwd_parts, fwd_srcs, starts, n_blocks)
-        bwd_mats, bwd_cols = _fuse(bwd_parts, bwd_srcs, starts, n_blocks)
-        if not static_covered or schedule is None:
-            # Pivot renames escaped the static structure (or no cached
-            # schedule was supplied): derive the exact value-dependent
-            # schedule from the actual per-block dependence lists.
-            schedule = schedule_from_structure(fwd_srcs, bwd_srcs)
-        oa = np.asarray(orig_at, dtype=np.int64).copy()
-        oa.setflags(write=False)
-        return cls(
-            n=data.n,
-            starts=starts,
-            orig_at=oa,
-            diag_linv=diag_linv,
-            diag_uinv=diag_uinv,
-            fwd_mats=fwd_mats,
-            fwd_cols=fwd_cols,
-            bwd_mats=bwd_mats,
-            bwd_cols=bwd_cols,
-            schedule=schedule,
-            static_covered=static_covered,
-        )
+        self.fwd_mats, self.fwd_cols = _fuse(fwd_parts, fwd_srcs, layout)
+        self.bwd_mats, self.bwd_cols = _fuse(bwd_parts, bwd_srcs, layout)
+        # Block (t, k) inside the static pattern is what generates the
+        # FS(k) -> FS(t) edge of the static solve graph; a pivot rename that
+        # moved rows into another block demands the exact schedule instead.
+        targets = np.repeat(np.arange(n_blocks), [len(ss) for ss in fwd_srcs])
+        sources = np.fromiter((s for ss in fwd_srcs for s in ss), dtype=np.int64)
+        static_covered = bool(layout.has_blocks(targets, sources).all())
+        self.static_covered = static_covered
+        # (fwd, bwd) per-target source-block lists: the exact solve graph.
+        self._srcs = (fwd_srcs, bwd_srcs)
+        # The static schedule is only valid when it covers them.
+        self._schedule = schedule if static_covered else None
+        self._lock = threading.Lock()
+
+    @property
+    def known_schedule(self) -> "SolveSchedule | None":
+        """The solve schedule if one is at hand; never derives one."""
+        return self._schedule
+
+    @property
+    def schedule(self) -> SolveSchedule:
+        """A schedule valid for these factors, derived on first use (once,
+        under a lock) when the static one was absent or not covering."""
+        if self._schedule is None:
+            with self._lock:
+                if self._schedule is None:
+                    self._schedule = schedule_from_structure(*self._srcs)
+        return self._schedule
 
     # ------------------------------------------------------------------
     # Solving
@@ -241,9 +197,10 @@ class BlockFactors:
         """Solve ``L U x = pb`` for an already-permuted right-hand side.
 
         ``order`` (tests only) runs an explicit task sequence — any
-        topological order of the solve graph — instead of the level
-        schedule; ``n_threads > 1`` runs the solve graph under the shared
-        threaded executor. All three paths produce identical bits.
+        topological order of the solve graph — instead of the block
+        order; ``n_threads > 1`` runs the solve graph of :attr:`schedule`
+        under the shared threaded executor. All three paths produce
+        identical bits.
         """
         pb = np.asarray(pb, dtype=np.float64)
         y = np.array(pb if pb.ndim == 2 else pb[:, None], dtype=np.float64)
@@ -261,12 +218,13 @@ class BlockFactors:
             engine = _SolveTaskAdapter(self, y)
             threaded_factorize(engine, self.schedule.graph, n_threads)
         else:
-            for level in self.schedule.fwd_levels:
-                for k in level:
-                    self._forward(int(k), y)
-            for level in self.schedule.bwd_levels:
-                for k in level:
-                    self._backward(int(k), y)
+            # L rows only land in later blocks and U blocks come from
+            # later columns: ascending then descending block order is a
+            # topological order of every solve graph.
+            for k in range(self.n_blocks):
+                self._forward(k, y)
+            for k in range(self.n_blocks - 1, -1, -1):
+                self._backward(k, y)
         return y
 
     def _run_task(self, task, y: np.ndarray) -> None:
@@ -278,43 +236,37 @@ class BlockFactors:
             raise SchedulingError(f"unknown solve task kind {task.kind!r}")
 
     def _forward(self, k: int, y: np.ndarray) -> None:
-        lo = int(self.starts[k])
-        hi = int(self.starts[k + 1])
-        cols = self.fwd_cols[k]
-        rhs = y[lo:hi]
-        if cols.size:
-            rhs = rhs - self.fwd_mats[k] @ y[cols]
-        y[lo:hi] = self.diag_linv[k] @ rhs
+        self._solve_block(k, y, self.fwd_mats[k], self.fwd_cols[k], self.diag_linv[k])
 
     def _backward(self, k: int, y: np.ndarray) -> None:
+        self._solve_block(k, y, self.bwd_mats[k], self.bwd_cols[k], self.diag_uinv[k])
+
+    def _solve_block(self, k: int, y: np.ndarray, mat, cols, diag_inv) -> None:
+        """``y_k = D⁻¹ (y_k − mat · y[cols])``: one gather, two GEMMs."""
         lo = int(self.starts[k])
         hi = int(self.starts[k + 1])
-        cols = self.bwd_cols[k]
         rhs = y[lo:hi]
         if cols.size:
-            rhs = rhs - self.bwd_mats[k] @ y[cols]
-        y[lo:hi] = self.diag_uinv[k] @ rhs
+            rhs = rhs - mat @ y[cols]
+        y[lo:hi] = diag_inv @ rhs
 
 
-def _fuse(parts: list, srcs: list, starts: np.ndarray, n_blocks: int) -> tuple:
-    """Hstack each target's row-panel pieces; build the gather indices."""
+def _fuse(parts: list, srcs: list, layout: BlockLayout) -> tuple:
+    """Hstack each target's row-panel pieces; build the gather indices
+    (the scalar column ranges of its sources, one pass for all targets)."""
+    flat = np.fromiter((s for ss in srcs for s in ss), dtype=np.int64)
+    idx = concat_ranges(layout.starts[flat], layout.widths[flat])
+    idx.setflags(write=False)
     mats: list = []
     cols: list = []
-    empty = np.empty(0, dtype=np.int64)
-    for t in range(n_blocks):
-        if parts[t]:
-            mats.append(np.ascontiguousarray(np.hstack(parts[t])))
-            idx = np.concatenate(
-                [
-                    np.arange(starts[s], starts[s + 1], dtype=np.int64)
-                    for s in srcs[t]
-                ]
-            )
-            idx.setflags(write=False)
-            cols.append(idx)
+    lo = 0
+    for t, ps in enumerate(parts):
+        if ps:
+            mats.append(np.concatenate(ps, axis=1))
         else:
-            mats.append(np.zeros((int(starts[t + 1] - starts[t]), 0)))
-            cols.append(empty)
+            mats.append(np.zeros((layout.width(t), 0)))
+        cols.append(idx[lo : lo + mats[-1].shape[1]])
+        lo += mats[-1].shape[1]
     return mats, cols
 
 

@@ -79,11 +79,6 @@ class SymbolicPlan:
     indices: np.ndarray  # entry-for-entry verification on cache hits
     artifacts: SymbolicArtifacts
     layout: BlockLayout
-    #: Static level schedule of the triangular solves, shared by every
-    #: numeric factorization against this plan (the block solve engine
-    #: swaps in an exact schedule only when pivot renames escape the
-    #: static structure — see repro.numeric.supersolve).
-    solve_schedule: SolveSchedule
     #: Inverse of ``row_perm``, so every solve permutes its RHS with a
     #: single gather.
     row_perm_inv: np.ndarray
@@ -147,6 +142,16 @@ class SymbolicPlan:
         from repro.parallel.two_d import build_2d_graph
 
         return build_2d_graph(self.bp)
+
+    @cached_property
+    def solve_schedule(self) -> SolveSchedule:
+        """Static level schedule of the triangular solves
+        (:func:`repro.taskgraph.solve_graph.level_schedule`), for the
+        analyzer and for threaded block solves of factors whose pivots
+        stayed inside the static pattern. Built on first access, like
+        :attr:`graph_2d`: the sequential block solve runs in block order
+        and needs no schedule, so a serving request never builds it."""
+        return level_schedule(self.bp)
 
     @property
     def n(self) -> int:
@@ -223,7 +228,6 @@ def build_plan(
             indices=_frozen_copy(a.indices, np.int32),
             artifacts=art,
             layout=BlockLayout(art.bp),
-            solve_schedule=level_schedule(art.bp),
             row_perm_inv=_inverse_perm(art.row_perm),
             recipe=recipe,
         )

@@ -94,12 +94,15 @@ class NumericFactorization:
             b_work = b[self.plan.row_perm_inv]
             with tr.span(f"solve.{impl_used}") as s:
                 if use_block:
-                    sched = self.result.blocks.schedule
-                    s.set(
-                        n_blocks=sched.n_blocks,
-                        n_fwd_levels=sched.n_fwd_levels,
-                        n_bwd_levels=sched.n_bwd_levels,
-                    )
+                    s.set(n_blocks=self.result.blocks.n_blocks)
+                    # Level counts only when a schedule is at hand: the
+                    # sequential block solve never derives one.
+                    sched = self.result.blocks.known_schedule
+                    if sched is not None:
+                        s.set(
+                            n_fwd_levels=sched.n_fwd_levels,
+                            n_bwd_levels=sched.n_bwd_levels,
+                        )
                 x_work = self.result.solve(b_work, impl=impl_used)
             x = x_work[self.plan.col_perm]
             if self.equil is not None:
@@ -217,10 +220,7 @@ def refactorize_with_plan(
                 fill=plan.fill,
                 sanitizer=sanitizer,
             )
-        result = eng.extract(
-            retain_blocks=retain_blocks,
-            solve_schedule=plan.solve_schedule if retain_blocks else None,
-        )
+        result = eng.extract(retain_blocks=retain_blocks)
         ls = eng.lazy_stats
         s.set(
             mapping=policy,

@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_pivot_matrix
-from repro.numeric.blockdata import BlockColumnData
+from tests.numeric.test_supersolve import block_triangular_matrix
+from repro.numeric.blockdata import BlockColumnData, BlockLayout
 from repro.numeric.solver import SparseLUSolver
-from repro.sparse.generators import random_sparse
+from repro.sparse.convert import csc_from_dense
+from repro.sparse.generators import paper_matrix, random_sparse
 from repro.symbolic.supernodes import block_pattern, supernode_partition
 from repro.symbolic.static_fill import static_symbolic_factorization
-from repro.util.errors import PatternError, ShapeError
+from repro.taskgraph.tasks import enumerate_tasks
+from repro.util.errors import PatternError, SchedulingError, ShapeError
 
 
 def make_data(n=25, seed=0):
@@ -25,7 +28,7 @@ class TestConstruction:
             k = int(data.block_of_row[col])
             local = col - int(data.starts[k])
             rows = np.nonzero(dense[:, col])[0]
-            pos, present = data.positions(k, rows)
+            pos, present = data.layout.positions(k, rows)
             assert present.all()
             assert np.allclose(data.panels[k][pos, local], dense[rows, col])
 
@@ -67,11 +70,11 @@ class TestQueries:
         data, solver = make_data()
         k = data.n_blocks - 1
         stored = set()
-        for b in data.col_blocks[k]:
+        for b in data.layout.col_blocks[k]:
             stored.update(range(int(data.starts[b]), int(data.starts[b + 1])))
         absent = [r for r in range(data.n) if r not in stored][:3]
         if absent:
-            _, present = data.positions(k, np.array(absent))
+            _, present = data.layout.positions(k, np.array(absent))
             assert not present.any()
 
     def test_sub_rows_sorted_starts_at_diag(self):
@@ -88,8 +91,124 @@ class TestQueries:
             assert sub.shape[0] == data.sub_rows(k).size
             # It is a view into the panel (writes propagate).
             sub[0, 0] = 123.456
-            assert data.panels[k][data.diag_offset(k), 0] == 123.456
+            assert data.panels[k][data.layout.diag_offset(k), 0] == 123.456
 
     def test_width(self):
         data, solver = make_data()
         assert sum(data.width(k) for k in range(data.n_blocks)) == data.n
+
+
+# ----------------------------------------------------------------------
+# Layout-owned relative indices and the one-pass panel scatter
+# ----------------------------------------------------------------------
+def _tridiagonal(n=40):
+    dense = np.diag(np.full(n, 4.0)) + np.diag(np.full(n - 1, -1.0), 1)
+    return csc_from_dense(dense + np.diag(np.full(n - 1, -2.0), -1))
+
+
+PATTERNS = {
+    "random-0": lambda: random_pivot_matrix(30, 0),
+    "random-1": lambda: random_pivot_matrix(45, 1, density=0.2),
+    "random-2": lambda: random_pivot_matrix(60, 2, density=0.05),
+    "dense": lambda: csc_from_dense(np.random.default_rng(3).random((12, 12)) + 1.0),
+    "tridiagonal": _tridiagonal,
+    "block-triangular": block_triangular_matrix,
+    **{
+        name: (lambda name=name: paper_matrix(name, scale=0.05))
+        for name in ("sherman3", "sherman5", "lnsp3937", "lns3937", "orsreg1", "saylr4", "goodwin")
+    },
+}
+
+
+def scatter_reference(a, layout, owned=None):
+    """The column-by-column scatter the one-pass version replaced."""
+    panels = [
+        np.zeros((layout.panel_heights[k], layout.width(k)))
+        if owned is None or k in owned
+        else None
+        for k in range(layout.n_blocks)
+    ]
+    for col in range(a.n_cols):
+        k = int(layout.block_of_row[col])
+        if panels[k] is None:
+            continue
+        rows = a.col_rows(col)
+        pos, present = layout.positions(k, rows)
+        if not present.all():
+            raise PatternError(f"column {col}")
+        panels[k][pos, col - int(layout.starts[k])] = a.col_values(col)
+    return panels
+
+
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+class TestRelativeIndices:
+    def test_every_update_matches_positions(self, name):
+        solver = SparseLUSolver(PATTERNS[name]()).analyze()
+        layout = BlockLayout(solver.bp)
+        updates = [t for t in enumerate_tasks(solver.bp) if t.kind == "U"]
+        assert layout._rel_ptr.size == len(updates) + 1  # one row per update
+        for t in updates:
+            rel = layout.relative_rows(t.k, t.j)
+            pos, present = layout.positions(t.j, layout.sub_rows(t.k))
+            assert rel.dtype == np.int32 and not rel.flags.writeable
+            assert np.array_equal(rel >= 0, present)
+            assert np.array_equal(rel[present], pos[present])
+            assert np.all(rel[~present] == -1)
+            # The U block (k, j) is stored whole: contiguous from rel[0].
+            w = layout.width(t.k)
+            assert np.array_equal(rel[:w], rel[0] + np.arange(w))
+
+    def test_block_offsets_match_positions(self, name):
+        layout = BlockLayout(SparseLUSolver(PATTERNS[name]()).analyze().bp)
+        for j in range(layout.n_blocks):
+            for i in layout.col_blocks[j].tolist():
+                pos, present = layout.positions(j, np.array([layout.starts[i]]))
+                assert present[0] and layout.block_offset(i, j) == pos[0]
+        stored = {(int(i), j) for j, col in enumerate(layout.col_blocks) for i in col}
+        ii, jj = np.divmod(np.arange(layout.n_blocks**2), layout.n_blocks)
+        assert np.array_equal(
+            layout.has_blocks(ii, jj), [(i, j) in stored for i, j in zip(ii, jj)]
+        )
+
+    def test_one_pass_scatter_matches_column_loop(self, name):
+        solver = SparseLUSolver(PATTERNS[name]()).analyze()
+        layout = solver.plan().layout
+        data = BlockColumnData(solver.a_work, solver.bp, layout=layout)
+        for got, want in zip(data.panels, scatter_reference(solver.a_work, layout)):
+            assert np.array_equal(got, want)
+        owned = set(range(0, layout.n_blocks, 2))
+        part = BlockColumnData(solver.a_work, solver.bp, owned, layout=layout)
+        for got, want in zip(
+            part.panels, scatter_reference(solver.a_work, layout, owned)
+        ):
+            assert (got is None and want is None) or np.array_equal(got, want)
+
+
+class TestRelativeIndexErrors:
+    def test_unstored_update_is_a_scheduling_error(self):
+        data, _ = make_data()
+        k = data.n_blocks - 1
+        with pytest.raises(SchedulingError):
+            data.layout.relative_rows(k, k)  # no block above its own diagonal
+        ii, jj = np.divmod(np.arange(data.n_blocks**2), data.n_blocks)
+        absent = np.flatnonzero(~data.layout.has_blocks(ii, jj))
+        assert absent.size  # a sparse pattern leaves blocks unstored
+        with pytest.raises(PatternError):
+            data.layout.block_offset(int(ii[absent[0]]), int(jj[absent[0]]))
+
+    def test_scatter_names_the_first_uncovered_column(self):
+        """Entries outside ``Ā`` still raise, like the column loop did."""
+        from repro.symbolic.supernodes import BlockPattern
+
+        solver = SparseLUSolver(random_pivot_matrix(30, 4)).analyze()
+        part = solver.bp.partition
+        diag_only = BlockPattern(
+            partition=part,
+            blocks=[np.array([k]) for k in range(part.n_supernodes)],
+        )
+        layout = BlockLayout(diag_only)
+        with pytest.raises(PatternError) as loop_err:
+            scatter_reference(solver.a_work, layout)
+        with pytest.raises(PatternError) as err:
+            BlockColumnData(solver.a_work, diag_only, layout=layout)
+        assert f"entries of {loop_err.value} fall outside" in str(err.value)

@@ -217,6 +217,44 @@ class TestInterleaving:
             assert np.array_equal(x, x_seq)
 
 
+class TestSequentialOrderNeedsNoSchedule:
+    """The default solve runs blocks ascending then descending without a
+    schedule; the level schedule and the threaded executor give the same
+    bits, whether or not the pivots stayed inside the static pattern."""
+
+    @pytest.mark.parametrize(
+        "name, scale, covered",
+        [("saylr4", 0.1, True), ("goodwin", 0.05, True),
+         ("sherman3", 0.1, False), ("sherman5", 0.1, False)],
+    )
+    def test_matches_level_schedule_and_threads(self, name, scale, covered):
+        from repro.numeric.factor import LUFactorization
+        from repro.taskgraph.solve_graph import backward_task, forward_task
+
+        a = paper_matrix(name, scale=scale)
+        solver = SparseLUSolver(a).analyze()
+        plan = solver.plan()
+        eng = LUFactorization(solver.a_work, plan.bp, layout=plan.layout)
+        eng.factor_sequential()
+        pb = np.random.default_rng(3).standard_normal((a.n_cols, 4))
+        # With and without the plan's static schedule at hand: it is kept
+        # only when it covers the pivots, and never needed sequentially.
+        for static in (plan.solve_schedule, None):
+            bf = eng.extract(retain_blocks=True, solve_schedule=static).blocks
+            assert bf.static_covered is covered
+            at_hand = static if covered else None
+            assert bf.known_schedule is at_hand
+            x_seq = bf.solve_permuted(pb)
+            assert bf.known_schedule is at_hand
+
+            sched = bf.schedule  # derived now unless the static one serves
+            assert bf.known_schedule is sched and bf.schedule is sched
+            by_level = [forward_task(int(k)) for lv in sched.fwd_levels for k in lv]
+            by_level += [backward_task(int(k)) for lv in sched.bwd_levels for k in lv]
+            assert np.array_equal(bf.solve_permuted(pb, order=by_level), x_seq)
+            assert np.array_equal(bf.solve_permuted(pb, n_threads=4), x_seq)
+
+
 class TestSlogdet:
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_matches_numpy(self, seed):

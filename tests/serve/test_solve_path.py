@@ -37,10 +37,13 @@ class TestPlanCarriesSchedule:
         a = random_pivot_matrix(30, 1)
         plan = build_plan(a)
         fac = refactorize_with_plan(plan, a)
+        fac.solve(np.ones(a.n_cols))
         assert fac.result.blocks is not None
-        # A covered factorization reuses the plan's static schedule object.
-        if fac.result.blocks.static_covered:
-            assert fac.result.blocks.schedule is plan.solve_schedule
+        # The sequential block solve needs no schedule: the warm request
+        # neither builds the plan's static one nor derives an exact one.
+        assert "solve_schedule" not in vars(plan)
+        assert fac.result.blocks.known_schedule is None
+        assert fac.result.blocks.schedule.n_blocks == plan.bp.n_blocks
 
 
 class TestWarmServiceSolvesInBlockForm:

@@ -8,8 +8,11 @@ must be a conscious decision, not an accident. Regenerate with:
     python -c "from tests.test_regression_numbers import regenerate; regenerate()"
 """
 
+import dataclasses
+
 import pytest
 
+from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SparseLUSolver
 from repro.sparse.generators import paper_matrix
 
@@ -23,6 +26,13 @@ GOLDEN = {
     "orsreg1": dict(n=363, nnz=1907, fill=20038, sn_raw=169, sn=78, btf=1, tasks=326, edges=496),
     "saylr4": dict(n=540, nnz=2728, fill=31595, sn_raw=254, sn=130, btf=2, tasks=587, edges=913),
     "goodwin": dict(n=1104, nnz=24048, fill=135708, sn_raw=197, sn=137, btf=93, tasks=325, edges=376),
+}
+
+# Work the sequential engine does on each analog (LazyS+ accounting). Any
+# change here means the arithmetic changed, not just the bookkeeping around it.
+GOLDEN_LAZY = {
+    "sherman3": dict(n_updates_skipped=252, n_updates_run=705, flops_saved=5970482, flops_spent=1234909),
+    "goodwin": dict(n_updates_skipped=44, n_updates_run=144, flops_saved=31572056, flops_spent=9394192),
 }
 
 
@@ -47,6 +57,14 @@ def test_analysis_numbers_frozen(name):
         f"{name}: pipeline behaviour changed — if intentional, regenerate "
         "the GOLDEN table (see module docstring)"
     )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LAZY))
+def test_lazy_stats_frozen(name):
+    solver = SparseLUSolver(paper_matrix(name, scale=SCALE)).analyze()
+    eng = LUFactorization(solver.a_work, solver.bp, layout=solver.plan().layout)
+    eng.factor_sequential()
+    assert dataclasses.asdict(eng.lazy_stats) == GOLDEN_LAZY[name]
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
