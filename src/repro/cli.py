@@ -101,11 +101,11 @@ def _solver_options(
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    from repro.numeric.solver import ORDERINGS
+    from repro.numeric.solver import DEFAULT_ORDERING, ORDERINGS
 
     p.add_argument("matrix", help="matrix file (.mtx/.rua) or analog name")
     p.add_argument("--scale", type=float, default=0.35, help="analog size factor")
-    p.add_argument("--ordering", choices=list(ORDERINGS), default="mindeg")
+    p.add_argument("--ordering", choices=list(ORDERINGS), default=DEFAULT_ORDERING)
     p.add_argument("--no-postorder", action="store_true")
     p.add_argument("--no-amalgamation", action="store_true")
     p.add_argument("--task-graph", choices=["eforest", "sstar"], default="eforest")
@@ -663,7 +663,7 @@ def cmd_ordering_bench(args: argparse.Namespace) -> int:
     )
     text = format_table(
         ["matrix", "ordering", "|Abar|/|A|", "supernodes", "flops",
-         f"T(P={data['n_procs']})", "seconds"],
+         f"T(P={data['n_procs']})", "ordering s", "pipeline s"],
         ordering_rows(data),
         title=f"ordering-bench @ scale {data['scale']}",
         floatfmt=".4f",

@@ -55,6 +55,12 @@ from repro.util.errors import ReproError, ShapeError
 #: permutations applied symmetrically; ``natural`` is the identity.
 ORDERINGS: tuple[str, ...] = ("mindeg", "amd", "rcm", "dissect", "natural")
 
+#: The ordering a request gets when it names none: approximate minimum
+#: degree — close to exact ``mindeg`` in fill at a fraction of its time
+#: (docs/ordering.md). ``SolverOptions``, ``OrderingRecipe`` and the CLI's
+#: ``--ordering`` all default to this one constant.
+DEFAULT_ORDERING = "amd"
+
 
 @dataclass
 class SolverOptions:
@@ -63,10 +69,13 @@ class SolverOptions:
     Attributes
     ----------
     ordering:
-        Fill-reducing column ordering: ``"mindeg"`` (minimum degree on
-        ``AᵀA``, the paper's choice), ``"amd"`` (approximate minimum
-        degree, Amestoy-Davis-Duff style), ``"dissect"`` (BFS level-set
-        nested dissection), ``"rcm"``, or ``"natural"``.
+        Fill-reducing column ordering: ``"amd"`` (approximate minimum
+        degree on ``AᵀA``, Amestoy-Davis-Duff style — the default,
+        :data:`DEFAULT_ORDERING`), ``"mindeg"`` (exact minimum degree on
+        ``AᵀA``, the paper's choice; several times slower, kept as the
+        fill oracle and pinned by :mod:`repro.eval` so the paper's tables
+        do not move), ``"dissect"`` (BFS level-set nested dissection),
+        ``"rcm"``, or ``"natural"``.
     ordering_params:
         Extra keyword arguments of the selected ordering, as a sorted
         tuple of ``(name, value)`` pairs so options stay hashable (e.g.
@@ -96,7 +105,7 @@ class SolverOptions:
         ``"fast"``/``"reference"`` implementations.
     """
 
-    ordering: str = "mindeg"
+    ordering: str = DEFAULT_ORDERING
     ordering_params: tuple = ()
     postorder: bool = True
     amalgamation: bool = True

@@ -66,162 +66,147 @@ def approximate_minimum_degree(
     if not sym_pattern.is_square:
         raise ShapeError("approximate minimum degree needs a square pattern")
     n = sym_pattern.n_cols
-    perm = np.empty(n, dtype=np.int64)
     if n == 0:
-        return perm
+        return np.empty(0, dtype=np.int64)
 
-    # Quotient graph over *principal* variables. ``adj[v]`` holds only
-    # variable-variable edges not yet covered by an element; ``elems[v]``
-    # the ids of elements v is adjacent to; ``elem_verts[e]`` the live
-    # principal variables element e covers (None once absorbed).
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for j in range(n):
-        for i in sym_pattern.col_rows(j):
-            i = int(i)
-            if i != j:
-                adj[j].add(i)
-                adj[i].add(j)
+    # Quotient graph over *principal* variables, all on Python ints and
+    # flat per-vertex lists. ``adj[v]`` holds only variable-variable edges
+    # not yet covered by an element; ``elems[v]`` the ids of the live
+    # elements v is adjacent to; ``elem_verts[e]`` the live principal
+    # variables element e covers (None once absorbed). Dead variables and
+    # elements leave every live list the moment they die, so no liveness
+    # filter is needed when the lists are read; a dead variable's own
+    # lists are never read again.
+    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym_pattern.indptr))
+    rows = sym_pattern.indices.astype(np.int64)
+    if not np.array_equal(np.sort(rows * n + cols), cols * n + rows):
+        # Not symmetric as stored: add the mirror of every entry.
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        by_col = np.argsort(cols, kind="stable")
+        rows, cols = rows[by_col], cols[by_col]
+    ptr = np.searchsorted(cols, np.arange(n + 1)).tolist()
+    rows = rows.tolist()
+    adj = [set(rows[ptr[v] : ptr[v + 1]]) for v in range(n)]
+    for v in range(n):
+        adj[v].discard(v)
 
     elems: list[set[int]] = [set() for _ in range(n)]
     elem_verts: list[set[int] | None] = []
-    weight = np.ones(n, dtype=np.int64)  # columns merged into supervariable
+    elem_weight: list[int] = []  # total weight of each element's variables
+    weight = [1] * n  # columns merged into each supervariable
+    wget = weight.__getitem__
     members: list[list[int]] = [[v] for v in range(n)]
-    alive = np.ones(n, dtype=bool)
+    alive = [True] * n
+    n_live = n  # total weight of the live principal variables
 
     # Lazy-deletion heap of (approx degree, principal variable); an entry
     # is valid only while its degree matches cur_deg. Ties break toward
     # the smallest vertex index (tuple comparison), deterministically.
-    cur_deg = np.fromiter(
-        (sum(int(weight[u]) for u in adj[v]) for v in range(n)),
-        dtype=np.int64,
-        count=n,
-    )
-    heap: list[tuple[int, int]] = [(int(cur_deg[v]), v) for v in range(n)]
+    cur_deg = [len(s) for s in adj]
+    heap = list(zip(cur_deg, range(n)))
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
+    order: list[int] = []  # original columns in elimination order
 
-    n_eliminated = 0
-    while n_eliminated < n:
+    while len(order) < n:
         while True:
-            deg, p = heapq.heappop(heap)
+            deg, p = heappop(heap)
             if alive[p] and deg == cur_deg[p]:
                 break
 
         # ---- pivot neighbourhood Lp (principal variables only) --------
-        lp = set(adj[p])
-        for e in elems[p]:
-            verts = elem_verts[e]
-            if verts is not None:
-                lp |= verts
+        absorbed = elems[p]
+        lp = adj[p].union(*[elem_verts[e] for e in absorbed])
         lp.discard(p)
-        lp = {u for u in lp if alive[u]}
 
         # ---- eliminate the pivot supervariable ------------------------
-        for v in sorted(members[p]):
-            perm[v] = n_eliminated
-            n_eliminated += 1
+        order += sorted(members[p])
         alive[p] = False
-
+        n_live -= weight[p]
         eid = len(elem_verts)
-        elem_verts.append(set(lp))
-        new_elem = elem_verts[eid]
+        elem_verts.append(lp)
         # Absorb the pivot's elements: their vertex lists are ⊆ Lp ∪ {p}.
-        for e in elems[p]:
+        for e in absorbed:
             elem_verts[e] = None
-        adj[p] = set()
-        elems[p] = set()
-        members[p] = []
 
         # ---- shared per-element residuals |L_e \ Lp| ------------------
-        # One pass over the neighbours' element lists, pruning absorbed
-        # elements as we go; residuals are weighted column counts.
+        # Weighted column counts, one per element touching Lp: start from
+        # the element's weight and take off every member found in Lp.
+        lp_weight = sum(map(wget, lp))
+        elem_weight.append(lp_weight)
         residual: dict[int, int] = {}
         for i in lp:
-            live_elems = set()
-            for e in elems[i]:
-                verts = elem_verts[e]
-                if verts is None:
-                    continue
-                live_elems.add(e)
-                if e not in residual:
-                    residual[e] = sum(
-                        int(weight[u]) for u in verts if u not in lp and alive[u]
-                    )
-            elems[i] = live_elems
+            ei = elems[i]
+            ei -= absorbed
+            w = weight[i]
+            for e in ei:
+                residual[e] = residual.get(e, elem_weight[e]) - w
+        gone = None
         if aggressive:
-            for e, r in residual.items():
-                if r == 0 and elem_verts[e] is not None:
-                    # Fully contained in the new element: absorb.
-                    elem_verts[e] = None
+            # Residual zero: fully contained in the new element, absorb.
+            gone = {e for e, r in residual.items() if r == 0}
+            for e in gone:
+                elem_verts[e] = None
+        resget = residual.__getitem__
 
         # ---- update neighbours: adjacency, mass elim, degrees ---------
-        lp_weight = sum(int(weight[u]) for u in lp)
-        n_live = int(weight[alive].sum())
         mass: list[int] = []
         for i in lp:
             # Edges inside the element are now covered by it; the edge to
             # the (dead) pivot goes too.
-            adj[i] -= lp
-            adj[i].discard(p)
-            elems[i] = {e for e in elems[i] if elem_verts[e] is not None}
-            elems[i].add(eid)
-            if not adj[i] and elems[i] == {eid}:
+            ai = adj[i]
+            ai -= lp
+            ai.discard(p)
+            ei = elems[i]
+            if gone:
+                ei -= gone
+            if not ai and not ei:
                 # Mass elimination: i's remaining neighbourhood is exactly
                 # Lp \ {i}; eliminating it right after p adds no fill.
                 mass.append(i)
                 continue
-            d_lp = lp_weight - int(weight[i])
-            bound_inc = int(cur_deg[i]) + d_lp
-            bound_ext = (
-                sum(int(weight[u]) for u in adj[i])
-                + d_lp
-                + sum(residual.get(e, 0) for e in elems[i] if e != eid)
-            )
-            d = min(n_live - int(weight[i]), bound_inc, bound_ext)
-            cur_deg[i] = max(d, 0)
-            heapq.heappush(heap, (int(cur_deg[i]), i))
+            w = weight[i]
+            d = sum(map(wget, ai)) + sum(map(resget, ei))
+            if cur_deg[i] < d:
+                d = cur_deg[i]
+            d += lp_weight - w
+            if n_live - w < d:
+                d = n_live - w
+            ei.add(eid)
+            cur_deg[i] = d  # >= 0: all three bounds are
+            heappush(heap, (d, i))
 
+        # The element shrinks; degrees of the remaining members are upper
+        # bounds still (they only got smaller), which AMD allows.
         for i in sorted(mass):
-            for v in sorted(members[i]):
-                perm[v] = n_eliminated
-                n_eliminated += 1
+            order += sorted(members[i])
             alive[i] = False
-            new_elem.discard(i)
-            adj[i] = set()
-            elems[i] = set()
-            members[i] = []
-        if mass:
-            # The element shrank; degrees of the remaining members are
-            # upper bounds still (they only got smaller), which AMD allows.
-            lp -= set(mass)
+            n_live -= weight[i]
+            elem_weight[eid] -= weight[i]
+            lp.discard(i)
 
         # ---- supervariable detection (indistinguishable variables) ----
         buckets: dict[tuple, int] = {}
         for i in sorted(lp):
-            if not alive[i]:
-                continue
-            key = (
-                tuple(sorted(adj[i])),
-                tuple(sorted(elems[i])),
-            )
-            rep = buckets.get(key)
-            if rep is None:
-                buckets[key] = i
+            rep = buckets.setdefault((frozenset(adj[i]), frozenset(elems[i])), i)
+            if rep == i:
                 continue
             # Merge i into the lower-numbered representative.
-            weight[rep] += weight[i]
-            members[rep].extend(members[i])
+            w = weight[i]
+            weight[rep] += w
+            members[rep] += members[i]
             alive[i] = False
-            new_elem.discard(i)
             for u in adj[i]:
                 adj[u].discard(i)
-            adj[i] = set()
-            elems[i] = set()
-            members[i] = []
+            for e in elems[i]:
+                elem_verts[e].discard(i)
             # rep's approximate degree loses i's weight (i is no longer
             # an external neighbour — it *is* rep now).
-            cur_deg[rep] = max(int(cur_deg[rep]) - int(weight[i]), 0)
-            heapq.heappush(heap, (int(cur_deg[rep]), rep))
+            cur_deg[rep] = d = max(cur_deg[rep] - w, 0)
+            heappush(heap, (d, rep))
 
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = np.arange(n, dtype=np.int64)
     return perm
 
 

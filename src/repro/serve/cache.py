@@ -9,11 +9,13 @@ eviction/collision counters plus a size gauge into a
 :class:`~repro.obs.metrics.MetricsRegistry` so the serve benchmarks can
 report cache efficiency through the standard telemetry schema.
 
-Thread-safety: lookups and insertions hold an internal lock;
-**plan construction does not**. Two threads racing on the same cold
-pattern may both build the plan — wasted work, never a wrong result, and
-the second insert is dropped in favor of the first (plans for equal
-patterns and options are interchangeable).
+Thread-safety: lookups and insertions hold an internal lock; plan
+construction runs outside it, **once per never-seen key**. The first
+caller of :meth:`PlanCache.get_or_build` for a key builds the plan (one
+counted *miss* — a miss is a build started); callers that arrive for the
+same key while it is being built wait for that build and then find the
+plan in the cache (a counted *hit*). If the build raises, the error goes
+to the builder alone: the waiters wake, and the first of them builds.
 
 Besides plans, the cache keeps a second, cheaper store: the *winning
 ordering recipe* per pattern fingerprint (:mod:`repro.tune`). Plans are
@@ -73,6 +75,7 @@ class PlanCache:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.RLock()
         self._plans: "OrderedDict[tuple, SymbolicPlan]" = OrderedDict()
+        self._building: "dict[tuple, threading.Event]" = {}  # keys in flight
         self._recipes: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._hits = self.metrics.counter("plan_cache.hits")
         self._misses = self.metrics.counter("plan_cache.misses")
@@ -92,31 +95,36 @@ class PlanCache:
         with self._lock:
             return len(self._plans)
 
-    def get(self, a: CSCMatrix, options: Optional[SolverOptions] = None):
-        """The cached plan for ``a``'s pattern, or ``None`` (counted miss).
+    def _lookup(self, key: tuple, a: CSCMatrix) -> Optional[SymbolicPlan]:
+        """The verified plan under ``key`` (a counted hit) or ``None``.
 
-        A digest hit whose stored pattern does not verify entry-for-entry
-        against ``a`` counts as a *collision* and is treated as a miss —
-        fingerprints gate the lookup, full comparison gates correctness.
+        Call with the lock held. A digest hit whose stored pattern does
+        not verify entry-for-entry against ``a`` counts as a *collision*
+        and is treated as absent — fingerprints gate the lookup, full
+        comparison gates correctness.
         """
-        opts = options or SolverOptions()
-        key = self._key(a, opts)
+        plan = self._plans.get(key)
+        if plan is not None:
+            if plan.matches(a):
+                self._plans.move_to_end(key)
+                self._hits.inc()
+                return plan
+            self._collisions.inc()
+        return None
+
+    def get(self, a: CSCMatrix, options: Optional[SolverOptions] = None):
+        """The cached plan for ``a``'s pattern, or ``None`` (counted miss)."""
+        key = self._key(a, options or SolverOptions())
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is not None:
-                if plan.matches(a):
-                    self._plans.move_to_end(key)
-                    self._hits.inc()
-                    return plan
-                self._collisions.inc()
-            self._misses.inc()
-            return None
+            plan = self._lookup(key, a)
+            if plan is None:
+                self._misses.inc()
+            return plan
 
     def put(self, plan: SymbolicPlan) -> None:
         """Insert (or refresh) a plan; evicts LRU entries beyond capacity.
 
-        A plan already present for the same key wins — concurrent builders
-        of the same pattern do not churn the cache.
+        A plan already present for the same key wins.
         """
         key = (plan.fingerprint.key, plan.options.symbolic_key())
         with self._lock:
@@ -129,21 +137,47 @@ class PlanCache:
                     self._evictions.inc()
             self._size.set(len(self._plans))
 
+    def _get_or_build(self, a: CSCMatrix, options: SolverOptions, build):
+        """The plan cached for ``(a, options)``; ``build()`` makes it once.
+
+        Single flight per key: whoever finds the key neither cached nor in
+        flight registers an event, builds outside the lock and inserts;
+        everyone else waits on that event and looks again.
+        """
+        key = self._key(a, options)
+        while True:
+            with self._lock:
+                plan = self._lookup(key, a)
+                if plan is not None:
+                    return plan
+                in_flight = self._building.get(key)
+                if in_flight is None:
+                    done = self._building[key] = threading.Event()
+                    self._misses.inc()
+            if in_flight is not None:
+                in_flight.wait()
+                continue
+            try:
+                plan = build()
+                self.put(plan)
+                return plan
+            finally:
+                with self._lock:
+                    del self._building[key]
+                done.set()
+
     def get_or_build(
         self, a: CSCMatrix, options: Optional[SolverOptions] = None, *, tracer=None
     ) -> SymbolicPlan:
         """Return the cached plan for ``a``, building and inserting on miss.
 
-        The build runs outside the lock (it can take seconds); a race on a
-        cold pattern at worst builds the plan twice.
+        The build runs outside the lock (it can take seconds) and once:
+        concurrent callers for the same cold pattern wait for it.
         """
         opts = options or SolverOptions()
-        plan = self.get(a, opts)
-        if plan is not None:
-            return plan
-        plan = build_plan(a, opts, tracer=tracer)
-        self.put(plan)
-        return plan
+        return self._get_or_build(
+            a, opts, lambda: build_plan(a, opts, tracer=tracer)
+        )
 
     def get_or_build_tuned(
         self, a: CSCMatrix, options: Optional[SolverOptions] = None, *, tracer=None
@@ -162,13 +196,11 @@ class PlanCache:
         if entry is None:
             return self.get_or_build(a, opts, tracer=tracer)
         recipe = entry[0]
-        tuned = recipe.apply(opts)
-        plan = self.get(a, tuned)
-        if plan is not None:
-            return plan
-        plan = build_plan(a, opts, recipe=recipe, tracer=tracer)
-        self.put(plan)
-        return plan
+        return self._get_or_build(
+            a,
+            recipe.apply(opts),
+            lambda: build_plan(a, opts, recipe=recipe, tracer=tracer),
+        )
 
     # ---- per-fingerprint recipe store (repro.tune) -------------------
     @staticmethod

@@ -57,14 +57,15 @@ class SupernodePartition:
 
     def member_of(self) -> np.ndarray:
         """Array mapping column index to its supernode index."""
-        out = np.empty(self.n, dtype=np.int64)
-        for s in range(self.n_supernodes):
-            lo, hi = self.span(s)
-            out[lo:hi] = s
-        return out
+        return np.repeat(np.arange(self.n_supernodes, dtype=np.int64), self.sizes())
 
     def mean_size(self) -> float:
         return float(self.n) / max(1, self.n_supernodes)
+
+
+def _column_ids(fill: StaticFill) -> np.ndarray:
+    """Column index of every stored entry of ``Ā``, in CSC order."""
+    return np.repeat(np.arange(fill.n, dtype=np.int64), np.diff(fill.pattern.indptr))
 
 
 def supernode_partition(fill: StaticFill) -> SupernodePartition:
@@ -74,31 +75,29 @@ def supernode_partition(fill: StaticFill) -> SupernodePartition:
     structure of ``L̄_{*j}`` equals that of ``L̄_{*j+1}`` plus row ``j+1``'s
     own slot, i.e. ``struct(L̄_*j) \\ {j} == struct(L̄_*(j+1))`` — the dense-
     diagonal-block rule of SuperLU/S+ specialized to the static pattern.
+    One pass over the entries: column counts of ``L̄`` select the candidate
+    pairs, one shifted comparison of the row indices confirms them.
     """
     n = fill.n
     if n == 0:
         return SupernodePartition(starts=np.array([0], dtype=np.int64))
-    pattern = fill.pattern
-    starts = [0]
-    prev = pattern.col_rows(0)
-    prev = prev[prev >= 0]
-    for j in range(1, n):
-        cur = pattern.col_rows(j)
-        cur_low = cur[cur >= j]
-        prev_low = prev[prev >= j - 1]
-        # prev_low must be exactly {j-1} ∪ cur_low for the merge to be valid.
-        same = (
-            prev_low.size == cur_low.size + 1
-            and prev_low[0] == j - 1
-            and np.array_equal(prev_low[1:], cur_low)
-            and cur_low.size > 0
-            and cur_low[0] == j
-        )
-        if not same:
-            starts.append(j)
-        prev = cur
-    starts.append(n)
-    return SupernodePartition(starts=np.asarray(starts, dtype=np.int64))
+    cols = _column_ids(fill)
+    lower = fill.pattern.indices >= cols
+    low_rows = fill.pattern.indices[lower].astype(np.int64)
+    low_cols = cols[lower]
+    count = np.bincount(low_cols, minlength=n)  # |struct(L̄_*j)|, diagonal in
+    first = np.cumsum(count) - count
+    has_diag = count > 0
+    has_diag[has_diag] = low_rows[first[has_diag]] == np.flatnonzero(has_diag)
+    # With ``count[j-1] == count[j] + 1`` the k-th row of column j lines up
+    # with the (k+1)-th of column j-1, ``count[j]`` entries back.
+    back = np.arange(low_rows.size) - count[low_cols]
+    differs = low_rows != low_rows[np.maximum(back, 0)]
+    mismatch = np.bincount(low_cols[differs], minlength=n) > 0
+    joins = (count[:-1] == count[1:] + 1) & has_diag[:-1] & has_diag[1:]
+    joins &= ~mismatch[1:]
+    starts = np.concatenate([[0], np.flatnonzero(~joins) + 1, [n]])
+    return SupernodePartition(starts=starts)
 
 
 def _padding_cost(fill: StaticFill, lo: int, hi: int) -> tuple[int, int]:
@@ -108,15 +107,11 @@ def _padding_cost(fill: StaticFill, lo: int, hi: int) -> tuple[int, int]:
     below-diagonal rows of the group; ``padded`` counts introduced explicit
     zeros.
     """
-    union: set[int] = set()
-    stored = 0
-    for j in range(lo, hi):
-        col = fill.pattern.col_rows(j)
-        low = col[col >= lo]
-        stored += int(low.size)
-        union.update(int(r) for r in low)
-    dense = len(union) * (hi - lo)
-    return stored, dense - stored
+    pattern = fill.pattern
+    rows = pattern.indices[pattern.indptr[lo] : pattern.indptr[hi]]
+    rows = rows[rows >= lo]
+    stored = int(rows.size)
+    return stored, int(np.unique(rows).size) * (hi - lo) - stored
 
 
 def amalgamate(
@@ -133,30 +128,7 @@ def amalgamate(
     not exceed ``max_padding`` and the merged width stays ``≤ max_size``.
     Deterministic, so Table 3 rows are stable.
     """
-    if not (0.0 <= max_padding < 1.0):
-        raise ValueError(f"max_padding must be in [0, 1), got {max_padding}")
-    starts = partition.starts.tolist()
-    merged = [starts[0]]
-    i = 0
-    cur_lo = starts[0]
-    while i < len(starts) - 1:
-        cur_hi = starts[i + 1]
-        # Try to extend the current group over following supernodes.
-        j = i + 1
-        while j < len(starts) - 1:
-            cand_hi = starts[j + 1]
-            if cand_hi - cur_lo > max_size:
-                break
-            stored, padded = _padding_cost(fill, cur_lo, cand_hi)
-            total = stored + padded
-            if total == 0 or padded / total > max_padding:
-                break
-            cur_hi = cand_hi
-            j += 1
-        merged.append(cur_hi)
-        cur_lo = cur_hi
-        i = j
-    return SupernodePartition(starts=np.asarray(merged, dtype=np.int64))
+    return _greedy_merge(fill, partition, None, max_padding, max_size)
 
 
 def amalgamate_chains(
@@ -180,32 +152,56 @@ def amalgamate_chains(
 
     ``parent`` is the *scalar* LU eforest of ``fill``.
     """
+    return _greedy_merge(fill, partition, np.asarray(parent), max_padding, max_size)
+
+
+def _greedy_merge(fill, partition, parent, max_padding, max_size):
+    """The left-to-right greedy behind both amalgamation rules.
+
+    For a group of columns ``lo:hi`` the L part stores the entries with row
+    ``≥ lo`` and pads every column to the union of those rows. Both counts
+    grow by a slice count per absorbed supernode: an entry adds a row to
+    the union iff it is the first of its row at or after column ``lo``,
+    i.e. iff the previous entry of its row lies left of ``lo``.
+    """
     if not (0.0 <= max_padding < 1.0):
         raise ValueError(f"max_padding must be in [0, 1), got {max_padding}")
-    parent = np.asarray(parent)
+    n = fill.n
+    cols = _column_ids(fill)
+    rows = fill.pattern.indices.astype(np.int64)
+    # Column of the previous entry in each entry's row (-1: none), found in
+    # row-major order and scattered back to CSC order.
+    by_row = np.argsort(rows * n + cols)
+    prev_col = np.full(rows.size, -1, dtype=np.int64)
+    same_row = rows[by_row[1:]] == rows[by_row[:-1]]
+    prev_col[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
+
     starts = partition.starts.tolist()
+    ptr = fill.pattern.indptr[partition.starts].tolist()
+    chained = None if parent is None else (parent[:n] == np.arange(1, n + 1)).tolist()
     merged = [starts[0]]
-    i = 0
-    cur_lo = starts[0]
-    while i < len(starts) - 1:
-        cur_hi = starts[i + 1]
-        j = i + 1
-        while j < len(starts) - 1:
-            cand_hi = starts[j + 1]
-            if cand_hi - cur_lo > max_size:
+    i, last = 0, len(starts) - 1
+    while i < last:
+        lo = starts[i]
+        stored = union = 0
+        j = i
+        while j < last:
+            hi = starts[j + 1]
+            if j > i and (
+                hi - lo > max_size
+                or (chained is not None and not chained[starts[j] - 1])
+            ):
                 break
-            # Tree-edge condition: the left group's last column must chain
-            # into the right group's first column.
-            if int(parent[cur_hi - 1]) != cur_hi:
+            span = slice(ptr[j], ptr[j + 1])
+            kept = rows[span] >= lo
+            s = stored + int(np.count_nonzero(kept))
+            u = union + int(np.count_nonzero(kept & (prev_col[span] < lo)))
+            dense = u * (hi - lo)
+            if j > i and (dense == 0 or (dense - s) / dense > max_padding):
                 break
-            stored, padded = _padding_cost(fill, cur_lo, cand_hi)
-            total = stored + padded
-            if total == 0 or padded / total > max_padding:
-                break
-            cur_hi = cand_hi
+            stored, union = s, u
             j += 1
-        merged.append(cur_hi)
-        cur_lo = cur_hi
+        merged.append(starts[j])
         i = j
     return SupernodePartition(starts=np.asarray(merged, dtype=np.int64))
 
@@ -254,12 +250,16 @@ def block_pattern(fill: StaticFill, partition: SupernodePartition) -> BlockPatte
             f"partition covers {partition.n} columns, matrix has {fill.n}"
         )
     member = partition.member_of()
-    blocks: list[np.ndarray] = []
-    for k in range(partition.n_supernodes):
-        lo, hi = partition.span(k)
-        hit: set[int] = set()
-        for j in range(lo, hi):
-            rows = fill.pattern.col_rows(j)
-            hit.update(int(b) for b in np.unique(member[rows]))
-        blocks.append(np.asarray(sorted(hit), dtype=np.int64))
-    return BlockPattern(partition=partition, blocks=blocks)
+    n_blocks = partition.n_supernodes
+    # One key per entry, block column major; the distinct keys are the blocks.
+    entries = np.diff(fill.pattern.indptr[partition.starts])
+    keys = np.unique(
+        np.repeat(np.arange(n_blocks) * n_blocks, entries)
+        + member[fill.pattern.indices]
+    )
+    block_col, block_row = np.divmod(keys, n_blocks)
+    ptr = np.searchsorted(block_col, np.arange(n_blocks + 1))
+    return BlockPattern(
+        partition=partition,
+        blocks=[block_row[ptr[k] : ptr[k + 1]] for k in range(n_blocks)],
+    )

@@ -134,20 +134,23 @@ def run_ordering_benchmark(
     """Score every ordering on every matrix (the extended ablation).
 
     One :func:`evaluate_recipe` call per (matrix, ordering) at the
-    default amalgamation, plus the ordering's own wall time — AMD's
-    raison d'être is matching exact minimum degree's fill at a fraction
-    of its ordering cost, so the bench reports both.
+    default amalgamation, plus the ordering's own wall time (the
+    pipeline's ``ordering`` span) — AMD's raison d'être is matching exact
+    minimum degree's fill at a fraction of its ordering cost, so the
+    bench reports both.
     """
     rows: list[dict] = []
     for name in matrices:
         a = paper_matrix(name, scale=scale)
         for ordering in orderings:
+            tr = Tracer()
             t0 = time.perf_counter()
             score = evaluate_recipe(
                 a,
                 OrderingRecipe(ordering=ordering),
                 n_procs=n_procs,
                 machine=machine,
+                tracer=tr,
             )
             rows.append(
                 {
@@ -158,6 +161,7 @@ def run_ordering_benchmark(
                     "n_supernodes": score.n_supernodes,
                     "flops": int(score.flops),
                     "predicted_time": float(score.predicted_time),
+                    "ordering_seconds": tr.stage_seconds()["ordering"],
                     "pipeline_seconds": time.perf_counter() - t0,
                 }
             )
@@ -188,6 +192,7 @@ def ordering_rows(data: dict) -> list[tuple]:
             r["n_supernodes"],
             r["flops"],
             round(r["predicted_time"], 4),
+            round(r["ordering_seconds"], 4),
             round(r["pipeline_seconds"], 3),
         )
         for r in data["rows"]

@@ -141,7 +141,7 @@ def evaluate_recipe(
         n_procs=n_procs,
         mapping=eff_mapping,
     ) as s:
-        art = run_symbolic_pipeline(a.pattern_only(), opts)
+        art = run_symbolic_pipeline(a.pattern_only(), opts, tracer=tr)
         model = CostModel(art.bp)
         flops = sum(model.flops(t) for t in art.graph.tasks())
         if eff_mapping == "2d" or eff_mapping.startswith("2d:"):

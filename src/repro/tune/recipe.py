@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.numeric.solver import ORDERINGS, SolverOptions
+from repro.numeric.solver import DEFAULT_ORDERING, ORDERINGS, SolverOptions
 
 #: Short spec-string aliases for the amalgamation and mapping knobs.
 _SPEC_ALIASES = {
@@ -73,7 +73,7 @@ class OrderingRecipe:
         reads it off the plan's recipe at refactorize time.
     """
 
-    ordering: str = "mindeg"
+    ordering: str = DEFAULT_ORDERING
     params: tuple = ()
     amalgamation: bool = True
     max_padding: float = 0.25

@@ -37,6 +37,24 @@ class TestTable1:
         assert "orsreg1" in text
 
 
+class TestTablesKeepThePapersOrdering:
+    """``repro.eval`` names exact mindeg itself: the library default moving
+    to amd must not move a table row (values taken before the switch)."""
+
+    def test_table1_and_table3_rows_unchanged(self):
+        fills = {r.name: r.fill_ratio for r in table1_rows(TINY)}
+        assert fills == pytest.approx(
+            {"orsreg1": 7.461303462321792, "sherman3": 7.297555158020274}, rel=1e-12
+        )
+        sn = {r.name: (r.n_btf_blocks, r.sn, r.snpo) for r in table3_rows(TINY)}
+        assert sn == {"orsreg1": (1, 80, 42), "sherman3": (26, 300, 190)}
+
+    def test_eval_solvers_are_built_with_mindeg(self):
+        from repro.eval.pipeline import analyzed_matrix
+
+        assert analyzed_matrix("orsreg1", TINY.scale).options.ordering == "mindeg"
+
+
 class TestTable2:
     def test_times_decrease_with_procs(self):
         rows = table2_rows(TINY)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_pivot_matrix
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import DEFAULT_ORDERING, SolverOptions, SparseLUSolver
 from repro.sparse.convert import csc_from_dense, csc_to_scipy
 from repro.sparse.generators import paper_matrix, random_sparse
 from repro.util.errors import ReproError, ShapeError
@@ -13,7 +13,7 @@ from repro.util.errors import ReproError, ShapeError
 class TestOptions:
     def test_defaults(self):
         o = SolverOptions()
-        assert o.ordering == "mindeg"
+        assert o.ordering == DEFAULT_ORDERING == "amd"
         assert o.postorder and o.amalgamation
         assert o.task_graph == "eforest"
 

@@ -1,8 +1,13 @@
 """Plan cache tests: LRU bounds, counters, collision safety, plan sharing."""
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import repro.serve.cache as cache_mod
 from repro.numeric.solver import SolverOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import PlanCache
@@ -96,6 +101,112 @@ class TestPlanCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             PlanCache(max_entries=0)
+
+
+class TestSingleFlightBuilds:
+    """A never-seen pattern is analysed once, however many callers race."""
+
+    TIMEOUT = 30.0
+
+    @staticmethod
+    def _race(n_threads, call):
+        """Run ``call()`` on ``n_threads`` threads released together."""
+        results, errors = [], []
+        gate = threading.Barrier(n_threads)
+
+        def worker():
+            gate.wait()
+            try:
+                results.append(call())
+            except Exception as err:  # collected for the assertions below
+                errors.append(err)
+
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more threads than cores, switch often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(TestSingleFlightBuilds.TIMEOUT)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "a waiter is stuck"
+        return results, errors
+
+    @staticmethod
+    def _slow_counting_build(monkeypatch, fail_first=0):
+        calls = []
+        lock = threading.Lock()
+
+        def counted(a, options=None, **kwargs):
+            with lock:
+                calls.append(threading.get_ident())
+                failing = len(calls) <= fail_first
+            time.sleep(0.05)  # hold the window open for the other callers
+            if failing:
+                raise RuntimeError("analysis failed")
+            return build_plan(a, options, **kwargs)
+
+        monkeypatch.setattr(cache_mod, "build_plan", counted)
+        return calls
+
+    @pytest.mark.parametrize("n_threads", [2, 8])
+    def test_racing_callers_build_once(self, monkeypatch, n_threads):
+        calls = self._slow_counting_build(monkeypatch)
+        cache = PlanCache(max_entries=4)
+        a = random_pivot_matrix(30, 11)
+        plans, errors = self._race(n_threads, lambda: cache.get_or_build(a))
+        assert not errors
+        assert len(calls) == 1
+        assert len(plans) == n_threads and all(p is plans[0] for p in plans)
+        st = cache.stats()
+        assert (st["misses"], st["hits"]) == (1, n_threads - 1)
+        assert not cache._building
+
+    def test_tuned_path_shares_the_flight(self, monkeypatch):
+        from repro.tune import OrderingRecipe
+
+        calls = self._slow_counting_build(monkeypatch)
+        cache = PlanCache(max_entries=4)
+        a = random_pivot_matrix(30, 12)
+        cache.put_recipe(a, OrderingRecipe(ordering="rcm"))
+        plans, errors = self._race(4, lambda: cache.get_or_build_tuned(a))
+        assert not errors and len(calls) == 1
+        assert all(p is plans[0] for p in plans)
+        assert plans[0].options.ordering == "rcm"
+        assert cache.stats()["misses"] == 1
+
+    def test_distinct_patterns_build_concurrently(self, monkeypatch):
+        calls = self._slow_counting_build(monkeypatch)
+        cache = PlanCache(max_entries=4)
+        mats = iter(_matrices(4))
+        lock = threading.Lock()
+
+        def call():
+            with lock:
+                a = next(mats)
+            return cache.get_or_build(a)
+
+        plans, errors = self._race(4, call)
+        assert not errors and len(calls) == 4
+        assert len({id(p) for p in plans}) == 4
+        assert cache.stats()["misses"] == 4
+
+    def test_failed_build_wakes_waiters_and_next_caller_builds(self, monkeypatch):
+        calls = self._slow_counting_build(monkeypatch, fail_first=1)
+        cache = PlanCache(max_entries=4)
+        a = random_pivot_matrix(30, 13)
+        plans, errors = self._race(4, lambda: cache.get_or_build(a))
+        # The first builder alone sees the error; one waiter rebuilt.
+        assert [type(e) for e in errors] == [RuntimeError]
+        assert len(calls) == 2
+        assert len(plans) == 3 and all(p is plans[0] for p in plans)
+        st = cache.stats()
+        assert (st["misses"], st["hits"]) == (2, 2)
+        assert not cache._building
+        assert cache.get_or_build(a) is plans[0]
+        assert len(calls) == 2
 
 
 class TestPlanImmutability:

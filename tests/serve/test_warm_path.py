@@ -20,6 +20,7 @@ import repro.numeric.factor as factor_mod
 import repro.numeric.supersolve as supersolve_mod
 from repro.numeric.blockdata import BlockLayout
 from repro.numeric.refine import condest_1norm
+from repro.numeric.solver import SolverOptions
 from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.coo import COOBuilder
 from repro.sparse.generators import paper_matrix
@@ -49,7 +50,8 @@ def _warm_request(monkeypatch):
     monkeypatch.delenv("REPRO_SOLVE", raising=False)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     a = paper_matrix("sherman3", scale=0.15)
-    plan = build_plan(a)
+    # Exact mindeg: the ordering the stored structure digest was taken under.
+    plan = build_plan(a, SolverOptions(ordering="mindeg"))
     rng = np.random.default_rng(0)
     a = a.with_values(a.data * (1.0 + 0.1 * rng.uniform(-1.0, 1.0, a.nnz)))
     return plan, a, rng.standard_normal(a.n_cols)

@@ -2,8 +2,11 @@
 
 The whole pipeline is deterministic (seeded generators, deterministic
 algorithms), so the analysis statistics of each benchmark analog are frozen
-here. A change in any number means an algorithm's behaviour changed — which
-must be a conscious decision, not an accident. Regenerate with:
+here, once per fill-reducing ordering that has a standing role: the exact
+``mindeg`` (the paper's ordering and the fill oracle — its tables are the
+ones this suite has always pinned) and the default ``amd``. A change in any
+number means an algorithm's behaviour changed — which must be a conscious
+decision, not an accident. Regenerate with:
 
     python -c "from tests.test_regression_numbers import regenerate; regenerate()"
 """
@@ -13,7 +16,7 @@ import dataclasses
 import pytest
 
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
+from repro.numeric.solver import DEFAULT_ORDERING, SolverOptions, SparseLUSolver
 from repro.sparse.generators import paper_matrix
 
 SCALE = 0.15
@@ -35,10 +38,31 @@ GOLDEN_LAZY = {
     "goodwin": dict(n_updates_skipped=44, n_updates_run=144, flops_saved=31572056, flops_spent=9394192),
 }
 
+# The same two tables under the default ordering (amd), regenerated once
+# when it became the default.
+GOLDEN_DEFAULT = {
+    "sherman3": dict(n=798, nnz=2893, fill=23850, sn_raw=539, sn=309, btf=48, tasks=1307, edges=1888),
+    "sherman5": dict(n=540, nnz=2504, fill=32622, sn_raw=282, sn=148, btf=2, tasks=666, edges=1034),
+    "lnsp3937": dict(n=588, nnz=2416, fill=16683, sn_raw=366, sn=236, btf=2, tasks=892, edges=1309),
+    "lns3937": dict(n=588, nnz=2162, fill=12931, sn_raw=388, sn=227, btf=9, tasks=865, edges=1257),
+    "orsreg1": dict(n=363, nnz=1907, fill=19123, sn_raw=175, sn=77, btf=1, tasks=317, edges=480),
+    "saylr4": dict(n=540, nnz=2728, fill=30137, sn_raw=253, sn=126, btf=2, tasks=548, edges=843),
+    "goodwin": dict(n=1104, nnz=24048, fill=132246, sn_raw=193, sn=136, btf=93, tasks=306, edges=340),
+}
 
-def current_stats(name: str) -> dict:
+GOLDEN_LAZY_DEFAULT = {
+    "sherman3": dict(n_updates_skipped=257, n_updates_run=741, flops_saved=4173617, flops_spent=1148805),
+    "goodwin": dict(n_updates_skipped=26, n_updates_run=144, flops_saved=31511950, flops_spent=10448437),
+}
+
+
+def analyzed(name: str, ordering: str) -> SparseLUSolver:
     a = paper_matrix(name, scale=SCALE)
-    st = SparseLUSolver(a).analyze().stats()
+    return SparseLUSolver(a, SolverOptions(ordering=ordering)).analyze()
+
+
+def current_stats(name: str, ordering: str = "mindeg") -> dict:
+    st = analyzed(name, ordering).stats()
     return dict(
         n=st.n,
         nnz=st.nnz,
@@ -51,6 +75,13 @@ def current_stats(name: str) -> dict:
     )
 
 
+def current_lazy(name: str, ordering: str = "mindeg") -> dict:
+    solver = analyzed(name, ordering)
+    eng = LUFactorization(solver.a_work, solver.bp, layout=solver.plan().layout)
+    eng.factor_sequential()
+    return dataclasses.asdict(eng.lazy_stats)
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_analysis_numbers_frozen(name):
     assert current_stats(name) == GOLDEN[name], (
@@ -61,12 +92,27 @@ def test_analysis_numbers_frozen(name):
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_LAZY))
 def test_lazy_stats_frozen(name):
-    solver = SparseLUSolver(paper_matrix(name, scale=SCALE)).analyze()
-    eng = LUFactorization(solver.a_work, solver.bp, layout=solver.plan().layout)
-    eng.factor_sequential()
-    assert dataclasses.asdict(eng.lazy_stats) == GOLDEN_LAZY[name]
+    assert current_lazy(name) == GOLDEN_LAZY[name]
+
+
+def test_default_tables_pin_the_default_ordering():
+    assert SolverOptions().ordering == DEFAULT_ORDERING == "amd"
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_DEFAULT))
+def test_default_analysis_numbers_frozen(name):
+    assert current_stats(name, DEFAULT_ORDERING) == GOLDEN_DEFAULT[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LAZY_DEFAULT))
+def test_default_lazy_stats_frozen(name):
+    assert current_lazy(name, DEFAULT_ORDERING) == GOLDEN_LAZY_DEFAULT[name]
 
 
 def regenerate() -> None:  # pragma: no cover - maintenance helper
-    for name in sorted(GOLDEN):
-        print(f'    "{name}": {current_stats(name)},')
+    for ordering in ("mindeg", DEFAULT_ORDERING):
+        print(f"# {ordering}")
+        for name in sorted(GOLDEN):
+            print(f'    "{name}": {current_stats(name, ordering)},')
+        for name in sorted(GOLDEN_LAZY):
+            print(f'    "{name}": {current_lazy(name, ordering)},')

@@ -15,6 +15,15 @@ class TestConstruction:
         assert r.max_padding == opts.max_padding
         assert r.max_supernode == opts.max_supernode
 
+    def test_one_default_ordering_constant(self):
+        from repro.cli import build_parser
+        from repro.numeric.solver import DEFAULT_ORDERING
+
+        assert OrderingRecipe() == OrderingRecipe.from_options(SolverOptions())
+        assert OrderingRecipe().ordering == DEFAULT_ORDERING
+        args = build_parser().parse_args(["analyze", "orsreg1"])
+        assert args.ordering == DEFAULT_ORDERING
+
     def test_params_normalized_sorted(self):
         r = OrderingRecipe(ordering="dissect", params=(("b", 2), ("a", 1)))
         assert r.params == (("a", 1), ("b", 2))
