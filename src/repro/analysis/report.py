@@ -31,8 +31,9 @@ Document layout (``repro.analysis`` version 2)::
       ]
     }
 
-Version 1 is identical minus the ``modes`` list;
-:func:`validate_analysis_document` accepts both (dispatching on
+Version 1 is identical minus the ``modes`` list. Only the current
+version is emitted; :func:`validate_analysis_document` still reads both
+(dispatching on
 ``schema_version``) and *raises* :class:`~repro.util.errors.
 SchemaVersionError` for any version outside
 :data:`SUPPORTED_ANALYSIS_VERSIONS` — an unknown version means the layout
@@ -180,24 +181,15 @@ class AnalysisReport:
             if mode not in self.modes:
                 self.modes.append(mode)
 
-    def as_dict(
-        self, version: int = ANALYSIS_SCHEMA_VERSION
-    ) -> dict[str, object]:
-        if version not in SUPPORTED_ANALYSIS_VERSIONS:
-            raise SchemaVersionError(
-                f"cannot emit repro.analysis version {version}; supported: "
-                f"{SUPPORTED_ANALYSIS_VERSIONS}"
-            )
-        doc: dict[str, object] = {
+    def as_dict(self) -> dict[str, object]:
+        return {
             "schema": ANALYSIS_SCHEMA,
-            "schema_version": version,
+            "schema_version": ANALYSIS_SCHEMA_VERSION,
             "ok": self.ok,
+            "modes": list(self.modes),
             "meta": dict(self.meta),
             "subjects": [s.as_dict() for s in self.subjects],
         }
-        if version >= 2:
-            doc["modes"] = list(self.modes)
-        return doc
 
     def render(self) -> str:
         """Human-readable multi-line summary (the non-JSON CLI output)."""

@@ -14,25 +14,9 @@ Commands
 ``matrices``   list the available Table-1 analogs.
 ``selfcheck``  condensed end-to-end verification (``--json`` for machines).
 ``generate``   write a synthetic analog to a Matrix Market file.
-``serve-bench`` replay a synthetic request stream through the serving
-               layer (plan cache + batched solver service) and report
-               cold/warm throughput, latency percentiles, cache stats.
-``symbolic-bench`` time the reference vs. fast symbolic kernels
-               (static fill + eforest + postorder) and the column-etree
-               compression, optionally writing the ``repro.bench``
-               artifact (``$REPRO_SYMBOLIC`` selects the production
-               implementation elsewhere; the bench always runs both).
-``solve-bench`` time the supernodal block solve engine against the
-               scalar reference triangular solves on a multi-column RHS,
-               optionally writing the ``repro.bench`` artifact
-               (``$REPRO_SOLVE`` selects the production implementation
-               elsewhere; the bench always runs both).
 ``tune``       autotune the ordering recipe for one pattern (grid over
                ordering × amalgamation tolerance, ranked by the machine-
                model makespan) and prove the second call is a recipe hit.
-``ordering-bench`` score every fill-reducing ordering (mindeg, amd, rcm,
-               dissect, natural) per matrix: fill, supernodes, FLOPs,
-               predicted T(P), ordering wall time.
 """
 
 from __future__ import annotations
@@ -348,282 +332,67 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.obs.export import validate_document, write_json
-    from repro.obs.trace import Tracer
-    from repro.serve.bench import run_serve_benchmark, summary_rows
-
-    if args.quick:
-        n_patterns, requests, scale, repeats = 2, 2, 0.06, 1
-    else:
-        n_patterns, requests, scale = args.patterns, args.requests, args.scale
-        repeats = args.repeats
-    tracer = Tracer()
-    data = run_serve_benchmark(
-        n_patterns=n_patterns,
-        requests_per_pattern=requests,
-        scale=scale,
-        n_workers=args.workers,
-        repeats=repeats,
-        tracer=tracer,
-    )
-    if args.json:
-        doc = tracer.export(meta={"benchmark": "serve-bench", **{
-            k: data[k]
-            for k in ("matrix", "scale", "n_patterns", "requests_per_pattern",
-                      "n_workers", "warm_over_cold_throughput")
-        }})
-        errors = validate_document(doc)
-        if errors:  # defensive: the exporter should always emit valid documents
-            for e in errors:
-                print(f"telemetry schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"telemetry written to {args.json}")
-    print(
-        format_table(
-            ["quantity", "value"],
-            summary_rows(data),
-            title=f"serve-bench: {data['matrix']} @ scale {scale}",
-        )
-    )
-    return 0
-
-
-def cmd_symbolic_bench(args: argparse.Namespace) -> int:
-    from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.obs.trace import Tracer
-    from repro.symbolic.bench import run_symbolic_benchmark, summary_rows
-
-    if args.large_n is not None:
-        return _symbolic_large_n(args)
-    if args.quick:
-        scales, repeats, etree_n = (0.05, 0.1), 1, 400
-    else:
-        scales = tuple(float(s) for s in args.scales.split(","))
-        repeats, etree_n = args.repeats, args.etree_n
-    tracer = Tracer()
-    data = run_symbolic_benchmark(
-        scales=scales,
-        matrix=args.matrix,
-        repeats=repeats,
-        etree_n=etree_n,
-        tracer=tracer,
-    )
-    text = format_table(
-        ["quantity", "value"],
-        summary_rows(data),
-        title=f"symbolic-bench: {data['matrix']} @ scales {list(scales)}",
-    )
-    if args.json:
-        doc = bench_document(
-            "bench_symbolic",
-            text=text,
-            data=data,
-            meta={"benchmark": "symbolic-bench", "quick": bool(args.quick)},
-        )
-        errors = validate_bench_document(doc)
-        if errors:  # defensive: bench_document should always emit valid docs
-            for e in errors:
-                print(f"bench schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"benchmark artifact written to {args.json}")
-    print(text)
-    return 0
-
-
-def _symbolic_large_n(args: argparse.Namespace) -> int:
-    """``repro symbolic-bench --large-n``: the fast-vs-chunked scaling tier."""
-    from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.obs.trace import Tracer
-    from repro.symbolic.bench import large_summary_rows, run_large_n_benchmark
-
-    tracer = Tracer()
-    data = run_large_n_benchmark(
-        tier=args.large_n,
-        chunk=args.chunk,
-        workers=args.workers,
-        measure_memory=not args.no_memory,
-        tracer=tracer,
-    )
-    text = format_table(
-        ["quantity", "value"],
-        large_summary_rows(data),
-        title=f"symbolic-bench --large-n: {data['tier']} tier",
-    )
-    if args.json:
-        doc = bench_document(
-            "bench_symbolic_large_n",
-            text=text,
-            data=data,
-            meta={"benchmark": "symbolic-bench-large-n", "tier": data["tier"]},
-        )
-        errors = validate_bench_document(doc)
-        if errors:  # defensive: bench_document should always emit valid docs
-            for e in errors:
-                print(f"bench schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"benchmark artifact written to {args.json}")
-    print(text)
-    return 0
-
-
-def cmd_solve_bench(args: argparse.Namespace) -> int:
-    from repro.numeric.bench import run_solve_benchmark, summary_rows
-    from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.obs.trace import Tracer
-
-    if args.quick:
-        scales, repeats, n_rhs = (0.05, 0.1), 1, 4
-    else:
-        scales = tuple(float(s) for s in args.scales.split(","))
-        repeats, n_rhs = args.repeats, args.n_rhs
-    tracer = Tracer()
-    data = run_solve_benchmark(
-        scales=scales,
-        matrix=args.matrix,
-        repeats=repeats,
-        n_rhs=n_rhs,
-        tracer=tracer,
-    )
-    text = format_table(
-        ["quantity", "value"],
-        summary_rows(data),
-        title=f"solve-bench: {data['matrix']} @ scales {list(scales)}",
-    )
-    if args.json:
-        doc = bench_document(
-            "bench_solve",
-            text=text,
-            data=data,
-            meta={"benchmark": "solve-bench", "quick": bool(args.quick)},
-        )
-        errors = validate_bench_document(doc)
-        if errors:  # defensive: bench_document should always emit valid docs
-            for e in errors:
-                print(f"bench schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"benchmark artifact written to {args.json}")
-    print(text)
-    return 0
-
-
-def cmd_proc_bench(args: argparse.Namespace) -> int:
-    from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.obs.trace import Tracer
-    from repro.parallel.bench import run_proc_benchmark, summary_rows
-
-    if args.quick:
-        scales, repeats = (0.05, 0.1), 1
-    else:
-        scales = tuple(float(s) for s in args.scales.split(","))
-        repeats = args.repeats
-    tracer = Tracer()
-    data = run_proc_benchmark(
-        scales=scales,
-        matrix=args.matrix,
-        repeats=repeats,
-        n_workers=args.workers,
-        tracer=tracer,
-    )
-    text = format_table(
-        ["quantity", "value"],
-        summary_rows(data),
-        title=(
-            f"proc-bench: {data['matrix']} @ scales {list(scales)}, "
-            f"{data['n_workers']} workers"
-        ),
-    )
-    if args.json:
-        doc = bench_document(
-            "bench_proc",
-            text=text,
-            data=data,
-            meta={"benchmark": "proc-bench", "quick": bool(args.quick)},
-        )
-        errors = validate_bench_document(doc)
-        if errors:  # defensive: bench_document should always emit valid docs
-            for e in errors:
-                print(f"bench schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"benchmark artifact written to {args.json}")
-    print(text)
-    return 0
-
-
-def cmd_twod_bench(args: argparse.Namespace) -> int:
-    from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.obs.trace import Tracer
-    from repro.parallel.bench import run_two_d_benchmark, two_d_summary_rows
-
-    if args.quick:
-        matrices, scale, repeats = ("sherman3",), 0.1, 1
-    else:
-        matrices = tuple(m.strip() for m in args.matrices.split(","))
-        scale, repeats = args.scale, args.repeats
-    engines = ("threaded", "proc") if args.engine == "both" else (args.engine,)
-    tracer = Tracer()
-    data = run_two_d_benchmark(
-        matrices=matrices,
-        scale=scale,
-        repeats=repeats,
-        n_workers=args.workers,
-        engines=engines,
-        quick_select=args.quick,
-        tracer=tracer,
-    )
-    text = format_table(
-        ["quantity", "value"],
-        two_d_summary_rows(data),
-        title=(
-            f"twod-bench: measured 1-D vs 2-D @ scale {scale:g}, "
-            f"{args.workers} workers ({'+'.join(engines)})"
-        ),
-    )
-    if args.json:
-        doc = bench_document(
-            "bench_twod",
-            text=text,
-            data=data,
-            meta={"benchmark": "twod-bench", "quick": bool(args.quick)},
-        )
-        errors = validate_bench_document(doc)
-        if errors:  # defensive: bench_document should always emit valid docs
-            for e in errors:
-                print(f"bench schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"benchmark artifact written to {args.json}")
-    print(text)
-    return 0
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.obs.trace import Tracer
-    from repro.tune.bench import candidate_rows, run_tune, tune_summary_rows
+    from repro.serve.cache import PlanCache
+    from repro.tune import autotune
 
-    tracer = Tracer()
-    data = run_tune(
-        args.matrix,
-        scale=0.06 if args.quick else args.scale,
-        n_procs=args.procs,
-        objective=args.objective,
-        quick=args.quick,
-        tracer=tracer,
+    scale = 0.06 if args.quick else args.scale
+    a = _load_matrix(args.matrix, scale)
+    cache = PlanCache()
+    search = dict(
+        objective=args.objective, n_procs=args.procs, cache=cache, quick=args.quick
     )
+    result = autotune(a, **search)
+    # The amortization the subsystem exists for: a second call against the
+    # same cache must be a recipe hit that skips the search.
+    again = autotune(a, **search)
+    recipe_hit = (not again.searched) and again.recipe.key == result.recipe.key
+    stats = cache.stats()
+    data = {
+        "matrix": args.matrix,
+        "scale": float(scale),
+        "n": a.n_cols,
+        "nnz": a.nnz,
+        "n_procs": args.procs,
+        "quick": bool(args.quick),
+        **result.as_dict(),
+        "second_call": {
+            "searched": again.searched,
+            "recipe_hit": recipe_hit,
+            "seconds": float(again.search_seconds),
+        },
+        "cache": {k: stats[k] for k in ("recipe_hits", "recipe_misses", "recipes")},
+    }
+    winner = data["winner"]
     text = format_table(
         ["quantity", "value"],
-        tune_summary_rows(data),
-        title=f"tune: {data['matrix']} @ scale {data['scale']}",
+        [
+            ("matrix", f"{args.matrix} (n={a.n_cols}, nnz={a.nnz})"),
+            ("objective", f"{args.objective} @ P={args.procs}"),
+            ("candidates scored", len(data["candidates"])),
+            ("winning recipe", data["recipe"]),
+            ("predicted T(P)", round(winner["predicted_time"], 4)),
+            ("fill ratio", round(winner["fill_ratio"], 3)),
+            ("supernodes", winner["n_supernodes"]),
+            ("flops", winner["flops"]),
+            ("search seconds", round(data["search_seconds"], 3)),
+            ("second call recipe hit", recipe_hit),
+        ],
+        title=f"tune: {args.matrix} @ scale {scale}",
     )
     text += "\n\n" + format_table(
-        ["recipe", "|Abar|/|A|", "supernodes", "flops", f"T(P={data['n_procs']})"],
-        candidate_rows(data),
+        ["recipe", "|Abar|/|A|", "supernodes", "flops", f"T(P={args.procs})"],
+        [
+            (
+                s["recipe"],
+                round(s["fill_ratio"], 3),
+                s["n_supernodes"],
+                s["flops"],
+                round(s["predicted_time"], 4),
+            )
+            for s in data["candidates"]
+        ],
         title="candidates (best first)",
         floatfmt=".4f",
     )
@@ -642,47 +411,10 @@ def cmd_tune(args: argparse.Namespace) -> int:
         write_json(args.json, doc)
         print(f"tune artifact written to {args.json}")
     print(text)
-    if not data["second_call"]["recipe_hit"]:
+    if not recipe_hit:
         print("FAIL: second tune call re-searched (recipe store broken)",
               file=sys.stderr)
         return 1
-    return 0
-
-
-def cmd_ordering_bench(args: argparse.Namespace) -> int:
-    from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.tune.bench import ordering_rows, run_ordering_benchmark
-
-    matrices = (
-        ("sherman3",) if args.quick else tuple(args.matrices.split(","))
-    )
-    data = run_ordering_benchmark(
-        matrices,
-        scale=0.06 if args.quick else args.scale,
-        n_procs=args.procs,
-    )
-    text = format_table(
-        ["matrix", "ordering", "|Abar|/|A|", "supernodes", "flops",
-         f"T(P={data['n_procs']})", "ordering s", "pipeline s"],
-        ordering_rows(data),
-        title=f"ordering-bench @ scale {data['scale']}",
-        floatfmt=".4f",
-    )
-    if args.json:
-        doc = bench_document(
-            "ordering_bench",
-            text=text,
-            data=data,
-            meta={"benchmark": "ordering-bench", "quick": bool(args.quick)},
-        )
-        errors = validate_bench_document(doc)
-        if errors:  # defensive: bench_document should always emit valid docs
-            for e in errors:
-                print(f"bench schema error: {e}", file=sys.stderr)
-            return 1
-        write_json(args.json, doc)
-        print(f"ordering-bench artifact written to {args.json}")
-    print(text)
     return 0
 
 
@@ -761,149 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_selfcheck)
 
     p = sub.add_parser(
-        "serve-bench", help="cold/warm request-stream benchmark of repro.serve"
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small smoke run (CI-friendly)"
-    )
-    p.add_argument("--patterns", type=int, default=6, help="distinct patterns")
-    p.add_argument(
-        "--requests", type=int, default=2, help="requests per pattern per stream"
-    )
-    p.add_argument("--scale", type=float, default=0.15, help="analog size factor")
-    p.add_argument("--workers", type=int, default=2, help="service worker threads")
-    p.add_argument(
-        "--repeats", type=int, default=2, help="replays per stream (best kept)"
-    )
-    p.add_argument("--json", metavar="PATH", help="write telemetry JSON document")
-    p.set_defaults(func=cmd_serve_bench)
-
-    p = sub.add_parser(
-        "symbolic-bench",
-        help="reference/fast/chunked benchmark of the symbolic kernels",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small smoke run (CI-friendly)"
-    )
-    p.add_argument(
-        "--scales",
-        default="0.25,0.5,1.0",
-        help="comma-separated analog size factors (largest pins the bar)",
-    )
-    p.add_argument("--matrix", default="sherman3", help="generator matrix")
-    p.add_argument(
-        "--repeats", type=int, default=3, help="timed runs per impl (best kept)"
-    )
-    p.add_argument(
-        "--etree-n", type=int, default=1500,
-        help="arrow-pattern size for the column-etree compression bench",
-    )
-    p.add_argument(
-        "--large-n",
-        nargs="?",
-        const="quick",
-        choices=("quick", "full"),
-        default=None,
-        help="run the large-n fast-vs-chunked tier instead (peak-memory "
-        "and parallel-merge scaling); optional tier name, default quick",
-    )
-    p.add_argument(
-        "--chunk", type=int, default=None,
-        help="chunked-impl column chunk size (default: auto heuristic)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None,
-        help="chunked-impl merge threads for the parallel large-n row",
-    )
-    p.add_argument(
-        "--no-memory", action="store_true",
-        help="skip the (slow) tracemalloc peak-memory pass of --large-n",
-    )
-    p.add_argument(
-        "--json", metavar="PATH", help="write the repro.bench JSON artifact"
-    )
-    p.set_defaults(func=cmd_symbolic_bench)
-
-    p = sub.add_parser(
-        "solve-bench",
-        help="block-vs-scalar benchmark of the triangular solve phase",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small smoke run (CI-friendly)"
-    )
-    p.add_argument(
-        "--scales",
-        default="0.25,0.5,1.0",
-        help="comma-separated analog size factors (largest pins the bar)",
-    )
-    p.add_argument("--matrix", default="sherman3", help="generator matrix")
-    p.add_argument(
-        "--repeats", type=int, default=3, help="timed runs per impl (best kept)"
-    )
-    p.add_argument(
-        "--n-rhs", type=int, default=16, help="right-hand-side columns"
-    )
-    p.add_argument(
-        "--json", metavar="PATH", help="write the repro.bench JSON artifact"
-    )
-    p.set_defaults(func=cmd_solve_bench)
-
-    p = sub.add_parser(
-        "proc-bench",
-        help="proc-engine-vs-threaded benchmark of repeated factorization",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small smoke run (CI-friendly)"
-    )
-    p.add_argument(
-        "--scales",
-        default="0.25,0.5,1.0",
-        help="comma-separated analog size factors (largest pins the bar)",
-    )
-    p.add_argument("--matrix", default="sherman3", help="generator matrix")
-    p.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed interleaved runs per engine (median kept)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count for both engines (threads and processes)",
-    )
-    p.add_argument(
-        "--json", metavar="PATH", help="write the repro.bench JSON artifact"
-    )
-    p.set_defaults(func=cmd_proc_bench)
-
-    p = sub.add_parser(
-        "twod-bench",
-        help="measured 1-D vs 2-D block-mapped factorization (docs/parallel.md)",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small smoke run (CI-friendly)"
-    )
-    p.add_argument(
-        "--matrices", default="sherman3,goodwin",
-        help="comma-separated generator analogs",
-    )
-    p.add_argument("--scale", type=float, default=0.2, help="analog size factor")
-    p.add_argument(
-        "--repeats", type=int, default=3,
-        help="timed runs per (matrix, graph shape, engine); median kept",
-    )
-    p.add_argument(
-        "--workers", type=int, default=4,
-        help="worker count (threads / processes; also sets the 2-D grid)",
-    )
-    p.add_argument(
-        "--engine", choices=["threaded", "proc", "both"], default="threaded",
-        help="real engine(s) to time both graph shapes on",
-    )
-    p.add_argument(
-        "--json", metavar="PATH", help="write the repro.bench JSON artifact"
-    )
-    p.set_defaults(func=cmd_twod_bench)
-
-    p = sub.add_parser(
         "tune",
         help="autotune the ordering recipe for one pattern (docs/ordering.md)",
     )
@@ -923,26 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", metavar="PATH", help="write the repro.bench JSON artifact"
     )
     p.set_defaults(func=cmd_tune)
-
-    p = sub.add_parser(
-        "ordering-bench",
-        help="score every fill-reducing ordering per matrix (docs/ordering.md)",
-    )
-    p.add_argument(
-        "--quick", action="store_true", help="small smoke run (CI-friendly)"
-    )
-    p.add_argument(
-        "--matrices", default="sherman3,sherman5,lnsp3937",
-        help="comma-separated analog names",
-    )
-    p.add_argument("--scale", type=float, default=0.35, help="analog size factor")
-    p.add_argument(
-        "--procs", type=int, default=8, help="simulated processor count"
-    )
-    p.add_argument(
-        "--json", metavar="PATH", help="write the repro.bench JSON artifact"
-    )
-    p.set_defaults(func=cmd_ordering_bench)
 
     p = sub.add_parser("generate", help="write an analog to a .mtx file")
     p.add_argument("name", choices=sorted(PAPER_MATRICES))

@@ -16,7 +16,6 @@ create structure outside ``Ā``.
 
 from repro.numeric.kernels import (
     lu_panel_inplace,
-    lu_panel_blocked,
     solve_unit_lower,
     solve_upper,
     lu_panel_flops,
@@ -52,7 +51,6 @@ from repro.numeric.refine import (
 
 __all__ = [
     "lu_panel_inplace",
-    "lu_panel_blocked",
     "solve_unit_lower",
     "solve_upper",
     "lu_panel_flops",

@@ -233,7 +233,6 @@ class LUFactorization:
         bp: BlockPattern,
         *,
         check_dependencies: bool = False,
-        panel_kernel=None,
         metrics=None,
         layout=None,
     ) -> None:
@@ -253,10 +252,6 @@ class LUFactorization:
         # Purely derived from the factored (immutable) panel k, so a rank
         # that never ran SL(k, i) recomputes the identical mask locally.
         self._lower_active: dict[tuple[int, int], np.ndarray] = {}
-        # Panel kernel: ``(panel, width) -> local pivot order``; the blocked
-        # getrf variant (lu_panel_blocked) pays off on wide amalgamated
-        # supernodes.
-        self.panel_kernel = panel_kernel or lu_panel_inplace
         # Optional MetricsRegistry: per-kernel call counts, flop counters,
         # block-width histograms, and pivot-deferral counters (stable names
         # in docs/observability.md). ``None`` keeps the hot paths at one
@@ -308,7 +303,7 @@ class LUFactorization:
             self._require_column_updates_done(k)
         panel = self.data.sub_panel(k)
         w = self.data.width(k)
-        order = self.panel_kernel(panel, w)
+        order = lu_panel_inplace(panel, w)
         subs = self.data.sub_rows(k)
         pivoted = subs[order]
         self.sub_rows[k] = subs

@@ -47,50 +47,6 @@ def lu_panel_inplace(m: np.ndarray, w: int) -> np.ndarray:
     return order
 
 
-def lu_panel_blocked(m: np.ndarray, w: int, *, nb: int = 32) -> np.ndarray:
-    """Blocked right-looking variant of :func:`lu_panel_inplace`.
-
-    Processes ``nb`` columns at a time: unblocked factorization of the
-    column block (with full-row pivot swaps), one TRSM for the block's U
-    rows, and one GEMM for the trailing submatrix — the standard ``getrf``
-    blocking that turns most of the work into matrix-matrix products. The
-    pivot sequence equals the unblocked kernel's (values differ only by
-    floating-point summation order inside the GEMM).
-    """
-    rows = m.shape[0]
-    if m.ndim != 2 or m.shape[1] != w:
-        raise ShapeError(f"panel shape {m.shape} does not match width {w}")
-    if rows < w:
-        raise ShapeError(f"panel has {rows} rows < width {w}")
-    if nb < 1:
-        raise ValueError(f"block size must be positive, got {nb}")
-    order = np.arange(rows, dtype=np.int64)
-    for c0 in range(0, w, nb):
-        c1 = min(c0 + nb, w)
-        # Unblocked factorization of columns c0:c1 over rows c0:.
-        for c in range(c0, c1):
-            p = c + int(np.argmax(np.abs(m[c:, c])))
-            piv = m[p, c]
-            if piv == 0.0:
-                raise SingularMatrixError(f"zero pivot in panel column {c}")
-            if p != c:
-                m[[c, p], :] = m[[p, c], :]
-                order[[c, p]] = order[[p, c]]
-            if c + 1 < rows:
-                m[c + 1 :, c] /= piv
-                if c + 1 < c1:
-                    m[c + 1 :, c + 1 : c1] -= np.outer(
-                        m[c + 1 :, c], m[c, c + 1 : c1]
-                    )
-        if c1 < w:
-            # TRSM: finish the U rows of this column block ...
-            m[c0:c1, c1:w] = solve_unit_lower(m[c0:c1, c0:c1], m[c0:c1, c1:w])
-            # ... and one GEMM pushes the block's update right (BLAS-3).
-            if c1 < rows:
-                m[c1:, c1:w] -= m[c1:, c0:c1] @ m[c0:c1, c1:w]
-    return order
-
-
 def solve_unit_lower(l_block: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``L X = rhs`` with ``L`` unit lower triangular (TRSM).
 

@@ -95,14 +95,14 @@ class SolverOptions:
         Max-norm row/column scaling before the pipeline (SuperLU's
         ``equil``); improves pivoting on badly scaled physical systems.
     symbolic_params:
-        Execution knobs of the ``"chunked"`` static-fill kernel as a
-        sorted tuple of ``(name, value)`` pairs — ``"chunk"`` (column
-        chunk size) and/or ``"workers"`` (merge thread count), positive
-        ints. Like :attr:`repro.tune.OrderingRecipe.mapping`, these are
-        deliberately *not* part of :meth:`symbolic_key`: every chunked
-        configuration produces the same artifacts bit-for-bit, so keying
-        on them would only fragment the plan cache. Ignored by the
-        ``"fast"``/``"reference"`` implementations.
+        Execution knob of the ``"chunked"`` static-fill kernel as a tuple
+        of ``(name, value)`` pairs — ``"chunk"`` (column chunk size, a
+        positive int) is the only key. Like
+        :attr:`repro.tune.OrderingRecipe.mapping`, it is deliberately
+        *not* part of :meth:`symbolic_key`: every chunk size produces the
+        same artifacts bit-for-bit, so keying on it would only fragment
+        the plan cache. Ignored by the ``"fast"``/``"reference"``
+        implementations.
     """
 
     ordering: str = DEFAULT_ORDERING
@@ -129,10 +129,9 @@ class SolverOptions:
         self.ordering_params = params
         sym = tuple(sorted((str(k), v) for k, v in self.symbolic_params))
         for k, v in sym:
-            if k not in ("chunk", "workers"):
+            if k != "chunk":
                 raise ValueError(
-                    f"unknown symbolic_params key {k!r}; expected 'chunk' or "
-                    "'workers'"
+                    f"unknown symbolic_params key {k!r}; expected 'chunk'"
                 )
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
                 raise ValueError(

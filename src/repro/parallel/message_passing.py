@@ -81,10 +81,8 @@ class ProcessEngine(LUFactorization):
         self.metrics = None
         self.sanitizer = None
         from repro.numeric.factor import LazyStats
-        from repro.numeric.kernels import lu_panel_inplace
 
         self.lazy_stats = LazyStats()
-        self.panel_kernel = lu_panel_inplace
         self.inbox: dict[int, PanelMessage] = {}
         self.bytes_received = 0
         self.n_messages_received = 0

@@ -225,12 +225,12 @@ def finite_element_matrix(
 # symbolic kernel in complementary ways:
 #
 # * banded — chain column etree, fill confined near the diagonal: pure
-#   streaming, zero subtree parallelism, minimal cross-chunk carry.
+#   streaming, minimal cross-chunk carry.
 # * arrow — chain etree plus a dense last column: every elimination step
 #   emits a sliver into the final chunk, the worst case for the carry
 #   buckets (and, historically, for the uncompressed column etree).
 # * grid — tiled 5-point stencil whose interior tiles are independent
-#   column-etree subtrees: the subtree-parallel merge showcase.
+#   column-etree subtrees: the widest merge frontier of the three.
 
 
 def _pattern_from_entries(
@@ -282,8 +282,8 @@ def arrow_pattern(n: int, *, band: int = 1) -> CSCMatrix:
 
     The banded part builds a chain column etree (``parent[i] = i + 1``) and
     the dense last column then couples every row into it — the worst case
-    for the uncompressed etree walk (see
-    :func:`repro.symbolic.bench.etree_compression_bench`) and, under the
+    for the uncompressed etree walk (timed by
+    ``benchmarks/bench_symbolic.py``) and, under the
     chunked symbolic kernel, for the cross-chunk carry buckets: every
     elimination step emits a one-entry sliver destined for the final chunk.
     """
@@ -315,9 +315,8 @@ def grid_pattern(nx: int, ny: int = 16, *, tiles: int = 8) -> CSCMatrix:
     interface columns last (a one-level domain decomposition ordering).
     Because the interfaces are two lines wide, interior nodes of different
     tiles are at graph distance ≥ 3 and therefore never couple in ``AᵀA``
-    — each tile interior is a union of complete column-etree subtrees,
-    which is exactly the shape the chunked kernel's parallel subtree merge
-    exploits. ``n = nx * ny``.
+    — each tile interior is a union of complete column-etree subtrees.
+    ``n = nx * ny``.
     """
     if nx < 3 * tiles:
         raise ValueError(f"nx must be >= 3 * tiles, got nx={nx}, tiles={tiles}")

@@ -1,4 +1,4 @@
-"""Chunked, parallel George-Ng static symbolic factorization.
+"""Chunked (streaming) George-Ng static symbolic factorization.
 
 The ``"fast"`` kernel of :mod:`repro.symbolic.static_fill` materializes the
 whole fill computation at once: every Ū row and L̄ column fragment stays
@@ -6,9 +6,7 @@ alive until one monolithic ``lexsort`` assembles the pattern, so its peak
 working memory is several int64 copies of the *total* fill — fine at
 n≈5×10³, hopeless at the 10⁵–10⁶ sizes the production serving layer needs.
 This module streams the same merge over contiguous column chunks
-(GSoFa-style, arXiv 2007.00840) and merges independent elimination
-subtrees in parallel (in the spirit of the parallel-AMD front-end,
-arXiv 2504.17097):
+(GSoFa-style, arXiv 2007.00840):
 
 **Streaming.** Column ``j`` of ``Ā`` receives U entries only from rows
 ``i ≤ j`` (row ``i``'s Ū structure is fixed at step ``i``) and its L
@@ -25,66 +23,34 @@ current chunk's scratch plus the merge frontier plus the pending
 buckets — the assembled output itself is accumulated directly in its
 final 4-bytes-per-entry form.
 
-**Parallelism.** Let ``T`` be the column elimination tree of ``AᵀA``
-(:func:`repro.ordering.etree.column_etree`). Three classical facts make
-disjoint subtrees of ``T`` independent under the George-Ng merge:
-
-1. every column of row ``i`` of ``A`` is an ancestor in ``T`` of the row's
-   minimum column (the row's entries form a clique in ``AᵀA``), so row
-   ``i`` first becomes a candidate at a step inside the subtree containing
-   that minimum;
-2. ``struct(Ū_{k*}) ⊆ struct(L^{AᵀA}_{*k})`` (George & Ng), and Cholesky
-   structure lies on the ancestor path, so a merged group's *next*
-   participation ``min(tail)`` is always an ancestor of ``k`` in ``T``;
-3. consequently a group's participation steps climb a single root path of
-   ``T``, and all of its merges below step ``k`` happen at descendants of
-   ``k``.
-
-Steps located in disjoint subtrees therefore touch disjoint union-find
-groups, and executing each subtree's steps in ascending order reproduces
-the sequential group state exactly — the parallel merge is *bit-exact*
-with ``"fast"`` by construction, not by tolerance. The scheduler cuts
-``T`` into maximal subtrees of bounded size, packs them into
-roughly-balanced buckets for a thread pool (NumPy's sort/concatenate
-segments release the GIL), and replays the remaining top-of-tree steps
-sequentially, interleaved with chunk assembly.
-
 Selection: ``impl="chunked"`` / ``REPRO_SYMBOLIC=chunked`` (see
-:mod:`repro.symbolic.dispatch`). Knobs: ``chunk=`` / ``workers=``
-arguments, the ``REPRO_SYMBOLIC_CHUNK`` / ``REPRO_SYMBOLIC_WORKERS``
-environment variables, or ``SolverOptions.symbolic_params``. Chunk size
-and worker count never change the output pattern — only the memory/time
-profile — which is why they are execution knobs and not part of the
-symbolic cache key.
+:mod:`repro.symbolic.dispatch`). One knob: the ``chunk=`` argument (or
+the ``"chunk"`` key of ``SolverOptions.symbolic_params``); left unset it
+is sized from ``n`` and ``nnz`` by :func:`auto_chunk_size`. The chunk
+size never changes the output pattern — only the memory/time profile —
+which is why it is an execution knob and not part of the symbolic cache
+key. The merge is bit-exact with ``"fast"`` by construction: both run the
+same steps in the same ascending order on the same union-find state.
 
 Observability: the ``symbolic.row_merge`` span (``impl="chunked"``)
-carries the resolved chunk size and worker count and opens one
-``symbolic.chunk`` child span per assembled chunk (plus a
-``symbolic.subtrees`` child for the parallel phase); a
-``symbolic.peak_bytes`` gauge records the implementation's own model of
-its peak live entry bytes. ``benchmarks/bench_symbolic.py`` additionally
-measures allocator-level peaks with ``tracemalloc`` and pins chunked ≤
-0.5× the fast path's peak at the largest benched size.
+carries the resolved chunk size and opens one ``symbolic.chunk`` child
+span per assembled chunk; a ``symbolic.peak_bytes`` gauge records the
+implementation's own model of its peak live entry bytes.
+``benchmarks/bench_symbolic.py`` additionally measures allocator-level
+peaks with ``tracemalloc`` and pins chunked ≤ 0.5× the fast path's peak
+at the largest benched size.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
 
-from repro.ordering.etree import column_etree
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
 from repro.symbolic.static_fill import StaticFill, _null_tracer
 from repro.util.errors import DispatchError, PatternError, ShapeError
-
-#: Environment knobs, weaker than the explicit ``chunk=`` / ``workers=``
-#: arguments (mirroring the ``REPRO_SYMBOLIC`` precedence rule).
-CHUNK_ENV_VAR = "REPRO_SYMBOLIC_CHUNK"
-WORKERS_ENV_VAR = "REPRO_SYMBOLIC_WORKERS"
 
 #: Auto chunk-size target: entry bytes of one chunk's working set.
 DEFAULT_CHUNK_TARGET_BYTES = 4 << 20
@@ -97,9 +63,6 @@ MIN_AUTO_CHUNK = 64
 #: every step emits a sliver to the same far column.
 _COMPACT_FRAGS = 512
 
-#: Below this order the thread pool costs more than the whole merge.
-_MIN_PARALLEL_N = 2048
-
 _EMPTY_I8 = np.empty(0, dtype=np.int64)
 
 #: Latent initial-group marker in ``_MergeState.tails`` / ``rows_of`` —
@@ -108,7 +71,7 @@ _INITIAL = object()
 
 
 # ---------------------------------------------------------------------------
-# Knob resolution
+# Chunk size
 # ---------------------------------------------------------------------------
 
 def auto_chunk_size(
@@ -133,38 +96,13 @@ def auto_chunk_size(
     return max(1, min(n, max(chunk, MIN_AUTO_CHUNK)))
 
 
-def _env_int(var: str) -> Optional[int]:
-    raw = os.environ.get(var)
-    if raw is None or raw == "":
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise DispatchError(
-            f"${var} must be an integer, got {raw!r}"
-        ) from None
-
-
 def resolve_chunk(chunk: Optional[int], n: int, nnz: int) -> int:
-    """Chunk size by precedence: argument > ``$REPRO_SYMBOLIC_CHUNK`` > auto."""
-    picked = chunk if chunk is not None else _env_int(CHUNK_ENV_VAR)
-    if picked is None:
+    """Chunk size: the ``chunk`` argument when given, else :func:`auto_chunk_size`."""
+    if chunk is None:
         return auto_chunk_size(n, nnz)
-    source = "chunk argument" if chunk is not None else f"${CHUNK_ENV_VAR}"
-    if int(picked) < 1:
-        raise DispatchError(f"{source} must be >= 1, got {picked}")
-    return int(picked)
-
-
-def resolve_workers(workers: Optional[int]) -> int:
-    """Worker count by precedence: argument > ``$REPRO_SYMBOLIC_WORKERS`` > 1."""
-    picked = workers if workers is not None else _env_int(WORKERS_ENV_VAR)
-    if picked is None:
-        return 1
-    source = "workers argument" if workers is not None else f"${WORKERS_ENV_VAR}"
-    if int(picked) < 1:
-        raise DispatchError(f"{source} must be >= 1, got {picked}")
-    return int(picked)
+    if int(chunk) < 1:
+        raise DispatchError(f"chunk argument must be >= 1, got {chunk}")
+    return int(chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -176,10 +114,7 @@ class _Bucket:
 
     ``u_frags`` holds ``(row k, cols)`` fragments of Ū rows, ``l_frags``
     holds ``(rows, col k)`` fragments of L̄ columns, and ``blocks`` holds
-    compacted flat ``(rows, cols)`` pairs. Fragment appends are plain
-    ``list.append`` calls — atomic under the GIL, which is what lets the
-    parallel subtree phase emit into shared buckets without a lock (the
-    compaction that *would* race is only run from the coordinator)."""
+    compacted flat ``(rows, cols)`` pairs."""
 
     __slots__ = ("u_frags", "l_frags", "blocks", "n_frags")
 
@@ -188,23 +123,6 @@ class _Bucket:
         self.l_frags: list = []
         self.blocks: list = []
         self.n_frags = 0
-
-
-class _Ctx:
-    """Per-caller scratch: the reusable dedupe mask and a byte-delta cell.
-
-    Each worker thread owns one, so the fast path's ``keep_buf`` reuse
-    trick stays allocation-free without any sharing, and the memory-model
-    accounting accumulates race-free (deltas are folded into the global
-    counter by the coordinator)."""
-
-    __slots__ = ("keep_buf", "bytes", "compact")
-
-    def __init__(self, n: int, *, compact: bool) -> None:
-        self.keep_buf = np.empty(max(n, 1), dtype=bool)
-        self.keep_buf[0] = True
-        self.bytes = 0
-        self.compact = compact
 
 
 class _MergeState:
@@ -239,11 +157,15 @@ class _MergeState:
         self.bounds = bounds
         self.ends = bounds[1:]
         self.buckets: list = [_Bucket() for _ in range(self.ends.size)]
+        # Reusable dedupe mask (the fast path's allocation-free trick).
+        self.keep_buf = np.empty(max(n, 1), dtype=bool)
+        self.keep_buf[0] = True
         # Model accounting: live entry bytes (frontier + buckets + pieces)
-        # and its running peak. Only the coordinator thread writes these;
-        # workers report deltas through their _Ctx.
+        # and its running peak; ``delta`` accumulates one step's or one
+        # assembly's change until :meth:`flush` folds it in.
         self.live_bytes = self.all_cols.nbytes + self.all_rows.nbytes
         self.peak_bytes = self.live_bytes
+        self.delta = 0
 
     def _tail_of(self, g: int) -> np.ndarray:
         t = self.tails[g]
@@ -259,7 +181,7 @@ class _MergeState:
 
     # -- merge ----------------------------------------------------------
 
-    def step(self, k: int, ctx: _Ctx) -> None:
+    def step(self, k: int) -> None:
         """One George-Ng elimination step — semantics identical to ``fast``."""
         uf = self.uf
         tails = self.tails
@@ -286,9 +208,9 @@ class _MergeState:
             cand_tails = [self._tail_of(g) for g in cand]
             buf = np.concatenate(cand_tails)
             buf.sort()
-            kb = ctx.keep_buf
+            kb = self.keep_buf
             if buf.size > kb.size:  # overlapping tails can exceed n
-                kb = ctx.keep_buf = np.empty(2 * buf.size, dtype=bool)
+                kb = self.keep_buf = np.empty(2 * buf.size, dtype=bool)
                 kb[0] = True
             keep = kb[: buf.size]
             np.not_equal(buf[1:], buf[:-1], out=keep[1:])
@@ -305,7 +227,7 @@ class _MergeState:
         else:
             below = live[live != k]  # live rows are >= k; freeze row k now
 
-        self._emit(k, union, below, ctx)
+        self._emit(k, union, below)
 
         g_new = cand[0]
         for g in cand[1:]:
@@ -319,9 +241,9 @@ class _MergeState:
         else:
             tails[g_new] = None  # group is exhausted
             rows_of[g_new] = None
-        ctx.bytes += delta
+        self.delta += delta
 
-    def _emit(self, k: int, union: np.ndarray, below: np.ndarray, ctx: _Ctx) -> None:
+    def _emit(self, k: int, union: np.ndarray, below: np.ndarray) -> None:
         """Route step ``k``'s output entries into their chunk buckets.
 
         The in-chunk head of the Ū row stays a view (its base dies with
@@ -335,12 +257,12 @@ class _MergeState:
         if below.size:
             b.l_frags.append((below, k))
             b.n_frags += 1
-            ctx.bytes += 8 * below.size
+            self.delta += 8 * below.size
         end = int(ends[cb])
         if int(union[-1]) < end:
             b.u_frags.append((k, union))
             b.n_frags += 1
-            ctx.bytes += 8 * union.size
+            self.delta += 8 * union.size
         else:
             cut = int(np.searchsorted(union, end))
             b.u_frags.append((k, union[:cut]))
@@ -354,14 +276,14 @@ class _MergeState:
                 fb = self.buckets[c2]
                 fb.u_frags.append((k, rest[start:stop].copy()))
                 fb.n_frags += 1
-                if ctx.compact and fb.n_frags >= _COMPACT_FRAGS:
-                    self._compact(fb, ctx)
+                if fb.n_frags >= _COMPACT_FRAGS:
+                    self._compact(fb)
                 start = stop
-            ctx.bytes += 8 * union.size
-        if ctx.compact and b.n_frags >= _COMPACT_FRAGS:
-            self._compact(b, ctx)
+            self.delta += 8 * union.size
+        if b.n_frags >= _COMPACT_FRAGS:
+            self._compact(b)
 
-    def _compact(self, b: _Bucket, ctx: _Ctx) -> None:
+    def _compact(self, b: _Bucket) -> None:
         """Fold a bucket's fragment lists into one flat (rows, cols) block."""
         rows_parts: list = []
         cols_parts: list = []
@@ -375,20 +297,18 @@ class _MergeState:
             rows = np.concatenate(rows_parts)
             cols = np.concatenate(cols_parts)
             b.blocks.append((rows, cols))
-            ctx.bytes += rows.nbytes  # entries now cost 16 B, were 8 B
+            self.delta += rows.nbytes  # entries now cost 16 B, were 8 B
         b.u_frags.clear()
         b.l_frags.clear()
         b.n_frags = 0
 
     # -- assembly -------------------------------------------------------
 
-    def assemble_chunk(self, bidx: int, ctx: _Ctx) -> tuple[np.ndarray, np.ndarray]:
+    def assemble_chunk(self, bidx: int) -> tuple[np.ndarray, np.ndarray]:
         """Final int32 CSC piece of chunk ``bidx``; frees its bucket."""
         b = self.buckets[bidx]
         c0 = int(self.bounds[bidx])
         clen = int(self.ends[bidx]) - c0
-        # Freed model bytes, recomputed from the arrays themselves: the
-        # per-bucket running counter would race under the parallel phase.
         freed = sum(r.nbytes + c.nbytes for r, c in b.blocks)
         rows_parts = [rows for rows, _cols in b.blocks]
         cols_parts = [cols for _rows, cols in b.blocks]
@@ -412,74 +332,18 @@ class _MergeState:
         else:
             indices = np.empty(0, dtype=INDEX_DTYPE)
             counts = np.zeros(clen, dtype=np.int64)
-        ctx.bytes += indices.nbytes + counts.nbytes - freed
+        self.delta += indices.nbytes + counts.nbytes - freed
         self.buckets[bidx] = None  # free the bucket
         return counts, indices
 
     # -- accounting -----------------------------------------------------
 
-    def flush(self, ctx: _Ctx) -> None:
-        """Fold a context's byte delta into the global live/peak counters."""
-        self.live_bytes += ctx.bytes
-        ctx.bytes = 0
+    def flush(self) -> None:
+        """Fold the pending byte delta into the live/peak counters."""
+        self.live_bytes += self.delta
+        self.delta = 0
         if self.live_bytes > self.peak_bytes:
             self.peak_bytes = self.live_bytes
-
-
-# ---------------------------------------------------------------------------
-# Parallel subtree scheduling
-# ---------------------------------------------------------------------------
-
-def _plan_subtrees(
-    pat: CSCMatrix, workers: int
-) -> Optional[tuple[list[list[int]], list[int]]]:
-    """Cut the coletree into per-worker step buckets plus the serial top.
-
-    Returns ``(bucket_steps, top_steps)`` — each bucket a list of step
-    indices in ascending order whose coletree subtrees are pairwise
-    disjoint from every other bucket's — or ``None`` when the forest
-    yields no usable parallelism (e.g. the chain coletree of a banded or
-    arrow pattern, where every step sits on one root path).
-    """
-    n = pat.n_cols
-    parent = column_etree(pat).tolist()
-    sizes = [1] * n
-    for v in range(n):  # coletree parents satisfy parent > v
-        p = parent[v]
-        if p >= 0:
-            sizes[p] += sizes[v]
-    limit = max(MIN_AUTO_CHUNK, n // (workers * 2))
-    owner = [-1] * n
-    roots: list[int] = []
-    for v in range(n - 1, -1, -1):  # parents (larger labels) visit first
-        p = parent[v]
-        if p >= 0 and owner[p] != -1:
-            owner[v] = owner[p]
-        elif sizes[v] <= limit:
-            owner[v] = v
-            roots.append(v)
-    if len(roots) < 2:
-        return None
-    covered = sum(sizes[r] for r in roots)
-    if covered < n // 4:  # top-heavy forest: not worth the pool
-        return None
-
-    n_buckets = min(len(roots), workers * 2)
-    loads = [0] * n_buckets
-    bucket_of_root = {}
-    for r in sorted(roots, key=lambda r: sizes[r], reverse=True):
-        b = loads.index(min(loads))  # greedy longest-processing-time
-        bucket_of_root[r] = b
-        loads[b] += sizes[r]
-    bucket_steps: list[list[int]] = [[] for _ in range(n_buckets)]
-    top_steps: list[int] = []
-    for v in range(n):  # ascending, so each list is already ordered
-        o = owner[v]
-        if o == -1:
-            top_steps.append(v)
-        else:
-            bucket_steps[bucket_of_root[o]].append(v)
-    return bucket_steps, top_steps
 
 
 # ---------------------------------------------------------------------------
@@ -490,17 +354,13 @@ def static_symbolic_factorization_chunked(
     a: CSCMatrix,
     *,
     chunk: Optional[int] = None,
-    workers: Optional[int] = None,
     tracer=None,
 ) -> StaticFill:
     """George-Ng merge streamed over column chunks, bit-exact with ``fast``.
 
     ``chunk`` bounds the columns assembled per streaming pass (default:
-    ``$REPRO_SYMBOLIC_CHUNK``, then :func:`auto_chunk_size`); ``workers``
-    enables the parallel coletree-subtree merge (default:
-    ``$REPRO_SYMBOLIC_WORKERS``, then 1). Neither knob changes the output
-    pattern. See the module docstring for the memory model and the
-    parallel-correctness argument.
+    :func:`auto_chunk_size` of ``n`` and ``nnz``); it never changes the
+    output pattern. See the module docstring for the memory model.
     """
     if not a.is_square:
         raise ShapeError("static symbolic factorization requires a square matrix")
@@ -526,7 +386,6 @@ def static_symbolic_factorization_chunked(
         )
 
     chunk_size = resolve_chunk(chunk, n, pat.nnz)
-    n_workers = resolve_workers(workers)
     bounds = np.arange(0, n + chunk_size, chunk_size, dtype=np.int64)
     bounds[-1] = n
     if bounds.size >= 2 and bounds[-1] == bounds[-2]:
@@ -534,63 +393,23 @@ def static_symbolic_factorization_chunked(
     n_chunks = bounds.size - 1
 
     state = _MergeState(pat, bounds)
-    ctx = _Ctx(n, compact=True)
     pieces: list[np.ndarray] = []
     counts_list: list[np.ndarray] = []
-
-    schedule = None
-    if n_workers > 1 and n >= _MIN_PARALLEL_N:
-        schedule = _plan_subtrees(pat, n_workers)
 
     with tr.span(
         "symbolic.row_merge",
         impl="chunked",
         chunk=int(chunk_size),
-        workers=int(n_workers),
         n_chunks=int(n_chunks),
-        parallel=schedule is not None,
     ):
-        if schedule is None:
-            top_steps: "list[int] | range" = range(n)
-        else:
-            bucket_steps, top_steps = schedule
-            with tr.span(
-                "symbolic.subtrees",
-                workers=int(n_workers),
-                n_buckets=len(bucket_steps),
-                n_steps=int(n - len(top_steps)),
-            ):
-                # Workers only append to bucket lists (atomic under the
-                # GIL) and never compact; each owns its scratch context.
-                def run_bucket(steps: list[int]) -> _Ctx:
-                    wctx = _Ctx(n, compact=False)
-                    for k in steps:
-                        state.step(k, wctx)
-                    return wctx
-
-                with ThreadPoolExecutor(max_workers=n_workers) as pool:
-                    for wctx in pool.map(run_bucket, bucket_steps):
-                        state.live_bytes += wctx.bytes
-                if state.live_bytes > state.peak_bytes:
-                    state.peak_bytes = state.live_bytes
-
-        ti = 0
-        steps = list(top_steps) if schedule is not None else top_steps
-        n_top = len(steps)
         for b in range(n_chunks):
-            c1 = int(bounds[b + 1])
-            with tr.span(
-                "symbolic.chunk", index=b, start=int(bounds[b]), stop=c1
-            ) as s:
-                while ti < n_top:
-                    k = steps[ti]
-                    if k >= c1:
-                        break
-                    state.step(k, ctx)
-                    state.flush(ctx)
-                    ti += 1
-                counts, indices = state.assemble_chunk(b, ctx)
-                state.flush(ctx)
+            c0, c1 = int(bounds[b]), int(bounds[b + 1])
+            with tr.span("symbolic.chunk", index=b, start=c0, stop=c1) as s:
+                for k in range(c0, c1):
+                    state.step(k)
+                    state.flush()
+                counts, indices = state.assemble_chunk(b)
+                state.flush()
                 s.set(entries=int(indices.size))
             counts_list.append(counts)
             pieces.append(indices)

@@ -10,8 +10,7 @@ kernels (static fill, eforest parents, postorder):
   iterative postorder) that cut the cold-path plan-build latency;
 * ``"chunked"`` — the large-n production path: the same George-Ng merge
   streamed over column chunks so peak working memory stays bounded by
-  the chunk output plus the merge frontier instead of the total fill,
-  with independent coletree subtrees merged in parallel
+  the chunk output plus the merge frontier instead of the total fill
   (:mod:`repro.symbolic.chunked`). Bit-exact with ``"fast"``, which in
   turn is pinned against ``"reference"``. Only the static fill has a
   dedicated chunked kernel; the eforest/postorder stages reuse the

@@ -116,19 +116,18 @@ def static_symbolic_factorization(
     *,
     impl: Optional[str] = None,
     chunk: Optional[int] = None,
-    workers: Optional[int] = None,
     tracer=None,
 ) -> StaticFill:
     """Run the George-Ng row-merge scheme on the pattern of ``a``.
 
     ``a`` must be square with a zero-free diagonal (run the maximum
     transversal first — paper §2 and Duff [3]). ``impl`` selects the
-    ``"fast"`` array kernel, the ``"chunked"`` streaming/parallel kernel
+    ``"fast"`` array kernel, the ``"chunked"`` streaming kernel
     (:mod:`repro.symbolic.chunked`), or the ``"reference"`` set-based
     oracle (default: ``$REPRO_SYMBOLIC``, then ``"fast"``); all three
-    produce identical patterns. ``chunk`` and ``workers`` are execution
-    knobs of the chunked kernel (column-chunk size and merge thread
-    count) and are ignored by the other implementations. ``tracer`` (a
+    produce identical patterns. ``chunk`` is the chunked kernel's
+    column-chunk size (default: sized from ``n`` and ``nnz``) and is
+    ignored by the other implementations. ``tracer`` (a
     :class:`repro.obs.trace.Tracer`) records ``symbolic.row_merge`` /
     ``symbolic.assemble`` child spans (plus ``symbolic.chunk`` children
     under ``"chunked"``).
@@ -141,9 +140,7 @@ def static_symbolic_factorization(
         # this module, so a top-level import would be circular.
         from repro.symbolic.chunked import static_symbolic_factorization_chunked
 
-        return static_symbolic_factorization_chunked(
-            a, chunk=chunk, workers=workers, tracer=tracer
-        )
+        return static_symbolic_factorization_chunked(a, chunk=chunk, tracer=tracer)
     return static_symbolic_factorization_reference(a, tracer=tracer)
 
 

@@ -14,7 +14,8 @@ This package closes the loop:
   :class:`repro.serve.PlanCache` so the search cost amortizes across the
   serving workload.
 
-CLI: ``repro tune`` and ``repro ordering-bench``. Guide: docs/ordering.md.
+CLI: ``repro tune``; per-ordering scores and wall times:
+``benchmarks/bench_ablation_ordering.py``. Guide: docs/ordering.md.
 """
 
 from repro.tune.recipe import OrderingRecipe

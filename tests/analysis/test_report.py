@@ -7,7 +7,6 @@ import pytest
 from repro.analysis import (
     ANALYSIS_SCHEMA,
     ANALYSIS_SCHEMA_VERSION,
-    SUPPORTED_ANALYSIS_VERSIONS,
     AnalysisReport,
     Finding,
     validate_analysis_document,
@@ -31,6 +30,32 @@ def make_report(with_finding=False) -> AnalysisReport:
             )
         )
     return report
+
+
+#: A version-1 document as the v1 emitter wrote it for
+#: ``make_report(with_finding=True)`` — v1 is no longer emitted, but the
+#: validator must keep reading what is already on disk.
+V1_DOCUMENT = {
+    "schema": "repro.analysis",
+    "schema_version": 1,
+    "ok": False,
+    "meta": {"subject": "unit", "scale": 0.1},
+    "subjects": [
+        {
+            "name": "unit/structure",
+            "stats": {"n_checked": 3},
+            "findings": [
+                {
+                    "check": "forest.parent_monotone",
+                    "message": "parent(3) = 1 violates parent(j) > j",
+                    "tasks": ["F(3)"],
+                    "region": "panel 3",
+                    "detail": {"node": 3, "parent": 1},
+                }
+            ],
+        }
+    ],
+}
 
 
 class TestReportContainers:
@@ -152,23 +177,18 @@ class TestSchemaVersions:
         assert validate_analysis_document(doc) == []
 
     def test_v1_document_omits_modes_and_validates(self):
-        doc = make_report(with_finding=True).as_dict(version=1)
-        assert doc["schema_version"] == 1
-        assert "modes" not in doc
-        assert validate_analysis_document(doc) == []
+        assert V1_DOCUMENT["schema_version"] == 1
+        assert "modes" not in V1_DOCUMENT
+        assert validate_analysis_document(V1_DOCUMENT) == []
 
     def test_v1_v2_round_trip_same_payload(self):
-        # Other than the version stamp and the modes list, v1 and v2
-        # emissions of the same report are identical.
-        report = make_report(with_finding=True)
-        v1 = json.loads(json.dumps(report.as_dict(version=1)))
-        v2 = json.loads(json.dumps(report.as_dict(version=2)))
-        assert validate_analysis_document(v1) == []
+        # Other than the version stamp and the modes list, the stored v1
+        # document and today's emission of the same report are identical.
+        v2 = json.loads(json.dumps(make_report(with_finding=True).as_dict()))
         assert validate_analysis_document(v2) == []
-        v2 = dict(v2)
         assert v2.pop("modes") == ["static"]
         v2["schema_version"] = 1
-        assert v1 == v2
+        assert v2 == V1_DOCUMENT
 
     def test_v2_requires_nonempty_modes(self):
         doc = make_report().as_dict()
@@ -180,11 +200,9 @@ class TestSchemaVersions:
         assert any("$.modes" in e for e in validate_analysis_document(doc))
 
     def test_emit_unsupported_version_raises(self):
-        report = make_report()
-        with pytest.raises(SchemaVersionError):
-            report.as_dict(version=max(SUPPORTED_ANALYSIS_VERSIONS) + 1)
-        with pytest.raises(SchemaVersionError):
-            report.as_dict(version=0)
+        # Only the current schema is emitted: there is no version to pick.
+        with pytest.raises(TypeError):
+            make_report().as_dict(version=1)
 
     def test_merge_combines_subjects_meta_and_modes(self):
         a = AnalysisReport(meta={"matrix": "sherman3"}, modes=["static"])

@@ -66,7 +66,7 @@ class TestColumnEtree:
     def test_uncompressed_on_arrow_pattern(self):
         # The chain-etree worst case of the uncompressed walk must still
         # produce the same tree.
-        from repro.symbolic.bench import arrow_pattern
+        from repro.sparse.generators import arrow_pattern
 
         a = arrow_pattern(40)
         assert np.array_equal(

@@ -142,7 +142,7 @@ class TestScalingPatterns:
         assert dense.nnz > a.nnz
 
     def test_arrow_matches_legacy_bench_construction(self):
-        # repro.symbolic.bench built this pattern inline before it moved
+        # The symbolic bench built this pattern inline before it moved
         # here; band=1 must reproduce it bit-for-bit (tridiagonal part
         # sparing the last column, plus a dense last column).
         from repro.sparse.csc import CSCMatrix, INDEX_DTYPE

@@ -1,13 +1,12 @@
 """Property tests pinning the chunked symbolic kernel to ``fast``.
 
 The ``"chunked"`` implementation streams the George-Ng row merge over
-postorder-contiguous column chunks and may merge independent elimination
-subtrees in parallel; neither is allowed to change a single output bit.
-This suite checks bit-exactness against ``fast`` across the seven paper
-analogs, synthetic banded/arrow/grid/random patterns, and degenerate
-chunk sizes (1, n, n+7); that chunk/worker knobs never alter the
-pattern; the knob-resolution precedence (argument > environment >
-auto-heuristic) with its typed errors; the ``SolverOptions`` plumbing
+contiguous column chunks, which is not allowed to change a single output
+bit. This suite checks bit-exactness against ``fast`` across the seven
+paper analogs, synthetic banded/arrow/grid/random patterns, and
+degenerate chunk sizes (1, n, n+7); that the chunk knob never alters the
+pattern and is the kernel's only knob; the chunk resolution (argument,
+else auto-heuristic) with its typed errors; the ``SolverOptions`` plumbing
 (including the symbolic-key exclusion); the emitted spans and the
 ``symbolic.peak_bytes`` gauge; and a zero-findings static-analysis run
 on a plan built entirely under ``REPRO_SYMBOLIC=chunked``.
@@ -32,12 +31,9 @@ from repro.sparse.generators import (
 from repro.sparse.ops import permute
 from repro.sparse.pattern import pattern_equal
 from repro.symbolic.chunked import (
-    CHUNK_ENV_VAR,
     MIN_AUTO_CHUNK,
-    WORKERS_ENV_VAR,
     auto_chunk_size,
     resolve_chunk,
-    resolve_workers,
     static_symbolic_factorization_chunked,
 )
 from repro.symbolic.static_fill import (
@@ -107,18 +103,6 @@ class TestSyntheticEquality:
             other = static_symbolic_factorization_chunked(work, chunk=chunk)
             assert_same_fill(baseline, other)
 
-    def test_workers_never_change_output(self):
-        # grid_pattern decouples tile interiors, so with n >= the parallel
-        # threshold the multi-worker run actually exercises the subtree
-        # phase (n = 6400 here) — and must still be bit-exact.
-        work = grid_pattern(400, 16, tiles=8)
-        fast = static_symbolic_factorization_fast(work)
-        for workers in (1, 2, 4, 8):
-            chunked = static_symbolic_factorization_chunked(
-                work, workers=workers
-            )
-            assert_same_fill(fast, chunked)
-
     def test_empty_matrix(self):
         from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
 
@@ -163,51 +147,36 @@ class TestKnobResolution:
         dense = auto_chunk_size(10**6, 3 * 10**8)
         assert dense <= sparse
 
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "100")
+    def test_defaults(self):
+        assert resolve_chunk(None, 1000, 5000) == auto_chunk_size(1000, 5000)
         assert resolve_chunk(7, 1000, 5000) == 7
-        monkeypatch.setenv(WORKERS_ENV_VAR, "8")
-        assert resolve_workers(3) == 3
 
-    def test_env_wins_over_auto(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "123")
-        assert resolve_chunk(None, 1000, 5000) == 123
-        monkeypatch.setenv(WORKERS_ENV_VAR, "5")
-        assert resolve_workers(None) == 5
-
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
-        monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-        assert resolve_chunk(None, 1000, 5000) == auto_chunk_size(1000, 5000)
-        assert resolve_workers(None) == 1
-
-    @pytest.mark.parametrize("bad", ["zero", "1.5"])
-    def test_non_integer_env_raises(self, monkeypatch, bad):
-        monkeypatch.setenv(CHUNK_ENV_VAR, bad)
-        with pytest.raises(DispatchError, match=CHUNK_ENV_VAR.replace("$", "")):
-            resolve_chunk(None, 10, 10)
-
-    def test_empty_env_falls_back_to_auto(self, monkeypatch):
-        # Matches the REPRO_SYMBOLIC convention: empty string == unset.
-        monkeypatch.setenv(CHUNK_ENV_VAR, "")
-        assert resolve_chunk(None, 1000, 5000) == auto_chunk_size(1000, 5000)
-
-    def test_non_positive_values_raise(self, monkeypatch):
+    def test_non_positive_values_raise(self):
         with pytest.raises(DispatchError, match="chunk argument"):
             resolve_chunk(0, 10, 10)
-        monkeypatch.setenv(WORKERS_ENV_VAR, "-2")
-        with pytest.raises(DispatchError, match=WORKERS_ENV_VAR):
-            resolve_workers(None)
+        with pytest.raises(DispatchError, match="chunk argument"):
+            static_symbolic_factorization_chunked(
+                banded_pattern(50, band=2, keep=1.0, seed=0), chunk=-3
+            )
+
+    def test_workers_knob_is_gone(self):
+        work = prepared(random_sparse(60, density=0.1, seed=3))
+        with pytest.raises(TypeError):
+            static_symbolic_factorization(work, impl="chunked", workers=2)
+        with pytest.raises(TypeError):
+            static_symbolic_factorization_chunked(work, workers=2)
 
     def test_dispatch_error_is_value_error(self):
         # Old call sites catch ValueError; the typed error must satisfy them.
         assert issubclass(DispatchError, ValueError)
 
     def test_env_knobs_flow_through_dispatcher(self, monkeypatch):
+        # $REPRO_SYMBOLIC picks the kernel, the dispatcher hands it chunk=.
         monkeypatch.setenv("REPRO_SYMBOLIC", "chunked")
-        monkeypatch.setenv(CHUNK_ENV_VAR, "13")
         work = prepared(random_sparse(60, density=0.1, seed=3))
-        fill = static_symbolic_factorization(work)
+        tr = Tracer()
+        fill = static_symbolic_factorization(work, chunk=13, tracer=tr)
+        assert tr.find("symbolic.row_merge").attrs["chunk"] == 13
         oracle = static_symbolic_factorization_fast(work)
         assert_same_fill(oracle, fill)
 
@@ -231,32 +200,16 @@ class TestObservability:
         assert gauge is not None
         assert gauge.value == float(assemble.attrs["peak_bytes"])
 
-    def test_subtrees_span_when_parallel(self):
-        work = grid_pattern(400, 16, tiles=8)  # n = 6400 >= threshold
-        tr = Tracer()
-        static_symbolic_factorization_chunked(work, workers=4, tracer=tr)
-        merge = tr.find("symbolic.row_merge")
-        assert merge.attrs["parallel"] is True
-        sub = tr.find("symbolic.subtrees")
-        assert sub is not None
-        assert sub.attrs["n_buckets"] >= 2
-
-    def test_no_subtrees_span_below_threshold(self):
-        work = banded_pattern(300, band=2, keep=1.0, seed=0)
-        tr = Tracer()
-        static_symbolic_factorization_chunked(work, workers=4, tracer=tr)
-        assert tr.find("symbolic.subtrees") is None
-        assert tr.find("symbolic.row_merge").attrs["parallel"] is False
-
 
 class TestSolverPlumbing:
     def test_symbolic_params_validation(self):
-        opts = SolverOptions(symbolic_params=(("workers", 2), ("chunk", 128)))
-        # Normalized to sorted order, exposed as kwargs.
-        assert opts.symbolic_params == (("chunk", 128), ("workers", 2))
-        assert opts.symbolic_kwargs() == {"chunk": 128, "workers": 2}
-        with pytest.raises(ValueError, match="unknown symbolic_params key"):
-            SolverOptions(symbolic_params=(("threads", 2),))
+        assert SolverOptions().symbolic_kwargs() == {}
+        opts = SolverOptions(symbolic_params=(("chunk", 128),))
+        assert opts.symbolic_params == (("chunk", 128),)
+        assert opts.symbolic_kwargs() == {"chunk": 128}
+        # chunk is the only key; the error names it.
+        with pytest.raises(ValueError, match="expected 'chunk'"):
+            SolverOptions(symbolic_params=(("workers", 2),))
         with pytest.raises(ValueError, match="positive int"):
             SolverOptions(symbolic_params=(("chunk", 0),))
         with pytest.raises(ValueError, match="positive int"):
