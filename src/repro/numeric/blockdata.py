@@ -59,16 +59,15 @@ class BlockLayout:
         self.block_of_row = part.member_of()
 
         # Stored blocks, flat in (column, row) order: block row ids and
-        # panel offsets; the per-column lists are views into them.
+        # panel offsets; column k's are the slice _col_ptr[k]:_col_ptr[k+1].
         counts = np.fromiter((b.size for b in bp.blocks), dtype=np.int64, count=nb)
         ptr = np.concatenate(([0], np.cumsum(counts)))
         rows = np.concatenate([*bp.blocks, np.empty(0, np.int64)]).astype(np.int64)
         cols = np.repeat(np.arange(nb, dtype=np.int64), counts)
         below = np.concatenate(([0], np.cumsum(widths[rows])))
         offs = below[:-1] - below[ptr[cols]]
-        bounds = list(zip(ptr[:-1].tolist(), ptr[1:].tolist()))
-        self.col_blocks = [rows[s:e] for s, e in bounds]  # ascending block ids
-        self.col_offsets = [offs[s:e] for s, e in bounds]  # panel offset of each
+        self._col_ptr: list[int] = ptr.tolist()
+        self._block_rows = rows  # ascending block ids within each column
         self.panel_heights: list[int] = (below[ptr[1:]] - below[ptr[:-1]]).tolist()
         self._block_keys = cols * nb + rows  # ascending by construction
         self._block_offs = offs
@@ -105,6 +104,23 @@ class BlockLayout:
         )
 
     # ------------------------------------------------------------------
+    def _column(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Block row ids and panel offsets of column ``k``'s stored blocks,
+        as views of the flat arrays."""
+        lo, hi = self._col_ptr[k], self._col_ptr[k + 1]
+        return self._block_rows[lo:hi], self._block_offs[lo:hi]
+
+    @property
+    def col_blocks(self) -> list[np.ndarray]:
+        """Per block column, the ascending block row ids it stores. Built on
+        request: a plan keeps the flat arrays, not a view per column."""
+        return [self._column(k)[0] for k in range(self.n_blocks)]
+
+    @property
+    def col_offsets(self) -> list[np.ndarray]:
+        """Per block column, the panel offset of each stored block."""
+        return [self._column(k)[1] for k in range(self.n_blocks)]
+
     def width(self, k: int) -> int:
         return int(self.widths[k])
 
@@ -145,7 +161,7 @@ class BlockLayout:
         against; nothing on the numeric path calls it.
         """
         global_rows = np.asarray(global_rows, dtype=np.int64)
-        blocks = self.col_blocks[k]
+        blocks, offsets = self._column(k)
         bid = self.block_of_row[global_rows]
         idx = np.searchsorted(blocks, bid)
         idx_clipped = np.minimum(idx, blocks.size - 1) if blocks.size else idx
@@ -158,7 +174,7 @@ class BlockLayout:
         ok = np.nonzero(present)[0]
         if ok.size:
             b = idx[ok]
-            pos[ok] = self.col_offsets[k][b] + (
+            pos[ok] = offsets[b] + (
                 global_rows[ok] - self.starts[blocks[b]]
             )
         return pos, present
@@ -185,8 +201,9 @@ class BlockLayout:
     def upper_blocks(self, k: int) -> list[tuple[int, int, int]]:
         """``(block row, panel offset, height)`` of the blocks above the
         diagonal of column ``k`` — the static U side of the factors."""
-        b = self.col_blocks[k][: self._n_upper[k]]
-        offs = self.col_offsets[k][: self._n_upper[k]]
+        lo = self._col_ptr[k]
+        hi = lo + self._n_upper[k]
+        b, offs = self._block_rows[lo:hi], self._block_offs[lo:hi]
         return list(zip(b.tolist(), offs.tolist(), self.widths[b].tolist()))
 
     def has_diag(self, k: int) -> bool:

@@ -21,7 +21,8 @@ and reuse them across numeric refactorizations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -215,6 +216,12 @@ class SymbolicArtifacts:
     Depends only on (pattern, symbolic options) — Theorem 3's postorder
     invariance is what makes the whole bundle reusable across numeric
     factorizations. Treat instances as immutable once constructed.
+
+    The §4 task graph is not stored but derived: :attr:`graph` builds it
+    from ``bp`` on first access and keeps it. The sequential engine on the
+    1-D mapping never reads it, so a plan that only serves that engine
+    never pays its time or its memory (the dict-of-tuples graph is the
+    largest single object of a plan).
     """
 
     row_perm: np.ndarray
@@ -223,8 +230,32 @@ class SymbolicArtifacts:
     partition_raw: SupernodePartition
     partition: SupernodePartition
     bp: BlockPattern
-    graph: TaskGraph
     n_btf_blocks: int
+    #: ``SolverOptions.task_graph`` — which §4 graph :attr:`graph` builds.
+    graph_kind: str = "eforest"
+    _graph: Optional[TaskGraph] = field(default=None, init=False, repr=False)
+    _graph_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False
+    )
+
+    @property
+    def graph(self) -> TaskGraph:
+        """The task dependence graph over ``bp``, built at most once.
+
+        Serving threads and the threaded engine may ask concurrently for
+        the graph of one shared plan; the lock makes the first of them
+        build it and the others wait for that build.
+        """
+        if self._graph is None:
+            with self._graph_lock:
+                if self._graph is None:
+                    build = (
+                        build_eforest_graph
+                        if self.graph_kind == "eforest"
+                        else build_sstar_graph
+                    )
+                    self._graph = build(self.bp)
+        return self._graph
 
 
 def run_symbolic_pipeline(
@@ -232,11 +263,12 @@ def run_symbolic_pipeline(
     options: Optional[SolverOptions] = None,
     tracer: Optional[Tracer] = None,
 ) -> SymbolicArtifacts:
-    """Steps (1)-(2) plus §3 postordering/supernodes and the §4 graph.
+    """Steps (1)-(2) plus §3 postordering and supernodes; the §4 graph
+    is left to :attr:`SymbolicArtifacts.graph`, which builds it on demand.
 
     Pure pattern analysis: ``pattern`` may be pattern-only (values, if
     present, are ignored). Every stage runs inside a tracer span
-    (``transversal`` … ``task_graph``, hierarchy in docs/observability.md)
+    (``transversal`` … ``supernodes``, hierarchy in docs/observability.md)
     carrying the symbolic statistics as attributes.
     """
     opts = options or SolverOptions()
@@ -299,13 +331,6 @@ def run_symbolic_pipeline(
             mean_supernode_size=part.mean_size(),
         )
 
-    with tr.span("task_graph", kind=opts.task_graph) as s:
-        if opts.task_graph == "eforest":
-            graph = build_eforest_graph(bp)
-        else:
-            graph = build_sstar_graph(bp)
-        s.set(n_tasks=graph.n_tasks, n_edges=graph.n_edges)
-
     return SymbolicArtifacts(
         row_perm=row_perm,
         col_perm=col_perm,
@@ -313,8 +338,8 @@ def run_symbolic_pipeline(
         partition_raw=part_raw,
         partition=part,
         bp=bp,
-        graph=graph,
         n_btf_blocks=n_btf_blocks,
+        graph_kind=opts.task_graph,
     )
 
 
@@ -440,8 +465,9 @@ class SparseLUSolver:
 
     # ------------------------------------------------------------------
     def analyze(self) -> "SparseLUSolver":
-        """Steps (1)-(2) plus §3 postordering/supernodes and the §4 graph:
-        :func:`repro.serve.build_plan` on this matrix's pattern.
+        """Steps (1)-(2) plus §3 postordering/supernodes
+        (:func:`repro.serve.build_plan` on this matrix's pattern); the §4
+        graph is built when :attr:`graph` is first read.
 
         Every stage runs inside a tracer span nested under ``analyze``
         (hierarchy documented in docs/observability.md); the spans carry
@@ -527,10 +553,11 @@ class SparseLUSolver:
         ``n_workers`` threads/processes.
 
         With detail tracing on, the numeric engine feeds per-kernel
-        counters/histograms into ``tracer.metrics``, and the analyzed task
-        graph is additionally projected through the machine-model event
-        simulation (span ``simulate_schedule``) so the document carries the
-        ``engine.*`` busy/idle/message metrics of the paper's platform.
+        counters/histograms into ``tracer.metrics``, and the plan's task
+        graph (span ``task_graph``) is additionally projected through the
+        machine-model event simulation (span ``simulate_schedule``) so the
+        document carries the ``engine.*`` busy/idle/message metrics of the
+        paper's platform.
         """
         self._factorize(
             self.a,
@@ -545,19 +572,28 @@ class SparseLUSolver:
         return self
 
     def _simulate_for_trace(self, n_procs: int = 4) -> None:
-        """Detail-trace extra: event-simulate the schedule for engine metrics."""
+        """Detail-trace extra: event-simulate the schedule for engine metrics.
+
+        The simulation is what needs the plan's task graph on a default
+        (sequential) request, so the ``task_graph`` span lives here: it
+        covers the build when this is the graph's first use and reports
+        ``n_tasks`` / ``n_edges`` either way.
+        """
         from repro.parallel.machine import ORIGIN2000
         from repro.parallel.mapping import cyclic_mapping
         from repro.parallel.simulate import simulate_schedule
 
-        assert self.graph is not None and self.bp is not None
+        plan = self._require_plan()
+        with self.tracer.span("task_graph", kind=plan.options.task_graph) as s:
+            graph = plan.graph
+            s.set(n_tasks=graph.n_tasks, n_edges=graph.n_edges)
         machine = ORIGIN2000.with_procs(n_procs)
         with self.tracer.span("simulate_schedule", n_procs=n_procs) as s:
             result = simulate_schedule(
-                self.graph,
-                self.bp,
+                graph,
+                plan.bp,
                 machine,
-                cyclic_mapping(self.bp.n_blocks, n_procs),
+                cyclic_mapping(plan.bp.n_blocks, n_procs),
                 metrics=self.tracer.metrics,
             )
             s.set(makespan=result.makespan, efficiency=result.efficiency)

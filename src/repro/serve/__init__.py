@@ -29,6 +29,7 @@ from repro.serve.refactor import NumericFactorization, refactorize_with_plan
 from repro.serve.service import PendingResult, SolverService
 from repro.util.errors import (
     DeadlineExceededError,
+    NonFiniteInputError,
     PlanMismatchError,
     ServeError,
     ServiceClosedError,
@@ -50,5 +51,6 @@ __all__ = [
     "PlanMismatchError",
     "ServiceOverloadedError",
     "DeadlineExceededError",
+    "NonFiniteInputError",
     "ServiceClosedError",
 ]

@@ -35,7 +35,7 @@ from typing import Optional
 
 from repro.numeric.solver import SolverOptions
 from repro.obs.metrics import MetricsRegistry
-from repro.serve.fingerprint import fingerprint
+from repro.serve.fingerprint import PatternFingerprint, fingerprint
 from repro.serve.plan import SymbolicPlan, build_plan
 from repro.sparse.csc import CSCMatrix
 
@@ -88,8 +88,10 @@ class PlanCache:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _key(a: CSCMatrix, options: SolverOptions) -> tuple:
-        return (fingerprint(a).key, options.symbolic_key())
+    def _key(a: CSCMatrix, options: SolverOptions, fp=None) -> tuple:
+        """``fp`` is ``a``'s already-computed fingerprint, when the caller
+        has it (hashing the pattern is the costly part of the key)."""
+        return ((fp or fingerprint(a)).key, options.symbolic_key())
 
     def __len__(self) -> int:
         with self._lock:
@@ -137,50 +139,71 @@ class PlanCache:
                     self._evictions.inc()
             self._size.set(len(self._plans))
 
-    def _get_or_build(self, a: CSCMatrix, options: SolverOptions, build):
+    def _get_or_build(self, a: CSCMatrix, options: SolverOptions, build, fp, tracer):
         """The plan cached for ``(a, options)``; ``build()`` makes it once.
 
         Single flight per key: whoever finds the key neither cached nor in
         flight registers an event, builds outside the lock and inserts;
-        everyone else waits on that event and looks again.
+        everyone else waits on that event and looks again. Which of the
+        three happened is annotated as ``plan_cache=hit|miss|waited`` on
+        the span the caller's ``tracer`` has open.
         """
-        key = self._key(a, options)
+        key = self._key(a, options, fp)
+        decision = "hit"
         while True:
             with self._lock:
                 plan = self._lookup(key, a)
                 if plan is not None:
-                    return plan
+                    break
                 in_flight = self._building.get(key)
                 if in_flight is None:
                     done = self._building[key] = threading.Event()
                     self._misses.inc()
             if in_flight is not None:
                 in_flight.wait()
+                decision = "waited"
                 continue
             try:
                 plan = build()
                 self.put(plan)
-                return plan
+                decision = "miss"
+                break
             finally:
                 with self._lock:
                     del self._building[key]
                 done.set()
+        if tracer is not None:
+            tracer.annotate(plan_cache=decision)
+        return plan
 
     def get_or_build(
-        self, a: CSCMatrix, options: Optional[SolverOptions] = None, *, tracer=None
+        self,
+        a: CSCMatrix,
+        options: Optional[SolverOptions] = None,
+        *,
+        tracer=None,
+        fp: Optional[PatternFingerprint] = None,
     ) -> SymbolicPlan:
         """Return the cached plan for ``a``, building and inserting on miss.
 
         The build runs outside the lock (it can take seconds) and once:
-        concurrent callers for the same cold pattern wait for it.
+        concurrent callers for the same cold pattern wait for it. ``fp``
+        is ``fingerprint(a)`` when the caller already computed it — the
+        lookup then hashes nothing, and :meth:`SymbolicPlan.matches`
+        remains the gate that makes a wrong ``fp`` a miss, not a wrong plan.
         """
         opts = options or SolverOptions()
         return self._get_or_build(
-            a, opts, lambda: build_plan(a, opts, tracer=tracer)
+            a, opts, lambda: build_plan(a, opts, tracer=tracer), fp, tracer
         )
 
     def get_or_build_tuned(
-        self, a: CSCMatrix, options: Optional[SolverOptions] = None, *, tracer=None
+        self,
+        a: CSCMatrix,
+        options: Optional[SolverOptions] = None,
+        *,
+        tracer=None,
+        fp: Optional[PatternFingerprint] = None,
     ) -> SymbolicPlan:
         """:meth:`get_or_build`, redirected through the tuned recipe.
 
@@ -192,14 +215,16 @@ class PlanCache:
         :meth:`get_or_build`.
         """
         opts = options or SolverOptions()
-        entry = self.get_recipe(a)
+        entry = self.get_recipe(fp or a)
         if entry is None:
-            return self.get_or_build(a, opts, tracer=tracer)
+            return self.get_or_build(a, opts, tracer=tracer, fp=fp)
         recipe = entry[0]
         return self._get_or_build(
             a,
             recipe.apply(opts),
             lambda: build_plan(a, opts, recipe=recipe, tracer=tracer),
+            fp,
+            tracer,
         )
 
     # ---- per-fingerprint recipe store (repro.tune) -------------------

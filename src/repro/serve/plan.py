@@ -2,10 +2,13 @@
 
 A :class:`SymbolicPlan` freezes one run of the paper's static analysis —
 fill pattern of ``Ā``, composed row/column permutations (transversal +
-ordering + §3 postorder), supernode partition, block pattern, §4 task
-graph, and the numeric engine's :class:`~repro.numeric.blockdata.BlockLayout`
-— keyed by the :class:`~repro.serve.fingerprint.PatternFingerprint` of the
-pattern it was built from.
+ordering + §3 postorder), supernode partition, block pattern, and the
+numeric engine's :class:`~repro.numeric.blockdata.BlockLayout` — keyed by
+the :class:`~repro.serve.fingerprint.PatternFingerprint` of the pattern it
+was built from. What only some executions read is derived from the block
+pattern on first use and then kept: the §4 task graph
+(:attr:`SymbolicPlan.graph`), its 2-D refinement and the static solve
+schedule.
 
 Theorem 3 (postordering leaves the static structure invariant) is what
 makes the bundle a pure function of (pattern, symbolic options): any two
@@ -40,6 +43,7 @@ from repro.symbolic.static_fill import StaticFill
 from repro.symbolic.supernodes import BlockPattern, SupernodePartition
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.solve_graph import SolveSchedule, level_schedule
+from repro.taskgraph.tasks import count_tasks
 
 
 def _frozen_copy(arr: np.ndarray, dtype) -> np.ndarray:
@@ -126,6 +130,9 @@ class SymbolicPlan:
 
     @property
     def graph(self) -> TaskGraph:
+        """The §4 task graph, built on first access and at most once
+        (:attr:`SymbolicArtifacts.graph` holds the lock and the result).
+        The sequential engine on the 1-D mapping never asks for it."""
         return self.artifacts.graph
 
     @cached_property
@@ -184,7 +191,7 @@ class SymbolicPlan:
         return (
             f"SymbolicPlan({self.fingerprint}, "
             f"nnz_filled={self.nnz_filled}, "
-            f"n_blocks={self.bp.n_blocks}, n_tasks={self.graph.n_tasks})"
+            f"n_blocks={self.bp.n_blocks}, n_tasks={count_tasks(self.bp)})"
         )
 
 
@@ -204,7 +211,7 @@ def build_plan(
     given, its ordering and amalgamation knobs are applied on top of
     ``options`` and the plan records the recipe as its provenance. When
     ``tracer`` is given, the symbolic stages record their usual spans
-    (``transversal`` … ``task_graph``) under an ``analyze`` parent.
+    (``transversal`` … ``supernodes``) under an ``analyze`` parent.
     """
     from repro.symbolic.dispatch import resolve_impl
 

@@ -117,22 +117,28 @@ class NumericFactorization:
         return float(np.max(np.abs(r))) / denom
 
 
-def _execution_graph(plan: SymbolicPlan, policy: str, n_workers: int):
+def _execution_graph(
+    plan: SymbolicPlan, policy: str, n_workers: int, needs_graph: bool
+):
     """``(graph, mapping)`` for the plan's mapping ``policy``.
 
     ``cyclic`` (the default, and every plan without a recipe) keeps each
     engine's own placement on the 1-D graph; a ``2d``/``2d:PRxPC`` recipe
     swaps in the plan's 2-D task graph with the matching
     :class:`~repro.parallel.mapping.GridMapping`; any other 1-D policy
-    name builds that owner map.
+    name builds that owner map. Without ``needs_graph`` the 1-D graph is
+    ``None`` and the plan's lazy :attr:`~SymbolicPlan.graph` stays unbuilt
+    (the 2-D graph also names the sequential replay order, so it is
+    always handed over).
     """
-    if policy == "cyclic":
-        return plan.graph, None
-    from repro.parallel.mapping import is_grid_spec, make_mapping, parse_grid_spec
+    mapping = None
+    if policy != "cyclic":
+        from repro.parallel.mapping import is_grid_spec, make_mapping, parse_grid_spec
 
-    if is_grid_spec(policy):
-        return plan.graph_2d, parse_grid_spec(policy, n_workers)
-    return plan.graph, make_mapping(policy, plan.bp, n_workers)
+        if is_grid_spec(policy):
+            return plan.graph_2d, parse_grid_spec(policy, n_workers)
+        mapping = make_mapping(policy, plan.bp, n_workers)
+    return (plan.graph if needs_graph else None), mapping
 
 
 def refactorize_with_plan(
@@ -182,9 +188,15 @@ def refactorize_with_plan(
     fill that raises :class:`~repro.util.errors.SanitizerError` on any
     footprint escape.
 
+    The plan's task graph is read — and, on its first use, built — only
+    by what consumes it: a parallel engine, or a sanitizer (explicit or
+    ``REPRO_SANITIZE=1``), which checks accesses against it. The default
+    sequential factorization runs in block order and leaves it unbuilt.
+
     With detail tracing on, the engine feeds per-kernel counters and
     histograms into ``tracer.metrics``.
     """
+    from repro.analysis.sanitizer import sanitize_enabled
     from repro.parallel.dispatch import resolve_engine, run_engine
 
     if not a.has_values:
@@ -200,18 +212,27 @@ def refactorize_with_plan(
         retain_blocks = resolve_solve_impl() == "block"
     tr = tracer if tracer is not None else Tracer(enabled=False)
     metrics = tr.metrics if tr.detail else None
+    policy = plan.recipe.mapping if plan.recipe is not None else "cyclic"
+    if order is None:
+        # Ahead of the span: a first use of the plan's graph builds it, and
+        # that is symbolic work, not part of ``factorize``.
+        choice = resolve_engine(engine)
+        graph, mapping = _execution_graph(
+            plan,
+            policy,
+            n_workers,
+            choice != "sequential" or sanitizer is not None or sanitize_enabled(),
+        )
     with tr.span("factorize", n=plan.n, nnz=plan.nnz) as s:
         a_work, equil = permuted_values(plan, a, tr)
         eng = LUFactorization(a_work, plan.bp, metrics=metrics, layout=plan.layout)
-        policy = plan.recipe.mapping if plan.recipe is not None else "cyclic"
         if order is not None:
             eng.run_order(order)
         else:
-            graph, mapping = _execution_graph(plan, policy, n_workers)
             run_engine(
                 eng,
                 graph,
-                resolve_engine(engine),
+                choice,
                 n_workers=n_workers,
                 mapping=mapping,
                 metrics=metrics,

@@ -13,11 +13,14 @@ applies three classic serving disciplines:
   deadline has passed by the time a worker picks them up are cancelled
   with :class:`~repro.util.errors.DeadlineExceededError` without doing
   any numeric work;
-* **batching** — queued requests for the *same matrix* (same pattern
-  fingerprint, same options, same value digest) are grouped: one numeric
-  refactorization plus one blocked multi-RHS triangular solve serves the
-  whole group, which is exactly where the multi-column RHS support in the
-  triangular kernels pays off.
+* **batching** — requests for the *same matrix* (same pattern
+  fingerprint, same options, same value digest) share one numeric
+  refactorization and blocked multi-RHS triangular solves, which is
+  exactly where the multi-column RHS support in the triangular kernels
+  pays off. The batch stays *open* while its factorization runs: the
+  matrix is *in flight*, no other worker starts on it, and a same-matrix
+  request that arrives meanwhile is served by the owning worker from the
+  factors it is about to have (docs/serving.md, "Flights").
 
 Set ``n_workers=0`` for a deterministic, single-threaded service driven by
 :meth:`SolverService.process_once` — the mode the tests use to pin queue
@@ -41,6 +44,7 @@ from repro.serve.refactor import refactorize_with_plan
 from repro.sparse.csc import CSCMatrix
 from repro.util.errors import (
     DeadlineExceededError,
+    NonFiniteInputError,
     ServiceClosedError,
     ServiceOverloadedError,
     ShapeError,
@@ -53,6 +57,12 @@ LATENCY_BOUNDS: tuple[float, ...] = (
 
 #: Batch-size histogram bounds (requests per factorization).
 BATCH_BOUNDS: tuple[float, ...] = (1, 2, 4, 8, 16, 32)
+
+#: Queue-wait histogram bounds (seconds): a claim by an idle worker takes
+#: tens of microseconds, a wait behind a cold plan build up to seconds.
+QUEUE_WAIT_BOUNDS: tuple[float, ...] = (
+    0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 5.0, 30.0,
+)
 
 
 class PendingResult:
@@ -96,13 +106,14 @@ class _Request:
     """Internal queue entry (matrix + RHS + identity + bookkeeping)."""
 
     __slots__ = (
-        "a", "b", "batch_key", "deadline", "enqueued_at", "pending", "n_rhs",
-        "b_ndim",
+        "a", "b", "fp", "batch_key", "deadline", "enqueued_at", "pending",
+        "n_rhs", "b_ndim",
     )
 
-    def __init__(self, a, b, batch_key, deadline, enqueued_at, pending):
+    def __init__(self, a, b, fp, batch_key, deadline, enqueued_at, pending):
         self.a = a
         self.b = b  # always 2-D (n, k) internally
+        self.fp = fp  # fingerprint(a), hashed once at submit
         self.batch_key = batch_key
         self.deadline = deadline  # absolute monotonic time or None
         self.enqueued_at = enqueued_at
@@ -122,7 +133,9 @@ class SolverService:
     max_queue:
         Queue capacity; submits beyond it raise ``ServiceOverloadedError``.
     max_batch:
-        Most requests merged into one factorization + blocked solve.
+        Most requests merged into one blocked solve. A factorization
+        serves as many solves as it takes to empty the queue of requests
+        for its matrix.
     cache:
         Shared :class:`PlanCache`; one is created (with this service's
         metrics registry) when omitted.
@@ -196,6 +209,10 @@ class SolverService:
         self._lock = threading.Lock()
         self._work_ready = threading.Condition(self._lock)
         self._pending: list[_Request] = []
+        #: Batch keys being factorized or solved for right now. Queued
+        #: requests with one of these keys belong to the worker that owns
+        #: the flight; nobody else takes them.
+        self._in_flight: set[tuple] = set()
         self._closed = False
 
         self._m_requests = self.metrics.counter("service.requests")
@@ -204,6 +221,7 @@ class SolverService:
         self._m_expired = self.metrics.counter("service.expired")
         self._m_failed = self.metrics.counter("service.failed")
         self._m_batches = self.metrics.counter("service.batches")
+        self._m_joined = self.metrics.counter("service.joined")
         self._m_queue_depth = self.metrics.gauge("service.queue_depth")
         self._h_batch = self.metrics.histogram(
             "service.batch_size", unit="requests", bounds=BATCH_BOUNDS
@@ -213,6 +231,9 @@ class SolverService:
         )
         self._h_n_rhs = self.metrics.histogram(
             "solve.n_rhs", unit="cols", bounds=BATCH_BOUNDS
+        )
+        self._h_queue_wait = self.metrics.histogram(
+            "service.queue_wait", unit="s", bounds=QUEUE_WAIT_BOUNDS
         )
 
         self._workers = [
@@ -235,10 +256,12 @@ class SolverService:
     ) -> PendingResult:
         """Enqueue ``solve(a, b)``; returns a :class:`PendingResult`.
 
-        Raises ``ServiceOverloadedError`` when the queue is at capacity and
-        ``ServiceClosedError`` after :meth:`close` — both *synchronously*,
-        so the caller always learns immediately whether the request was
-        accepted.
+        Raises ``ServiceOverloadedError`` when the queue is at capacity,
+        ``ServiceClosedError`` after :meth:`close`, and
+        ``NonFiniteInputError`` when ``a`` or ``b`` holds a NaN or an
+        infinity — all *synchronously*, so the caller always learns
+        immediately whether the request was accepted, and a matrix that
+        cannot be factorized never becomes a key other requests wait on.
         """
         opts = options or self.options
         if not a.is_square or not a.has_values:
@@ -252,14 +275,19 @@ class SolverService:
                 f"rhs has shape {np.shape(b)}, expected ({a.n_cols},) or "
                 f"({a.n_cols}, k)"
             )
+        if not (np.isfinite(a.data).all() and np.isfinite(b).all()):
+            raise NonFiniteInputError(
+                "matrix values and right-hand sides must be finite (no NaN/Inf)"
+            )
         # Identity work (hashing) happens outside the lock.
-        batch_key = (fingerprint(a).key, opts.symbolic_key(), values_digest(a))
+        fp = fingerprint(a)
+        batch_key = (fp.key, opts.symbolic_key(), values_digest(a))
         if deadline_s is None:
             deadline_s = self.default_deadline_s
         now = time.monotonic()
         deadline = now + deadline_s if deadline_s is not None else None
         pending = PendingResult()
-        req = _Request(a, b, batch_key, deadline, now, pending)
+        req = _Request(a, b, fp, batch_key, deadline, now, pending)
         req.b_ndim = orig_ndim
 
         with self._lock:
@@ -293,94 +321,160 @@ class SolverService:
         return pending.result(timeout)
 
     # ------------------------------------------------------------------
-    def _take_batch_locked(self) -> list[_Request]:
-        """Pop the oldest request plus up to ``max_batch - 1`` batchmates.
+    def _claim_locked(self, key: tuple, room: int, now: float):
+        """Pop up to ``room`` queued requests for ``key``, oldest first.
 
-        Caller holds the lock. Requests whose deadline has already passed
-        are cancelled here — the dequeue point is the last moment lateness
-        can be detected before numeric work starts.
+        Caller holds the lock. Returns ``(claimed, n_expired)``: requests
+        whose deadline has already passed are cancelled here and counted —
+        the claim is the last moment lateness can be detected before
+        numeric work is spent on the request.
         """
-        now = time.monotonic()
-        while self._pending:
-            head = self._pending.pop(0)
-            if head.deadline is not None and now > head.deadline:
+        claimed: list[_Request] = []
+        n_expired = 0
+        i = 0
+        while i < len(self._pending) and len(claimed) < room:
+            req = self._pending[i]
+            if req.batch_key != key:
+                i += 1
+                continue
+            self._pending.pop(i)
+            if req.deadline is not None and now > req.deadline:
+                n_expired += 1
                 self._m_expired.inc()
-                head.pending._set_error(
+                req.pending._set_error(
                     DeadlineExceededError(
-                        f"deadline exceeded after {now - head.enqueued_at:.3f}s "
+                        f"deadline exceeded after {now - req.enqueued_at:.3f}s "
                         "in queue"
                     )
                 )
-                continue
-            batch = [head]
-            i = 0
-            while i < len(self._pending) and len(batch) < self.max_batch:
-                req = self._pending[i]
-                if req.batch_key == head.batch_key:
-                    self._pending.pop(i)
-                    if req.deadline is not None and now > req.deadline:
-                        self._m_expired.inc()
-                        req.pending._set_error(
-                            DeadlineExceededError(
-                                f"deadline exceeded after "
-                                f"{now - req.enqueued_at:.3f}s in queue"
-                            )
-                        )
-                    else:
-                        batch.append(req)
-                else:
-                    i += 1
-            self._m_queue_depth.set(len(self._pending))
-            return batch
-        self._m_queue_depth.set(0)
-        return []
-
-    def _process_batch(self, batch: list[_Request]) -> None:
-        """One factorization + one blocked solve for a same-matrix batch."""
-        head = batch[0]
-        try:
-            # Options travel inside the batch key (a hashable tuple), so
-            # equal keys really do mean one factorization serves the batch.
-            opts = self._options_from_key(head.batch_key)
-            if self.use_tuned_recipes:
-                plan = self.cache.get_or_build_tuned(
-                    head.a, opts, tracer=self.tracer
-                )
             else:
-                plan = self.cache.get_or_build(head.a, opts, tracer=self.tracer)
-            fac = refactorize_with_plan(
-                plan,
-                head.a,
-                tracer=self.tracer,
-                check_pattern=False,
-                engine=self.engine,
-                n_workers=self.engine_workers,
-                pool=self._engine_pool,
-            )
-            rhs = (
-                head.b
-                if len(batch) == 1
-                else np.hstack([req.b for req in batch])
-            )
-            x = fac.solve(rhs)
-            self._m_batches.inc()
-            self._h_batch.observe(len(batch))
-            self._h_n_rhs.observe(rhs.shape[1])
-            now = time.monotonic()
-            col = 0
-            for req in batch:
-                xi = x[:, col : col + req.n_rhs]
-                col += req.n_rhs
-                if req.b_ndim == 1:
-                    xi = xi[:, 0]
-                self._h_latency.observe(now - req.enqueued_at)
-                self._m_completed.inc()
-                req.pending._set_result(np.ascontiguousarray(xi))
-        except Exception as err:  # propagate to every caller in the batch
-            for req in batch:
-                if not req.pending.done:
-                    self._m_failed.inc()
-                    req.pending._set_error(err)
+                self._h_queue_wait.observe(now - req.enqueued_at)
+                claimed.append(req)
+        self._m_queue_depth.set(len(self._pending))
+        return claimed, n_expired
+
+    def _take_batch_locked(self):
+        """Open a flight: the oldest request whose matrix is not in flight
+        plus up to ``max_batch - 1`` batchmates, as ``(batch, n_expired)``.
+
+        Caller holds the lock. Requests for a key in flight are left for
+        the worker that owns it; an empty batch means nothing is claimable
+        now. The batch's key is in flight from here until
+        :meth:`_release_locked`.
+        """
+        now = time.monotonic()
+        batch: list[_Request] = []
+        n_expired = 0
+        i = 0
+        while i < len(self._pending) and not batch:
+            key = self._pending[i].batch_key
+            if key in self._in_flight:
+                i += 1
+                continue
+            # Pops at least the request at ``i`` (served or expired).
+            batch, expired = self._claim_locked(key, self.max_batch, now)
+            n_expired += expired
+        if batch:
+            self._in_flight.add(batch[0].batch_key)
+        return batch, n_expired
+
+    def _release_locked(self, key: tuple) -> None:
+        """End ``key``'s flight (idempotent) and wake the sleeping workers:
+        requests for it that are still queued are claimable again, and a
+        closed service may have nothing left to wait for."""
+        if key in self._in_flight:
+            self._in_flight.remove(key)
+            self._work_ready.notify_all()
+
+    def _factorize(self, head: _Request):
+        """Plan lookup (or build) and numeric factorization of one matrix."""
+        # Options travel inside the batch key (a hashable tuple), so
+        # equal keys really do mean one factorization serves the batch.
+        opts = self._options_from_key(head.batch_key)
+        lookup = (
+            self.cache.get_or_build_tuned
+            if self.use_tuned_recipes
+            else self.cache.get_or_build
+        )
+        plan = lookup(head.a, opts, tracer=self.tracer, fp=head.fp)
+        return refactorize_with_plan(
+            plan,
+            head.a,
+            tracer=self.tracer,
+            check_pattern=False,
+            engine=self.engine,
+            n_workers=self.engine_workers,
+            pool=self._engine_pool,
+        )
+
+    def _solve_round(self, fac, batch: list[_Request]) -> None:
+        """One blocked multi-RHS solve; completes every request of ``batch``."""
+        rhs = batch[0].b if len(batch) == 1 else np.hstack([req.b for req in batch])
+        x = fac.solve(rhs)
+        self._h_n_rhs.observe(rhs.shape[1])
+        now = time.monotonic()
+        col = 0
+        for req in batch:
+            xi = x[:, col : col + req.n_rhs]
+            col += req.n_rhs
+            if req.b_ndim == 1:
+                xi = xi[:, 0]
+            self._h_latency.observe(now - req.enqueued_at)
+            self._m_completed.inc()
+            req.pending._set_result(np.ascontiguousarray(xi))
+
+    def _process_batch(self, batch: list[_Request]) -> int:
+        """One flight: factorize the batch's matrix once, then solve for the
+        batch and for every same-matrix request that was queued meanwhile.
+
+        The key of ``batch`` is in flight (:meth:`_take_batch_locked`).
+        Once the factors exist the late joiners are claimed into the same
+        blocked solve, at most ``max_batch`` requests per solve, and the
+        rounds repeat until a claim comes back empty; the key is released
+        under that same lock hold, so no request can slip between "none
+        queued" and "no longer in flight". An error goes to the requests
+        of the step that raised it — a factorization error to the opening
+        batch alone — and releases the key: twins still queued then open a
+        flight of their own. Returns the number of requests resolved.
+        """
+        key = batch[0].batch_key
+        resolved = len(batch)
+        n_served = n_joined = n_solves = 0
+        with self.tracer.span("service.batch") as span:
+            try:
+                fac = self._factorize(batch[0])
+                self._m_batches.inc()
+                # ``batch`` is the round at hand: the opening batch, which
+                # may have room left for joiners, then joiners alone.
+                while True:
+                    with self._work_ready:
+                        late, n_expired = self._claim_locked(
+                            key, self.max_batch - len(batch), time.monotonic()
+                        )
+                        resolved += len(late) + n_expired
+                        if not batch and not late:
+                            self._release_locked(key)
+                            break
+                    n_joined += len(late)
+                    self._m_joined.inc(len(late))
+                    batch = batch + late
+                    self._solve_round(fac, batch)
+                    n_served += len(batch)
+                    n_solves += 1
+                    batch = []
+            except Exception as err:  # propagate to every caller of the step
+                span.set(error=type(err).__name__)
+                for req in batch:
+                    if not req.pending.done:
+                        self._m_failed.inc()
+                        req.pending._set_error(err)
+            finally:
+                with self._work_ready:
+                    self._release_locked(key)
+                if n_solves:
+                    self._h_batch.observe(n_served)
+                span.set(n_requests=n_served, n_joined=n_joined, n_solves=n_solves)
+        return resolved
 
     def _options_from_key(self, batch_key: tuple) -> SolverOptions:
         return SolverOptions.from_symbolic_key(batch_key[1])
@@ -423,30 +517,31 @@ class SolverService:
         return result
 
     def process_once(self) -> int:
-        """Dequeue and process one batch synchronously (no worker needed).
+        """Run one flight synchronously (no worker needed): one
+        factorization and every solve it serves.
 
         Returns the number of requests *resolved* (completed, failed, or
         deadline-cancelled); 0 when the queue is empty. The deterministic
         driver for ``n_workers=0`` services.
         """
         with self._lock:
-            before = len(self._pending)
-            batch = self._take_batch_locked()
-            cancelled = before - len(self._pending) - len(batch)
+            batch, resolved = self._take_batch_locked()
         if batch:
-            self._process_batch(batch)
-        return len(batch) + max(cancelled, 0)
+            resolved += self._process_batch(batch)
+        return resolved
 
     def _worker_loop(self) -> None:
         while True:
             with self._work_ready:
-                while not self._pending and not self._closed:
+                batch, _ = self._take_batch_locked()
+                while not batch:
+                    # Nothing claimable: the queue is empty, or all of it
+                    # belongs to flights other workers own.
+                    if self._closed and not self._pending:
+                        return
                     self._work_ready.wait()
-                if self._closed and not self._pending:
-                    return
-                batch = self._take_batch_locked()
-            if batch:
-                self._process_batch(batch)
+                    batch, _ = self._take_batch_locked()
+            self._process_batch(batch)
 
     # ------------------------------------------------------------------
     def close(self, *, drain: bool = True) -> None:
@@ -499,6 +594,7 @@ class SolverService:
             "expired": int(self._m_expired.value),
             "failed": int(self._m_failed.value),
             "batches": int(self._m_batches.value),
+            "joined": int(self._m_joined.value),
             "queue_depth": self.queue_depth,
             "mean_batch_size": self._h_batch.mean,
             "cache": self.cache.stats(),

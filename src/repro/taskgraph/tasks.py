@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.symbolic.supernodes import BlockPattern
 
 
@@ -57,6 +59,14 @@ def enumerate_tasks(bp: BlockPattern) -> list[Task]:
         for j in upper[k]:
             tasks.append(update_task(k, j))
     return tasks
+
+
+def count_tasks(bp: BlockPattern) -> int:
+    """``len(enumerate_tasks(bp))`` without listing them: one ``F`` per
+    block column plus one ``U`` per stored block above the diagonal."""
+    return bp.n_blocks + sum(
+        int(np.count_nonzero(rows < j)) for j, rows in enumerate(bp.blocks)
+    )
 
 
 def _upper_blocks_by_source(bp: BlockPattern) -> list[list[int]]:

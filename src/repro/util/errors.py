@@ -87,5 +87,9 @@ class DeadlineExceededError(ServeError, TimeoutError):
     """The request's deadline elapsed before a worker picked it up."""
 
 
+class NonFiniteInputError(ServeError, ValueError):
+    """A request's matrix values or right-hand side contain NaN or Inf."""
+
+
 class ServiceClosedError(ServeError, RuntimeError):
     """The solver service has been closed and accepts no new requests."""

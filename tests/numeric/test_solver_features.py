@@ -155,7 +155,15 @@ class TestTimings:
             "static_fill",
             "postorder",
             "supernodes",
-            "task_graph",
             "factorize",
         ):
             assert seconds[stage] >= 0.0
+        # The sequential engine never reads the task graph, so a plain
+        # request does not build it; detail tracing does, for the simulation.
+        assert "task_graph" not in seconds
+        traced = SparseLUSolver(a, trace=True).analyze().factorize().tracer
+        span = traced.find("task_graph")
+        assert span.attrs["n_tasks"] > 0 and span.attrs["n_edges"] > 0
+        assert [s.name for s in traced.roots] == [
+            "analyze", "factorize", "task_graph", "simulate_schedule",
+        ]

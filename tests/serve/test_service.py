@@ -110,11 +110,17 @@ class TestBatching:
     def test_max_batch_respected(self, a30):
         svc = SolverService(n_workers=0, max_queue=16, max_batch=2)
         pending = [svc.submit(a30, np.ones(30)) for _ in range(5)]
-        rounds = 0
-        while svc.process_once():
-            rounds += 1
-        assert rounds == 3  # ceil(5 / 2)
+        # One flight: one factorization, then ceil(5 / 2) blocked solves of
+        # at most two requests each.
+        assert svc.process_once() == 5
+        assert svc.process_once() == 0
         assert all(p.done for p in pending)
+        st = svc.stats()
+        assert st["batches"] == 1
+        assert st["mean_batch_size"] == 5.0
+        assert st["joined"] == 3
+        n_rhs = svc.metrics.histogram("solve.n_rhs")
+        assert (n_rhs.count, n_rhs.max) == (3, 2)
         svc.close()
 
     def test_different_values_not_batched(self, a30):
