@@ -3,13 +3,13 @@
 §6 proposes extending the method to a 2-D partitioning; the simulation-level
 model shows the expected crossover — 1-D is competitive at small P (fewer,
 coarser tasks and messages), 2-D scales past it as P grows because column
-ownership stops serializing each column's updates on one processor. The 2-D
-graph also *executes* on the real engines, so alongside the simulated table
-the artifact records measured wall times of both graph shapes on the
-threaded engine, the ≤1e-12 agreement of the 2-D factors with the
-sequential reference, and the recipe the autotuner selects at P=16 (the
-selection rationale: ``map=2d`` recipes win exactly where the simulator
-predicts the crossover). docs/parallel.md carries the verdict.
+ownership stops serializing each column's updates on one processor. The
+same 2-D graph the simulator prices also *executes* on the real engines, so
+alongside the simulated table the artifact records measured wall times of
+both graph shapes on the threaded engine and the ≤1e-12 agreement of the 2-D
+factors with the sequential reference. docs/parallel.md carries the verdict:
+on this host the measured rows lose, which is why no plan or recipe selects
+the 2-D graph.
 """
 
 import time
@@ -19,20 +19,17 @@ from typing import Sequence
 import numpy as np
 from bench_proc import analyzed, available_cpus, bitwise_equal
 
-from repro.eval.extras import format_two_d, two_d_rows
+from repro.eval.extras import format_two_d, simulate_1d_vs_2d, two_d_rows
 from repro.numeric.factor import LUFactorization
-from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import GridMapping
 from repro.parallel.threads import threaded_factorize
-from repro.parallel.two_d import build_2d_graph, canonical_2d_order, compare_1d_2d
-from repro.tune.autotune import autotune
+from repro.parallel.two_d import build_2d_graph, canonical_2d_order
 from repro.util.tables import format_table
 
 REPEATS = 2
 N_WORKERS = 4
-#: Processor counts the simulator prices; the tuner picks at the largest.
+#: Processor counts the simulator prices.
 SIM_PROCS = (4, 8, 16)
-SELECT_PROCS = 16
 
 
 def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
@@ -46,9 +43,7 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
     ``REPEATS`` timed factorizations of each graph shape, asserting every
     run is bitwise equal to its mode's reference. Alongside the measured
     times the row records the α-β simulator's 1-D/2-D prediction at
-    ``SIM_PROCS`` and the recipe the autotuner selects at
-    ``SELECT_PROCS`` — the selection rationale the artifact exists to
-    document.
+    ``SIM_PROCS`` for the same two graphs.
     """
     rows = []
     for name in matrices:
@@ -91,18 +86,10 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
                         f"reference on {name}"
                     )
         m1, m2 = median_high(t1d), median_high(t2d)
-        simulated = []
-        for p in SIM_PROCS:
-            cmp = compare_1d_2d(solver.bp, g1, MachineModel(n_procs=p))
-            simulated.append(
-                {
-                    "p": int(p),
-                    "t_1d": float(cmp["makespan_1d"]),
-                    "t_2d": float(cmp["makespan_2d"]),
-                    "gain_2d": float(cmp["gain_2d"]),
-                }
-            )
-        tuned = autotune(solver.a, n_procs=SELECT_PROCS)
+        simulated = [
+            {"p": int(p), "t_1d": float(t1), "t_2d": float(t2), "gain_2d": float(gain)}
+            for p, t1, t2, gain in simulate_1d_vs_2d(solver.bp, g1, SIM_PROCS)
+        ]
         grid = GridMapping.for_workers(N_WORKERS)
         rows.append(
             {
@@ -121,12 +108,6 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
                     }
                 },
                 "simulated": simulated,
-                "selection": {
-                    "n_procs": SELECT_PROCS,
-                    "recipe": tuned.recipe.spec(),
-                    "mapping": tuned.recipe.mapping,
-                    "predicted_time": float(tuned.score.predicted_time),
-                },
             }
         )
     return {
@@ -160,13 +141,6 @@ def two_d_summary_rows(data: dict) -> list:
                 f"{row['matrix']} simulated P={sim16['p']}",
                 f"1-D {sim16['t_1d']:.4f} s / 2-D {sim16['t_2d']:.4f} s "
                 f"({100 * sim16['gain_2d']:+.1f}% gain)",
-            )
-        )
-        sel = row["selection"]
-        out.append(
-            (
-                f"{row['matrix']} tuner pick (P={sel['n_procs']})",
-                f"{sel['recipe']} (mapping={sel['mapping']})",
             )
         )
         out.append(
@@ -211,7 +185,6 @@ def test_ablation_2d(benchmark, bench_config, emit):
         assert row["rel_diff_vs_1d"] <= 1e-12
         assert row["measured"]["threaded"]["t_1d_s"] > 0
         assert row["measured"]["threaded"]["t_2d_s"] > 0
-        assert row["selection"]["recipe"]
-    # Shape: at P=16 the 2-D model wins on every matrix.
+    # Shape: at P=16 the 2-D graph wins on every matrix.
     p16 = [r for r in rows if r[1] == 16]
     assert all(r[3] < r[2] for r in p16), "2-D did not out-scale 1-D at P=16"

@@ -19,11 +19,11 @@ from repro import (
     LUFactorization,
     MachineModel,
     SparseLUSolver,
-    compare_1d_2d,
     paper_matrix,
-    simulate_solve_phase,
+    simulate_schedule,
 )
-from repro.parallel.mapping import cyclic_mapping
+from repro.parallel import GridMapping, build_2d_graph, cyclic_mapping
+from repro.taskgraph.solve_graph import build_solve_graph
 from repro.util.tables import format_table
 
 
@@ -33,12 +33,15 @@ def main() -> None:
     print(f"sherman3 analog: n={a.n_cols}, {solver.bp.n_blocks} block columns\n")
 
     # --- 1. 2-D partitioning -------------------------------------------
+    # One simulator; the graph shape and the mapping are its arguments.
+    bp, n_blocks = solver.bp, solver.bp.n_blocks
+    graph_2d = build_2d_graph(bp)
     rows = []
     for p in (4, 8, 16):
-        cmp = compare_1d_2d(solver.bp, solver.graph, MachineModel(n_procs=p))
-        rows.append(
-            (p, cmp["makespan_1d"], cmp["makespan_2d"], f"{100 * cmp['gain_2d']:+.1f}%")
-        )
+        m = MachineModel(n_procs=p)
+        t1 = simulate_schedule(solver.graph, bp, m, cyclic_mapping(n_blocks, p)).makespan
+        t2 = simulate_schedule(graph_2d, bp, m, GridMapping.for_workers(p)).makespan
+        rows.append((p, t1, t2, f"{100 * (1 - t2 / t1):+.1f}%"))
     print(
         format_table(
             ["P", "T(1-D)", "T(2-D)", "2-D gain"],
@@ -64,11 +67,12 @@ def main() -> None:
     )
 
     # --- 3. solve-phase parallelism -------------------------------------
+    solve_graph = build_solve_graph(bp)
     rows = []
     base = None
     for p in (1, 2, 4, 8):
-        res = simulate_solve_phase(
-            solver.bp, MachineModel(n_procs=p), cyclic_mapping(solver.bp.n_blocks, p)
+        res = simulate_schedule(
+            solve_graph, bp, MachineModel(n_procs=p), cyclic_mapping(n_blocks, p)
         )
         if base is None:
             base = res.makespan

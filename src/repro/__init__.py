@@ -73,12 +73,9 @@ from repro.parallel import (
     MachineModel,
     ORIGIN2000,
     simulate_schedule,
-    simulate_solve_phase,
     rapid_schedule,
     threaded_factorize,
     DynamicRuntime,
-    simulate_2d,
-    compare_1d_2d,
 )
 from repro.obs import (
     Tracer,
@@ -147,12 +144,9 @@ __all__ = [
     "MachineModel",
     "ORIGIN2000",
     "simulate_schedule",
-    "simulate_solve_phase",
     "rapid_schedule",
     "threaded_factorize",
     "DynamicRuntime",
-    "simulate_2d",
-    "compare_1d_2d",
     "Tracer",
     "MetricsRegistry",
     "export_json",

@@ -94,6 +94,7 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     * ``minimality`` — the Theorem-4 report comparing a freshly built S*
       graph against a freshly built eforest graph for the same pattern.
     """
+    from repro.parallel.two_d import build_2d_graph  # lazy: import cycle
     from repro.symbolic.eforest import lu_elimination_forest
     from repro.symbolic.postorder import block_upper_triangular_blocks
     from repro.taskgraph.eforest_graph import build_eforest_graph
@@ -148,7 +149,7 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     factor.stats["n_edges"] = plan.graph.n_edges
 
     factor2d = report.subject(f"{name}/factor-graph-2d")
-    graph_2d = plan.graph_2d
+    graph_2d = build_2d_graph(plan.bp)
     fps2d = two_d_footprints(plan.bp, plan.fill)
     factor2d.extend(check_liveness(graph_2d, expected_2d_tasks(plan.bp)))
     races, stats = check_races(graph_2d, fps2d)

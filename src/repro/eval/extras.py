@@ -13,10 +13,11 @@ from repro.eval.config import BenchConfig
 from repro.eval.pipeline import analyzed_matrix
 from repro.numeric.factor import LUFactorization
 from repro.parallel.machine import MachineModel
-from repro.parallel.mapping import cyclic_mapping
-from repro.parallel.simulate import simulate_solve_phase
-from repro.parallel.two_d import build_2d_model, compare_1d_2d
+from repro.parallel.mapping import GridMapping, cyclic_mapping
+from repro.parallel.simulate import simulate_schedule
+from repro.parallel.two_d import build_2d_graph
 from repro.symbolic.coletree_analysis import compare_analyses
+from repro.taskgraph.solve_graph import build_solve_graph
 from repro.taskgraph.sstar import build_sstar_graph
 from repro.util.tables import format_table
 
@@ -112,22 +113,30 @@ def format_graph_metrics(rows: list[tuple]) -> str:
     )
 
 
+def simulate_1d_vs_2d(bp, graph_1d, procs=(4, 8, 16)) -> list[tuple]:
+    """``(P, T(1-D), T(2-D), 2-D gain)`` per processor count: the 1-D graph
+    under the cyclic column mapping against the 2-D block graph on the
+    most-square grid, on one simulator and one machine model."""
+    graph_2d = build_2d_graph(bp)
+    out = []
+    for p in procs:
+        machine = MachineModel(n_procs=p)
+        t1 = simulate_schedule(
+            graph_1d, bp, machine, cyclic_mapping(bp.n_blocks, p)
+        ).makespan
+        t2 = simulate_schedule(
+            graph_2d, bp, machine, GridMapping.for_workers(p)
+        ).makespan
+        out.append((p, t1, t2, 1.0 - t2 / t1))
+    return out
+
+
 def two_d_rows(config: BenchConfig) -> list[tuple]:
     rows = []
     for name in ("sherman3", "sherman5", "goodwin"):
         solver = analyzed_matrix(name, config.scale)
-        build_2d_model(solver.bp)  # shape check; compare builds its own
-        for p in (4, 8, 16):
-            cmp = compare_1d_2d(solver.bp, solver.graph, MachineModel(n_procs=p))
-            rows.append(
-                (
-                    name,
-                    p,
-                    cmp["makespan_1d"],
-                    cmp["makespan_2d"],
-                    f"{100 * cmp['gain_2d']:+.1f}%",
-                )
-            )
+        for p, t1, t2, gain in simulate_1d_vs_2d(solver.bp, solver.graph):
+            rows.append((name, p, t1, t2, f"{100 * gain:+.1f}%"))
     return rows
 
 
@@ -144,9 +153,11 @@ def solve_phase_rows(config: BenchConfig) -> list[tuple]:
     rows = []
     for name in config.matrices[:4]:
         solver = analyzed_matrix(name, config.scale)
+        graph = build_solve_graph(solver.bp)
         times = []
         for p in config.procs:
-            res = simulate_solve_phase(
+            res = simulate_schedule(
+                graph,
                 solver.bp,
                 MachineModel(n_procs=p),
                 cyclic_mapping(solver.bp.n_blocks, p),

@@ -1,14 +1,19 @@
-"""Flop and communication cost model for Factor/Update tasks.
+"""Flop and communication cost model: the one place a task is priced.
 
-The machine simulator (Table 2, Figures 5-6) charges each task its classical
-flop count and each cross-processor ``Update(k, j)`` the bytes of block
-column ``k``'s factored sub-panel — the data the 1-D scheme ships between the
-owners of columns ``k`` and ``j``. Costs depend only on the block *pattern*,
-so schedules can be priced without running numerics (the inspector half of
-the RAPID-style inspector/executor split).
+The machine simulator (Table 2, Figures 5-6, the §6 2-D comparison, the
+solve phase) charges each task its classical flop count at the BLAS width
+of its source block column, and each cross-processor dependence the bytes
+of the datum the source task produced. :class:`CostModel` prices every
+task kind the engines run — the 1-D ``F``/``U``, the 2-D
+``F``/``SL``/``SU``/``UP`` (:mod:`repro.parallel.two_d`) and the solve
+phase's ``FS``/``BS`` — from the block *pattern* alone, so schedules can
+be priced without running numerics (the inspector half of the RAPID-style
+inspector/executor split).
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -21,7 +26,12 @@ _INDEX_BYTES = 4
 
 
 class CostModel:
-    """Prices tasks over a block pattern (flops and message bytes)."""
+    """Prices tasks over a block pattern (flops, width, message bytes).
+
+    Tasks are told apart by ``kind``; a 2-D block task (a ``Task2D``) is
+    one that names its block row ``i``, which is what separates its ``F``
+    (the diagonal block) from the 1-D ``F`` (the whole candidate panel).
+    """
 
     def __init__(self, bp: BlockPattern) -> None:
         self.bp = bp
@@ -33,29 +43,88 @@ class CostModel:
             blocks = bp.col_blocks(k)
             subs = blocks[blocks >= k]
             self.panel_rows[k] = int(np.sum(self.widths[subs]))
+        self._solve_flops: dict[str, np.ndarray] | None = None
 
-    def flops(self, task: Task) -> int:
-        w_k = int(self.widths[task.k])
+    def flops(self, task: Any) -> int:
+        kind = task.kind
+        if kind in ("FS", "BS"):
+            return int(self._solve_row_flops()[kind][task.k])
+        w = self.widths
+        w_k = int(w[task.k])
+        if hasattr(task, "i"):  # the §6 block tasks
+            if kind == "F":  # the diagonal block alone
+                return lu_panel_flops(w_k, w_k)
+            if kind == "SL":  # L(i,k) = A(i,k) U_kk^-1
+                return int(w[task.i]) * w_k * w_k
+            if kind == "SU":  # U(k,j) = L_kk^-1 A(k,j)
+                return w_k * w_k * int(w[task.j])
+            return 2 * int(w[task.i]) * w_k * int(w[task.j])  # rank-w_k UP
         rows = int(self.panel_rows[task.k])
-        if task.kind == "F":
+        if kind == "F":
             return lu_panel_flops(rows, w_k)
-        below = rows - w_k
-        return update_flops(w_k, below, int(self.widths[task.j]))
+        return update_flops(w_k, rows - w_k, int(w[task.j]))
 
-    def width(self, task: Task) -> int:
+    def _solve_row_flops(self) -> dict[str, np.ndarray]:
+        """Per block row ``FS``/``BS`` flops: a triangular solve on the
+        diagonal block plus one GEMV per stored off-diagonal block of the
+        row (lower blocks forward, upper blocks backward)."""
+        if self._solve_flops is None:
+            w = self.widths.astype(np.int64)
+            fwd, bwd = w * w, w * w
+            for j, rows in enumerate(self.bp.blocks):
+                gemv = 2 * w[rows] * w[j]
+                np.add.at(fwd, rows[rows > j], gemv[rows > j])
+                np.add.at(bwd, rows[rows < j], gemv[rows < j])
+            self._solve_flops = {"FS": fwd, "BS": bwd}
+        return self._solve_flops
+
+    def width(self, task: Any) -> int:
         """Kernel block width (the BLAS inner dimension): the source
-        column's supernode width for both factor and update tasks."""
+        column's supernode width, for every task kind."""
         return int(self.widths[task.k])
 
     def comm_bytes(self, task: Task) -> int:
-        """Bytes shipped when ``task`` runs off the source column's owner
-        (0 for factor tasks, local under the 1-D mapping)."""
+        """Bytes shipped when the 1-D ``task`` runs off the source column's
+        owner (0 for factor tasks, local under the 1-D mapping)."""
         if task.kind == "F":
             return 0
         rows = int(self.panel_rows[task.k])
         w_k = int(self.widths[task.k])
         # Factored sub-panel (L and the diagonal U block) plus the pivot map.
         return rows * w_k * _FLOAT_BYTES + 2 * rows * _INDEX_BYTES
+
+    def message(self, src: Any, dst: Any) -> tuple[tuple, int]:
+        """``(dedup key, bytes)`` of the datum ``dst`` needs from ``src``
+        when the two run on different processors.
+
+        The datum is what ``src`` produced, shipped once per destination,
+        and only to a task whose priced kernel reads it; every other edge
+        orders the two tasks and carries nothing (a zero-byte message:
+        the completion signal still pays the latency). Data edges are:
+
+        * 2-D: the diagonal block on ``F(k) -> SL/SU``, the scaled block
+          into each ``UP``, and a block handed to the next writer of the
+          same block — keyed by the task, since a block is rewritten per
+          update step. The per-column step chain from *other* block rows
+          (``UP(k,i,j) -> SU(k',j)`` / ``F(j)``, ``i`` not the row the
+          destination is priced on) is ordering only: ``SU`` is priced as
+          one block's scale and ``F`` as the diagonal block alone.
+        * solve: a solution piece (``w_k`` doubles).
+        * 1-D: block column ``k``'s factored sub-panel on
+          ``F(k) -> U(k, j)`` — the only 1-D edges that cross processors
+          under a column mapping (update chains and the final ``F`` share
+          the target column's owner).
+        """
+        kind = src.kind
+        w = self.widths
+        if kind in ("FS", "BS"):
+            return (kind, src.k), int(w[src.k]) * _FLOAT_BYTES
+        if hasattr(src, "i"):
+            if kind == "F" or dst.kind == "UP" or (src.i, src.j) == (dst.i, dst.j):
+                return src, int(w[src.i] * w[src.j]) * _FLOAT_BYTES
+        elif kind == "F" and dst.kind == "U" and dst.k == src.k:
+            return ("panel", src.k), self.comm_bytes(dst)
+        return ("edge", src, dst), 0
 
 
 def task_flops(bp: BlockPattern) -> dict[Task, int]:

@@ -98,9 +98,8 @@ class SolverOptions:
     symbolic_params:
         Execution knob of the ``"chunked"`` static-fill kernel as a tuple
         of ``(name, value)`` pairs — ``"chunk"`` (column chunk size, a
-        positive int) is the only key. Like
-        :attr:`repro.tune.OrderingRecipe.mapping`, it is deliberately
-        *not* part of :meth:`symbolic_key`: every chunk size produces the
+        positive int) is the only key. It is deliberately *not* part of
+        :meth:`symbolic_key`: every chunk size produces the
         same artifacts bit-for-bit, so keying on it would only fragment
         the plan cache. Ignored by the ``"fast"``/``"reference"``
         implementations.

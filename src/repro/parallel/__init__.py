@@ -5,8 +5,9 @@ reproduce the *behaviour* with three interchangeable executors:
 
 * :mod:`repro.parallel.simulate` — a deterministic discrete-event simulator
   over a calibrated machine model (:mod:`repro.parallel.machine`): per-task
-  flop costs, an α-β communication model, and a 1-D block-column mapping
-  (:mod:`repro.parallel.mapping`). This regenerates Table 2 and Figures 5-6.
+  flop costs, an α-β communication model, and a task-to-processor mapping
+  (:mod:`repro.parallel.mapping`: 1-D block-column, or the §6 2-D grid).
+  This regenerates Table 2 and Figures 5-6.
 * :mod:`repro.parallel.rapid` — a RAPID-style inspector/executor: the
   inspector prices and orders tasks into a static per-processor schedule;
   the executor replays it (in simulation or on threads).
@@ -26,11 +27,7 @@ from repro.parallel.mapping import (
     task_owner,
 )
 from repro.parallel.engine import EngineResult, run_event_simulation
-from repro.parallel.simulate import (
-    SimulationResult,
-    simulate_schedule,
-    simulate_solve_phase,
-)
+from repro.parallel.simulate import SimulationResult, simulate_schedule
 from repro.parallel.dynamic import DynamicRuntime
 from repro.parallel.message_passing import (
     MessagePassingResult,
@@ -54,14 +51,9 @@ from repro.parallel.rapid import StaticSchedule, rapid_schedule
 from repro.parallel.threads import threaded_factorize
 from repro.parallel.two_d import (
     Task2D,
-    TwoDModel,
     build_2d_graph,
-    build_2d_model,
     canonical_2d_order,
-    compare_1d_2d,
-    grid_shape,
     is_2d_graph,
-    simulate_2d,
 )
 
 __all__ = [
@@ -78,7 +70,6 @@ __all__ = [
     "run_event_simulation",
     "SimulationResult",
     "simulate_schedule",
-    "simulate_solve_phase",
     "DynamicRuntime",
     "MessagePassingResult",
     "PanelMessage",
@@ -96,12 +87,7 @@ __all__ = [
     "run_engine",
     "threaded_factorize",
     "Task2D",
-    "TwoDModel",
     "build_2d_graph",
-    "build_2d_model",
     "canonical_2d_order",
-    "compare_1d_2d",
-    "grid_shape",
     "is_2d_graph",
-    "simulate_2d",
 ]

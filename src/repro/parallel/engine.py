@@ -1,9 +1,9 @@
 """Generic discrete-event list-scheduling engine.
 
-The 1-D simulator (:mod:`repro.parallel.simulate`), the 2-D future-work
-model (:mod:`repro.parallel.two_d`), and the solve-phase simulation all
-share the same mechanics: tasks with fixed processor assignments and compute
-times, messages materialized lazily per (key) with a transfer delay, and
+Every graph :func:`repro.parallel.simulate.simulate_schedule` prices — the
+1-D factorization, the §6 2-D block graph, the solve phase — shares the
+same mechanics: tasks with fixed processor assignments and compute times,
+messages materialized lazily per (key) with a transfer delay, and
 per-processor work-conserving dispatch by bottom-level priority. This module
 hosts that core once.
 
@@ -83,23 +83,18 @@ class EngineResult:
         return schedule_chrome_trace(self.start_times, self.finish_times, self.owners)
 
     def record_metrics(self, metrics) -> None:
-        """Export this run's aggregates into a metrics registry.
-
-        Stable names (see docs/observability.md): ``engine.tasks``,
-        ``engine.messages``, ``engine.message_bytes``,
-        ``engine.busy_seconds``, ``engine.idle_seconds``, and gauges
-        ``engine.makespan_seconds`` / ``engine.n_procs`` /
-        ``engine.efficiency``. Counters accumulate across runs sharing a
-        registry; gauges keep the last run's values.
-        """
-        metrics.counter("engine.tasks", unit="tasks").inc(self.n_tasks)
-        metrics.counter("engine.messages", unit="messages").inc(self.n_messages)
-        metrics.counter("engine.message_bytes", unit="bytes").inc(self.comm_bytes)
-        metrics.counter("engine.busy_seconds", unit="s").inc(float(self.busy.sum()))
-        metrics.counter("engine.idle_seconds", unit="s").inc(self.idle)
-        metrics.gauge("engine.makespan_seconds", unit="s").set(self.makespan)
-        metrics.gauge("engine.n_procs", unit="procs").set(self.n_procs)
-        metrics.gauge("engine.efficiency").set(self.efficiency)
+        """Export this run's aggregates (:func:`record_engine_metrics`)."""
+        record_engine_metrics(
+            metrics,
+            n_tasks=self.n_tasks,
+            n_messages=self.n_messages,
+            message_bytes=self.comm_bytes,
+            busy_seconds=float(self.busy.sum()),
+            idle_seconds=self.idle,
+            makespan_seconds=self.makespan,
+            n_procs=self.n_procs,
+            efficiency=self.efficiency,
+        )
 
     @property
     def efficiency(self) -> float:
@@ -107,6 +102,32 @@ class EngineResult:
 
     def speedup_over(self, serial: "EngineResult") -> float:
         return serial.makespan / self.makespan
+
+
+def record_engine_metrics(
+    metrics,
+    *,
+    n_tasks: int,
+    n_messages: int,
+    message_bytes: int,
+    busy_seconds: float,
+    idle_seconds: float,
+    makespan_seconds: float,
+    n_procs: int,
+    efficiency: float,
+) -> None:
+    """Export one run's aggregates under the stable ``engine.*`` names
+    (docs/observability.md) the simulator and the proc engine share.
+    Counters accumulate across runs sharing a registry; gauges keep the
+    last run's values."""
+    metrics.counter("engine.tasks", unit="tasks").inc(n_tasks)
+    metrics.counter("engine.messages", unit="messages").inc(n_messages)
+    metrics.counter("engine.message_bytes", unit="bytes").inc(message_bytes)
+    metrics.counter("engine.busy_seconds", unit="s").inc(busy_seconds)
+    metrics.counter("engine.idle_seconds", unit="s").inc(idle_seconds)
+    metrics.gauge("engine.makespan_seconds", unit="s").set(makespan_seconds)
+    metrics.gauge("engine.n_procs", unit="procs").set(n_procs)
+    metrics.gauge("engine.efficiency").set(efficiency)
 
 
 def bottom_levels(

@@ -24,10 +24,10 @@ class GridMapping:
     """2-D block-cyclic owner map on a ``pr × pc`` processor grid.
 
     Block (i, j) — and every task that writes it — lives on processor
-    ``(i mod pr) * pc + (j mod pc)``, the classic torus-wrap layout the
-    2-D model (:mod:`repro.parallel.two_d`) simulates. For 1-D tasks
-    (no ``i`` field) the diagonal block row ``k`` stands in, so the same
-    object can drive a 1-D graph if asked.
+    ``(i mod pr) * pc + (j mod pc)``, the classic torus-wrap layout, and
+    the only 2-D owner rule: the simulator and the proc engine both ask
+    :meth:`owner_of`. For 1-D tasks (no ``i`` field) the diagonal block
+    row ``k`` stands in, so the same object can drive a 1-D graph if asked.
     """
 
     __slots__ = ("pr", "pc")
@@ -62,41 +62,11 @@ class GridMapping:
 
     @classmethod
     def for_workers(cls, n_workers: int) -> "GridMapping":
-        """Most-square grid with ``pr * pc == n_workers`` (cf.
-        :func:`repro.parallel.two_d.grid_shape`)."""
-        from repro.parallel.two_d import grid_shape
-
-        return cls(*grid_shape(n_workers))
-
-
-def is_grid_spec(policy: str) -> bool:
-    """Whether a mapping policy string names a 2-D grid (``2d``/``2d:PRxPC``)."""
-    return policy == "2d" or policy.startswith("2d:")
-
-
-def parse_grid_spec(policy: str, n_workers: int) -> GridMapping:
-    """Build the :class:`GridMapping` for a ``2d``/``2d:PRxPC`` spec.
-
-    Bare ``2d`` takes the most-square grid over ``n_workers``; an explicit
-    ``2d:PRxPC`` is honoured as long as it fits (``pr*pc <= n_workers``),
-    otherwise it degrades to the most-square fit — a tuned recipe must
-    stay runnable when the serving pool is smaller than the tuning target.
-    """
-    if not is_grid_spec(policy):
-        raise ValueError(f"not a 2-D mapping spec: {policy!r}")
-    if policy == "2d":
-        return GridMapping.for_workers(n_workers)
-    shape = policy[len("2d:") :]
-    try:
-        pr_s, pc_s = shape.split("x")
-        pr, pc = int(pr_s), int(pc_s)
-    except ValueError:
-        raise ValueError(
-            f"bad 2-D grid spec {policy!r}; expected '2d' or '2d:PRxPC'"
-        ) from None
-    if pr * pc > n_workers:
-        return GridMapping.for_workers(n_workers)
-    return GridMapping(pr, pc)
+        """Most-square grid with ``pr * pc == n_workers``."""
+        pr = int(np.sqrt(n_workers))
+        while n_workers % pr:
+            pr -= 1
+        return cls(pr, n_workers // pr)
 
 
 def task_owner(mapping: Any, task: Any) -> int:
@@ -146,17 +116,12 @@ def greedy_mapping(bp: BlockPattern, n_procs: int) -> np.ndarray:
     return owner
 
 
-def make_mapping(
-    policy: str, bp: BlockPattern, n_procs: int
-) -> "np.ndarray | GridMapping":
-    """Build a mapping by name: ``cyclic``, ``blocked``, ``greedy``, or a
-    2-D grid spec (``2d`` / ``2d:PRxPC``, returning :class:`GridMapping`)."""
+def make_mapping(policy: str, bp: BlockPattern, n_procs: int) -> np.ndarray:
+    """Build a 1-D mapping by name: ``cyclic``, ``blocked`` or ``greedy``."""
     if policy == "cyclic":
         return cyclic_mapping(bp.n_blocks, n_procs)
     if policy == "blocked":
         return blocked_mapping(bp.n_blocks, n_procs)
     if policy == "greedy":
         return greedy_mapping(bp, n_procs)
-    if is_grid_spec(policy):
-        return parse_grid_spec(policy, n_procs)
     raise ValueError(f"unknown mapping policy {policy!r}")

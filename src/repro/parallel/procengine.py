@@ -66,6 +66,7 @@ import numpy as np
 
 from repro.numeric.blockdata import BlockLayout
 from repro.numeric.factor import LUFactorization
+from repro.parallel.engine import record_engine_metrics
 from repro.parallel.mapping import GridMapping, mapping_key, task_owner
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.tasks import Task
@@ -221,20 +222,19 @@ class ProcStats:
         return self.busy_seconds / denom if denom > 0 else 0.0
 
     def record_metrics(self, metrics: Any) -> None:
-        """Export into a registry under the stable ``engine.*`` names
-        (docs/observability.md) shared with the event simulator."""
-        metrics.counter("engine.tasks", unit="tasks").inc(self.n_tasks)
-        metrics.counter("engine.messages", unit="messages").inc(self.n_messages)
-        metrics.counter("engine.message_bytes", unit="bytes").inc(
-            self.message_bytes
+        """Export into a registry under the ``engine.*`` names shared with
+        the event simulator (:func:`record_engine_metrics`)."""
+        record_engine_metrics(
+            metrics,
+            n_tasks=self.n_tasks,
+            n_messages=self.n_messages,
+            message_bytes=self.message_bytes,
+            busy_seconds=self.busy_seconds,
+            idle_seconds=self.idle_seconds,
+            makespan_seconds=self.makespan_seconds,
+            n_procs=self.n_procs,
+            efficiency=self.efficiency,
         )
-        metrics.counter("engine.busy_seconds", unit="s").inc(self.busy_seconds)
-        metrics.counter("engine.idle_seconds", unit="s").inc(self.idle_seconds)
-        metrics.gauge("engine.makespan_seconds", unit="s").set(
-            self.makespan_seconds
-        )
-        metrics.gauge("engine.n_procs", unit="procs").set(self.n_procs)
-        metrics.gauge("engine.efficiency").set(self.efficiency)
 
 
 def _worker_main(

@@ -1,19 +1,24 @@
-"""Deterministic discrete-event simulation of a 1-D task-graph schedule.
+"""Deterministic discrete-event simulation of a task-graph schedule.
 
-Models the paper's execution environment: every task runs on the owner of
-its target block column (1-D mapping); a cross-processor ``Update(k, j)``
-first needs block column ``k``'s factored panel, shipped once per
-(source, destination-processor) pair when ``F(k)`` completes (the
+Models the paper's execution environment: every task runs on the
+processor its mapping assigns it, and a dependence that crosses
+processors first ships the datum its source produced, once per (datum,
+destination-processor) pair when the source completes (the
 inspector-executor runtime pre-posts these sends, so they overlap with
 computation). Each processor greedily runs the highest-priority ready task
 (priority = bottom level, the classic list-scheduling heuristic RAPID's
 scheduling layer approximates).
 
-The event mechanics live in :mod:`repro.parallel.engine` (shared with the
-2-D future-work model); this module instantiates them for the paper's 1-D
-block-column world. The simulator is exact and reproducible: same inputs →
-same makespan, which is what lets the benchmark tables be regenerated
-deterministically.
+:func:`simulate_schedule` is the one pricing path for every graph the
+engines run — the paper's 1-D ``F``/``U`` graphs under a block-column
+owner array, the §6 2-D ``F``/``SL``/``SU``/``UP`` graph
+(:func:`repro.parallel.two_d.build_2d_graph`) under a
+:class:`~repro.parallel.mapping.GridMapping`, and the solve phase's
+``FS``/``BS`` graph. The event mechanics live in
+:mod:`repro.parallel.engine`, the prices in
+:class:`repro.numeric.costs.CostModel`. The simulator is exact and
+reproducible: same inputs → same makespan, which is what lets the
+benchmark tables be regenerated deterministically.
 
 This is **simulation, not execution** — no numeric value is touched; it
 predicts what the real engines (:mod:`repro.parallel.threads`,
@@ -22,17 +27,19 @@ predicts what the real engines (:mod:`repro.parallel.threads`,
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.numeric.costs import CostModel
 from repro.parallel.engine import EngineResult, run_event_simulation
 from repro.parallel.machine import MachineModel
+from repro.parallel.mapping import GridMapping, task_owner
 from repro.symbolic.supernodes import BlockPattern
 from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.tasks import Task
 from repro.util.errors import SchedulingError
 
-#: Public alias: all simulators return the same result type.
+#: Public alias: every simulation returns the same result type.
 SimulationResult = EngineResult
 
 
@@ -40,103 +47,57 @@ def simulate_schedule(
     graph: TaskGraph,
     bp: BlockPattern,
     machine: MachineModel,
-    owner: np.ndarray,
+    mapping: "np.ndarray | GridMapping",
     *,
     record_trace: bool = False,
-    metrics=None,
+    metrics: Any = None,
 ) -> SimulationResult:
-    """Simulate ``graph`` on ``machine`` under the 1-D mapping ``owner``.
+    """Simulate ``graph`` on ``machine`` under ``mapping``.
 
     Parameters
     ----------
     graph:
-        A validated task dependence graph (S* or eforest).
+        A validated task dependence graph: S* or eforest (1-D), the 2-D
+        block graph, or the solve graph.
     bp:
         The block pattern the tasks operate on (for costs).
     machine:
         Processor and network parameters.
-    owner:
-        ``owner[k]`` = processor of block column ``k``; every task runs on
-        ``owner[task.target]``.
+    mapping:
+        A 1-D owner array (``mapping[k]`` = processor of block column
+        ``k``; every task runs on ``mapping[task.target]``) or a
+        :class:`~repro.parallel.mapping.GridMapping` owning blocks.
     metrics:
         Optional :class:`repro.obs.metrics.MetricsRegistry` receiving the
         ``engine.*`` busy/idle/message metrics of the run.
     """
-    owner = np.asarray(owner, dtype=np.int64)
-    if owner.size != bp.n_blocks:
-        raise SchedulingError(
-            f"mapping covers {owner.size} columns, pattern has {bp.n_blocks}"
-        )
-    if owner.size and (owner.min() < 0 or owner.max() >= machine.n_procs):
-        raise SchedulingError("mapping assigns a column to a nonexistent processor")
+    if isinstance(mapping, GridMapping):
+        if mapping.n_procs > machine.n_procs:
+            raise SchedulingError(
+                f"grid {mapping.pr}x{mapping.pc} does not fit "
+                f"{machine.n_procs} processors"
+            )
+    else:
+        mapping = np.asarray(mapping, dtype=np.int64)
+        if mapping.size != bp.n_blocks:
+            raise SchedulingError(
+                f"mapping covers {mapping.size} columns, pattern has {bp.n_blocks}"
+            )
+        if mapping.size and (mapping.min() < 0 or mapping.max() >= machine.n_procs):
+            raise SchedulingError(
+                "mapping assigns a column to a nonexistent processor"
+            )
 
     model = CostModel(bp)
     tasks = graph.tasks()
-    indeg = {t: graph.in_degree(t) for t in tasks}
-
-    def message_of(src: Task, dst: Task):
-        # Only F(k) -> U(k, j) edges cross processors under the 1-D map
-        # (update chains and the final F share the target column's owner);
-        # the datum is block column k's factored sub-panel, sent once per
-        # destination processor.
-        if src.kind == "F" and dst.kind == "U" and dst.k == src.k:
-            return ("panel", src.k), model.comm_bytes(dst)
-        return ("edge", src, dst), 0
-
     return run_event_simulation(
         tasks,
         graph.successors,
-        indeg,
+        {t: graph.in_degree(t) for t in tasks},
         n_procs=machine.n_procs,
-        owner_of=lambda t: int(owner[t.target]),
+        owner_of=lambda t: task_owner(mapping, t),
         compute_time=lambda t: machine.compute_time(model.flops(t), model.width(t)),
-        message_of=message_of,
-        transfer_time=machine.transfer_time,
-        record_trace=record_trace,
-        metrics=metrics,
-    )
-
-
-def simulate_solve_phase(
-    bp: BlockPattern,
-    machine: MachineModel,
-    owner: np.ndarray,
-    *,
-    record_trace: bool = False,
-    metrics=None,
-) -> SimulationResult:
-    """Simulate the step-(4) triangular solves under the same 1-D mapping.
-
-    Cross-processor edges ship one solution piece (``y_i`` or ``x_j``, the
-    width of its block column) per (piece, destination) pair.
-    """
-    from repro.taskgraph.solve_graph import build_solve_graph, solve_task_flops
-
-    owner = np.asarray(owner, dtype=np.int64)
-    if owner.size != bp.n_blocks:
-        raise SchedulingError(
-            f"mapping covers {owner.size} columns, pattern has {bp.n_blocks}"
-        )
-    graph = build_solve_graph(bp)
-    flops = solve_task_flops(bp)
-    widths = np.diff(bp.partition.starts)
-    tasks = graph.tasks()
-    indeg = {t: graph.in_degree(t) for t in tasks}
-
-    def message_of(src: Task, dst: Task):
-        # The datum is src's solution piece: w_k doubles.
-        return ((src.kind, src.k), int(widths[src.k]) * 8)
-
-    return run_event_simulation(
-        tasks,
-        graph.successors,
-        indeg,
-        n_procs=machine.n_procs,
-        owner_of=lambda t: int(owner[t.target]),
-        compute_time=lambda t: machine.compute_time(
-            flops[t], int(widths[t.k])
-        ),
-        message_of=message_of,
+        message_of=model.message,
         transfer_time=machine.transfer_time,
         record_trace=record_trace,
         metrics=metrics,

@@ -12,26 +12,21 @@ per block column, and the task granularity refines accordingly:
 * ``UP(k,i,j)`` — rank-``w_k`` update ``A(i,j) -= L(i,k) U(k,j)`` for every
   stored block ``(i,j)``.
 
-Dependences: ``F(k)`` gates its scales; each update needs both its scale
-inputs; and every task writing block ``(i,j)`` precedes the task that
-*consumes* the finished block (``F(j)`` when ``i = j``, ``SL(j,i)`` when
-``i > j``, ``SU(i,j)`` when ``i < j``).
+There is one description of that computation, :func:`build_2d_graph` — a
+real :class:`~repro.taskgraph.dag.TaskGraph` over :class:`Task2D` nodes
+(its docstring lists the dependences). The dispatchable engines
+(sequential replay, ``threaded_factorize``, and the fan-both proc engine —
+see docs/parallel.md) *execute* it against
+:class:`~repro.numeric.blockdata.BlockLayout` panels via the per-block
+kernels in :mod:`repro.numeric.factor`, and
+:func:`repro.parallel.simulate.simulate_schedule` *prices* it on the α-β
+machine model under a :class:`~repro.parallel.mapping.GridMapping` (task
+costs and per-block messages in :class:`repro.numeric.costs.CostModel`).
+No plan or recipe selects it: it is an experiment and a test oracle, not
+a serving path.
 
-The module carries both halves of the 2-D story:
-
-* :func:`build_2d_model` + :func:`simulate_2d` — the α-β *machine model*
-  (block-level costs, 2-D block-cyclic ownership, per-block messages)
-  used by ``compare_1d_2d``, the ablation benchmark, and the autotuner's
-  mapping selector.
-* :func:`build_2d_graph` — the *executable* task graph: a real
-  :class:`~repro.taskgraph.dag.TaskGraph` over :class:`Task2D` nodes that
-  the dispatchable engines (sequential replay, ``threaded_factorize``,
-  and the fan-both proc engine — see docs/parallel.md) run against
-  :class:`~repro.numeric.blockdata.BlockLayout` panels via the per-block
-  kernels in :mod:`repro.numeric.factor`.
-
-The executable graph keeps the deferred-pivoting discipline exactly as in
-1-D — ``F(k)`` still pivots over the whole candidate panel, so the pivot
+The graph keeps the deferred-pivoting discipline exactly as in 1-D —
+``F(k)`` still pivots over the whole candidate panel, so the pivot
 sequence is identical to the 1-D engines' — and serializes each target
 column's update *steps* in ascending source order (``SU(k,j)`` waits for
 every ``UP`` of the previous step into column ``j``), which fixes the
@@ -43,21 +38,11 @@ same source order, in different BLAS call shapes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, NamedTuple
+from typing import NamedTuple
 
-import numpy as np
-
-from repro.numeric.kernels import lu_panel_flops
-from repro.parallel.engine import EngineResult, run_event_simulation
-from repro.parallel.machine import MachineModel
 from repro.symbolic.supernodes import BlockPattern
+from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.tasks import _upper_blocks_by_source
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.taskgraph.dag import TaskGraph
-
-_FLOAT_BYTES = 8
 
 
 class Task2D(NamedTuple):
@@ -84,102 +69,13 @@ class Task2D(NamedTuple):
         return self.j
 
 
-@dataclass
-class TwoDModel:
-    """The 2-D task DAG plus its cost annotations."""
-
-    bp: BlockPattern
-    tasks: list[Task2D]
-    succ: dict[Task2D, list[Task2D]]
-    indeg: dict[Task2D, int]
-    flops: dict[Task2D, int]
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(s) for s in self.succ.values())
-
-
-def build_2d_model(bp: BlockPattern) -> TwoDModel:
-    """Enumerate the 2-D tasks and dependences over ``B̄``."""
-    n = bp.n_blocks
-    widths = np.diff(bp.partition.starts)
-    upper = _upper_blocks_by_source(bp)
-    lower = [bp.col_blocks(k)[bp.col_blocks(k) > k].tolist() for k in range(n)]
-    stored = [set(int(b) for b in bp.col_blocks(j)) for j in range(n)]
-
-    tasks: list[Task2D] = []
-    succ: dict[Task2D, list[Task2D]] = {}
-    indeg: dict[Task2D, int] = {}
-    flops: dict[Task2D, int] = {}
-
-    def add(t: Task2D, cost: int) -> None:
-        tasks.append(t)
-        succ[t] = []
-        indeg[t] = 0
-        flops[t] = cost
-
-    def edge(a: Task2D, b: Task2D) -> None:
-        succ[a].append(b)
-        indeg[b] += 1
-
-    def consumer(i: int, j: int) -> Task2D:
-        """Task that reads the fully-updated block (i, j)."""
-        if i == j:
-            return Task2D("F", i, i, i)
-        if i > j:
-            return Task2D("SL", j, i, j)
-        return Task2D("SU", i, i, j)
-
-    # Pass 1: create all tasks with their flop costs.
-    for k in range(n):
-        w = int(widths[k])
-        add(Task2D("F", k, k, k), lu_panel_flops(w, w))
-        for i in lower[k]:
-            add(Task2D("SL", k, int(i), k), int(widths[i]) * w * w)
-        for j in upper[k]:
-            add(Task2D("SU", k, k, int(j)), w * w * int(widths[j]))
-    for k in range(n):
-        w = int(widths[k])
-        for i in lower[k]:
-            for j in upper[k]:
-                if int(i) in stored[int(j)]:
-                    add(
-                        Task2D("UP", k, int(i), int(j)),
-                        2 * int(widths[i]) * w * int(widths[j]),
-                    )
-
-    task_set = set(tasks)
-
-    # Pass 2: wire dependences.
-    for t in tasks:
-        if t.kind == "F":
-            k = t.k
-            for i in lower[k]:
-                edge(t, Task2D("SL", k, int(i), k))
-            for j in upper[k]:
-                edge(t, Task2D("SU", k, k, int(j)))
-        elif t.kind == "UP":
-            edge(Task2D("SL", t.k, t.i, t.k), t)
-            edge(Task2D("SU", t.k, t.k, t.j), t)
-            cons = consumer(t.i, t.j)
-            if cons in task_set:
-                edge(t, cons)
-            # A block no task consumes (e.g. in the last block column with
-            # no factor step after it) just accumulates; no edge needed.
-    return TwoDModel(bp=bp, tasks=tasks, succ=succ, indeg=indeg, flops=flops)
-
-
-def build_2d_graph(bp: BlockPattern) -> "TaskGraph":
-    """The *executable* 2-D task graph over ``B̄`` (cf. :func:`build_2d_model`).
+def build_2d_graph(bp: BlockPattern) -> TaskGraph:
+    """The 2-D task graph over ``B̄``, executed by the engines and priced
+    by ``simulate_schedule``.
 
     Task bodies are the per-block kernels of
     :class:`repro.numeric.factor.LUFactorization` (``run_task`` dispatches
-    on ``kind``); the dependence structure is the machine model's plus the
-    edges an executed deferred-pivoting factorization additionally needs:
+    on ``kind``). Dependences:
 
     * ``F(k) → SL(k,i) / SU(k,j)`` — scales read the factored panel ``k``;
     * ``SL(k,i), SU(k,j) → UP(k,i,j)`` — an update reads both its inputs;
@@ -197,8 +93,6 @@ def build_2d_graph(bp: BlockPattern) -> "TaskGraph":
     them: that intra-column concurrency is what 1-D column ownership
     cannot exploit and the 2-D mapping can.
     """
-    from repro.taskgraph.dag import TaskGraph
-
     n = bp.n_blocks
     upper = _upper_blocks_by_source(bp)
     lower = [bp.col_blocks(k)[bp.col_blocks(k) > k].tolist() for k in range(n)]
@@ -241,7 +135,7 @@ def canonical_2d_key(t: Task2D) -> tuple[int, int, int, int]:
     return (t.k, _KIND_RANK[t.kind], t.i, t.j)
 
 
-def canonical_2d_order(graph: "TaskGraph") -> list[Task2D]:
+def canonical_2d_order(graph: TaskGraph) -> list[Task2D]:
     """The fixed sequential replay order of a 2-D graph.
 
     Any topological order yields the same factors (the step chains already
@@ -250,94 +144,8 @@ def canonical_2d_order(graph: "TaskGraph") -> list[Task2D]:
     return list(graph.topological_order(tie_break=canonical_2d_key))
 
 
-def is_2d_graph(graph: "TaskGraph") -> bool:
+def is_2d_graph(graph: TaskGraph) -> bool:
     """Whether ``graph``'s nodes are :class:`Task2D` (vs 1-D ``Task``)."""
     for t in graph.tasks():
         return isinstance(t, Task2D)
     return False
-
-
-def grid_shape(n_procs: int) -> tuple[int, int]:
-    """Most-square ``pr x pc`` factorization of the processor count."""
-    pr = int(np.sqrt(n_procs))
-    while n_procs % pr:
-        pr -= 1
-    return pr, n_procs // pr
-
-
-def simulate_2d(
-    bp: BlockPattern,
-    machine: MachineModel,
-    *,
-    model: TwoDModel | None = None,
-    grid: tuple[int, int] | None = None,
-    record_trace: bool = False,
-    metrics: Any = None,
-) -> EngineResult:
-    """Simulate the 2-D factorization on a ``pr x pc`` grid of
-    ``machine.n_procs`` processors (2-D block-cyclic ownership).
-
-    ``grid`` overrides the most-square default shape; ``pr * pc`` must not
-    exceed the machine's processor count."""
-    if model is None:
-        model = build_2d_model(bp)
-    pr, pc = grid if grid is not None else grid_shape(machine.n_procs)
-    if pr < 1 or pc < 1 or pr * pc > machine.n_procs:
-        raise ValueError(
-            f"grid {pr}x{pc} does not fit {machine.n_procs} processors"
-        )
-    widths = np.diff(bp.partition.starts)
-
-    def owner_of(t: Task2D) -> int:
-        return (t.i % pr) * pc + (t.j % pc)
-
-    def message_of(src: Task2D, dst: Task2D) -> tuple[tuple, int]:
-        # The datum shipped is the block src wrote; dedup key = that block
-        # (plus the source step, since a block is rewritten per update).
-        if src.kind == "F":
-            nbytes = int(widths[src.k]) ** 2 * _FLOAT_BYTES
-            return ("D", src.k), nbytes
-        if src.kind == "SL":
-            nbytes = int(widths[src.i]) * int(widths[src.k]) * _FLOAT_BYTES
-            return ("L", src.i, src.k), nbytes
-        if src.kind == "SU":
-            nbytes = int(widths[src.k]) * int(widths[src.j]) * _FLOAT_BYTES
-            return ("U", src.k, src.j), nbytes
-        nbytes = int(widths[src.i]) * int(widths[src.j]) * _FLOAT_BYTES
-        return ("UPD", src.k, src.i, src.j), nbytes
-
-    return run_event_simulation(
-        model.tasks,
-        lambda t: model.succ[t],
-        model.indeg,
-        n_procs=machine.n_procs,
-        owner_of=owner_of,
-        compute_time=lambda t: machine.compute_time(
-            model.flops[t], int(widths[t.k])
-        ),
-        message_of=message_of,
-        transfer_time=machine.transfer_time,
-        record_trace=record_trace,
-        metrics=metrics,
-    )
-
-
-def compare_1d_2d(
-    bp: BlockPattern,
-    graph_1d: "TaskGraph",
-    machine: MachineModel,
-) -> dict[str, float]:
-    """Makespans of the 1-D eforest schedule and the 2-D model on the same
-    machine — the scalability comparison motivating the future work."""
-    from repro.parallel.mapping import cyclic_mapping
-    from repro.parallel.simulate import simulate_schedule
-
-    r1 = simulate_schedule(
-        graph_1d, bp, machine, cyclic_mapping(bp.n_blocks, machine.n_procs)
-    )
-    r2 = simulate_2d(bp, machine)
-    return {
-        "makespan_1d": r1.makespan,
-        "makespan_2d": r2.makespan,
-        "gain_2d": 1.0 - r2.makespan / r1.makespan,
-    }

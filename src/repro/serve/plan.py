@@ -7,8 +7,7 @@ numeric engine's :class:`~repro.numeric.blockdata.BlockLayout` — keyed by
 the :class:`~repro.serve.fingerprint.PatternFingerprint` of the pattern it
 was built from. What only some executions read is derived from the block
 pattern on first use and then kept: the §4 task graph
-(:attr:`SymbolicPlan.graph`), its 2-D refinement and the static solve
-schedule.
+(:attr:`SymbolicPlan.graph`) and the static solve schedule.
 
 Theorem 3 (postordering leaves the static structure invariant) is what
 makes the bundle a pure function of (pattern, symbolic options): any two
@@ -136,28 +135,15 @@ class SymbolicPlan:
         return self.artifacts.graph
 
     @cached_property
-    def graph_2d(self) -> TaskGraph:
-        """The executable 2-D refinement of :attr:`graph` (F/SL/SU/UP over
-        block coordinates — :func:`repro.parallel.two_d.build_2d_graph`).
-
-        Built lazily on first access and cached on the instance: it is a
-        pure function of the (immutable) block pattern, so caching does
-        not perturb plan identity, and plans that never run under a 2-D
-        mapping never pay for it. ``cached_property`` writes straight to
-        ``__dict__``, which the frozen dataclass permits.
-        """
-        from repro.parallel.two_d import build_2d_graph
-
-        return build_2d_graph(self.bp)
-
-    @cached_property
     def solve_schedule(self) -> SolveSchedule:
         """Static level schedule of the triangular solves
         (:func:`repro.taskgraph.solve_graph.level_schedule`), for the
         analyzer and for threaded block solves of factors whose pivots
-        stayed inside the static pattern. Built on first access, like
-        :attr:`graph_2d`: the sequential block solve runs in block order
-        and needs no schedule, so a serving request never builds it."""
+        stayed inside the static pattern. Built on first access and
+        cached on the instance (``cached_property`` writes straight to
+        ``__dict__``, which the frozen dataclass permits): the sequential
+        block solve runs in block order and needs no schedule, so a
+        serving request never builds it."""
         return level_schedule(self.bp)
 
     @property

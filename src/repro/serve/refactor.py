@@ -117,30 +117,6 @@ class NumericFactorization:
         return float(np.max(np.abs(r))) / denom
 
 
-def _execution_graph(
-    plan: SymbolicPlan, policy: str, n_workers: int, needs_graph: bool
-):
-    """``(graph, mapping)`` for the plan's mapping ``policy``.
-
-    ``cyclic`` (the default, and every plan without a recipe) keeps each
-    engine's own placement on the 1-D graph; a ``2d``/``2d:PRxPC`` recipe
-    swaps in the plan's 2-D task graph with the matching
-    :class:`~repro.parallel.mapping.GridMapping`; any other 1-D policy
-    name builds that owner map. Without ``needs_graph`` the 1-D graph is
-    ``None`` and the plan's lazy :attr:`~SymbolicPlan.graph` stays unbuilt
-    (the 2-D graph also names the sequential replay order, so it is
-    always handed over).
-    """
-    mapping = None
-    if policy != "cyclic":
-        from repro.parallel.mapping import is_grid_spec, make_mapping, parse_grid_spec
-
-        if is_grid_spec(policy):
-            return plan.graph_2d, parse_grid_spec(policy, n_workers)
-        mapping = make_mapping(policy, plan.bp, n_workers)
-    return (plan.graph if needs_graph else None), mapping
-
-
 def refactorize_with_plan(
     plan: SymbolicPlan,
     a: CSCMatrix,
@@ -166,12 +142,12 @@ def refactorize_with_plan(
     ``engine``/``n_workers`` select the numeric executor with the usual
     precedence (argument > ``$REPRO_ENGINE`` > sequential,
     :mod:`repro.parallel.dispatch`); the parallel engines produce factors
-    bitwise identical to the sequential order. When the plan's tuned
-    recipe pins a non-default ``mapping``, the factorization transparently
-    runs under it (``cyclic``, the field default, keeps each engine's own
-    placement on the 1-D graph). ``order`` instead replays an explicit
-    topological order of ``plan.graph`` sequentially — an order *is* a
-    schedule, so it excludes ``engine=``. ``pool`` optionally shares one
+    bitwise identical to the sequential order. Every plan runs its 1-D
+    task graph under the engine's own placement, tuned recipe or not — a
+    recipe is symbolic and never steers execution. ``order`` instead
+    replays an explicit topological order of ``plan.graph`` sequentially —
+    an order *is* a schedule, so it excludes ``engine=``. ``pool``
+    optionally shares one
     :class:`repro.parallel.procengine.ProcPool` across calls — the
     :class:`~repro.serve.service.SolverService` passes its own so serving
     threads never each spawn a process pool.
@@ -212,17 +188,14 @@ def refactorize_with_plan(
         retain_blocks = resolve_solve_impl() == "block"
     tr = tracer if tracer is not None else Tracer(enabled=False)
     metrics = tr.metrics if tr.detail else None
-    policy = plan.recipe.mapping if plan.recipe is not None else "cyclic"
     if order is None:
         # Ahead of the span: a first use of the plan's graph builds it, and
         # that is symbolic work, not part of ``factorize``.
         choice = resolve_engine(engine)
-        graph, mapping = _execution_graph(
-            plan,
-            policy,
-            n_workers,
-            choice != "sequential" or sanitizer is not None or sanitize_enabled(),
+        needs_graph = (
+            choice != "sequential" or sanitizer is not None or sanitize_enabled()
         )
+        graph = plan.graph if needs_graph else None
     with tr.span("factorize", n=plan.n, nnz=plan.nnz) as s:
         a_work, equil = permuted_values(plan, a, tr)
         eng = LUFactorization(a_work, plan.bp, metrics=metrics, layout=plan.layout)
@@ -234,7 +207,6 @@ def refactorize_with_plan(
                 graph,
                 choice,
                 n_workers=n_workers,
-                mapping=mapping,
                 metrics=metrics,
                 tracer=tr,
                 pool=pool,
@@ -244,7 +216,6 @@ def refactorize_with_plan(
         result = eng.extract(retain_blocks=retain_blocks)
         ls = eng.lazy_stats
         s.set(
-            mapping=policy,
             n_tasks=len(eng.done),
             n_updates_run=ls.n_updates_run,
             n_updates_skipped=ls.n_updates_skipped,

@@ -138,7 +138,10 @@ class SolverService:
         for its matrix.
     cache:
         Shared :class:`PlanCache`; one is created (with this service's
-        metrics registry) when omitted.
+        metrics registry) when omitted. A plan-cache miss consults its
+        per-fingerprint recipe store — empty until :meth:`tune` fills it —
+        and builds the plan under the tuned recipe; the solution is the
+        same either way.
     metrics:
         Registry for the ``service.*`` instruments; shared with the
         default-constructed cache.
@@ -157,12 +160,6 @@ class SolverService:
         time), and :meth:`close` closes the pool.
     engine_workers:
         Threads/processes per factorization for the parallel engines.
-    use_tuned_recipes:
-        When True (default), a plan-cache miss consults the cache's
-        per-fingerprint recipe store (:meth:`tune` fills it) and builds
-        the plan under the tuned recipe instead of the request options'
-        ordering knobs. The solution is identical either way — recipes
-        only change how the factorization is organized.
     """
 
     def __init__(
@@ -178,7 +175,6 @@ class SolverService:
         tracer: Optional[Tracer] = None,
         engine: Optional[str] = None,
         engine_workers: int = 4,
-        use_tuned_recipes: bool = True,
     ) -> None:
         from repro.parallel.dispatch import resolve_engine
 
@@ -199,7 +195,6 @@ class SolverService:
             self._engine_pool = ProcPool(engine_workers)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else PlanCache(metrics=self.metrics)
-        self.use_tuned_recipes = use_tuned_recipes
         self.max_queue = max_queue
         self.max_batch = max_batch
         self.default_deadline_s = default_deadline_s
@@ -391,12 +386,10 @@ class SolverService:
         # Options travel inside the batch key (a hashable tuple), so
         # equal keys really do mean one factorization serves the batch.
         opts = self._options_from_key(head.batch_key)
-        lookup = (
-            self.cache.get_or_build_tuned
-            if self.use_tuned_recipes
-            else self.cache.get_or_build
+        # The recipe store is empty unless someone called tune().
+        plan = self.cache.get_or_build_tuned(
+            head.a, opts, tracer=self.tracer, fp=head.fp
         )
-        plan = lookup(head.a, opts, tracer=self.tracer, fp=head.fp)
         return refactorize_with_plan(
             plan,
             head.a,
@@ -493,8 +486,8 @@ class SolverService:
 
         Runs :func:`repro.tune.autotune` against this service's shared
         plan cache — the winning recipe is stored per fingerprint, so
-        subsequent calls (and, with ``use_tuned_recipes``, cold plan
-        builds for this pattern) reuse it without re-searching. With
+        subsequent calls (and cold plan builds for this pattern on the
+        request path) reuse it without re-searching. With
         ``build`` (the default) the tuned plan is also built and
         inserted, pre-warming the pattern for the request path. Returns
         the :class:`repro.tune.TuneResult`.

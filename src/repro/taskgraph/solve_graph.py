@@ -185,25 +185,3 @@ def schedule_from_structure(
         verify_solve_schedule(schedule, fwd_srcs, bwd_srcs)
     return schedule
 
-
-def solve_task_flops(bp: BlockPattern) -> dict[Task, int]:
-    """Flop counts: triangular solve on the diagonal block plus one GEMV per
-    stored off-diagonal block in the task's block row."""
-    widths = np.diff(bp.partition.starts)
-    upper = _upper_blocks_by_source(bp)
-    # Row-wise lower structure: lower_row[k] = blocks i < k with B̄(k,i)≠0.
-    lower_row: list[list[int]] = [[] for _ in range(bp.n_blocks)]
-    for i in range(bp.n_blocks):
-        col = bp.col_blocks(i)
-        for k in col[col > i]:
-            lower_row[int(k)].append(i)
-    out: dict[Task, int] = {}
-    for k in range(bp.n_blocks):
-        w = int(widths[k])
-        fs = w * w  # unit-lower solve on the diagonal block
-        fs += sum(2 * w * int(widths[i]) for i in lower_row[k])
-        bs = w * w
-        bs += sum(2 * w * int(widths[j]) for j in upper[k])
-        out[forward_task(k)] = fs
-        out[backward_task(k)] = bs
-    return out

@@ -1,8 +1,8 @@
 """Per-pattern ordering autotuning (the ROADMAP's "real subsystem").
 
 The ordering ablation shows no single fill-reducing ordering wins: the
-ordering, the supernode amalgamation tolerance, and the parallel mapping
-interact, and the right joint setting depends on the sparsity pattern.
+ordering and the supernode amalgamation tolerance interact, and the right
+joint setting depends on the sparsity pattern.
 This package closes the loop:
 
 * :class:`OrderingRecipe` — one joint (ordering + params + amalgamation)

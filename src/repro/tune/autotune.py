@@ -36,24 +36,19 @@ SEARCH_BOUNDS: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 3
 
 
 def default_candidates(*, quick: bool = False) -> tuple[OrderingRecipe, ...]:
-    """The default recipe grid: ordering × amalgamation × mapping.
+    """The default recipe grid: ordering × amalgamation.
 
     Always contains the three fixed-ordering ablation rows (mindeg, rcm,
     natural at the default 0.25 padding), so the winner can never be
     worse than the best fixed ordering — the acceptance bar of the
-    subsystem. The grid also carries ``map=2d`` variants of the leading
-    orderings, making the 1-D vs 2-D choice part of the search: the 2-D
-    simulator scores those rows, and they win exactly where the ablation
-    predicts 2-D gains (growing with P — e.g. goodwin at P=16). ``quick``
-    trims to one padding per ordering for CI smoke runs.
+    subsystem. ``quick`` trims to one padding per ordering for CI smoke
+    runs.
     """
     paddings = (0.25,) if quick else (0.25, 0.4)
     recipes: list[OrderingRecipe] = []
     for ordering in ("mindeg", "amd", "rcm", "dissect", "natural"):
         for pad in paddings:
             recipes.append(OrderingRecipe(ordering=ordering, max_padding=pad))
-    # The 1-D/2-D mapping dimension: same symbolic knobs, 2-D placement.
-    recipes.append(OrderingRecipe(ordering="mindeg", mapping="2d"))
     if not quick:
         # Wider blocks for the fragmenting orderings (the ablation's
         # mindeg lesson: fill won, fragmentation lost), and a larger
@@ -66,10 +61,6 @@ def default_candidates(*, quick: bool = False) -> tuple[OrderingRecipe, ...]:
         )
         recipes.append(
             OrderingRecipe(ordering="dissect", params=(("leaf_size", 128),))
-        )
-        recipes.append(OrderingRecipe(ordering="amd", mapping="2d"))
-        recipes.append(
-            OrderingRecipe(ordering="amd", max_padding=0.4, mapping="2d")
         )
     return tuple(recipes)
 

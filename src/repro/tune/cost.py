@@ -126,39 +126,26 @@ def evaluate_recipe(
 
     The simulation setup (cyclic 1-D mapping, ORIGIN2000 model) matches
     the ordering ablation's, so predicted times are directly comparable
-    to ``benchmarks/results/ablation_ordering.txt`` rows. A recipe whose
-    ``mapping`` names a 2-D grid is scored with the 2-D simulator
-    (:func:`repro.parallel.two_d.simulate_2d`) over the same machine
-    model instead — the selector the 1-D/2-D autotuning rides on.
-    A non-default recipe mapping overrides the ``mapping`` argument.
+    to ``benchmarks/results/ablation_ordering.txt`` rows; ``mapping``
+    names another 1-D policy of :func:`repro.parallel.mapping.make_mapping`.
     """
     tr = tracer if tracer is not None else Tracer(enabled=False)
     opts = recipe.apply(base_options)
-    eff_mapping = recipe.mapping if recipe.mapping != "cyclic" else mapping
     with tr.span(
         "tune.candidate",
         recipe=recipe.spec(),
         n_procs=n_procs,
-        mapping=eff_mapping,
+        mapping=mapping,
     ) as s:
         art = run_symbolic_pipeline(a.pattern_only(), opts, tracer=tr)
         model = CostModel(art.bp)
         flops = sum(model.flops(t) for t in art.graph.tasks())
-        if eff_mapping == "2d" or eff_mapping.startswith("2d:"):
-            from repro.parallel.two_d import simulate_2d
-
-            grid = None
-            if eff_mapping.startswith("2d:"):
-                pr_s, _, pc_s = eff_mapping[3:].partition("x")
-                grid = (int(pr_s), int(pc_s))
-                if grid[0] * grid[1] > n_procs:
-                    grid = None  # degrade to the most-square fit
-            res = simulate_2d(art.bp, machine.with_procs(n_procs), grid=grid)
-        else:
-            owner = make_mapping(eff_mapping, art.bp, n_procs)
-            res = simulate_schedule(
-                art.graph, art.bp, machine.with_procs(n_procs), owner
-            )
+        res = simulate_schedule(
+            art.graph,
+            art.bp,
+            machine.with_procs(n_procs),
+            make_mapping(mapping, art.bp, n_procs),
+        )
         score = RecipeScore(
             recipe=recipe,
             n=a.n_cols,

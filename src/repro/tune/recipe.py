@@ -19,16 +19,18 @@ from typing import Optional
 
 from repro.numeric.solver import DEFAULT_ORDERING, ORDERINGS, SolverOptions
 
-#: Short spec-string aliases for the amalgamation and mapping knobs.
+#: Short spec-string aliases for the amalgamation knobs.
 _SPEC_ALIASES = {
     "pad": "max_padding",
     "max": "max_supernode",
     "amalg": "amalgamation",
-    "map": "mapping",
 }
 
-#: 1-D mapping policies a recipe may name (2-D specs are ``2d``/``2d:PRxPC``).
-_1D_MAPPINGS = ("cyclic", "blocked", "greedy")
+_MAPPING_REMOVED = (
+    "recipes no longer carry a mapping (got {!r}): a recipe is purely "
+    "symbolic, and the task-to-processor mapping is an argument of the "
+    "engine or simulator call (run_engine(..., mapping=GridMapping(...)))"
+)
 
 
 def _coerce(text: str):
@@ -62,15 +64,10 @@ class OrderingRecipe:
     amalgamation / max_padding / max_supernode:
         The §3 supernode amalgamation knobs the recipe pins jointly with
         the ordering.
-    mapping:
-        Task-to-processor mapping policy the tuned plan should execute
-        under: a 1-D policy (``cyclic``/``blocked``/``greedy``) or a 2-D
-        grid spec (``2d`` for the most-square grid, ``2d:PRxPC`` for an
-        explicit shape). Spec alias ``map=``. Unlike the other knobs this
-        is an *execution* choice, not a symbolic one — :meth:`apply`
-        deliberately leaves it out of :class:`SolverOptions`, so it never
-        enters ``symbolic_key()`` or plan identity; the serving layer
-        reads it off the plan's recipe at refactorize time.
+
+    These five fields are exactly what :meth:`apply` folds into
+    :class:`SolverOptions`, so recipe identity is plan identity: how a
+    plan's task graph is *placed* on processors is not a recipe's business.
     """
 
     ordering: str = DEFAULT_ORDERING
@@ -78,7 +75,6 @@ class OrderingRecipe:
     amalgamation: bool = True
     max_padding: float = 0.25
     max_supernode: int = 48
-    mapping: str = "cyclic"
 
     def __post_init__(self) -> None:
         if self.ordering not in ORDERINGS:
@@ -90,15 +86,6 @@ class OrderingRecipe:
             raise ValueError(f"max_padding must be in [0, 1), got {self.max_padding}")
         if self.max_supernode < 1:
             raise ValueError(f"max_supernode must be >= 1, got {self.max_supernode}")
-        if self.mapping not in _1D_MAPPINGS and self.mapping != "2d":
-            shape = self.mapping[3:] if self.mapping.startswith("2d:") else ""
-            pr, sep, pc = shape.partition("x")
-            if not (sep and pr.isdigit() and pc.isdigit() and int(pr) >= 1
-                    and int(pc) >= 1):
-                raise ValueError(
-                    f"unknown mapping policy {self.mapping!r} (want one of "
-                    f"{_1D_MAPPINGS} or '2d'/'2d:PRxPC')"
-                )
 
     # ------------------------------------------------------------------
     def apply(self, base: Optional[SolverOptions] = None) -> SolverOptions:
@@ -139,7 +126,6 @@ class OrderingRecipe:
             self.amalgamation,
             float(self.max_padding),
             int(self.max_supernode),
-            self.mapping,
         )
 
     # ------------------------------------------------------------------
@@ -152,8 +138,6 @@ class OrderingRecipe:
             parts.append(f"pad={self.max_padding:g}")
         if self.max_supernode != 48:
             parts.append(f"max={self.max_supernode}")
-        if self.mapping != "cyclic":
-            parts.append(f"map={self.mapping}")
         return self.ordering + (":" + ",".join(parts) if parts else "")
 
     @classmethod
@@ -174,9 +158,9 @@ class OrderingRecipe:
             if not sep:
                 raise ValueError(f"recipe spec field {part!r} is not key=value")
             name = _SPEC_ALIASES.get(name, name)
-            if name == "mapping":
-                kwargs[name] = value  # keep '2d:2x4' a string, un-coerced
-            elif name in ("amalgamation", "max_padding", "max_supernode"):
+            if name in ("map", "mapping"):
+                raise ValueError(_MAPPING_REMOVED.format(part))
+            if name in ("amalgamation", "max_padding", "max_supernode"):
                 kwargs[name] = _coerce(value)
             else:
                 params.append((name, _coerce(value)))
@@ -192,18 +176,21 @@ class OrderingRecipe:
             "amalgamation": self.amalgamation,
             "max_padding": float(self.max_padding),
             "max_supernode": int(self.max_supernode),
-            "mapping": self.mapping,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "OrderingRecipe":
+        """Inverse of :meth:`as_dict`. Dicts stored before mappings left
+        recipes carry ``"mapping": "cyclic"`` (the 1-D default every plan
+        still runs under), which is accepted; any other value is refused."""
+        if d.get("mapping", "cyclic") != "cyclic":
+            raise ValueError(_MAPPING_REMOVED.format(d["mapping"]))
         return cls(
             ordering=d["ordering"],
             params=tuple((k, v) for k, v in d.get("params", ())),
             amalgamation=bool(d.get("amalgamation", True)),
             max_padding=float(d.get("max_padding", 0.25)),
             max_supernode=int(d.get("max_supernode", 48)),
-            mapping=str(d.get("mapping", "cyclic")),
         )
 
     def __str__(self) -> str:

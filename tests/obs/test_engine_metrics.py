@@ -7,8 +7,9 @@ from repro.numeric.solver import SparseLUSolver
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
-from repro.parallel.simulate import simulate_schedule, simulate_solve_phase
+from repro.parallel.simulate import simulate_schedule
 from repro.sparse.generators import paper_matrix
+from repro.taskgraph.solve_graph import build_solve_graph
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +90,9 @@ class TestSolvePhase:
         machine = MachineModel(n_procs=4)
         owner = cyclic_mapping(analyzed.bp.n_blocks, machine.n_procs)
         metrics = MetricsRegistry()
-        result = simulate_solve_phase(analyzed.bp, machine, owner, metrics=metrics)
+        result = simulate_schedule(
+            build_solve_graph(analyzed.bp), analyzed.bp, machine, owner, metrics=metrics
+        )
         busy = metrics.get("engine.busy_seconds").value
         idle = metrics.get("engine.idle_seconds").value
         assert busy + idle == pytest.approx(

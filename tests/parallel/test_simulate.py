@@ -125,3 +125,37 @@ class TestValidation:
         )
         assert len(res.start_times) == s.graph.n_tasks
         assert all(t >= 0 for t in res.start_times.values())
+
+
+class TestGoldens:
+    """Makespan, message count and bytes at P=4 on sherman3 @ 0.15 under
+    ``mindeg``, taken before the 2-D model, the solve-phase simulator and
+    the 1-D simulator became this one function: routing every graph shape
+    through ``CostModel`` must not move the two that already had prices."""
+
+    @pytest.fixture(scope="class")
+    def s(self):
+        from repro.numeric.solver import SolverOptions
+        from repro.sparse.generators import paper_matrix
+
+        a = paper_matrix("sherman3", scale=0.15)
+        return SparseLUSolver(a, SolverOptions(ordering="mindeg")).analyze()
+
+    def test_1d_graph(self, s):
+        res = simulate_schedule(
+            s.graph, s.bp, MachineModel(n_procs=4), cyclic_mapping(s.bp.n_blocks, 4)
+        )
+        assert (res.n_tasks, res.n_messages, res.comm_bytes) == (1263, 589, 990616)
+        assert res.makespan == pytest.approx(0.0598051466666667, rel=1e-12)
+
+    def test_solve_graph(self, s):
+        from repro.taskgraph.solve_graph import build_solve_graph
+
+        res = simulate_schedule(
+            build_solve_graph(s.bp),
+            s.bp,
+            MachineModel(n_procs=4),
+            cyclic_mapping(s.bp.n_blocks, 4),
+        )
+        assert (res.n_tasks, res.n_messages, res.comm_bytes) == (612, 724, 24856)
+        assert res.makespan == pytest.approx(0.0020405899999999997, rel=1e-12)

@@ -1,131 +1,150 @@
-"""2-D partitioning model tests (future-work §6)."""
+"""The §6 2-D graph as the simulator prices it.
 
-import numpy as np
+One graph (``build_2d_graph``), one pricing path
+(``simulate_schedule`` + ``CostModel``): what is priced here is the same
+task set the engines execute in ``test_two_d_exec.py``.
+"""
+
 import pytest
 
 from tests.conftest import random_pivot_matrix
+from repro.analysis.footprints import expected_2d_tasks
+from repro.numeric.costs import CostModel
+from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SparseLUSolver
+from repro.parallel.dispatch import run_engine
 from repro.parallel.machine import MachineModel
-from repro.parallel.two_d import (
-    build_2d_model,
-    compare_1d_2d,
-    grid_shape,
-    simulate_2d,
-)
+from repro.parallel.mapping import GridMapping, cyclic_mapping
+from repro.parallel.simulate import simulate_schedule
+from repro.parallel.two_d import build_2d_graph
+from repro.sparse.generators import paper_matrix
+from repro.util.errors import SchedulingError
 
 
 def analyzed(seed=0, n=40):
     return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
 
 
+def price_2d(s, n_procs, graph=None):
+    return simulate_schedule(
+        graph if graph is not None else build_2d_graph(s.bp),
+        s.bp,
+        MachineModel(n_procs=n_procs),
+        GridMapping.for_workers(n_procs),
+    )
+
+
+def grid(n_workers):
+    m = GridMapping.for_workers(n_workers)
+    return m.pr, m.pc
+
+
 class TestGridShape:
     def test_square_counts(self):
-        assert grid_shape(4) == (2, 2)
-        assert grid_shape(16) == (4, 4)
+        assert grid(4) == (2, 2)
+        assert grid(16) == (4, 4)
 
     def test_non_square(self):
-        assert grid_shape(8) == (2, 4)
-        assert grid_shape(6) == (2, 3)
+        assert grid(8) == (2, 4)
+        assert grid(6) == (2, 3)
 
     def test_prime(self):
-        assert grid_shape(7) == (1, 7)
+        assert grid(7) == (1, 7)
 
     def test_one(self):
-        assert grid_shape(1) == (1, 1)
+        assert grid(1) == (1, 1)
 
 
 class TestModelConstruction:
     def test_task_counts(self):
         s = analyzed()
-        m = build_2d_model(s.bp)
-        n_f = sum(1 for t in m.tasks if t.kind == "F")
+        tasks = build_2d_graph(s.bp).tasks()
+        n_f = sum(1 for t in tasks if t.kind == "F")
         assert n_f == s.bp.n_blocks
         # Every SL/SU corresponds to a stored off-diagonal block.
-        n_sl = sum(1 for t in m.tasks if t.kind == "SL")
-        n_su = sum(1 for t in m.tasks if t.kind == "SU")
+        n_sl = sum(1 for t in tasks if t.kind == "SL")
+        n_su = sum(1 for t in tasks if t.kind == "SU")
         off_blocks = s.bp.nnz_blocks() - s.bp.n_blocks
         assert n_sl + n_su == off_blocks
 
     def test_acyclic(self):
         s = analyzed(1)
-        m = build_2d_model(s.bp)
-        # Kahn over the dict representation.
-        indeg = dict(m.indeg)
-        ready = [t for t, d in indeg.items() if d == 0]
-        seen = 0
-        while ready:
-            t = ready.pop()
-            seen += 1
-            for succ in m.succ[t]:
-                indeg[succ] -= 1
-                if indeg[succ] == 0:
-                    ready.append(succ)
-        assert seen == m.n_tasks
+        g = build_2d_graph(s.bp)
+        assert len(g.topological_order()) == g.n_tasks
 
     def test_update_needs_both_scales(self):
         s = analyzed(2)
-        m = build_2d_model(s.bp)
-        ups = [t for t in m.tasks if t.kind == "UP"]
-        if ups:
-            t = ups[0]
-            preds = [a for a in m.tasks if t in m.succ[a]]
-            kinds = sorted(p.kind for p in preds)
-            assert "SL" in kinds and "SU" in kinds
+        g = build_2d_graph(s.bp)
+        ups = [t for t in g.tasks() if t.kind == "UP"]
+        assert ups
+        for t in ups:
+            kinds = {p.kind for p in g.predecessors(t)}
+            assert {"SL", "SU"} <= kinds
 
     def test_flops_positive(self):
         s = analyzed(3)
-        m = build_2d_model(s.bp)
-        assert all(f >= 0 for f in m.flops.values())
-        total_1d = sum(
-            __import__("repro.numeric.costs", fromlist=["CostModel"])
-            .CostModel(s.bp)
-            .flops(t)
-            for t in s.graph.tasks()
-        )
-        total_2d = sum(m.flops.values())
+        model = CostModel(s.bp)
+        flops_2d = [model.flops(t) for t in build_2d_graph(s.bp).tasks()]
+        assert all(f >= 0 for f in flops_2d)
+        total_1d = sum(model.flops(t) for t in s.graph.tasks())
         # Same arithmetic, different granularity: totals agree within the
         # panel-vs-blocked LU bookkeeping differences.
-        assert 0.4 * total_1d < total_2d < 2.5 * total_1d
+        assert 0.4 * total_1d < sum(flops_2d) < 2.5 * total_1d
 
 
 class TestSimulation:
     def test_p1_equals_total_work(self):
         s = analyzed(4)
-        m = build_2d_model(s.bp)
+        g = build_2d_graph(s.bp)
         machine = MachineModel(n_procs=1)
-        res = simulate_2d(s.bp, machine, model=m)
-        import numpy as np
-        widths = np.diff(s.bp.partition.starts)
+        res = price_2d(s, 1, g)
+        model = CostModel(s.bp)
         total = sum(
-            machine.compute_time(f, int(widths[t.k])) for t, f in m.flops.items()
+            machine.compute_time(model.flops(t), model.width(t)) for t in g.tasks()
         )
         assert res.makespan == pytest.approx(total)
         assert res.n_messages == 0
 
     def test_deterministic(self):
         s = analyzed(5)
-        machine = MachineModel(n_procs=4)
-        r1 = simulate_2d(s.bp, machine)
-        r2 = simulate_2d(s.bp, machine)
+        r1 = price_2d(s, 4)
+        r2 = price_2d(s, 4)
         assert r1.makespan == r2.makespan
 
     def test_scales_with_procs(self):
         s = analyzed(6)
-        m1 = simulate_2d(s.bp, MachineModel(n_procs=1))
-        m8 = simulate_2d(s.bp, MachineModel(n_procs=8))
-        assert m8.makespan < m1.makespan
-
-    def test_compare_1d_2d_keys(self):
-        s = analyzed(7)
-        cmp = compare_1d_2d(s.bp, s.graph, MachineModel(n_procs=4))
-        assert set(cmp) == {"makespan_1d", "makespan_2d", "gain_2d"}
+        assert price_2d(s, 8).makespan < price_2d(s, 1).makespan
 
     def test_2d_wins_at_high_proc_counts(self):
         """The future-work motivation: 2-D ownership out-scales 1-D."""
-        from repro.sparse.generators import paper_matrix
-
         s = SparseLUSolver(paper_matrix("sherman3", scale=0.2)).analyze()
-        lo = compare_1d_2d(s.bp, s.graph, MachineModel(n_procs=4))
-        hi = compare_1d_2d(s.bp, s.graph, MachineModel(n_procs=16))
-        assert hi["gain_2d"] > lo["gain_2d"]
-        assert hi["gain_2d"] > 0.0
+        g2 = build_2d_graph(s.bp)
+
+        def gain_2d(p):
+            t1 = simulate_schedule(
+                s.graph, s.bp, MachineModel(n_procs=p), cyclic_mapping(s.bp.n_blocks, p)
+            ).makespan
+            return 1.0 - price_2d(s, p, g2).makespan / t1
+
+        lo, hi = gain_2d(4), gain_2d(16)
+        assert hi > lo
+        assert hi > 0.0
+
+    def test_grid_wider_than_machine_rejected(self):
+        s = analyzed(7)
+        with pytest.raises(SchedulingError):
+            simulate_schedule(
+                build_2d_graph(s.bp), s.bp, MachineModel(n_procs=4), GridMapping(2, 4)
+            )
+
+
+class TestPricedEqualsExecuted:
+    @pytest.mark.parametrize("name", ["sherman3", "goodwin"])
+    def test_same_task_set(self, name):
+        s = SparseLUSolver(paper_matrix(name, scale=0.06)).analyze()
+        g2 = build_2d_graph(s.bp)
+        assert set(g2.tasks()) == expected_2d_tasks(s.bp)
+        eng = LUFactorization(s.a_work, s.bp)
+        run_engine(eng, g2, "sequential")
+        assert eng.done == set(g2.tasks())
+        assert price_2d(s, 4, g2).n_tasks == len(eng.done)

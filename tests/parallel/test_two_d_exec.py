@@ -205,7 +205,7 @@ class TestAnalyzer2D:
         report = analyze_plan(plan, name="m")
         sub = report.subject("m/factor-graph-2d")
         assert sub.findings == []
-        assert sub.stats["n_tasks"] == plan.graph_2d.n_tasks
+        assert sub.stats["n_tasks"] == build_2d_graph(plan.bp).n_tasks
 
 
 class TestObservability:

@@ -15,8 +15,7 @@ Two pinned properties:
    ``LUHandle.refactor``, ``SparseLUSolver.refactorize``,
    ``refactorize_with_plan``, ``SolverService``) gives the same bits under
    the same three root span names (the service's sit under its
-   ``service.batch`` span), including with ``REPRO_SANITIZE=1`` and under
-   a recipe's 2-D mapping.
+   ``service.batch`` span), including with ``REPRO_SANITIZE=1``.
 """
 
 import numpy as np
@@ -27,8 +26,7 @@ from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.trace import Tracer
 from repro.serve import PlanCache, SolverService, build_plan, refactorize_with_plan
 from repro.serve.plan import SymbolicPlan
-from repro.sparse.generators import paper_matrix, random_sparse
-from repro.tune import OrderingRecipe
+from repro.sparse.generators import random_sparse
 from repro.util.errors import PlanMismatchError, ShapeError
 from tests.conftest import random_pivot_matrix
 
@@ -266,16 +264,3 @@ class TestEntryPointEquivalence:
         _assert_same_factors(plain.result, sanitized.result)
         assert np.array_equal(sanitized.solve(b), x_plain)
         assert np.array_equal(_served(plan, a, b), x_served)
-
-    def test_2d_recipe_runs_the_2d_graph_on_every_path(self):
-        # The recipe's mapping must reach the engine from lu(plan=) as well.
-        a = paper_matrix("sherman3", scale=0.1)
-        plan = build_plan(a, recipe=OrderingRecipe(mapping="2d"))
-        assert plan.graph_2d.n_tasks != plan.graph.n_tasks
-        handle = lu(a, plan=plan)
-        _assert_same_factors(
-            handle.solver.result, refactorize_with_plan(plan, a).result
-        )
-        (span,) = [s for s in handle.trace.roots if s.name == "factorize"]
-        assert span.attrs["mapping"] == "2d"
-        assert span.attrs["n_tasks"] == plan.graph_2d.n_tasks

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.numeric.solver import SolverOptions
-from repro.serve import PlanCache, SolverService
+from repro.obs.trace import Tracer
+from repro.serve import PlanCache, SolverService, refactorize_with_plan
 from repro.serve.fingerprint import fingerprint
 from repro.sparse.generators import paper_matrix
 from repro.sparse.ops import matvec
-from repro.tune import OrderingRecipe
+from repro.taskgraph.tasks import count_tasks
+from repro.tune import OrderingRecipe, autotune
 
 
 @pytest.fixture
@@ -97,52 +99,34 @@ class TestServiceTune:
         assert len(svc.cache) == 1
         svc.close()
 
-    def test_2d_recipe_survives_recipe_store(self, sherman):
-        """A tuned 2-D mapping round-trips through the PlanCache recipe
-        store and lands on the built plan's provenance recipe."""
+
+class TestRecipesNeverSteerExecution:
+    """Regression for the cross-talk defect: a tuned recipe used to carry a
+    ``mapping`` that sat outside plan identity, so the simulator's 1-D/2-D
+    pick rode along on the shared plan object into every request for the
+    pattern — including plain lookups that never asked for tuning."""
+
+    def test_plain_lookup_sharing_a_tuned_entry_runs_the_1d_graph(self, sherman):
         cache = PlanCache()
-        r = OrderingRecipe(ordering="amd", mapping="2d:2x2")
-        cache.put_recipe(sherman, r)
-        stored = cache.get_recipe(sherman)
-        assert stored is not None and stored[0] == r
-        assert stored[0].mapping == "2d:2x2"
-        plan = cache.get_or_build_tuned(sherman)
-        assert plan.recipe is not None and plan.recipe.mapping == "2d:2x2"
-        # Execution choice only: the plan's symbolic options are identical
-        # to the same recipe without the mapping.
-        assert plan.options == OrderingRecipe(ordering="amd").apply(
-            SolverOptions()
-        )
+        recipe = autotune(sherman, quick=True).recipe  # what tune() stores
+        cache.put_recipe(sherman, recipe)
+        tuned = cache.get_or_build_tuned(sherman)
+        opts = recipe.apply()
+        assert opts.symbolic_key() == tuned.options.symbolic_key()
+        plain = cache.get_or_build(sherman, opts)
+        assert plain is tuned
+        tr = Tracer()
+        refactorize_with_plan(plain, sherman, tracer=tr)
+        assert tr.find("factorize").attrs["n_tasks"] == count_tasks(plain.bp)
 
-    def test_tune_picks_up_2d_candidate_and_serves(self, sherman):
-        """SolverService.tune() with a 2-D winner: the recipe is stored,
-        the pre-built plan carries it, and requests refactorize under the
-        2-D graph transparently (same solutions)."""
-        svc = SolverService(n_workers=0)
-        result = svc.tune(
-            sherman,
-            n_procs=16,
-            candidates=[OrderingRecipe(ordering="amd", mapping="2d")],
-        )
-        assert result.recipe.mapping == "2d"
-        stored = svc.cache.get_recipe(sherman)
-        assert stored is not None and stored[0].mapping == "2d"
-        tuned_opts = result.recipe.apply(svc.options)
-        plan = svc.cache.get(sherman, tuned_opts)
-        assert plan is not None and plan.recipe.mapping == "2d"
-        b = np.ones(sherman.n_rows)
-        p = svc.submit(sherman, b)
-        svc.process_once()
-        assert residual(sherman, p.result(timeout=5), b) < 1e-8
-        svc.close()
-
-    def test_opt_out_keeps_plain_options(self, sherman):
-        svc = SolverService(n_workers=0, use_tuned_recipes=False)
-        svc.tune(sherman, quick=True, build=False)
-        b = np.ones(sherman.n_rows)
-        p = svc.submit(sherman, b)
-        svc.process_once()
-        assert residual(sherman, p.result(timeout=5), b) < 1e-8
-        # Plain path: the plan is keyed by the service's own options.
-        assert svc.cache.get(sherman, svc.options) is not None
-        svc.close()
+    def test_tuned_service_serves_the_1d_graph(self):
+        a = paper_matrix("sherman3", scale=0.1)
+        b = np.ones(a.n_rows)
+        tr = Tracer()
+        with SolverService(n_workers=0, tracer=tr) as svc:
+            result = svc.tune(a, quick=True)
+            assert "map=" not in result.recipe.spec()
+            assert residual(a, svc.solve(a, b), b) < 1e-8
+            plan = svc.cache.get(a, result.recipe.apply(svc.options))
+        assert plan is not None
+        assert tr.find("factorize").attrs["n_tasks"] == count_tasks(plan.bp)

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_pivot_matrix
+from repro.numeric.costs import CostModel
 from repro.numeric.solver import SparseLUSolver
 from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
-from repro.parallel.simulate import simulate_solve_phase
+from repro.parallel.simulate import simulate_schedule
 from repro.sparse.csc import CSCMatrix
 from repro.taskgraph.solve_graph import (
     backward_task,
@@ -15,8 +16,20 @@ from repro.taskgraph.solve_graph import (
     forward_task,
     level_schedule,
     schedule_from_structure,
-    solve_task_flops,
 )
+
+
+def simulate_solve(bp, machine, owner):
+    return simulate_schedule(build_solve_graph(bp), bp, machine, owner)
+
+
+def solve_task_flops(bp):
+    model = CostModel(bp)
+    return {
+        t: model.flops(t)
+        for k in range(bp.n_blocks)
+        for t in (forward_task(k), backward_task(k))
+    }
 
 
 def analyzed(seed=0, n=35):
@@ -63,12 +76,24 @@ class TestGraphStructure:
         assert set(flops) == set(g.tasks())
         assert all(f > 0 for f in flops.values())
 
+    def test_flops_are_diagonal_solve_plus_row_gemvs(self):
+        s = analyzed(5)
+        bp = s.bp
+        w = np.diff(bp.partition.starts)
+        flops = solve_task_flops(bp)
+        for k in range(bp.n_blocks):
+            row = [j for j in range(bp.n_blocks) if j != k and bp.has_block(k, j)]
+            fs = w[k] ** 2 + sum(2 * w[k] * w[j] for j in row if j < k)
+            bs = w[k] ** 2 + sum(2 * w[k] * w[j] for j in row if j > k)
+            assert flops[forward_task(k)] == fs
+            assert flops[backward_task(k)] == bs
+
 
 class TestSolveSimulation:
     def test_p1_is_serial(self):
         s = analyzed(6)
         machine = MachineModel(n_procs=1)
-        res = simulate_solve_phase(s.bp, machine, cyclic_mapping(s.bp.n_blocks, 1))
+        res = simulate_solve(s.bp, machine, cyclic_mapping(s.bp.n_blocks, 1))
         flops = solve_task_flops(s.bp)
         widths = np.diff(s.bp.partition.starts)
         total = sum(
@@ -80,8 +105,8 @@ class TestSolveSimulation:
         from repro.sparse.generators import paper_matrix
 
         s = SparseLUSolver(paper_matrix("sherman3", scale=0.15)).analyze()
-        r1 = simulate_solve_phase(s.bp, MachineModel(n_procs=1), cyclic_mapping(s.bp.n_blocks, 1))
-        r4 = simulate_solve_phase(s.bp, MachineModel(n_procs=4), cyclic_mapping(s.bp.n_blocks, 4))
+        r1 = simulate_solve(s.bp, MachineModel(n_procs=1), cyclic_mapping(s.bp.n_blocks, 1))
+        r4 = simulate_solve(s.bp, MachineModel(n_procs=4), cyclic_mapping(s.bp.n_blocks, 4))
         assert r4.makespan < r1.makespan
 
     def test_bad_mapping(self):
@@ -89,7 +114,7 @@ class TestSolveSimulation:
 
         s = analyzed(7)
         with pytest.raises(SchedulingError):
-            simulate_solve_phase(
+            simulate_solve(
                 s.bp, MachineModel(n_procs=2), np.zeros(3, dtype=int)
             )
 

@@ -46,34 +46,6 @@ class TestEvaluateRecipe:
         assert span.attrs["mapping"] == "cyclic"
         assert span.attrs["predicted_time"] > 0.0
 
-    def test_2d_recipe_scored_by_2d_simulator(self, sherman3):
-        tr = Tracer()
-        s1 = evaluate_recipe(
-            sherman3, OrderingRecipe(ordering="amd"), n_procs=16
-        )
-        s2 = evaluate_recipe(
-            sherman3,
-            OrderingRecipe(ordering="amd", mapping="2d"),
-            n_procs=16,
-            tracer=tr,
-        )
-        span = tr.find("tune.candidate")
-        assert span.attrs["mapping"] == "2d"
-        # Same symbolic pipeline, different predicted executor.
-        assert s2.fill_ratio == s1.fill_ratio
-        assert s2.flops == s1.flops
-        assert s2.predicted_time != s1.predicted_time
-
-    def test_explicit_grid_degrades_to_fit(self, sherman3):
-        # A 4x4 grid cannot run on 4 procs: scored as the most-square fit.
-        s_big = evaluate_recipe(
-            sherman3, OrderingRecipe(mapping="2d:4x4"), n_procs=4
-        )
-        s_fit = evaluate_recipe(
-            sherman3, OrderingRecipe(mapping="2d"), n_procs=4
-        )
-        assert s_big.predicted_time == s_fit.predicted_time
-
     def test_objective_and_sort_key(self, sherman3):
         s = evaluate_recipe(sherman3, OrderingRecipe())
         assert s.objective("time") == s.predicted_time

@@ -52,19 +52,14 @@ class TestConstruction:
         assert a == b and a.key == b.key and hash(a) == hash(b)
         assert a.key != OrderingRecipe(ordering="amd").key
 
-    def test_mapping_accepted(self):
-        for mapping in ("cyclic", "blocked", "greedy", "2d", "2d:2x4"):
-            assert OrderingRecipe(mapping=mapping).mapping == mapping
-
     def test_rejects_bad_mapping(self):
-        for mapping in ("grid", "2d:", "2d:2x", "2d:x4", "2d:0x4", "2d:2x4x8"):
-            with pytest.raises(ValueError):
-                OrderingRecipe(mapping=mapping)
-
-    def test_mapping_in_key(self):
-        assert (
-            OrderingRecipe(mapping="2d").key != OrderingRecipe().key
-        )
+        # Every mapping is a bad mapping now: the field is gone, and both
+        # text forms refuse it with the message that names the removal.
+        with pytest.raises(TypeError):
+            OrderingRecipe(mapping="2d")
+        for spec in ("amd:map=2d", "amd:pad=0.4,map=2d:2x4", "rcm:mapping=greedy"):
+            with pytest.raises(ValueError, match="no longer carry a mapping"):
+                OrderingRecipe.parse(spec)
 
 
 class TestSpecRoundTrip:
@@ -77,9 +72,6 @@ class TestSpecRoundTrip:
             "rcm:amalg=false",
             "dissect:leaf_size=96,pad=0.4,max=96",
             "natural:pad=0.1",
-            "mindeg:map=2d",
-            "amd:pad=0.4,map=2d:2x4",
-            "rcm:map=greedy",
         ],
     )
     def test_roundtrip(self, spec):
@@ -139,18 +131,67 @@ class TestOptionsWiring:
         r = OrderingRecipe(ordering="dissect", params=(("leaf_size", 128),))
         assert OrderingRecipe.from_dict(r.as_dict()) == r
 
-    def test_dict_roundtrip_keeps_mapping(self):
-        r = OrderingRecipe(ordering="amd", mapping="2d:2x4")
-        assert OrderingRecipe.from_dict(r.as_dict()) == r
-        assert OrderingRecipe.from_dict(r.as_dict()).mapping == "2d:2x4"
-
     def test_mapping_stays_out_of_solver_options(self):
-        # The mapping is an execution choice, not a symbolic knob: apply()
-        # must not fold it into SolverOptions (it would change plan
-        # identity / symbolic_key for no symbolic difference).
-        r = OrderingRecipe(ordering="amd", mapping="2d")
+        # A recipe is purely symbolic: its fields are exactly the five
+        # apply() folds into SolverOptions, so recipe identity is plan
+        # identity and nothing on it can steer execution.
+        import dataclasses
+
+        assert [f.name for f in dataclasses.fields(OrderingRecipe)] == [
+            "ordering", "params", "amalgamation", "max_padding", "max_supernode",
+        ]
+        r = OrderingRecipe(
+            ordering="dissect", params=(("leaf_size", 96),), amalgamation=False,
+            max_padding=0.4, max_supernode=96,
+        )
         opts = r.apply()
         assert not hasattr(opts, "mapping")
-        assert opts.symbolic_key() == OrderingRecipe(
-            ordering="amd"
-        ).apply().symbolic_key()
+        assert OrderingRecipe.from_options(opts) == r
+        assert "mapping" not in r.as_dict()
+
+
+class TestStoredRecipes:
+    """Recipes written before mappings left them, and the ones on disk."""
+
+    STORED = {
+        "ordering": "amd", "params": [], "amalgamation": True,
+        "max_padding": 0.4, "max_supernode": 48, "mapping": "cyclic",
+    }
+
+    def test_from_dict_accepts_the_stored_default_silently(self):
+        import warnings
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = OrderingRecipe.from_dict(self.STORED)
+        assert r == OrderingRecipe(ordering="amd", max_padding=0.4)
+
+    @pytest.mark.parametrize("mapping", ["2d", "2d:2x4", "greedy", "blocked"])
+    def test_from_dict_refuses_any_other_mapping(self, mapping):
+        with pytest.raises(ValueError, match="no longer carry a mapping"):
+            OrderingRecipe.from_dict({**self.STORED, "mapping": mapping})
+
+    def test_cli_recipe_flag_reports_the_removal(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "orsreg1", "--scale", "0.06", "--recipe", "amd:map=2d"])
+        assert exc.value.code == 2
+        assert "no longer carry a mapping" in capsys.readouterr().err
+
+    def test_stored_tune_artifacts_still_load(self):
+        import json
+        import pathlib
+
+        from repro.tune import RecipeScore
+
+        results = pathlib.Path(__file__).parents[2] / "benchmarks" / "results"
+        paths = sorted(results.glob("tune_*.json"))
+        assert paths
+        for path in paths:
+            data = json.loads(path.read_text())["data"]
+            assert OrderingRecipe.parse(data["recipe"]).spec() == data["recipe"]
+            assert len(data["candidates"]) == 13
+            for cand in data["candidates"]:
+                assert "map=" not in cand["recipe"]
+                assert RecipeScore.from_dict(cand).as_dict() == cand
