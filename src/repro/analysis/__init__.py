@@ -79,7 +79,6 @@ from repro.analysis.runner import (
     analyze_plan,
     suppress_hooks,
     verify_plan,
-    verify_solve_schedule,
 )
 from repro.analysis.structure import (
     check_btf,
@@ -139,5 +138,4 @@ __all__ = [
     "suppress_hooks",
     "validate_analysis_document",
     "verify_plan",
-    "verify_solve_schedule",
 ]

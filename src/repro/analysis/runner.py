@@ -9,10 +9,8 @@ builds the plan first (symbolic pipeline only — no numerics anywhere in
 this subsystem).
 
 The ``REPRO_ANALYZE=1`` environment hook routes through
-:func:`analysis_enabled` / :func:`verify_plan` /
-:func:`verify_solve_schedule`: production call sites
+:func:`analysis_enabled` / :func:`verify_plan`: production call sites
 (:func:`repro.serve.plan.build_plan`,
-:func:`repro.taskgraph.solve_graph.schedule_from_structure`,
 :func:`repro.parallel.threads.threaded_factorize`) invoke them lazily and
 raise :class:`~repro.util.errors.AnalysisError` on any finding, under an
 ``analysis.verify`` tracer span. :func:`suppress_hooks` exists so the
@@ -23,7 +21,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.analysis.footprints import (
     expected_2d_tasks,
@@ -34,17 +32,10 @@ from repro.analysis.footprints import (
     solve_footprints,
     solve_region_label,
     two_d_footprints,
-    TaskFootprint,
-    _frozen,
 )
 from repro.analysis.races import check_liveness, check_races, minimality_report
 from repro.analysis.report import AnalysisReport
 from repro.analysis.structure import check_plan, check_postorder, check_btf
-from repro.taskgraph.solve_graph import (
-    SolveSchedule,
-    backward_task,
-    forward_task,
-)
 from repro.util.errors import AnalysisError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids import cycles
@@ -208,56 +199,4 @@ def verify_plan(plan: "SymbolicPlan", *, tracer: "Optional[Tracer]" = None) -> N
         raise AnalysisError(
             f"static analysis found {report.n_findings} problem(s):\n"
             + report.render()
-        )
-
-
-def _structure_footprints(
-    fwd_srcs: Sequence[Sequence[int]], bwd_srcs: Sequence[Sequence[int]]
-) -> dict:
-    """Solve footprints taken from explicit per-target source lists (the
-    value-dependent structure behind :func:`schedule_from_structure`)."""
-    import numpy as np
-
-    n = len(fwd_srcs)
-    own = [_frozen(np.array([i], dtype=np.int64)) for i in range(n)]
-    fps = {}
-    for t in range(n):
-        fps[forward_task(t)] = TaskFootprint(
-            reads={int(s): own[int(s)] for s in fwd_srcs[t]} | {t: own[t]},
-            writes={t: own[t]},
-        )
-        fps[backward_task(t)] = TaskFootprint(
-            reads={int(s): own[int(s)] for s in bwd_srcs[t]} | {t: own[t]},
-            writes={t: own[t]},
-        )
-    return fps
-
-
-def verify_solve_schedule(
-    schedule: SolveSchedule,
-    fwd_srcs: Optional[Sequence[Sequence[int]]] = None,
-    bwd_srcs: Optional[Sequence[Sequence[int]]] = None,
-) -> None:
-    """Hook body for ``REPRO_ANALYZE=1`` on schedule construction.
-
-    Checks barrier-level validity and liveness of the schedule's graph;
-    when the originating source lists are supplied, additionally re-derives
-    the footprints from them and race-checks the graph (catching a
-    schedule builder that dropped a dependence).
-    """
-    from repro.analysis.structure import check_schedule
-
-    findings = check_schedule(schedule)
-    findings += check_liveness(
-        schedule.graph, expected_solve_tasks(schedule.n_blocks)
-    )
-    if fwd_srcs is not None and bwd_srcs is not None:
-        fps = _structure_footprints(fwd_srcs, bwd_srcs)
-        races, _ = check_races(schedule.graph, fps, label=solve_region_label)
-        findings += races
-    if findings:
-        lines = "\n".join(str(f) for f in findings)
-        raise AnalysisError(
-            f"solve schedule failed static analysis ({len(findings)} finding(s)):\n"
-            + lines
         )

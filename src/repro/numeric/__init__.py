@@ -16,8 +16,7 @@ create structure outside ``Ā``.
 
 from repro.numeric.kernels import (
     lu_panel_inplace,
-    solve_unit_lower,
-    solve_upper,
+    triangular_inverses,
     lu_panel_flops,
     update_flops,
 )
@@ -51,8 +50,7 @@ from repro.numeric.refine import (
 
 __all__ = [
     "lu_panel_inplace",
-    "solve_unit_lower",
-    "solve_upper",
+    "triangular_inverses",
     "lu_panel_flops",
     "update_flops",
     "BlockColumnData",

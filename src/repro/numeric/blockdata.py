@@ -72,6 +72,15 @@ class BlockLayout:
         self._block_keys = cols * nb + rows  # ascending by construction
         self._block_offs = offs
         self._n_upper: list[int] = np.bincount(cols[rows < cols], minlength=nb).tolist()
+        # Global row ids of the panel rows above each diagonal, flat: the
+        # static row structure of U that the block solve scatters through.
+        up = rows < cols
+        upper_flat: np.ndarray = concat_ranges(starts[rows[up]], widths[rows[up]])
+        upper_flat.setflags(write=False)
+        self._upper_rows = upper_flat
+        self._upper_ptr: list[int] = np.concatenate(
+            ([0], np.cumsum(np.bincount(cols[up], weights=widths[rows[up]], minlength=nb)))
+        ).astype(np.int64).tolist()
 
         diag = np.full(nb, -1, dtype=np.int64)  # -1: diagonal block absent
         diag[cols[rows == cols]] = offs[rows == cols]
@@ -205,6 +214,12 @@ class BlockLayout:
         hi = lo + self._n_upper[k]
         b, offs = self._block_rows[lo:hi], self._block_offs[lo:hi]
         return list(zip(b.tolist(), offs.tolist(), self.widths[b].tolist()))
+
+    def upper_rows(self, k: int) -> np.ndarray:
+        """Global row ids of the panel rows above the diagonal of column
+        ``k``, in panel order (the rows of :meth:`upper_blocks`, stacked);
+        shared and read-only."""
+        return self._upper_rows[self._upper_ptr[k] : self._upper_ptr[k + 1]]
 
     def has_diag(self, k: int) -> bool:
         """Whether block column ``k`` stores its diagonal block (and thus

@@ -27,7 +27,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,9 @@ from repro.numeric.kernels import (
     gemm_flops,
     lu_panel_flops,
     lu_panel_inplace,
-    solve_unit_lower,
+    triangular_inverses,
     trsm_flops,
+    update_flops,
 )
 from repro.numeric.solve_dispatch import resolve_impl as resolve_solve_impl
 from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
@@ -67,8 +68,6 @@ class LazyStats:
     flops_spent: int = 0
 
     def skip_update(self, w: int, rows_below: int, w_dst: int) -> None:
-        from repro.numeric.kernels import update_flops
-
         self.n_updates_skipped += 1
         self.flops_saved += update_flops(w, rows_below, w_dst)
 
@@ -83,6 +82,36 @@ class LazyStats:
         return self.flops_saved / denom if denom else 0.0
 
 
+class PanelFacts(NamedTuple):
+    """What the updates out of block ``k`` read besides the panel's values.
+
+    Pure functions of the factored panel and its pivot renaming, derived
+    once per block: by ``F(k)`` where it ran, by the first update that
+    meets a published panel elsewhere — identical bits either way.
+    """
+
+    linv: np.ndarray  # L⁻¹ of the diagonal block: the TRSM is one GEMM
+    uinv: np.ndarray  # U⁻¹ of the diagonal block, which only the solves read
+    moved: np.ndarray  # candidate positions whose row id F(k) renamed
+    moved_from: np.ndarray  # position in ``sub_rows`` of the id now there
+    active: np.ndarray  # positions below the diagonal with a nonzero multiplier
+
+
+def _panel_facts(
+    subs: np.ndarray,
+    pivoted: np.ndarray,
+    m: np.ndarray,
+    w: int,
+    inverses: "tuple[np.ndarray, np.ndarray] | None" = None,
+) -> PanelFacts:
+    linv, uinv = inverses if inverses is not None else triangular_inverses(m[:w])
+    moved = (pivoted != subs).nonzero()[0]
+    moved_from = np.searchsorted(subs, pivoted[moved])
+    # LazyS+: padded rows keep all-zero multipliers and push nothing.
+    active = m[w:].any(axis=1).nonzero()[0] + w
+    return PanelFacts(linv, uinv, moved, moved_from, active)
+
+
 class FactorResult:
     """Factors ``P A = L U``.
 
@@ -90,13 +119,14 @@ class FactorResult:
     ``i``, i.e. ``(PA)[i, :] = A[orig_at[i], :]``.
 
     ``blocks`` optionally carries the factors in supernodal panel form
-    (:class:`repro.numeric.supersolve.BlockFactors`), produced by
-    ``extract(retain_blocks=True)`` and consumed by the block solve path.
+    (:class:`repro.numeric.supersolve.BlockFactors`: views of the engine's
+    panels), produced by ``extract(retain_blocks=True)`` and consumed by
+    the block solve path.
 
     ``l_factor``/``u_factor`` are the scalar CSC form. The block solve
     never reads them, so they are assembled from the engine's panels on
     first access: once, under a lock (concurrent readers share one build),
-    after which the panels are released.
+    after which this object's own reference to the panels is released.
     """
 
     def __init__(
@@ -248,10 +278,9 @@ class LUFactorization:
         self.done: set[Task] = set()
         self.check_dependencies = check_dependencies
         self.lazy_stats = LazyStats()
-        # SL(k, i) results: active-row masks of lower blocks, keyed (k, i).
-        # Purely derived from the factored (immutable) panel k, so a rank
-        # that never ran SL(k, i) recomputes the identical mask locally.
-        self._lower_active: dict[tuple[int, int], np.ndarray] = {}
+        # Per factored block: what its updates (1-D and 2-D alike) and the
+        # solves read of it besides the panel's values.
+        self.panel_facts: dict[int, PanelFacts] = {}
         # Optional MetricsRegistry: per-kernel call counts, flop counters,
         # block-width histograms, and pivot-deferral counters (stable names
         # in docs/observability.md). ``None`` keeps the hot paths at one
@@ -303,15 +332,17 @@ class LUFactorization:
             self._require_column_updates_done(k)
         panel = self.data.sub_panel(k)
         w = self.data.width(k)
-        order = lu_panel_inplace(panel, w)
+        order, linv, uinv = lu_panel_inplace(panel, w)
         subs = self.data.sub_rows(k)
         pivoted = subs[order]
         self.sub_rows[k] = subs
         self.pivoted_rows[k] = pivoted
-        changed = pivoted != subs
-        if np.any(changed):
-            moved = self.orig_at[pivoted[changed]].copy()
-            self.orig_at[subs[changed]] = moved
+        self.panel_facts[k] = facts = _panel_facts(
+            subs, pivoted, panel, w, (linv, uinv)
+        )
+        changed = facts.moved
+        if changed.size:
+            self.orig_at[subs[changed]] = self.orig_at[pivoted[changed]]
         if self.sanitizer is not None:
             from repro.analysis.footprints import ORIG_AT_REGION
             from repro.analysis.sanitizer import pivot_region
@@ -319,7 +350,7 @@ class LUFactorization:
             self.sanitizer.record_read(k, subs)
             self.sanitizer.record_write(k, subs)
             self.sanitizer.record_write(pivot_region(k), subs)
-            if np.any(changed):
+            if changed.size:
                 self.sanitizer.record_read(ORIG_AT_REGION, pivoted[changed])
                 self.sanitizer.record_write(ORIG_AT_REGION, subs[changed])
         if self.metrics is not None:
@@ -331,7 +362,7 @@ class LUFactorization:
             self.metrics.histogram("kernel.panel.rows", unit="rows").observe(
                 panel.shape[0]
             )
-            n_moved = int(np.count_nonzero(changed))
+            n_moved = int(changed.size)
             if n_moved:
                 # Deferred-pivot bookkeeping: rows renamed by F(k) whose
                 # renaming every later U(k, j) must still apply.
@@ -346,18 +377,20 @@ class LUFactorization:
         subs: "np.ndarray | None",
         pivoted: "np.ndarray | None",
         m: "np.ndarray | None",
-    ) -> "tuple[np.ndarray, ...] | None":
+    ) -> "tuple | None":
         """Renames + TRSM of block ``(k, j)``: all of ``SU(k, j)`` and the
         first two phases of ``U(k, j)`` (``kind`` says which). Returns
-        ``(panel_j, rel, u_kj, subs, m)`` — ``rel`` the layout's relative
-        indices of update ``(k → j)`` — or ``None`` when the LazyS+
-        shortcut skipped the update.
+        ``(panel_j, rel, u_kj, subs, m, facts)`` — ``rel`` the layout's
+        relative indices of update ``(k → j)`` — or ``None`` when the
+        LazyS+ shortcut skipped the update.
 
         ``subs``/``pivoted``/``m`` are block ``k``'s published pivot data
         and factored panel; ``None`` takes the local bookkeeping, the proc
         and message-passing engines pass the shared arena slot or a
-        received copy — the math is identical. Every renamed id is a row
-        of ``subs``, so its panel-``j`` position is a lookup in ``rel``.
+        received copy — the math is identical, and the first update to meet
+        a panel this engine did not factor derives its :class:`PanelFacts`.
+        Every renamed id is a row of ``subs``, so its panel-``j`` position
+        is a lookup in ``rel``.
         """
         if self.check_dependencies and k not in self.pivoted_rows:
             raise SchedulingError(f"{kind}({k},{j}) ran before F({k})")
@@ -368,6 +401,9 @@ class LUFactorization:
         if m is None:
             m = self.data.sub_panel(k)
         w = self.data.width(k)
+        facts = self.panel_facts.get(k)
+        if facts is None:
+            facts = self.panel_facts[k] = _panel_facts(subs, pivoted, m, w)
         panel_j = self.data.panels[j]
         if panel_j is None:
             raise SchedulingError(
@@ -385,9 +421,9 @@ class LUFactorization:
         # 1. Apply F(k)'s row renaming to column j (gather, then scatter —
         #    safe under permutation cycles). Ids absent from column j carry
         #    exact zeros, so dropping/injecting them is a no-op.
-        moved = (pivoted != subs).nonzero()[0]
+        moved = facts.moved
         if moved.size:
-            src = rel[np.searchsorted(subs, pivoted[moved])]
+            src = rel[facts.moved_from]
             dst = rel[moved]
             have, put = src >= 0, dst >= 0
             vals = np.zeros((moved.size, panel_j.shape[1]), dtype=np.float64)
@@ -416,7 +452,7 @@ class LUFactorization:
             if self.metrics is not None:
                 self.metrics.counter("update.skipped_zero_block", unit="updates").inc()
             return None
-        u_kj = solve_unit_lower(m[:w, :w], block)
+        u_kj = facts.linv @ block
         block[...] = u_kj
         if san is not None:
             san.record_write(j, subs[:w])
@@ -426,32 +462,35 @@ class LUFactorization:
                 trsm_flops(w, w_j)
             )
             self.metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
-        return panel_j, rel, u_kj, subs, m
+        return panel_j, rel, u_kj, subs, m, facts
 
     def _push_gemm(
         self,
         j: int,
         panel_j: np.ndarray,
-        ids: np.ndarray,
-        tgt: np.ndarray,
-        l_rows: np.ndarray,
-        active: np.ndarray,
+        subs: np.ndarray,
+        rel: np.ndarray,
+        m: np.ndarray,
+        rows: np.ndarray,
         u_kj: np.ndarray,
     ) -> None:
-        """``panel_j[tgt] -= l_rows @ u_kj`` over the ``active`` rows that
-        column ``j`` stores (``tgt`` are their relative indices, ``ids``
-        their global row ids). Padded rows (all-zero multipliers) are
-        skipped: they contribute nothing, and — critically for the threaded
-        executor — writing their zero deltas would race with concurrent
-        independent-subtree updates that own those rows for real."""
-        sel = (active & (tgt >= 0)).nonzero()[0]
-        if sel.size:
-            panel_j[tgt[sel], :] -= l_rows[sel] @ u_kj
+        """``panel_j[rel[rows]] -= m[rows] @ u_kj`` over those of the active
+        candidate positions ``rows`` that column ``j`` stores. Padded rows
+        (all-zero multipliers) are not among ``rows``: they contribute
+        nothing, and — critically for the threaded executor — writing
+        their zero deltas would race with concurrent independent-subtree
+        updates that own those rows for real."""
+        n_active = int(rows.size)
+        tgt = rel[rows]
+        if tgt.min() < 0:
+            keep = tgt >= 0
+            rows, tgt = rows[keep], tgt[keep]
+        if rows.size:
+            panel_j[tgt] -= m[rows] @ u_kj
             if self.sanitizer is not None:
-                self.sanitizer.record_read(j, ids[sel])
-                self.sanitizer.record_write(j, ids[sel])
+                self.sanitizer.record_read(j, subs[rows])
+                self.sanitizer.record_write(j, subs[rows])
         if self.metrics is not None:
-            n_active = int(np.count_nonzero(active))
             w, w_j = u_kj.shape
             self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
             self.metrics.counter("kernel.gemm.flops", unit="flops").inc(
@@ -474,14 +513,12 @@ class LUFactorization:
         solved = self._rename_and_solve("U", k, j, subs, pivoted, m)
         if solved is None:
             return
-        panel_j, rel, u_kj, subs, m = solved
+        panel_j, rel, u_kj, subs, m, facts = solved
         w, w_j = u_kj.shape
-        l_below = m[w:, :]
-        active = l_below.any(axis=1)
-        n_active = int(np.count_nonzero(active))
-        self.lazy_stats.note_gemm_rows(int(active.size), n_active, w, w_j)
-        if n_active:
-            self._push_gemm(j, panel_j, subs[w:], rel[w:], l_below, active, u_kj)
+        rows = facts.active
+        self.lazy_stats.note_gemm_rows(int(subs.size) - w, int(rows.size), w, w_j)
+        if rows.size:
+            self._push_gemm(j, panel_j, subs, rel, m, rows, u_kj)
 
     # ------------------------------------------------------------------
     # 2-D per-block task bodies (repro.parallel.two_d)
@@ -493,20 +530,19 @@ class LUFactorization:
         return lo, lo + layout.width(i)
 
     def _scale_lower(self, k: int, i: int) -> None:
-        """``SL(k, i)``: publish the active-row mask of lower block (i, k).
+        """``SL(k, i)``: lower block (i, k) is final.
 
         The panel kernel already scaled the whole candidate panel inside
-        ``F(k)``, so the remaining per-block work is the LazyS+
-        bookkeeping: which rows of block ``i`` carry nonzero multipliers.
-        Every ``UP(k, i, ·)`` reuses the mask instead of rescanning.
+        ``F(k)`` and recorded which of its rows carry nonzero multipliers
+        (``panel_facts[k].active``, which every ``UP(k, i, ·)`` windows),
+        so the task keeps its place in the 2-D graph and its read of the
+        block but has no arithmetic left.
         """
         if self.check_dependencies and ("F", k, k, k) not in self.done:
             raise SchedulingError(f"SL({k},{i}) ran before F({k})")
-        lo, hi = self._block_slice(k, i)
-        block = self.data.sub_panel(k)[lo:hi, :]
         if self.sanitizer is not None:
+            lo, hi = self._block_slice(k, i)
             self.sanitizer.record_read(k, self.data.sub_rows(k)[lo:hi])
-        self._lower_active[(k, i)] = block.any(axis=1)
 
     def _scale_upper(
         self,
@@ -562,15 +598,18 @@ class LUFactorization:
         lo, hi = self._block_slice(k, i)
         if san is not None:
             san.record_read(k, subs[lo:hi])
-        active = self._lower_active.get((k, i))
-        if active is None:
-            active = m[lo:hi, :].any(axis=1)
-        n_active = int(np.count_nonzero(active))
+        facts = self.panel_facts.get(k)
+        if facts is None:  # neither F(k) nor an update out of k ran here
+            rows = m[lo:hi].any(axis=1).nonzero()[0] + lo
+        else:
+            a, b = np.searchsorted(facts.active, (lo, hi))
+            rows = facts.active[a:b]
+        n_active = int(rows.size)
         w_j = panel_j.shape[1]
-        self.lazy_stats.flops_saved += 2 * (int(active.size) - n_active) * w * w_j
+        self.lazy_stats.flops_saved += 2 * (hi - lo - n_active) * w * w_j
         self.lazy_stats.flops_spent += 2 * n_active * w * w_j
         if n_active:
-            self._push_gemm(j, panel_j, subs[lo:hi], rel[lo:hi], m[lo:hi], active, u_kj)
+            self._push_gemm(j, panel_j, subs, rel, m, rows, u_kj)
 
     def _require_column_updates_done(self, k: int) -> None:
         stored = None
@@ -595,31 +634,6 @@ class LUFactorization:
     # ------------------------------------------------------------------
     # Extraction
     # ------------------------------------------------------------------
-    def _final_l_labels(self) -> dict[int, np.ndarray]:
-        """Final row label of every candidate-panel position, per block.
-
-        ``Factor(k)``'s multipliers live at the slot labels current *at the
-        time* of ``F(k)``; later factorizations rename some of those slots
-        again (a pivot swap moves the whole row, multipliers included, just
-        as dense ``getrf`` swaps already-computed L columns). Composing the
-        renames in descending block order yields, for each block, the map
-        from its panel positions to final row labels. Rename composition is
-        well defined in block order because any two overlapping renames
-        belong to comparable eforest nodes, whose F tasks every dependence
-        graph orders.
-        """
-        cur = np.arange(self.n, dtype=np.int64)
-        labels: dict[int, np.ndarray] = {}
-        for k in range(self.bp.n_blocks - 1, -1, -1):
-            subs = self.sub_rows[k]
-            pivoted = self.pivoted_rows[k]
-            labels[k] = cur[subs]
-            changed = pivoted != subs
-            if np.any(changed):
-                moved = cur[subs[changed]].copy()
-                cur[pivoted[changed]] = moved
-        return labels
-
     def extract(
         self,
         *,
@@ -633,42 +647,83 @@ class LUFactorization:
         ``result.l_factor``/``u_factor`` (entries with ``|v| <= drop_tol``
         in padded positions are dropped; 0.0 keeps everything nonzero).
 
-        ``retain_blocks=True`` additionally keeps the factors in panel
-        form as a :class:`~repro.numeric.supersolve.BlockFactors` on the
-        result, enabling the supernodal block solve path.
-        ``solve_schedule`` optionally supplies the plan's static
-        :class:`~repro.taskgraph.solve_graph.SolveSchedule` for threaded
-        block solves; an exact one is derived on demand when it does not
-        cover the pivots actually chosen.
+        ``retain_blocks=True`` additionally hands the panels, as they
+        stand, to a :class:`~repro.numeric.supersolve.BlockFactors` on the
+        result, enabling the supernodal block solve path — views, not
+        copies. ``solve_schedule`` is accepted for callers that stage the
+        plan's static :class:`~repro.taskgraph.solve_graph.SolveSchedule`
+        next to the factors; the block solve runs in fixed block order and
+        does not read it.
         """
         if len(self.sub_rows) != self.bp.n_blocks:
             missing = self.bp.n_blocks - len(self.sub_rows)
             raise SchedulingError(f"{missing} block columns were never factored")
-        l_labels = self._final_l_labels()
+        # Each block's pivot renaming as (new id, old id) pairs of the rows
+        # it moved: all that outlives the engine of the pivot bookkeeping.
+        renames: "list[tuple[np.ndarray, np.ndarray] | None]" = []
+        for k in range(self.bp.n_blocks):
+            subs, pivoted = self.sub_rows[k], self.pivoted_rows[k]
+            moved = (pivoted != subs).nonzero()[0]
+            renames.append((subs[moved], pivoted[moved]) if moved.size else None)
         blocks = None
         if retain_blocks:
             from repro.numeric.supersolve import BlockFactors
 
-            blocks = BlockFactors(
-                self.data, l_labels, self.orig_at, schedule=solve_schedule
-            )
+            inverses = []
+            for k in range(self.bp.n_blocks):
+                facts = self.panel_facts.get(k)
+                if facts is not None:
+                    inverses.append((facts.linv, facts.uinv, facts.active))
+                else:  # panel gathered from the rank that factored it
+                    diag = self.data.sub_panel(k)[: self.data.width(k)]
+                    inverses.append((*triangular_inverses(diag), None))
+            blocks = BlockFactors(self.data, renames, inverses)
         return FactorResult(
             self.orig_at.copy(),
             blocks,
-            partial(_assemble_csc, self.data, l_labels, drop_tol),
+            partial(_assemble_csc, self.data, renames, drop_tol),
         )
 
 
+def _final_l_labels(
+    data: BlockColumnData, renames: "list[tuple[np.ndarray, np.ndarray] | None]"
+) -> "dict[int, np.ndarray]":
+    """Final row label of every candidate-panel position, per block.
+
+    ``Factor(k)``'s multipliers live at the slot labels current *at the
+    time* of ``F(k)``; later factorizations rename some of those slots
+    again (a pivot swap moves the whole row, multipliers included, just
+    as dense ``getrf`` swaps already-computed L columns). Composing the
+    renames in descending block order yields, for each block, the map
+    from its panel positions to final row labels. Rename composition is
+    well defined in block order because any two overlapping renames
+    belong to comparable eforest nodes, whose F tasks every dependence
+    graph orders.
+    """
+    cur = np.arange(data.n, dtype=np.int64)
+    labels: dict[int, np.ndarray] = {}
+    for k in range(data.n_blocks - 1, -1, -1):
+        labels[k] = cur[data.sub_rows(k)]
+        rename = renames[k]
+        if rename is not None:
+            new_ids, old_ids = rename
+            cur[old_ids] = cur[new_ids]
+    return labels
+
+
 def _assemble_csc(
-    data: BlockColumnData, l_labels: "dict[int, np.ndarray]", drop_tol: float
+    data: BlockColumnData,
+    renames: "list[tuple[np.ndarray, np.ndarray] | None]",
+    drop_tol: float,
 ) -> tuple[CSCMatrix, CSCMatrix]:
-    """Scalar CSC ``(L, U)`` from factored panels and final row labels.
+    """Scalar CSC ``(L, U)`` from factored panels and their pivot renames.
 
     Whole-block vectorized (one ``nonzero`` scan per block); the COO
     builder sorts by (column, row), so the result is independent of
     emission order.
     """
     n = data.n
+    l_labels = _final_l_labels(data, renames)
     lb = COOBuilder(n, n)
     ub = COOBuilder(n, n)
     starts = data.starts

@@ -62,6 +62,16 @@ ORDERINGS: tuple[str, ...] = ("mindeg", "amd", "rcm", "dissect", "natural")
 #: ``--ordering`` all default to this one constant.
 DEFAULT_ORDERING = "amd"
 
+#: The amalgamation bounds a request gets when it names none: the point a
+#: wall-clock sweep of the warm request picks on this class of host under
+#: the constraint that a cold request's peak memory does not move
+#: (``benchmarks/results/ablation_amalgamation.txt``). The paper-era
+#: 0.25 / 48 minimise *simulated* T(P=8) and are what :mod:`repro.eval`
+#: pins, so the paper's tables do not move. ``SolverOptions`` and
+#: ``OrderingRecipe`` both default to these two constants.
+DEFAULT_MAX_PADDING = 0.6
+DEFAULT_MAX_SUPERNODE = 32
+
 
 @dataclass
 class SolverOptions:
@@ -89,7 +99,10 @@ class SolverOptions:
         off to reproduce the "without postordering" rows of Table 3).
     amalgamation:
         Merge small supernodes (§3). ``max_padding``/``max_supernode`` bound
-        the introduced explicit zeros and the block width.
+        the introduced explicit zeros and the block width; their defaults
+        (:data:`DEFAULT_MAX_PADDING`, :data:`DEFAULT_MAX_SUPERNODE`) are
+        measured, the paper-era pair is ``max_padding=0.25,
+        max_supernode=48``.
     task_graph:
         ``"eforest"`` (the paper's §4 graph) or ``"sstar"`` (the baseline).
     equilibrate:
@@ -109,8 +122,8 @@ class SolverOptions:
     ordering_params: tuple = ()
     postorder: bool = True
     amalgamation: bool = True
-    max_padding: float = 0.25
-    max_supernode: int = 48
+    max_padding: float = DEFAULT_MAX_PADDING
+    max_supernode: int = DEFAULT_MAX_SUPERNODE
     task_graph: str = "eforest"
     equilibrate: bool = False
     symbolic_params: tuple = ()

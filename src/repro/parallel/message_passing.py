@@ -76,6 +76,7 @@ class ProcessEngine(LUFactorization):
         self.orig_at = np.arange(self.n, dtype=np.int64)  # unused per-process
         self.sub_rows: dict[int, np.ndarray] = {}
         self.pivoted_rows: dict[int, np.ndarray] = {}
+        self.panel_facts = {}
         self.done: set[Task] = set()
         self.check_dependencies = False
         self.metrics = None
@@ -108,9 +109,7 @@ class ProcessEngine(LUFactorization):
         if j not in self.owned:
             raise SchedulingError(f"rank {self.rank} cannot update column {j}")
         if k in self.owned:
-            self._apply_update(
-                j, k, self.sub_rows[k], self.pivoted_rows[k], self.data.sub_panel(k)
-            )
+            self._apply_update(j, k)
             return
         msg = self.inbox.get(k)
         if msg is None:

@@ -314,6 +314,9 @@ def _worker_main(
             )
             pending_out: list[list[int]] = [[] for _ in outboxes]
             out_count = 0
+            # Derived from the previous run's values; the engine object
+            # outlives the run.
+            engine.panel_facts.clear()
             if san is not None:
                 san.reset_run()
 

@@ -95,14 +95,6 @@ class NumericFactorization:
             with tr.span(f"solve.{impl_used}") as s:
                 if use_block:
                     s.set(n_blocks=self.result.blocks.n_blocks)
-                    # Level counts only when a schedule is at hand: the
-                    # sequential block solve never derives one.
-                    sched = self.result.blocks.known_schedule
-                    if sched is not None:
-                        s.set(
-                            n_fwd_levels=sched.n_fwd_levels,
-                            n_bwd_levels=sched.n_bwd_levels,
-                        )
                 x_work = self.result.solve(b_work, impl=impl_used)
             x = x_work[self.plan.col_perm]
             if self.equil is not None:

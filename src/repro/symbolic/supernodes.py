@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ordering.etree import postorder_forest
 from repro.symbolic.static_fill import StaticFill
 from repro.util.errors import PatternError
 
@@ -127,8 +128,31 @@ def amalgamate(
     merged group's explicit-zero fraction (within its L block columns) does
     not exceed ``max_padding`` and the merged width stays ``≤ max_size``.
     Deterministic, so Table 3 rows are stable.
+
+    The greedy may glue columns that are unrelated in the eforest, and the
+    §4 graph orders conflicting tasks only along eforest paths. Groups
+    whose conflicts the block eforest of the merged partition leaves
+    unordered (:func:`_unordered_groups`) are cut back to the chains of
+    :func:`amalgamate_chains` until none is left: a chain behaves as its
+    last column does, so a partition into chains is a quotient of ``Ā``
+    along eforest paths, which the graph is built for.
     """
-    return _greedy_merge(fill, partition, None, max_padding, max_size)
+    from repro.symbolic.eforest import lu_elimination_forest  # lazy: import cycle
+
+    entries = _entries(fill)
+    merged = _greedy_merge(fill, partition, None, max_padding, max_size, entries)
+    parent = lu_elimination_forest(fill)
+    cuts = None
+    while (bad := _unordered_groups(fill, merged, entries, parent)).size:
+        if cuts is None:
+            cuts = _greedy_merge(
+                fill, partition, parent, max_padding, max_size, entries
+            ).starts[:-1]
+        in_bad = np.isin(merged.member_of()[cuts], bad)
+        if np.isin(cuts[in_bad], merged.starts).all():  # a chain cannot be unordered
+            raise PatternError(f"eforest chains {bad.tolist()} leave a conflict unordered")
+        merged = SupernodePartition(starts=np.union1d(merged.starts, cuts[in_bad]))
+    return merged
 
 
 def amalgamate_chains(
@@ -152,10 +176,20 @@ def amalgamate_chains(
 
     ``parent`` is the *scalar* LU eforest of ``fill``.
     """
-    return _greedy_merge(fill, partition, np.asarray(parent), max_padding, max_size)
+    return _greedy_merge(
+        fill, partition, np.asarray(parent), max_padding, max_size, _entries(fill)
+    )
 
 
-def _greedy_merge(fill, partition, parent, max_padding, max_size):
+def _entries(fill: StaticFill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, by_row)`` of the stored entries of ``Ā``: CSC order,
+    and the permutation that lists them row-major."""
+    cols = _column_ids(fill)
+    rows = fill.pattern.indices.astype(np.int64)
+    return rows, cols, np.argsort(rows * fill.n + cols)
+
+
+def _greedy_merge(fill, partition, parent, max_padding, max_size, entries):
     """The left-to-right greedy behind both amalgamation rules.
 
     For a group of columns ``lo:hi`` the L part stores the entries with row
@@ -167,15 +201,12 @@ def _greedy_merge(fill, partition, parent, max_padding, max_size):
     if not (0.0 <= max_padding < 1.0):
         raise ValueError(f"max_padding must be in [0, 1), got {max_padding}")
     n = fill.n
-    cols = _column_ids(fill)
-    rows = fill.pattern.indices.astype(np.int64)
+    rows, cols, by_row = entries
     # Column of the previous entry in each entry's row (-1: none), found in
     # row-major order and scattered back to CSC order.
-    by_row = np.argsort(rows * n + cols)
     prev_col = np.full(rows.size, -1, dtype=np.int64)
     same_row = rows[by_row[1:]] == rows[by_row[:-1]]
     prev_col[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
-
     starts = partition.starts.tolist()
     ptr = fill.pattern.indptr[partition.starts].tolist()
     chained = None if parent is None else (parent[:n] == np.arange(1, n + 1)).tolist()
@@ -204,6 +235,59 @@ def _greedy_merge(fill, partition, parent, max_padding, max_size):
         merged.append(starts[j])
         i = j
     return SupernodePartition(starts=np.asarray(merged, dtype=np.int64))
+
+
+def _unordered_groups(fill, partition, entries, parent) -> np.ndarray:
+    """Block columns of ``partition`` with a conflict that its block eforest
+    leaves unordered (empty when the §4 graph is sound).
+
+    Two block columns ``a < b`` conflict when a scalar row at or below
+    ``b``'s diagonal has stored entries in both (pivot renames of either
+    may move it) — rows of ``L̄`` are branches of the scalar eforest
+    ``parent``, so its edges are all there is to test — or when ``U(a, b)``
+    exists and both store a block row below ``b`` (the update writes rows
+    ``F(b)`` searches). The §4 graph orders ``a`` before ``b`` exactly when
+    ``b`` is an ancestor of ``a``; when it is not, ``a`` mixes columns that
+    leave it along different eforest paths.
+    """
+    rows = entries[0]
+    nb, starts, member = partition.n_supernodes, partition.starts, partition.member_of()
+    pat = fill.pattern
+    blk = np.repeat(np.arange(nb), np.diff(pat.indptr[starts]))
+    upper = rows < starts[blk]
+    src, dst = member[rows[upper]], blk[upper]
+    # Block eforest (Definition 1 on B̄): CSC order ascends in block column,
+    # so scattered in reverse the first upper block of every block row wins.
+    blk_parent = np.full(nb, -1, dtype=np.int64)
+    blk_parent[src[::-1]] = dst[::-1]
+    # Lowest stored block row per block column (CSC rows ascend: last is max).
+    top = member[np.maximum.reduceat(pat.indices[pat.indptr[1:] - 1], starts[:-1])]
+    blk_parent[top == np.arange(nb)] = -1
+    # Children precede parents, so one ascending pass sizes the subtrees and
+    # a postorder numbers them contiguously.
+    post = postorder_forest(blk_parent)
+    size = np.ones(nb, dtype=np.int64)
+    for k, p in enumerate(blk_parent.tolist()):
+        if p >= 0:
+            size[p] += size[k]
+
+    def unordered(a, b):
+        return (post[a] <= post[b] - size[b]) | (post[a] > post[b])
+
+    child = member[np.flatnonzero(parent >= 0)]
+    bad = [child[unordered(child, member[parent[parent >= 0]])]]
+    loose = (top[src] > dst) & (top[dst] > dst)
+    src, dst = src[loose], dst[loose]
+    loose = unordered(src, dst)
+
+    def block_rows(k):  # asked of the few columns that get here
+        return np.unique(member[rows[pat.indptr[starts[k]] : pat.indptr[starts[k + 1]]]])
+
+    for key in np.unique(src[loose] * nb + dst[loose]).tolist():
+        a, b = divmod(key, nb)
+        if np.intersect1d(block_rows(a), block_rows(b))[-1] > b:
+            bad.append([a])
+    return np.unique(np.concatenate(bad))
 
 
 @dataclass

@@ -18,7 +18,6 @@ Tasks
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -139,49 +138,11 @@ def level_schedule(bp: BlockPattern) -> SolveSchedule:
     """Level schedule of the static solve graph (the solve-phase analogue
     of the factorization executors' topological orders).
 
-    Valid for any factorization whose L block structure stays inside the
-    static pattern. Deferred pivoting can rename multiplier rows across
-    block boundaries, in which case the solve needs the exact
-    value-dependent schedule from :func:`schedule_from_structure` — the
-    block solve engine checks and switches automatically.
+    Describes the static pattern. Deferred pivoting can rename multiplier
+    rows across block boundaries, outside it, so the schedule prices and
+    verifies the solve phase (:func:`~repro.parallel.simulate.simulate_schedule`,
+    ``repro analyze``) but does not drive the block solve, which runs in
+    fixed block order (:mod:`repro.numeric.supersolve`).
     """
     graph = build_solve_graph(bp)
     return _schedule_from_graph(graph, bp.n_blocks)
-
-
-def schedule_from_structure(
-    fwd_srcs: Sequence[Sequence[int]], bwd_srcs: Sequence[Sequence[int]]
-) -> SolveSchedule:
-    """Exact solve schedule from per-target source-block lists.
-
-    ``fwd_srcs[t]`` / ``bwd_srcs[t]`` list the block columns whose
-    ``FS``/``BS`` result block ``t``'s solve task actually reads — the
-    value-dependent dependence structure of one computed factorization
-    (as opposed to :func:`level_schedule`'s static upper bound for the
-    backward half and static *estimate* for the pivot-renamed forward
-    half).
-    """
-    n = len(fwd_srcs)
-    g = TaskGraph()
-    for k in range(n):
-        g.add_task(forward_task(k))
-        g.add_task(backward_task(k))
-        g.add_edge(forward_task(k), backward_task(k))
-    for t in range(n):
-        for s in fwd_srcs[t]:
-            # Flow dependence plus the FS(t) -> BS(s) anti-dependence
-            # (BS(s) overwrites y_s, which FS(t) gathers).
-            g.add_edge(forward_task(int(s)), forward_task(t))
-            g.add_edge(forward_task(t), backward_task(int(s)))
-        for s in bwd_srcs[t]:
-            g.add_edge(backward_task(int(s)), backward_task(t))
-    schedule = _schedule_from_graph(g, n)
-    # Imported lazily: repro.analysis builds on this module.
-    from repro.analysis.runner import analysis_enabled
-
-    if analysis_enabled():  # REPRO_ANALYZE=1 debug hook
-        from repro.analysis.runner import verify_solve_schedule
-
-        verify_solve_schedule(schedule, fwd_srcs, bwd_srcs)
-    return schedule
-

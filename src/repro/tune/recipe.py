@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.numeric.solver import DEFAULT_ORDERING, ORDERINGS, SolverOptions
+from repro.numeric.solver import (
+    DEFAULT_MAX_PADDING,
+    DEFAULT_MAX_SUPERNODE,
+    DEFAULT_ORDERING,
+    ORDERINGS,
+    SolverOptions,
+)
 
 #: Short spec-string aliases for the amalgamation knobs.
 _SPEC_ALIASES = {
@@ -73,8 +79,8 @@ class OrderingRecipe:
     ordering: str = DEFAULT_ORDERING
     params: tuple = ()
     amalgamation: bool = True
-    max_padding: float = 0.25
-    max_supernode: int = 48
+    max_padding: float = DEFAULT_MAX_PADDING
+    max_supernode: int = DEFAULT_MAX_SUPERNODE
 
     def __post_init__(self) -> None:
         if self.ordering not in ORDERINGS:
@@ -134,9 +140,9 @@ class OrderingRecipe:
         parts = [f"{k}={v}" for k, v in self.params]
         if not self.amalgamation:
             parts.append("amalg=false")
-        if self.max_padding != 0.25:
+        if self.max_padding != DEFAULT_MAX_PADDING:
             parts.append(f"pad={self.max_padding:g}")
-        if self.max_supernode != 48:
+        if self.max_supernode != DEFAULT_MAX_SUPERNODE:
             parts.append(f"max={self.max_supernode}")
         return self.ordering + (":" + ",".join(parts) if parts else "")
 
@@ -189,8 +195,8 @@ class OrderingRecipe:
             ordering=d["ordering"],
             params=tuple((k, v) for k, v in d.get("params", ())),
             amalgamation=bool(d.get("amalgamation", True)),
-            max_padding=float(d.get("max_padding", 0.25)),
-            max_supernode=int(d.get("max_supernode", 48)),
+            max_padding=float(d.get("max_padding", DEFAULT_MAX_PADDING)),
+            max_supernode=int(d.get("max_supernode", DEFAULT_MAX_SUPERNODE)),
         )
 
     def __str__(self) -> str:

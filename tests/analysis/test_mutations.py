@@ -18,13 +18,12 @@ from repro.analysis import (
     factor_footprints,
     minimality_report,
     solve_footprints,
-    verify_solve_schedule,
+    solve_region_label,
 )
 from repro.numeric.solver import SparseLUSolver
 from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.taskgraph.solve_graph import build_solve_graph, level_schedule
 from repro.taskgraph.sstar import build_sstar_graph
-from repro.util.errors import AnalysisError
 
 
 def analyzed(seed=0, n=35):
@@ -135,8 +134,6 @@ class TestSolveMutations:
         )
         findings = check_schedule(bad)
         assert any(f.check == "schedule.edge_respects_levels" for f in findings)
-        with pytest.raises(AnalysisError):
-            verify_solve_schedule(bad)
 
     def test_reversed_backward_levels_detected(self):
         s = analyzed(4)
@@ -146,25 +143,15 @@ class TestSolveMutations:
             sched, bwd_levels=tuple(reversed(sched.bwd_levels))
         )
         assert check_schedule(bad)
-        with pytest.raises(AnalysisError):
-            verify_solve_schedule(bad)
 
     def test_dropped_structure_dependence_detected(self):
-        # verify_solve_schedule re-derives footprints from the source
-        # lists: a schedule whose graph lost a dependence must race.
+        # A schedule whose graph lost a dependence must race against the
+        # footprints re-derived from the block pattern.
         s = analyzed(5)
         sched = level_schedule(s.bp)
-        n = s.bp.n_blocks
-        # Build the true source lists from the block pattern.
-        fwd_srcs = [[] for _ in range(n)]
-        bwd_srcs = [[] for _ in range(n)]
-        for i in range(n):
-            col = s.bp.col_blocks(i)
-            for k in col[col > i]:
-                fwd_srcs[int(k)].append(i)
-            for k in col[col < i]:
-                bwd_srcs[int(k)].append(i)
-        verify_solve_schedule(sched, fwd_srcs, bwd_srcs)  # clean baseline
+        fps = solve_footprints(s.bp)
+        assert not check_schedule(sched)  # clean baseline
+        assert not check_races(sched.graph, fps, label=solve_region_label)[0]
         # Drop one non-redundant dependence edge from the schedule's graph
         # (a transitive shortcut would leave the pair ordered via a path).
         kept = set(sched.graph.transitive_reduction().edges())
@@ -174,5 +161,4 @@ class TestSolveMutations:
             if (u, v) in kept and u.kind == "FS" and v.kind == "FS"
         )
         sched.graph.remove_edge(u, v)
-        with pytest.raises(AnalysisError):
-            verify_solve_schedule(sched, fwd_srcs, bwd_srcs)
+        assert check_races(sched.graph, fps, label=solve_region_label)[0]

@@ -9,9 +9,10 @@ import pytest
 
 from tests.conftest import random_pivot_matrix
 from repro.analysis.footprints import expected_2d_tasks
+from repro.eval.pipeline import PAPER_AMALGAMATION
 from repro.numeric.costs import CostModel
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
+from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import run_engine
 from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import GridMapping, cyclic_mapping
@@ -22,7 +23,10 @@ from repro.util.errors import SchedulingError
 
 
 def analyzed(seed=0, n=40):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    # Paper-era amalgamation bounds: at the defaults a 40-column matrix is
+    # two or three supernodes, too few for a grid to have anything to map.
+    opts = SolverOptions(**PAPER_AMALGAMATION)
+    return SparseLUSolver(random_pivot_matrix(n, seed), opts).analyze()
 
 
 def price_2d(s, n_procs, graph=None):

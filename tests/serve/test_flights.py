@@ -402,6 +402,6 @@ class TestLazyGraph:
         plan = build_plan(a)
         refactorize_with_plan(plan, a, engine="sequential").solve(np.ones(a.n_cols))
         lean = reachable_bytes(plan)
-        assert lean <= 0.85e6, lean
+        assert lean <= 0.6e6, lean
         plan.graph
-        assert reachable_bytes(plan) - lean > 0.4e6  # what was not paid
+        assert reachable_bytes(plan) - lean > 0.2e6  # what was not paid

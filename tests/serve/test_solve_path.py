@@ -39,11 +39,10 @@ class TestPlanCarriesSchedule:
         fac = refactorize_with_plan(plan, a)
         fac.solve(np.ones(a.n_cols))
         assert fac.result.blocks is not None
-        # The sequential block solve needs no schedule: the warm request
-        # neither builds the plan's static one nor derives an exact one.
+        # The block solve runs in fixed block order: the warm request does
+        # not build the plan's static schedule.
         assert "solve_schedule" not in vars(plan)
-        assert fac.result.blocks.known_schedule is None
-        assert fac.result.blocks.schedule.n_blocks == plan.bp.n_blocks
+        assert fac.result.blocks.n_blocks == plan.bp.n_blocks
 
 
 class TestWarmServiceSolvesInBlockForm:

@@ -133,6 +133,87 @@ class TestAmalgamation:
             amalgamate(fill, supernode_partition(fill), max_padding=1.5)
 
 
+class TestAmalgamationKeepsTheGraphSound:
+    """Wide bounds make the greedy glue eforest-unrelated columns; groups
+    whose conflicts the block eforest cannot order are cut back to chains."""
+
+    # (matrix, options) the pure greedy gets wrong at these bounds.
+    CASES = [
+        ("random30", dict(postorder=False)),
+        ("random250", dict()),
+        ("sherman3", dict()),
+        ("sherman3", dict(postorder=False)),
+        ("lnsp3937", dict(postorder=False, max_padding=0.9, max_supernode=64)),
+    ]
+
+    @staticmethod
+    def matrix(name):
+        from tests.conftest import random_pivot_matrix
+
+        if name == "random30":
+            return random_pivot_matrix(30, 1)
+        if name == "random250":
+            return random_pivot_matrix(250, 1, density=0.012)
+        return paper_matrix(name, scale=0.12)
+
+    @pytest.mark.parametrize("name,opts", CASES)
+    def test_no_unordered_conflict_where_the_greedy_had_one(self, name, opts):
+        from repro.analysis import analyze_plan
+        from repro.numeric.solver import SolverOptions
+        from repro.serve import build_plan
+        from repro.symbolic.eforest import lu_elimination_forest
+        from repro.symbolic.supernodes import (
+            _entries,
+            _greedy_merge,
+            _unordered_groups,
+        )
+
+        options = SolverOptions(**opts)
+        plan = build_plan(self.matrix(name), options)
+        fill, entries = plan.fill, _entries(plan.fill)
+        raw = supernode_partition(fill)
+        greedy = _greedy_merge(
+            fill, raw, None, options.max_padding, options.max_supernode, entries
+        )
+        parent = lu_elimination_forest(fill)
+        assert _unordered_groups(fill, greedy, entries, parent).size
+        assert not _unordered_groups(fill, plan.partition, entries, parent).size
+        # Only the offending groups were cut, and only at raw boundaries.
+        assert set(greedy.starts) <= set(plan.partition.starts) <= set(raw.starts)
+        if options.postorder:
+            assert plan.partition.n_supernodes <= greedy.n_supernodes + 4
+        report = analyze_plan(plan)
+        assert report.ok, report.render()
+
+    @pytest.mark.parametrize("postorder", [True, False])
+    @pytest.mark.parametrize("name", ["sherman3", "sherman5", "goodwin", "orsreg1"])
+    def test_paper_bounds_are_the_plain_greedy(self, name, postorder):
+        from repro.numeric.solver import SolverOptions, run_symbolic_pipeline
+        from repro.symbolic.supernodes import _entries, _greedy_merge
+
+        art = run_symbolic_pipeline(
+            paper_matrix(name, scale=0.12),
+            SolverOptions(
+                ordering="mindeg", postorder=postorder,
+                max_padding=0.25, max_supernode=48,
+            ),
+        )
+        greedy = _greedy_merge(
+            art.fill, art.partition_raw, None, 0.25, 48, _entries(art.fill)
+        )
+        assert np.array_equal(art.partition.starts, greedy.starts)
+
+    def test_empty_matrix(self):
+        from repro.sparse.csc import CSCMatrix
+
+        empty = CSCMatrix(
+            n_rows=0, n_cols=0, indptr=np.zeros(1, dtype=np.int64),
+            indices=np.zeros(0, dtype=np.int64), data=None,
+        )
+        fill = static_symbolic_factorization(empty)
+        assert amalgamate(fill, supernode_partition(fill)).n_supernodes == 0
+
+
 class TestBlockPattern:
     def test_covers_all_entries(self):
         fill = prepared_fill(30, 6)

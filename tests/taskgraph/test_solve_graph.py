@@ -10,12 +10,12 @@ from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.simulate import simulate_schedule
 from repro.sparse.csc import CSCMatrix
+from repro.symbolic.supernodes import BlockPattern, SupernodePartition
 from repro.taskgraph.solve_graph import (
     backward_task,
     build_solve_graph,
     forward_task,
     level_schedule,
-    schedule_from_structure,
 )
 
 
@@ -115,7 +115,7 @@ class TestSolveSimulation:
         s = analyzed(7)
         with pytest.raises(SchedulingError):
             simulate_solve(
-                s.bp, MachineModel(n_procs=2), np.zeros(3, dtype=int)
+                s.bp, MachineModel(n_procs=2), np.zeros(s.bp.n_blocks + 1, dtype=int)
             )
 
 
@@ -123,7 +123,8 @@ class TestEdgeCases:
     """Degenerate shapes: empty, single supernode, all-roots, one level."""
 
     def test_empty_structure(self):
-        sched = schedule_from_structure([], [])
+        empty = SupernodePartition(starts=np.zeros(1, dtype=np.int64))
+        sched = level_schedule(BlockPattern(empty, []))
         assert sched.n_blocks == 0
         assert sched.graph.n_tasks == 0
         assert all(len(lev) == 0 for lev in sched.fwd_levels)

@@ -33,7 +33,7 @@ class TestDefaultCandidates:
         full = default_candidates()
         for ordering in ("mindeg", "rcm", "natural"):
             assert OrderingRecipe(ordering=ordering) in full
-        assert len(full) == 13
+        assert len(full) == 10
 
 
 class TestSearch:

@@ -164,7 +164,7 @@ class TestStoredRecipes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = OrderingRecipe.from_dict(self.STORED)
-        assert r == OrderingRecipe(ordering="amd", max_padding=0.4)
+        assert r == OrderingRecipe(ordering="amd", max_padding=0.4, max_supernode=48)
 
     @pytest.mark.parametrize("mapping", ["2d", "2d:2x4", "greedy", "blocked"])
     def test_from_dict_refuses_any_other_mapping(self, mapping):
@@ -191,7 +191,7 @@ class TestStoredRecipes:
         for path in paths:
             data = json.loads(path.read_text())["data"]
             assert OrderingRecipe.parse(data["recipe"]).spec() == data["recipe"]
-            assert len(data["candidates"]) == 13
+            assert len(data["candidates"]) == 10
             for cand in data["candidates"]:
                 assert "map=" not in cand["recipe"]
                 assert RecipeScore.from_dict(cand).as_dict() == cand
