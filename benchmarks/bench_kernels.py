@@ -69,7 +69,7 @@ def test_bench_numeric_factorization(benchmark):
         return eng
 
     eng = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(eng.sub_rows) == solver.bp.n_blocks
+    assert len(eng.done) == solver.graph.n_tasks
 
 
 def test_kernel_histograms(emit):

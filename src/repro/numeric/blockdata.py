@@ -92,9 +92,11 @@ class BlockLayout:
         sub_flat.setflags(write=False)
         sub_len = np.bincount(cols[cand], weights=widths[rows[cand]], minlength=nb)
         sub_ptr = np.concatenate(([0], np.cumsum(sub_len))).astype(np.int64)
+        # Also the pointer array of the store's pivot slots (one per block).
+        self.sub_ptr: list[int] = sub_ptr.tolist()
         self._sub_rows = [
             sub_flat[s:e] if d >= 0 else None
-            for s, e, d in zip(sub_ptr[:-1].tolist(), sub_ptr[1:].tolist(), diag)
+            for s, e, d in zip(self.sub_ptr[:-1], self.sub_ptr[1:], diag)
         ]
 
         # Relative indices of every update (k -> j), one flat int32 array.
@@ -245,7 +247,17 @@ class BlockLayout:
 
 
 class BlockColumnData:
-    """All dense panels of one matrix, indexed by block column.
+    """The panel store: every dense panel of one matrix and, beside it, the
+    pivot renaming of every factored panel.
+
+    Two flat buffers hold the state of a factorization — ``values`` (the
+    panels, block column after block column, row-major) and ``pivot_ids``
+    (one slot per block, sized like ``sub_rows(k)``: the global row id
+    ``F(k)`` moved to each candidate position, ``-1`` until it ran) — and
+    three per-block lists of views address them: ``panels``, ``sub_panels``
+    (the diagonal-and-below rows of each panel) and ``pivots``.
+    ``F(k)`` publishes into them once, every ``Update(k, ·)`` reads them;
+    executors differ only in where the two buffers live (:meth:`attach`).
 
     Parameters
     ----------
@@ -258,9 +270,9 @@ class BlockColumnData:
     owned_columns:
         When given, only these block columns get panels (the others stay
         ``None``) — the per-process storage of a distributed-memory run.
-        Pattern metadata (boundaries, block lists, offsets) is replicated
-        on every process, exactly as real distributed codes replicate the
-        symbolic structure.
+        Pattern metadata (boundaries, block lists, offsets) and the pivot
+        slots are replicated on every process, exactly as real distributed
+        codes replicate the symbolic structure.
     layout:
         A precomputed :class:`BlockLayout` for ``bp`` (e.g. carried by a
         cached symbolic plan). When omitted, one is built here; when given,
@@ -295,20 +307,14 @@ class BlockColumnData:
         if owned_columns is not None:
             owned[:] = False
             owned[list(owned_columns)] = True
-        # One zeroed buffer; panel k is its (height, width) view at base[k].
+        # Panel k is the (height, width) view of ``values`` at _base[k].
         sizes = np.where(owned, np.asarray(layout.panel_heights) * layout.widths, 0)
-        base = np.concatenate(([0], np.cumsum(sizes)))
-        buf = np.zeros(int(base[-1]), dtype=np.float64)
-        self.panels: list[np.ndarray | None] = [
-            buf[s:e].reshape(h, w) if own else None
-            for s, e, h, w, own in zip(
-                base[:-1].tolist(),
-                base[1:].tolist(),
-                layout.panel_heights,
-                layout.widths.tolist(),
-                owned.tolist(),
-            )
-        ]
+        self._base = base = np.concatenate(([0], np.cumsum(sizes)))
+        self._owned: list[bool] = owned.tolist()
+        self.attach(
+            np.zeros(int(base[-1]), dtype=np.float64),
+            np.full(layout.sub_ptr[-1], -1, dtype=np.int64),
+        )
 
         # Scatter A's values (owned columns only): one position lookup over
         # all stored entries, one assignment into the shared buffer.
@@ -324,7 +330,39 @@ class BlockColumnData:
                 f"entries of column {col} fall outside the block pattern "
                 f"(rows {missing.tolist()}): the pattern must cover Ā ⊇ A"
             )
-        buf[base[kcol] + pos * layout.widths[kcol] + (cols - self.starts[kcol])] = vals
+        self.values[
+            base[kcol] + pos * layout.widths[kcol] + (cols - self.starts[kcol])
+        ] = vals
+
+    def attach(self, values: np.ndarray, pivot_ids: np.ndarray) -> None:
+        """Make ``values`` / ``pivot_ids`` the store's two buffers and
+        rebuild the per-block views over them — the only code that turns
+        offsets into views. The buffers are taken as they are (a proc
+        worker attaches the shared arena the parent filled); they must have
+        the sizes this store allocated."""
+        layout = self.layout
+        if values.size != self._base[-1] or pivot_ids.size != layout.sub_ptr[-1]:
+            raise ShapeError("buffers do not match the store's layout")
+        self.values, self.pivot_ids = values, pivot_ids
+        base = self._base.tolist()
+        self.panels: list[np.ndarray | None] = [
+            values[s:e].reshape(h, w) if own else None
+            for s, e, h, w, own in zip(
+                base[:-1],
+                base[1:],
+                layout.panel_heights,
+                layout.widths.tolist(),
+                self._owned,
+            )
+        ]
+        self.sub_panels: list[np.ndarray | None] = [
+            panel[off:] if panel is not None and off >= 0 else None
+            for panel, off in zip(self.panels, layout._diag_offsets)
+        ]
+        ptr = layout.sub_ptr
+        self.pivots: list[np.ndarray] = [
+            pivot_ids[s:e] for s, e in zip(ptr[:-1], ptr[1:])
+        ]
 
     # ------------------------------------------------------------------
     def width(self, k: int) -> int:
@@ -335,14 +373,13 @@ class BlockColumnData:
         return self.layout.sub_rows(k)
 
     def sub_panel(self, k: int) -> np.ndarray:
-        """View of the candidate rows of panel ``k`` (diagonal block first).
-
-        Contiguous because blocks are stored in ascending order, so the
-        diagonal-and-below region is the bottom slice of the panel.
-        """
-        panel = self.panels[k]
-        if panel is None:
+        """``sub_panels[k]``, checked: the candidate rows of panel ``k``
+        (diagonal block first; contiguous because blocks are stored in
+        ascending order)."""
+        sub = self.sub_panels[k]
+        if sub is None:
+            self.layout.diag_offset(k)  # raises if the diagonal is absent
             raise PatternError(
                 f"block column {k} is not materialized on this process"
             )
-        return panel[self.layout.diag_offset(k) :, :]
+        return sub

@@ -6,11 +6,15 @@ produces the same factors (the property the task-graph tests assert); the
 right-looking sequential order is built in as the reference.
 
 Pivoting bookkeeping: ``Factor(k)`` swaps rows inside its candidate panel
-and records the renaming ``pivoted_rows[p] → sub_rows[p]`` of global row
-ids. ``Update(k, j)`` *applies* that renaming to column ``j`` before its
-TRSM/GEMM — the deferred-pivot discipline of S+ that makes the 1-D
-distributed factorization possible, and the very reason Theorem 4's
-ancestor-ordering of updates is required.
+and publishes the renaming ``pivots[k][p] → sub_rows(k)[p]`` of global row
+ids in the panel store, beside the panel's values
+(:class:`~repro.numeric.blockdata.BlockColumnData`). ``Update(k, j)``
+*applies* that renaming to column ``j`` before its TRSM/GEMM — the
+deferred-pivot discipline of S+ that makes the 1-D distributed
+factorization possible, and the very reason Theorem 4's ancestor-ordering
+of updates is required. The task bodies take block indices only: where the
+store's buffers live (private memory, a shared arena, a received copy) is
+the executor's business.
 
 The engine also executes the refined 2-D task kinds of
 :mod:`repro.parallel.two_d` (``SL``/``SU``/``UP``), which split
@@ -31,7 +35,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 import numpy as np
 
-from repro.numeric.blockdata import BlockColumnData
+from repro.numeric.blockdata import BlockColumnData, BlockLayout
 from repro.numeric.kernels import (
     gemm_flops,
     lu_panel_flops,
@@ -85,9 +89,10 @@ class LazyStats:
 class PanelFacts(NamedTuple):
     """What the updates out of block ``k`` read besides the panel's values.
 
-    Pure functions of the factored panel and its pivot renaming, derived
-    once per block: by ``F(k)`` where it ran, by the first update that
-    meets a published panel elsewhere — identical bits either way.
+    Pure functions of the factored panel and its pivot renaming as the
+    store holds them, derived once per block: by ``F(k)`` where it ran, on
+    first use (:meth:`LUFactorization._facts`) where the panel was
+    published by someone else — identical bits either way.
     """
 
     linv: np.ndarray  # L⁻¹ of the diagonal block: the TRSM is one GEMM
@@ -245,6 +250,9 @@ class LUFactorization:
         pipeline (transversal, fill-reducing order, postorder).
     bp:
         Block pattern of ``Ā`` over the supernode partition.
+    owned_columns:
+        Passed to the panel store: only these block columns are
+        materialized (one rank of a distributed-memory run).
     check_dependencies:
         When True, :meth:`run_task` verifies its prerequisites ran (the
         executors pass orders that satisfy this by construction; tests use
@@ -265,21 +273,20 @@ class LUFactorization:
         check_dependencies: bool = False,
         metrics=None,
         layout=None,
+        owned_columns: "set[int] | None" = None,
     ) -> None:
         # ``layout`` is an optional precomputed BlockLayout for ``bp`` (a
         # cached symbolic plan carries one) so repeated numeric
         # factorizations skip rebuilding the structural metadata.
-        self.data = BlockColumnData(a, bp, layout=layout)
+        self.data = BlockColumnData(a, bp, owned_columns, layout=layout)
         self.bp = bp
         self.n = a.n_cols
         self.orig_at = np.arange(self.n, dtype=np.int64)
-        self.sub_rows: dict[int, np.ndarray] = {}
-        self.pivoted_rows: dict[int, np.ndarray] = {}
         self.done: set[Task] = set()
         self.check_dependencies = check_dependencies
         self.lazy_stats = LazyStats()
-        # Per factored block: what its updates (1-D and 2-D alike) and the
-        # solves read of it besides the panel's values.
+        # Per block, on first use: what its updates (1-D and 2-D alike) and
+        # the solves read of it besides the store (see _facts).
         self.panel_facts: dict[int, PanelFacts] = {}
         # Optional MetricsRegistry: per-kernel call counts, flop counters,
         # block-width histograms, and pivot-deferral counters (stable names
@@ -330,13 +337,13 @@ class LUFactorization:
     def _factor(self, k: int) -> None:
         if self.check_dependencies:
             self._require_column_updates_done(k)
-        panel = self.data.sub_panel(k)
-        w = self.data.width(k)
+        data = self.data
+        panel = data.sub_panel(k)
+        w = data.width(k)
         order, linv, uinv = lu_panel_inplace(panel, w)
-        subs = self.data.sub_rows(k)
-        pivoted = subs[order]
-        self.sub_rows[k] = subs
-        self.pivoted_rows[k] = pivoted
+        subs = data.sub_rows(k)
+        pivoted = data.pivots[k]
+        pivoted[...] = subs[order]
         self.panel_facts[k] = facts = _panel_facts(
             subs, pivoted, panel, w, (linv, uinv)
         )
@@ -369,47 +376,43 @@ class LUFactorization:
                 self.metrics.counter("pivot.rows_deferred", unit="rows").inc(n_moved)
                 self.metrics.counter("pivot.panels_with_swaps", unit="panels").inc()
 
-    def _rename_and_solve(
-        self,
-        kind: str,
-        k: int,
-        j: int,
-        subs: "np.ndarray | None",
-        pivoted: "np.ndarray | None",
-        m: "np.ndarray | None",
-    ) -> "tuple | None":
+    def _facts(self, k: int) -> PanelFacts:
+        """Block ``k``'s :class:`PanelFacts`, derived from the store the
+        first time a block this engine did not factor is read."""
+        facts = self.panel_facts.get(k)
+        if facts is None:
+            data = self.data
+            facts = self.panel_facts[k] = _panel_facts(
+                data.sub_rows(k), data.pivots[k], data.sub_panel(k), data.width(k)
+            )
+        return facts
+
+    def _rename_and_solve(self, kind: str, k: int, j: int) -> "tuple | None":
         """Renames + TRSM of block ``(k, j)``: all of ``SU(k, j)`` and the
         first two phases of ``U(k, j)`` (``kind`` says which). Returns
         ``(panel_j, rel, u_kj, subs, m, facts)`` — ``rel`` the layout's
         relative indices of update ``(k → j)`` — or ``None`` when the
         LazyS+ shortcut skipped the update.
 
-        ``subs``/``pivoted``/``m`` are block ``k``'s published pivot data
-        and factored panel; ``None`` takes the local bookkeeping, the proc
-        and message-passing engines pass the shared arena slot or a
-        received copy — the math is identical, and the first update to meet
-        a panel this engine did not factor derives its :class:`PanelFacts`.
-        Every renamed id is a row of ``subs``, so its panel-``j`` position
-        is a lookup in ``rel``.
+        Block ``k``'s factored panel and pivot renaming are read from the
+        store, wherever the executor put its buffers. Every renamed id is a
+        row of ``sub_rows(k)``, so its panel-``j`` position is a lookup in
+        ``rel``.
         """
-        if self.check_dependencies and k not in self.pivoted_rows:
+        data = self.data
+        subs = data.sub_rows(k)
+        pivoted = data.pivots[k]
+        if self.check_dependencies and pivoted[0] < 0:
             raise SchedulingError(f"{kind}({k},{j}) ran before F({k})")
-        if subs is None:
-            subs = self.sub_rows[k]
-        if pivoted is None:
-            pivoted = self.pivoted_rows[k]
-        if m is None:
-            m = self.data.sub_panel(k)
-        w = self.data.width(k)
-        facts = self.panel_facts.get(k)
-        if facts is None:
-            facts = self.panel_facts[k] = _panel_facts(subs, pivoted, m, w)
-        panel_j = self.data.panels[j]
+        m = data.sub_panels[k]
+        w = data.width(k)
+        facts = self._facts(k)
+        panel_j = data.panels[j]
         if panel_j is None:
             raise SchedulingError(
                 f"{kind}({k},{j}) ran on a process that does not own column {j}"
             )
-        rel = self.data.layout.relative_rows(k, j)
+        rel = data.layout.relative_rows(k, j)
         san = self.sanitizer
         if san is not None:
             from repro.analysis.sanitizer import pivot_region
@@ -499,18 +502,11 @@ class LUFactorization:
             self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(n_active)
             self.metrics.histogram("kernel.gemm.width", unit="cols").observe(w_j)
 
-    def _apply_update(
-        self,
-        j: int,
-        k: int,
-        subs: "np.ndarray | None" = None,
-        pivoted: "np.ndarray | None" = None,
-        m: "np.ndarray | None" = None,
-    ) -> None:
+    def _apply_update(self, j: int, k: int) -> None:
         """``U(k, j)``: update column ``j`` by block column ``k``'s factored
         panel — renames, TRSM, then the GEMM into the rows below block
         ``k`` that column ``j`` materializes."""
-        solved = self._rename_and_solve("U", k, j, subs, pivoted, m)
+        solved = self._rename_and_solve("U", k, j)
         if solved is None:
             return
         panel_j, rel, u_kj, subs, m, facts = solved
@@ -538,20 +534,13 @@ class LUFactorization:
         so the task keeps its place in the 2-D graph and its read of the
         block but has no arithmetic left.
         """
-        if self.check_dependencies and ("F", k, k, k) not in self.done:
+        if self.check_dependencies and self.data.pivots[k][0] < 0:
             raise SchedulingError(f"SL({k},{i}) ran before F({k})")
         if self.sanitizer is not None:
             lo, hi = self._block_slice(k, i)
             self.sanitizer.record_read(k, self.data.sub_rows(k)[lo:hi])
 
-    def _scale_upper(
-        self,
-        k: int,
-        j: int,
-        subs: "np.ndarray | None" = None,
-        pivoted: "np.ndarray | None" = None,
-        m: "np.ndarray | None" = None,
-    ) -> None:
+    def _scale_upper(self, k: int, j: int) -> None:
         """``SU(k, j)``: renames + TRSM of block (k, j), leaving the
         per-block GEMMs of :meth:`_apply_update` to ``UP``.
 
@@ -559,7 +548,7 @@ class LUFactorization:
         (pivot swaps cross block rows), which is why the 2-D graph
         serializes a column's steps on its ``SU`` tasks.
         """
-        solved = self._rename_and_solve("SU", k, j, subs, pivoted, m)
+        solved = self._rename_and_solve("SU", k, j)
         if solved is not None:
             # A skip (LazyS+) means the whole update (k → j) is dead: the
             # UP(k, ·, j) tasks see the still-zero U block and return, so
@@ -579,17 +568,18 @@ class LUFactorization:
         """
         if self.check_dependencies and ("SU", k, k, j) not in self.done:
             raise SchedulingError(f"UP({k},{i},{j}) ran before SU({k},{j})")
-        m = self.data.sub_panel(k)
-        w = self.data.width(k)
-        panel_j = self.data.panels[j]
+        data = self.data
+        m = data.sub_panel(k)
+        w = data.width(k)
+        panel_j = data.panels[j]
         if panel_j is None:
             raise SchedulingError(
                 f"UP({k},{i},{j}) ran on a process that does not own column {j}"
             )
-        rel = self.data.layout.relative_rows(k, j)
+        rel = data.layout.relative_rows(k, j)
         off = int(rel[0])
         u_kj = panel_j[off : off + w, :]
-        subs = self.data.sub_rows(k)
+        subs = data.sub_rows(k)
         san = self.sanitizer
         if san is not None:
             san.record_read(j, subs[:w])
@@ -598,18 +588,30 @@ class LUFactorization:
         lo, hi = self._block_slice(k, i)
         if san is not None:
             san.record_read(k, subs[lo:hi])
-        facts = self.panel_facts.get(k)
-        if facts is None:  # neither F(k) nor an update out of k ran here
-            rows = m[lo:hi].any(axis=1).nonzero()[0] + lo
-        else:
-            a, b = np.searchsorted(facts.active, (lo, hi))
-            rows = facts.active[a:b]
+        active = self._facts(k).active
+        a, b = np.searchsorted(active, (lo, hi))
+        rows = active[a:b]
         n_active = int(rows.size)
         w_j = panel_j.shape[1]
         self.lazy_stats.flops_saved += 2 * (hi - lo - n_active) * w * w_j
         self.lazy_stats.flops_spent += 2 * n_active * w * w_j
         if n_active:
             self._push_gemm(j, panel_j, subs, rel, m, rows, u_kj)
+
+    def recompose_orig_at(self) -> None:
+        """Set ``orig_at`` from the store's pivot slots, composing the
+        per-block renames in block order — what an engine that gathered
+        its store from other processes does in place of ``F(k)``'s
+        incremental update (execution-order independent: overlapping
+        renames belong to comparable eforest nodes, see docs/parallel.md)."""
+        data = self.data
+        orig_at = np.arange(self.n, dtype=np.int64)
+        for k, pivoted in enumerate(data.pivots):
+            subs = data.sub_rows(k)
+            moved = (pivoted != subs).nonzero()[0]
+            if moved.size:
+                orig_at[subs[moved]] = orig_at[pivoted[moved]]
+        self.orig_at = orig_at
 
     def _require_column_updates_done(self, k: int) -> None:
         stored = None
@@ -655,38 +657,34 @@ class LUFactorization:
         next to the factors; the block solve runs in fixed block order and
         does not read it.
         """
-        if len(self.sub_rows) != self.bp.n_blocks:
-            missing = self.bp.n_blocks - len(self.sub_rows)
+        data = self.data
+        missing = sum(1 for p in data.pivots if not p.size or p[0] < 0)
+        if missing:
             raise SchedulingError(f"{missing} block columns were never factored")
         # Each block's pivot renaming as (new id, old id) pairs of the rows
         # it moved: all that outlives the engine of the pivot bookkeeping.
-        renames: "list[tuple[np.ndarray, np.ndarray] | None]" = []
-        for k in range(self.bp.n_blocks):
-            subs, pivoted = self.sub_rows[k], self.pivoted_rows[k]
-            moved = (pivoted != subs).nonzero()[0]
-            renames.append((subs[moved], pivoted[moved]) if moved.size else None)
+        facts = [self._facts(k) for k in range(self.bp.n_blocks)]
+        renames: "list[tuple[np.ndarray, np.ndarray] | None]" = [
+            (data.sub_rows(k)[f.moved], data.pivots[k][f.moved])
+            if f.moved.size
+            else None
+            for k, f in enumerate(facts)
+        ]
         blocks = None
         if retain_blocks:
             from repro.numeric.supersolve import BlockFactors
 
-            inverses = []
-            for k in range(self.bp.n_blocks):
-                facts = self.panel_facts.get(k)
-                if facts is not None:
-                    inverses.append((facts.linv, facts.uinv, facts.active))
-                else:  # panel gathered from the rank that factored it
-                    diag = self.data.sub_panel(k)[: self.data.width(k)]
-                    inverses.append((*triangular_inverses(diag), None))
-            blocks = BlockFactors(self.data, renames, inverses)
+            blocks = BlockFactors(data, renames, facts)
         return FactorResult(
             self.orig_at.copy(),
             blocks,
-            partial(_assemble_csc, self.data, renames, drop_tol),
+            # Not ``data``: the result would keep the pivot buffer alive.
+            partial(_assemble_csc, data.layout, data.panels, renames, drop_tol),
         )
 
 
 def _final_l_labels(
-    data: BlockColumnData, renames: "list[tuple[np.ndarray, np.ndarray] | None]"
+    layout: BlockLayout, renames: "list[tuple[np.ndarray, np.ndarray] | None]"
 ) -> "dict[int, np.ndarray]":
     """Final row label of every candidate-panel position, per block.
 
@@ -700,10 +698,10 @@ def _final_l_labels(
     belong to comparable eforest nodes, whose F tasks every dependence
     graph orders.
     """
-    cur = np.arange(data.n, dtype=np.int64)
+    cur = np.arange(layout.n, dtype=np.int64)
     labels: dict[int, np.ndarray] = {}
-    for k in range(data.n_blocks - 1, -1, -1):
-        labels[k] = cur[data.sub_rows(k)]
+    for k in range(layout.n_blocks - 1, -1, -1):
+        labels[k] = cur[layout.sub_rows(k)]
         rename = renames[k]
         if rename is not None:
             new_ids, old_ids = rename
@@ -712,7 +710,8 @@ def _final_l_labels(
 
 
 def _assemble_csc(
-    data: BlockColumnData,
+    layout: BlockLayout,
+    panels: "list[np.ndarray]",
     renames: "list[tuple[np.ndarray, np.ndarray] | None]",
     drop_tol: float,
 ) -> tuple[CSCMatrix, CSCMatrix]:
@@ -722,18 +721,18 @@ def _assemble_csc(
     builder sorts by (column, row), so the result is independent of
     emission order.
     """
-    n = data.n
-    l_labels = _final_l_labels(data, renames)
+    n = layout.n
+    l_labels = _final_l_labels(layout, renames)
     lb = COOBuilder(n, n)
     ub = COOBuilder(n, n)
-    starts = data.starts
+    starts = layout.starts
     # Unit diagonal of L, all columns at once.
     diag = np.arange(n, dtype=np.int64)
     lb.extend(diag, diag, np.ones(n, dtype=np.float64))
-    for k in range(data.n_blocks):
-        w = data.width(k)
+    for k in range(layout.n_blocks):
+        w = layout.width(k)
         gcol0 = int(starts[k])
-        panel = data.sub_panel(k)
+        panel = panels[k][layout.diag_offset(k) :]
         # L: the strictly-below-diagonal part of the candidate panel.
         rr, cc = np.nonzero(np.abs(panel) > drop_tol)
         keep = rr > cc
@@ -746,8 +745,8 @@ def _assemble_csc(
         rr, cc = np.nonzero(nz)
         ub.extend(gcol0 + rr, gcol0 + cc, panel[rr, cc])
         # ... plus the blocks above it in column k.
-        for b, off, h in data.layout.upper_blocks(k):
-            block = data.panels[k][off : off + h, :]
+        for b, off, h in layout.upper_blocks(k):
+            block = panels[k][off : off + h, :]
             rr, cc = np.nonzero(np.abs(block) > drop_tol)
             if rr.size:
                 ub.extend(int(starts[b]) + rr, gcol0 + cc, block[rr, cc])

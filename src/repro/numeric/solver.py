@@ -133,6 +133,10 @@ class SolverOptions:
             raise ValueError(f"unknown ordering {self.ordering!r}")
         if self.task_graph not in ("eforest", "sstar"):
             raise ValueError(f"unknown task graph {self.task_graph!r}")
+        if not (0.0 <= self.max_padding < 1.0):
+            raise ValueError(f"max_padding must be in [0, 1), got {self.max_padding}")
+        if self.max_supernode < 1:
+            raise ValueError(f"max_supernode must be >= 1, got {self.max_supernode}")
         params = tuple(sorted((str(k), v) for k, v in self.ordering_params))
         for _, v in params:
             if not isinstance(v, (bool, int, float, str)):

@@ -38,10 +38,15 @@ earlier ones, so when block ``k`` is reached every contribution to
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.numeric.blockdata import BlockColumnData
 from repro.util.errors import ShapeError
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (factor)
+    from repro.numeric.factor import PanelFacts
 
 
 class BlockFactors:
@@ -57,16 +62,14 @@ class BlockFactors:
         self,
         data: BlockColumnData,
         renames: "list[tuple[np.ndarray, np.ndarray] | None]",
-        inverses: "list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]",
+        facts: "list[PanelFacts]",
     ) -> None:
         """Wrap a completed factorization's storage.
 
         ``renames[k]`` is ``(new ids, old ids)`` of the rows ``F(k)``'s
-        pivoting moved (``None``: no swap); ``inverses[k]`` is the
-        ``(L⁻¹, U⁻¹)`` pair of block ``k``'s diagonal block
-        (:func:`~repro.numeric.kernels.triangular_inverses`) and, where
-        ``F(k)`` recorded them, the candidate positions below the diagonal
-        that hold a nonzero multiplier (``None``: scan the panel).
+        pivoting moved (``None``: no swap); ``facts[k]`` carries the
+        ``(L⁻¹, U⁻¹)`` pair of block ``k``'s diagonal block and the
+        candidate positions below it that hold a nonzero multiplier.
         """
         layout = data.layout
         self.n = data.n
@@ -75,22 +78,20 @@ class BlockFactors:
         # Per block: (lo, hi, rename, L⁻¹, L rows below, U⁻¹, U rows above).
         self._steps = []
         for k, w in enumerate(layout.widths.tolist()):
-            panel = data.panels[k]
-            off = layout.diag_offset(k)
-            linv, uinv, active = inverses[k]
+            f = facts[k]
             self._steps.append(
                 (
                     starts[k],
                     starts[k + 1],
                     renames[k],
-                    linv,
+                    f.linv,
                     _nonzero_rows(
-                        panel[off + w :],
-                        layout.sub_rows(k)[w:],
-                        None if active is None else active - w,
+                        data.sub_panels[k][w:], layout.sub_rows(k)[w:], f.active - w
                     ),
-                    uinv,
-                    _nonzero_rows(panel[:off], layout.upper_rows(k)),
+                    f.uinv,
+                    _nonzero_rows(
+                        data.panels[k][: layout.diag_offset(k)], layout.upper_rows(k)
+                    ),
                 )
             )
 

@@ -4,11 +4,13 @@ The paper's actual setting: S*/S+ run on distributed-memory machines where
 each processor owns its block columns and receives factored panels over the
 network. This module executes that semantics for real — not a cost model:
 
-* every virtual process holds :class:`BlockColumnData` materializing **only
+* every virtual process holds a panel store
+  (:class:`~repro.numeric.blockdata.BlockColumnData`) materializing **only
   its owned columns** (symbolic metadata replicated, as real codes do);
 * ``Factor(k)`` runs on ``owner(k)`` and *sends* a :class:`PanelMessage` —
   a **copy** of the factored candidate panel plus the pivot renaming — to
-  every processor owning an update target of ``k``;
+  every processor owning an update target of ``k``, which installs it in
+  its own store as block ``k``'s sub-panel and pivot slot;
 * ``Update(k, j)`` runs on ``owner(j)`` against the *received* panel; a
   process never touches memory it does not own (attempting to raises).
 
@@ -47,14 +49,15 @@ class PanelMessage:
     """The datum ``F(k)`` broadcasts: factored panel + pivot renaming."""
 
     k: int
-    width: int
-    sub_rows: np.ndarray
-    pivoted_rows: np.ndarray
+    pivots: np.ndarray  # copy of block k's pivot slot
     panel: np.ndarray  # copy of the candidate panel (L below, U_kk on top)
 
     @property
     def n_bytes(self) -> int:
-        return self.panel.nbytes + self.sub_rows.nbytes + self.pivoted_rows.nbytes
+        return self.panel.nbytes + self.pivots.nbytes
+
+    def copy(self) -> "PanelMessage":
+        return PanelMessage(self.k, self.pivots.copy(), self.panel.copy())
 
 
 class ProcessEngine(LUFactorization):
@@ -67,56 +70,33 @@ class ProcessEngine(LUFactorization):
         bp: BlockPattern,
         owned: set[int],
     ) -> None:
-        # Bypass the parent constructor's full-storage build.
-        self.data = BlockColumnData(a, bp, owned_columns=owned)
-        self.bp = bp
-        self.n = a.n_cols
+        super().__init__(a, bp, owned_columns=owned)
         self.rank = rank
         self.owned = owned
-        self.orig_at = np.arange(self.n, dtype=np.int64)  # unused per-process
-        self.sub_rows: dict[int, np.ndarray] = {}
-        self.pivoted_rows: dict[int, np.ndarray] = {}
-        self.panel_facts = {}
-        self.done: set[Task] = set()
-        self.check_dependencies = False
-        self.metrics = None
-        self.sanitizer = None
-        from repro.numeric.factor import LazyStats
-
-        self.lazy_stats = LazyStats()
-        self.inbox: dict[int, PanelMessage] = {}
         self.bytes_received = 0
         self.n_messages_received = 0
 
     def receive(self, msg: PanelMessage) -> None:
-        self.inbox[msg.k] = msg
+        """Install the received copy as block ``msg.k`` of this rank's store."""
+        self.data.sub_panels[msg.k] = msg.panel
+        self.data.pivots[msg.k][...] = msg.pivots
         self.bytes_received += msg.n_bytes
         self.n_messages_received += 1
 
     def run_factor(self, k: int) -> PanelMessage:
         if k not in self.owned:
             raise SchedulingError(f"rank {self.rank} cannot factor column {k}")
-        self._factor(k)
-        return PanelMessage(
-            k=k,
-            width=self.data.width(k),
-            sub_rows=self.sub_rows[k].copy(),
-            pivoted_rows=self.pivoted_rows[k].copy(),
-            panel=self.data.sub_panel(k).copy(),
-        )
+        self.run_task(Task("F", k, k))
+        return PanelMessage(k, self.data.pivots[k], self.data.sub_panels[k]).copy()
 
     def run_update(self, k: int, j: int) -> None:
         if j not in self.owned:
             raise SchedulingError(f"rank {self.rank} cannot update column {j}")
-        if k in self.owned:
-            self._apply_update(j, k)
-            return
-        msg = self.inbox.get(k)
-        if msg is None:
+        if self.data.pivots[k][0] < 0:  # neither factored here nor received
             raise SchedulingError(
                 f"rank {self.rank}: U({k},{j}) ran before panel {k} arrived"
             )
-        self._apply_update(j, k, msg.sub_rows, msg.pivoted_rows, msg.panel)
+        self.run_task(Task("U", k, j))
 
 
 @dataclass
@@ -124,6 +104,7 @@ class MessagePassingResult:
     """Gathered outcome of one distributed run."""
 
     result: FactorResult
+    data: BlockColumnData  # the gathered panel store
     n_messages: int
     bytes_moved: int
     per_rank_tasks: list[int] = field(default_factory=list)
@@ -195,20 +176,11 @@ def message_passing_factorize(
             if task.kind == "F":
                 msg = eng.run_factor(task.k)
                 for dest in sorted(panel_destinations.get(task.k, ())):
-                    engines[dest].receive(
-                        PanelMessage(
-                            k=msg.k,
-                            width=msg.width,
-                            sub_rows=msg.sub_rows.copy(),
-                            pivoted_rows=msg.pivoted_rows.copy(),
-                            panel=msg.panel.copy(),
-                        )
-                    )
+                    engines[dest].receive(msg.copy())
                     n_messages += 1
                     bytes_moved += msg.n_bytes
             else:
                 eng.run_update(task.k, task.j)
-            eng.done.add(task)
             per_rank_tasks[p] += 1
             n_done += 1
             progressed = True
@@ -221,27 +193,17 @@ def message_passing_factorize(
             raise SchedulingError("deadlock: tasks remain but none is ready")
 
     # Gather: assemble a full-storage engine from the owners' panels and
-    # pivot metadata, then extract as usual (the final MPI_Gather).
+    # pivot slots, then extract as usual (the final MPI_Gather).
     gathered = LUFactorization(a, bp)
     for k in range(bp.n_blocks):
         eng = engines[int(owner[k])]
         gathered.data.panels[k][...] = eng.data.panels[k]
-        gathered.sub_rows[k] = eng.sub_rows[k]
-        gathered.pivoted_rows[k] = eng.pivoted_rows[k]
-    # Recompute the global row permutation from the gathered renames,
-    # composed in block order (execution-order independent, see docs).
-    orig_at = np.arange(a.n_cols, dtype=np.int64)
-    for k in range(bp.n_blocks):
-        subs = gathered.sub_rows[k]
-        pivoted = gathered.pivoted_rows[k]
-        changed = pivoted != subs
-        if np.any(changed):
-            moved = orig_at[pivoted[changed]].copy()
-            orig_at[subs[changed]] = moved
-    gathered.orig_at = orig_at
+        gathered.data.pivots[k][...] = eng.data.pivots[k]
+    gathered.recompose_orig_at()
     result = gathered.extract()
     return MessagePassingResult(
         result=result,
+        data=gathered.data,
         n_messages=n_messages,
         bytes_moved=bytes_moved,
         per_rank_tasks=per_rank_tasks,

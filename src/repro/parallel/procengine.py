@@ -5,13 +5,13 @@ pool of worker *processes*, escaping the GIL that bounds
 :mod:`repro.parallel.threads`. The design follows the fan-both
 asynchronous task runtimes (Jacquelin et al., arXiv:1608.00044):
 
-* **One shared arena.** Every dense panel plus the per-column pivot
-  renames live in a single ``multiprocessing.shared_memory`` segment laid
-  out by the immutable :class:`~repro.numeric.blockdata.BlockLayout`.
-  Workers are forked from the parent and point their panel storage at
-  the inherited mapping — panel data never crosses a pipe and nothing on
-  the hot path is pickled; the parent copies each run's values in before
-  starting it.
+* **One shared arena.** The panel store's two buffers — every dense
+  panel, every block's pivot renaming — live in a single
+  ``multiprocessing.shared_memory`` segment sized from the immutable
+  :class:`~repro.numeric.blockdata.BlockLayout`. Workers are forked from
+  the parent and attach their store to the inherited mapping — panel
+  data never crosses a pipe and nothing on the hot path is pickled; the
+  parent copies each run's values in before starting it.
 * **Worker-owned task queues.** Block columns are assigned to ranks by a
   1-D mapping (blocked by default — contiguous ranges keep most edges
   rank-local, and a cross-rank message here is a real pipe write); a
@@ -94,92 +94,35 @@ _QUIT = -2
 
 
 class SharedArena:
-    """One shared-memory segment holding all panels plus pivot metadata.
+    """One shared-memory segment holding the panel store's two buffers.
 
-    Layout (byte offsets precomputed from a :class:`BlockLayout`):
-
-    ``[ panel 0 | panel 1 | ... | panel n-1 | pivots 0 | ... | pivots n-1 ]``
-
-    where ``panel k`` is the ``panel_heights[k] x width(k)`` float64 panel
-    of block column ``k`` (row-major, same shape as the private storage)
-    and ``pivots k`` is the int64 ``pivoted_rows`` array ``F(k)`` records
-    — the renaming remote ``U(k, j)`` tasks must apply. The pivot region
-    is written by exactly one rank (the owner of ``k``) strictly before
-    that rank posts ``F(k)``'s completion message, so readers never see a
-    partial write.
+    ``[ values | pivot_ids ]`` — the flat float64 panel buffer and the flat
+    int64 pivot-slot buffer of a full-ownership
+    :class:`~repro.numeric.blockdata.BlockColumnData`, sized from its
+    :class:`BlockLayout`; a worker hands the two views to
+    ``BlockColumnData.attach`` and addresses them exactly as it would
+    private memory. Block ``k``'s pivot slot is written by exactly one rank
+    (the owner of ``k``) strictly before that rank posts ``F(k)``'s
+    completion message, so readers never see a partial write.
 
     The creating process is the only one allowed to :meth:`destroy` the
     segment; forked children inherit the mapping and simply exit.
     """
 
     def __init__(self, layout: BlockLayout) -> None:
-        self.layout = layout
-        n_blocks = layout.n_blocks
-        self._panel_offsets: list[int] = []
-        self._pivot_offsets: list[int] = []
-        self._pivot_sizes: list[int] = []
-        off = 0
-        for k in range(n_blocks):
-            self._panel_offsets.append(off)
-            off += layout.panel_heights[k] * layout.width(k) * _FLOAT.itemsize
-        for k in range(n_blocks):
-            size = int(layout.sub_rows(k).size) if layout.has_diag(k) else 0
-            self._pivot_offsets.append(off)
-            self._pivot_sizes.append(size)
-            off += size * _INT.itemsize
-        self.nbytes = off
-        self.shm = shared_memory.SharedMemory(create=True, size=max(1, off))
-        self.name = self.shm.name
+        n_values = int(np.dot(layout.panel_heights, layout.widths))
+        n_pivots = layout.sub_ptr[-1]
+        split = n_values * _FLOAT.itemsize
+        self.shm = shared_memory.SharedMemory(
+            create=True, size=max(1, split + n_pivots * _INT.itemsize)
+        )
         self._owner_pid = multiprocessing.current_process().pid
-        self.panels: list[np.ndarray] = [
-            np.ndarray(
-                (layout.panel_heights[k], layout.width(k)),
-                dtype=_FLOAT,
-                buffer=self.shm.buf,
-                offset=self._panel_offsets[k],
-            )
-            for k in range(n_blocks)
-        ]
-        self.pivots: list[np.ndarray] = [
-            np.ndarray(
-                (self._pivot_sizes[k],),
-                dtype=_INT,
-                buffer=self.shm.buf,
-                offset=self._pivot_offsets[k],
-            )
-            for k in range(n_blocks)
-        ]
-
-    def snapshot(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Copy the whole segment out in one pass and return private
-        ``(panels, pivots)`` views into the copy.
-
-        One bulk memcpy beats ~2 x n_blocks small ``np.array`` copies by
-        an order of magnitude at gather time; the returned arrays share
-        one private buffer and survive :meth:`destroy`.
-        """
-        layout = self.layout
-        flat = np.empty(self.nbytes, dtype=np.uint8)
-        flat[:] = np.frombuffer(self.shm.buf, dtype=np.uint8, count=self.nbytes)
-        panels = [
-            np.ndarray(
-                (layout.panel_heights[k], layout.width(k)),
-                dtype=_FLOAT,
-                buffer=flat,
-                offset=self._panel_offsets[k],
-            )
-            for k in range(layout.n_blocks)
-        ]
-        pivots = [
-            np.ndarray(
-                (self._pivot_sizes[k],),
-                dtype=_INT,
-                buffer=flat,
-                offset=self._pivot_offsets[k],
-            )
-            for k in range(layout.n_blocks)
-        ]
-        return panels, pivots
+        self.values: np.ndarray = np.ndarray(
+            (n_values,), dtype=_FLOAT, buffer=self.shm.buf
+        )
+        self.pivot_ids: np.ndarray = np.ndarray(
+            (n_pivots,), dtype=_INT, buffer=self.shm.buf, offset=split
+        )
 
     def destroy(self) -> None:
         """Release the mapping and unlink the segment (idempotent).
@@ -190,8 +133,7 @@ class SharedArena:
         """
         if multiprocessing.current_process().pid != self._owner_pid:
             return
-        self.panels = []
-        self.pivots = []
+        self.values = self.pivot_ids = np.empty(0)  # drop the exported views
         try:
             self.shm.close()
         except BufferError:  # pragma: no cover - exported views still alive
@@ -255,9 +197,10 @@ def _worker_main(
 
     The worker parks on its inbox between factorizations and runs the
     fan-both loop once per ``_GO`` control word: pop a ready owned task,
-    execute it against the inherited arena views, decrement local
-    successor counters, post one completion message per distinct remote
-    successor owner; block on the inbox only when no owned task is ready.
+    ``run_task`` it on the engine whose store is attached to the arena,
+    decrement local successor counters, post one completion message per
+    distinct remote successor owner; block on the inbox only when no
+    owned task is ready.
     A run ends when every owned task ran — by then the inbox holds no
     message *for this run* (each inbound message precedes the readiness
     of some owned task), the worker reports its stats on ``ctrl``,
@@ -281,17 +224,14 @@ def _worker_main(
     sender waits.
     """
     engine.metrics = None  # a forked registry would count into the void
-    layout = engine.data.layout
-    data = engine.data
     # Forked copy of the parent's AccessSanitizer (or None): records this
     # worker's accesses and happens-before observations; each run's
     # results ship back in the done report and the parent merges them.
     san = engine.sanitizer
-    # Re-point the inherited panel storage at the arena: all panel reads
-    # and writes in this process go through the shared segment. (The
-    # parent keeps its own private panels and copies values in per run.)
-    for k in range(layout.n_blocks):
-        data.panels[k] = arena.panels[k]
+    # Re-point the inherited store at the arena: every panel and pivot
+    # read and write in this process goes through the shared segment. (The
+    # parent keeps its own private buffers and copies them in per run.)
+    engine.data.attach(arena.values, arena.pivot_ids)
     inbox = inboxes[rank]
     own = [i for i in range(len(task_list)) if owner[i] == rank]
     entry = [i for i in own if indeg[i] == 0]
@@ -314,9 +254,9 @@ def _worker_main(
             )
             pending_out: list[list[int]] = [[] for _ in outboxes]
             out_count = 0
-            # Derived from the previous run's values; the engine object
-            # outlives the run.
+            # Left by the previous run; the engine object outlives it.
             engine.panel_facts.clear()
+            engine.done.clear()
             if san is not None:
                 san.reset_run()
 
@@ -377,37 +317,9 @@ def _worker_main(
                         absorb(inbox.recv_bytes())
                 i = ready.popleft()
                 task = task_list[i]
-                if san is not None:
-                    san.begin(task)
                 t0 = time.perf_counter()
-                if task.kind == "F":
-                    engine._factor(task.k)
-                    arena.pivots[task.k][...] = engine.pivoted_rows[task.k]
-                elif task.kind == "SL":
-                    engine._scale_lower(task.k, task.i)
-                elif task.kind == "SU":
-                    k = task.k
-                    engine._scale_upper(
-                        k,
-                        task.j,
-                        layout.sub_rows(k),
-                        arena.pivots[k],
-                        data.sub_panel(k),
-                    )
-                elif task.kind == "UP":
-                    engine._block_update(task.k, task.i, task.j)
-                else:
-                    k = task.k
-                    engine._apply_update(
-                        task.j,
-                        k,
-                        layout.sub_rows(k),
-                        arena.pivots[k],
-                        data.sub_panel(k),
-                    )
+                engine.run_task(task)
                 busy += time.perf_counter() - t0
-                if san is not None:
-                    san.end(task)
                 if fault_hook is not None:
                     fault_hook(rank, task)
                 remaining -= 1
@@ -654,30 +566,14 @@ def _consume(msg: tuple, pending: set, stats_by_rank: dict) -> None:
 def _gather(
     engine: LUFactorization,
     arena: SharedArena,
-    n_blocks: int,
     task_list: list[Task],
     stats_by_rank: dict,
 ) -> None:
-    """Copy factored panels and pivot metadata out of the arena into the
-    parent engine's private storage, then recompute the global row
-    permutation from the per-block renames composed in block order
-    (execution-order independent — same argument as the message-passing
-    gather, see docs/parallel.md)."""
-    layout = engine.data.layout
-    panels, pivots = arena.snapshot()
-    for k in range(n_blocks):
-        engine.data.panels[k] = panels[k]
-        engine.sub_rows[k] = layout.sub_rows(k)
-        engine.pivoted_rows[k] = pivots[k]
-    orig_at = np.arange(engine.n, dtype=np.int64)
-    for k in range(n_blocks):
-        subs = engine.sub_rows[k]
-        pivoted = engine.pivoted_rows[k]
-        changed = pivoted != subs
-        if np.any(changed):
-            moved = orig_at[pivoted[changed]].copy()
-            orig_at[subs[changed]] = moved
-    engine.orig_at = orig_at
+    """Copy the arena's two buffers back into the parent engine's store,
+    then recompose the global row permutation from the pivot slots."""
+    engine.data.values[...] = arena.values
+    engine.data.pivot_ids[...] = arena.pivot_ids
+    engine.recompose_orig_at()
     engine.done = set(task_list)
     # Fold the workers' LazyS+ accounting back into the parent engine.
     ls = engine.lazy_stats
@@ -928,12 +824,12 @@ class ProcPool:
                 self._teardown()
                 st = self._bind(engine, graph, mapping, _fault_hook)
             arena = st["arena"]
-            n_blocks = bp.n_blocks
             # Copy-in must complete before any GO goes out: a worker only
             # sees peer completion messages after some peer received GO,
-            # so no panel is read before it holds this run's values.
-            for k in range(n_blocks):
-                arena.panels[k][...] = engine.data.panels[k]
+            # so no panel is read before it holds this run's values (and
+            # no pivot slot before it is reset to "F(k) has not run").
+            arena.values[...] = engine.data.values
+            arena.pivot_ids[...] = engine.data.pivot_ids
             tr = tracer if tracer is not None else Tracer(enabled=False)
             stats_by_rank: dict[int, dict] = {}
             map_label = (
@@ -965,9 +861,7 @@ class ProcPool:
                     self._teardown(abort=True)
                     raise
                 makespan = time.perf_counter() - t_start
-                _gather(
-                    engine, arena, n_blocks, st["task_list"], stats_by_rank
-                )
+                _gather(engine, arena, st["task_list"], stats_by_rank)
                 if engine.sanitizer is not None:
                     for s in stats_by_rank.values():
                         payload = s.get("sanitize")

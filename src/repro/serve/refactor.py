@@ -32,7 +32,7 @@ from repro.obs.trace import Tracer
 from repro.serve.plan import SymbolicPlan
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import matvec, permute
-from repro.util.errors import PlanMismatchError, ShapeError
+from repro.util.errors import NonFiniteInputError, PlanMismatchError, ShapeError
 
 
 def permuted_values(plan: SymbolicPlan, a: CSCMatrix, tracer: Optional[Tracer] = None):
@@ -81,6 +81,8 @@ class NumericFactorization:
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != n:
             raise ShapeError(f"rhs has shape {b.shape}, expected ({n},) or ({n}, k)")
+        if not np.isfinite(b).all():
+            raise NonFiniteInputError("right-hand sides must be finite (no NaN/Inf)")
         choice = resolve_solve_impl(impl)
         use_block = choice == "block" and self.result.blocks is not None
         impl_used = "block" if use_block else "reference"
@@ -169,6 +171,8 @@ def refactorize_with_plan(
 
     if not a.has_values:
         raise ShapeError("refactorize_with_plan() requires matrix values")
+    if not np.isfinite(a.data).all():
+        raise NonFiniteInputError("matrix values must be finite (no NaN/Inf)")
     if check_pattern and not plan.matches(a):
         raise PlanMismatchError(
             f"matrix pattern ({a.n_rows}x{a.n_cols}, nnz={a.nnz}) does not "

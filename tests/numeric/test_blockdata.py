@@ -6,6 +6,7 @@ import pytest
 from tests.conftest import random_pivot_matrix
 from tests.numeric.test_supersolve import block_triangular_matrix
 from repro.numeric.blockdata import BlockColumnData, BlockLayout
+from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SparseLUSolver
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import paper_matrix, random_sparse
@@ -96,6 +97,60 @@ class TestQueries:
     def test_width(self):
         data, solver = make_data()
         assert sum(data.width(k) for k in range(data.n_blocks)) == data.n
+
+
+class TestPanelStore:
+    """Values and pivot renaming of a factored panel live side by side, in
+    two flat buffers the engine addresses only through the store's views."""
+
+    @pytest.fixture(scope="class")
+    def solver(self):
+        return SparseLUSolver(paper_matrix("sherman3", scale=0.1)).analyze()
+
+    def test_pivot_slots_mirror_sub_rows_and_read_unset_until_factored(self, solver):
+        eng = LUFactorization(solver.a_work, solver.bp)
+        data, ptr = eng.data, eng.data.layout.sub_ptr
+        assert [p.size for p in data.pivots] == [
+            data.sub_rows(k).size for k in range(data.n_blocks)
+        ]
+        assert data.pivot_ids.size == ptr[-1] and (data.pivot_ids == -1).all()
+        for views, buf in ((data.panels, data.values), (data.pivots, data.pivot_ids)):
+            assert all(np.shares_memory(v, buf) for v in views)
+        for task in enumerate_tasks(solver.bp):
+            eng.run_task(task)
+            if task.kind == "F":
+                # F(k) published a renaming of its own candidate rows and
+                # left every later slot alone.
+                k = task.k
+                assert sorted(data.pivots[k]) == data.sub_rows(k).tolist()
+                assert (data.pivot_ids[ptr[k + 1] :] == -1).all()
+        assert (data.pivot_ids >= 0).all()
+
+    def test_engine_on_attached_buffers_gives_the_same_bits(self, solver):
+        ref = LUFactorization(solver.a_work, solver.bp)
+        ref.factor_sequential()
+        eng = LUFactorization(solver.a_work, solver.bp)
+        own = eng.data.values
+        values, pivot_ids = own.copy(), eng.data.pivot_ids.copy()
+        eng.data.attach(values, pivot_ids)
+        eng.factor_sequential()
+        assert np.array_equal(values, ref.data.values)
+        assert np.array_equal(pivot_ids, ref.data.pivot_ids)
+        # The buffers the store allocated for itself were left as scattered.
+        assert np.array_equal(own, LUFactorization(solver.a_work, solver.bp).data.values)
+        got, want = eng.extract(retain_blocks=True), ref.extract(retain_blocks=True)
+        assert np.array_equal(got.orig_at, want.orig_at)
+        assert np.array_equal(got.l_factor.data, want.l_factor.data)
+        assert np.array_equal(got.u_factor.data, want.u_factor.data)
+        b = np.arange(1.0, solver.a.n_cols + 1)
+        assert np.array_equal(got.solve(b), want.solve(b))
+
+    def test_attach_rejects_buffers_of_another_size(self, solver):
+        data = BlockColumnData(solver.a_work, solver.bp)
+        with pytest.raises(ShapeError):
+            data.attach(data.values[:-1], data.pivot_ids)
+        with pytest.raises(ShapeError):
+            data.attach(data.values, np.empty(0, dtype=np.int64))
 
 
 # ----------------------------------------------------------------------

@@ -88,7 +88,7 @@ class TestPALU:
         tol = 1e-12
         for k in range(bp.n_blocks):
             col = eng.data.sub_panel(k)[:, 0]
-            rows = eng.sub_rows[k][np.abs(col) > tol]
+            rows = eng.data.sub_rows(k)[np.abs(col) > tol]
             assert np.all(fill[rows, k]), f"column {k}"
         res = eng.extract(drop_tol=tol)
         u = res.u_factor.to_dense() != 0
@@ -116,8 +116,11 @@ class TestErrorPaths:
     def test_extract_before_completion_rejected(self):
         solver = SparseLUSolver(random_pivot_matrix(20, 8)).analyze()
         eng = LUFactorization(solver.a_work, solver.bp)
+        n_blocks = solver.bp.n_blocks
+        with pytest.raises(SchedulingError, match=f"^{n_blocks} block columns"):
+            eng.extract()
         eng.run_task(factor_task(0))
-        with pytest.raises(SchedulingError):
+        with pytest.raises(SchedulingError, match=f"^{n_blocks - 1} block columns"):
             eng.extract()
 
     def test_check_dependencies_catches_early_factor(self):

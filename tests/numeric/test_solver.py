@@ -25,6 +25,20 @@ class TestOptions:
         with pytest.raises(ValueError):
             SolverOptions(task_graph="magic")
 
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_invalid_max_supernode(self, bad):
+        with pytest.raises(ValueError, match="max_supernode must be >= 1"):
+            SolverOptions(max_supernode=bad)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0, 2.5])
+    def test_invalid_max_padding(self, bad):
+        with pytest.raises(ValueError, match=r"max_padding must be in \[0, 1\)"):
+            SolverOptions(max_padding=bad)
+
+    def test_amalgamation_bounds_at_their_limits_accepted(self):
+        o = SolverOptions(max_padding=0.0, max_supernode=1)
+        assert (o.max_padding, o.max_supernode) == (0.0, 1)
+
 
 class TestLifecycle:
     def test_solve_before_analyze_raises(self):

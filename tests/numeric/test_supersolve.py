@@ -142,8 +142,8 @@ class TestBlockVsReference:
         from repro.numeric.factor import _final_l_labels
 
         layout = solver.plan().layout
-        data, renames, _ = solver.result._assemble.args
-        labels = _final_l_labels(data, renames)
+        renames = solver.result._assemble.args[-2]
+        labels = _final_l_labels(layout, renames)
         escaped = any(
             not layout.has_blocks(
                 layout.block_of_row[rows], np.full(rows.size, k, dtype=np.int64)

@@ -64,6 +64,12 @@ def test_1d_graph_bitwise_across_engines(analyzed):
     mp = message_passing_factorize(s.a_work, s.bp, s.graph, owner)
     assert_bitwise(mp.result, ref)
 
+    # The invariant, one level down: whatever ran the tasks, and wherever
+    # it kept the buffers meanwhile, the panel store ends up the same bytes.
+    for data in (thr.data, prc.data, mp.data):
+        assert data.values.tobytes() == seq.data.values.tobytes()
+        assert data.pivot_ids.tobytes() == seq.data.pivot_ids.tobytes()
+
 
 def test_2d_graph_bitwise_across_engines(analyzed):
     s = analyzed

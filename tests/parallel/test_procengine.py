@@ -218,15 +218,26 @@ class TestStatsAndObservability:
 class TestSharedArena:
     def test_roundtrip_and_snapshot(self):
         s = analyzed(9)
-        arena = SharedArena(LUFactorization(s.a_work, s.bp).data.layout)
+        eng = LUFactorization(s.a_work, s.bp)
+        layout = eng.data.layout
+        arena = SharedArena(layout)
         try:
-            for k, panel in enumerate(arena.panels):
-                panel[...] = float(k + 1)
-            panels, _ = arena.snapshot()
-            for k, panel in enumerate(panels):
-                assert np.all(panel == float(k + 1))
+            assert arena.values.size == eng.data.values.size
+            assert arena.pivot_ids.size == layout.sub_ptr[-1]
+            # A store attached to the arena addresses the segment ...
+            eng.data.attach(arena.values, arena.pivot_ids)
+            for k in range(layout.n_blocks):
+                eng.data.panels[k][...] = float(k + 1)
+                eng.data.pivots[k][...] = k
+            # ... and two whole-buffer copies bring it back to private memory.
+            values, pivot_ids = arena.values.copy(), arena.pivot_ids.copy()
+            eng.data.attach(values, pivot_ids)
         finally:
             arena.destroy()
+        for k in range(layout.n_blocks):
+            assert np.all(eng.data.panels[k] == float(k + 1))
+            assert np.all(eng.data.sub_panels[k] == float(k + 1))
+            assert np.all(eng.data.pivots[k] == k)
 
 
 class TestDispatch:

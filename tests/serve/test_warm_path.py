@@ -60,17 +60,16 @@ def _warm_request(monkeypatch):
     return plan, a, rng.standard_normal(a.n_cols)
 
 
-def eager_scalar_factors(data, l_labels):
+def eager_scalar_factors(layout, panels, l_labels):
     """The eager CSC assembly ``extract()`` ran before it became lazy."""
-    n = data.n
-    layout = data.layout
+    n = layout.n
     lb, ub = COOBuilder(n, n), COOBuilder(n, n)
     starts = layout.starts
     diag = np.arange(n, dtype=np.int64)
     lb.extend(diag, diag, np.ones(n))
-    for k in range(data.n_blocks):
+    for k in range(layout.n_blocks):
         gcol0 = int(starts[k])
-        panel = data.sub_panel(k)
+        panel = panels[k][layout.diag_offset(k) :]
         rr, cc = np.nonzero(np.abs(panel) > 0.0)
         keep = rr > cc
         if np.any(keep):
@@ -81,7 +80,7 @@ def eager_scalar_factors(data, l_labels):
             if b > k:
                 continue
             off = int(layout.col_offsets[k][bi])
-            block = data.panels[k][off : off + int(starts[b + 1] - starts[b]), :]
+            block = panels[k][off : off + int(starts[b + 1] - starts[b]), :]
             if b < k:
                 rr, cc = np.nonzero(np.abs(block) > 0.0)
             else:
@@ -104,10 +103,10 @@ def test_warm_request_skips_positions_csc_and_schedule(monkeypatch):
     seen = {}
     original = factor_mod._assemble_csc
 
-    def capturing(data, renames, drop_tol):
-        l_labels = factor_mod._final_l_labels(data, renames)
-        seen["eager"] = eager_scalar_factors(data, l_labels)
-        return original(data, renames, drop_tol)
+    def capturing(layout, panels, renames, drop_tol):
+        l_labels = factor_mod._final_l_labels(layout, renames)
+        seen["eager"] = eager_scalar_factors(layout, panels, l_labels)
+        return original(layout, panels, renames, drop_tol)
 
     monkeypatch.setattr(factor_mod, "_assemble_csc", capturing)
 

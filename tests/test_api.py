@@ -59,3 +59,36 @@ class TestConvenienceAPI:
 
         results = doctest.testmod(api)
         assert results.failed == 0
+
+
+class TestNonFiniteInput:
+    """NaN/Inf never reach the kernels: every entry point ends in the typed
+    error the service already raised at ``submit()``, and the handle that
+    refused the input still serves the next request."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("entry", ["lu", "refactor", "with_plan", "solve"])
+    def test_rejected_with_a_typed_error(self, entry, bad):
+        import warnings
+
+        from repro.serve import NonFiniteInputError, refactorize_with_plan
+
+        a = random_pivot_matrix(25, 6)
+        b = np.ones(25)
+        poisoned = a.data.copy()
+        poisoned[7] = bad
+        handle = lu(a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning from a kernel
+            with pytest.raises(NonFiniteInputError):
+                if entry == "lu":
+                    lu(a.with_values(poisoned))
+                elif entry == "refactor":
+                    handle.refactor(poisoned)
+                elif entry == "with_plan":
+                    refactorize_with_plan(handle.plan, a.with_values(poisoned))
+                else:
+                    handle.solve(np.where(np.arange(25) == 3, bad, b))
+        from repro.sparse.ops import matvec
+
+        assert np.max(np.abs(matvec(a, handle.solve(b)) - b)) < 1e-8
