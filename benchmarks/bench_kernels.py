@@ -56,8 +56,8 @@ def test_bench_panel_lu(benchmark):
         m = base.copy()
         return lu_panel_inplace(m, 64)
 
-    order = benchmark(run)
-    assert order.size == 256
+    order, linv = benchmark(run)
+    assert order.size == 256 and linv.shape == (64, 64)
 
 
 def test_bench_numeric_factorization(benchmark):
@@ -69,7 +69,7 @@ def test_bench_numeric_factorization(benchmark):
         return eng
 
     eng = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert len(eng.done) == solver.graph.n_tasks
+    assert eng.n_tasks == solver.graph.n_tasks
 
 
 def test_kernel_histograms(emit):

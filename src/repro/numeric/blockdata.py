@@ -99,20 +99,24 @@ class BlockLayout:
             for s, e, d in zip(self.sub_ptr[:-1], self.sub_ptr[1:], diag)
         ]
 
-        # Relative indices of every update (k -> j), one flat int32 array.
+        # Relative indices of every update (k -> j), one flat int32 array
+        # ordered by source, then target: step k's updates all have
+        # len(sub_rows(k)) rows, so they form one (n_targets, n_sub) block.
         upd = (rows < cols) & (diag[rows] >= 0)
-        uk, uj = rows[upd], cols[upd]
+        by_source = np.lexsort((cols[upd], rows[upd]))
+        uk, uj = rows[upd][by_source], cols[upd][by_source]
         lens = sub_ptr[uk + 1] - sub_ptr[uk]
         rel = self.locate(
             np.repeat(uj, lens), sub_flat[concat_ranges(sub_ptr[uk], lens)]
         ).astype(np.int32)
         rel.setflags(write=False)
+        uj.setflags(write=False)
         self._rel = rel
-        self._rel_ptr = np.concatenate(([0], np.cumsum(lens)))
-        # update key j * n_blocks + k -> its ordinal in the flat arrays
-        self._rel_index: dict[int, int] = dict(
-            zip((uj * nb + uk).tolist(), range(uk.size))
-        )
+        self._targets = uj  # step k's targets: _targets[_step_ptr[k]:_step_ptr[k + 1]]
+        self._step_ptr: list[int] = np.searchsorted(uk, np.arange(nb + 1)).tolist()
+        self._step_rel_ptr: list[int] = np.concatenate(
+            ([0], np.cumsum(np.bincount(uk, weights=lens, minlength=nb)))
+        ).astype(np.int64).tolist()
 
     # ------------------------------------------------------------------
     def _column(self, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,17 +194,30 @@ class BlockLayout:
             )
         return pos, present
 
+    def step_targets(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(targets, rel)`` of block step ``k``: the ascending block
+        columns ``j`` that ``Update(k, j)`` writes, and the
+        ``(len(targets), len(sub_rows(k)))`` view whose row ``t`` is
+        :meth:`relative_rows` ``(k, targets[t])``; shared and read-only."""
+        lo, hi = self._step_ptr[k], self._step_ptr[k + 1]
+        s, e = self._step_rel_ptr[k], self._step_rel_ptr[k + 1]
+        n_sub = self.sub_ptr[k + 1] - self.sub_ptr[k]
+        return self._targets[lo:hi], self._rel[s:e].reshape(hi - lo, n_sub)
+
     def relative_rows(self, k: int, j: int) -> np.ndarray:
         """Panel-``j`` position of every row of ``sub_rows(k)`` (−1 when
         absent) for the stored update ``(k → j)``; shared and read-only.
         The first ``width(k)`` entries are the rows of ``U`` block
         ``(k, j)``, always present and contiguous."""
-        u = self._rel_index.get(j * self.n_blocks + k)
-        if u is None:
+        lo, hi = self._step_ptr[k], self._step_ptr[k + 1]
+        t = lo + int(self._targets[lo:hi].searchsorted(j))
+        if t == hi or self._targets[t] != j:
             raise SchedulingError(
                 f"update ({k}->{j}) scheduled but block ({k},{j}) is not stored"
             )
-        return self._rel[self._rel_ptr[u] : self._rel_ptr[u + 1]]
+        n_sub = self.sub_ptr[k + 1] - self.sub_ptr[k]
+        start = self._step_rel_ptr[k] + (t - lo) * n_sub
+        return self._rel[start : start + n_sub]
 
     def block_offset(self, i: int, j: int) -> int:
         """Panel offset of stored block ``(i, j)`` in block column ``j``."""

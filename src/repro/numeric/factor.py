@@ -1,9 +1,11 @@
-"""Task-based supernodal LU factorization with partial pivoting.
+"""Supernodal LU factorization with partial pivoting, in block steps or tasks.
 
-:class:`LUFactorization` executes ``Factor``/``Update`` tasks against the
+:class:`LUFactorization` executes ``Factor``/``Update`` work against the
 dense block storage. Any topological order of a valid dependence graph
-produces the same factors (the property the task-graph tests assert); the
-right-looking sequential order is built in as the reference.
+produces the same factors (the property the task-graph tests assert). The
+sequential and threaded engines run *block steps* — ``F(k)`` then every
+``U(k, j)`` — the other executors, sanitized and checked runs the tasks;
+both run one body per target on the same operands, so they agree bitwise.
 
 Pivoting bookkeeping: ``Factor(k)`` swaps rows inside its candidate panel
 and publishes the renaming ``pivots[k][p] → sub_rows(k)[p]`` of global row
@@ -12,7 +14,7 @@ ids in the panel store, beside the panel's values
 *applies* that renaming to column ``j`` before its TRSM/GEMM — the
 deferred-pivot discipline of S+ that makes the 1-D distributed
 factorization possible, and the very reason Theorem 4's ancestor-ordering
-of updates is required. The task bodies take block indices only: where the
+of updates is required. The bodies take block indices only: where the
 store's buffers live (private memory, a shared arena, a received copy) is
 the executor's business.
 
@@ -40,8 +42,8 @@ from repro.numeric.kernels import (
     gemm_flops,
     lu_panel_flops,
     lu_panel_inplace,
-    triangular_inverses,
     trsm_flops,
+    unit_lower_inverse,
     update_flops,
 )
 from repro.numeric.solve_dispatch import resolve_impl as resolve_solve_impl
@@ -71,15 +73,6 @@ class LazyStats:
     flops_saved: int = 0
     flops_spent: int = 0
 
-    def skip_update(self, w: int, rows_below: int, w_dst: int) -> None:
-        self.n_updates_skipped += 1
-        self.flops_saved += update_flops(w, rows_below, w_dst)
-
-    def note_gemm_rows(self, total: int, active: int, w: int, w_dst: int) -> None:
-        self.n_updates_run += 1
-        self.flops_saved += 2 * (total - active) * w * w_dst
-        self.flops_spent += w * w * w_dst + 2 * active * w * w_dst
-
     @property
     def saved_fraction(self) -> float:
         denom = self.flops_saved + self.flops_spent
@@ -96,9 +89,7 @@ class PanelFacts(NamedTuple):
     """
 
     linv: np.ndarray  # L⁻¹ of the diagonal block: the TRSM is one GEMM
-    uinv: np.ndarray  # U⁻¹ of the diagonal block, which only the solves read
     moved: np.ndarray  # candidate positions whose row id F(k) renamed
-    moved_from: np.ndarray  # position in ``sub_rows`` of the id now there
     active: np.ndarray  # positions below the diagonal with a nonzero multiplier
 
 
@@ -107,14 +98,20 @@ def _panel_facts(
     pivoted: np.ndarray,
     m: np.ndarray,
     w: int,
-    inverses: "tuple[np.ndarray, np.ndarray] | None" = None,
+    linv: "np.ndarray | None" = None,
 ) -> PanelFacts:
-    linv, uinv = inverses if inverses is not None else triangular_inverses(m[:w])
+    if linv is None:
+        linv = unit_lower_inverse(m[:w])
     moved = (pivoted != subs).nonzero()[0]
-    moved_from = np.searchsorted(subs, pivoted[moved])
     # LazyS+: padded rows keep all-zero multipliers and push nothing.
     active = m[w:].any(axis=1).nonzero()[0] + w
-    return PanelFacts(linv, uinv, moved, moved_from, active)
+    return PanelFacts(linv, moved, active)
+
+
+def _stored(rows: np.ndarray, tgt: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, tgt)`` narrowed to the positions the target column stores."""
+    keep = tgt >= 0
+    return (rows, tgt) if keep.all() else (rows[keep], tgt[keep])
 
 
 class FactorResult:
@@ -241,7 +238,7 @@ def _permutation_sign(perm: np.ndarray) -> float:
 
 
 class LUFactorization:
-    """Executes the task set of one factorization over block storage.
+    """Executes one factorization over block storage, in steps or tasks.
 
     Parameters
     ----------
@@ -256,13 +253,15 @@ class LUFactorization:
     check_dependencies:
         When True, :meth:`run_task` verifies its prerequisites ran (the
         executors pass orders that satisfy this by construction; tests use
-        it to catch bad schedules).
+        it to catch bad schedules), and :meth:`factor_sequential` runs the
+        tasks one by one so that it can.
 
     Notes
     -----
     ``lazy_stats`` accumulates the work skipped by the zero-block (LazyS+)
-    shortcut. Under the threaded executor its counters are updated without
-    a lock and may undercount slightly; the numerics are unaffected.
+    shortcut and ``n_tasks`` the ``F``/``U`` tasks covered, one by one or in
+    steps; each task or step adds its counts once, under a lock (exact under
+    threads).
     """
 
     def __init__(
@@ -282,26 +281,26 @@ class LUFactorization:
         self.bp = bp
         self.n = a.n_cols
         self.orig_at = np.arange(self.n, dtype=np.int64)
-        self.done: set[Task] = set()
+        self.done: set[Task] = set()  # tasks run one by one (not in steps)
         self.check_dependencies = check_dependencies
+        self.n_tasks = 0
         self.lazy_stats = LazyStats()
+        self._tally_lock = threading.Lock()
         # Per block, on first use: what its updates (1-D and 2-D alike) and
         # the solves read of it besides the store (see _facts).
         self.panel_facts: dict[int, PanelFacts] = {}
         # Optional MetricsRegistry: per-kernel call counts, flop counters,
-        # block-width histograms, and pivot-deferral counters (stable names
-        # in docs/observability.md). ``None`` keeps the hot paths at one
-        # ``is None`` branch per task. Under the threaded executor the
-        # updates race benignly, exactly like ``lazy_stats``.
+        # block-width histograms, pivot-deferral counters (names in
+        # docs/observability.md); ``None`` costs one branch per site. Under
+        # the threaded executor the updates race benignly.
         self.metrics = metrics
         # Optional repro.analysis.sanitizer.AccessSanitizer, attached by
-        # run_engine: kernels record the scalar rows they actually touch
-        # for online containment in the static footprints. Disabled cost
-        # is one ``is None`` test per site — the ``metrics`` discipline.
+        # run_engine: the bodies record the scalar rows they touch for
+        # online containment in the static footprints.
         self.sanitizer: "AccessSanitizer | None" = None
 
     # ------------------------------------------------------------------
-    # Task execution
+    # Execution units
     # ------------------------------------------------------------------
     def run_task(self, task: Task) -> None:
         if task in self.done:
@@ -309,44 +308,73 @@ class LUFactorization:
         san = self.sanitizer
         if san is not None:
             san.begin(task)
+        tally: "tuple[int, ...]" = ()
         if task.kind == "F":
             self._factor(task.k)
-        elif task.kind == "U":
-            self._apply_update(task.j, task.k)
+        elif task.kind in ("U", "SU"):
+            # SU(k, j) is U(k, j) without its GEMM, which UP(k, ·, j) push.
+            facts, rel = self._operands(task.kind, task.k, task.j)
+            tally = self._updates(task.k, facts, [task.j], rel, gemm=task.kind == "U")
         elif task.kind == "SL":
             self._scale_lower(task.k, task.i)
-        elif task.kind == "SU":
-            self._scale_upper(task.k, task.j)
         elif task.kind == "UP":
-            self._block_update(task.k, task.i, task.j)
+            tally = self._block_update(task.k, task.i, task.j)
         else:  # pragma: no cover - task constructors prevent this
             raise SchedulingError(f"unknown task kind {task.kind!r}")
         if san is not None:
             san.end(task)
         self.done.add(task)
+        self.tally(1, *tally)
 
     def run_order(self, order: Iterable[Task]) -> None:
         for task in order:
             self.run_task(task)
 
     def factor_sequential(self) -> None:
-        """Right-looking reference order: F(k) then its updates, ascending."""
-        self.run_order(enumerate_tasks(self.bp))
+        """Right-looking reference order: step ``k`` for ascending ``k``
+        (the tasks one by one when a sanitizer or ``check_dependencies``
+        must see each of them)."""
+        if self.sanitizer is not None or self.check_dependencies:
+            self.run_order(enumerate_tasks(self.bp))
+            return
+        for k in range(self.bp.n_blocks):
+            self.step(k)
 
-    # ------------------------------------------------------------------
-    def _factor(self, k: int) -> None:
+    def tally(
+        self, n_tasks: int, skipped: int = 0, run: int = 0, saved: int = 0, spent: int = 0
+    ) -> None:
+        """Add one unit's counts — a task's, a step's, or what a proc run's
+        workers report — to ``n_tasks`` and ``lazy_stats``, atomically."""
+        with self._tally_lock:
+            self.n_tasks += n_tasks
+            ls = self.lazy_stats
+            ls.n_updates_skipped += skipped
+            ls.n_updates_run += run
+            ls.flops_saved += saved
+            ls.flops_spent += spent
+
+    def step(self, k: int) -> None:
+        """Block step ``k``: ``F(k)``, then ``U(k, j)`` for every target in
+        ascending ``j`` through :meth:`_updates` — the body a ``U(k, j)``
+        task runs for its one target, hence the same bits."""
+        facts = self._factor(k)
+        targets, rel = self.data.layout.step_targets(k)
+        tally = self._updates(k, facts, targets.tolist(), rel) if targets.size else ()
+        self.tally(1 + targets.size, *tally)
+
+    def _factor(self, k: int) -> PanelFacts:
         if self.check_dependencies:
             self._require_column_updates_done(k)
         data = self.data
+        pivoted = data.pivots[k]
+        if pivoted.size and pivoted[0] >= 0:
+            raise SchedulingError(f"F({k}) executed twice")
         panel = data.sub_panel(k)
         w = data.width(k)
-        order, linv, uinv = lu_panel_inplace(panel, w)
+        order, linv = lu_panel_inplace(panel, w)
         subs = data.sub_rows(k)
-        pivoted = data.pivots[k]
-        pivoted[...] = subs[order]
-        self.panel_facts[k] = facts = _panel_facts(
-            subs, pivoted, panel, w, (linv, uinv)
-        )
+        subs.take(order, out=pivoted)
+        self.panel_facts[k] = facts = _panel_facts(subs, pivoted, panel, w, linv)
         changed = facts.moved
         if changed.size:
             self.orig_at[subs[changed]] = self.orig_at[pivoted[changed]]
@@ -366,15 +394,13 @@ class LUFactorization:
                 lu_panel_flops(panel.shape[0], w)
             )
             self.metrics.histogram("kernel.panel.width", unit="cols").observe(w)
-            self.metrics.histogram("kernel.panel.rows", unit="rows").observe(
-                panel.shape[0]
-            )
-            n_moved = int(changed.size)
-            if n_moved:
+            self.metrics.histogram("kernel.panel.rows", unit="rows").observe(panel.shape[0])
+            if changed.size:
                 # Deferred-pivot bookkeeping: rows renamed by F(k) whose
                 # renaming every later U(k, j) must still apply.
-                self.metrics.counter("pivot.rows_deferred", unit="rows").inc(n_moved)
+                self.metrics.counter("pivot.rows_deferred", unit="rows").inc(changed.size)
                 self.metrics.counter("pivot.panels_with_swaps", unit="panels").inc()
+        return facts
 
     def _facts(self, k: int) -> PanelFacts:
         """Block ``k``'s :class:`PanelFacts`, derived from the store the
@@ -387,112 +413,115 @@ class LUFactorization:
             )
         return facts
 
-    def _rename_and_solve(self, kind: str, k: int, j: int) -> "tuple | None":
-        """Renames + TRSM of block ``(k, j)``: all of ``SU(k, j)`` and the
-        first two phases of ``U(k, j)`` (``kind`` says which). Returns
-        ``(panel_j, rel, u_kj, subs, m, facts)`` — ``rel`` the layout's
-        relative indices of update ``(k → j)`` — or ``None`` when the
-        LazyS+ shortcut skipped the update.
-
-        Block ``k``'s factored panel and pivot renaming are read from the
-        store, wherever the executor put its buffers. Every renamed id is a
-        row of ``sub_rows(k)``, so its panel-``j`` position is a lookup in
-        ``rel``.
-        """
+    def _operands(self, kind: str, k: int, j: int) -> tuple[PanelFacts, np.ndarray]:
+        """What ``U(k, j)`` and ``SU(k, j)`` hand to :meth:`_updates`: block
+        ``k``'s facts, read from the store wherever the executor put its
+        buffers, and update ``(k → j)``'s relative indices as one row."""
         data = self.data
-        subs = data.sub_rows(k)
-        pivoted = data.pivots[k]
-        if self.check_dependencies and pivoted[0] < 0:
+        if self.check_dependencies and data.pivots[k][0] < 0:
             raise SchedulingError(f"{kind}({k},{j}) ran before F({k})")
-        m = data.sub_panels[k]
-        w = data.width(k)
-        facts = self._facts(k)
-        panel_j = data.panels[j]
-        if panel_j is None:
+        if data.panels[j] is None:
             raise SchedulingError(
                 f"{kind}({k},{j}) ran on a process that does not own column {j}"
             )
         rel = data.layout.relative_rows(k, j)
-        san = self.sanitizer
-        if san is not None:
+        if self.sanitizer is not None:
             from repro.analysis.sanitizer import pivot_region
 
-            san.record_read(pivot_region(k), subs)
+            subs = data.sub_rows(k)
+            self.sanitizer.record_read(pivot_region(k), subs)
             # U(k, j) goes on to read the multipliers below the diagonal.
-            san.record_read(k, subs if kind == "U" else subs[:w])
+            self.sanitizer.record_read(k, subs if kind == "U" else subs[: data.width(k)])
+        return self._facts(k), rel[None]
 
-        # 1. Apply F(k)'s row renaming to column j (gather, then scatter —
-        #    safe under permutation cycles). Ids absent from column j carry
-        #    exact zeros, so dropping/injecting them is a no-op.
-        moved = facts.moved
+    def _updates(
+        self, k: int, facts: PanelFacts, js: "list[int]", rel: np.ndarray, gemm: bool = True
+    ) -> tuple[int, int, int, int]:
+        """Update ``(k → j)`` for every target ``j`` of ``js`` (``rel``: their
+        rows of the layout's relative indices) — the body of step ``k`` after
+        ``F(k)``, of ``U(k, j)`` for its one target, and of ``SU(k, j)``
+        (``gemm=False``). Returns the LazyS+ tally.
+
+        Per target: ``F(k)``'s row renaming, gathered then scattered (every
+        renamed id is a row of ``sub_rows(k)``; a row column ``j`` lacks
+        carries exact zeros). Then LazyS+, the paper's §2 note that "some of
+        the zero blocks can be eliminated": a ``U`` block ``(k, j)`` that is
+        zero after the renames solves to zero, so its TRSM and GEMM are
+        skipped — bitwise identical, strictly less work. Otherwise the TRSM
+        is one GEMM with ``L⁻¹`` and the GEMM goes into the active rows
+        column ``j`` stores. Across targets only exact work is shared, never
+        a product.
+        """
+        data, san, metrics = self.data, self.sanitizer, self.metrics
+        panels, subs, m = data.panels, data.sub_rows(k), data.sub_panels[k]
+        linv, moved, active = facts.linv, facts.moved, facts.active
+        w, n_act = linv.shape[0], active.size
+        # Whether every target stores every candidate row (only row lists care).
+        full = bool(rel.min() >= 0) if moved.size or (gemm and n_act) else True
         if moved.size:
-            src = rel[facts.moved_from]
-            dst = rel[moved]
-            have, put = src >= 0, dst >= 0
-            vals = np.zeros((moved.size, panel_j.shape[1]), dtype=np.float64)
-            vals[have] = panel_j[src[have]]
-            panel_j[dst[put]] = vals[put]
+            pivoted = data.pivots[k]
+            src = rel.take(np.searchsorted(subs, pivoted[moved]), axis=1)
+            dst = rel.take(moved, axis=1)
+            for t, j in enumerate(js):
+                if full:
+                    panels[j][dst[t]] = panels[j].take(src[t], axis=0)
+                else:
+                    have, put = src[t] >= 0, dst[t] >= 0
+                    vals = np.zeros((moved.size, panels[j].shape[1]))
+                    vals[have] = panels[j][src[t][have]]
+                    panels[j][dst[t][put]] = vals[put]
+                if san is not None:
+                    san.record_read(j, pivoted[moved][src[t] >= 0])
+                    san.record_write(j, subs[moved][dst[t] >= 0])
+            if metrics is not None:
+                metrics.counter("pivot.renames_applied", unit="rows").inc(len(js) * moved.size)
+        if gemm and n_act:
+            tgt, m_act = rel.take(active, axis=1), m.take(active, axis=0)
+        n_run = w_run = w_skipped = 0
+        for t, (j, off) in enumerate(zip(js, rel[:, 0].tolist())):
+            panel_j = panels[j]
+            block, w_j = panel_j[off : off + w], panel_j.shape[1]
             if san is not None:
-                san.record_read(j, pivoted[moved][have])
-                san.record_write(j, subs[moved][put])
-            if self.metrics is not None:
-                self.metrics.counter("pivot.renames_applied", unit="rows").inc(
-                    int(moved.size)
-                )
+                san.record_read(j, subs[:w])
+            if not np.count_nonzero(block):
+                w_skipped += w_j
+                if metrics is not None:
+                    metrics.counter("update.skipped_zero_block", unit="updates").inc()
+                continue
+            u_kj = linv @ block
+            block[...] = u_kj
+            n_run += 1
+            w_run += w_j
+            if metrics is not None:
+                metrics.counter("kernel.trsm.calls", unit="calls").inc()
+                metrics.counter("kernel.trsm.flops", unit="flops").inc(trsm_flops(w, w_j))
+                metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
+            if san is not None:
+                san.record_write(j, subs[:w])
+            if gemm and n_act:
+                rows, tgt_t = (active, tgt[t]) if full else _stored(active, tgt[t])
+                m_rows = m_act if rows.size == n_act else m.take(rows, axis=0)
+                self._push_gemm(panel_j, m_rows, tgt_t, u_kj, n_act)
+                if san is not None and rows.size:
+                    san.record_read(j, subs[rows])
+                    san.record_write(j, subs[rows])
+        below = m.shape[0] - w
+        saved = update_flops(w, below, w_skipped)
+        if not gemm:
+            return len(js) - n_run, n_run, saved, trsm_flops(w, w_run)
+        saved += gemm_flops(below - n_act, w, w_run)
+        return len(js) - n_run, n_run, saved, update_flops(w, n_act, w_run)
 
-        # 2. TRSM: finalize the U block B̄_{k,j}. LazyS+ optimization (the
-        #    paper's §2 note that "some of the zero blocks can be eliminated
-        #    from the computation"): a block that is numerically zero after
-        #    the renames solves to zero, so both the TRSM and the GEMM it
-        #    would feed are skipped — bitwise identical, strictly less work.
-        off = int(rel[0])
-        block = panel_j[off : off + w, :]
-        w_j = panel_j.shape[1]
-        if san is not None:
-            san.record_read(j, subs[:w])
-        if not block.any():
-            self.lazy_stats.skip_update(w, int(subs.size) - w, w_j)
-            if self.metrics is not None:
-                self.metrics.counter("update.skipped_zero_block", unit="updates").inc()
-            return None
-        u_kj = facts.linv @ block
-        block[...] = u_kj
-        if san is not None:
-            san.record_write(j, subs[:w])
-        if self.metrics is not None:
-            self.metrics.counter("kernel.trsm.calls", unit="calls").inc()
-            self.metrics.counter("kernel.trsm.flops", unit="flops").inc(
-                trsm_flops(w, w_j)
-            )
-            self.metrics.histogram("kernel.trsm.width", unit="cols").observe(w_j)
-        return panel_j, rel, u_kj, subs, m, facts
-
-    def _push_gemm(
-        self,
-        j: int,
-        panel_j: np.ndarray,
-        subs: np.ndarray,
-        rel: np.ndarray,
-        m: np.ndarray,
-        rows: np.ndarray,
-        u_kj: np.ndarray,
-    ) -> None:
-        """``panel_j[rel[rows]] -= m[rows] @ u_kj`` over those of the active
-        candidate positions ``rows`` that column ``j`` stores. Padded rows
-        (all-zero multipliers) are not among ``rows``: they contribute
-        nothing, and — critically for the threaded executor — writing
-        their zero deltas would race with concurrent independent-subtree
-        updates that own those rows for real."""
-        n_active = int(rows.size)
-        tgt = rel[rows]
-        if tgt.min() < 0:
-            keep = tgt >= 0
-            rows, tgt = rows[keep], tgt[keep]
-        if rows.size:
-            panel_j[tgt] -= m[rows] @ u_kj
-            if self.sanitizer is not None:
-                self.sanitizer.record_read(j, subs[rows])
-                self.sanitizer.record_write(j, subs[rows])
+    def _push_gemm(self, panel_j, m_rows, tgt, u_kj, n_active: int) -> None:
+        """``panel_j[tgt] -= m_rows @ u_kj``. Padded rows (all-zero
+        multipliers) and rows column ``j`` does not store are not among
+        ``tgt``: they contribute nothing, and — critically for the threaded
+        executor — writing their zero deltas would race with concurrent
+        independent-subtree updates that own those rows for real."""
+        if tgt.size:
+            rows = panel_j.take(tgt, axis=0)
+            rows -= m_rows @ u_kj
+            panel_j[tgt] = rows
         if self.metrics is not None:
             w, w_j = u_kj.shape
             self.metrics.counter("kernel.gemm.calls", unit="calls").inc()
@@ -501,20 +530,6 @@ class LUFactorization:
             )
             self.metrics.histogram("kernel.gemm.rows", unit="rows").observe(n_active)
             self.metrics.histogram("kernel.gemm.width", unit="cols").observe(w_j)
-
-    def _apply_update(self, j: int, k: int) -> None:
-        """``U(k, j)``: update column ``j`` by block column ``k``'s factored
-        panel — renames, TRSM, then the GEMM into the rows below block
-        ``k`` that column ``j`` materializes."""
-        solved = self._rename_and_solve("U", k, j)
-        if solved is None:
-            return
-        panel_j, rel, u_kj, subs, m, facts = solved
-        w, w_j = u_kj.shape
-        rows = facts.active
-        self.lazy_stats.note_gemm_rows(int(subs.size) - w, int(rows.size), w, w_j)
-        if rows.size:
-            self._push_gemm(j, panel_j, subs, rel, m, rows, u_kj)
 
     # ------------------------------------------------------------------
     # 2-D per-block task bodies (repro.parallel.two_d)
@@ -540,24 +555,7 @@ class LUFactorization:
             lo, hi = self._block_slice(k, i)
             self.sanitizer.record_read(k, self.data.sub_rows(k)[lo:hi])
 
-    def _scale_upper(self, k: int, j: int) -> None:
-        """``SU(k, j)``: renames + TRSM of block (k, j), leaving the
-        per-block GEMMs of :meth:`_apply_update` to ``UP``.
-
-        The rename scatter may touch *any* supported row of column ``j``
-        (pivot swaps cross block rows), which is why the 2-D graph
-        serializes a column's steps on its ``SU`` tasks.
-        """
-        solved = self._rename_and_solve("SU", k, j)
-        if solved is not None:
-            # A skip (LazyS+) means the whole update (k → j) is dead: the
-            # UP(k, ·, j) tasks see the still-zero U block and return, so
-            # the helper's one skip accounts for the 1-D-equivalent update.
-            w, w_j = solved[2].shape
-            self.lazy_stats.n_updates_run += 1
-            self.lazy_stats.flops_spent += trsm_flops(w, w_j)
-
-    def _block_update(self, k: int, i: int, j: int) -> None:
+    def _block_update(self, k: int, i: int, j: int) -> "tuple[int, ...]":
         """``UP(k, i, j)``: GEMM of block row ``i`` into column ``j``.
 
         Reads the finished ``U`` block (k, j) straight from column ``j``'s
@@ -577,26 +575,27 @@ class LUFactorization:
                 f"UP({k},{i},{j}) ran on a process that does not own column {j}"
             )
         rel = data.layout.relative_rows(k, j)
-        off = int(rel[0])
-        u_kj = panel_j[off : off + w, :]
+        u_kj = panel_j[int(rel[0]) : int(rel[0]) + w, :]
         subs = data.sub_rows(k)
         san = self.sanitizer
         if san is not None:
             san.record_read(j, subs[:w])
         if not u_kj.any():
-            return  # SU(k, j) took the LazyS+ skip; nothing to push.
+            return ()  # SU(k, j) took the LazyS+ skip; nothing to push.
         lo, hi = self._block_slice(k, i)
         if san is not None:
             san.record_read(k, subs[lo:hi])
         active = self._facts(k).active
         a, b = np.searchsorted(active, (lo, hi))
-        rows = active[a:b]
-        n_active = int(rows.size)
+        n_active = int(b - a)
         w_j = panel_j.shape[1]
-        self.lazy_stats.flops_saved += 2 * (hi - lo - n_active) * w * w_j
-        self.lazy_stats.flops_spent += 2 * n_active * w * w_j
         if n_active:
-            self._push_gemm(j, panel_j, subs, rel, m, rows, u_kj)
+            rows, tgt = _stored(active[a:b], rel.take(active[a:b]))
+            self._push_gemm(panel_j, m.take(rows, axis=0), tgt, u_kj, n_active)
+            if san is not None and rows.size:
+                san.record_read(j, subs[rows])
+                san.record_write(j, subs[rows])
+        return (0, 0, gemm_flops(hi - lo - n_active, w, w_j), gemm_flops(n_active, w, w_j))
 
     def recompose_orig_at(self) -> None:
         """Set ``orig_at`` from the store's pivot slots, composing the

@@ -2,12 +2,14 @@
 
 These wrap NumPy (which dispatches to the platform BLAS) exactly where the
 paper used SCSL: the panel LU inside ``Factor(k)`` and the TRSM/GEMM pair
-inside ``Update(k,j)``. The Python-level work of each kernel is independent
-of the panel width beyond one short base case per four columns: the panel
-LU recurses on column halves and moves its flops through GEMM, and every
-triangular solve is one GEMM with an explicit inverse of the (small)
-diagonal block. Flop formulas match the classical counts and feed the
-machine model used to regenerate Table 2 and Figures 5-6.
+inside ``Update(k,j)``. Every triangular solve is one GEMM with an explicit
+inverse of the (small) diagonal block: ``Factor(k)`` produces ``L⁻¹`` as it
+eliminates, and the solves' ``U⁻¹`` is built once per factorization, a
+width class at a time. The panel LU and ``L⁻¹`` are elementwise NumPy
+only — no BLAS call whose bits could depend on an operand's shape — so a
+process that only reads a factored panel derives ``Factor(k)``'s ``L⁻¹``
+bit for bit. Flop formulas match the classical counts and feed the machine
+model used to regenerate Table 2 and Figures 5-6.
 """
 
 from __future__ import annotations
@@ -19,128 +21,118 @@ from repro.util.errors import ShapeError, SingularMatrixError
 
 Matrix = NDArray[np.float64]
 
-#: Widest column range the panel LU factors column by column.
+#: Widest diagonal block :func:`upper_inverse` inverts column by column;
+#: wider ones it splits in halves.
 _BASE_WIDTH = 4
 
 
-def lu_panel_inplace(
-    m: Matrix, w: int
-) -> tuple[NDArray[np.int64], Matrix, Matrix]:
+def lu_panel_inplace(m: Matrix, w: int) -> tuple[NDArray[np.int64], Matrix]:
     """Partial-pivoted LU of the leading ``w`` columns of panel ``m``.
 
     ``m`` has shape ``(rows, w)`` with ``rows >= w``; on return it holds the
     unit-lower factor below the diagonal and ``U`` on/above it. Pivots are
     searched over the whole remaining panel (all candidate rows).
 
-    Recursive on column halves (Toledo): factor the left half, finish the
-    right half's top block with one triangular solve, push one GEMM into
-    the rows below, factor the right half. Row swaps always move whole
-    rows of ``m``, so the halves never need a separate permutation pass.
-    The triangular solve is a GEMM with the left half's ``L⁻¹``, which the
-    recursion assembles bottom-up together with ``U⁻¹``; both inverses of
-    the whole ``(w, w)`` diagonal block fall out at the top.
+    Unblocked right-looking elimination of a packed copy of the rows that
+    can take part: the ``w`` diagonal rows and every row below them that is
+    not all zero. A zero row never wins a pivot search and its multipliers
+    stay exactly zero, so it is left untouched (not even a ``0.0 → -0.0``
+    flip). The copy carries ``w`` more columns in which the same rank-1
+    updates build ``L⁻¹``: a row is tagged with its unit vector when it
+    becomes pivot row ``c``, and every row below subtracts its multiple of
+    that tag — forward substitution on the identity, operation for
+    operation the one :func:`unit_lower_inverse` runs.
 
     Returns
     -------
     order:
         Local permutation: ``order[p]`` is the original local row now at
         position ``p``.
-    linv, uinv:
-        :func:`triangular_inverses` of the factored diagonal block.
+    linv:
+        ``L⁻¹`` of the factored diagonal block (``unit_lower_inverse(m[:w])``).
     """
     rows = m.shape[0]
     if m.ndim != 2 or m.shape[1] != w:
         raise ShapeError(f"panel shape {m.shape} does not match width {w}")
     if rows < w:
         raise ShapeError(f"panel has {rows} rows < width {w}")
-    order = np.arange(rows, dtype=np.int64)
-    linv = np.zeros((w, w), dtype=np.float64)
-    uinv = np.zeros((w, w), dtype=np.float64)
-    _lu_columns(m, 0, w, order, linv, uinv)
-    return order, linv, uinv
-
-
-def _lu_columns(
-    m: Matrix, lo: int, hi: int, order: NDArray[np.int64], linv: Matrix, uinv: Matrix
-) -> None:
-    """Factor columns ``lo:hi`` of ``m`` over rows ``lo:`` in place and
-    fill the ``lo:hi`` diagonal blocks of ``linv``/``uinv``."""
-    if hi - lo > _BASE_WIDTH:
-        mid = (lo + hi) // 2
-        _lu_columns(m, lo, mid, order, linv, uinv)
-        top = m[lo:mid, mid:hi]
-        top[...] = linv[lo:mid, lo:mid] @ top
-        m[mid:, mid:hi] -= m[mid:, lo:mid] @ top
-        _lu_columns(m, mid, hi, order, linv, uinv)
-        _join_inverses(m, lo, mid, hi, linv, uinv)
-        return
-    rows = m.shape[0]
-    for c in range(lo, hi):
-        p = c + int(np.abs(m[c:, c]).argmax())
-        piv = m[p, c]
+    pos = np.concatenate((np.arange(w), m[w:].any(axis=1).nonzero()[0] + w))
+    n = pos.size
+    a = np.zeros((n, 2 * w))
+    a[:, :w] = m.take(pos, axis=0)
+    at = pos.tolist()
+    for c in range(w):
+        p = c + int(np.abs(a[c:, c]).argmax())
+        piv = a[p, c]
         if piv == 0.0:
             raise SingularMatrixError(f"zero pivot in panel column {c}")
         if p != c:
-            held = m[c].copy()
-            m[c] = m[p]
-            m[p] = held
-            order[c], order[p] = order[p], order[c]
-        if c + 1 < rows:
-            m[c + 1 :, c] /= piv
-            if c + 1 < hi:
-                m[c + 1 :, c + 1 : hi] -= m[c + 1 :, c, None] * m[c, c + 1 : hi]
-    _leaf_inverses(m, lo, hi, linv, uinv)
+            held = a[c].copy()
+            a[c] = a[p]
+            a[p] = held
+            at[c], at[p] = at[p], at[c]
+        a[c, w + c] = 1.0
+        if c + 1 < n:
+            l = a[c + 1 :, c]
+            l /= piv
+            if c + 1 < w:  # the last column's tags reach rows below the block only
+                a[c + 1 :, c + 1 : w + c + 1] -= l[:, None] * a[c, c + 1 : w + c + 1]
+    m[pos] = a[:, :w]
+    order = np.arange(rows, dtype=np.int64)
+    order[pos] = at
+    return order, a[:w, w:].copy()
 
 
-def _leaf_inverses(d: Matrix, lo: int, hi: int, linv: Matrix, uinv: Matrix) -> None:
-    """Invert the two triangles of ``d[lo:hi, lo:hi]`` (at most
-    ``_BASE_WIDTH`` wide) by substitution, a row at a time."""
-    linv[lo, lo] = 1.0
-    for r in range(lo + 1, hi):
-        linv[r, r] = 1.0
-        linv[r, lo:r] = -(d[r, lo:r] @ linv[lo:r, lo:r])
-    for r in range(hi - 1, lo - 1, -1):
-        piv = d[r, r]
-        uinv[r, r] = 1.0 / piv
-        if r + 1 < hi:
-            uinv[r, r + 1 : hi] = (d[r, r + 1 : hi] @ uinv[r + 1 : hi, r + 1 : hi]) / -piv
+def unit_lower_inverse(d: Matrix) -> Matrix:
+    """``L⁻¹`` of the unit lower triangle of ``d`` (the stored diagonal
+    belongs to ``U``), for one ``(w, w)`` block or a stack ``(…, w, w)``.
+
+    Column-oriented forward substitution on the identity, the rank-1 update
+    :func:`lu_panel_inplace` applies to its tags: the same products and
+    differences in the same order, hence the same bits."""
+    w = d.shape[-1]
+    x = np.zeros(d.shape)
+    for c in range(w):
+        x[..., c, c] = 1.0
+        x[..., c + 1 :, : c + 1] -= d[..., c + 1 :, c, None] * x[..., c, None, : c + 1]
+    return x
 
 
-def _join_inverses(
-    d: Matrix, lo: int, mid: int, hi: int, linv: Matrix, uinv: Matrix
-) -> None:
-    """Off-diagonal blocks of the ``lo:hi`` inverses from the finished
-    ``lo:mid`` and ``mid:hi`` ones: ``−B⁻¹ C A⁻¹`` below for ``L``, and
-    ``−A⁻¹ C B⁻¹`` above for ``U``."""
-    linv[mid:hi, lo:mid] = -(linv[mid:hi, mid:hi] @ d[mid:hi, lo:mid]) @ linv[lo:mid, lo:mid]
-    uinv[lo:mid, mid:hi] = -(uinv[lo:mid, lo:mid] @ d[lo:mid, mid:hi]) @ uinv[mid:hi, mid:hi]
+def upper_inverse(d: Matrix) -> Matrix:
+    """``U⁻¹`` of the upper triangle of ``d``, for one ``(w, w)`` block or a
+    stack ``(…, w, w)`` (the block solves invert a width class at a time).
+
+    Wider than ``_BASE_WIDTH``, by halves — ``[A B; 0 C]⁻¹ = [A⁻¹,
+    −A⁻¹BC⁻¹; 0, C⁻¹]`` with ``A`` and ``C`` inverted as one stack (an odd
+    width gains a unit diagonal entry first); narrower, by column-oriented
+    back substitution on the identity."""
+    w = d.shape[-1]
+    d3 = d.reshape(-1, w, w)
+    n, h = d3.shape[0], (w + 1) // 2
+    if w <= _BASE_WIDTH:
+        x = np.zeros(d3.shape)
+        for c in range(w - 1, -1, -1):
+            x[:, c, c] = 1.0
+            x[:, c, c:] /= d3[:, c, c, None]
+            x[:, :c, c:] -= d3[:, :c, c, None] * x[:, c, None, c:]
+    elif 2 * h > w:
+        x = np.zeros((n, w + 1, w + 1))
+        x[:, w, w] = 1.0
+        x[:, :w, :w] = d3
+        x = upper_inverse(x)[:, :w, :w]
+    else:
+        halves = upper_inverse(np.concatenate((d3[:, :h, :h], d3[:, h:, h:])))
+        x = np.zeros(d3.shape)
+        x[:, :h, :h], x[:, h:, h:] = halves[:n], halves[n:]
+        x[:, :h, h:] = -(halves[:n] @ d3[:, :h, h:]) @ halves[n:]
+    return x.reshape(d.shape)
 
 
 def triangular_inverses(block: Matrix) -> tuple[Matrix, Matrix]:
     """``(L⁻¹, U⁻¹)`` of a factored diagonal block: the inverse of its unit
-    lower triangle (the stored diagonal belongs to ``U``) and of its upper
-    triangle — what turns every triangular solve against the block into a
-    GEMM.
-
-    Runs the panel LU's recursion on the finished values, operation for
-    operation, so an engine that only *reads* a factored panel derives the
-    bits ``Factor(k)`` got as a by-product.
-    """
-    w = block.shape[0]
-    linv = np.zeros((w, w), dtype=np.float64)
-    uinv = np.zeros((w, w), dtype=np.float64)
-    _fill_inverses(block, 0, w, linv, uinv)
-    return linv, uinv
-
-
-def _fill_inverses(d: Matrix, lo: int, hi: int, linv: Matrix, uinv: Matrix) -> None:
-    if hi - lo > _BASE_WIDTH:
-        mid = (lo + hi) // 2
-        _fill_inverses(d, lo, mid, linv, uinv)
-        _fill_inverses(d, mid, hi, linv, uinv)
-        _join_inverses(d, lo, mid, hi, linv, uinv)
-    else:
-        _leaf_inverses(d, lo, hi, linv, uinv)
+    lower triangle and of its upper triangle — what turns every triangular
+    solve against the block into a GEMM."""
+    return unit_lower_inverse(block), upper_inverse(block)
 
 
 def lu_panel_flops(rows: int, w: int) -> int:

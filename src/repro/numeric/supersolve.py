@@ -8,9 +8,10 @@ column-wise throws the block structure away exactly where the serving hot
 path needs it. :class:`BlockFactors` solves against the panels where they
 lie. Per supernode ``k`` it holds
 
-* the two triangular inverses of the ``(w, w)`` diagonal block, which
-  ``Factor(k)`` derived for its own updates, so each per-block solve is
-  one small GEMM;
+* the two triangular inverses of the ``(w, w)`` diagonal block — ``L⁻¹``,
+  which ``Factor(k)`` derived for its own updates, and ``U⁻¹``, built here
+  for all blocks of one width at a time — so each per-block solve is one
+  small GEMM;
 * a *view* of the panel rows below the diagonal (block column ``k`` of L)
   and a view of the panel rows above it (block column ``k`` of U), with
   the static row ids of both, which the
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.numeric.blockdata import BlockColumnData
+from repro.numeric.kernels import upper_inverse
 from repro.util.errors import ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (factor)
@@ -67,17 +69,31 @@ class BlockFactors:
         """Wrap a completed factorization's storage.
 
         ``renames[k]`` is ``(new ids, old ids)`` of the rows ``F(k)``'s
-        pivoting moved (``None``: no swap); ``facts[k]`` carries the
-        ``(L⁻¹, U⁻¹)`` pair of block ``k``'s diagonal block and the
-        candidate positions below it that hold a nonzero multiplier.
+        pivoting moved (``None``: no swap); ``facts[k]`` carries ``L⁻¹`` of
+        block ``k``'s diagonal block and the candidate positions below it
+        that hold a nonzero multiplier. ``U⁻¹`` is built here, which only
+        the solves read: one batch of :func:`upper_inverse` per width.
         """
         layout = data.layout
         self.n = data.n
         self.n_blocks = data.n_blocks
         starts = layout.starts.tolist()
+        widths = layout.widths.tolist()
+        # U⁻¹: one upper_inverse batch per power-of-two width class, each
+        # block padded with the identity (which its inverse leaves alone).
+        classes: "dict[int, list[int]]" = {}
+        for k, w in enumerate(widths):
+            classes.setdefault(1 << (w - 1).bit_length(), []).append(k)
+        uinv: "dict[int, np.ndarray]" = {}
+        for cw, ks in classes.items():
+            d = np.tile(np.eye(cw), (len(ks), 1, 1))
+            for i, k in enumerate(ks):
+                d[i, : widths[k], : widths[k]] = data.sub_panels[k][: widths[k]]
+            for k, inv in zip(ks, upper_inverse(d)):
+                uinv[k] = inv[: widths[k], : widths[k]].copy()
         # Per block: (lo, hi, rename, L⁻¹, L rows below, U⁻¹, U rows above).
         self._steps = []
-        for k, w in enumerate(layout.widths.tolist()):
+        for k, w in enumerate(widths):
             f = facts[k]
             self._steps.append(
                 (
@@ -88,7 +104,7 @@ class BlockFactors:
                     _nonzero_rows(
                         data.sub_panels[k][w:], layout.sub_rows(k)[w:], f.active - w
                     ),
-                    f.uinv,
+                    uinv[k],
                     _nonzero_rows(
                         data.panels[k][: layout.diag_offset(k)], layout.upper_rows(k)
                     ),

@@ -9,16 +9,19 @@ for real (the simulators in :mod:`repro.parallel.simulate` /
 dispatchable here):
 
 ``sequential``
-    The right-looking reference order in the calling thread. Default.
+    The right-looking reference order in the calling thread, one block
+    step per block column. Default.
 ``threaded``
     :func:`repro.parallel.threads.threaded_factorize` — a GIL-sharing
-    thread pool over the task graph.
+    thread pool releasing block steps over the block eforest.
 ``proc``
     :func:`repro.parallel.procengine.proc_factorize` — worker processes
-    over a shared-memory arena with fan-both message scheduling.
+    over a shared-memory arena with fan-both message scheduling of the
+    task graph.
 
 All three produce bitwise-identical factors (the race-free task graph
-makes every admissible schedule equivalent), so the choice is purely a
+makes every admissible schedule equivalent, and a step runs each task's
+body on the same operands), so the choice is purely a
 performance/deployment decision — see docs/parallel.md. Every engine
 runs both graph shapes: the paper's 1-D column graph and the §6 2-D
 block graph (:func:`repro.parallel.two_d.build_2d_graph`); within one
@@ -61,8 +64,10 @@ def run_engine(
 ):
     """Drive one factorization on the already-resolved engine ``choice``.
 
-    ``graph`` may be ``None`` only for ``"sequential"`` (the parallel
-    engines schedule by the dependence graph); a 2-D graph replays in the
+    ``graph`` may be ``None`` for ``"sequential"`` and ``"threaded"``,
+    which run block steps and read no graph unless a sanitizer or
+    ``check_dependencies`` needs the tasks one by one; ``"proc"``
+    schedules by the dependence graph. A 2-D graph replays in the
     canonical right-looking order instead of ``factor_sequential``.
     ``mapping`` optionally pins the proc engine's task placement — a 1-D
     owner array or a :class:`repro.parallel.mapping.GridMapping` (the
@@ -129,23 +134,27 @@ def _dispatch(
     tracer,
     pool,
 ):
-    if choice == "sequential":
-        if graph is not None:
-            from repro.parallel.two_d import canonical_2d_order, is_2d_graph
+    from repro.parallel.two_d import canonical_2d_order, is_2d_graph
 
-            if is_2d_graph(graph):
-                for task in canonical_2d_order(graph):
-                    engine.run_task(task)
-                return None
+    two_d = graph is not None and is_2d_graph(graph)
+    if choice == "sequential":
+        if two_d:
+            for task in canonical_2d_order(graph):
+                engine.run_task(task)
+            return None
         engine.factor_sequential()
         return None
-    if graph is None:
-        raise ValueError(f"engine {choice!r} requires a task graph")
     if choice == "threaded":
         from repro.parallel.threads import threaded_factorize
 
+        by_task = two_d or engine.sanitizer is not None or engine.check_dependencies
+        if by_task and graph is None:
+            raise ValueError("a sanitized or checked threaded run needs a task graph")
+        graph = graph if by_task else None
         threaded_factorize(engine, graph, n_threads=n_workers, metrics=metrics)
         return None
+    if graph is None:
+        raise ValueError(f"engine {choice!r} requires a task graph")
     if choice == "proc":
         if pool is not None:
             return pool.factorize(

@@ -402,11 +402,14 @@ def _notify_lists(
 def _abort_pool(
     procs: list[Any], inboxes: list[Any], outboxes: list[Any], ctrl: Any
 ) -> None:
-    """Terminate every worker and drain all message channels (abort
+    """Terminate every worker and discard all message channels (abort
     hygiene).
 
     Mirrors the threaded executor's contract: once the error propagates,
-    no channel holds live messages and no worker process survives.
+    no channel holds live messages and no worker process survives. The
+    pipes are closed unread: a worker killed between reading a message's
+    length and its body leaves a pipe no reader can parse (draining one
+    blocked forever).
     """
     for p in procs:
         if p.is_alive():
@@ -416,12 +419,6 @@ def _abort_pool(
         if p.is_alive():  # pragma: no cover - terminate() refused to stick
             p.kill()
             p.join(timeout=5.0)
-    for conn in inboxes:
-        try:
-            while conn.poll():
-                conn.recv_bytes()
-        except (OSError, EOFError):
-            pass
     for conn in (*inboxes, *outboxes):
         try:
             conn.close()
@@ -566,7 +563,6 @@ def _consume(msg: tuple, pending: set, stats_by_rank: dict) -> None:
 def _gather(
     engine: LUFactorization,
     arena: SharedArena,
-    task_list: list[Task],
     stats_by_rank: dict,
 ) -> None:
     """Copy the arena's two buffers back into the parent engine's store,
@@ -574,15 +570,10 @@ def _gather(
     engine.data.values[...] = arena.values
     engine.data.pivot_ids[...] = arena.pivot_ids
     engine.recompose_orig_at()
-    engine.done = set(task_list)
-    # Fold the workers' LazyS+ accounting back into the parent engine.
-    ls = engine.lazy_stats
+    # Fold the workers' task counts and LazyS+ accounting back into the
+    # parent engine.
     for s in stats_by_rank.values():
-        skipped, run, saved, spent = s["lazy"]
-        ls.n_updates_skipped += skipped
-        ls.n_updates_run += run
-        ls.flops_saved += saved
-        ls.flops_spent += spent
+        engine.tally(s["n_tasks"], *s["lazy"])
 
 
 class ProcPool:
@@ -726,7 +717,6 @@ class ProcPool:
             "outboxes": outboxes,
             "ctrl": ctrl,
             "procs": procs,
-            "task_list": task_list,
         }
         return self._state
 
@@ -861,7 +851,7 @@ class ProcPool:
                     self._teardown(abort=True)
                     raise
                 makespan = time.perf_counter() - t_start
-                _gather(engine, arena, st["task_list"], stats_by_rank)
+                _gather(engine, arena, stats_by_rank)
                 if engine.sanitizer is not None:
                     for s in stats_by_rank.values():
                         payload = s.get("sanitize")

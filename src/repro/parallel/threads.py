@@ -1,11 +1,18 @@
-"""Shared-memory threaded execution of a task graph.
+"""Shared-memory threaded execution of a factorization.
 
-Runs the real numeric engine under a pool of worker threads honoring the
-dependence graph — the shared-memory analogue of the paper's distributed
-executor. NumPy kernels release the GIL, so medium/large blocks overlap;
-more importantly this proves that *any* machine-driven interleaving of the
-task graph computes bitwise-consistent factors (the tests compare against
-the sequential order).
+Runs the real numeric engine under a pool of worker threads — the
+shared-memory analogue of the paper's distributed executor. NumPy kernels
+release the GIL, so medium/large blocks overlap; more importantly this
+proves that *any* machine-driven interleaving computes bitwise-consistent
+factors (the tests compare against the sequential order).
+
+By default the pool runs block steps and releases step ``k`` once its
+block-eforest children's steps committed. That is sound: in the 1-D task
+graph every path leaving a step's task leads to the same step or an eforest
+ancestor (rules 3–5 of :mod:`repro.taskgraph.eforest_graph`), so steps the
+eforest leaves unordered hold only mutually unordered tasks — which the
+footprint proofs of :mod:`repro.analysis.races` show conflict-free. Given
+a task graph (2-D, sanitized or checked runs) it runs the graph's tasks.
 
 This is **execution, not simulation**: real factors come out, and the
 module is dispatchable as the ``threaded`` engine (``engine=`` >
@@ -18,36 +25,45 @@ from __future__ import annotations
 
 import threading
 from queue import Empty, Queue
-from typing import Any
+from typing import Any, Callable, Iterable
+
+import numpy as np
 
 from repro.numeric.factor import LUFactorization
 from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.tasks import Task
+from repro.taskgraph.eforest_graph import block_eforest
 from repro.util.errors import SchedulingError
 
 
 def threaded_factorize(
     engine: LUFactorization,
-    graph: TaskGraph,
+    graph: "TaskGraph | None",
     n_threads: int = 4,
     *,
     metrics: Any = None,
 ) -> None:
-    """Execute every task of ``graph`` on ``engine`` with ``n_threads``
-    workers; returns when the factorization is complete.
-
-    Tasks become eligible when all predecessors committed; a lock-protected
-    counter map hands them to the worker pool. Any worker exception aborts
-    the pool and is re-raised.
+    """Factorize on ``engine`` with ``n_threads`` workers — block steps over
+    the block eforest (``graph=None``) or the tasks of ``graph`` — and
+    return when it is complete. Units become eligible when all predecessors
+    committed; any worker exception aborts the pool and is re-raised.
 
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) records
-    ``threads.tasks_executed``, a ``threads.work_queue_depth`` histogram
-    sampled at each dequeue, and the ``threads.workers`` gauge. Like
-    ``LazyStats``, these are updated without a lock from workers and may
-    undercount slightly under contention; the numerics are unaffected.
+    ``threads.tasks_executed`` (steps or tasks), a
+    ``threads.work_queue_depth`` histogram sampled at each dequeue, and the
+    ``threads.workers`` gauge, updated without a lock (they may undercount
+    under contention; the engine's own ``lazy_stats`` is exact).
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    if graph is None:
+        parent = block_eforest(engine.bp)
+        n_children = np.bincount(parent[parent >= 0], minlength=parent.size)
+        succ = [[p] if p >= 0 else [] for p in parent.tolist()]
+        _run_pool(
+            engine.step, dict(enumerate(n_children.tolist())), succ.__getitem__,
+            n_threads, metrics,
+        )  # fmt: skip
+        return
     graph.validate()
     from repro.analysis.runner import analysis_enabled
 
@@ -75,16 +91,29 @@ def threaded_factorize(
                 f"task graph failed liveness analysis ({len(findings)} "
                 f"finding(s)):\n{lines}"
             )
+    n_preds = {t: graph.in_degree(t) for t in graph.tasks()}
+    _run_pool(engine.run_task, n_preds, graph.successors, n_threads, metrics)
+
+
+def _run_pool(
+    run: Callable[[Any], None],
+    n_preds: "dict[Any, int]",
+    successors: Callable[[Any], Iterable[Any]],
+    n_threads: int,
+    metrics: Any,
+) -> None:
+    """Run every unit of ``n_preds`` (unit -> number of predecessors) with
+    ``run`` on ``n_threads`` threads, releasing ``successors(unit)`` as
+    their counters reach zero."""
     tasks_ctr: Any = None
     depth_hist: Any = None
     if metrics is not None:
         metrics.gauge("threads.workers", unit="threads").set(n_threads)
         tasks_ctr = metrics.counter("threads.tasks_executed", unit="tasks")
         depth_hist = metrics.histogram("threads.work_queue_depth", unit="tasks")
-    n_preds = {t: graph.in_degree(t) for t in graph.tasks()}
     lock = threading.Lock()
     work: Queue = Queue()
-    total = graph.n_tasks
+    total = len(n_preds)
     done_count = 0
     aborted = False
     errors: list[BaseException] = []
@@ -95,7 +124,7 @@ def threaded_factorize(
             work.put(t)
 
     def drain() -> None:
-        # Discard queued-but-unstarted tasks so sentinels are the only
+        # Discard queued-but-unstarted units so sentinels are the only
         # thing left for peers to dequeue — no worker starts new numeric
         # work after an abort, and the queue is empty once the pool joins.
         while True:
@@ -109,17 +138,20 @@ def threaded_factorize(
 
     def worker() -> None:
         nonlocal done_count, aborted
+        unit = _SENTINEL
         while True:
-            task = work.get()
-            if task is _SENTINEL:
-                return
+            if unit is _SENTINEL:
+                unit = work.get()
+                if unit is _SENTINEL:
+                    return
+                if depth_hist is not None:
+                    depth_hist.observe(work.qsize())
             with lock:
                 if aborted:
-                    continue  # swallow stale tasks until a sentinel arrives
-            if depth_hist is not None:
-                depth_hist.observe(work.qsize())
+                    unit = _SENTINEL
+                    continue  # swallow stale units until a sentinel arrives
             try:
-                engine.run_task(task)
+                run(unit)
             except BaseException as exc:  # propagate to caller
                 with lock:
                     errors.append(exc)
@@ -136,23 +168,28 @@ def threaded_factorize(
                 finished = done_count >= total
                 released = []
                 if not aborted:
-                    for succ in graph.successors(task):
+                    for succ in successors(unit):
                         n_preds[succ] -= 1
                         if n_preds[succ] == 0:
                             released.append(succ)
+            # Keep one released unit and run it next, here: a chain of the
+            # eforest stays on one thread and wakes no peer.
+            unit = released.pop(0) if released else _SENTINEL
             for succ in released:
                 work.put(succ)
             if finished:
                 for _ in range(n_threads):
                     work.put(_SENTINEL)
 
+    if not total:
+        return
     threads = [threading.Thread(target=worker, daemon=True) for _ in range(n_threads)]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
     if errors:
-        # Leftover sentinels (and any task a peer enqueued during the
+        # Leftover sentinels (and any unit a peer enqueued during the
         # abort window) must not outlive the pool.
         while True:
             try:
@@ -160,7 +197,5 @@ def threaded_factorize(
             except Empty:
                 break
         raise errors[0]
-    if len(engine.done) != total:
-        raise SchedulingError(
-            f"threaded execution finished {len(engine.done)}/{total} tasks"
-        )
+    if done_count != total:
+        raise SchedulingError(f"threaded execution finished {done_count}/{total} units")

@@ -159,9 +159,10 @@ def refactorize_with_plan(
     footprint escape.
 
     The plan's task graph is read — and, on its first use, built — only
-    by what consumes it: a parallel engine, or a sanitizer (explicit or
-    ``REPRO_SANITIZE=1``), which checks accesses against it. The default
-    sequential factorization runs in block order and leaves it unbuilt.
+    by what consumes it: the proc engine, or a sanitizer (explicit or
+    ``REPRO_SANITIZE=1``), which checks accesses against it. The
+    sequential and threaded engines run block steps over the block
+    eforest and leave it unbuilt.
 
     With detail tracing on, the engine feeds per-kernel counters and
     histograms into ``tracer.metrics``.
@@ -188,9 +189,7 @@ def refactorize_with_plan(
         # Ahead of the span: a first use of the plan's graph builds it, and
         # that is symbolic work, not part of ``factorize``.
         choice = resolve_engine(engine)
-        needs_graph = (
-            choice != "sequential" or sanitizer is not None or sanitize_enabled()
-        )
+        needs_graph = choice == "proc" or sanitizer is not None or sanitize_enabled()
         graph = plan.graph if needs_graph else None
     with tr.span("factorize", n=plan.n, nnz=plan.nnz) as s:
         a_work, equil = permuted_values(plan, a, tr)
@@ -212,7 +211,7 @@ def refactorize_with_plan(
         result = eng.extract(retain_blocks=retain_blocks)
         ls = eng.lazy_stats
         s.set(
-            n_tasks=len(eng.done),
+            n_tasks=eng.n_tasks,
             n_updates_run=ls.n_updates_run,
             n_updates_skipped=ls.n_updates_skipped,
             flops_spent=ls.flops_spent,

@@ -57,13 +57,14 @@ def block_eforest(bp: BlockPattern) -> np.ndarray:
     has stored blocks below the diagonal; ``-1`` otherwise.
     """
     n = bp.n_blocks
-    parent = np.full(n, -1, dtype=np.int64)
-    upper = _upper_blocks_by_source(bp)
-    for i in range(n):
-        has_lower = bool(np.any(bp.col_blocks(i) > i))
-        if has_lower and upper[i]:
-            parent[i] = upper[i][0]
-    return parent
+    counts = [b.size for b in bp.blocks]
+    rows = np.concatenate([*bp.blocks, np.empty(0, np.int64)]).astype(np.int64)
+    cols = np.repeat(np.arange(n, dtype=np.int64), counts)
+    first = np.full(n, n, dtype=np.int64)  # min{ r > i : B̄_{i,r} ≠ 0 }
+    np.minimum.at(first, rows[rows < cols], cols[rows < cols])
+    has_lower = np.zeros(n, dtype=bool)
+    has_lower[cols[rows > cols]] = True
+    return np.where(has_lower & (first < n), first, -1)
 
 
 def build_eforest_graph(

@@ -201,7 +201,13 @@ class TestRelativeIndices:
         solver = SparseLUSolver(PATTERNS[name]()).analyze()
         layout = BlockLayout(solver.bp)
         updates = [t for t in enumerate_tasks(solver.bp) if t.kind == "U"]
-        assert layout._rel_ptr.size == len(updates) + 1  # one row per update
+        # One row per update, grouped by source: a step's rows are one view.
+        assert layout._rel.size == sum(layout.sub_rows(t.k).size for t in updates)
+        for k in range(layout.n_blocks):
+            targets, block = layout.step_targets(k)
+            assert targets.tolist() == [t.j for t in updates if t.k == k]
+            assert block.shape == (targets.size, layout.sub_rows(k).size)
+            assert block.base is not None  # a view, never a copy
         for t in updates:
             rel = layout.relative_rows(t.k, t.j)
             pos, present = layout.positions(t.j, layout.sub_rows(t.k))

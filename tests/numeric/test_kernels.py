@@ -1,5 +1,5 @@
 """Dense kernel tests against NumPy/SciPy oracles and against the
-column-loop kernels the recursive ones replaced (``loop_kernels``)."""
+whole-panel column-loop kernels of ``loop_kernels``."""
 
 import numpy as np
 import pytest
@@ -34,13 +34,13 @@ class TestPanelLU:
         rng = np.random.default_rng(rows * 10 + w)
         m = rng.standard_normal((rows, w))
         orig = m.copy()
-        order, _, _ = lu_panel_inplace(m, w)
+        order, _ = lu_panel_inplace(m, w)
         l_full, u = split_lu(m, w)
         assert np.allclose(l_full @ u, orig[order, :])
 
     def test_pivot_selects_max_magnitude(self):
         m = np.array([[1.0, 0.0], [-9.0, 1.0], [3.0, 2.0]])
-        order, _, _ = lu_panel_inplace(m, 2)
+        order, _ = lu_panel_inplace(m, 2)
         assert order[0] == 1  # row with |-9| chosen first
 
     def test_zero_column_raises(self):
@@ -59,7 +59,7 @@ class TestPanelLU:
         rng = np.random.default_rng(5)
         a = rng.standard_normal((6, 6))
         m = a.copy()
-        order, _, _ = lu_panel_inplace(m, 6)
+        order, _ = lu_panel_inplace(m, 6)
         _, l_ref, u_ref = scipy.linalg.lu(a)
         # Same pivoted factorization up to the permutation convention.
         l = np.tril(m, -1) + np.eye(6)
@@ -84,7 +84,7 @@ class TestRecursivePanelLU:
         rows = w + extra
         orig = np.random.default_rng(seed).standard_normal((rows, w))
         m = orig.copy()
-        order, linv, uinv = lu_panel_inplace(m, w)
+        order, linv = lu_panel_inplace(m, w)
         l_full, u = split_lu(m, w)
         scale = np.abs(orig).max()
         assert np.abs(l_full @ u - orig[order]).max() <= 1e-12 * scale * w
@@ -94,17 +94,32 @@ class TestRecursivePanelLU:
         ref = orig.copy()
         assert np.array_equal(order, lu_panel_loop(ref, w))
         assert np.allclose(m, ref, rtol=1e-9, atol=1e-12)
-        # The inverses that fall out of the recursion are the ones a reader
+        # The L⁻¹ the elimination builds on its tags is the one a reader
         # of the finished panel derives, bit for bit.
-        linv2, uinv2 = triangular_inverses(m[:w])
-        assert np.array_equal(linv, linv2) and np.array_equal(uinv, uinv2)
+        assert np.array_equal(linv, triangular_inverses(m[:w])[0])
 
     @pytest.mark.parametrize("rows,w", [(1, 1), (7, 1), (5, 5), (13, 13), (40, 37)])
     def test_edge_shapes(self, rows, w):
         orig = np.random.default_rng(rows + w).standard_normal((rows, w))
         m, ref = orig.copy(), orig.copy()
-        order, _, _ = lu_panel_inplace(m, w)
+        order, _ = lu_panel_inplace(m, w)
         assert np.array_equal(order, lu_panel_loop(ref, w))
+        assert np.allclose(m, ref, rtol=1e-10, atol=1e-13)
+
+    def test_zero_rows_are_left_untouched(self):
+        # A zero row never wins a pivot search and its multipliers stay
+        # zero: the kernel packs it out, so not even its signs of zero flip.
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((30, 6))
+        zero = np.array([0, 7, 8, 19, 29])
+        m[zero] = 0.0
+        m[8] = -0.0
+        ref = m.copy()
+        order, _ = lu_panel_inplace(m, 6)
+        assert np.array_equal(order, lu_panel_loop(ref, 6))
+        below = zero[zero >= 6]
+        assert np.array_equal(order[below], below)
+        assert m[below].tobytes() == np.array([[0.0] * 6, [-0.0] * 6, [0.0] * 6, [0.0] * 6]).tobytes()
         assert np.allclose(m, ref, rtol=1e-10, atol=1e-13)
 
     @pytest.mark.parametrize("col", [2, 9, 17])
@@ -120,9 +135,13 @@ class TestRecursivePanelLU:
 
 class TestTriangularInverses:
     def test_inverts_both_triangles(self):
+        # Partial pivoting bounds every multiplier by 1, so L's strict lower
+        # triangle is drawn from [-1, 1].
         rng = np.random.default_rng(3)
         for w in (1, 2, 3, 4, 5, 11, 32):
-            d = rng.standard_normal((w, w)) + 4.0 * np.eye(w)
+            d = np.tril(rng.uniform(-1, 1, (w, w)), -1) + np.triu(
+                rng.standard_normal((w, w))
+            ) + 4.0 * np.eye(w)
             linv, uinv = triangular_inverses(d)
             eye = np.eye(w)
             assert np.allclose(linv @ (np.tril(d, -1) + eye), eye, atol=1e-12)

@@ -54,9 +54,5 @@ class TestLazyStats:
     def test_stats_dataclass(self):
         ls = LazyStats()
         assert ls.saved_fraction == 0.0
-        ls.skip_update(2, 3, 4)
-        assert ls.n_updates_skipped == 1
-        assert ls.flops_saved > 0
-        ls.note_gemm_rows(total=5, active=2, w=2, w_dst=4)
-        assert ls.n_updates_run == 1
-        assert 0.0 < ls.saved_fraction < 1.0
+        ls.flops_saved, ls.flops_spent = 3, 1
+        assert ls.saved_fraction == 0.75

@@ -171,9 +171,13 @@ class TestBlockVsReference:
         assert len(bf._steps) == plan.bp.n_blocks
         for k, (lo, hi, _, linv, below, uinv, above) in enumerate(bf._steps):
             assert (lo, hi) == (layout.starts[k], layout.starts[k + 1])
-            assert linv is eng.panel_facts[k].linv and uinv is eng.panel_facts[k].uinv
             off, w = layout.diag_offset(k), hi - lo
             panel = eng.data.panels[k]
+            # L⁻¹ is F(k)'s; U⁻¹ is built at extract, a width class at a time.
+            assert linv is eng.panel_facts[k].linv
+            u = np.triu(panel[off : off + w])
+            assert uinv.shape == (w, w) and uinv.flags.c_contiguous
+            assert np.allclose(uinv @ u, np.eye(w), atol=1e-10)
             for side, rows, ids in (
                 (below, panel[off + w :], layout.sub_rows(k)[w:]),
                 (above, panel[:off], layout.upper_rows(k)),

@@ -338,6 +338,10 @@ class TestLazyGraph:
         assert len(builds) == 1
 
     def test_threaded_engine_builds_it_once(self, monkeypatch, a30):
+        # Threaded requests run block steps over the block eforest and need
+        # no task graph; a sanitized one runs the graph's tasks and builds
+        # it, once however many follow.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         builds = self._count_builds(monkeypatch)
         plan = build_plan(a30)
         seq = refactorize_with_plan(plan, a30, engine="sequential")
@@ -345,6 +349,11 @@ class TestLazyGraph:
             thr = refactorize_with_plan(plan, a30, engine="threaded", n_workers=2)
             assert np.array_equal(seq.result.l_factor.data, thr.result.l_factor.data)
             assert np.array_equal(seq.result.u_factor.data, thr.result.u_factor.data)
+        assert builds == []
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        for _ in range(2):
+            thr = refactorize_with_plan(plan, a30, engine="threaded", n_workers=2)
+            assert np.array_equal(seq.result.l_factor.data, thr.result.l_factor.data)
         assert len(builds) == 1
         assert plan.graph is plan.artifacts.graph
 
