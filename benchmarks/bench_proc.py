@@ -1,14 +1,15 @@
 """Proc engine vs threaded engine on repeated factorization.
 
-The multi-process fan-both engine exists to escape the GIL that caps the
-threaded executor, at the price of real IPC: completion messages cross
-pipes and panels live in a shared-memory arena. This benchmark runs both
+The multi-process engine exists to escape the GIL that caps the threaded
+executor, at the price of real IPC: it runs the threaded engine's release
+loop, but every block step crosses a pipe to a worker process and back,
+and panels live in a shared-memory arena. This benchmark runs both
 engines on the serving workload they compete for — repeated numeric
-factorization of one analyzed matrix, proc side on a *warm*
-:class:`~repro.parallel.procengine.ProcPool` so its static costs (liveness
-gate, graph flattening, arena allocation, fork) are amortized across
-calls exactly as the paper amortizes its symbolic factorization. Runs are
-interleaved so machine noise hits both engines alike. It pins two facts:
+factorization of one analyzed matrix in block steps, proc side on a
+*warm* :class:`~repro.parallel.procengine.ProcPool` so its static costs
+(arena allocation, fork) are amortized across calls exactly as the paper
+amortizes its symbolic factorization. Runs are interleaved so machine
+noise hits both engines alike. It pins two facts:
 
 * the factors are **bitwise identical** to the sequential reference on
   every timed run (the runner raises otherwise — the benchmark doubles as
@@ -48,8 +49,8 @@ MIN_PROC_RATIO = 1.0
 MULTICORE_MIN_CPUS = 2
 
 #: Sanity floor enforced even where the real bar is waived: a proc run
-#: slower than this signals a regression (a stuck worker, an unbatched
-#: message path), not just a small machine.
+#: slower than this signals a regression (a stuck worker, a slow
+#: dispatch path), not just a small machine.
 MIN_SINGLE_CPU_RATIO = 0.4
 
 MATRIX = "sherman3"
@@ -103,23 +104,23 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
         pool = ProcPool(N_WORKERS)
         try:
             # Untimed warm-up: first threaded call pays thread spawn, first
-            # proc call pays bind (gate + flatten + arena + fork) — the
-            # steady state is what serves.
+            # proc call pays bind (arena + fork) — the steady state is what
+            # serves.
             eng = LUFactorization(solver.a_work, solver.bp)
-            threaded_factorize(eng, solver.graph, n_threads=N_WORKERS)
+            threaded_factorize(eng, None, n_threads=N_WORKERS)
             eng = LUFactorization(solver.a_work, solver.bp)
-            pool.factorize(eng, solver.graph)
+            pool.factorize(eng)
             thr_times: list[float] = []
             proc_times: list[float] = []
             n_messages = 0
             for _ in range(REPEATS):
                 eng_t = LUFactorization(solver.a_work, solver.bp)
                 t0 = time.perf_counter()
-                threaded_factorize(eng_t, solver.graph, n_threads=N_WORKERS)
+                threaded_factorize(eng_t, None, n_threads=N_WORKERS)
                 thr_times.append(time.perf_counter() - t0)
                 eng_p = LUFactorization(solver.a_work, solver.bp)
                 t0 = time.perf_counter()
-                stats = pool.factorize(eng_p, solver.graph)
+                stats = pool.factorize(eng_p)
                 proc_times.append(time.perf_counter() - t0)
                 n_messages = stats.n_messages
                 for name, eng in (("proc", eng_p), ("threaded", eng_t)):

@@ -11,21 +11,18 @@ The subsystem has four layers:
   kind over (region, scalar-row) pairs.
 * :mod:`repro.analysis.races` — DAG-reachability race checking, liveness
   (deadlock) detection, and the Theorem-4 S*-vs-eforest minimality report.
-* :mod:`repro.analysis.modelcheck` — explicit-state model checking of the
-  fan-both message protocol (exhaustive interleavings with sleep-set
-  partial-order reduction) over bounded graph prefixes.
 * :mod:`repro.analysis.sanitizer` — opt-in (``REPRO_SANITIZE=1``) runtime
   access sanitizer: dynamic reads/writes checked online against the
-  static footprints, with happens-before rebuilt from the protocol.
+  static footprints, with happens-before rebuilt from the execution.
 
 :mod:`repro.analysis.runner` composes the static passes into
 :func:`analyze_plan` / :func:`analyze_matrix` (the ``repro analyze
---verify`` CLI; ``--modelcheck``/``--sanitize`` add the other modes) and
-the ``REPRO_ANALYZE=1`` debug hooks. See ``docs/analysis.md``.
+--verify`` CLI; ``--sanitize`` adds the runtime mode) and the
+``REPRO_ANALYZE=1`` debug hooks. See ``docs/analysis.md``.
 
-The static passes never execute numerics; model checking explores an
-abstract transition system, and only the sanitizer factorizes for real —
-which is why it lives behind its own CLI flag and environment switch.
+The static passes never execute numerics; only the sanitizer factorizes
+for real — which is why it lives behind its own CLI flag and environment
+switch.
 """
 
 from repro.analysis.footprints import (
@@ -40,18 +37,9 @@ from repro.analysis.footprints import (
     solve_region_label,
     two_d_footprints,
 )
-from repro.analysis.modelcheck import (
-    MODELCHECK_KINDS,
-    ModelCheckResult,
-    ProtocolMutation,
-    bounded_prefix,
-    check_protocol,
-    modelcheck_plan,
-)
 from repro.analysis.races import (
     Reachability,
     check_liveness,
-    check_message_protocol,
     check_races,
     minimality_report,
 )
@@ -97,10 +85,7 @@ __all__ = [
     "AnalysisReport",
     "ENV_VAR",
     "Finding",
-    "MODELCHECK_KINDS",
-    "ModelCheckResult",
     "ORIG_AT_REGION",
-    "ProtocolMutation",
     "Reachability",
     "SANITIZER_KINDS",
     "SUPPORTED_ANALYSIS_VERSIONS",
@@ -109,10 +94,7 @@ __all__ = [
     "analysis_enabled",
     "analyze_matrix",
     "analyze_plan",
-    "bounded_prefix",
     "build_sanitizer",
-    "check_protocol",
-    "modelcheck_plan",
     "sanitize_enabled",
     "sanitize_matrix",
     "sanitizer_footprints",
@@ -120,7 +102,6 @@ __all__ = [
     "check_csc",
     "check_forest",
     "check_liveness",
-    "check_message_protocol",
     "check_partition",
     "check_plan",
     "check_postorder",

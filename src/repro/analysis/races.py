@@ -247,94 +247,6 @@ def check_liveness(
     return findings
 
 
-def check_message_protocol(
-    graph: TaskGraph,
-    expected: Optional[Iterable[Task]] = None,
-    *,
-    owner: Optional[np.ndarray] = None,
-    n_ranks: Optional[int] = None,
-) -> list[Finding]:
-    """Liveness gate for message-driven executors (the proc engine).
-
-    The fan-both protocol (:mod:`repro.parallel.procengine`) terminates by
-    counting: each rank exits once its owned tasks ran, and every inbound
-    completion message precedes the readiness of some owned task. That
-    argument needs exactly the :func:`check_liveness` preconditions — an
-    acyclic graph whose task set matches the factorization — plus a total,
-    in-range ownership mapping: a task targeting an unmapped or
-    out-of-range block column has no inbox to deliver its predecessors'
-    completions to, and the pool hangs instead of crashing. The proc
-    engine therefore runs this check *unconditionally* before starting
-    any worker process (the threaded executor only gates under
-    ``REPRO_ANALYZE=1``, because a thread pool fails fast and cheap).
-
-    ``owner`` is either a 1-D owner-per-column array or an object with an
-    ``owner_of(task)`` method (the 2-D :class:`repro.parallel.mapping.GridMapping`),
-    mirroring :func:`repro.parallel.mapping.task_owner`.
-    """
-    findings = check_liveness(graph, expected)
-    if owner is not None and hasattr(owner, "owner_of"):
-        ranks = int(n_ranks) if n_ranks is not None else int(owner.n_procs)
-        for t in sorted(graph.tasks()):
-            rank = int(owner.owner_of(t))
-            if rank < 0 or rank >= ranks:
-                findings.append(
-                    Finding(
-                        check="protocol.bad_rank",
-                        message=(
-                            f"{t} is owned by rank {rank}, outside the "
-                            f"{ranks}-rank pool"
-                        ),
-                        tasks=(str(t),),
-                        detail={"rank": rank, "n_ranks": ranks},
-                    )
-                )
-        return findings
-    if owner is not None:
-        owner = np.asarray(owner, dtype=np.int64)
-        ranks = int(n_ranks) if n_ranks is not None else int(owner.max()) + 1
-        # Fast path: vectorized range checks over every target; the
-        # per-task Finding loop below only runs when a violation exists.
-        targets = np.fromiter(
-            (t.target for t in graph.tasks()), dtype=np.int64, count=graph.n_tasks
-        )
-        if targets.size:
-            in_map = (targets >= 0) & (targets < owner.size)
-            clipped = np.where(in_map, targets, 0)
-            mapped_ok = (owner[clipped] >= 0) & (owner[clipped] < ranks)
-            if bool(np.all(in_map & mapped_ok)):
-                return findings
-        for t in sorted(graph.tasks()):
-            target = t.target
-            if target < 0 or target >= owner.size:
-                findings.append(
-                    Finding(
-                        check="protocol.unmapped_task",
-                        message=(
-                            f"{t} targets block column {target}, outside "
-                            f"the {owner.size}-column ownership mapping"
-                        ),
-                        tasks=(str(t),),
-                        detail={"target": int(target), "n_mapped": int(owner.size)},
-                    )
-                )
-                continue
-            rank = int(owner[target])
-            if rank < 0 or rank >= ranks:
-                findings.append(
-                    Finding(
-                        check="protocol.bad_rank",
-                        message=(
-                            f"{t} is owned by rank {rank}, outside the "
-                            f"{ranks}-rank pool"
-                        ),
-                        tasks=(str(t),),
-                        detail={"rank": rank, "n_ranks": ranks},
-                    )
-                )
-    return findings
-
-
 def minimality_report(
     sstar: TaskGraph,
     eforest: TaskGraph,

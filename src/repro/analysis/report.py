@@ -15,7 +15,7 @@ Document layout (``repro.analysis`` version 2)::
       "schema_version": 2,
       "ok": bool,                      # no findings anywhere
       "modes": [str, ...],             # v2: analysis passes that ran, e.g.
-                                       # ["static"], ["modelcheck", "sanitize"]
+                                       # ["static"], ["static", "sanitize"]
       "meta": {<free-form scalars: matrix, scale, options, ...>},
       "subjects": [
         {"name": str,                  # e.g. "sherman3" or "eforest-graph"
@@ -143,9 +143,8 @@ class AnalysisReport:
     """Aggregated result of one analyzer run (one or more subjects).
 
     ``modes`` names the analysis passes that produced the subjects
-    (``"static"`` for the structural/race/liveness sweep,
-    ``"modelcheck"`` for protocol model checking, ``"sanitize"`` for the
-    runtime access sanitizer) — new in schema version 2.
+    (``"static"`` for the structural/race/liveness sweep, ``"sanitize"``
+    for the runtime access sanitizer) — new in schema version 2.
     """
 
     subjects: list[SubjectReport] = field(default_factory=list)

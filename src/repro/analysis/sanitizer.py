@@ -16,11 +16,11 @@ bug in either the engine or the footprint model and fails the run with
 
 Happens-before is rebuilt from the execution itself: a task's
 :meth:`~AccessSanitizer.begin` asserts every task-graph predecessor was
-locally observed complete — executed by the same worker or absorbed
-from a completion message (:meth:`~AccessSanitizer.note_completion`,
-called by the proc engine's absorb loop). A violation
-(``sanitizer.missing_happens_before``) means a worker started a task
-before the protocol delivered all its dependencies.
+observed complete (:meth:`~AccessSanitizer.end`) — where the units are
+released: the executing threads, or the proc engine's parent, whose
+workers check containment only. A violation
+(``sanitizer.missing_happens_before``) means a task started before all
+its dependencies finished.
 
 Region model
 ------------
@@ -144,9 +144,10 @@ class AccessSanitizer:
 
     One instance is shared by every executor thread (the current task is
     thread-local); the proc engine forks it into each worker and merges
-    the per-worker results back via :meth:`export_run` /
-    :meth:`merge_run`. All counters are informational — correctness
-    rides on :attr:`findings` alone.
+    the per-worker accesses back via :meth:`export_run` /
+    :meth:`merge_run` — tasks are counted by the parent, which releases
+    them. All counters are informational — correctness rides on
+    :attr:`findings` alone.
     """
 
     def __init__(
@@ -170,11 +171,13 @@ class AccessSanitizer:
 
     # -- lifecycle ----------------------------------------------------------
 
-    def set_graph(self, graph: "TaskGraph") -> None:
-        """Adopt ``graph`` as the happens-before reference."""
-        self._preds = {
-            t: tuple(graph.predecessors(t)) for t in graph.tasks()
-        }
+    def set_graph(self, graph: "TaskGraph | None") -> None:
+        """Adopt ``graph`` as the happens-before reference (``None``: check
+        containment only, as a proc worker that sees only its own tasks)."""
+        self._preds = (
+            {} if graph is None
+            else {t: tuple(graph.predecessors(t)) for t in graph.tasks()}
+        )  # fmt: skip
 
     def reset_run(self) -> None:
         """Clear per-run state (warm-pool workers reuse one instance)."""
@@ -207,10 +210,6 @@ class AccessSanitizer:
         self._local.task = None
         self._completed.add(task)
         self.n_tasks += 1
-
-    def note_completion(self, task: Hashable) -> None:
-        """Record a completion learned from a protocol message."""
-        self._completed.add(task)
 
     # -- access recording ---------------------------------------------------
 
@@ -286,7 +285,6 @@ class AccessSanitizer:
             "findings": [f.as_dict() for f in self.findings],
             "n_accesses": self.n_accesses,
             "n_rows": self.n_rows,
-            "n_tasks": self.n_tasks,
         }
 
     def merge_run(self, payload: Mapping[str, object]) -> None:
@@ -304,7 +302,6 @@ class AccessSanitizer:
                 )
         self.n_accesses += int(payload["n_accesses"])  # type: ignore[call-overload]
         self.n_rows += int(payload["n_rows"])  # type: ignore[call-overload]
-        self.n_tasks += int(payload["n_tasks"])  # type: ignore[call-overload]
 
     # -- results ------------------------------------------------------------
 

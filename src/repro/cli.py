@@ -130,12 +130,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def _cmd_analyze_verify(args: argparse.Namespace) -> int:
-    """``repro analyze --verify/--modelcheck/--sanitize``: analysis modes.
+    """``repro analyze --verify/--sanitize``: analysis modes.
 
-    ``--verify`` runs the static race/deadlock/invariant analysis,
-    ``--modelcheck`` exhaustively explores the fan-both message protocol
-    on bounded graph prefixes (1-D and 2-D mappings), and ``--sanitize``
-    executes one sanitized factorization under the resolved engine.
+    ``--verify`` runs the static race/deadlock/invariant analysis and
+    ``--sanitize`` executes one sanitized factorization under the
+    resolved engine.
     Modes compose into one schema-v2 document whose ``modes`` list names
     the passes that ran; with none of the mode flags (bare ``--json``)
     the static pass runs alone. ``matrix`` may be ``all`` to sweep every
@@ -146,10 +145,9 @@ def _cmd_analyze_verify(args: argparse.Namespace) -> int:
         analyze_matrix,
         validate_analysis_document,
     )
-    from repro.analysis.runner import suppress_hooks
     from repro.obs.export import write_json
 
-    run_static = args.verify or not (args.modelcheck or args.sanitize)
+    run_static = args.verify or not args.sanitize
     names = sorted(PAPER_MATRICES) if args.matrix == "all" else [args.matrix]
     combined = AnalysisReport(
         meta={"subject": args.matrix, "scale": args.scale}, modes=[]
@@ -159,15 +157,6 @@ def _cmd_analyze_verify(args: argparse.Namespace) -> int:
         opts = _solver_options(args, a)
         if run_static:
             report = analyze_matrix(a, opts, name=nm)
-            combined.merge(report)
-            print(report.render())
-        if args.modelcheck:
-            from repro.analysis.modelcheck import modelcheck_plan
-            from repro.serve.plan import build_plan
-
-            with suppress_hooks():
-                plan = build_plan(a, opts)
-            report = modelcheck_plan(plan, name=nm)
             combined.merge(report)
             print(report.render())
         if args.sanitize:
@@ -197,7 +186,7 @@ def _cmd_analyze_verify(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.sparse.stats import matrix_stats
 
-    if args.verify or args.modelcheck or args.sanitize or args.json:
+    if args.verify or args.sanitize or args.json:
         return _cmd_analyze_verify(args)
     a = _load_matrix(args.matrix, args.scale)
     ms = matrix_stats(a)
@@ -452,12 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify",
         action="store_true",
         help="static race/deadlock/invariant analysis; matrix may be 'all'",
-    )
-    p.add_argument(
-        "--modelcheck",
-        action="store_true",
-        help="exhaustively model-check the fan-both message protocol on "
-        "bounded graph prefixes (1-D and 2-D mappings)",
     )
     p.add_argument(
         "--sanitize",

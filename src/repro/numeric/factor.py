@@ -51,6 +51,7 @@ from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
 from repro.sparse.coo import COOBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import BlockPattern
+from repro.taskgraph.eforest_graph import block_eforest
 from repro.taskgraph.tasks import Task, enumerate_tasks
 from repro.util.errors import SchedulingError
 
@@ -283,6 +284,8 @@ class LUFactorization:
         self.orig_at = np.arange(self.n, dtype=np.int64)
         self.done: set[Task] = set()  # tasks run one by one (not in steps)
         self.check_dependencies = check_dependencies
+        # Block-eforest parents, which a checked F(k) walks.
+        self._eforest = block_eforest(bp).tolist() if check_dependencies else []
         self.n_tasks = 0
         self.lazy_stats = LazyStats()
         self._tally_lock = threading.Lock()
@@ -613,11 +616,19 @@ class LUFactorization:
         self.orig_at = orig_at
 
     def _require_column_updates_done(self, k: int) -> None:
+        """Every update into column ``k`` from ``k``'s block-eforest
+        subtree ran. An update sourced in another tree writes only rows
+        above ``k``'s (Theorem 2 and the block upper triangular form), so
+        it commutes with ``F(k)`` and the §4 graph leaves it unordered."""
         stored = None
         for i in self.bp.col_blocks(k):
-            i = int(i)
+            i = a = int(i)
             if i >= k or Task("U", i, k) in self.done:
                 continue
+            while 0 <= a < k:  # parents come after their children
+                a = self._eforest[a]
+            if a != k:
+                continue  # not a descendant of k
             if ("SU", i, i, k) in self.done:
                 # 2-D refinement of update (i -> k): the SU plus one UP
                 # per stored lower block row must all have committed.

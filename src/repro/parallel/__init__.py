@@ -1,19 +1,13 @@
 """Parallel execution substrate.
 
-The paper ran on a 16-processor SGI Origin 2000 with the RAPID runtime; we
-reproduce the *behaviour* with three interchangeable executors:
-
-* :mod:`repro.parallel.simulate` — a deterministic discrete-event simulator
-  over a calibrated machine model (:mod:`repro.parallel.machine`): per-task
-  flop costs, an α-β communication model, and a task-to-processor mapping
-  (:mod:`repro.parallel.mapping`: 1-D block-column, or the §6 2-D grid).
-  This regenerates Table 2 and Figures 5-6.
-* :mod:`repro.parallel.rapid` — a RAPID-style inspector/executor: the
-  inspector prices and orders tasks into a static per-processor schedule;
-  the executor replays it (in simulation or on threads).
-* :mod:`repro.parallel.threads` — a real shared-memory thread-pool executor
-  that runs the task DAG against the numeric engine, proving the schedules
-  are executable and numerically identical to the sequential order.
+The paper ran on a 16-processor SGI Origin 2000 with the RAPID runtime.
+Here the *models* — the discrete-event simulator over a calibrated machine
+(:mod:`repro.parallel.simulate`, Table 2 and Figures 5-6), the RAPID-style
+inspector (:mod:`repro.parallel.rapid`) and the dynamic runtime — sit
+beside the engines that factorize for real: one release loop
+(:mod:`repro.parallel.threads`) whose units run in pool threads or in
+worker processes (:mod:`repro.parallel.procengine`), chosen by
+:mod:`repro.parallel.dispatch`.
 """
 
 from repro.parallel.machine import MachineModel, ORIGIN2000
@@ -23,7 +17,6 @@ from repro.parallel.mapping import (
     blocked_mapping,
     greedy_mapping,
     make_mapping,
-    mapping_key,
     task_owner,
 )
 from repro.parallel.engine import EngineResult, run_event_simulation
@@ -64,7 +57,6 @@ __all__ = [
     "blocked_mapping",
     "greedy_mapping",
     "make_mapping",
-    "mapping_key",
     "task_owner",
     "EngineResult",
     "run_event_simulation",

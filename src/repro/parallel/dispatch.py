@@ -4,28 +4,22 @@ Mirrors the dispatch idiom of :mod:`repro.symbolic.dispatch` and
 :mod:`repro.numeric.solve_dispatch`: an explicit argument wins, an
 environment variable overrides the default, and an unknown name fails
 loudly with the valid choices. Three engines execute the factorization
-for real (the simulators in :mod:`repro.parallel.simulate` /
-:mod:`repro.parallel.dynamic` are *models*, not engines, and are not
-dispatchable here):
+for real (the simulators are *models*, not engines):
 
 ``sequential``
-    The right-looking reference order in the calling thread, one block
-    step per block column. Default.
+    One block step per block column, in the calling thread. Default.
 ``threaded``
-    :func:`repro.parallel.threads.threaded_factorize` — a GIL-sharing
-    thread pool releasing block steps over the block eforest.
+    :func:`repro.parallel.threads.threaded_factorize` — a thread pool
+    releasing block steps over the block eforest.
 ``proc``
-    :func:`repro.parallel.procengine.proc_factorize` — worker processes
-    over a shared-memory arena with fan-both message scheduling of the
-    task graph.
+    :func:`repro.parallel.procengine.proc_factorize` — the same release
+    loop, with each unit's body run by a worker process over a
+    shared-memory arena.
 
-All three produce bitwise-identical factors (the race-free task graph
-makes every admissible schedule equivalent, and a step runs each task's
-body on the same operands), so the choice is purely a
-performance/deployment decision — see docs/parallel.md. Every engine
-runs both graph shapes: the paper's 1-D column graph and the §6 2-D
-block graph (:func:`repro.parallel.two_d.build_2d_graph`); within one
-shape, factors are bitwise-identical across engines and schedules.
+All three produce bitwise-identical factors, on the paper's 1-D column
+graph and on the §6 2-D block graph
+(:func:`repro.parallel.two_d.build_2d_graph`) alike, so the choice is
+purely a performance/deployment decision — see docs/parallel.md.
 """
 
 from __future__ import annotations
@@ -55,7 +49,6 @@ def run_engine(
     choice: str,
     *,
     n_workers: int = 4,
-    mapping=None,
     metrics=None,
     tracer=None,
     pool=None,
@@ -64,17 +57,15 @@ def run_engine(
 ):
     """Drive one factorization on the already-resolved engine ``choice``.
 
-    ``graph`` may be ``None`` for ``"sequential"`` and ``"threaded"``,
-    which run block steps and read no graph unless a sanitizer or
-    ``check_dependencies`` needs the tasks one by one; ``"proc"``
-    schedules by the dependence graph. A 2-D graph replays in the
-    canonical right-looking order instead of ``factor_sequential``.
-    ``mapping`` optionally pins the proc engine's task placement — a 1-D
-    owner array or a :class:`repro.parallel.mapping.GridMapping` (the
-    threaded pool is work-stealing and ignores it). ``pool`` optionally
-    supplies a shared :class:`repro.parallel.procengine.ProcPool` for the
-    ``proc`` engine — the serving layer passes one so concurrent serving
-    threads share a single process pool. Returns the proc engine's
+    Every engine runs block steps and reads no ``graph`` (it may be
+    ``None``) unless the run needs the tasks one by one: a 2-D graph, a
+    sanitizer, or ``check_dependencies``. A 2-D graph replays
+    sequentially in the canonical right-looking order. ``check_dependencies``
+    is refused under ``"proc"``: a worker sees only the tasks it ran.
+    ``pool`` optionally supplies a shared
+    :class:`repro.parallel.procengine.ProcPool` for the ``proc`` engine —
+    the serving layer passes one so concurrent serving threads share a
+    single process pool. Returns the proc engine's
     :class:`~repro.parallel.procengine.ProcStats` or ``None``.
 
     Sanitizing: an explicit ``sanitizer``
@@ -86,6 +77,11 @@ def run_engine(
     :class:`~repro.util.errors.SanitizerError` after the run — the
     strict gate mode.
     """
+    if choice == "proc" and engine.check_dependencies:
+        raise ValueError(
+            "check_dependencies is not supported by the proc engine: a "
+            "worker process sees only the tasks it ran"
+        )
     san = sanitizer
     strict = False
     if san is None:
@@ -113,7 +109,6 @@ def run_engine(
         graph,
         choice,
         n_workers=n_workers,
-        mapping=mapping,
         metrics=metrics,
         tracer=tracer,
         pool=pool,
@@ -129,7 +124,6 @@ def _dispatch(
     choice: str,
     *,
     n_workers: int,
-    mapping,
     metrics,
     tracer,
     pool,
@@ -144,28 +138,21 @@ def _dispatch(
             return None
         engine.factor_sequential()
         return None
+    if choice not in ENGINES:
+        raise ValueError(
+            f"unknown engine {choice!r}; valid engines: " + ", ".join(ENGINES)
+        )
+    by_task = two_d or engine.sanitizer is not None or engine.check_dependencies
+    if by_task and graph is None:
+        raise ValueError(f"a sanitized or checked {choice} run needs a task graph")
+    graph = graph if by_task else None
     if choice == "threaded":
         from repro.parallel.threads import threaded_factorize
 
-        by_task = two_d or engine.sanitizer is not None or engine.check_dependencies
-        if by_task and graph is None:
-            raise ValueError("a sanitized or checked threaded run needs a task graph")
-        graph = graph if by_task else None
         threaded_factorize(engine, graph, n_threads=n_workers, metrics=metrics)
         return None
-    if graph is None:
-        raise ValueError(f"engine {choice!r} requires a task graph")
-    if choice == "proc":
-        if pool is not None:
-            return pool.factorize(
-                engine, graph, mapping=mapping, metrics=metrics, tracer=tracer
-            )
-        from repro.parallel.procengine import proc_factorize
+    if pool is not None:
+        return pool.factorize(engine, graph, metrics=metrics, tracer=tracer)
+    from repro.parallel.procengine import proc_factorize
 
-        return proc_factorize(
-            engine, graph, n_workers, mapping=mapping, metrics=metrics,
-            tracer=tracer,
-        )
-    raise ValueError(
-        f"unknown engine {choice!r}; valid engines: " + ", ".join(ENGINES)
-    )
+    return proc_factorize(engine, graph, n_workers, metrics=metrics, tracer=tracer)

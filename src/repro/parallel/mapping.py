@@ -5,8 +5,10 @@ processor" — with the RAPID system choosing the assignment. We provide the
 classic 1-D policies (plain ``np.ndarray`` owner-per-column maps) plus the
 §6 2-D block-cyclic :class:`GridMapping`, which owns *blocks* rather than
 columns and therefore cannot be an array indexed by ``task.target``. Use
-:func:`task_owner` / :func:`mapping_key` to handle both shapes uniformly;
-the mapping ablation benchmark compares the policies.
+:func:`task_owner` to handle both shapes uniformly; the mapping ablation
+benchmark compares the policies. Mappings place tasks for the simulators
+and the message-passing executor; the real engines place a unit on
+whichever worker is free.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ class GridMapping:
 
     Block (i, j) — and every task that writes it — lives on processor
     ``(i mod pr) * pc + (j mod pc)``, the classic torus-wrap layout, and
-    the only 2-D owner rule: the simulator and the proc engine both ask
-    :meth:`owner_of`. For 1-D tasks (no ``i`` field) the diagonal block
-    row ``k`` stands in, so the same object can drive a 1-D graph if asked.
+    the only 2-D owner rule: the simulator asks :meth:`owner_of`. For 1-D
+    tasks (no ``i`` field) the diagonal block row ``k`` stands in, so the
+    same object can drive a 1-D graph if asked.
     """
 
     __slots__ = ("pr", "pc")
@@ -46,16 +48,6 @@ class GridMapping:
         """Rank owning ``task``'s written block (its read block for SL)."""
         i = getattr(task, "i", task.k)
         return (int(i) % self.pr) * self.pc + (int(task.j) % self.pc)
-
-    @property
-    def key(self) -> tuple[str, int, int]:
-        return ("2d", self.pr, self.pc)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, GridMapping) and self.key == other.key
-
-    def __hash__(self) -> int:
-        return hash(self.key)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GridMapping(pr={self.pr}, pc={self.pc})"
@@ -78,15 +70,6 @@ def task_owner(mapping: Any, task: Any) -> int:
     if hasattr(mapping, "owner_of"):
         return int(mapping.owner_of(task))
     return int(mapping[task.target])
-
-
-def mapping_key(mapping: Any) -> tuple:
-    """Hashable identity of a mapping — what plan/pool caches compare."""
-    if hasattr(mapping, "key"):
-        key: tuple = mapping.key
-        return key
-    arr = np.asarray(mapping, dtype=np.int64)
-    return ("1d", arr.tobytes())
 
 
 def cyclic_mapping(n_blocks: int, n_procs: int) -> np.ndarray:

@@ -8,9 +8,10 @@ per-processor execution order — and the resulting :class:`StaticSchedule`
 can be replayed by the thread executor or re-simulated.
 
 This module is a **schedule builder over the simulator** — it computes
-orders, not factors. The fan-both proc engine
-(:mod:`repro.parallel.procengine`) deliberately does *not* replay a
-frozen order: its workers fire tasks the moment counters reach zero.
+orders, not factors. The real parallel engines
+(:mod:`repro.parallel.threads`, :mod:`repro.parallel.procengine`)
+deliberately do *not* replay a frozen order: their one release loop runs
+a unit the moment its predecessors committed.
 """
 
 from __future__ import annotations

@@ -14,11 +14,9 @@ eforest leaves unordered hold only mutually unordered tasks — which the
 footprint proofs of :mod:`repro.analysis.races` show conflict-free. Given
 a task graph (2-D, sanitized or checked runs) it runs the graph's tasks.
 
-This is **execution, not simulation**: real factors come out, and the
-module is dispatchable as the ``threaded`` engine (``engine=`` >
-``$REPRO_ENGINE`` > default; docs/parallel.md). It is also the reference
-oracle for the multi-process engine — :mod:`repro.parallel.procengine`
-must match its factors bitwise while escaping the GIL this pool shares.
+Its release loop, :func:`_run_pool`, is the only scheduler of real
+execution: the ``proc`` engine (:mod:`repro.parallel.procengine`) runs the
+same loop and only moves each unit's body into a worker process.
 """
 
 from __future__ import annotations
@@ -55,22 +53,30 @@ def threaded_factorize(
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
+    run = engine.step if graph is None else engine.run_task
+    _run_pool([run] * n_threads, *release_plan(engine, graph), metrics)
+
+
+def release_plan(
+    engine: Any, graph: "TaskGraph | None"
+) -> "tuple[dict[Any, int], Callable[[Any], Iterable[Any]]]":
+    """The units of one run and what each completion releases: ``(unit ->
+    number of predecessors, successors)``.
+
+    Without a graph the units are block steps, released by their
+    block-eforest parent. With one they are the graph's tasks, behind the
+    one gate both parallel engines share: the graph must be acyclic and —
+    for an engine with a block pattern (solve-phase adapters drive this
+    scheduler too) — hold exactly the tasks the engine expects, since a
+    missing task would leave the pool waiting for work that never exists.
+    """
     if graph is None:
         parent = block_eforest(engine.bp)
         n_children = np.bincount(parent[parent >= 0], minlength=parent.size)
         succ = [[p] if p >= 0 else [] for p in parent.tolist()]
-        _run_pool(
-            engine.step, dict(enumerate(n_children.tolist())), succ.__getitem__,
-            n_threads, metrics,
-        )  # fmt: skip
-        return
+        return dict(enumerate(n_children.tolist())), succ.__getitem__
     graph.validate()
-    from repro.analysis.runner import analysis_enabled
-
-    # REPRO_ANALYZE=1 debug hook: refuse to start a pool that would
-    # deadlock (missing tasks) or run tasks the engine does not expect.
-    # Guarded on ``bp``: solve-phase adapters drive this scheduler too.
-    if analysis_enabled() and hasattr(engine, "bp"):
+    if hasattr(engine, "bp"):
         from repro.analysis.footprints import (
             expected_2d_tasks,
             expected_factor_tasks,
@@ -91,20 +97,19 @@ def threaded_factorize(
                 f"task graph failed liveness analysis ({len(findings)} "
                 f"finding(s)):\n{lines}"
             )
-    n_preds = {t: graph.in_degree(t) for t in graph.tasks()}
-    _run_pool(engine.run_task, n_preds, graph.successors, n_threads, metrics)
+    return {t: graph.in_degree(t) for t in graph.tasks()}, graph.successors
 
 
 def _run_pool(
-    run: Callable[[Any], None],
+    runners: "list[Callable[[Any], None]]",
     n_preds: "dict[Any, int]",
     successors: Callable[[Any], Iterable[Any]],
-    n_threads: int,
     metrics: Any,
 ) -> None:
-    """Run every unit of ``n_preds`` (unit -> number of predecessors) with
-    ``run`` on ``n_threads`` threads, releasing ``successors(unit)`` as
-    their counters reach zero."""
+    """Run every unit of ``n_preds`` (unit -> number of predecessors) on one
+    thread per runner — thread ``r`` runs its units with ``runners[r]`` —
+    releasing ``successors(unit)`` as their counters reach zero."""
+    n_threads = len(runners)
     tasks_ctr: Any = None
     depth_hist: Any = None
     if metrics is not None:
@@ -136,7 +141,7 @@ def _run_pool(
                 work.put(_SENTINEL)  # keep peer wake-ups intact
                 return
 
-    def worker() -> None:
+    def worker(run: Callable[[Any], None]) -> None:
         nonlocal done_count, aborted
         unit = _SENTINEL
         while True:
@@ -183,7 +188,7 @@ def _run_pool(
 
     if not total:
         return
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(n_threads)]
+    threads = [threading.Thread(target=worker, args=(run,), daemon=True) for run in runners]
     for th in threads:
         th.start()
     for th in threads:

@@ -15,8 +15,8 @@ per block column, and the task granularity refines accordingly:
 There is one description of that computation, :func:`build_2d_graph` — a
 real :class:`~repro.taskgraph.dag.TaskGraph` over :class:`Task2D` nodes
 (its docstring lists the dependences). The dispatchable engines
-(sequential replay, ``threaded_factorize``, and the fan-both proc engine —
-see docs/parallel.md) *execute* it against
+(sequential replay, ``threaded_factorize`` and ``proc_factorize`` — see
+docs/parallel.md) *execute* it against
 :class:`~repro.numeric.blockdata.BlockLayout` panels via the per-block
 kernels in :mod:`repro.numeric.factor`, and
 :func:`repro.parallel.simulate.simulate_schedule` *prices* it on the α-β

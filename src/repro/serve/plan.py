@@ -131,7 +131,7 @@ class SymbolicPlan:
     def graph(self) -> TaskGraph:
         """The §4 task graph, built on first access and at most once
         (:attr:`SymbolicArtifacts.graph` holds the lock and the result).
-        The sequential engine on the 1-D mapping never asks for it."""
+        An unsanitized factorization, on any engine, never asks for it."""
         return self.artifacts.graph
 
     @cached_property

@@ -159,10 +159,9 @@ def refactorize_with_plan(
     footprint escape.
 
     The plan's task graph is read — and, on its first use, built — only
-    by what consumes it: the proc engine, or a sanitizer (explicit or
-    ``REPRO_SANITIZE=1``), which checks accesses against it. The
-    sequential and threaded engines run block steps over the block
-    eforest and leave it unbuilt.
+    by a sanitizer (explicit or ``REPRO_SANITIZE=1``), which checks
+    accesses against it. Otherwise every engine runs block steps over the
+    block eforest and leaves it unbuilt.
 
     With detail tracing on, the engine feeds per-kernel counters and
     histograms into ``tracer.metrics``.
@@ -189,7 +188,7 @@ def refactorize_with_plan(
         # Ahead of the span: a first use of the plan's graph builds it, and
         # that is symbolic work, not part of ``factorize``.
         choice = resolve_engine(engine)
-        needs_graph = choice == "proc" or sanitizer is not None or sanitize_enabled()
+        needs_graph = sanitizer is not None or sanitize_enabled()
         graph = plan.graph if needs_graph else None
     with tr.span("factorize", n=plan.n, nnz=plan.nnz) as s:
         a_work, equil = permuted_values(plan, a, tr)

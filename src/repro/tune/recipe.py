@@ -35,7 +35,7 @@ _SPEC_ALIASES = {
 _MAPPING_REMOVED = (
     "recipes no longer carry a mapping (got {!r}): a recipe is purely "
     "symbolic, and the task-to-processor mapping is an argument of the "
-    "engine or simulator call (run_engine(..., mapping=GridMapping(...)))"
+    "simulator call (simulate_schedule(..., mapping))"
 )
 
 

@@ -170,10 +170,10 @@ class TestSchemaValidation:
 class TestSchemaVersions:
     def test_v2_document_carries_modes(self):
         report = make_report()
-        report.modes = ["modelcheck", "sanitize"]
+        report.modes = ["static", "sanitize"]
         doc = report.as_dict()
         assert doc["schema_version"] == 2
-        assert doc["modes"] == ["modelcheck", "sanitize"]
+        assert doc["modes"] == ["static", "sanitize"]
         assert validate_analysis_document(doc) == []
 
     def test_v1_document_omits_modes_and_validates(self):

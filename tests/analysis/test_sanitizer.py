@@ -9,6 +9,8 @@ engines; this file executes numerics by design (unlike the static
 passes).
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -65,8 +67,8 @@ class TestSoundness:
     @pytest.mark.parametrize("name", ["sherman3", "lns3937"])
     def test_paper_analogs_proc_chunked_zero_escapes(self, name, monkeypatch):
         # The acceptance configuration: chunked symbolic kernel producing
-        # the pattern, multi-process fan-both engine executing it, the
-        # sanitizer merged back across worker forks.
+        # the pattern, multi-process engine executing it, happens-before
+        # checked in the parent and containment merged back across forks.
         monkeypatch.setenv("REPRO_SYMBOLIC", "chunked")
         a = paper_matrix(name, scale=0.15)
         report = sanitize_matrix(a, name=name, engine="proc", n_workers=2)
@@ -166,29 +168,39 @@ class TestHappensBefore:
         ]
 
     def test_message_completion_satisfies_edge(self):
-        # A completion learned from a protocol message (not locally
-        # executed) is a valid happens-before source — the fan-both
-        # engines' cross-rank case.
+        # A completion recorded on another thread is a valid
+        # happens-before source — how the proc engine's parent, whose pool
+        # threads each wait on one worker, sees its workers' units.
         g, a, b = self.graph()
         san = AccessSanitizer({}, g)
-        san.note_completion(a)
+        other = threading.Thread(target=lambda: (san.begin(a), san.end(a)))
+        other.start()
+        other.join()
         san.begin(b)
         san.end(b)
         assert san.findings == []
 
     def test_worker_merge_round_trip(self):
+        # A worker checks containment only (no happens-before reference:
+        # it sees just the tasks it ran); the parent, which released b
+        # after a, counts the task and merges the worker's accesses.
         g, a, b = self.graph()
         worker = AccessSanitizer({}, g)
+        worker.set_graph(None)
         worker.begin(b)
-        worker.record_read(0, np.array([1]))  # unknown-task finding too
+        worker.record_read(0, np.array([1]))  # unknown-task finding
         worker.end(b)
         payload = worker.export_run()
         parent = AccessSanitizer({}, g)
+        for t in (a, b):
+            parent.begin(t)
+            parent.end(t)
         parent.merge_run(payload)
+        assert [f.check for f in worker.findings] == ["sanitizer.unknown_task"]
         assert {f.check for f in parent.findings} == {
             f.check for f in worker.findings
         }
-        assert parent.n_tasks == worker.n_tasks == 1
+        assert parent.n_tasks == 2
         assert parent.n_accesses == worker.n_accesses == 1
 
 

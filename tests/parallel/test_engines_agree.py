@@ -14,7 +14,7 @@ import pytest
 from repro.numeric.factor import LUFactorization
 from repro.numeric.kernels import _BASE_WIDTH
 from repro.numeric.solver import SolverOptions, SparseLUSolver
-from repro.parallel.mapping import GridMapping, cyclic_mapping
+from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.message_passing import message_passing_factorize
 from repro.parallel.procengine import proc_factorize
 from repro.parallel.threads import threaded_factorize
@@ -82,5 +82,5 @@ def test_2d_graph_bitwise_across_engines(analyzed):
     threaded_factorize(thr, g2, n_threads=4)
     assert_bitwise(thr.extract(), ref)
     prc = fresh(s)
-    proc_factorize(prc, g2, 2, mapping=GridMapping.for_workers(2))
+    proc_factorize(prc, g2, 2)
     assert_bitwise(prc.extract(), ref)

@@ -1,5 +1,5 @@
-"""Multi-process fan-both engine tests: bitwise identity, pool reuse,
-abort hygiene, dispatch precedence."""
+"""Multi-process engine tests: bitwise identity, pool reuse, abort
+hygiene, dispatch precedence."""
 
 import os
 
@@ -42,10 +42,11 @@ class TestBitwiseIdentity:
         s = analyzed(seed)
         ref = sequential_reference(s)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, s.graph, n_workers)
+        stats = proc_factorize(eng, None, n_workers)  # block steps
         assert_bitwise(eng.extract(), ref)
         assert stats.n_tasks == s.graph.n_tasks
         assert stats.n_procs == n_workers
+        assert sum(stats.per_rank_units) == s.bp.n_blocks
 
     def test_matches_threaded_reference(self):
         s = analyzed(3)
@@ -63,23 +64,25 @@ class TestBitwiseIdentity:
         assert_bitwise(eng.extract(), ref)
 
     def test_explicit_cyclic_mapping(self):
-        from repro.parallel.mapping import cyclic_mapping
-
+        # No placement to pin any more: whichever worker is free runs the
+        # next released unit, and the per-rank counts cover every task.
         s = analyzed(5)
         ref = sequential_reference(s)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(
-            eng, s.graph, 3, mapping=cyclic_mapping(s.bp.n_blocks, 3)
-        )
+        stats = proc_factorize(eng, s.graph, 3)
         assert_bitwise(eng.extract(), ref)
-        assert sum(stats.per_rank_tasks) == s.graph.n_tasks
+        assert len(stats.per_rank_units) == 3
+        assert sum(stats.per_rank_units) == s.graph.n_tasks
 
     def test_single_worker_sends_no_messages(self):
+        # One worker runs every unit; its only messages are the parent's
+        # dispatches and its replies — none between workers.
         s = analyzed(6)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, s.graph, 1)
-        assert stats.n_messages == 0
-        assert stats.message_bytes == 0
+        stats = proc_factorize(eng, None, 1)
+        assert stats.per_rank_units == [s.bp.n_blocks]
+        assert stats.n_messages == 2 * s.bp.n_blocks
+        assert stats.message_bytes == 32 * s.bp.n_blocks
 
 
 class TestAbortHygiene:
@@ -87,22 +90,21 @@ class TestAbortHygiene:
         s = analyzed(7)
         eng = LUFactorization(s.a_work, s.bp)
 
-        def killer(rank, task):
-            if rank == 0 and task.kind == "F":
-                os._exit(17)
+        def killer(rank, unit):
+            os._exit(17)
 
         with pytest.raises(EngineError, match="died without reporting"):
-            proc_factorize(eng, s.graph, 3, _fault_hook=killer)
+            proc_factorize(eng, None, 3, _fault_hook=killer)
 
     def test_worker_exception_keeps_original_type(self):
         s = analyzed(8)
         eng = LUFactorization(s.a_work, s.bp)
 
-        def boom(rank, task):
+        def boom(rank, unit):
             raise SingularMatrixError("injected failure")
 
         with pytest.raises(SingularMatrixError, match="injected failure"):
-            proc_factorize(eng, s.graph, 3, _fault_hook=boom)
+            proc_factorize(eng, None, 3, _fault_hook=boom)
 
     def test_bad_graph_rejected_before_pool_starts(self):
         s = analyzed(9)
@@ -125,11 +127,13 @@ class TestProcPool:
         ref = sequential_reference(s)
         with ProcPool(2) as pool:
             eng = LUFactorization(s.a_work, s.bp)
-            pool.factorize(eng, s.graph)
+            pool.factorize(eng)
             pids = [p.pid for p in pool._state["procs"]]
-            for _ in range(2):
+            # Steps, then the graph's tasks: the pool binds per block
+            # pattern, not per graph.
+            for graph in (None, s.graph):
                 eng = LUFactorization(s.a_work, s.bp)
-                pool.factorize(eng, s.graph)
+                pool.factorize(eng, graph)
                 assert_bitwise(eng.extract(), ref)
             assert [p.pid for p in pool._state["procs"]] == pids
 
@@ -138,10 +142,10 @@ class TestProcPool:
         s2 = analyzed(3, n=42)
         with ProcPool(2) as pool:
             eng = LUFactorization(s1.a_work, s1.bp)
-            pool.factorize(eng, s1.graph)
+            pool.factorize(eng)
             pids = [p.pid for p in pool._state["procs"]]
             eng = LUFactorization(s2.a_work, s2.bp)
-            pool.factorize(eng, s2.graph)
+            pool.factorize(eng)
             assert [p.pid for p in pool._state["procs"]] != pids
             assert_bitwise(eng.extract(), sequential_reference(s2))
 
@@ -162,17 +166,17 @@ class TestProcPool:
     def test_pool_recovers_after_worker_failure(self):
         s = analyzed(5)
 
-        def boom(rank, task):
+        def boom(rank, unit):
             raise RuntimeError("transient fault")
 
         pool = ProcPool(2)
         try:
             eng = LUFactorization(s.a_work, s.bp)
             with pytest.raises(RuntimeError):
-                pool.factorize(eng, s.graph, _fault_hook=boom)
+                pool.factorize(eng, _fault_hook=boom)
             # The failed pool was torn down; the next call rebinds.
             eng = LUFactorization(s.a_work, s.bp)
-            pool.factorize(eng, s.graph)
+            pool.factorize(eng)
             assert_bitwise(eng.extract(), sequential_reference(s))
         finally:
             pool.close()
@@ -186,12 +190,14 @@ class TestStatsAndObservability:
     def test_stats_accounting(self):
         s = analyzed(6)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, s.graph, 2)
+        stats = proc_factorize(eng, None, 2)
         assert stats.n_tasks == s.graph.n_tasks
-        assert len(stats.per_rank_tasks) == 2
+        assert len(stats.per_rank_units) == 2
         assert stats.makespan_seconds > 0
         assert 0.0 <= stats.efficiency <= 1.0
-        assert stats.message_bytes == 8 * stats.n_messages
+        # One dispatch (four int64s) and one empty reply per unit.
+        assert stats.n_messages == 2 * sum(stats.per_rank_units)
+        assert stats.message_bytes == 16 * stats.n_messages
 
     def test_engine_metrics_exported(self):
         from repro.obs.metrics import MetricsRegistry
@@ -199,7 +205,7 @@ class TestStatsAndObservability:
         s = analyzed(7)
         eng = LUFactorization(s.a_work, s.bp)
         reg = MetricsRegistry()
-        proc_factorize(eng, s.graph, 2, metrics=reg)
+        proc_factorize(eng, None, 2, metrics=reg)
         assert reg.get("engine.tasks").value == s.graph.n_tasks
         assert reg.get("engine.n_procs").value == 2
         assert reg.get("engine.makespan_seconds").value > 0
@@ -210,7 +216,7 @@ class TestStatsAndObservability:
         s = analyzed(8)
         eng = LUFactorization(s.a_work, s.bp)
         tr = Tracer()
-        proc_factorize(eng, s.graph, 2, tracer=tr)
+        proc_factorize(eng, None, 2, tracer=tr)
         names = [sp.name for root in tr.roots for sp in root.walk()]
         assert "engine.proc" in names
 
@@ -257,6 +263,14 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_ENGINE", "bogus")
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             resolve_engine()
+
+    def test_checked_runs_rejected(self):
+        from repro.parallel.dispatch import run_engine
+
+        s = analyzed(10)
+        eng = LUFactorization(s.a_work, s.bp, check_dependencies=True)
+        with pytest.raises(ValueError, match="check_dependencies"):
+            run_engine(eng, s.graph, "proc", n_workers=2)
 
     def test_lu_proc_engine_end_to_end(self):
         from repro.api import lu

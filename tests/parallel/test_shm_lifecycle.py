@@ -54,25 +54,25 @@ class TestArenaLifecycle:
 class TestEngineExitPaths:
     def test_normal_run_leaves_nothing(self, analyzed, baseline):
         eng = LUFactorization(analyzed.a_work, analyzed.bp)
-        proc_factorize(eng, analyzed.graph, 2)
+        proc_factorize(eng, None, 2)
         assert shm_segments() - baseline == set()
 
     def test_worker_exception_leaves_nothing(self, analyzed, baseline):
-        def boom(rank, task):
+        def boom(rank, unit):
             raise RuntimeError("injected")
 
         eng = LUFactorization(analyzed.a_work, analyzed.bp)
         with pytest.raises(RuntimeError):
-            proc_factorize(eng, analyzed.graph, 2, _fault_hook=boom)
+            proc_factorize(eng, None, 2, _fault_hook=boom)
         assert shm_segments() - baseline == set()
 
     def test_killed_worker_leaves_nothing(self, analyzed, baseline):
-        def killer(rank, task):
+        def killer(rank, unit):
             os._exit(3)
 
         eng = LUFactorization(analyzed.a_work, analyzed.bp)
         with pytest.raises(EngineError):
-            proc_factorize(eng, analyzed.graph, 2, _fault_hook=killer)
+            proc_factorize(eng, None, 2, _fault_hook=killer)
         assert shm_segments() - baseline == set()
 
 
@@ -82,7 +82,7 @@ class TestPoolLifecycle:
         try:
             for _ in range(3):
                 eng = LUFactorization(analyzed.a_work, analyzed.bp)
-                pool.factorize(eng, analyzed.graph)
+                pool.factorize(eng)
                 assert len(shm_segments() - baseline) == 1
         finally:
             pool.close()
@@ -94,7 +94,7 @@ class TestPoolLifecycle:
         with ProcPool(2) as pool:
             for s in (s1, s2, s1):
                 eng = LUFactorization(s.a_work, s.bp)
-                pool.factorize(eng, s.graph)
+                pool.factorize(eng)
                 assert len(shm_segments() - baseline) == 1
         assert shm_segments() - baseline == set()
 
@@ -107,7 +107,7 @@ class TestPoolLifecycle:
         with ProcPool(2) as pool:
             for _ in range(50):
                 eng = LUFactorization(analyzed.a_work, analyzed.bp)
-                pool.factorize(eng, analyzed.graph)
+                pool.factorize(eng)
             assert len(shm_segments() - baseline) == 1
             assert np.array_equal(eng.extract().l_factor.to_dense(), ref_l)
         assert shm_segments() - baseline == set()

@@ -1,4 +1,4 @@
-"""Block steps: the unit the sequential and threaded engines run.
+"""Block steps: the unit the sequential, threaded and proc engines run.
 
 A step is ``F(k)`` followed by every ``U(k, j)``; per target it runs the task
 body on the task's operands, so a run in steps must leave the panel store in

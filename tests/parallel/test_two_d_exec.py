@@ -7,7 +7,7 @@ The promises under test (docs/parallel.md):
   1e-12 (relative) on random matrices and every paper analog;
 * *within* the 2-D mode factors are bitwise identical across any
   admissible schedule and engine — random topological interleavings, the
-  thread pool, and the multi-process fan-both engine all reproduce the
+  thread pool, and the multi-process engine all reproduce the
   canonical replay exactly (the fixed per-column block-update summation
   order pinned by the chain edges);
 * the static analyzer covers 2-D schedules: zero findings on well-formed
@@ -23,7 +23,6 @@ from repro.analysis.footprints import expected_2d_tasks, two_d_footprints
 from repro.analysis.races import check_liveness, check_races
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SparseLUSolver
-from repro.parallel.mapping import GridMapping
 from repro.parallel.procengine import proc_factorize
 from repro.parallel.threads import threaded_factorize
 from repro.parallel.two_d import build_2d_graph, canonical_2d_order, is_2d_graph
@@ -127,14 +126,17 @@ class TestBitwiseWithin2D:
         "seed,grid,n_workers", [(0, None, 2), (2, (2, 2), 4), (3, (1, 2), 2)]
     )
     def test_proc_engine(self, seed, grid, n_workers):
+        # ``grid`` is the pr x pc placement these cases once pinned; the
+        # proc engine now runs each released task on whichever worker is
+        # free, so only the worker count reaches the run.
         s = analyzed(seed)
         g2 = build_2d_graph(s.bp)
         ref = replay_2d(s)
         eng = LUFactorization(s.a_work, s.bp)
-        mapping = GridMapping(*grid) if grid is not None else None
-        stats = proc_factorize(eng, g2, n_workers, mapping=mapping)
+        stats = proc_factorize(eng, g2, n_workers)
         assert_bitwise(eng.extract(), ref)
         assert stats.n_tasks == g2.n_tasks
+        assert sum(stats.per_rank_units) == g2.n_tasks
 
     def test_dep_checked_interleavings(self):
         """check_dependencies engines accept every admissible schedule."""
@@ -210,6 +212,9 @@ class TestAnalyzer2D:
 
 class TestObservability:
     def test_proc_span_mapping_and_grid_gauge(self):
+        # A 2-D run reports its workers and tasks; there is no grid
+        # placement left to report (no ``mapping`` attribute, no
+        # ``factor.grid_shape`` gauge).
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
@@ -218,27 +223,31 @@ class TestObservability:
         reg = MetricsRegistry()
         tr = Tracer()
         eng = LUFactorization(s.a_work, s.bp)
-        proc_factorize(eng, g2, 2, mapping=GridMapping(1, 2), metrics=reg,
-                       tracer=tr)
+        proc_factorize(eng, g2, 2, metrics=reg, tracer=tr)
         span = next(
             sp for root in tr.roots for sp in root.walk()
             if sp.name == "engine.proc"
         )
-        assert span.attrs["mapping"] == "2d:1x2"
-        assert reg.get("factor.grid_shape").value == 1002  # pr*1000 + pc
+        assert span.attrs["n_workers"] == 2
+        assert "mapping" not in span.attrs
+        assert reg.get("engine.tasks").value == g2.n_tasks
+        assert reg.get("factor.grid_shape") is None
 
     def test_proc_span_1d_mapping_label(self):
+        # A 1-D run sends one dispatch and gets one reply per block step.
         from repro.obs.trace import Tracer
 
         s = analyzed(8)
         tr = Tracer()
         eng = LUFactorization(s.a_work, s.bp)
-        proc_factorize(eng, s.graph, 2, tracer=tr)
+        proc_factorize(eng, None, 2, tracer=tr)
         span = next(
             sp for root in tr.roots for sp in root.walk()
             if sp.name == "engine.proc"
         )
-        assert span.attrs["mapping"] == "1d"
+        assert "mapping" not in span.attrs
+        assert span.attrs["n_messages"] == 2 * s.bp.n_blocks
+        assert span.attrs["makespan"] > 0
 
 
 def _conflicts(fu, fv) -> bool:

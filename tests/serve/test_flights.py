@@ -357,6 +357,17 @@ class TestLazyGraph:
         assert len(builds) == 1
         assert plan.graph is plan.artifacts.graph
 
+    def test_unsanitized_proc_run_builds_no_graph(self, monkeypatch, a30):
+        # Proc workers run the same block steps the threaded loop releases.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        builds = self._count_builds(monkeypatch)
+        plan = build_plan(a30)
+        seq = refactorize_with_plan(plan, a30, engine="sequential")
+        prc = refactorize_with_plan(plan, a30, engine="proc", n_workers=2)
+        assert np.array_equal(seq.result.l_factor.data, prc.result.l_factor.data)
+        assert np.array_equal(seq.result.u_factor.data, prc.result.u_factor.data)
+        assert builds == []
+
     def test_sanitized_sequential_run_sees_the_graph(self, monkeypatch, a30):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         builds = self._count_builds(monkeypatch)

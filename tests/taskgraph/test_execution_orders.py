@@ -97,3 +97,38 @@ def test_paper_analog_random_orders():
         order = random_topological_order(solver.graph, trial)
         l, _, _ = factors_for_order(solver, order)
         assert np.allclose(l, ref_l)
+
+
+def test_updates_last_order_passes_the_dependency_check():
+    """A valid schedule that runs every ``U`` as late as the graph allows.
+
+    ``U(i, k)`` from a block outside ``k``'s eforest subtree writes only
+    rows above ``k``'s tree and precedes nothing; the checked engine must
+    not demand it before ``F(k)`` (it raised ``F(9) ran before U(7,9)``
+    on sherman3 @ 0.1).
+    """
+    from repro.sparse.generators import paper_matrix
+
+    solver = SparseLUSolver(paper_matrix("sherman3", scale=0.1)).analyze()
+    g = solver.graph
+    indeg = {t: g.in_degree(t) for t in g.tasks()}
+    ready = [t for t, d in indeg.items() if d == 0]
+    order = []
+    while ready:
+        ready.sort(key=lambda t: (t.kind == "U", t))
+        t = ready.pop(0)
+        order.append(t)
+        for s in g.successors(t):
+            indeg[s] -= 1
+            if indeg[s] == 0:
+                ready.append(s)
+    assert len(order) == g.n_tasks
+    ref_eng = LUFactorization(solver.a_work, solver.bp)
+    ref_eng.factor_sequential()
+    ref = ref_eng.extract()
+    eng = LUFactorization(solver.a_work, solver.bp, check_dependencies=True)
+    eng.run_order(order)
+    res = eng.extract()
+    assert np.array_equal(res.l_factor.to_dense(), ref.l_factor.to_dense())
+    assert np.array_equal(res.u_factor.to_dense(), ref.u_factor.to_dense())
+    assert np.array_equal(res.orig_at, ref.orig_at)
