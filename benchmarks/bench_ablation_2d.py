@@ -4,12 +4,13 @@
 model shows the expected crossover — 1-D is competitive at small P (fewer,
 coarser tasks and messages), 2-D scales past it as P grows because column
 ownership stops serializing each column's updates on one processor. The
-same 2-D graph the simulator prices also *executes* on the real engines, so
-alongside the simulated table the artifact records measured wall times of
-both graph shapes on the threaded engine and the ≤1e-12 agreement of the 2-D
+same 2-D graph the simulator prices also *executes*, as a sequential replay
+(the parallel engines run block steps only), so alongside the simulated
+table the artifact records measured wall times of the sequential 1-D block
+steps and the sequential 2-D replay, and the ≤1e-12 agreement of the 2-D
 factors with the sequential reference. docs/parallel.md carries the verdict:
 on this host the measured rows lose, which is why no plan or recipe selects
-the 2-D graph.
+the 2-D graph and no parallel engine runs it.
 """
 
 import time
@@ -22,28 +23,29 @@ from bench_proc import analyzed, available_cpus, bitwise_equal
 from repro.eval.extras import format_two_d, simulate_1d_vs_2d, two_d_rows
 from repro.numeric.factor import LUFactorization
 from repro.parallel.mapping import GridMapping
-from repro.parallel.threads import threaded_factorize
 from repro.parallel.two_d import build_2d_graph, canonical_2d_order
 from repro.util.tables import format_table
 
 REPEATS = 2
+#: Worker count behind the artifact's `grid` field: a 2-D placement recorded, not run.
 N_WORKERS = 4
 #: Processor counts the simulator prices.
 SIM_PROCS = (4, 8, 16)
 
 
 def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
-    """Measured 1-D vs 2-D factorization times on the threaded engine.
+    """Measured 1-D vs 2-D factorization times, both sequential.
 
     Per matrix: analyze once, compute the sequential (1-D) reference
     factors and the canonical 2-D replay, verify the 2-D factors agree
     with the reference to 1e-12 (relative to the largest factor entry —
     the two modes sum block updates through differently-shaped GEMM
     calls, so bitwise identity only holds *within* a mode), then run
-    ``REPEATS`` timed factorizations of each graph shape, asserting every
-    run is bitwise equal to its mode's reference. Alongside the measured
-    times the row records the α-β simulator's 1-D/2-D prediction at
-    ``SIM_PROCS`` for the same two graphs.
+    ``REPEATS`` timed factorizations of each shape — the 1-D block steps
+    and the 2-D canonical replay — asserting every run is bitwise equal
+    to its mode's reference. Alongside the measured times the row records
+    the α-β simulator's 1-D/2-D prediction at ``SIM_PROCS`` for the same
+    two graphs.
     """
     rows = []
     for name in matrices:
@@ -54,8 +56,7 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
         ref.factor_sequential()
         ref_res = ref.extract()
         eng2 = LUFactorization(solver.a_work, solver.bp)
-        for task in canonical_2d_order(g2):
-            eng2.run_task(task)
+        eng2.run_order(canonical_2d_order(g2))
         ref2_res = eng2.extract()
         l1 = ref_res.l_factor.to_dense()
         u1 = ref_res.u_factor.to_dense()
@@ -69,20 +70,22 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
                 f"2-D factors diverged from sequential reference on "
                 f"{name}: rel diff {rel_diff:.3e}"
             )
+        order_2d = canonical_2d_order(g2)
         t1d: list[float] = []
         t2d: list[float] = []
-        for graph, ref_for, times in ((g1, ref_res, t1d), (g2, ref2_res, t2d)):
-            # Untimed warm-up (thread spawn).
-            e = LUFactorization(solver.a_work, solver.bp)
-            threaded_factorize(e, graph, n_threads=N_WORKERS)
+        runs = (
+            (LUFactorization.factor_sequential, ref_res, t1d),
+            (lambda e: e.run_order(order_2d), ref2_res, t2d),
+        )
+        for run, ref_for, times in runs:
             for _ in range(REPEATS):
                 e = LUFactorization(solver.a_work, solver.bp)
                 t0 = time.perf_counter()
-                threaded_factorize(e, graph, n_threads=N_WORKERS)
+                run(e)
                 times.append(time.perf_counter() - t0)
                 if not bitwise_equal(e.extract(), ref_for):
                     raise AssertionError(
-                        f"threaded factors diverged from the mode "
+                        f"sequential factors diverged from the mode "
                         f"reference on {name}"
                     )
         m1, m2 = median_high(t1d), median_high(t2d)
@@ -101,7 +104,7 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
                 "grid": [int(grid.pr), int(grid.pc)],
                 "rel_diff_vs_1d": rel_diff,
                 "measured": {
-                    "threaded": {
+                    "sequential": {
                         "t_1d_s": m1,
                         "t_2d_s": m2,
                         "ratio_1d_over_2d": m1 / m2 if m2 > 0 else 0.0,
@@ -115,7 +118,7 @@ def run_two_d_benchmark(matrices: Sequence[str], scale: float) -> dict:
         "repeats": REPEATS,
         "n_workers": N_WORKERS,
         "cpu_count": available_cpus(),
-        "engines": ["threaded"],
+        "engines": ["sequential"],
         "matrices": rows,
     }
 
@@ -161,7 +164,7 @@ def test_ablation_2d(benchmark, bench_config, emit):
     text += "\n\n" + format_table(
         ["quantity", "value"],
         two_d_summary_rows(measured),
-        title="Measured: real engines, both graph shapes",
+        title="Measured: sequential 1-D steps vs sequential 2-D replay",
     )
     data = {
         "simulated": [
@@ -183,8 +186,8 @@ def test_ablation_2d(benchmark, bench_config, emit):
     assert measured["matrices"], "no measured rows recorded"
     for row in measured["matrices"]:
         assert row["rel_diff_vs_1d"] <= 1e-12
-        assert row["measured"]["threaded"]["t_1d_s"] > 0
-        assert row["measured"]["threaded"]["t_2d_s"] > 0
+        assert row["measured"]["sequential"]["t_1d_s"] > 0
+        assert row["measured"]["sequential"]["t_2d_s"] > 0
     # Shape: at P=16 the 2-D graph wins on every matrix.
     p16 = [r for r in rows if r[1] == 16]
     assert all(r[3] < r[2] for r in p16), "2-D did not out-scale 1-D at P=16"

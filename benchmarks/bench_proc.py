@@ -107,7 +107,7 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
             # proc call pays bind (arena + fork) — the steady state is what
             # serves.
             eng = LUFactorization(solver.a_work, solver.bp)
-            threaded_factorize(eng, None, n_threads=N_WORKERS)
+            threaded_factorize(eng, n_threads=N_WORKERS)
             eng = LUFactorization(solver.a_work, solver.bp)
             pool.factorize(eng)
             thr_times: list[float] = []
@@ -116,7 +116,7 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
             for _ in range(REPEATS):
                 eng_t = LUFactorization(solver.a_work, solver.bp)
                 t0 = time.perf_counter()
-                threaded_factorize(eng_t, None, n_threads=N_WORKERS)
+                threaded_factorize(eng_t, n_threads=N_WORKERS)
                 thr_times.append(time.perf_counter() - t0)
                 eng_p = LUFactorization(solver.a_work, solver.bp)
                 t0 = time.perf_counter()

@@ -2,8 +2,9 @@
 
 Builds both task dependence graphs over the same supernodal block pattern,
 prices them with the flop/communication model, simulates the RAPID-style
-schedule for P = 1..8, and finally *really executes* the eforest graph with
-a thread pool to show the parallel factors match the sequential ones.
+schedule for P = 1..8, and finally *really executes* the block steps the
+eforest orders with a thread pool to show the parallel factors match the
+sequential ones.
 
 Run:  python examples/task_parallelism.py [matrix] [scale]
 """
@@ -87,11 +88,11 @@ def main() -> None:
         )
     )
 
-    # Real threaded execution of the eforest graph.
+    # Real threaded execution: block steps released over the block eforest.
     ref = LUFactorization(solver.a_work, solver.bp)
     ref.factor_sequential()
     eng = LUFactorization(solver.a_work, solver.bp)
-    threaded_factorize(eng, g_new, n_threads=4)
+    threaded_factorize(eng, n_threads=4)
     same = np.allclose(
         eng.extract().l_factor.to_dense(), ref.extract().l_factor.to_dense()
     )

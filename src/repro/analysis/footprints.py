@@ -39,6 +39,11 @@ task footprints follow:
     engine skips padded rows precisely so independent-subtree updates
     never touch each other's rows), and the rename scatter moves
     value-nonzero rows only.
+step ``k``
+    The unit every engine runs: ``F(k)`` then every ``U(k, j)``, so its
+    footprint is the union of theirs (:func:`step_footprints`). Steps are
+    ordered by the block eforest alone (step ``k`` follows its children),
+    which :func:`repro.analysis.runner.analyze_plan` race-checks.
 ``FS(k)`` / ``BS(k)``
     RHS block-row granularity: ``FS(k)`` writes ``y_k`` and reads ``y_i``
     for every stored lower block ``B̄(k, i)``; ``BS(k)`` overwrites the
@@ -56,7 +61,7 @@ Theorem 4 ancestor chains serialize.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Hashable, Iterable, Mapping
 
 import numpy as np
 import numpy.typing as npt
@@ -197,6 +202,40 @@ def factor_footprints(
                 writes={j: touched},
             )
     return out
+
+
+def step_footprints(
+    bp: BlockPattern, task_footprints: Mapping[Hashable, TaskFootprint]
+) -> dict[int, TaskFootprint]:
+    """Footprint of block step ``k`` (keyed ``k``): the union of ``F(k)``'s
+    and every ``U(k, j)``'s in ``task_footprints`` — :func:`factor_footprints`,
+    or the sanitizer's, which add the step's own pivot slot."""
+    upper = _upper_blocks_by_source(bp)
+    out: dict[int, TaskFootprint] = {}
+    for k in range(bp.n_blocks):
+        parts = [task_footprints[Task("F", k, k)]]
+        parts += [task_footprints[Task("U", k, j)] for j in upper[k]]
+        out[k] = TaskFootprint(
+            reads=_union(fp.reads for fp in parts),
+            writes=_union(fp.writes for fp in parts),
+        )
+    return out
+
+
+def _union(maps: "Iterable[Dict[int, IntArray]]") -> Dict[int, IntArray]:
+    by_region: Dict[int, list[IntArray]] = {}
+    for m in maps:
+        for region, rows in m.items():
+            by_region.setdefault(region, []).append(rows)
+    return {
+        region: rows[0] if len(rows) == 1 else _frozen(np.unique(np.concatenate(rows)))
+        for region, rows in by_region.items()
+    }
+
+
+def unit_name(unit: Hashable) -> str:
+    """Display name of an execution unit: a task, or block step ``k``."""
+    return f"step({unit})" if isinstance(unit, int) else str(unit)
 
 
 def two_d_footprints(bp: BlockPattern, fill: StaticFill) -> dict:

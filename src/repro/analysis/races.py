@@ -30,11 +30,11 @@ costs scheduling freedom, not correctness.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from repro.analysis.footprints import TaskFootprint, region_label
+from repro.analysis.footprints import TaskFootprint, region_label, unit_name
 from repro.analysis.report import Finding
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.tasks import Task
@@ -85,11 +85,14 @@ def _conflict_rows(
     return _overlap(fa.accessed(region), fb.written(region))
 
 
-def _seq_key(t: Task) -> tuple[int, int, int, int]:
-    """Sort key reproducing the sequential execution order (F(k) before its
-    updates, all forward-solve tasks before backward ones), used to orient
-    the suggested fix edge of a race. Either direction is acyclic for an
-    unordered pair; this one matches how the reference executor runs."""
+def _seq_key(t: "Task | int") -> tuple[int, int, int, int]:
+    """Sort key reproducing the sequential execution order (step ``k`` and
+    F(k) before its updates, all forward-solve tasks before backward ones),
+    used to orient the suggested fix edge of a race. Either direction is
+    acyclic for an unordered pair; this one matches how the reference
+    executor runs."""
+    if isinstance(t, int):
+        return (0, t, 0, 0)
     phase = 1 if t.kind == "BS" else 0
     return (phase, t.k, 0 if t.kind != "U" else 1, t.j)
 
@@ -103,12 +106,13 @@ def _rows_summary(rows: np.ndarray, limit: int = 6) -> str:
 
 def check_races(
     graph: TaskGraph,
-    footprints: Mapping[Task, TaskFootprint],
+    footprints: Mapping[Any, TaskFootprint],
     *,
     label: Callable[[int], str] = region_label,
     max_findings: int = 50,
 ) -> tuple[list[Finding], dict[str, int]]:
-    """Report every footprint-conflicting task pair not ordered by ``graph``.
+    """Report every footprint-conflicting pair of units (tasks, or block
+    steps keyed by block index) not ordered by ``graph``.
 
     Tasks in ``footprints`` but absent from the graph are reported by
     :func:`check_liveness`, not here; tasks in the graph without footprints
@@ -117,7 +121,7 @@ def check_races(
     """
     reach = Reachability(graph)
     # Region -> accessor list; each accessor caches its written/accessed rows.
-    by_region: dict[int, list[tuple[Task, TaskFootprint]]] = {}
+    by_region: dict[int, list[tuple[Any, TaskFootprint]]] = {}
     for task, fp in footprints.items():
         if task not in reach:
             continue
@@ -125,7 +129,7 @@ def check_races(
             by_region.setdefault(region, []).append((task, fp))
 
     findings: list[Finding] = []
-    seen_pairs: set[tuple[Task, Task]] = set()
+    seen_pairs: set[tuple[Any, Any]] = set()
     n_conflicts = 0
     truncated = 0
     for region, accessors in by_region.items():
@@ -166,13 +170,13 @@ def check_races(
                     Finding(
                         check="race.unordered_pair",
                         message=(
-                            f"{first} and {second} conflict on "
-                            f"{label(region)} but neither reaches the other"
+                            f"{unit_name(first)} and {unit_name(second)} conflict "
+                            f"on {label(region)} but neither reaches the other"
                         ),
-                        tasks=(str(first), str(second)),
+                        tasks=(unit_name(first), unit_name(second)),
                         region=f"{label(region)}, rows {_rows_summary(rows)}",
                         detail={
-                            "suggested_edge": f"{first} -> {second}",
+                            "suggested_edge": f"{unit_name(first)} -> {unit_name(second)}",
                             "path_length_needed": 1,
                             "n_overlap_rows": int(rows.size),
                         },

@@ -2,17 +2,17 @@
 
 :func:`analyze_plan` is the one-stop verification of a frozen
 :class:`~repro.serve.plan.SymbolicPlan`: structure lints, factor-graph
-race/liveness checking, solve-graph race/liveness checking, and the
-S*-vs-eforest minimality report, grouped into per-aspect subjects of one
+race/liveness checking, block-step race checking over the block eforest,
+solve-graph race/liveness checking, and the S*-vs-eforest minimality
+report, grouped into per-aspect subjects of one
 :class:`~repro.analysis.report.AnalysisReport`. :func:`analyze_matrix`
 builds the plan first (symbolic pipeline only — no numerics anywhere in
 this subsystem).
 
 The ``REPRO_ANALYZE=1`` environment hook routes through
-:func:`analysis_enabled` / :func:`verify_plan`: production call sites
-(:func:`repro.serve.plan.build_plan`,
-:func:`repro.parallel.threads.threaded_factorize`) invoke them lazily and
-raise :class:`~repro.util.errors.AnalysisError` on any finding, under an
+:func:`analysis_enabled` / :func:`verify_plan`: the production call site
+(:func:`repro.serve.plan.build_plan`) invokes them lazily and raises
+:class:`~repro.util.errors.AnalysisError` on any finding, under an
 ``analysis.verify`` tracer span. :func:`suppress_hooks` exists so the
 analyzer itself (which builds plans) never recurses into the hook.
 """
@@ -31,6 +31,7 @@ from repro.analysis.footprints import (
     footprint_stats,
     solve_footprints,
     solve_region_label,
+    step_footprints,
     two_d_footprints,
 )
 from repro.analysis.races import check_liveness, check_races, minimality_report
@@ -77,6 +78,10 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
       eforest/postorder/BTF lints recomputed from the plan's fill.
     * ``factor-graph`` — liveness and footprint races of the plan's task
       graph against the enumerated F/U task set.
+    * ``factor-steps`` — footprint races of the block steps every engine
+      runs (step ``k`` = ``F(k)`` plus every ``U(k, j)``), ordered by the
+      block eforest alone: the Theorem-4 argument that independent
+      subtrees' steps commute, checked.
     * ``factor-graph-2d`` — the same liveness/race verification of the
       executable 2-D refinement (F/SL/SU/UP over per-block footprints),
       so every schedule a 2-D mapping can produce is covered.
@@ -88,7 +93,8 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     from repro.parallel.two_d import build_2d_graph  # lazy: import cycle
     from repro.symbolic.eforest import lu_elimination_forest
     from repro.symbolic.postorder import block_upper_triangular_blocks
-    from repro.taskgraph.eforest_graph import build_eforest_graph
+    from repro.taskgraph.dag import TaskGraph
+    from repro.taskgraph.eforest_graph import block_eforest, build_eforest_graph
     from repro.taskgraph.sstar import build_sstar_graph
     from repro.util.errors import ReproError
 
@@ -138,6 +144,20 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     factor.stats.update(footprint_stats(fps))
     factor.stats["n_tasks"] = plan.graph.n_tasks
     factor.stats["n_edges"] = plan.graph.n_edges
+
+    steps = report.subject(f"{name}/factor-steps")
+    step_graph = TaskGraph()
+    for k, p in enumerate(block_eforest(plan.bp).tolist()):
+        step_graph.add_task(k)
+        if p >= 0:
+            step_graph.add_edge(k, p)  # step k follows its children
+    step_fps = step_footprints(plan.bp, fps)
+    races, stats = check_races(step_graph, step_fps)
+    steps.extend(races)
+    steps.stats.update(stats)
+    steps.stats.update(footprint_stats(step_fps))
+    steps.stats["n_steps"] = step_graph.n_tasks
+    steps.stats["n_edges"] = step_graph.n_edges
 
     factor2d = report.subject(f"{name}/factor-graph-2d")
     graph_2d = build_2d_graph(plan.bp)

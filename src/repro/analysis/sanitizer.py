@@ -3,23 +3,29 @@
 The race checker (:mod:`repro.analysis.races`) proves the *static*
 footprints of :mod:`repro.analysis.footprints` pairwise ordered; its
 guarantee is only as good as the footprints' soundness — the claim that
-every access the engine actually performs is contained in its task's
+every access the engine actually performs is contained in its unit's
 static (region, rows) sets. This module checks that claim at runtime:
 an opt-in (``REPRO_SANITIZE=1``) instrumentation layer records the
 actual scalar rows each kernel reads and writes in every block-column
 panel, in ``orig_at``, and in the :class:`~repro.parallel.procengine.
 SharedArena` pivot slots, and verifies *online* that each access is
-contained in the executing task's footprint. Any escape —
+contained in the executing unit's footprint. Any escape —
 ``sanitizer.read_escape`` / ``sanitizer.write_escape`` — is a soundness
 bug in either the engine or the footprint model and fails the run with
 :class:`~repro.util.errors.SanitizerError`.
 
-Happens-before is rebuilt from the execution itself: a task's
-:meth:`~AccessSanitizer.begin` asserts every task-graph predecessor was
-observed complete (:meth:`~AccessSanitizer.end`) — where the units are
-released: the executing threads, or the proc engine's parent, whose
+The unit is the one the run executes: block step ``k`` (``F(k)`` and every
+``U(k, j)``, checked against the union of their footprints,
+:func:`~repro.analysis.footprints.step_footprints`) on every engine, or
+one task on a sequential replay. Happens-before is rebuilt from the
+execution itself: a unit's :meth:`~AccessSanitizer.begin` asserts every
+predecessor was observed complete (:meth:`~AccessSanitizer.end`). The
+predecessors are the block eforest's children for steps
+(:func:`step_predecessors`) and the graph's for a replay
+(:func:`task_predecessors`); they are checked where the units are
+released — the executing threads, or the proc engine's parent, whose
 workers check containment only. A violation
-(``sanitizer.missing_happens_before``) means a task started before all
+(``sanitizer.missing_happens_before``) means a unit started before all
 its dependencies finished.
 
 Region model
@@ -29,11 +35,11 @@ Panels and ``orig_at`` use the region ids of
 get their own region namespace (block ``k`` → :func:`pivot_region`\\
 ``(k)``): ``F(k)`` publishes the pivoted row ids of the whole candidate
 panel (padding included — the slot is written in bulk), and every
-``U(k, j)``/``SU(k, j)`` executed remotely reads them. That write
+``U(k, j)``/``SU(k, j)`` reads them. That write
 exceeds the ``orig_at`` support set on purpose, which is why pivot
 slots are a separate region instead of a widening of the race-checked
-factor footprints: the 1-D/2-D race model stays exactly as tight as
-PR 5 proved it.
+factor footprints: the race model stays exactly as tight as the
+footprint proofs need.
 
 Instrumentation cost: every record site in
 :class:`repro.numeric.factor.LUFactorization` is guarded by a single
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import TYPE_CHECKING, Hashable, Mapping
+from typing import TYPE_CHECKING, Hashable, Iterable, Mapping
 
 import numpy as np
 
@@ -55,7 +61,9 @@ from repro.analysis.footprints import (
     candidate_rows,
     factor_footprints,
     region_label,
+    step_footprints,
     two_d_footprints,
+    unit_name,
 )
 from repro.analysis.report import AnalysisReport, Finding
 from repro.util.errors import SanitizerError
@@ -107,12 +115,13 @@ def sanitizer_region_label(region: int) -> str:
 def sanitizer_footprints(
     bp: "BlockPattern", fill: "StaticFill"
 ) -> dict[Hashable, TaskFootprint]:
-    """Combined 1-D + 2-D task footprints, extended with pivot slots.
+    """Block-step, 1-D and 2-D task footprints, extended with pivot slots.
 
-    The union is collision-free (``Task`` and ``Task2D`` keys differ),
-    so one sanitizer covers whichever graph the dispatcher runs. The
-    pivot-slot extension: ``F(k)`` writes slot ``k`` over the whole
-    candidate row set, ``U(k, j)`` and ``SU(k, j)`` read it.
+    The union is collision-free (step ``k`` is keyed ``k``; ``Task`` and
+    ``Task2D`` keys differ), so one sanitizer covers steps and whichever
+    graph a replay runs. The pivot-slot extension: ``F(k)`` writes slot
+    ``k`` over the whole candidate row set, ``U(k, j)`` and ``SU(k, j)``
+    read it — so step ``k`` both writes and reads it.
     """
     fps: dict[Hashable, TaskFootprint] = {}
     fps.update(factor_footprints(bp, fill))
@@ -136,29 +145,51 @@ def sanitizer_footprints(
             )
         else:
             out[task] = fp
+    out.update(step_footprints(bp, out))
     return out
+
+
+def step_predecessors(bp: "BlockPattern") -> dict[int, tuple[int, ...]]:
+    """Step ``k``'s predecessors: its children in the block eforest."""
+    from repro.taskgraph.eforest_graph import block_eforest
+
+    children: dict[int, list[int]] = {k: [] for k in range(bp.n_blocks)}
+    for k, p in enumerate(block_eforest(bp).tolist()):
+        if p >= 0:
+            children[p].append(k)
+    return {k: tuple(c) for k, c in children.items()}
+
+
+def task_predecessors(graph: "TaskGraph") -> dict[Hashable, tuple[Hashable, ...]]:
+    """Each task's predecessors in ``graph`` (the reference of a replay)."""
+    preds: dict[Hashable, list[Hashable]] = {t: [] for t in graph.tasks()}
+    for src, dst in graph.edges():
+        preds[dst].append(src)
+    return {t: tuple(p) for t, p in preds.items()}
 
 
 class AccessSanitizer:
     """Online containment checker for one factorization run.
 
-    One instance is shared by every executor thread (the current task is
-    thread-local); the proc engine forks it into each worker and merges
-    the per-worker accesses back via :meth:`export_run` /
-    :meth:`merge_run` — tasks are counted by the parent, which releases
-    them. All counters are informational — correctness rides on
-    :attr:`findings` alone.
+    ``predecessors`` maps a unit (block step or task) to the units that
+    must complete before it starts; the dispatcher that picks the units
+    sets it (:meth:`set_predecessors`). One instance is shared by every
+    executor thread (the current unit is thread-local); the proc engine
+    forks it into each worker and merges the per-worker accesses back via
+    :meth:`export_run` / :meth:`merge_run` — units are counted by the
+    parent, which releases them. All counters are informational —
+    correctness rides on :attr:`findings` alone.
     """
 
     def __init__(
         self,
         footprints: Mapping[Hashable, TaskFootprint],
-        graph: "TaskGraph | None" = None,
+        predecessors: "Mapping[Hashable, Iterable[Hashable]] | None" = None,
         *,
         max_findings: int = 25,
     ) -> None:
         self._fps = footprints
-        self._preds: dict[Hashable, tuple[Hashable, ...]] = {}
+        self._preds: Mapping[Hashable, Iterable[Hashable]] = {}
         self._completed: set[Hashable] = set()
         self._local = threading.local()
         self.max_findings = max_findings
@@ -166,18 +197,17 @@ class AccessSanitizer:
         self.n_accesses = 0
         self.n_rows = 0
         self.n_tasks = 0
-        if graph is not None:
-            self.set_graph(graph)
+        self.set_predecessors(predecessors)
 
     # -- lifecycle ----------------------------------------------------------
 
-    def set_graph(self, graph: "TaskGraph | None") -> None:
-        """Adopt ``graph`` as the happens-before reference (``None``: check
-        containment only, as a proc worker that sees only its own tasks)."""
-        self._preds = (
-            {} if graph is None
-            else {t: tuple(graph.predecessors(t)) for t in graph.tasks()}
-        )  # fmt: skip
+    def set_predecessors(
+        self, predecessors: "Mapping[Hashable, Iterable[Hashable]] | None"
+    ) -> None:
+        """Adopt ``unit -> predecessors`` as the happens-before reference
+        (``None``: check containment only, as a proc worker that sees only
+        its own units)."""
+        self._preds = {} if predecessors is None else predecessors
 
     def reset_run(self) -> None:
         """Clear per-run state (warm-pool workers reuse one instance)."""
@@ -193,20 +223,20 @@ class AccessSanitizer:
         return getattr(self._local, "task", None)
 
     def begin(self, task: Hashable) -> None:
-        """Enter ``task``'s dynamic extent; check happens-before."""
+        """Enter unit ``task``'s dynamic extent; check happens-before."""
         preds = self._preds.get(task, ())
         missing = [p for p in preds if p not in self._completed]
         if missing:
             self._add(
                 "sanitizer.missing_happens_before",
-                f"task {task} started before {len(missing)} of its "
+                f"{unit_name(task)} started before {len(missing)} of its "
                 f"predecessors were observed complete",
-                tasks=(str(task),) + tuple(str(p) for p in missing[:4]),
+                tasks=(unit_name(task),) + tuple(unit_name(p) for p in missing[:4]),
             )
         self._local.task = task
 
     def end(self, task: Hashable) -> None:
-        """Leave ``task``'s dynamic extent and mark it complete."""
+        """Leave unit ``task``'s dynamic extent and mark it complete."""
         self._local.task = None
         self._completed.add(task)
         self.n_tasks += 1
@@ -234,8 +264,8 @@ class AccessSanitizer:
         if fp is None:
             self._add(
                 "sanitizer.unknown_task",
-                f"task {task} has no static footprint",
-                tasks=(str(task),),
+                f"{unit_name(task)} has no static footprint",
+                tasks=(unit_name(task),),
             )
             return
         allowed = fp.written(region) if write else fp.accessed(region)
@@ -249,10 +279,10 @@ class AccessSanitizer:
         what = "write" if write else "read"
         self._add(
             f"sanitizer.{what}_escape",
-            f"task {task} {what}s rows "
+            f"{unit_name(task)} {what}s rows "
             f"{escaped[:8].tolist()} of {sanitizer_region_label(region)} "
             f"outside its static footprint ({escaped.size} escaped rows)",
-            tasks=(str(task),),
+            tasks=(unit_name(task),),
             region=sanitizer_region_label(region),
             detail={"n_escaped": int(escaped.size), "write": write},
         )
@@ -324,16 +354,11 @@ class AccessSanitizer:
 
 
 def build_sanitizer(
-    bp: "BlockPattern",
-    fill: "StaticFill",
-    graph: "TaskGraph | None" = None,
-    *,
-    max_findings: int = 25,
+    bp: "BlockPattern", fill: "StaticFill", *, max_findings: int = 25
 ) -> AccessSanitizer:
-    """Sanitizer over the combined (1-D + 2-D + pivot-slot) footprints."""
-    return AccessSanitizer(
-        sanitizer_footprints(bp, fill), graph, max_findings=max_findings
-    )
+    """Sanitizer over the combined (step + 1-D + 2-D + pivot-slot)
+    footprints; the dispatcher that runs it sets its predecessors."""
+    return AccessSanitizer(sanitizer_footprints(bp, fill), max_findings=max_findings)
 
 
 def sanitize_matrix(

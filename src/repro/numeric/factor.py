@@ -1,11 +1,12 @@
 """Supernodal LU factorization with partial pivoting, in block steps or tasks.
 
 :class:`LUFactorization` executes ``Factor``/``Update`` work against the
-dense block storage. Any topological order of a valid dependence graph
-produces the same factors (the property the task-graph tests assert). The
-sequential and threaded engines run *block steps* — ``F(k)`` then every
-``U(k, j)`` — the other executors, sanitized and checked runs the tasks;
-both run one body per target on the same operands, so they agree bitwise.
+dense block storage. Every engine runs *block steps* — ``F(k)`` then every
+``U(k, j)`` — and the sanitizer checks them; the tasks run one by one only
+in sequential replays (an explicit order, a 2-D graph) and message
+passing. Both run one body per target on the same operands, so they agree
+bitwise, and any topological order of a valid dependence graph produces
+the same factors (the property the task-graph tests assert).
 
 Pivoting bookkeeping: ``Factor(k)`` swaps rows inside its candidate panel
 and publishes the renaming ``pivots[k][p] → sub_rows(k)[p]`` of global row
@@ -51,8 +52,7 @@ from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
 from repro.sparse.coo import COOBuilder
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import BlockPattern
-from repro.taskgraph.eforest_graph import block_eforest
-from repro.taskgraph.tasks import Task, enumerate_tasks
+from repro.taskgraph.tasks import Task
 from repro.util.errors import SchedulingError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (supersolve)
@@ -251,11 +251,6 @@ class LUFactorization:
     owned_columns:
         Passed to the panel store: only these block columns are
         materialized (one rank of a distributed-memory run).
-    check_dependencies:
-        When True, :meth:`run_task` verifies its prerequisites ran (the
-        executors pass orders that satisfy this by construction; tests use
-        it to catch bad schedules), and :meth:`factor_sequential` runs the
-        tasks one by one so that it can.
 
     Notes
     -----
@@ -270,7 +265,6 @@ class LUFactorization:
         a: CSCMatrix,
         bp: BlockPattern,
         *,
-        check_dependencies: bool = False,
         metrics=None,
         layout=None,
         owned_columns: "set[int] | None" = None,
@@ -283,9 +277,6 @@ class LUFactorization:
         self.n = a.n_cols
         self.orig_at = np.arange(self.n, dtype=np.int64)
         self.done: set[Task] = set()  # tasks run one by one (not in steps)
-        self.check_dependencies = check_dependencies
-        # Block-eforest parents, which a checked F(k) walks.
-        self._eforest = block_eforest(bp).tolist() if check_dependencies else []
         self.n_tasks = 0
         self.lazy_stats = LazyStats()
         self._tally_lock = threading.Lock()
@@ -298,8 +289,9 @@ class LUFactorization:
         # the threaded executor the updates race benignly.
         self.metrics = metrics
         # Optional repro.analysis.sanitizer.AccessSanitizer, attached by
-        # run_engine: the bodies record the scalar rows they touch for
-        # online containment in the static footprints.
+        # run_engine: each step or task brackets itself, and the bodies
+        # record the scalar rows they touch for online containment in the
+        # static footprints.
         self.sanitizer: "AccessSanitizer | None" = None
 
     # ------------------------------------------------------------------
@@ -334,12 +326,7 @@ class LUFactorization:
             self.run_task(task)
 
     def factor_sequential(self) -> None:
-        """Right-looking reference order: step ``k`` for ascending ``k``
-        (the tasks one by one when a sanitizer or ``check_dependencies``
-        must see each of them)."""
-        if self.sanitizer is not None or self.check_dependencies:
-            self.run_order(enumerate_tasks(self.bp))
-            return
+        """Right-looking reference order: step ``k`` for ascending ``k``."""
         for k in range(self.bp.n_blocks):
             self.step(k)
 
@@ -359,15 +346,19 @@ class LUFactorization:
     def step(self, k: int) -> None:
         """Block step ``k``: ``F(k)``, then ``U(k, j)`` for every target in
         ascending ``j`` through :meth:`_updates` — the body a ``U(k, j)``
-        task runs for its one target, hence the same bits."""
+        task runs for its one target, hence the same bits. A sanitizer sees
+        the step as unit ``k``."""
+        san = self.sanitizer
+        if san is not None:
+            san.begin(k)
         facts = self._factor(k)
         targets, rel = self.data.layout.step_targets(k)
         tally = self._updates(k, facts, targets.tolist(), rel) if targets.size else ()
+        if san is not None:
+            san.end(k)
         self.tally(1 + targets.size, *tally)
 
     def _factor(self, k: int) -> PanelFacts:
-        if self.check_dependencies:
-            self._require_column_updates_done(k)
         data = self.data
         pivoted = data.pivots[k]
         if pivoted.size and pivoted[0] >= 0:
@@ -421,8 +412,6 @@ class LUFactorization:
         ``k``'s facts, read from the store wherever the executor put its
         buffers, and update ``(k → j)``'s relative indices as one row."""
         data = self.data
-        if self.check_dependencies and data.pivots[k][0] < 0:
-            raise SchedulingError(f"{kind}({k},{j}) ran before F({k})")
         if data.panels[j] is None:
             raise SchedulingError(
                 f"{kind}({k},{j}) ran on a process that does not own column {j}"
@@ -552,8 +541,6 @@ class LUFactorization:
         so the task keeps its place in the 2-D graph and its read of the
         block but has no arithmetic left.
         """
-        if self.check_dependencies and self.data.pivots[k][0] < 0:
-            raise SchedulingError(f"SL({k},{i}) ran before F({k})")
         if self.sanitizer is not None:
             lo, hi = self._block_slice(k, i)
             self.sanitizer.record_read(k, self.data.sub_rows(k)[lo:hi])
@@ -567,8 +554,6 @@ class LUFactorization:
         of one step into different block rows write disjoint rows — the
         concurrency the 2-D mapping exists to exploit.
         """
-        if self.check_dependencies and ("SU", k, k, j) not in self.done:
-            raise SchedulingError(f"UP({k},{i},{j}) ran before SU({k},{j})")
         data = self.data
         m = data.sub_panel(k)
         w = data.width(k)
@@ -614,34 +599,6 @@ class LUFactorization:
             if moved.size:
                 orig_at[subs[moved]] = orig_at[pivoted[moved]]
         self.orig_at = orig_at
-
-    def _require_column_updates_done(self, k: int) -> None:
-        """Every update into column ``k`` from ``k``'s block-eforest
-        subtree ran. An update sourced in another tree writes only rows
-        above ``k``'s (Theorem 2 and the block upper triangular form), so
-        it commutes with ``F(k)`` and the §4 graph leaves it unordered."""
-        stored = None
-        for i in self.bp.col_blocks(k):
-            i = a = int(i)
-            if i >= k or Task("U", i, k) in self.done:
-                continue
-            while 0 <= a < k:  # parents come after their children
-                a = self._eforest[a]
-            if a != k:
-                continue  # not a descendant of k
-            if ("SU", i, i, k) in self.done:
-                # 2-D refinement of update (i -> k): the SU plus one UP
-                # per stored lower block row must all have committed.
-                if stored is None:
-                    stored = set(int(b) for b in self.bp.col_blocks(k))
-                for b in self.bp.col_blocks(i):
-                    b = int(b)
-                    if b > i and b in stored and ("UP", i, b, k) not in self.done:
-                        raise SchedulingError(
-                            f"F({k}) ran before UP({i},{b},{k})"
-                        )
-                continue
-            raise SchedulingError(f"F({k}) ran before U({i},{k})")
 
     # ------------------------------------------------------------------
     # Extraction

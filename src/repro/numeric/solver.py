@@ -234,10 +234,10 @@ class SymbolicArtifacts:
     factorizations. Treat instances as immutable once constructed.
 
     The §4 task graph is not stored but derived: :attr:`graph` builds it
-    from ``bp`` on first access and keeps it. No engine reads it unless a
-    sanitizer checks the run, so a plan that only serves requests never
-    pays its time or its memory (the dict-of-tuples graph is the largest
-    single object of a plan).
+    from ``bp`` on first access and keeps it. No engine reads it (only a
+    replayed order and the analysis tools do), so a plan that only serves
+    requests never pays its time or its memory (the dict-of-tuples graph
+    is the largest single object of a plan).
     """
 
     row_perm: np.ndarray

@@ -13,16 +13,21 @@ for real (the simulators are *models*, not engines):
     releasing block steps over the block eforest.
 ``proc``
     :func:`repro.parallel.procengine.proc_factorize` — the same release
-    loop, with each unit's body run by a worker process over a
+    loop, with each step's body run by a worker process over a
     shared-memory arena.
 
-All three produce bitwise-identical factors, on the paper's 1-D column
-graph and on the §6 2-D block graph
-(:func:`repro.parallel.two_d.build_2d_graph`) alike, so the choice is
-purely a performance/deployment decision — see docs/parallel.md.
+All three run block steps and produce bitwise-identical factors, so the
+choice is purely a performance/deployment decision — see
+docs/parallel.md. Tasks run one by one only in a sequential replay
+(:func:`replay_order`): an explicit order, or the §6 2-D block graph
+(:func:`repro.parallel.two_d.build_2d_graph`) under ``"sequential"``.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
+from functools import partial
+from typing import Any, Iterable
 
 from repro.numeric.factor import LUFactorization
 from repro.taskgraph.dag import TaskGraph
@@ -57,102 +62,99 @@ def run_engine(
 ):
     """Drive one factorization on the already-resolved engine ``choice``.
 
-    Every engine runs block steps and reads no ``graph`` (it may be
-    ``None``) unless the run needs the tasks one by one: a 2-D graph, a
-    sanitizer, or ``check_dependencies``. A 2-D graph replays
-    sequentially in the canonical right-looking order. ``check_dependencies``
-    is refused under ``"proc"``: a worker sees only the tasks it ran.
-    ``pool`` optionally supplies a shared
-    :class:`repro.parallel.procengine.ProcPool` for the ``proc`` engine —
-    the serving layer passes one so concurrent serving threads share a
-    single process pool. Returns the proc engine's
+    Every engine runs block steps and ignores a 1-D ``graph`` (it may be
+    ``None``). A 2-D graph replays sequentially in the canonical
+    right-looking order (:func:`replay_order`) under ``"sequential"`` and
+    is refused by the parallel engines. ``pool`` optionally supplies a
+    shared :class:`repro.parallel.procengine.ProcPool` for the ``proc``
+    engine — the serving layer passes one so concurrent serving threads
+    share a single process pool. Returns the proc engine's
     :class:`~repro.parallel.procengine.ProcStats` or ``None``.
 
     Sanitizing: an explicit ``sanitizer``
     (:class:`repro.analysis.sanitizer.AccessSanitizer`) is attached to
-    the engine for the run and left for the caller to inspect — the
-    caller owns the verdict. With ``REPRO_SANITIZE=1`` and no explicit
-    sanitizer, one is built from ``fill`` (the static fill the solver
-    passes alongside its block pattern) and any finding raises
+    the engine for the run, ordering the steps by the block eforest, and
+    left for the caller to inspect — the caller owns the verdict. With
+    ``REPRO_SANITIZE=1`` and no explicit sanitizer, one is built from
+    ``fill`` (the static fill the solver passes alongside its block
+    pattern) and any finding raises
     :class:`~repro.util.errors.SanitizerError` after the run — the
     strict gate mode.
     """
-    if choice == "proc" and engine.check_dependencies:
-        raise ValueError(
-            "check_dependencies is not supported by the proc engine: a "
-            "worker process sees only the tasks it ran"
-        )
-    san = sanitizer
-    strict = False
-    if san is None:
-        from repro.analysis.sanitizer import sanitize_enabled
-
-        if sanitize_enabled():
-            from repro.analysis.sanitizer import build_sanitizer
-            from repro.util.errors import SanitizerError
-
-            bp = getattr(engine, "bp", None)
-            if fill is None or bp is None:
-                raise SanitizerError(
-                    f"$REPRO_SANITIZE is set but the {choice!r} engine call "
-                    "carries no symbolic plan (fill=); sanitized runs need "
-                    "the static footprints"
-                )
-            san = build_sanitizer(bp, fill)
-            strict = True
-    if san is not None:
-        if graph is not None:
-            san.set_graph(graph)
-        engine.sanitizer = san
-    result = _dispatch(
-        engine,
-        graph,
-        choice,
-        n_workers=n_workers,
-        metrics=metrics,
-        tracer=tracer,
-        pool=pool,
-    )
-    if san is not None and strict:
-        san.raise_on_findings(f"{choice} factorization")
-    return result
-
-
-def _dispatch(
-    engine: LUFactorization,
-    graph: "TaskGraph | None",
-    choice: str,
-    *,
-    n_workers: int,
-    metrics,
-    tracer,
-    pool,
-):
     from repro.parallel.two_d import canonical_2d_order, is_2d_graph
 
-    two_d = graph is not None and is_2d_graph(graph)
-    if choice == "sequential":
-        if two_d:
-            for task in canonical_2d_order(graph):
-                engine.run_task(task)
-            return None
-        engine.factor_sequential()
-        return None
     if choice not in ENGINES:
         raise ValueError(
             f"unknown engine {choice!r}; valid engines: " + ", ".join(ENGINES)
         )
-    by_task = two_d or engine.sanitizer is not None or engine.check_dependencies
-    if by_task and graph is None:
-        raise ValueError(f"a sanitized or checked {choice} run needs a task graph")
-    graph = graph if by_task else None
-    if choice == "threaded":
-        from repro.parallel.threads import threaded_factorize
+    if graph is not None and is_2d_graph(graph):
+        if choice != "sequential":
+            raise ValueError(
+                f"the {choice!r} engine runs block steps; a 2-D graph only "
+                "replays under 'sequential'"
+            )
+        return replay_order(
+            engine, canonical_2d_order(graph), graph, fill=fill, sanitizer=sanitizer
+        )
+    from repro.analysis.sanitizer import step_predecessors
 
-        threaded_factorize(engine, graph, n_threads=n_workers, metrics=metrics)
-        return None
-    if pool is not None:
-        return pool.factorize(engine, graph, metrics=metrics, tracer=tracer)
-    from repro.parallel.procengine import proc_factorize
+    preds = partial(step_predecessors, engine.bp)
+    with _sanitized(engine, sanitizer, fill, preds, f"{choice} factorization"):
+        if choice == "sequential":
+            engine.factor_sequential()
+        elif choice == "threaded":
+            from repro.parallel.threads import threaded_factorize
 
-    return proc_factorize(engine, graph, n_workers, metrics=metrics, tracer=tracer)
+            threaded_factorize(engine, n_workers, metrics=metrics)
+        elif pool is not None:
+            return pool.factorize(engine, metrics=metrics, tracer=tracer)
+        else:
+            from repro.parallel.procengine import proc_factorize
+
+            return proc_factorize(engine, n_workers, metrics=metrics, tracer=tracer)
+    return None
+
+
+def replay_order(
+    engine: LUFactorization,
+    order: "Iterable[Any]",
+    graph: "TaskGraph",
+    *,
+    fill=None,
+    sanitizer=None,
+) -> None:
+    """Run ``order``, a topological order of ``graph``'s tasks, one task at
+    a time in the calling thread — the Theorem-4 oracle: any such order
+    gives the factors the block steps give. A sanitizer (explicit, or
+    strict under ``REPRO_SANITIZE=1`` as in :func:`run_engine`) checks
+    each task against ``graph``'s predecessors, so an order that breaks
+    the graph is a ``sanitizer.missing_happens_before`` finding."""
+    from repro.analysis.sanitizer import task_predecessors
+
+    preds = partial(task_predecessors, graph)
+    with _sanitized(engine, sanitizer, fill, preds, "replayed factorization"):
+        engine.run_order(order)
+
+
+@contextmanager
+def _sanitized(engine: LUFactorization, sanitizer, fill, predecessors, label: str):
+    """Attach the run's sanitizer to ``engine`` — the caller's, else under
+    ``REPRO_SANITIZE=1`` a strict one, which raises on any finding after
+    the run — with ``predecessors()`` as its happens-before reference."""
+    from repro.analysis.sanitizer import build_sanitizer, sanitize_enabled
+    from repro.util.errors import SanitizerError
+
+    san, strict = sanitizer, False
+    if san is None and sanitize_enabled():
+        if fill is None:
+            raise SanitizerError(
+                f"$REPRO_SANITIZE is set but the {label} carries no symbolic "
+                "plan (fill=); sanitized runs need the static footprints"
+            )
+        san, strict = build_sanitizer(engine.bp, fill), True
+    if san is not None:
+        san.set_predecessors(predecessors())
+        engine.sanitizer = san
+    yield
+    if strict:
+        san.raise_on_findings(label)

@@ -3,20 +3,20 @@
 This module is **execution**, not simulation: it factorizes for real on a
 pool of worker *processes*, escaping the GIL that bounds
 :mod:`repro.parallel.threads`. It differs from the threaded engine in one
-thing only — where a unit's body runs:
+thing only — where a step's body runs:
 
 * **One shared arena.** The panel store's two buffers live in a single
   ``multiprocessing.shared_memory`` segment sized from the
   :class:`~repro.numeric.blockdata.BlockLayout`. Workers are forked from
   the parent and attach their store to the inherited mapping, so panel
   data never crosses a pipe; the parent copies each run's values in
-  before the first unit goes out and copies the factors back after.
+  before the first step goes out and copies the factors back after.
 * **One release loop.** The parent runs the threaded engine's scheduler
   (:func:`repro.parallel.threads._run_pool`) over the same units — block
-  steps released bottom-up over the block eforest, or the tasks of a
-  graph (2-D and sanitized runs). Pool thread ``r`` sends each unit it
-  takes to worker ``r`` as four integers and waits for the reply, so
-  placement is whichever worker is free, exactly as on threads.
+  steps released bottom-up over the block eforest. Pool thread ``r``
+  sends each step it takes to worker ``r`` as one integer, its block
+  index, and waits for the reply, so placement is whichever worker is
+  free, exactly as on threads.
 * **Warm pools.** The arena and the fork depend only on the block pattern,
   so :class:`ProcPool` binds them once and parked workers serve repeated
   refactorizations; :func:`proc_factorize` is the one-shot wrapper.
@@ -47,19 +47,15 @@ import numpy as np
 from repro.numeric.blockdata import BlockLayout
 from repro.numeric.factor import LUFactorization
 from repro.parallel.engine import record_engine_metrics
-from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.tasks import Task
 from repro.util.errors import EngineError
 
 _FLOAT = np.dtype(np.float64)
 _INT = np.dtype(np.int64)
 
-# Unit wire format: four little-endian int64s (code, k, i, j). Code 0 is
-# block step k; code 1 + _KINDS.index(kind) is a task, 1-D when i < 0 and
-# 2-D otherwise. Negative codes are control words: _END closes a run (the
-# worker answers with its report), _QUIT makes the worker return.
-_UNIT = struct.Struct("<4q")
-_KINDS = ("F", "U", "SL", "SU", "UP")
+# Unit wire format: one little-endian int64. A block index k >= 0 is step
+# k; negative words are control: _END closes a run (the worker answers with
+# its report), _QUIT makes the worker return.
+_UNIT = struct.Struct("<q")
 _END = -1
 _QUIT = -2
 
@@ -109,9 +105,9 @@ class ProcStats:
     """Aggregates of one multi-process run (names mirror the simulator's
     :class:`repro.parallel.engine.EngineResult` where they overlap).
 
-    ``n_tasks`` counts the 1-D or 2-D tasks the run covered, in steps or
-    one by one; ``per_rank_units`` the units each worker ran. Messages are
-    the dispatch and the reply of every unit."""
+    ``n_tasks`` counts the 1-D tasks the run's steps covered;
+    ``per_rank_units`` the steps each worker ran. Messages are the
+    dispatch and the reply of every step."""
 
     n_procs: int
     n_tasks: int
@@ -143,35 +139,25 @@ class ProcStats:
         )
 
 
-def _encode(unit: Any) -> bytes:
-    if isinstance(unit, int):
-        return _UNIT.pack(0, unit, 0, 0)
-    return _UNIT.pack(
-        1 + _KINDS.index(unit.kind), unit.k, getattr(unit, "i", -1), unit.j
-    )
-
-
 def _worker_main(
     rank: int, engine: LUFactorization, arena: SharedArena, conn: Any, fault_hook: Any
 ) -> None:
     """Body of one persistent worker process (entered right after fork).
 
-    Runs the units the parent's pool thread ``rank`` sends, replying with
+    Runs the steps the parent's pool thread ``rank`` sends, replying with
     an empty message after each, until ``_END`` closes the run; then sends
     its report and waits for the next run. ``_QUIT`` makes it return. An
     exception is sent back pickled (with its text and traceback, should it
     not unpickle) and ends the process.
     """
-    from repro.parallel.two_d import Task2D
-
     engine.metrics = None  # a forked registry would count into the void
     engine.data.attach(arena.values, arena.pivot_ids)
     # The forked sanitizer (or None) checks the containment of this
     # worker's accesses. Happens-before is the parent's to check: it
-    # releases the units, and this worker sees only the ones it ran.
+    # releases the steps, and this worker sees only the ones it ran.
     san = engine.sanitizer
     if san is not None:
-        san.set_graph(None)
+        san.set_predecessors(None)
     ls = engine.lazy_stats
 
     def counts() -> tuple:
@@ -181,28 +167,21 @@ def _worker_main(
     try:
         while True:
             engine.panel_facts.clear()  # left by the previous run
-            engine.done.clear()
             if san is not None:
                 san.reset_run()
             counts0, n_units, busy = counts(), 0, 0.0
             while True:
-                code, k, i, j = _UNIT.unpack(conn.recv_bytes())
-                if code < 0:
+                (k,) = _UNIT.unpack(conn.recv_bytes())
+                if k < 0:
                     break
                 t0 = time.perf_counter()
-                unit: Any = k
-                if code == 0:
-                    engine.step(k)
-                else:
-                    kind = _KINDS[code - 1]
-                    unit = Task(kind, k, j) if i < 0 else Task2D(kind, k, i, j)
-                    engine.run_task(unit)
+                engine.step(k)
                 busy += time.perf_counter() - t0
                 n_units += 1
                 if fault_hook is not None:
-                    fault_hook(rank, unit)
+                    fault_hook(rank, k)
                 conn.send_bytes(b"")
-            if code == _QUIT:
+            if k == _QUIT:
                 return
             report = {
                 "n_units": n_units,
@@ -225,7 +204,7 @@ def _worker_main(
 
 def _request(rank: int, conn: Any, word: bytes) -> Any:
     """Send ``word`` to worker ``rank`` and return its unpickled reply
-    (``None`` for a unit's empty one). A worker that died — killed,
+    (``None`` for a step's empty one). A worker that died — killed,
     ``os._exit``, segfault — closed its end of the pipe, which raises
     :class:`EngineError`; an exception it sent back is re-raised, with its
     original type when that round-trips through pickle."""
@@ -251,22 +230,19 @@ def _request(rank: int, conn: Any, word: bytes) -> Any:
 
 def proc_factorize(
     engine: LUFactorization,
-    graph: "TaskGraph | None",
     n_workers: int = 4,
     *,
     metrics: Any = None,
     tracer: Any = None,
     _fault_hook: Any = None,
 ) -> ProcStats:
-    """Factorize on ``engine`` with ``n_workers`` worker *processes* — block
-    steps over the block eforest (``graph=None``) or the tasks of
-    ``graph`` — and return run statistics.
+    """Factorize on ``engine`` with ``n_workers`` worker *processes* running
+    block steps over the block eforest, and return run statistics.
 
-    Drop-in alternative to :func:`repro.parallel.threads.threaded_factorize`,
-    with the same gate on a graph (:func:`repro.parallel.threads.release_plan`).
+    Drop-in alternative to :func:`repro.parallel.threads.threaded_factorize`.
     ``metrics`` receives the ``engine.*`` aggregates; under ``tracer`` the
-    run executes inside an ``engine.proc`` span. ``_fault_hook(rank,
-    unit)`` is called in the worker after each unit (fault injection).
+    run executes inside an ``engine.proc`` span. ``_fault_hook(rank, k)``
+    is called in the worker after each step (fault injection).
     A dead worker, or a platform without ``fork``, raises
     :class:`~repro.util.errors.EngineError`. The transient
     :class:`ProcPool` is torn down before returning; callers that
@@ -275,7 +251,7 @@ def proc_factorize(
     pool = ProcPool(n_workers)
     try:
         return pool.factorize(
-            engine, graph, metrics=metrics, tracer=tracer, _fault_hook=_fault_hook
+            engine, metrics=metrics, tracer=tracer, _fault_hook=_fault_hook
         )
     finally:
         pool.close()
@@ -288,8 +264,7 @@ class ProcPool:
     arena and forks workers that park on their pipes — and each later
     :meth:`factorize` against that pattern only copies the new values in,
     runs the release loop and gathers the factors back. A different block
-    pattern, fault hook or sanitizer presence rebinds; a graph, if any,
-    travels unit by unit.
+    pattern, fault hook or sanitizer presence rebinds.
 
     :class:`repro.serve.service.SolverService` shares one pool across its
     serving threads: one lock serializes factorizations, so at most one
@@ -355,7 +330,7 @@ class ProcPool:
             if not abort:
                 for conn in st["conns"]:
                     try:
-                        conn.send_bytes(_UNIT.pack(_QUIT, 0, 0, 0))
+                        conn.send_bytes(_UNIT.pack(_QUIT))
                     except OSError:
                         pass  # worker already gone
                 for p in st["procs"]:
@@ -375,7 +350,6 @@ class ProcPool:
     def factorize(
         self,
         engine: LUFactorization,
-        graph: "TaskGraph | None" = None,
         *,
         metrics: Any = None,
         tracer: Any = None,
@@ -387,7 +361,7 @@ class ProcPool:
         from repro.obs.trace import Tracer
         from repro.parallel.threads import _run_pool, release_plan
 
-        n_preds, successors = release_plan(engine, graph)
+        n_preds, successors = release_plan(engine.bp)
         san = engine.sanitizer
         with self._lock:
             if self._closed:
@@ -404,21 +378,21 @@ class ProcPool:
                 self._teardown()
                 st = self._bind(engine, _fault_hook)
             arena, conns = st["arena"], st["conns"]
-            # Copy-in completes before the first unit goes out, so no panel
+            # Copy-in completes before the first step goes out, so no panel
             # is read before it holds this run's values (and no pivot slot
             # before it is reset to "F(k) has not run").
             arena.values[...] = engine.data.values
             arena.pivot_ids[...] = engine.data.pivot_ids
 
             def runner(rank: int) -> Any:
-                def run(unit: Any) -> None:
-                    # The parent releases the units, so it checks
+                def run(k: int) -> None:
+                    # The parent releases the steps, so it checks
                     # happens-before; the worker checks containment.
                     if san is not None:
-                        san.begin(unit)
-                    _request(rank, conns[rank], _encode(unit))
+                        san.begin(k)
+                    _request(rank, conns[rank], _UNIT.pack(k))
                     if san is not None:
-                        san.end(unit)
+                        san.end(k)
 
                 return run
 
@@ -428,7 +402,7 @@ class ProcPool:
                 try:
                     runners = [runner(r) for r in range(self.n_workers)]
                     _run_pool(runners, n_preds, successors, None)
-                    end = _UNIT.pack(_END, 0, 0, 0)
+                    end = _UNIT.pack(_END)
                     reports = [_request(r, c, end) for r, c in enumerate(conns)]
                 except BaseException:
                     self._teardown(abort=True)

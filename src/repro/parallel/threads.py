@@ -6,17 +6,17 @@ release the GIL, so medium/large blocks overlap; more importantly this
 proves that *any* machine-driven interleaving computes bitwise-consistent
 factors (the tests compare against the sequential order).
 
-By default the pool runs block steps and releases step ``k`` once its
-block-eforest children's steps committed. That is sound: in the 1-D task
-graph every path leaving a step's task leads to the same step or an eforest
-ancestor (rules 3–5 of :mod:`repro.taskgraph.eforest_graph`), so steps the
-eforest leaves unordered hold only mutually unordered tasks — which the
-footprint proofs of :mod:`repro.analysis.races` show conflict-free. Given
-a task graph (2-D, sanitized or checked runs) it runs the graph's tasks.
+The pool runs block steps and releases step ``k`` once its block-eforest
+children's steps committed. That is sound: in the 1-D task graph every
+path leaving a step's task leads to the same step or an eforest ancestor
+(rules 3–5 of :mod:`repro.taskgraph.eforest_graph`), so steps the eforest
+leaves unordered hold only mutually unordered tasks — and the
+``factor-steps`` subject of :func:`repro.analysis.runner.analyze_plan`
+proves the step footprints conflict-free over the block eforest.
 
 Its release loop, :func:`_run_pool`, is the only scheduler of real
 execution: the ``proc`` engine (:mod:`repro.parallel.procengine`) runs the
-same loop and only moves each unit's body into a worker process.
+same loop and only moves each step's body into a worker process.
 """
 
 from __future__ import annotations
@@ -28,76 +28,40 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from repro.numeric.factor import LUFactorization
-from repro.taskgraph.dag import TaskGraph
+from repro.symbolic.supernodes import BlockPattern
 from repro.taskgraph.eforest_graph import block_eforest
 from repro.util.errors import SchedulingError
 
 
 def threaded_factorize(
     engine: LUFactorization,
-    graph: "TaskGraph | None",
     n_threads: int = 4,
     *,
     metrics: Any = None,
 ) -> None:
-    """Factorize on ``engine`` with ``n_threads`` workers — block steps over
-    the block eforest (``graph=None``) or the tasks of ``graph`` — and
-    return when it is complete. Units become eligible when all predecessors
-    committed; any worker exception aborts the pool and is re-raised.
+    """Factorize on ``engine`` with ``n_threads`` workers running block
+    steps over the block eforest, and return when it is complete. A step
+    becomes eligible when its children committed; any worker exception
+    aborts the pool and is re-raised.
 
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) records
-    ``threads.tasks_executed`` (steps or tasks), a
+    ``threads.tasks_executed`` (steps), a
     ``threads.work_queue_depth`` histogram sampled at each dequeue, and the
     ``threads.workers`` gauge, updated without a lock (they may undercount
     under contention; the engine's own ``lazy_stats`` is exact).
     """
     if n_threads < 1:
         raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    run = engine.step if graph is None else engine.run_task
-    _run_pool([run] * n_threads, *release_plan(engine, graph), metrics)
+    _run_pool([engine.step] * n_threads, *release_plan(engine.bp), metrics)
 
 
-def release_plan(
-    engine: Any, graph: "TaskGraph | None"
-) -> "tuple[dict[Any, int], Callable[[Any], Iterable[Any]]]":
-    """The units of one run and what each completion releases: ``(unit ->
-    number of predecessors, successors)``.
-
-    Without a graph the units are block steps, released by their
-    block-eforest parent. With one they are the graph's tasks, behind the
-    one gate both parallel engines share: the graph must be acyclic and —
-    for an engine with a block pattern (solve-phase adapters drive this
-    scheduler too) — hold exactly the tasks the engine expects, since a
-    missing task would leave the pool waiting for work that never exists.
-    """
-    if graph is None:
-        parent = block_eforest(engine.bp)
-        n_children = np.bincount(parent[parent >= 0], minlength=parent.size)
-        succ = [[p] if p >= 0 else [] for p in parent.tolist()]
-        return dict(enumerate(n_children.tolist())), succ.__getitem__
-    graph.validate()
-    if hasattr(engine, "bp"):
-        from repro.analysis.footprints import (
-            expected_2d_tasks,
-            expected_factor_tasks,
-        )
-        from repro.analysis.races import check_liveness
-        from repro.parallel.two_d import is_2d_graph
-        from repro.util.errors import AnalysisError
-
-        expected = (
-            expected_2d_tasks(engine.bp)
-            if is_2d_graph(graph)
-            else expected_factor_tasks(engine.bp)
-        )
-        findings = check_liveness(graph, expected)
-        if findings:
-            lines = "\n".join(str(f) for f in findings)
-            raise AnalysisError(
-                f"task graph failed liveness analysis ({len(findings)} "
-                f"finding(s)):\n{lines}"
-            )
-    return {t: graph.in_degree(t) for t in graph.tasks()}, graph.successors
+def release_plan(bp: BlockPattern) -> "tuple[dict[int, int], Callable[[int], list[int]]]":
+    """The block steps of one run and what each completion releases:
+    ``(step -> number of block-eforest children, step -> its parent)``."""
+    parent = block_eforest(bp)
+    n_children = np.bincount(parent[parent >= 0], minlength=parent.size)
+    succ = [[p] if p >= 0 else [] for p in parent.tolist()]
+    return dict(enumerate(n_children.tolist())), succ.__getitem__
 
 
 def _run_pool(

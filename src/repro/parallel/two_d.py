@@ -14,11 +14,12 @@ per block column, and the task granularity refines accordingly:
 
 There is one description of that computation, :func:`build_2d_graph` — a
 real :class:`~repro.taskgraph.dag.TaskGraph` over :class:`Task2D` nodes
-(its docstring lists the dependences). The dispatchable engines
-(sequential replay, ``threaded_factorize`` and ``proc_factorize`` — see
-docs/parallel.md) *execute* it against
+(its docstring lists the dependences). A sequential replay
+(:func:`repro.parallel.dispatch.replay_order`, ``run_engine`` under
+``"sequential"`` — see docs/parallel.md) *executes* it against
 :class:`~repro.numeric.blockdata.BlockLayout` panels via the per-block
-kernels in :mod:`repro.numeric.factor`, and
+kernels in :mod:`repro.numeric.factor` — the parallel engines run block
+steps only, since executed 2-D lost to them — and
 :func:`repro.parallel.simulate.simulate_schedule` *prices* it on the α-β
 machine model under a :class:`~repro.parallel.mapping.GridMapping` (task
 costs and per-block messages in :class:`repro.numeric.costs.CostModel`).
@@ -30,8 +31,8 @@ The graph keeps the deferred-pivoting discipline exactly as in 1-D —
 sequence is identical to the 1-D engines' — and serializes each target
 column's update *steps* in ascending source order (``SU(k,j)`` waits for
 every ``UP`` of the previous step into column ``j``), which fixes the
-block-update summation order: every admissible schedule, on every engine,
-produces bitwise-identical factors, and those factors agree with the 1-D
+block-update summation order: every admissible schedule produces
+bitwise-identical factors, and those factors agree with the 1-D
 reference to rounding (the per-block GEMMs sum a column's update in the
 same source order, in different BLAS call shapes).
 """

@@ -131,7 +131,8 @@ class SymbolicPlan:
     def graph(self) -> TaskGraph:
         """The §4 task graph, built on first access and at most once
         (:attr:`SymbolicArtifacts.graph` holds the lock and the result).
-        An unsanitized factorization, on any engine, never asks for it."""
+        A factorization, on any engine, never asks for it; a replayed
+        ``order`` does."""
         return self.artifacts.graph
 
     @cached_property

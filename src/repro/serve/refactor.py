@@ -136,11 +136,12 @@ def refactorize_with_plan(
     ``engine``/``n_workers`` select the numeric executor with the usual
     precedence (argument > ``$REPRO_ENGINE`` > sequential,
     :mod:`repro.parallel.dispatch`); the parallel engines produce factors
-    bitwise identical to the sequential order. Every plan runs its 1-D
-    task graph under the engine's own placement, tuned recipe or not — a
+    bitwise identical to the sequential order. Every plan runs its block
+    steps under the engine's own placement, tuned recipe or not — a
     recipe is symbolic and never steers execution. ``order`` instead
-    replays an explicit topological order of ``plan.graph`` sequentially —
-    an order *is* a schedule, so it excludes ``engine=``. ``pool``
+    replays an explicit topological order of ``plan.graph`` sequentially
+    (:func:`repro.parallel.dispatch.replay_order`) — an order *is* a
+    schedule, so it excludes ``engine=``. ``pool``
     optionally shares one
     :class:`repro.parallel.procengine.ProcPool` across calls — the
     :class:`~repro.serve.service.SolverService` passes its own so serving
@@ -156,18 +157,17 @@ def refactorize_with_plan(
     findings stay on the object — no exception); without one,
     ``REPRO_SANITIZE=1`` builds a strict sanitizer from the plan's static
     fill that raises :class:`~repro.util.errors.SanitizerError` on any
-    footprint escape.
+    footprint escape. A sanitizer checks block steps against the block
+    eforest, and a replayed order against ``plan.graph``.
 
     The plan's task graph is read — and, on its first use, built — only
-    by a sanitizer (explicit or ``REPRO_SANITIZE=1``), which checks
-    accesses against it. Otherwise every engine runs block steps over the
-    block eforest and leaves it unbuilt.
+    on the ``order`` path. Every engine runs block steps over the block
+    eforest and leaves it unbuilt.
 
     With detail tracing on, the engine feeds per-kernel counters and
     histograms into ``tracer.metrics``.
     """
-    from repro.analysis.sanitizer import sanitize_enabled
-    from repro.parallel.dispatch import resolve_engine, run_engine
+    from repro.parallel.dispatch import replay_order, resolve_engine, run_engine
 
     if not a.has_values:
         raise ShapeError("refactorize_with_plan() requires matrix values")
@@ -185,20 +185,20 @@ def refactorize_with_plan(
     tr = tracer if tracer is not None else Tracer(enabled=False)
     metrics = tr.metrics if tr.detail else None
     if order is None:
+        choice = resolve_engine(engine)
+    else:
         # Ahead of the span: a first use of the plan's graph builds it, and
         # that is symbolic work, not part of ``factorize``.
-        choice = resolve_engine(engine)
-        needs_graph = sanitizer is not None or sanitize_enabled()
-        graph = plan.graph if needs_graph else None
+        graph = plan.graph
     with tr.span("factorize", n=plan.n, nnz=plan.nnz) as s:
         a_work, equil = permuted_values(plan, a, tr)
         eng = LUFactorization(a_work, plan.bp, metrics=metrics, layout=plan.layout)
         if order is not None:
-            eng.run_order(order)
+            replay_order(eng, order, graph, fill=plan.fill, sanitizer=sanitizer)
         else:
             run_engine(
                 eng,
-                graph,
+                None,
                 choice,
                 n_workers=n_workers,
                 metrics=metrics,

@@ -33,8 +33,9 @@ no block in column ``k`` (``k ∉ sources(j)``), and stop at the first that
 does — emitting ``U(i,k) → U(j,k)`` — or at ``j = k`` itself — emitting
 ``U(i,k) → F(k)``. Exactly this walk is re-evaluated lazily (edges never
 stored) by :class:`repro.parallel.dynamic.DynamicRuntime.successors`, and a
-unit test asserts edge-set equality between the two. Executors check the
-same relation at run time (``check_dependencies``), and the discrete-event
+unit test asserts edge-set equality between the two. The access sanitizer
+checks the same relation at run time on a replayed order
+(:func:`repro.parallel.dispatch.replay_order`), and the discrete-event
 loop in :mod:`repro.parallel.engine` documents the invariants it preserves
 when scheduling this graph. See ``docs/task_model.md`` for the worked
 Figure-4 example and ``docs/observability.md`` for the ``task_graph`` span

@@ -158,7 +158,7 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
     ref_l = ref.extract().l_factor.to_dense()
 
     thr = LUFactorization(solver.a_work, solver.bp)
-    threaded_factorize(thr, solver.graph, n_threads=4)
+    threaded_factorize(thr, n_threads=4)
     report.add(
         "threaded == sequential", np.allclose(thr.extract().l_factor.to_dense(), ref_l)
     )

@@ -15,11 +15,8 @@ from repro.analysis import (
     verify_plan,
 )
 from repro.analysis.runner import ENV_VAR
-from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
-from repro.parallel.threads import threaded_factorize
 from repro.serve.plan import build_plan
-from repro.taskgraph.dag import TaskGraph
 from repro.util.errors import AnalysisError
 
 
@@ -30,7 +27,7 @@ class TestAnalyzePlan:
                 random_pivot_matrix(40, seed), name=f"rand{seed}"
             )
             assert report.ok, report.render()
-            assert len(report.subjects) == 5
+            assert len(report.subjects) == 6
 
     def test_no_postorder_option(self):
         report = analyze_matrix(
@@ -56,6 +53,7 @@ class TestAnalyzePlan:
         assert names == {
             "m/structure",
             "m/factor-graph",
+            "m/factor-steps",
             "m/factor-graph-2d",
             "m/solve-graph",
             "m/minimality",
@@ -102,18 +100,6 @@ class TestHooks:
             verify_plan(plan)
         assert "race.unordered_pair" in str(exc.value)
         plan.graph.add_edge(u, v)
-
-    def test_threaded_factorize_hook(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "1")
-        s = SparseLUSolver(random_pivot_matrix(40, 7)).analyze()
-        engine = LUFactorization(s.a_work, s.bp)
-        threaded_factorize(engine, s.graph, n_threads=2)  # clean: runs
-        incomplete = TaskGraph()
-        for t in s.graph.tasks()[:-1]:
-            incomplete.add_task(t)
-        engine2 = LUFactorization(s.a_work, s.bp)
-        with pytest.raises(AnalysisError):
-            threaded_factorize(engine2, incomplete, n_threads=2)
 
     def test_full_solve_under_hook(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "1")

@@ -3,7 +3,8 @@
 Soundness: a sanitized factorization of shipped engines on shipped
 footprints records *zero* escapes and must not perturb the numerics
 (bitwise-identical factors). Teeth: corrupting the static footprint
-model — dropping one GEMM write row — must be flagged, as must runs
+model — dropping one GEMM write row of a block step — must be flagged,
+as must an engine that writes padded rows, and runs or replayed orders
 whose happens-before edges are missing. The escape checks run the real
 engines; this file executes numerics by design (unlike the static
 passes).
@@ -25,12 +26,13 @@ from repro.analysis import (
     validate_analysis_document,
 )
 from repro.analysis.footprints import ORIG_AT_REGION, TaskFootprint
-from repro.analysis.sanitizer import pivot_region
+from repro.analysis.sanitizer import pivot_region, task_predecessors
 from repro.numeric.solver import SparseLUSolver
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.generators import paper_matrix
 from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.tasks import Task
+from repro.taskgraph.tasks import Task, enumerate_tasks
 from repro.util.errors import SanitizerError
 
 
@@ -92,20 +94,15 @@ class TestCorruptedFootprints:
     def test_dropped_gemm_write_row_flagged(self):
         # Record the real write sets once, then re-run against a
         # footprint model missing one below-diagonal (GEMM) write row of
-        # one U task: the sanitizer must flag exactly that escape.
+        # one block step's update: the sanitizer must flag that escape.
         s = analyzed(seed=2)
         recorded = {}
 
         class Recording(AccessSanitizer):
             def _record(self, region, rows, *, write):
-                task = self.current
-                if (
-                    write
-                    and isinstance(task, Task)
-                    and task.kind == "U"
-                    and region == task.j
-                ):
-                    seen = recorded.setdefault((task, region), set())
+                step = self.current
+                if write and isinstance(step, int) and 0 <= step < region:
+                    seen = recorded.setdefault((step, region), set())
                     seen.update(np.asarray(rows).ravel().tolist())
                 super()._record(region, rows, write=write)
 
@@ -113,7 +110,7 @@ class TestCorruptedFootprints:
         san = Recording(fps)
         s.factorize(engine="sequential", sanitizer=san)
         assert san.findings == []
-        assert recorded, "no U-task panel writes observed"
+        assert recorded, "no update writes observed"
         # Deepest recorded row of the widest write set: a GEMM-updated
         # below-diagonal row (TRSM only touches the leading block rows).
         (task, region), rows = max(recorded.items(), key=lambda kv: len(kv[1]))
@@ -132,7 +129,7 @@ class TestCorruptedFootprints:
             f for f in san2.findings if f.check == "sanitizer.write_escape"
         ]
         assert escapes, "dropped GEMM write row went undetected"
-        assert any(str(task) in f.tasks for f in escapes)
+        assert any(f"step({task})" in f.tasks for f in escapes)
         assert all(f.check in SANITIZER_KINDS for f in san2.findings)
 
     def test_unknown_task_flagged(self):
@@ -150,6 +147,54 @@ class TestCorruptedFootprints:
             san.raise_on_findings("unit test")
 
 
+class TestShippingUnit:
+    """The block step is the unit every engine runs and the sanitizer checks."""
+
+    @pytest.fixture(scope="class")
+    def sherman3(self):
+        a = paper_matrix("sherman3", scale=0.1)
+        return a, build_plan(a)
+
+    @pytest.mark.parametrize("engine", ["sequential", "threaded"])
+    def test_padded_row_gemm_mutant_is_caught(self, sherman3, engine, monkeypatch):
+        # A GEMM that also writes the padded rows (all-zero multipliers)
+        # is the race the active-row filter prevents under threaded steps;
+        # the step footprints leave those rows out, so it must escape.
+        import repro.numeric.factor as factor
+
+        panel_facts = factor._panel_facts
+
+        def padded(subs, pivoted, m, w, linv=None):
+            facts = panel_facts(subs, pivoted, m, w, linv)
+            return facts._replace(active=np.arange(w, m.shape[0]))
+
+        monkeypatch.setattr(factor, "_panel_facts", padded)
+        a, plan = sherman3
+        san = build_sanitizer(plan.bp, plan.fill)
+        refactorize_with_plan(plan, a, engine=engine, n_workers=2, sanitizer=san)
+        assert "sanitizer.write_escape" in {f.check for f in san.findings}
+        assert all(f.tasks[0].startswith("step(") for f in san.findings)
+
+    def test_order_replay_is_sanitized(self, sherman3, monkeypatch):
+        # An explicit order= runs under the sanitizer too: the reference
+        # order is clean, and the last F moved to the front is a
+        # happens-before finding — strict under REPRO_SANITIZE=1.
+        a, plan = sherman3
+        order = enumerate_tasks(plan.bp)
+        san = build_sanitizer(plan.bp, plan.fill)
+        refactorize_with_plan(plan, a, order=order, sanitizer=san)
+        assert san.findings == []
+        assert san.n_tasks == len(order) and san.n_accesses > 0
+        last_f = Task("F", plan.bp.n_blocks - 1, plan.bp.n_blocks - 1)
+        bad = [last_f] + [t for t in order if t != last_f]
+        san = build_sanitizer(plan.bp, plan.fill)
+        refactorize_with_plan(plan, a, order=bad, sanitizer=san)
+        assert "sanitizer.missing_happens_before" in {f.check for f in san.findings}
+        monkeypatch.setenv("REPRO_SANITIZE", "1")
+        with pytest.raises(SanitizerError, match="missing_happens_before"):
+            refactorize_with_plan(plan, a, order=bad)
+
+
 class TestHappensBefore:
     def graph(self):
         g = TaskGraph()
@@ -161,7 +206,7 @@ class TestHappensBefore:
 
     def test_missing_completion_flagged(self):
         g, a, b = self.graph()
-        san = AccessSanitizer({}, g)
+        san = AccessSanitizer({}, task_predecessors(g))
         san.begin(b)  # a never observed complete
         assert [f.check for f in san.findings] == [
             "sanitizer.missing_happens_before"
@@ -172,7 +217,7 @@ class TestHappensBefore:
         # happens-before source — how the proc engine's parent, whose pool
         # threads each wait on one worker, sees its workers' units.
         g, a, b = self.graph()
-        san = AccessSanitizer({}, g)
+        san = AccessSanitizer({}, task_predecessors(g))
         other = threading.Thread(target=lambda: (san.begin(a), san.end(a)))
         other.start()
         other.join()
@@ -185,13 +230,13 @@ class TestHappensBefore:
         # it sees just the tasks it ran); the parent, which released b
         # after a, counts the task and merges the worker's accesses.
         g, a, b = self.graph()
-        worker = AccessSanitizer({}, g)
-        worker.set_graph(None)
+        worker = AccessSanitizer({}, task_predecessors(g))
+        worker.set_predecessors(None)
         worker.begin(b)
         worker.record_read(0, np.array([1]))  # unknown-task finding
         worker.end(b)
         payload = worker.export_run()
-        parent = AccessSanitizer({}, g)
+        parent = AccessSanitizer({}, task_predecessors(g))
         for t in (a, b):
             parent.begin(t)
             parent.end(t)
@@ -215,6 +260,9 @@ class TestPivotSlots:
             assert pivot_region(t.k) in fps[t].writes
         for t in u_tasks:
             assert pivot_region(t.k) in fps[t].reads
+        # Step k is F(k) plus its updates: it writes and reads slot k.
+        for k in range(s.bp.n_blocks):
+            assert pivot_region(k) in fps[k].writes
         # Pivot-slot ids stay disjoint from panel regions and orig_at.
         assert pivot_region(0) < ORIG_AT_REGION < 0
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_pivot_matrix
+from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
-from repro.taskgraph.tasks import factor_task, update_task
+from repro.parallel.dispatch import replay_order
+from repro.taskgraph.tasks import enumerate_tasks, factor_task, update_task
 from repro.util.errors import SchedulingError
 
 
@@ -15,6 +17,14 @@ def factorize(n=30, seed=0, **opts):
     eng = LUFactorization(solver.a_work, solver.bp)
     eng.factor_sequential()
     return solver, eng
+
+
+def sanitized_replay(solver, order):
+    """The finding kinds of ``order`` replayed against the solver's graph."""
+    san = build_sanitizer(solver.bp, solver.fill)
+    eng = LUFactorization(solver.a_work, solver.bp)
+    replay_order(eng, order, solver.graph, sanitizer=san)
+    return [f.check for f in san.findings]
 
 
 class TestPALU:
@@ -124,26 +134,31 @@ class TestErrorPaths:
             eng.extract()
 
     def test_check_dependencies_catches_early_factor(self):
-        solver = SparseLUSolver(random_pivot_matrix(25, 9)).analyze()
-        eng = LUFactorization(solver.a_work, solver.bp, check_dependencies=True)
-        # Find a block column with at least one incoming update.
-        target = None
-        for k in range(solver.bp.n_blocks):
-            if any(int(i) < k for i in solver.bp.col_blocks(k)):
-                target = k
-                break
-        if target is not None:
-            with pytest.raises(SchedulingError):
-                eng.run_task(factor_task(target))
+        """A sanitized replay flags an F(k) moved ahead of its updates and
+        passes the reference order."""
+        solver = SparseLUSolver(
+            random_pivot_matrix(25, 9), SolverOptions(max_supernode=4)
+        ).analyze()
+        order = enumerate_tasks(solver.bp)
+        assert sanitized_replay(solver, order) == []
+        # A block column with at least one incoming update.
+        target = next(
+            k for k in range(solver.bp.n_blocks)
+            if any(int(i) < k for i in solver.bp.col_blocks(k))
+        )
+        f = factor_task(target)
+        checks = sanitized_replay(solver, [f] + [t for t in order if t != f])
+        assert "sanitizer.missing_happens_before" in checks
 
     def test_check_dependencies_catches_update_before_factor(self):
-        solver = SparseLUSolver(random_pivot_matrix(25, 10)).analyze()
-        eng = LUFactorization(solver.a_work, solver.bp, check_dependencies=True)
-        for t in solver.graph.tasks():
-            if t.kind == "U":
-                with pytest.raises(SchedulingError):
-                    eng.run_task(t)
-                break
+        """A sanitized replay flags a U(k, j) run before its F(k)."""
+        solver = SparseLUSolver(
+            random_pivot_matrix(25, 10), SolverOptions(max_supernode=4)
+        ).analyze()
+        order = enumerate_tasks(solver.bp)
+        u = next(t for t in order if t.kind == "U")
+        bad = [u] + [t for t in order if t != u]
+        assert "sanitizer.missing_happens_before" in sanitized_replay(solver, bad)
 
     def test_update_unstored_block_rejected(self):
         solver = SparseLUSolver(random_pivot_matrix(25, 11)).analyze()

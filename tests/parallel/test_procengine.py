@@ -12,9 +12,7 @@ from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import resolve_engine
 from repro.parallel.procengine import ProcPool, SharedArena, proc_factorize
 from repro.parallel.threads import threaded_factorize
-from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.tasks import factor_task
-from repro.util.errors import AnalysisError, EngineError, SingularMatrixError
+from repro.util.errors import EngineError, SingularMatrixError
 
 
 def analyzed(seed=0, n=35, **opts):
@@ -42,7 +40,7 @@ class TestBitwiseIdentity:
         s = analyzed(seed)
         ref = sequential_reference(s)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, None, n_workers)  # block steps
+        stats = proc_factorize(eng, n_workers)
         assert_bitwise(eng.extract(), ref)
         assert stats.n_tasks == s.graph.n_tasks
         assert stats.n_procs == n_workers
@@ -51,38 +49,31 @@ class TestBitwiseIdentity:
     def test_matches_threaded_reference(self):
         s = analyzed(3)
         thr = LUFactorization(s.a_work, s.bp)
-        threaded_factorize(thr, s.graph, n_threads=4)
+        threaded_factorize(thr, n_threads=4)
         prc = LUFactorization(s.a_work, s.bp)
-        proc_factorize(prc, s.graph, 4)
+        proc_factorize(prc, 4)
         assert_bitwise(prc.extract(), thr.extract())
-
-    def test_sstar_graph_also_works(self):
-        s = analyzed(4, task_graph="sstar")
-        ref = sequential_reference(s)
-        eng = LUFactorization(s.a_work, s.bp)
-        proc_factorize(eng, s.graph, 3)
-        assert_bitwise(eng.extract(), ref)
 
     def test_explicit_cyclic_mapping(self):
         # No placement to pin any more: whichever worker is free runs the
-        # next released unit, and the per-rank counts cover every task.
+        # released step, and the per-rank counts cover every step.
         s = analyzed(5)
         ref = sequential_reference(s)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, s.graph, 3)
+        stats = proc_factorize(eng, 3)
         assert_bitwise(eng.extract(), ref)
         assert len(stats.per_rank_units) == 3
-        assert sum(stats.per_rank_units) == s.graph.n_tasks
+        assert sum(stats.per_rank_units) == s.bp.n_blocks
 
     def test_single_worker_sends_no_messages(self):
         # One worker runs every unit; its only messages are the parent's
         # dispatches and its replies — none between workers.
         s = analyzed(6)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, None, 1)
+        stats = proc_factorize(eng, 1)
         assert stats.per_rank_units == [s.bp.n_blocks]
         assert stats.n_messages == 2 * s.bp.n_blocks
-        assert stats.message_bytes == 32 * s.bp.n_blocks
+        assert stats.message_bytes == 8 * s.bp.n_blocks  # one int64 per step
 
 
 class TestAbortHygiene:
@@ -94,7 +85,7 @@ class TestAbortHygiene:
             os._exit(17)
 
         with pytest.raises(EngineError, match="died without reporting"):
-            proc_factorize(eng, None, 3, _fault_hook=killer)
+            proc_factorize(eng, 3, _fault_hook=killer)
 
     def test_worker_exception_keeps_original_type(self):
         s = analyzed(8)
@@ -104,21 +95,13 @@ class TestAbortHygiene:
             raise SingularMatrixError("injected failure")
 
         with pytest.raises(SingularMatrixError, match="injected failure"):
-            proc_factorize(eng, None, 3, _fault_hook=boom)
-
-    def test_bad_graph_rejected_before_pool_starts(self):
-        s = analyzed(9)
-        eng = LUFactorization(s.a_work, s.bp)
-        bad = TaskGraph()
-        bad.add_task(factor_task(s.bp.n_blocks + 5))
-        with pytest.raises(AnalysisError):
-            proc_factorize(eng, bad, 2)
+            proc_factorize(eng, 3, _fault_hook=boom)
 
     def test_invalid_worker_count(self):
         s = analyzed(0)
         eng = LUFactorization(s.a_work, s.bp)
         with pytest.raises(ValueError):
-            proc_factorize(eng, s.graph, 0)
+            proc_factorize(eng, 0)
 
 
 class TestProcPool:
@@ -129,11 +112,9 @@ class TestProcPool:
             eng = LUFactorization(s.a_work, s.bp)
             pool.factorize(eng)
             pids = [p.pid for p in pool._state["procs"]]
-            # Steps, then the graph's tasks: the pool binds per block
-            # pattern, not per graph.
-            for graph in (None, s.graph):
+            for _ in range(2):
                 eng = LUFactorization(s.a_work, s.bp)
-                pool.factorize(eng, graph)
+                pool.factorize(eng)
                 assert_bitwise(eng.extract(), ref)
             assert [p.pid for p in pool._state["procs"]] == pids
 
@@ -156,7 +137,7 @@ class TestProcPool:
         assert pool.closed
         eng = LUFactorization(s.a_work, s.bp)
         with pytest.raises(EngineError, match="closed"):
-            pool.factorize(eng, s.graph)
+            pool.factorize(eng)
 
     def test_close_is_idempotent(self):
         pool = ProcPool(2)
@@ -190,14 +171,14 @@ class TestStatsAndObservability:
     def test_stats_accounting(self):
         s = analyzed(6)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, None, 2)
+        stats = proc_factorize(eng, 2)
         assert stats.n_tasks == s.graph.n_tasks
         assert len(stats.per_rank_units) == 2
         assert stats.makespan_seconds > 0
         assert 0.0 <= stats.efficiency <= 1.0
-        # One dispatch (four int64s) and one empty reply per unit.
+        # One dispatch (one int64) and one empty reply per step.
         assert stats.n_messages == 2 * sum(stats.per_rank_units)
-        assert stats.message_bytes == 16 * stats.n_messages
+        assert stats.message_bytes == 4 * stats.n_messages
 
     def test_engine_metrics_exported(self):
         from repro.obs.metrics import MetricsRegistry
@@ -205,7 +186,7 @@ class TestStatsAndObservability:
         s = analyzed(7)
         eng = LUFactorization(s.a_work, s.bp)
         reg = MetricsRegistry()
-        proc_factorize(eng, None, 2, metrics=reg)
+        proc_factorize(eng, 2, metrics=reg)
         assert reg.get("engine.tasks").value == s.graph.n_tasks
         assert reg.get("engine.n_procs").value == 2
         assert reg.get("engine.makespan_seconds").value > 0
@@ -216,7 +197,7 @@ class TestStatsAndObservability:
         s = analyzed(8)
         eng = LUFactorization(s.a_work, s.bp)
         tr = Tracer()
-        proc_factorize(eng, None, 2, tracer=tr)
+        proc_factorize(eng, 2, tracer=tr)
         names = [sp.name for root in tr.roots for sp in root.walk()]
         assert "engine.proc" in names
 
@@ -263,14 +244,6 @@ class TestDispatch:
         monkeypatch.setenv("REPRO_ENGINE", "bogus")
         with pytest.raises(ValueError, match="REPRO_ENGINE"):
             resolve_engine()
-
-    def test_checked_runs_rejected(self):
-        from repro.parallel.dispatch import run_engine
-
-        s = analyzed(10)
-        eng = LUFactorization(s.a_work, s.bp, check_dependencies=True)
-        with pytest.raises(ValueError, match="check_dependencies"):
-            run_engine(eng, s.graph, "proc", n_workers=2)
 
     def test_lu_proc_engine_end_to_end(self):
         from repro.api import lu

@@ -54,7 +54,7 @@ class TestArenaLifecycle:
 class TestEngineExitPaths:
     def test_normal_run_leaves_nothing(self, analyzed, baseline):
         eng = LUFactorization(analyzed.a_work, analyzed.bp)
-        proc_factorize(eng, None, 2)
+        proc_factorize(eng, 2)
         assert shm_segments() - baseline == set()
 
     def test_worker_exception_leaves_nothing(self, analyzed, baseline):
@@ -63,7 +63,7 @@ class TestEngineExitPaths:
 
         eng = LUFactorization(analyzed.a_work, analyzed.bp)
         with pytest.raises(RuntimeError):
-            proc_factorize(eng, None, 2, _fault_hook=boom)
+            proc_factorize(eng, 2, _fault_hook=boom)
         assert shm_segments() - baseline == set()
 
     def test_killed_worker_leaves_nothing(self, analyzed, baseline):
@@ -72,7 +72,7 @@ class TestEngineExitPaths:
 
         eng = LUFactorization(analyzed.a_work, analyzed.bp)
         with pytest.raises(EngineError):
-            proc_factorize(eng, None, 2, _fault_hook=killer)
+            proc_factorize(eng, 2, _fault_hook=killer)
         assert shm_segments() - baseline == set()
 
 

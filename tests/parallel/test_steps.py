@@ -9,10 +9,11 @@ counters and the task count of the ``factorize`` span unchanged.
 import numpy as np
 import pytest
 
+from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.trace import Tracer
-from repro.parallel.dispatch import ENGINES
+from repro.parallel.dispatch import ENGINES, run_engine
 from repro.parallel.threads import threaded_factorize
 from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.generators import paper_matrix
@@ -51,18 +52,21 @@ def test_steps_leave_the_bytes_tasks_leave(analyzed):
 def test_threaded_lazy_stats_are_exact(analyzed):
     seq = fresh(analyzed)
     seq.factor_sequential()
-    for graph in (None, analyzed.graph):  # steps, then tasks
-        thr = fresh(analyzed)
-        threaded_factorize(thr, graph, n_threads=4)
-        assert same_store(thr, seq)
-        assert thr.lazy_stats == seq.lazy_stats
-        assert thr.n_tasks == seq.n_tasks
+    thr = fresh(analyzed)
+    threaded_factorize(thr, n_threads=4)
+    assert same_store(thr, seq)
+    assert thr.lazy_stats == seq.lazy_stats
+    assert thr.n_tasks == seq.n_tasks
 
 
 def test_checked_runs_see_every_task(analyzed):
-    eng = fresh(analyzed, check_dependencies=True)
-    eng.factor_sequential()
-    assert len(eng.done) == eng.n_tasks == count_tasks(analyzed.bp)
+    """A sanitized sequential run brackets every step, and only steps."""
+    eng = fresh(analyzed)
+    san = build_sanitizer(analyzed.bp, analyzed.fill)
+    run_engine(eng, None, "sequential", sanitizer=san)
+    assert san.findings == []
+    assert san.n_tasks == san.stats()["n_tasks_sanitized"] == analyzed.bp.n_blocks
+    assert not eng.done  # no task ran one by one
     ref = fresh(analyzed)
     ref.factor_sequential()
     assert same_store(eng, ref)

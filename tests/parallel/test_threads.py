@@ -1,4 +1,4 @@
-"""Threaded DAG executor tests."""
+"""Threaded block-step executor tests."""
 
 import numpy as np
 import pytest
@@ -6,9 +6,7 @@ import pytest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
-from repro.parallel.threads import threaded_factorize
-from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.tasks import factor_task
+from repro.parallel.threads import _run_pool, threaded_factorize
 
 
 def analyzed(seed=0, n=35, **opts):
@@ -23,7 +21,7 @@ class TestThreadedExecution:
         ref.factor_sequential()
         ref_res = ref.extract()
         eng = LUFactorization(s.a_work, s.bp)
-        threaded_factorize(eng, s.graph, n_threads=n_threads)
+        threaded_factorize(eng, n_threads=n_threads)
         res = eng.extract()
         assert np.allclose(res.l_factor.to_dense(), ref_res.l_factor.to_dense())
         assert np.allclose(res.u_factor.to_dense(), ref_res.u_factor.to_dense())
@@ -36,52 +34,32 @@ class TestThreadedExecution:
         ref_l = ref.extract().l_factor.to_dense()
         for _ in range(3):
             eng = LUFactorization(s.a_work, s.bp)
-            threaded_factorize(eng, s.graph, n_threads=6)
+            threaded_factorize(eng, n_threads=6)
             assert np.allclose(eng.extract().l_factor.to_dense(), ref_l)
-
-    def test_sstar_graph_also_works(self):
-        s = analyzed(2, task_graph="sstar")
-        eng = LUFactorization(s.a_work, s.bp)
-        threaded_factorize(eng, s.graph, n_threads=4)
-        res = eng.extract()
-        aw = s.a_work.to_dense()
-        pa = aw[res.orig_at, :]
-        lu = res.l_factor.to_dense() @ res.u_factor.to_dense()
-        assert np.max(np.abs(pa - lu)) / max(1.0, np.abs(aw).max()) < 1e-12
 
     def test_invalid_thread_count(self):
         s = analyzed(3)
         eng = LUFactorization(s.a_work, s.bp)
         with pytest.raises(ValueError):
-            threaded_factorize(eng, s.graph, n_threads=0)
+            threaded_factorize(eng, n_threads=0)
 
     def test_error_propagation(self):
-        s = analyzed(4)
-        eng = LUFactorization(s.a_work, s.bp)
-        # A graph naming a nonexistent block column crashes a worker; the
-        # exception must surface in the caller.
-        bad = TaskGraph()
-        bad.add_task(factor_task(s.bp.n_blocks + 5))
-        with pytest.raises(Exception):
-            threaded_factorize(eng, bad, n_threads=2)
-
-    def test_cyclic_graph_rejected(self):
         from repro.util.errors import SchedulingError
 
-        s = analyzed(5)
+        s = analyzed(4)
         eng = LUFactorization(s.a_work, s.bp)
-        g = TaskGraph()
-        g.add_edge(factor_task(0), factor_task(1))
-        g.add_edge(factor_task(1), factor_task(0))
-        with pytest.raises(SchedulingError):
-            threaded_factorize(eng, g, n_threads=2)
+        threaded_factorize(eng, n_threads=2)
+        # Every step of a finished engine raises "executed twice" in a
+        # worker; the exception must surface in the caller.
+        with pytest.raises(SchedulingError, match="executed twice"):
+            threaded_factorize(eng, n_threads=2)
 
 
-class _PoisonedEngine:
-    """Engine whose task ``poison`` raises; all other tasks count work.
+class _PoisonedRunner:
+    """Runner whose unit ``poison`` raises; all other units count work.
 
-    The wide star graph (one root releasing many independent tasks) fills
-    the work queue, so a clean abort must discard queued tasks rather than
+    The wide star (one root releasing many independent units) fills the
+    work queue, so a clean abort must discard queued units rather than
     letting surviving workers chew through them.
     """
 
@@ -91,27 +69,26 @@ class _PoisonedEngine:
         self.executed_after_poison = 0
         self.poisoned = False
 
-    def run_task(self, task):
-        if task == self.poison:
+    def __call__(self, unit):
+        if unit == self.poison:
             self.poisoned = True
             raise RuntimeError("poisoned task")
         if self.poisoned:
             self.executed_after_poison += 1
-        self.done.add(task)
+        self.done.add(unit)
+
+
+def _run_star(runner, n_threads, width):
+    """Drive the release loop over a star: unit 0 releases units 1..width."""
+    n_preds = {0: 0, **{i: 1 for i in range(1, width + 1)}}
+    successors = [list(range(1, width + 1))] + [[] for _ in range(width)]
+    _run_pool([runner] * n_threads, n_preds, successors.__getitem__, None)
 
 
 class TestAbortHygiene:
-    def _star_graph(self, width=200):
-        g = TaskGraph()
-        root = factor_task(0)
-        g.add_task(root)
-        for i in range(1, width + 1):
-            g.add_edge(root, factor_task(i))
-        return g, root
-
     def test_poisoned_task_aborts_promptly_and_drains_queue(self):
-        g, root = self._star_graph()
-        eng = _PoisonedEngine(poison=factor_task(1))
+        width = 200
+        runner = _PoisonedRunner(poison=1)
         captured = {}
 
         import repro.parallel.threads as threads_mod
@@ -126,11 +103,11 @@ class TestAbortHygiene:
         try:
             threads_mod.Queue = RecordingQueue
             with pytest.raises(RuntimeError, match="poisoned task"):
-                threaded_factorize(eng, g, n_threads=4)
+                _run_star(runner, 4, width)
         finally:
             threads_mod.Queue = orig_queue
 
-        # The queue must not outlive the pool: no leftover tasks *or*
+        # The queue must not outlive the pool: no leftover units *or*
         # sentinels once the error has propagated.
         assert captured["queue"].qsize() == 0
         assert captured["queue"].empty()
@@ -138,13 +115,12 @@ class TestAbortHygiene:
         # instead of executing them. A few may slip through between the
         # poison raising and the abort flag being set; allow a small
         # scheduling window but not bulk execution.
-        assert eng.executed_after_poison <= 25
-        assert len(eng.done) < g.n_tasks - 100
+        assert runner.executed_after_poison <= 25
+        assert len(runner.done) < width + 1 - 100
 
     def test_poisoned_task_single_worker(self):
-        g, root = self._star_graph(width=50)
-        eng = _PoisonedEngine(poison=factor_task(1))
+        runner = _PoisonedRunner(poison=1)
         with pytest.raises(RuntimeError, match="poisoned task"):
-            threaded_factorize(eng, g, n_threads=1)
+            _run_star(runner, 1, 50)
         # Single worker: nothing can run after the poison at all.
-        assert eng.executed_after_poison == 0
+        assert runner.executed_after_poison == 0

@@ -6,13 +6,14 @@ The promises under test (docs/parallel.md):
 * the 2-D graph's canonical replay matches the sequential 1-D factors to
   1e-12 (relative) on random matrices and every paper analog;
 * *within* the 2-D mode factors are bitwise identical across any
-  admissible schedule and engine — random topological interleavings, the
-  thread pool, and the multi-process engine all reproduce the
+  admissible schedule — random topological interleavings, replayed
+  sequentially (the only way a 2-D graph executes), all reproduce the
   canonical replay exactly (the fixed per-column block-update summation
   order pinned by the chain edges);
 * the static analyzer covers 2-D schedules: zero findings on well-formed
-  graphs, and deleting a (non-redundant) dependence edge is detected;
-* the proc engine reports its mapping (span attribute + grid gauge).
+  graphs, and deleting a (non-redundant) dependence edge is detected —
+  and a sanitized replay flags the order that breaks it;
+* the proc engine reports its workers (span attribute), and no grid.
 """
 
 import numpy as np
@@ -21,13 +22,14 @@ import pytest
 from tests.conftest import random_pivot_matrix
 from repro.analysis.footprints import expected_2d_tasks, two_d_footprints
 from repro.analysis.races import check_liveness, check_races
+from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SparseLUSolver
+from repro.parallel.dispatch import replay_order, run_engine
 from repro.parallel.procengine import proc_factorize
-from repro.parallel.threads import threaded_factorize
 from repro.parallel.two_d import build_2d_graph, canonical_2d_order, is_2d_graph
 from repro.sparse.generators import paper_matrix
-from repro.util.errors import SchedulingError
+from repro.taskgraph.tasks import count_tasks
 
 PAPER_ANALOGS = (
     "sherman3", "sherman5", "lnsp3937", "lns3937", "orsreg1", "saylr4",
@@ -45,12 +47,12 @@ def sequential_reference(s):
     return ref.extract()
 
 
-def replay_2d(s, order=None, **engine_opts):
-    eng = LUFactorization(s.a_work, s.bp, **engine_opts)
-    for task in order if order is not None else canonical_2d_order(
-        build_2d_graph(s.bp)
-    ):
-        eng.run_task(task)
+def replay_2d(s, order=None, sanitizer=None):
+    g2 = build_2d_graph(s.bp)
+    eng = LUFactorization(s.a_work, s.bp)
+    if order is None:
+        order = canonical_2d_order(g2)
+    replay_order(eng, order, g2, fill=s.fill, sanitizer=sanitizer)
     return eng.extract()
 
 
@@ -115,38 +117,41 @@ class TestBitwiseWithin2D:
 
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_threaded_engine(self, n_threads):
+        # The 2-D graph executes as a sequential replay only: the threaded
+        # engine runs block steps and refuses it before touching a panel.
         s = analyzed(1)
-        g2 = build_2d_graph(s.bp)
-        ref = replay_2d(s)
         eng = LUFactorization(s.a_work, s.bp)
-        threaded_factorize(eng, g2, n_threads=n_threads)
-        assert_bitwise(eng.extract(), ref)
+        with pytest.raises(ValueError, match="2-D graph"):
+            run_engine(eng, build_2d_graph(s.bp), "threaded", n_workers=n_threads)
+        assert not eng.panel_facts and eng.n_tasks == 0
 
     @pytest.mark.parametrize(
         "seed,grid,n_workers", [(0, None, 2), (2, (2, 2), 4), (3, (1, 2), 2)]
     )
     def test_proc_engine(self, seed, grid, n_workers):
-        # ``grid`` is the pr x pc placement these cases once pinned; the
-        # proc engine now runs each released task on whichever worker is
-        # free, so only the worker count reaches the run.
+        # ``grid`` is the pr x pc placement these cases once pinned. The
+        # proc engine runs block steps only: a 2-D graph is refused before
+        # the pool binds (no arena, no fork).
+        from repro.parallel.procengine import ProcPool
+
         s = analyzed(seed)
-        g2 = build_2d_graph(s.bp)
-        ref = replay_2d(s)
         eng = LUFactorization(s.a_work, s.bp)
-        stats = proc_factorize(eng, g2, n_workers)
-        assert_bitwise(eng.extract(), ref)
-        assert stats.n_tasks == g2.n_tasks
-        assert sum(stats.per_rank_units) == g2.n_tasks
+        with ProcPool(n_workers) as pool:
+            with pytest.raises(ValueError, match="2-D graph"):
+                run_engine(eng, build_2d_graph(s.bp), "proc", pool=pool)
+            assert pool._state is None
+        assert eng.n_tasks == 0
 
     def test_dep_checked_interleavings(self):
-        """check_dependencies engines accept every admissible schedule."""
+        """A sanitized replay accepts an admissible schedule: zero findings."""
         s = analyzed(5)
         g2 = build_2d_graph(s.bp)
         ref = replay_2d(s)
         order = random_topological_order(g2, 7)
-        assert_bitwise(
-            replay_2d(s, order=order, check_dependencies=True), ref
-        )
+        san = build_sanitizer(s.bp, s.fill)
+        assert_bitwise(replay_2d(s, order=order, sanitizer=san), ref)
+        assert san.findings == [], [str(f) for f in san.findings]
+        assert san.n_tasks == g2.n_tasks
 
 
 class TestAnalyzer2D:
@@ -186,18 +191,19 @@ class TestAnalyzer2D:
         assert races == []
 
     def test_engine_detects_missing_dependence(self):
-        """The dep-checked engine refuses a schedule that violates the
-        deleted edge (the dynamic complement of the static finding)."""
+        """A sanitized replay flags a schedule that violates an edge (the
+        dynamic complement of the static finding)."""
         s = analyzed(2)
         g2 = build_2d_graph(s.bp)
         order = canonical_2d_order(g2)
         su = next(t for t in order if t.kind == "SU")
         f = next(t for t in order if t.kind == "F" and t.k == su.k)
         bad = [su if t == f else f if t == su else t for t in order]
-        eng = LUFactorization(s.a_work, s.bp, check_dependencies=True)
-        with pytest.raises(SchedulingError):
-            for task in bad:
-                eng.run_task(task)
+        san = build_sanitizer(s.bp, s.fill)
+        eng = LUFactorization(s.a_work, s.bp)
+        replay_order(eng, bad, g2, sanitizer=san)
+        hb = [x for x in san.findings if x.check == "sanitizer.missing_happens_before"]
+        assert hb and hb[0].tasks[:2] == (str(su), str(f))
 
     def test_analyze_plan_covers_2d(self):
         from repro.analysis import analyze_plan
@@ -212,25 +218,24 @@ class TestAnalyzer2D:
 
 class TestObservability:
     def test_proc_span_mapping_and_grid_gauge(self):
-        # A 2-D run reports its workers and tasks; there is no grid
-        # placement left to report (no ``mapping`` attribute, no
+        # A proc run reports its workers and tasks; there is no grid
+        # placement to report (no ``mapping`` attribute, no
         # ``factor.grid_shape`` gauge).
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
         s = analyzed(7)
-        g2 = build_2d_graph(s.bp)
         reg = MetricsRegistry()
         tr = Tracer()
         eng = LUFactorization(s.a_work, s.bp)
-        proc_factorize(eng, g2, 2, metrics=reg, tracer=tr)
+        proc_factorize(eng, 2, metrics=reg, tracer=tr)
         span = next(
             sp for root in tr.roots for sp in root.walk()
             if sp.name == "engine.proc"
         )
         assert span.attrs["n_workers"] == 2
         assert "mapping" not in span.attrs
-        assert reg.get("engine.tasks").value == g2.n_tasks
+        assert reg.get("engine.tasks").value == count_tasks(s.bp)
         assert reg.get("factor.grid_shape") is None
 
     def test_proc_span_1d_mapping_label(self):
@@ -240,7 +245,7 @@ class TestObservability:
         s = analyzed(8)
         tr = Tracer()
         eng = LUFactorization(s.a_work, s.bp)
-        proc_factorize(eng, None, 2, tracer=tr)
+        proc_factorize(eng, 2, tracer=tr)
         span = next(
             sp for root in tr.roots for sp in root.walk()
             if sp.name == "engine.proc"

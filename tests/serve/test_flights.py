@@ -26,6 +26,7 @@ from repro.serve import (
     refactorize_with_plan,
 )
 from repro.sparse.generators import paper_matrix
+from repro.taskgraph.tasks import enumerate_tasks
 from tests.conftest import random_pivot_matrix
 
 #: Upper bound on any wait in this file; nothing here should take a second.
@@ -339,8 +340,8 @@ class TestLazyGraph:
 
     def test_threaded_engine_builds_it_once(self, monkeypatch, a30):
         # Threaded requests run block steps over the block eforest and need
-        # no task graph; a sanitized one runs the graph's tasks and builds
-        # it, once however many follow.
+        # no task graph, sanitized or not (the sanitizer checks the steps);
+        # the first read builds it, once however many follow.
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
         builds = self._count_builds(monkeypatch)
         plan = build_plan(a30)
@@ -349,13 +350,13 @@ class TestLazyGraph:
             thr = refactorize_with_plan(plan, a30, engine="threaded", n_workers=2)
             assert np.array_equal(seq.result.l_factor.data, thr.result.l_factor.data)
             assert np.array_equal(seq.result.u_factor.data, thr.result.u_factor.data)
-        assert builds == []
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         for _ in range(2):
             thr = refactorize_with_plan(plan, a30, engine="threaded", n_workers=2)
             assert np.array_equal(seq.result.l_factor.data, thr.result.l_factor.data)
-        assert len(builds) == 1
+        assert builds == []
         assert plan.graph is plan.artifacts.graph
+        assert len(builds) == 1
 
     def test_unsanitized_proc_run_builds_no_graph(self, monkeypatch, a30):
         # Proc workers run the same block steps the threaded loop releases.
@@ -369,10 +370,14 @@ class TestLazyGraph:
         assert builds == []
 
     def test_sanitized_sequential_run_sees_the_graph(self, monkeypatch, a30):
+        # A sanitized engine run checks block steps and builds no graph; a
+        # sanitized order= replay is checked against the graph and builds it.
         monkeypatch.setenv("REPRO_SANITIZE", "1")
         builds = self._count_builds(monkeypatch)
         plan = build_plan(a30)
         refactorize_with_plan(plan, a30, engine="sequential")
+        assert builds == []
+        refactorize_with_plan(plan, a30, order=enumerate_tasks(plan.bp))
         assert len(builds) == 1
 
     def test_concurrent_first_access_builds_one_graph(self, monkeypatch):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_pivot_matrix
+from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.parallel.dispatch import replay_order
 from repro.taskgraph.sstar import build_sstar_graph
 
 
@@ -34,7 +36,7 @@ def random_topological_order(graph, seed):
 
 
 def factors_for_order(solver, order):
-    eng = LUFactorization(solver.a_work, solver.bp, check_dependencies=False)
+    eng = LUFactorization(solver.a_work, solver.bp)
     eng.run_order(order)
     res = eng.extract()
     return res.l_factor.to_dense(), res.u_factor.to_dense(), res.orig_at
@@ -103,9 +105,9 @@ def test_updates_last_order_passes_the_dependency_check():
     """A valid schedule that runs every ``U`` as late as the graph allows.
 
     ``U(i, k)`` from a block outside ``k``'s eforest subtree writes only
-    rows above ``k``'s tree and precedes nothing; the checked engine must
-    not demand it before ``F(k)`` (it raised ``F(9) ran before U(7,9)``
-    on sherman3 @ 0.1).
+    rows above ``k``'s tree and precedes nothing; a sanitized replay must
+    not demand it before ``F(k)`` (a checker once raised ``F(9) ran
+    before U(7,9)`` on sherman3 @ 0.1).
     """
     from repro.sparse.generators import paper_matrix
 
@@ -126,8 +128,10 @@ def test_updates_last_order_passes_the_dependency_check():
     ref_eng = LUFactorization(solver.a_work, solver.bp)
     ref_eng.factor_sequential()
     ref = ref_eng.extract()
-    eng = LUFactorization(solver.a_work, solver.bp, check_dependencies=True)
-    eng.run_order(order)
+    san = build_sanitizer(solver.bp, solver.fill)
+    eng = LUFactorization(solver.a_work, solver.bp)
+    replay_order(eng, order, g, sanitizer=san)
+    assert san.findings == [], [str(f) for f in san.findings]
     res = eng.extract()
     assert np.array_equal(res.l_factor.to_dense(), ref.l_factor.to_dense())
     assert np.array_equal(res.u_factor.to_dense(), ref.u_factor.to_dense())

@@ -48,7 +48,7 @@ def test_rapid_schedule_threaded_execution_end_to_end():
     solver = SparseLUSolver(a).analyze()
     sched = rapid_schedule(solver.graph, solver.bp, MachineModel(n_procs=4))
     eng = LUFactorization(solver.a_work, solver.bp)
-    threaded_factorize(eng, solver.graph, n_threads=4)
+    threaded_factorize(eng, n_threads=4)
     solver.result = eng.extract()
     b = np.ones(a.n_cols)
     x = solver.solve(b)
