@@ -1,15 +1,19 @@
-"""Proc engine vs threaded engine on repeated factorization.
+"""Proc engine vs threaded and sequential engines on repeated factorization.
 
 The multi-process engine exists to escape the GIL that caps the threaded
 executor, at the price of real IPC: it runs the threaded engine's release
-loop, but every block step crosses a pipe to a worker process and back,
-and panels live in a shared-memory arena. This benchmark runs both
-engines on the serving workload they compete for — repeated numeric
-factorization of one analyzed matrix in block steps, proc side on a
-*warm* :class:`~repro.parallel.procengine.ProcPool` so its static costs
-(arena allocation, fork) are amortized across calls exactly as the paper
+loop over the same units — the subtrees and top steps of a cut of the
+block eforest — but every unit crosses a pipe to a worker process and
+back, and panels live in a shared-memory arena. This benchmark runs the
+three engines on the serving workload they compete for — repeated
+numeric factorization of one analyzed matrix, proc side on a *warm*
+:class:`~repro.parallel.procengine.ProcPool` so its static costs (arena
+allocation, fork) are amortized across calls exactly as the paper
 amortizes its symbolic factorization. Runs are interleaved so machine
-noise hits both engines alike. It pins two facts:
+noise hits the engines alike; the artifact records, per size, proc's
+speed against sequential (``proc_over_sequential``, >1 means proc is
+faster), the units of the cut and the messages of one proc run. It pins
+two facts:
 
 * the factors are **bitwise identical** to the sequential reference on
   every timed run (the runner raises otherwise — the benchmark doubles as
@@ -88,10 +92,11 @@ def _shm_segments() -> set:
 
 
 def run_proc_benchmark(scales: Sequence[float]) -> dict:
-    """Interleaved threaded-vs-proc factorization timings (artifact ``data``).
+    """Interleaved sequential, threaded and proc factorization timings
+    (artifact ``data``).
 
     Each scale analyzes once, computes the sequential reference factors,
-    then alternates ``REPEATS`` threaded and warm-pool proc
+    then alternates ``REPEATS`` sequential, threaded and warm-pool proc
     factorizations (medians kept). Every run's extracted factors must be
     bitwise identical to the reference or the benchmark raises.
     """
@@ -110,10 +115,15 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
             threaded_factorize(eng, n_threads=N_WORKERS)
             eng = LUFactorization(solver.a_work, solver.bp)
             pool.factorize(eng)
+            seq_times: list[float] = []
             thr_times: list[float] = []
             proc_times: list[float] = []
-            n_messages = 0
+            n_messages = n_units = 0
             for _ in range(REPEATS):
+                eng_s = LUFactorization(solver.a_work, solver.bp)
+                t0 = time.perf_counter()
+                eng_s.factor_sequential()
+                seq_times.append(time.perf_counter() - t0)
                 eng_t = LUFactorization(solver.a_work, solver.bp)
                 t0 = time.perf_counter()
                 threaded_factorize(eng_t, n_threads=N_WORKERS)
@@ -123,6 +133,7 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
                 stats = pool.factorize(eng_p)
                 proc_times.append(time.perf_counter() - t0)
                 n_messages = stats.n_messages
+                n_units = sum(stats.per_rank_units)
                 for name, eng in (("proc", eng_p), ("threaded", eng_t)):
                     if not bitwise_equal(eng.extract(), ref_res):
                         raise AssertionError(
@@ -131,6 +142,7 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
                         )
         finally:
             pool.close()
+        seq_s = median_high(seq_times)
         thr_s = median_high(thr_times)
         proc_s = median_high(proc_times)
         rows.append(
@@ -138,9 +150,12 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
                 "scale": scale,
                 "n": solver.a.n_cols,
                 "n_tasks": solver.graph.n_tasks,
+                "sequential_s": seq_s,
                 "threaded_s": thr_s,
                 "proc_s": proc_s,
                 "ratio": thr_s / proc_s if proc_s > 0 else 0.0,
+                "proc_over_sequential": seq_s / proc_s if proc_s > 0 else 0.0,
+                "n_units": n_units,
                 "n_messages": n_messages,
                 "bitwise": True,
             }
@@ -167,10 +182,13 @@ def summary_rows(data: dict) -> list:
         out.append(
             (
                 f"{data['matrix']} scale {row['scale']:g} "
-                f"(n={row['n']}, {row['n_tasks']} tasks)",
+                f"(n={row['n']}, {row['n_tasks']} tasks, {row['n_units']} units)",
+                f"sequential {row['sequential_s'] * 1e3:.1f} ms / "
                 f"threaded {row['threaded_s'] * 1e3:.1f} ms / "
-                f"proc {row['proc_s'] * 1e3:.1f} ms = "
-                f"{row['ratio']:.2f}x ({row['n_messages']} msgs)",
+                f"proc {row['proc_s'] * 1e3:.1f} ms: "
+                f"{row['ratio']:.2f}x threaded, "
+                f"{row['proc_over_sequential']:.2f}x sequential "
+                f"({row['n_messages']} msgs)",
             )
         )
     bar = (
@@ -200,7 +218,7 @@ def test_proc_engine_vs_threaded(benchmark, bench_config, emit):
         format_table(
             ["quantity", "value"],
             summary_rows(data),
-            title="Proc engine vs threaded engine (repeated factorization)",
+            title="Proc engine vs threaded and sequential (repeated factorization)",
         ),
         data=data,
     )

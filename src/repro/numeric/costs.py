@@ -35,14 +35,14 @@ class CostModel:
 
     def __init__(self, bp: BlockPattern) -> None:
         self.bp = bp
-        starts = bp.partition.starts
-        self.widths = np.diff(starts)
-        # Per block column: total candidate-panel rows and rows below diag.
+        self.widths = np.diff(bp.partition.starts)
+        # Every stored block (row, col), and per block column the total
+        # candidate-panel rows (the widths of its blocks on or below diag).
+        self._rows = np.concatenate([*bp.blocks, np.empty(0, np.int64)])
+        self._cols = np.repeat(np.arange(bp.n_blocks), [b.size for b in bp.blocks])
+        low = self._rows >= self._cols
         self.panel_rows = np.zeros(bp.n_blocks, dtype=np.int64)
-        for k in range(bp.n_blocks):
-            blocks = bp.col_blocks(k)
-            subs = blocks[blocks >= k]
-            self.panel_rows[k] = int(np.sum(self.widths[subs]))
+        np.add.at(self.panel_rows, self._cols[low], self.widths[self._rows[low]])
         self._solve_flops: dict[str, np.ndarray] | None = None
 
     def flops(self, task: Any) -> int:
@@ -63,6 +63,16 @@ class CostModel:
         if kind == "F":
             return lu_panel_flops(rows, w_k)
         return update_flops(w_k, rows - w_k, int(w[task.j]))
+
+    def step_flops(self) -> np.ndarray:
+        """Flops of every block step: ``F(k)`` plus each ``U(k, j)``, whose
+        count is linear in the target's width."""
+        w, rows = self.widths, self.panel_rows
+        up = self._rows < self._cols  # block (k, j) above the diagonal: U(k, j)
+        w_targets = np.zeros(self.bp.n_blocks, dtype=np.int64)
+        np.add.at(w_targets, self._rows[up], w[self._cols[up]])
+        panel = [lu_panel_flops(r, w_k) for r, w_k in zip(rows.tolist(), w.tolist())]
+        return np.asarray(panel, dtype=np.int64) + update_flops(w, rows - w, w_targets)
 
     def _solve_row_flops(self) -> dict[str, np.ndarray]:
         """Per block row ``FS``/``BS`` flops: a triangular solve on the

@@ -10,11 +10,12 @@ for real (the simulators are *models*, not engines):
     One block step per block column, in the calling thread. Default.
 ``threaded``
     :func:`repro.parallel.threads.threaded_factorize` — a thread pool
-    releasing block steps over the block eforest.
+    releasing the units of a cut of the block eforest
+    (:func:`repro.parallel.threads.release_plan`), one body at a time.
 ``proc``
     :func:`repro.parallel.procengine.proc_factorize` — the same release
-    loop, with each step's body run by a worker process over a
-    shared-memory arena.
+    loop over the same cut, with each unit's body run by a worker process
+    over a shared-memory arena.
 
 All three run block steps and produce bitwise-identical factors, so the
 choice is purely a performance/deployment decision — see
@@ -79,7 +80,8 @@ def run_engine(
     ``fill`` (the static fill the solver passes alongside its block
     pattern) and any finding raises
     :class:`~repro.util.errors.SanitizerError` after the run — the
-    strict gate mode.
+    strict gate mode. A parallel engine annotates ``tracer``'s open span
+    with its cut's ``n_units`` and predicted ``subtree_share``.
     """
     from repro.parallel.two_d import canonical_2d_order, is_2d_graph
 
@@ -99,6 +101,12 @@ def run_engine(
     from repro.analysis.sanitizer import step_predecessors
 
     preds = partial(step_predecessors, engine.bp)
+    if choice != "sequential" and tracer is not None:
+        from repro.parallel.threads import release_plan
+
+        workers = pool.n_workers if choice == "proc" and pool is not None else n_workers
+        cut = release_plan(engine.bp, workers)
+        tracer.annotate(n_units=len(cut.units), subtree_share=cut.subtree_share)
     with _sanitized(engine, sanitizer, fill, preds, f"{choice} factorization"):
         if choice == "sequential":
             engine.factor_sequential()

@@ -3,20 +3,20 @@
 This module is **execution**, not simulation: it factorizes for real on a
 pool of worker *processes*, escaping the GIL that bounds
 :mod:`repro.parallel.threads`. It differs from the threaded engine in one
-thing only — where a step's body runs:
+thing only — where a unit's body runs:
 
 * **One shared arena.** The panel store's two buffers live in a single
   ``multiprocessing.shared_memory`` segment sized from the
   :class:`~repro.numeric.blockdata.BlockLayout`. Workers are forked from
   the parent and attach their store to the inherited mapping, so panel
   data never crosses a pipe; the parent copies each run's values in
-  before the first step goes out and copies the factors back after.
+  before the first unit goes out and copies the factors back after.
 * **One release loop.** The parent runs the threaded engine's scheduler
-  (:func:`repro.parallel.threads._run_pool`) over the same units — block
-  steps released bottom-up over the block eforest. Pool thread ``r``
-  sends each step it takes to worker ``r`` as one integer, its block
-  index, and waits for the reply, so placement is whichever worker is
-  free, exactly as on threads.
+  (:func:`repro.parallel.threads._run_pool`) over the same units — the
+  subtrees and top steps of :func:`repro.parallel.threads.release_plan`.
+  Pool thread ``r`` sends each unit it takes to worker ``r`` as one
+  integer, its index into the cut the workers inherited at fork, and
+  waits for the reply, so placement is whichever worker is free.
 * **Warm pools.** The arena and the fork depend only on the block pattern,
   so :class:`ProcPool` binds them once and parked workers serve repeated
   refactorizations; :func:`proc_factorize` is the one-shot wrapper.
@@ -52,9 +52,9 @@ from repro.util.errors import EngineError
 _FLOAT = np.dtype(np.float64)
 _INT = np.dtype(np.int64)
 
-# Unit wire format: one little-endian int64. A block index k >= 0 is step
-# k; negative words are control: _END closes a run (the worker answers with
-# its report), _QUIT makes the worker return.
+# Unit wire format: one little-endian int64. An index u >= 0 is unit u of
+# the cut; negative words are control: _END closes a run (the worker answers
+# with its report), _QUIT makes the worker return.
 _UNIT = struct.Struct("<q")
 _END = -1
 _QUIT = -2
@@ -106,8 +106,8 @@ class ProcStats:
     :class:`repro.parallel.engine.EngineResult` where they overlap).
 
     ``n_tasks`` counts the 1-D tasks the run's steps covered;
-    ``per_rank_units`` the steps each worker ran. Messages are the
-    dispatch and the reply of every step."""
+    ``per_rank_units`` the units each worker ran. Messages are the
+    dispatch and the reply of every unit."""
 
     n_procs: int
     n_tasks: int
@@ -140,12 +140,13 @@ class ProcStats:
 
 
 def _worker_main(
-    rank: int, engine: LUFactorization, arena: SharedArena, conn: Any, fault_hook: Any
+    rank: int, engine: LUFactorization, units: list, arena: SharedArena, conn: Any,
+    fault_hook: Any,
 ) -> None:
     """Body of one persistent worker process (entered right after fork).
 
-    Runs the steps the parent's pool thread ``rank`` sends, replying with
-    an empty message after each, until ``_END`` closes the run; then sends
+    Runs the ``units`` the parent's pool thread ``rank`` sends, replying
+    with an empty message after each, until ``_END`` closes the run; then sends
     its report and waits for the next run. ``_QUIT`` makes it return. An
     exception is sent back pickled (with its text and traceback, should it
     not unpickle) and ends the process.
@@ -154,7 +155,7 @@ def _worker_main(
     engine.data.attach(arena.values, arena.pivot_ids)
     # The forked sanitizer (or None) checks the containment of this
     # worker's accesses. Happens-before is the parent's to check: it
-    # releases the steps, and this worker sees only the ones it ran.
+    # releases the units, and this worker sees only the ones it ran.
     san = engine.sanitizer
     if san is not None:
         san.set_predecessors(None)
@@ -171,17 +172,18 @@ def _worker_main(
                 san.reset_run()
             counts0, n_units, busy = counts(), 0, 0.0
             while True:
-                (k,) = _UNIT.unpack(conn.recv_bytes())
-                if k < 0:
+                (u,) = _UNIT.unpack(conn.recv_bytes())
+                if u < 0:
                     break
                 t0 = time.perf_counter()
-                engine.step(k)
+                for k in units[u]:
+                    engine.step(k)
                 busy += time.perf_counter() - t0
                 n_units += 1
                 if fault_hook is not None:
-                    fault_hook(rank, k)
+                    fault_hook(rank, u)
                 conn.send_bytes(b"")
-            if k == _QUIT:
+            if u == _QUIT:
                 return
             report = {
                 "n_units": n_units,
@@ -204,7 +206,7 @@ def _worker_main(
 
 def _request(rank: int, conn: Any, word: bytes) -> Any:
     """Send ``word`` to worker ``rank`` and return its unpickled reply
-    (``None`` for a step's empty one). A worker that died — killed,
+    (``None`` for a unit's empty one). A worker that died — killed,
     ``os._exit``, segfault — closed its end of the pipe, which raises
     :class:`EngineError`; an exception it sent back is re-raised, with its
     original type when that round-trips through pickle."""
@@ -237,12 +239,13 @@ def proc_factorize(
     _fault_hook: Any = None,
 ) -> ProcStats:
     """Factorize on ``engine`` with ``n_workers`` worker *processes* running
-    block steps over the block eforest, and return run statistics.
+    the units of :func:`repro.parallel.threads.release_plan`, and return
+    run statistics.
 
     Drop-in alternative to :func:`repro.parallel.threads.threaded_factorize`.
     ``metrics`` receives the ``engine.*`` aggregates; under ``tracer`` the
-    run executes inside an ``engine.proc`` span. ``_fault_hook(rank, k)``
-    is called in the worker after each step (fault injection).
+    run executes inside an ``engine.proc`` span. ``_fault_hook(rank, u)``
+    is called in the worker after each unit (fault injection).
     A dead worker, or a platform without ``fork``, raises
     :class:`~repro.util.errors.EngineError`. The transient
     :class:`ProcPool` is torn down before returning; callers that
@@ -282,8 +285,8 @@ class ProcPool:
         self._closed = False
         self._state: dict | None = None
 
-    def _bind(self, engine: LUFactorization, fault_hook: Any) -> dict:
-        """Allocate the arena and fork the workers (lock held)."""
+    def _bind(self, engine: LUFactorization, units: list, fault_hook: Any) -> dict:
+        """Allocate the arena and fork the workers over ``units`` (lock held)."""
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError as exc:  # pragma: no cover - non-POSIX
@@ -298,7 +301,7 @@ class ProcPool:
             mine, theirs = ctx.Pipe()
             p = ctx.Process(
                 target=_worker_main,
-                args=(rank, engine, arena, theirs, fault_hook),
+                args=(rank, engine, units, arena, theirs, fault_hook),
                 daemon=True,
             )
             p.start()
@@ -361,7 +364,7 @@ class ProcPool:
         from repro.obs.trace import Tracer
         from repro.parallel.threads import _run_pool, release_plan
 
-        n_preds, successors = release_plan(engine.bp)
+        cut = release_plan(engine.bp, self.n_workers)  # one per bound pattern
         san = engine.sanitizer
         with self._lock:
             if self._closed:
@@ -376,23 +379,23 @@ class ProcPool:
                 or st["sanitized"] != (san is not None)
             ):
                 self._teardown()
-                st = self._bind(engine, _fault_hook)
+                st = self._bind(engine, cut.units, _fault_hook)
             arena, conns = st["arena"], st["conns"]
-            # Copy-in completes before the first step goes out, so no panel
+            # Copy-in completes before the first unit goes out, so no panel
             # is read before it holds this run's values (and no pivot slot
             # before it is reset to "F(k) has not run").
             arena.values[...] = engine.data.values
             arena.pivot_ids[...] = engine.data.pivot_ids
 
             def runner(rank: int) -> Any:
-                def run(k: int) -> None:
-                    # The parent releases the steps, so it checks
-                    # happens-before; the worker checks containment.
+                def run(u: int) -> None:
+                    _request(rank, conns[rank], _UNIT.pack(u))
+                    # The parent releases the units, so it checks happens-
+                    # before per step; the worker checks containment.
                     if san is not None:
-                        san.begin(k)
-                    _request(rank, conns[rank], _UNIT.pack(k))
-                    if san is not None:
-                        san.end(k)
+                        for k in cut.units[u]:
+                            san.begin(k)
+                            san.end(k)
 
                 return run
 
@@ -401,7 +404,7 @@ class ProcPool:
                 t_start = time.perf_counter()
                 try:
                     runners = [runner(r) for r in range(self.n_workers)]
-                    _run_pool(runners, n_preds, successors, None)
+                    _run_pool(runners, cut.successors, None)
                     end = _UNIT.pack(_END)
                     reports = [_request(r, c, end) for r, c in enumerate(conns)]
                 except BaseException:
@@ -414,6 +417,8 @@ class ProcPool:
                     makespan=stats.makespan_seconds,
                     n_messages=stats.n_messages,
                     efficiency=stats.efficiency,
+                    n_units=len(cut.units),
+                    subtree_share=cut.subtree_share,
                 )
             if metrics is not None:
                 stats.record_metrics(metrics)

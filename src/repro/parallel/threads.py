@@ -1,36 +1,41 @@
 """Shared-memory threaded execution of a factorization.
 
-Runs the real numeric engine under a pool of worker threads — the
-shared-memory analogue of the paper's distributed executor. NumPy kernels
-release the GIL, so medium/large blocks overlap; more importantly this
-proves that *any* machine-driven interleaving computes bitwise-consistent
-factors (the tests compare against the sequential order).
+Runs the real numeric engine under a pool of worker threads: the
+in-process concurrent oracle, whose release order is whatever the threads
+make of it while the factors stay bitwise those of the sequential order.
 
-The pool runs block steps and releases step ``k`` once its block-eforest
-children's steps committed. That is sound: in the 1-D task graph every
-path leaving a step's task leads to the same step or an eforest ancestor
-(rules 3–5 of :mod:`repro.taskgraph.eforest_graph`), so steps the eforest
-leaves unordered hold only mutually unordered tasks — and the
-``factor-steps`` subject of :func:`repro.analysis.runner.analyze_plan`
-proves the step footprints conflict-free over the block eforest.
-
-Its release loop, :func:`_run_pool`, is the only scheduler of real
-execution: the ``proc`` engine (:mod:`repro.parallel.procengine`) runs the
-same loop and only moves each step's body into a worker process.
+The pool runs the units of a cut of the block eforest (:func:`release_plan`):
+maximal subtrees, independent by Theorems 3–4, and the top steps above
+them, each unit's steps in ascending block order once the units below it
+committed. In the 1-D task graph every path leaving a step's task leads
+to the same step or an eforest ancestor (rules 3–5 of
+:mod:`repro.taskgraph.eforest_graph`), and the ``factor-steps`` subject of
+:func:`repro.analysis.runner.analyze_plan` proves the step footprints
+conflict-free over the block eforest. Unit bodies run one at a time:
+two busy threads hand the GIL across cores at every release NumPy makes
+inside a step, which costs more than their overlap buys. The release loop,
+:func:`_run_pool`, is the only scheduler of real execution: the ``proc``
+engine (:mod:`repro.parallel.procengine`) runs it over the same cut with
+the unit bodies in worker processes, truly in parallel.
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
+from collections import Counter
 from queue import Empty, Queue
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
+from repro.numeric.costs import CostModel
 from repro.numeric.factor import LUFactorization
 from repro.symbolic.supernodes import BlockPattern
 from repro.taskgraph.eforest_graph import block_eforest
 from repro.util.errors import SchedulingError
+
+#: A block step's fixed cost in flops: ≈ 85 µs of interpreter time at the
+#: kernels' ≈ 7 Gflop/s (sherman3 @ 0.5's steps, 2-CPU x86-64 host).
+STEP_FLOPS = 600_000
 
 
 def threaded_factorize(
@@ -39,57 +44,113 @@ def threaded_factorize(
     *,
     metrics: Any = None,
 ) -> None:
-    """Factorize on ``engine`` with ``n_threads`` workers running block
-    steps over the block eforest, and return when it is complete. A step
-    becomes eligible when its children committed; any worker exception
-    aborts the pool and is re-raised.
+    """Factorize on ``engine`` with ``n_threads`` workers running the units
+    of :func:`release_plan`, and return when it is complete. A unit
+    becomes eligible when the units below it committed; any worker
+    exception aborts the pool and is re-raised.
 
     ``metrics`` (a :class:`repro.obs.metrics.MetricsRegistry`) records
-    ``threads.tasks_executed`` (steps), a
+    ``threads.tasks_executed`` (units), a
     ``threads.work_queue_depth`` histogram sampled at each dequeue, and the
     ``threads.workers`` gauge, updated without a lock (they may undercount
     under contention; the engine's own ``lazy_stats`` is exact).
     """
-    if n_threads < 1:
-        raise ValueError(f"n_threads must be >= 1, got {n_threads}")
-    _run_pool([engine.step] * n_threads, *release_plan(engine.bp), metrics)
+    cut, body = release_plan(engine.bp, n_threads), threading.Lock()
+
+    def run(u: int) -> None:
+        with body:
+            for k in cut.units[u]:
+                engine.step(k)
+
+    _run_pool([run] * n_threads, cut.successors, metrics)
 
 
-def release_plan(bp: BlockPattern) -> "tuple[dict[int, int], Callable[[int], list[int]]]":
-    """The block steps of one run and what each completion releases:
-    ``(step -> number of block-eforest children, step -> its parent)``."""
-    parent = block_eforest(bp)
-    n_children = np.bincount(parent[parent >= 0], minlength=parent.size)
-    succ = [[p] if p >= 0 else [] for p in parent.tolist()]
-    return dict(enumerate(n_children.tolist())), succ.__getitem__
+class UnitCut(NamedTuple):
+    """The units of one run: subtrees, heaviest first (the LPT order the
+    release queue keeps), then the top steps, ascending."""
+
+    units: "list[list[int]]"  # unit -> its block steps, ascending
+    successors: "list[list[int]]"  # unit -> the unit its completion counts down
+    subtree_share: float  # predicted share of the work inside subtree units
+
+
+def release_plan(bp: BlockPattern, n_workers: int) -> UnitCut:
+    """The cut ``n_workers`` run over ``bp``, computed once and kept on
+    ``bp``: split the heaviest subtree into its root (a top step) and its
+    children, from the roots down, and keep the front where the subtrees'
+    LPT makespan on ``n_workers`` plus the top steps' serial cost is
+    lowest. A step costs its tasks' :class:`CostModel` flops plus
+    :data:`STEP_FLOPS`."""
+    if n_workers < 1:
+        raise ValueError(f"need at least one worker, got {n_workers}")
+    cuts = vars(bp).setdefault("_unit_cuts", {})
+    if n_workers in cuts:
+        return cuts[n_workers]
+    parent = block_eforest(bp).tolist()
+    n, cost = len(parent), (CostModel(bp).step_flops() + STEP_FLOPS).tolist()
+    below, children = list(cost), [[] for _ in parent]  # below: subtree cost
+    for k, p in enumerate(parent):  # children come before parents
+        if p >= 0:
+            below[p] += below[k]
+            children[p].append(k)
+    total = sum(cost)
+    front = [(-below[k], k) for k, p in enumerate(parent) if p < 0]
+    heapq.heapify(front)
+    top, tops, best = 0.0, [], (float("inf"), 0)
+    # No deeper front can cost less than top + (total - top) / n_workers.
+    while front and top + (total - top) / n_workers < best[0]:
+        loads = [0.0] * n_workers
+        for c, _ in sorted(front):
+            heapq.heapreplace(loads, loads[0] - c)
+        best = min(best, (top + max(loads), len(tops)))
+        _, k = heapq.heappop(front)
+        top += cost[k]
+        tops.append(k)
+        for c in children[k]:
+            heapq.heappush(front, (-below[c], c))
+    is_top = set(tops[: best[1]])
+    head = list(range(n))  # the step heading each step's unit
+    for k in reversed(range(n)):  # parents come before children
+        if parent[k] >= 0 and parent[k] not in is_top:
+            head[k] = head[parent[k]]
+    roots = sorted(set(head) - is_top, key=lambda r: -below[r])
+    unit = {h: u for u, h in enumerate(roots + sorted(is_top))}
+    units: list[list[int]] = [[] for _ in unit]
+    for k, h in enumerate(head):
+        units[unit[h]].append(k)
+    succ = [[unit[head[parent[h]]]] if parent[h] >= 0 else [] for h in unit]
+    share = sum(below[r] for r in roots) / max(total, 1.0)
+    cuts[n_workers] = UnitCut(units, succ, share)
+    return cuts[n_workers]
 
 
 def _run_pool(
     runners: "list[Callable[[Any], None]]",
-    n_preds: "dict[Any, int]",
-    successors: Callable[[Any], Iterable[Any]],
+    successors: "list[list[int]]",
     metrics: Any,
 ) -> None:
-    """Run every unit of ``n_preds`` (unit -> number of predecessors) on one
-    thread per runner — thread ``r`` runs its units with ``runners[r]`` —
-    releasing ``successors(unit)`` as their counters reach zero."""
+    """Run units ``0 .. len(successors) - 1`` on one thread per runner —
+    thread ``r`` runs its units with ``runners[r]`` — releasing unit ``s``
+    once every unit listing it in ``successors`` completed, and queueing
+    the units ready at the start in index order."""
     n_threads = len(runners)
     tasks_ctr: Any = None
     depth_hist: Any = None
     if metrics is not None:
         metrics.gauge("threads.workers", unit="threads").set(n_threads)
-        tasks_ctr = metrics.counter("threads.tasks_executed", unit="tasks")
-        depth_hist = metrics.histogram("threads.work_queue_depth", unit="tasks")
+        tasks_ctr = metrics.counter("threads.tasks_executed", unit="units")
+        depth_hist = metrics.histogram("threads.work_queue_depth", unit="units")
     lock = threading.Lock()
     work: Queue = Queue()
-    total = len(n_preds)
+    total = len(successors)
+    n_preds = Counter(s for succ in successors for s in succ)
     done_count = 0
     aborted = False
     errors: list[BaseException] = []
     _SENTINEL = None
 
-    for t, d in n_preds.items():
-        if d == 0:
+    for t in range(total):
+        if not n_preds[t]:
             work.put(t)
 
     def drain() -> None:
@@ -137,7 +198,7 @@ def _run_pool(
                 finished = done_count >= total
                 released = []
                 if not aborted:
-                    for succ in successors(unit):
+                    for succ in successors[unit]:
                         n_preds[succ] -= 1
                         if n_preds[succ] == 0:
                             released.append(succ)

@@ -155,10 +155,10 @@ class TestShippingUnit:
         a = paper_matrix("sherman3", scale=0.1)
         return a, build_plan(a)
 
-    @pytest.mark.parametrize("engine", ["sequential", "threaded"])
+    @pytest.mark.parametrize("engine", ["sequential", "threaded", "proc"])
     def test_padded_row_gemm_mutant_is_caught(self, sherman3, engine, monkeypatch):
         # A GEMM that also writes the padded rows (all-zero multipliers)
-        # is the race the active-row filter prevents under threaded steps;
+        # is the race the active-row filter prevents between subtrees;
         # the step footprints leave those rows out, so it must escape.
         import repro.numeric.factor as factor
 
@@ -174,6 +174,27 @@ class TestShippingUnit:
         refactorize_with_plan(plan, a, engine=engine, n_workers=2, sanitizer=san)
         assert "sanitizer.write_escape" in {f.check for f in san.findings}
         assert all(f.tasks[0].startswith("step(") for f in san.findings)
+
+    def test_proc_parent_checks_each_step(self, sherman3, monkeypatch):
+        # The proc parent replays a unit's steps after the worker's reply:
+        # a clean run checks every step, and a release loop that ignored
+        # the unit graph (roots first) is a happens-before finding on a step.
+        import repro.parallel.threads as threads
+
+        a, plan = sherman3
+        san = build_sanitizer(plan.bp, plan.fill)
+        refactorize_with_plan(plan, a, engine="proc", n_workers=2, sanitizer=san)
+        assert san.findings == [] and san.n_tasks == plan.bp.n_blocks
+
+        # One pool thread runs the two-worker cut (it has top steps),
+        # reversed and with no unit graph, deterministically.
+        units = threads.release_plan(plan.bp, 2).units[::-1]
+        roots_first = threads.UnitCut(units, [[] for _ in units], 0.0)
+        monkeypatch.setattr(threads, "release_plan", lambda bp, n: roots_first)
+        san = build_sanitizer(plan.bp, plan.fill)
+        refactorize_with_plan(plan, a, engine="proc", n_workers=1, sanitizer=san)
+        missing = [f for f in san.findings if f.check.endswith("happens_before")]
+        assert missing and all(f.tasks[0].startswith("step(") for f in missing)
 
     def test_order_replay_is_sanitized(self, sherman3, monkeypatch):
         # An explicit order= runs under the sanitizer too: the reference

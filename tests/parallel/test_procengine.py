@@ -11,7 +11,7 @@ from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import resolve_engine
 from repro.parallel.procengine import ProcPool, SharedArena, proc_factorize
-from repro.parallel.threads import threaded_factorize
+from repro.parallel.threads import release_plan, threaded_factorize
 from repro.util.errors import EngineError, SingularMatrixError
 
 
@@ -44,7 +44,7 @@ class TestBitwiseIdentity:
         assert_bitwise(eng.extract(), ref)
         assert stats.n_tasks == s.graph.n_tasks
         assert stats.n_procs == n_workers
-        assert sum(stats.per_rank_units) == s.bp.n_blocks
+        assert sum(stats.per_rank_units) == len(release_plan(s.bp, n_workers).units)
 
     def test_matches_threaded_reference(self):
         s = analyzed(3)
@@ -56,14 +56,14 @@ class TestBitwiseIdentity:
 
     def test_explicit_cyclic_mapping(self):
         # No placement to pin any more: whichever worker is free runs the
-        # released step, and the per-rank counts cover every step.
+        # released unit, and the per-rank counts cover every unit.
         s = analyzed(5)
         ref = sequential_reference(s)
         eng = LUFactorization(s.a_work, s.bp)
         stats = proc_factorize(eng, 3)
         assert_bitwise(eng.extract(), ref)
         assert len(stats.per_rank_units) == 3
-        assert sum(stats.per_rank_units) == s.bp.n_blocks
+        assert sum(stats.per_rank_units) == len(release_plan(s.bp, 3).units)
 
     def test_single_worker_sends_no_messages(self):
         # One worker runs every unit; its only messages are the parent's
@@ -71,9 +71,10 @@ class TestBitwiseIdentity:
         s = analyzed(6)
         eng = LUFactorization(s.a_work, s.bp)
         stats = proc_factorize(eng, 1)
-        assert stats.per_rank_units == [s.bp.n_blocks]
-        assert stats.n_messages == 2 * s.bp.n_blocks
-        assert stats.message_bytes == 8 * s.bp.n_blocks  # one int64 per step
+        n_units = len(release_plan(s.bp, 1).units)
+        assert stats.per_rank_units == [n_units]
+        assert stats.n_messages == 2 * n_units
+        assert stats.message_bytes == 8 * n_units  # one int64 per unit
 
 
 class TestAbortHygiene:
@@ -176,7 +177,7 @@ class TestStatsAndObservability:
         assert len(stats.per_rank_units) == 2
         assert stats.makespan_seconds > 0
         assert 0.0 <= stats.efficiency <= 1.0
-        # One dispatch (one int64) and one empty reply per step.
+        # One dispatch (one int64) and one empty reply per unit.
         assert stats.n_messages == 2 * sum(stats.per_rank_units)
         assert stats.message_bytes == 4 * stats.n_messages
 

@@ -14,7 +14,7 @@ from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.trace import Tracer
 from repro.parallel.dispatch import ENGINES, run_engine
-from repro.parallel.threads import threaded_factorize
+from repro.parallel.threads import release_plan, threaded_factorize
 from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.generators import paper_matrix
 from repro.taskgraph.tasks import count_tasks, enumerate_tasks, factor_task
@@ -102,3 +102,9 @@ def test_every_dispatch_gives_the_same_factors_and_counts(monkeypatch):
         assert np.array_equal(res.orig_at, ref.orig_at), engine
         counts = ("n_tasks", "n_updates_run", "n_updates_skipped", "flops_spent", "flops_saved")
         assert {c: attrs[c] for c in counts} == {c: ref_attrs[c] for c in counts}, engine
+        if engine == "sequential":
+            assert "n_units" not in attrs  # no cut on the sequential path
+        else:
+            cut = release_plan(plan.bp, 2)
+            assert attrs["n_units"] == len(cut.units) < plan.bp.n_blocks, engine
+            assert attrs["subtree_share"] == cut.subtree_share, engine

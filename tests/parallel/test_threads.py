@@ -6,7 +6,7 @@ import pytest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solver import SolverOptions, SparseLUSolver
-from repro.parallel.threads import _run_pool, threaded_factorize
+from repro.parallel.threads import _run_pool, release_plan, threaded_factorize
 
 
 def analyzed(seed=0, n=35, **opts):
@@ -36,6 +36,17 @@ class TestThreadedExecution:
             eng = LUFactorization(s.a_work, s.bp)
             threaded_factorize(eng, n_threads=6)
             assert np.allclose(eng.extract().l_factor.to_dense(), ref_l)
+
+    def test_metrics_count_units(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        s = analyzed(2)
+        eng = LUFactorization(s.a_work, s.bp)
+        reg = MetricsRegistry()
+        threaded_factorize(eng, n_threads=2, metrics=reg)
+        n_units = len(release_plan(s.bp, 2).units)
+        assert reg.get("threads.tasks_executed").value == n_units
+        assert reg.get("threads.workers").value == 2
 
     def test_invalid_thread_count(self):
         s = analyzed(3)
@@ -80,9 +91,8 @@ class _PoisonedRunner:
 
 def _run_star(runner, n_threads, width):
     """Drive the release loop over a star: unit 0 releases units 1..width."""
-    n_preds = {0: 0, **{i: 1 for i in range(1, width + 1)}}
     successors = [list(range(1, width + 1))] + [[] for _ in range(width)]
-    _run_pool([runner] * n_threads, n_preds, successors.__getitem__, None)
+    _run_pool([runner] * n_threads, successors, None)
 
 
 class TestAbortHygiene:

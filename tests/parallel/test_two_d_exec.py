@@ -239,7 +239,9 @@ class TestObservability:
         assert reg.get("factor.grid_shape") is None
 
     def test_proc_span_1d_mapping_label(self):
-        # A 1-D run sends one dispatch and gets one reply per block step.
+        # A 1-D run sends one dispatch and gets one reply per unit of its cut.
+        from repro.parallel.threads import release_plan
+
         from repro.obs.trace import Tracer
 
         s = analyzed(8)
@@ -251,7 +253,9 @@ class TestObservability:
             if sp.name == "engine.proc"
         )
         assert "mapping" not in span.attrs
-        assert span.attrs["n_messages"] == 2 * s.bp.n_blocks
+        n_units = len(release_plan(s.bp, 2).units)
+        assert span.attrs["n_messages"] == 2 * n_units
+        assert span.attrs["n_units"] == n_units
         assert span.attrs["makespan"] > 0
 
 
