@@ -68,23 +68,18 @@ def main() -> None:
         )
     )
 
-    # A Gantt view of the 4-processor schedule.
-    from repro.numeric.costs import CostModel
-    from repro.util.gantt import gantt_chart
-
+    # When each task starts in the simulated 4-processor schedule.
     m4 = MachineModel(n_procs=4)
     owner4 = cyclic_mapping(solver.bp.n_blocks, 4)
     trace = simulate_schedule(g_new, solver.bp, m4, owner4, record_trace=True)
-    cost = CostModel(solver.bp)
+    first = sorted(trace.start_times.items(), key=lambda kv: kv[1])[:12]
     print()
     print(
-        gantt_chart(
-            trace.start_times,
-            lambda t: m4.compute_time(cost.flops(t), cost.width(t)),
-            lambda t: owner4[t.target],
-            4,
-            width=90,
-            title="eforest schedule on 4 processors",
+        format_table(
+            ["task", "processor", "start"],
+            [(str(t), owner4[t.target], start) for t, start in first],
+            title="eforest schedule on 4 processors (first tasks to start)",
+            floatfmt=".5f",
         )
     )
 

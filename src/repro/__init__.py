@@ -73,7 +73,6 @@ from repro.parallel import (
     MachineModel,
     ORIGIN2000,
     simulate_schedule,
-    rapid_schedule,
     threaded_factorize,
     DynamicRuntime,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "MachineModel",
     "ORIGIN2000",
     "simulate_schedule",
-    "rapid_schedule",
     "threaded_factorize",
     "DynamicRuntime",
     "Tracer",

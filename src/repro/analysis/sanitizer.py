@@ -218,10 +218,6 @@ class AccessSanitizer:
         self.n_rows = 0
         self.n_tasks = 0
 
-    @property
-    def current(self) -> Hashable | None:
-        return getattr(self._local, "task", None)
-
     def begin(self, task: Hashable) -> None:
         """Enter unit ``task``'s dynamic extent; check happens-before."""
         preds = self._preds.get(task, ())

@@ -43,11 +43,6 @@ class LUHandle:
     def solve_refined(self, b: np.ndarray):
         return self.solver.solve_refined(b)
 
-    def refactorize(self, a_new: CSCMatrix) -> "LUHandle":
-        """Re-factor new values on the same pattern (symbolic work reused)."""
-        self.solver.refactorize(a_new)
-        return self
-
     def refactor(self, values) -> "LUHandle":
         """Re-factor with ``values`` replacing the matrix's data array.
 
@@ -85,8 +80,8 @@ class LUHandle:
 
         ``trace.export()`` produces the schema-versioned telemetry JSON
         document; ``repro.obs.render_trace`` renders it. Detail metrics
-        (per-kernel counters, the simulated-schedule ``engine.*`` numbers)
-        are present when the handle was created with ``lu(a, trace=True)``.
+        (per-kernel counters) are present when the handle was created with
+        ``lu(a, trace=True)``.
         """
         return self.solver.tracer
 

@@ -9,8 +9,10 @@ Commands
                analyzer instead; ``all`` sweeps every Table-1 analog).
 ``bench``      run one registered experiment (``table1`` ... ``fig6``,
                ablations) and print its table.
-``trace``      run the full pipeline with detail tracing and render the
-               span tree + metrics (optionally dump telemetry/Chrome JSON).
+``trace``      run the full pipeline with detail tracing, price its task
+               graph on the simulated Origin 2000 (``engine.*`` metrics)
+               and render the span tree + metrics (optionally dump
+               telemetry/Chrome JSON).
 ``matrices``   list the available Table-1 analogs.
 ``selfcheck``  condensed end-to-end verification (``--json`` for machines).
 ``generate``   write a synthetic analog to a Matrix Market file.
@@ -273,6 +275,32 @@ def cmd_matrices(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _simulate_trace(solver: SparseLUSolver, n_procs: int = 4) -> None:
+    """Price the solver's plan on the paper's platform into its trace.
+
+    Builds the §4 task graph (span ``task_graph``) and event-simulates its
+    schedule on an ``n_procs`` Origin 2000 (span ``simulate_schedule``),
+    which records the ``engine.*`` metrics into the tracer's registry.
+    """
+    from repro.parallel.machine import ORIGIN2000
+    from repro.parallel.mapping import cyclic_mapping
+    from repro.parallel.simulate import simulate_schedule
+
+    tr, bp = solver.tracer, solver.bp
+    with tr.span("task_graph", kind=solver.options.task_graph) as s:
+        graph = solver.graph
+        s.set(n_tasks=graph.n_tasks, n_edges=graph.n_edges)
+    with tr.span("simulate_schedule", n_procs=n_procs) as s:
+        result = simulate_schedule(
+            graph,
+            bp,
+            ORIGIN2000.with_procs(n_procs),
+            cyclic_mapping(bp.n_blocks, n_procs),
+            metrics=tr.metrics,
+        )
+        s.set(makespan=result.makespan, efficiency=result.efficiency)
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import chrome_trace_events, validate_document, write_json
     from repro.obs.render import render_trace
@@ -280,6 +308,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     a = _load_matrix(args.matrix, args.scale)
     solver = SparseLUSolver(a, _solver_options(args), trace=True)
     solver.analyze().factorize()
+    _simulate_trace(solver)
     b = np.ones(a.n_cols)
     x = solver.solve(b)
     doc = solver.tracer.export(

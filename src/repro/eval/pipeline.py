@@ -46,35 +46,3 @@ def both_graphs(solver: SparseLUSolver) -> tuple[TaskGraph, TaskGraph]:
     new_graph = solver.graph
     old_graph = build_sstar_graph(solver.bp)
     return new_graph, old_graph
-
-
-def traced_run(
-    name: str,
-    scale: float,
-    *,
-    postorder: bool = True,
-    amalgamation: bool = True,
-    ordering: str = "mindeg",
-    meta: dict | None = None,
-) -> dict:
-    """Full detail-traced pipeline run, returned as a telemetry document.
-
-    Unlike :func:`analyzed_matrix` this is uncached (tracing a cached solver
-    would accumulate repeated spans) and runs analyze + factorize + solve.
-    Benchmarks use it to emit schema-versioned JSON next to their tables.
-    """
-    import numpy as np
-
-    a = paper_matrix(name, scale=scale)
-    opts = SolverOptions(
-        ordering=ordering,
-        postorder=postorder,
-        amalgamation=amalgamation,
-        **PAPER_AMALGAMATION,
-    )
-    solver = SparseLUSolver(a, opts, trace=True)
-    solver.analyze().factorize()
-    solver.solve(np.ones(a.n_cols))
-    doc_meta = {"matrix": name, "scale": scale, "n": a.n_cols, "nnz": a.nnz}
-    doc_meta.update(meta or {})
-    return solver.tracer.export(meta=doc_meta)

@@ -16,7 +16,6 @@ create structure outside ``Ā``.
 
 from repro.numeric.kernels import (
     lu_panel_inplace,
-    triangular_inverses,
     lu_panel_flops,
     update_flops,
 )
@@ -29,13 +28,12 @@ from repro.numeric.solve_dispatch import (
     resolve_impl as resolve_solve_impl,
 )
 from repro.numeric.supersolve import BlockFactors
-from repro.numeric.costs import CostModel, task_flops, task_comm_bytes
+from repro.numeric.costs import CostModel
 from repro.numeric.triangular import (
     lower_unit_solve_csc,
     upper_solve_csc,
     lower_transpose_unit_solve_csc,
     upper_transpose_solve_csc,
-    sparse_lower_unit_solve_csc,
 )
 from repro.numeric.scaling import Equilibration, equilibrate
 from repro.numeric.solver import SparseLUSolver, SolverOptions
@@ -50,7 +48,6 @@ from repro.numeric.refine import (
 
 __all__ = [
     "lu_panel_inplace",
-    "triangular_inverses",
     "lu_panel_flops",
     "update_flops",
     "BlockColumnData",
@@ -63,13 +60,10 @@ __all__ = [
     "SOLVE_IMPLEMENTATIONS",
     "resolve_solve_impl",
     "CostModel",
-    "task_flops",
-    "task_comm_bytes",
     "lower_unit_solve_csc",
     "upper_solve_csc",
     "lower_transpose_unit_solve_csc",
     "upper_transpose_solve_csc",
-    "sparse_lower_unit_solve_csc",
     "Equilibration",
     "equilibrate",
     "SparseLUSolver",

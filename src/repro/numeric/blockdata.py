@@ -240,11 +240,6 @@ class BlockLayout:
         shared and read-only."""
         return self._upper_rows[self._upper_ptr[k] : self._upper_ptr[k + 1]]
 
-    def has_diag(self, k: int) -> bool:
-        """Whether block column ``k`` stores its diagonal block (and thus
-        has a candidate panel / pivot rename slot)."""
-        return self._diag_offsets[k] >= 0
-
     def diag_offset(self, k: int) -> int:
         """Panel offset of the diagonal block in block column ``k``."""
         off = self._diag_offsets[k]

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.numeric.kernels import lu_panel_flops, update_flops
 from repro.symbolic.supernodes import BlockPattern
-from repro.taskgraph.tasks import Task, enumerate_tasks
+from repro.taskgraph.tasks import Task
 
 _FLOAT_BYTES = 8
 _INDEX_BYTES = 4
@@ -135,14 +135,3 @@ class CostModel:
         elif kind == "F" and dst.kind == "U" and dst.k == src.k:
             return ("panel", src.k), self.comm_bytes(dst)
         return ("edge", src, dst), 0
-
-
-def task_flops(bp: BlockPattern) -> dict[Task, int]:
-    """Flop count of every task of the factorization over ``bp``."""
-    model = CostModel(bp)
-    return {task: model.flops(task) for task in enumerate_tasks(bp)}
-
-
-def task_comm_bytes(bp: BlockPattern, task: Task) -> int:
-    """One-off helper; build a :class:`CostModel` for repeated queries."""
-    return CostModel(bp).comm_bytes(task)

@@ -177,66 +177,6 @@ class FactorResult:
         y = lower_unit_solve_csc(self.l_factor, pb)
         return upper_solve_csc(self.u_factor, y)
 
-    def solve_transpose(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``Aᵀ x = b`` via ``Uᵀ Lᵀ P x = b`` (vector or multi-RHS)."""
-        from repro.numeric.triangular import (
-            lower_transpose_unit_solve_csc,
-            upper_transpose_solve_csc,
-        )
-
-        b = np.asarray(b, dtype=np.float64)
-        y = upper_transpose_solve_csc(self.u_factor, b)
-        z = lower_transpose_unit_solve_csc(self.l_factor, y)
-        out = np.empty_like(z)
-        # PA = LU => Aᵀ Pᵀ = UᵀLᵀ => x = Pᵀ z: x[orig_at[i]] = z[i].
-        out[self.orig_at] = z
-        return out
-
-    def slogdet(self) -> tuple[float, float]:
-        """``(sign, log|det A|)`` from the factors (NumPy convention).
-
-        ``det(A) = det(Pᵀ) · det(L) · det(U) = sign(P) · Π u_ii``. Fully
-        vectorized: the U diagonal comes out of one mask over the CSC
-        arrays, and the permutation parity comes from a pointer-doubling
-        cycle count (``sign = (-1)^(n - #cycles)``) — no per-element
-        Python loop on either side.
-        """
-        n = self.orig_at.size
-        u = self.u_factor
-        cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(u.indptr))
-        on_diag = u.indices == cols
-        if int(np.count_nonzero(on_diag)) != n:
-            return 0.0, -np.inf  # at least one structurally absent u_jj
-        dvals = u.data[on_diag]
-        if np.any(dvals == 0.0):
-            return 0.0, -np.inf
-        sign = _permutation_sign(self.orig_at)
-        if int(np.count_nonzero(dvals < 0.0)) % 2:
-            sign = -sign
-        logdet = float(np.sum(np.log(np.abs(dvals))))
-        return sign, logdet
-
-
-def _permutation_sign(perm: np.ndarray) -> float:
-    """Parity of a permutation array via pointer-doubling cycle counting.
-
-    ``rep`` converges to the minimum element of each cycle (after round
-    ``r`` it covers a window of ``2^r`` hops), so ``np.unique(rep).size``
-    is the cycle count and the parity is ``(-1)^(n - #cycles)`` —
-    O(n log n) total work with no Python-level cycle walk.
-    """
-    p = np.asarray(perm, dtype=np.int64)
-    n = p.size
-    rep = np.arange(n, dtype=np.int64)
-    hop = p.copy()
-    span = 1
-    while span < n:
-        rep = np.minimum(rep, rep[hop])
-        hop = hop[hop]
-        span *= 2
-    n_cycles = int(np.unique(rep).size)
-    return -1.0 if (n - n_cycles) % 2 else 1.0
-
 
 class LUFactorization:
     """Executes one factorization over block storage, in steps or tasks.

@@ -128,13 +128,6 @@ def upper_inverse(d: Matrix) -> Matrix:
     return x.reshape(d.shape)
 
 
-def triangular_inverses(block: Matrix) -> tuple[Matrix, Matrix]:
-    """``(L⁻¹, U⁻¹)`` of a factored diagonal block: the inverse of its unit
-    lower triangle and of its upper triangle — what turns every triangular
-    solve against the block into a GEMM."""
-    return unit_lower_inverse(block), upper_inverse(block)
-
-
 def lu_panel_flops(rows: int, w: int) -> int:
     """Flop count of :func:`lu_panel_inplace` on a ``rows x w`` panel.
 

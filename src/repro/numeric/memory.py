@@ -36,11 +36,6 @@ class MemoryReport:
         """Materialized entries over |Ā| — the amalgamation padding cost."""
         return self.panel_entries / max(1, self.nnz_fill)
 
-    @property
-    def dense_fraction(self) -> float:
-        """Panel bytes over dense bytes — how far from just going dense."""
-        return self.panel_bytes / max(1, self.dense_bytes)
-
     def summary_rows(self) -> list[tuple[str, object]]:
         return [
             ("order", self.n),

@@ -47,13 +47,6 @@ class Equilibration:
         scale = self.col_scale if y.ndim == 1 else self.col_scale[:, None]
         return y * scale
 
-    @property
-    def amplification(self) -> float:
-        """Largest scaling factor applied — a badly-scaled-input indicator."""
-        return float(
-            max(self.row_scale.max(initial=1.0), self.col_scale.max(initial=1.0))
-        )
-
 
 def equilibrate(a: CSCMatrix, *, max_sweeps: int = 2) -> Equilibration:
     """Max-norm equilibration (a couple of alternating row/column sweeps).

@@ -164,15 +164,6 @@ class SolverOptions:
         """The ``symbolic_params`` pairs as a keyword dict."""
         return dict(self.symbolic_params)
 
-    def with_recipe(self, recipe) -> "SolverOptions":
-        """Options with ``recipe``'s ordering/amalgamation knobs applied.
-
-        ``recipe`` is a :class:`repro.tune.OrderingRecipe` (duck-typed to
-        keep this module free of a ``repro.tune`` import); every field
-        the recipe does not own is carried over from ``self``.
-        """
-        return recipe.apply(self)
-
     def symbolic_key(self) -> tuple:
         """Hashable tuple of every option the symbolic phase consumes.
 
@@ -191,21 +182,6 @@ class SolverOptions:
             int(self.max_supernode),
             self.task_graph,
             self.equilibrate,
-        )
-
-    @classmethod
-    def from_symbolic_key(cls, key: tuple) -> "SolverOptions":
-        """Rebuild options from a :meth:`symbolic_key` tuple (inverse)."""
-        (ordering, params, postorder, amalg, padding, max_sn, graph, equil) = key
-        return cls(
-            ordering=ordering,
-            ordering_params=params,
-            postorder=postorder,
-            amalgamation=amalg,
-            max_padding=padding,
-            max_supernode=max_sn,
-            task_graph=graph,
-            equilibrate=equil,
         )
 
 
@@ -389,7 +365,7 @@ class SparseLUSolver:
         # Observability (docs/observability.md). The tracer always records
         # the coarse stage spans (~10 per solve); ``trace=True`` additionally
         # turns on fine-grained detail: per-kernel counters/histograms in
-        # the numeric engine and the machine-model schedule projection.
+        # the numeric engine.
         self.tracer = tracer if tracer is not None else Tracer(detail=bool(trace))
         self._plan = None  # SymbolicPlan, from analyze() / adopt_plan()
         self._fac = None  # NumericFactorization, from factorize() / refactorize()
@@ -569,11 +545,7 @@ class SparseLUSolver:
         ``n_workers`` threads/processes.
 
         With detail tracing on, the numeric engine feeds per-kernel
-        counters/histograms into ``tracer.metrics``, and the plan's task
-        graph (span ``task_graph``) is additionally projected through the
-        machine-model event simulation (span ``simulate_schedule``) so the
-        document carries the ``engine.*`` busy/idle/message metrics of the
-        paper's platform.
+        counters/histograms into ``tracer.metrics``.
         """
         self._factorize(
             self.a,
@@ -583,36 +555,7 @@ class SparseLUSolver:
             n_workers=n_workers,
             sanitizer=sanitizer,
         )
-        if self.tracer.detail:
-            self._simulate_for_trace()
         return self
-
-    def _simulate_for_trace(self, n_procs: int = 4) -> None:
-        """Detail-trace extra: event-simulate the schedule for engine metrics.
-
-        The simulation is what needs the plan's task graph on a default
-        (sequential) request, so the ``task_graph`` span lives here: it
-        covers the build when this is the graph's first use and reports
-        ``n_tasks`` / ``n_edges`` either way.
-        """
-        from repro.parallel.machine import ORIGIN2000
-        from repro.parallel.mapping import cyclic_mapping
-        from repro.parallel.simulate import simulate_schedule
-
-        plan = self._require_plan()
-        with self.tracer.span("task_graph", kind=plan.options.task_graph) as s:
-            graph = plan.graph
-            s.set(n_tasks=graph.n_tasks, n_edges=graph.n_edges)
-        machine = ORIGIN2000.with_procs(n_procs)
-        with self.tracer.span("simulate_schedule", n_procs=n_procs) as s:
-            result = simulate_schedule(
-                graph,
-                plan.bp,
-                machine,
-                cyclic_mapping(plan.bp.n_blocks, n_procs),
-                metrics=self.tracer.metrics,
-            )
-            s.set(makespan=result.makespan, efficiency=result.efficiency)
 
     def refactorize(
         self,

@@ -63,69 +63,6 @@ def upper_solve_csc(u_factor: CSCMatrix, b: np.ndarray) -> np.ndarray:
     return x[:, 0] if was_1d else x
 
 
-def sparse_lower_unit_solve_csc(
-    l_factor: CSCMatrix, b_rows: np.ndarray, b_vals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve ``L x = b`` with *sparse* ``b``, touching only the reach.
-
-    The Gilbert-Peierls insight applied at solve time (as KLU/UMFPACK do
-    for sparse right-hand sides): the nonzero set of ``x`` is the set of
-    nodes reachable from ``struct(b)`` in the graph of ``L`` (edge
-    ``j → i`` per ``l_ij ≠ 0``), discovered by DFS in topological order, so
-    the solve costs O(flops(x)) instead of O(n + flops).
-
-    Returns ``(rows, values)`` with ``rows`` sorted ascending.
-    """
-    n = l_factor.n_cols
-    b_rows = np.asarray(b_rows, dtype=np.int64)
-    b_vals = np.asarray(b_vals, dtype=np.float64)
-    if b_rows.shape != b_vals.shape or b_rows.ndim != 1:
-        raise ShapeError("b_rows/b_vals must be matching 1-D arrays")
-    if b_rows.size and (b_rows.min() < 0 or b_rows.max() >= n):
-        raise ShapeError("b row index out of range")
-
-    # DFS reach in reverse postorder.
-    marked = np.zeros(n, dtype=bool)
-    topo: list[int] = []
-    for seed in b_rows:
-        seed = int(seed)
-        if marked[seed]:
-            continue
-        marked[seed] = True
-        stack = [(seed, 0)]
-        while stack:
-            v, ptr = stack.pop()
-            rows = l_factor.col_rows(v)
-            below = rows[rows > v]
-            descended = False
-            while ptr < below.size:
-                w = int(below[ptr])
-                ptr += 1
-                if not marked[w]:
-                    marked[w] = True
-                    stack.append((v, ptr))
-                    stack.append((w, 0))
-                    descended = True
-                    break
-            if not descended:
-                topo.append(v)
-    topo.reverse()
-
-    x = np.zeros(n, dtype=np.float64)
-    x[b_rows] += b_vals
-    for v in topo:
-        xv = x[v]
-        if xv == 0.0:
-            continue
-        rows = l_factor.col_rows(v)
-        vals = l_factor.col_values(v)
-        below = rows > v
-        if np.any(below):
-            x[rows[below]] -= vals[below] * xv
-    out_rows = np.asarray(sorted(topo), dtype=np.int64)
-    return out_rows, x[out_rows]
-
-
 def lower_transpose_unit_solve_csc(l_factor: CSCMatrix, b: np.ndarray) -> np.ndarray:
     """Solve ``Lᵀ X = B`` with ``L`` unit lower triangular in CSC form.
 

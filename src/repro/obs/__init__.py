@@ -33,7 +33,6 @@ from repro.obs.export import (
     bench_document,
     chrome_trace_events,
     export_json,
-    schedule_chrome_trace,
     validate_document,
     validate_bench_document,
     write_json,
@@ -58,7 +57,6 @@ __all__ = [
     "validate_document",
     "validate_bench_document",
     "chrome_trace_events",
-    "schedule_chrome_trace",
     "write_json",
     "render_trace",
     "render_span_tree",

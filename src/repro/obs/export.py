@@ -31,16 +31,15 @@ different runs are comparable without wall-clock anchoring; a child span
 always nests inside its parent's ``[start_s, start_s + duration_s]``
 interval (validated, with float tolerance).
 
-Chrome-trace export produces the ``chrome://tracing`` / Perfetto "complete
-event" (``ph: "X"``) array form, both for real traced runs
-(:func:`chrome_trace_events`) and for simulated schedules
-(:func:`schedule_chrome_trace`), where processors become ``tid`` rows.
+Chrome-trace export (:func:`chrome_trace_events`) produces the
+``chrome://tracing`` / Perfetto "complete event" (``ph: "X"``) array form
+of a traced run.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Mapping, Optional
+from typing import Optional
 
 #: Name + version stamped into every telemetry document.
 SCHEMA = "repro.telemetry"
@@ -291,35 +290,6 @@ def chrome_trace_events(tracer) -> list[dict]:
                 "pid": 0,
                 "tid": 0,
                 "args": dict(span.attrs),
-            }
-        )
-    return events
-
-
-def schedule_chrome_trace(
-    start_times: Mapping,
-    finish_times: Mapping,
-    owners: Mapping,
-) -> list[dict]:
-    """A simulated schedule as Chrome-trace events, one ``tid`` per processor.
-
-    Feed it the ``start_times``/``finish_times``/``owners`` of an
-    :class:`repro.parallel.engine.EngineResult` produced with
-    ``record_trace=True``; load the JSON array in ``chrome://tracing`` or
-    Perfetto to scrub through the schedule.
-    """
-    events: list[dict] = []
-    for task, start in start_times.items():
-        finish = finish_times.get(task, start)
-        events.append(
-            {
-                "name": str(task),
-                "ph": "X",
-                "ts": float(start) * 1e6,
-                "dur": max(0.0, float(finish) - float(start)) * 1e6,
-                "pid": 0,
-                "tid": int(owners.get(task, 0)),
-                "args": {"kind": getattr(task, "kind", "?")},
             }
         )
     return events

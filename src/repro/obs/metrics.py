@@ -109,28 +109,6 @@ class Histogram:
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
 
-    def quantile(self, q: float) -> float:
-        """Bucket-resolution quantile estimate (upper bound of the bucket).
-
-        Returns the smallest bucket bound whose cumulative count reaches
-        ``q`` of the observations — exact to bucket granularity, which is
-        all a fixed-bound histogram can promise. The overflow bucket
-        reports the observed ``max``. Returns 0.0 when empty.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile {q} outside [0, 1]")
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        cum = 0
-        for i, c in enumerate(self.counts):
-            cum += c
-            if cum >= target:
-                if i < len(self.bounds):
-                    return self.bounds[i]
-                break
-        return float(self.max if self.max is not None else self.bounds[-1])
-
     def as_dict(self) -> dict:
         return {
             "name": self.name,
@@ -196,15 +174,6 @@ class MetricsRegistry:
     @property
     def empty(self) -> bool:
         return not (self._counters or self._gauges or self._histograms)
-
-    def counters(self) -> list[Counter]:
-        return list(self._counters.values())
-
-    def gauges(self) -> list[Gauge]:
-        return list(self._gauges.values())
-
-    def histograms(self) -> list[Histogram]:
-        return list(self._histograms.values())
 
     def get(self, name: str):
         """Look up any instrument by name (None when absent)."""

@@ -158,10 +158,6 @@ class Tracer:
         if self._stack:
             self._stack[-1].attrs.update(attrs)
 
-    @property
-    def current(self) -> Optional[Span]:
-        return self._stack[-1] if self._stack else None
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -197,9 +193,3 @@ class Tracer:
         from repro.obs.export import export_json
 
         return export_json(self, meta=meta)
-
-    def chrome_trace(self) -> list[dict]:
-        """Span tree as Chrome-trace (``chrome://tracing``) complete events."""
-        from repro.obs.export import chrome_trace_events
-
-        return chrome_trace_events(self)

@@ -36,7 +36,6 @@ from repro.ordering.etree import (
     forest_roots,
     forest_children,
     forest_children_arrays,
-    forest_depths,
     is_forest_permutation_topological,
 )
 
@@ -58,6 +57,5 @@ __all__ = [
     "forest_roots",
     "forest_children",
     "forest_children_arrays",
-    "forest_depths",
     "is_forest_permutation_topological",
 ]

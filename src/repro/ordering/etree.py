@@ -99,27 +99,6 @@ def forest_children(parent: np.ndarray) -> list[list[int]]:
     return [flat[ptr[v] : ptr[v + 1]] for v in range(len(ptr) - 1)]
 
 
-def forest_depths(parent: np.ndarray) -> np.ndarray:
-    """Depth of each node (roots have depth 0).
-
-    Pointer doubling: ``cur`` tracks a known ancestor of each node and
-    ``depth`` the distance to it; each round jumps ``cur`` to ``cur[cur]``,
-    so the loop runs O(log(max depth)) vectorized passes.
-    """
-    parent = np.asarray(parent, dtype=np.int64)
-    n = parent.size
-    self_idx = np.arange(n, dtype=np.int64)
-    cur = np.where(parent < 0, self_idx, parent)  # roots point at themselves
-    depth = (parent >= 0).astype(np.int64)
-    while True:
-        nxt = cur[cur]
-        moving = nxt != cur
-        if not bool(moving.any()):
-            return depth
-        depth[moving] += depth[cur[moving]]
-        cur[moving] = nxt[moving]
-
-
 def postorder_forest(parent: np.ndarray) -> np.ndarray:
     """Postorder permutation of a forest.
 

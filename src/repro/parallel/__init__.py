@@ -2,9 +2,8 @@
 
 The paper ran on a 16-processor SGI Origin 2000 with the RAPID runtime.
 Here the *models* — the discrete-event simulator over a calibrated machine
-(:mod:`repro.parallel.simulate`, Table 2 and Figures 5-6), the RAPID-style
-inspector (:mod:`repro.parallel.rapid`) and the dynamic runtime — sit
-beside the engines that factorize for real: one release loop
+(:mod:`repro.parallel.simulate`, Table 2 and Figures 5-6) and the dynamic
+runtime — sit beside the engines that factorize for real: one release loop
 (:mod:`repro.parallel.threads`) whose units run in pool threads or in
 worker processes (:mod:`repro.parallel.procengine`), chosen by
 :mod:`repro.parallel.dispatch`.
@@ -40,7 +39,6 @@ from repro.parallel.procengine import (
     SharedArena,
     proc_factorize,
 )
-from repro.parallel.rapid import StaticSchedule, rapid_schedule
 from repro.parallel.threads import threaded_factorize
 from repro.parallel.two_d import (
     Task2D,
@@ -72,9 +70,7 @@ __all__ = [
     "ProcPool",
     "ProcStats",
     "SharedArena",
-    "StaticSchedule",
     "proc_factorize",
-    "rapid_schedule",
     "resolve_engine",
     "run_engine",
     "threaded_factorize",

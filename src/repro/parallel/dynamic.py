@@ -141,14 +141,3 @@ class DynamicRuntime:
                 f"dynamic runtime executed {len(executed)}/{len(indeg)} tasks"
             )
         return executed
-
-    def materialize_graph(self):
-        """Expand the lazy relation into an explicit TaskGraph (testing)."""
-        from repro.taskgraph.dag import TaskGraph
-
-        g = TaskGraph()
-        for t in self.tasks():
-            g.add_task(t)
-            for s in self.successors(t):
-                g.add_edge(t, s)
-        return g

@@ -56,9 +56,7 @@ class EngineResult:
     """Outcome of one simulated run (shared by all task models).
 
     ``start_times``/``finish_times``/``owners`` are populated only under
-    ``record_trace=True``; together they are exactly what
-    :func:`repro.obs.export.schedule_chrome_trace` needs to dump the
-    schedule for ``chrome://tracing``.
+    ``record_trace=True``.
     """
 
     makespan: float
@@ -75,12 +73,6 @@ class EngineResult:
     def idle(self) -> float:
         """Total idle seconds across processors (complement of ``busy``)."""
         return self.n_procs * self.makespan - float(self.busy.sum())
-
-    def chrome_trace(self) -> list[dict]:
-        """Chrome-trace events of this run (needs ``record_trace=True``)."""
-        from repro.obs.export import schedule_chrome_trace
-
-        return schedule_chrome_trace(self.start_times, self.finish_times, self.owners)
 
     def record_metrics(self, metrics) -> None:
         """Export this run's aggregates (:func:`record_engine_metrics`)."""
@@ -99,9 +91,6 @@ class EngineResult:
     @property
     def efficiency(self) -> float:
         return float(self.busy.sum()) / (self.n_procs * self.makespan or 1.0)
-
-    def speedup_over(self, serial: "EngineResult") -> float:
-        return serial.makespan / self.makespan
 
 
 def record_engine_metrics(

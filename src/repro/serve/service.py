@@ -103,16 +103,17 @@ class PendingResult:
 
 
 class _Request:
-    """Internal queue entry (matrix + RHS + identity + bookkeeping)."""
+    """Internal queue entry (matrix + RHS + options + identity + bookkeeping)."""
 
     __slots__ = (
-        "a", "b", "fp", "batch_key", "deadline", "enqueued_at", "pending",
-        "n_rhs", "b_ndim",
+        "a", "b", "options", "fp", "batch_key", "deadline", "enqueued_at",
+        "pending", "n_rhs", "b_ndim",
     )
 
-    def __init__(self, a, b, fp, batch_key, deadline, enqueued_at, pending):
+    def __init__(self, a, b, options, fp, batch_key, deadline, enqueued_at, pending):
         self.a = a
         self.b = b  # always 2-D (n, k) internally
+        self.options = options  # the request's SolverOptions, as submitted
         self.fp = fp  # fingerprint(a), hashed once at submit
         self.batch_key = batch_key
         self.deadline = deadline  # absolute monotonic time or None
@@ -139,9 +140,10 @@ class SolverService:
     cache:
         Shared :class:`PlanCache`; one is created (with this service's
         metrics registry) when omitted. A plan-cache miss consults its
-        per-fingerprint recipe store — empty until :meth:`tune` fills it —
-        and builds the plan under the tuned recipe; the solution is the
-        same either way.
+        per-fingerprint recipe store — empty until
+        :func:`repro.tune.autotune` runs against the cache — and builds
+        the plan under the tuned recipe; the solution is the same either
+        way.
     metrics:
         Registry for the ``service.*`` instruments; shared with the
         default-constructed cache.
@@ -282,7 +284,7 @@ class SolverService:
         now = time.monotonic()
         deadline = now + deadline_s if deadline_s is not None else None
         pending = PendingResult()
-        req = _Request(a, b, fp, batch_key, deadline, now, pending)
+        req = _Request(a, b, opts, fp, batch_key, deadline, now, pending)
         req.b_ndim = orig_ndim
 
         with self._lock:
@@ -383,12 +385,12 @@ class SolverService:
 
     def _factorize(self, head: _Request):
         """Plan lookup (or build) and numeric factorization of one matrix."""
-        # Options travel inside the batch key (a hashable tuple), so
-        # equal keys really do mean one factorization serves the batch.
-        opts = self._options_from_key(head.batch_key)
-        # The recipe store is empty unless someone called tune().
+        # The batch key holds the options' symbolic key, so every request
+        # of the batch shares the head's symbolic options; ``symbolic_params``
+        # (outside the key) comes from the head's own options. The recipe
+        # store is empty unless someone ran repro.tune.autotune on the cache.
         plan = self.cache.get_or_build_tuned(
-            head.a, opts, tracer=self.tracer, fp=head.fp
+            head.a, head.options, tracer=self.tracer, fp=head.fp
         )
         return refactorize_with_plan(
             plan,
@@ -468,46 +470,6 @@ class SolverService:
                     self._h_batch.observe(n_served)
                 span.set(n_requests=n_served, n_joined=n_joined, n_solves=n_solves)
         return resolved
-
-    def _options_from_key(self, batch_key: tuple) -> SolverOptions:
-        return SolverOptions.from_symbolic_key(batch_key[1])
-
-    def tune(
-        self,
-        a: CSCMatrix,
-        *,
-        n_procs: int = 8,
-        objective: str = "time",
-        quick: bool = False,
-        candidates=None,
-        build: bool = True,
-    ):
-        """Autotune the ordering recipe for ``a``'s pattern.
-
-        Runs :func:`repro.tune.autotune` against this service's shared
-        plan cache — the winning recipe is stored per fingerprint, so
-        subsequent calls (and cold plan builds for this pattern on the
-        request path) reuse it without re-searching. With
-        ``build`` (the default) the tuned plan is also built and
-        inserted, pre-warming the pattern for the request path. Returns
-        the :class:`repro.tune.TuneResult`.
-        """
-        from repro.tune.autotune import autotune
-
-        result = autotune(
-            a,
-            candidates=candidates,
-            objective=objective,
-            n_procs=n_procs,
-            base_options=self.options,
-            cache=self.cache,
-            quick=quick,
-            tracer=self.tracer,
-            metrics=self.metrics,
-        )
-        if build:
-            self.cache.get_or_build_tuned(a, self.options, tracer=self.tracer)
-        return result
 
     def process_once(self) -> int:
         """Run one flight synchronously (no worker needed): one

@@ -20,13 +20,11 @@ from repro.sparse.convert import (
 )
 from repro.sparse.pattern import (
     ata_pattern,
-    column_patterns,
-    row_patterns,
     has_zero_free_diagonal,
     pattern_contains,
     pattern_equal,
 )
-from repro.sparse.ops import permute, matvec, extract_dense_block, lower_profile
+from repro.sparse.ops import permute, matvec
 from repro.sparse.io import (
     read_matrix_market,
     write_matrix_market,
@@ -53,15 +51,11 @@ __all__ = [
     "csc_to_scipy",
     "csc_from_scipy",
     "ata_pattern",
-    "column_patterns",
-    "row_patterns",
     "has_zero_free_diagonal",
     "pattern_contains",
     "pattern_equal",
     "permute",
     "matvec",
-    "extract_dense_block",
-    "lower_profile",
     "read_matrix_market",
     "write_matrix_market",
     "read_rutherford_boeing",

@@ -47,11 +47,6 @@ class COOBuilder:
         self._cols.append(cols)
         self._vals.append(values)
 
-    @property
-    def n_entries(self) -> int:
-        """Number of accumulated triples (before duplicate summing)."""
-        return sum(a.size for a in self._rows)
-
     def to_csc(self, *, drop_zeros: bool = False) -> CSCMatrix:
         """Compress to CSC, summing duplicates.
 

@@ -80,42 +80,3 @@ def matvec(a: CSCMatrix, x: np.ndarray) -> np.ndarray:
             else:
                 y[a.indices[lo:hi]] += a.data[lo:hi, None] * x[j]
     return y
-
-
-def extract_dense_block(
-    a: CSCMatrix, rows: np.ndarray, cols: np.ndarray
-) -> np.ndarray:
-    """Gather ``A[rows, cols]`` into a dense block (zeros where unstored).
-
-    ``rows`` must be sorted ascending; used by the supernodal factorization
-    to scatter the original values into block storage.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    out = np.zeros((rows.size, cols.size), dtype=VALUE_DTYPE)
-    if a.data is None:
-        raise PatternError("pattern-only matrix has no values")
-    if rows.size == 0:
-        return out
-    for k, j in enumerate(cols):
-        lo, hi = a.indptr[j], a.indptr[j + 1]
-        col_rows = a.indices[lo:hi]
-        pos = np.searchsorted(rows, col_rows)
-        ok = (pos < rows.size) & (rows[np.minimum(pos, rows.size - 1)] == col_rows)
-        out[pos[ok], k] = a.data[lo:hi][ok]
-    return out
-
-
-def lower_profile(a: CSCMatrix) -> tuple[int, int]:
-    """Count stored entries strictly below / strictly above the diagonal.
-
-    Returns ``(n_lower, n_upper)``; used to sanity-check the block upper
-    triangular decomposition produced by the postordering.
-    """
-    n_lower = 0
-    n_upper = 0
-    for j in range(a.n_cols):
-        rows = a.col_rows(j)
-        n_lower += int(np.count_nonzero(rows > j))
-        n_upper += int(np.count_nonzero(rows < j))
-    return n_lower, n_upper

@@ -15,19 +15,6 @@ from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
 from repro.util.errors import ShapeError
 
 
-def column_patterns(a: CSCMatrix) -> list[np.ndarray]:
-    """Per-column sorted row-index arrays (views into ``a.indices``)."""
-    return [a.col_rows(j) for j in range(a.n_cols)]
-
-
-def row_patterns(a: CSCMatrix) -> list[np.ndarray]:
-    """Per-row sorted column-index arrays (freshly allocated)."""
-    from repro.sparse.convert import csc_to_csr
-
-    r = csc_to_csr(a.pattern_only())
-    return [r.row_cols(i).copy() for i in range(a.n_rows)]
-
-
 def has_zero_free_diagonal(a: CSCMatrix) -> bool:
     """True when every diagonal position is in the stored pattern."""
     if not a.is_square:

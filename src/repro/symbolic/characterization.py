@@ -112,8 +112,10 @@ def verify_theorem2(fill: StaticFill, forest: ExtendedEForest) -> bool:
             i = int(i)
             if i == j or forest.is_ancestor(j, i):
                 continue
-            root = forest.root_of(i)
-            if not (forest.parent[root] == -1 and root < j):
+            root = i
+            while forest.parent[root] != -1:
+                root = int(forest.parent[root])
+            if root >= j:
                 return False
     return True
 

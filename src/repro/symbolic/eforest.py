@@ -104,43 +104,9 @@ class ExtendedEForest:
     _pre: np.ndarray = field(repr=False)
     _post: np.ndarray = field(repr=False)
 
-    @property
-    def n(self) -> int:
-        return self.parent.size
-
-    @property
-    def roots(self) -> np.ndarray:
-        return forest_roots(self.parent)
-
     def is_ancestor(self, a: int, d: int) -> bool:
         """True when ``a`` is an ancestor of ``d`` (or ``a == d``)."""
         return bool(self._pre[a] <= self._pre[d] and self._post[a] >= self._post[d])
-
-    def subtree(self, x: int) -> np.ndarray:
-        """All nodes of ``T[x]`` (the subtree rooted at ``x``), ascending."""
-        nodes = np.nonzero(
-            (self._pre >= self._pre[x]) & (self._post <= self._post[x])
-        )[0]
-        return nodes
-
-    def path_to_root(self, v: int) -> list[int]:
-        """``v``, parent(v), ... up to (and including) the root of its tree."""
-        out = [int(v)]
-        while self.parent[out[-1]] != -1:
-            out.append(int(self.parent[out[-1]]))
-        return out
-
-    def root_of(self, v: int) -> int:
-        return self.path_to_root(v)[-1]
-
-    def leaves(self) -> np.ndarray:
-        """Nodes with no children, ascending."""
-        return np.array(
-            [v for v in range(self.n) if not self.children[v]], dtype=np.int64
-        )
-
-    def depth(self, v: int) -> int:
-        return len(self.path_to_root(v)) - 1
 
 
 def extended_eforest(

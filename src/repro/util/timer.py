@@ -35,7 +35,3 @@ class Timer:
         assert self._start is not None
         self.elapsed = time.perf_counter() - self._start
         self._start = None
-
-    def running(self) -> bool:
-        """Return True while inside the ``with`` block."""
-        return self._start is not None

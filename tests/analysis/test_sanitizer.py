@@ -100,7 +100,7 @@ class TestCorruptedFootprints:
 
         class Recording(AccessSanitizer):
             def _record(self, region, rows, *, write):
-                step = self.current
+                step = getattr(self._local, "task", None)
                 if write and isinstance(step, int) and 0 <= step < region:
                     seen = recorded.setdefault((step, region), set())
                     seen.update(np.asarray(rows).ravel().tolist())

@@ -2,7 +2,7 @@
 
 
 from tests.conftest import random_pivot_matrix
-from repro.numeric.costs import CostModel, task_comm_bytes, task_flops
+from repro.numeric.costs import CostModel
 from repro.numeric.kernels import lu_panel_flops
 from repro.numeric.solver import SparseLUSolver
 from repro.taskgraph.tasks import enumerate_tasks, factor_task
@@ -15,9 +15,8 @@ def analyzed(seed=0, n=30):
 class TestFlops:
     def test_all_tasks_priced(self):
         s = analyzed()
-        costs = task_flops(s.bp)
-        assert set(costs) == set(enumerate_tasks(s.bp))
-        assert all(c >= 0 for c in costs.values())
+        model = CostModel(s.bp)
+        assert all(model.flops(t) >= 0 for t in enumerate_tasks(s.bp))
 
     def test_factor_cost_matches_formula(self):
         s = analyzed(1)
@@ -43,7 +42,7 @@ class TestFlops:
 class TestCommBytes:
     def test_factor_tasks_free(self):
         s = analyzed(3)
-        assert task_comm_bytes(s.bp, factor_task(0)) == 0
+        assert CostModel(s.bp).comm_bytes(factor_task(0)) == 0
 
     def test_update_tasks_cost_panel_size(self):
         s = analyzed(4)

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from repro.numeric.kernels import (
     lu_panel_flops,
     lu_panel_inplace,
-    triangular_inverses,
+    unit_lower_inverse,
     update_flops,
+    upper_inverse,
 )
 from repro.util.errors import ShapeError, SingularMatrixError
 from tests.numeric.loop_kernels import (
@@ -96,7 +97,7 @@ class TestRecursivePanelLU:
         assert np.allclose(m, ref, rtol=1e-9, atol=1e-12)
         # The L⁻¹ the elimination builds on its tags is the one a reader
         # of the finished panel derives, bit for bit.
-        assert np.array_equal(linv, triangular_inverses(m[:w])[0])
+        assert np.array_equal(linv, unit_lower_inverse(m[:w]))
 
     @pytest.mark.parametrize("rows,w", [(1, 1), (7, 1), (5, 5), (13, 13), (40, 37)])
     def test_edge_shapes(self, rows, w):
@@ -142,7 +143,7 @@ class TestTriangularInverses:
             d = np.tril(rng.uniform(-1, 1, (w, w)), -1) + np.triu(
                 rng.standard_normal((w, w))
             ) + 4.0 * np.eye(w)
-            linv, uinv = triangular_inverses(d)
+            linv, uinv = unit_lower_inverse(d), upper_inverse(d)
             eye = np.eye(w)
             assert np.allclose(linv @ (np.tril(d, -1) + eye), eye, atol=1e-12)
             assert np.allclose(np.triu(d) @ uinv, eye, atol=1e-10)
@@ -150,7 +151,7 @@ class TestTriangularInverses:
 
     def test_ignores_the_other_triangle(self):
         d = np.array([[7.0, 5.0], [2.0, 9.0]])
-        linv, uinv = triangular_inverses(d)
+        linv, uinv = unit_lower_inverse(d), upper_inverse(d)
         assert np.allclose(linv, [[1.0, 0.0], [-2.0, 1.0]])
         assert np.allclose(uinv @ np.triu(d), np.eye(2))
 
@@ -161,7 +162,7 @@ class TestTriangularInverses:
         l = np.eye(w) - np.tril(np.ones((w, w)), -1)
         rhs = np.random.default_rng(w).standard_normal((w, 7))
         x_ref = solve_unit_lower(l, rhs)
-        x = triangular_inverses(l)[0] @ rhs
+        x = unit_lower_inverse(l) @ rhs
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
     def test_upper_inverse_matches_back_substitution(self):
@@ -169,7 +170,7 @@ class TestTriangularInverses:
         u = np.triu(rng.standard_normal((24, 24))) + 5.0 * np.eye(24)
         rhs = rng.standard_normal((24, 3))
         x_ref = solve_upper(u, rhs)
-        x = triangular_inverses(u)[1] @ rhs
+        x = upper_inverse(u) @ rhs
         assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 

@@ -7,14 +7,12 @@ deep-chain, and block-triangular systems and on the seven paper analogs —
 where pivot renames carry L rows across block boundaries, outside the
 static pattern — while holding no copy of the factors; and
 ``REPRO_SOLVE=reference`` must restore the scalar path bit-for-bit. Also
-covers the ``REPRO_SOLVE`` dispatch precedence and the vectorized
-``slogdet``.
+covers the ``REPRO_SOLVE`` dispatch precedence.
 """
 
 import numpy as np
 import pytest
 
-from repro.numeric.factor import _permutation_sign
 from repro.numeric.solve_dispatch import (
     DEFAULT_IMPL,
     IMPLEMENTATIONS,
@@ -256,39 +254,3 @@ class TestDispatch:
         solver = factorized(a)
         with pytest.raises(ShapeError):
             solver.result.blocks.solve(np.ones(21))
-
-
-class TestSlogdet:
-    @pytest.mark.parametrize("seed", [0, 2, 4])
-    def test_matches_numpy(self, seed):
-        a = random_pivot_matrix(35, seed)
-        solver = solve_pipeline(a)
-        sign, logdet = solver.result.slogdet()
-        sign_np, logdet_np = np.linalg.slogdet(a.to_dense())
-        assert sign == sign_np
-        assert np.isclose(logdet, logdet_np, rtol=1e-10, atol=1e-10)
-
-    def test_permutation_sign(self):
-        assert _permutation_sign(np.array([0, 1, 2])) == 1.0
-        assert _permutation_sign(np.array([1, 0, 2])) == -1.0
-        assert _permutation_sign(np.array([1, 2, 0])) == 1.0  # 3-cycle, even
-        assert _permutation_sign(np.array([1, 0, 3, 2])) == 1.0
-        # Parity of a random permutation matches a transposition count.
-        rng = np.random.default_rng(0)
-        p = rng.permutation(50)
-        sign_np = np.linalg.det(np.eye(50)[p])
-        assert _permutation_sign(p) == np.sign(sign_np)
-
-    def test_singular_diagonal(self):
-        # Partial pivoting never *produces* a zero pivot from a nonsingular
-        # matrix, so exercise the guard by zeroing one u_jj after the fact.
-        a = random_pivot_matrix(20, 1)
-        solver = solve_pipeline(a)
-        u = solver.result.u_factor
-        j = 5
-        lo, hi = int(u.indptr[j]), int(u.indptr[j + 1])
-        pos = lo + int(np.where(u.indices[lo:hi] == j)[0][0])
-        u.data[pos] = 0.0
-        sign, logdet = solver.result.slogdet()
-        assert sign == 0.0
-        assert logdet == -np.inf

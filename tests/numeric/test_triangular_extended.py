@@ -83,26 +83,3 @@ class TestTransposeSolves:
         y = upper_transpose_solve_csc(csc_from_dense(u), b)
         ref = scipy.linalg.solve_triangular(u.T, b, lower=True)
         assert np.allclose(y, ref)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_factor_result_solve_transpose(self, seed):
-        a = random_pivot_matrix(30, seed)
-        s = SparseLUSolver(a).analyze()
-        eng = LUFactorization(s.a_work, s.bp)
-        eng.factor_sequential()
-        res = eng.extract()
-        aw = s.a_work.to_dense()
-        b = np.random.default_rng(seed).standard_normal(30)
-        x = res.solve_transpose(b)
-        assert np.allclose(aw.T @ x, b, atol=1e-6 * max(1.0, np.abs(aw).max()))
-
-    def test_transpose_multirhs(self):
-        a = random_pivot_matrix(20, 9)
-        s = SparseLUSolver(a).analyze()
-        eng = LUFactorization(s.a_work, s.bp)
-        eng.factor_sequential()
-        res = eng.extract()
-        aw = s.a_work.to_dense()
-        b = np.random.default_rng(9).standard_normal((20, 3))
-        x = res.solve_transpose(b)
-        assert np.allclose(aw.T @ x, b, atol=1e-6 * max(1.0, np.abs(aw).max()))

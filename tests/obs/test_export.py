@@ -1,13 +1,15 @@
-"""Telemetry document schema: round-trip on a real traced run, validator
-error detection, and the Chrome-trace dumps."""
+"""Telemetry document schema: round-trip on `repro trace`'s document,
+validator error detection, and the Chrome-trace dump of a span tree."""
 
+import contextlib
 import copy
+import io
 import json
 
-import numpy as np
 import pytest
 
-from repro.numeric.solver import SparseLUSolver
+from repro.api import lu
+from repro.cli import main
 from repro.obs.export import (
     BENCH_SCHEMA,
     SCHEMA,
@@ -15,7 +17,6 @@ from repro.obs.export import (
     bench_document,
     chrome_trace_events,
     export_json,
-    schedule_chrome_trace,
     validate_document,
 )
 from repro.obs.trace import Tracer
@@ -23,12 +24,14 @@ from repro.sparse.generators import paper_matrix
 
 
 @pytest.fixture(scope="module")
-def traced_doc():
-    a = paper_matrix("sherman3", scale=0.2)
-    solver = SparseLUSolver(a, trace=True)
-    solver.analyze().factorize()
-    solver.solve(np.ones(a.n_cols))
-    return solver.tracer.export(meta={"matrix": "sherman3", "scale": 0.2})
+def traced_doc(tmp_path_factory):
+    """The document ``repro trace`` writes: a detail-traced request plus
+    the simulated schedule that carries the ``engine.*`` metrics."""
+    path = tmp_path_factory.mktemp("trace") / "trace.json"
+    argv = ["trace", "sherman3", "--scale", "0.2", "--json", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    return json.loads(path.read_text())
 
 
 class TestRealRun:
@@ -56,6 +59,16 @@ class TestRealRun:
         assert {"engine.tasks", "engine.messages", "engine.busy_seconds"} <= counters
         hists = {h["name"] for h in traced_doc["metrics"]["histograms"]}
         assert "kernel.panel.width" in hists
+
+    def test_lu_trace_simulates_nothing(self):
+        a = paper_matrix("sherman3", scale=0.2)
+        doc = lu(a, trace=True).trace.export()
+        roots = {s["name"] for s in doc["spans"]}
+        assert {"analyze", "factorize"} <= roots
+        assert not roots & {"task_graph", "simulate_schedule"}
+        counters = {c["name"] for c in doc["metrics"]["counters"]}
+        assert "kernel.gemm.flops" in counters
+        assert not any(name.startswith("engine.") for name in counters)
 
 
 class TestValidatorRejects:
@@ -115,28 +128,6 @@ class TestChromeTrace:
             assert e["ph"] == "X"
             assert e["ts"] >= 0.0 and e["dur"] >= 0.0
         json.dumps(events)  # must serialize
-
-    def test_events_from_schedule(self):
-        starts = {"F(0)": 0.0, "U(0,1)": 1.0}
-        finishes = {"F(0)": 1.0, "U(0,1)": 2.5}
-        owners = {"F(0)": 0, "U(0,1)": 1}
-        events = schedule_chrome_trace(starts, finishes, owners)
-        by_name = {e["name"]: e for e in events}
-        assert by_name["F(0)"]["tid"] == 0
-        assert by_name["U(0,1)"]["ts"] == pytest.approx(1.0e6)
-        assert by_name["U(0,1)"]["dur"] == pytest.approx(1.5e6)
-
-
-class TestTracedRunHelper:
-    def test_eval_pipeline_traced_run(self):
-        from repro.eval.pipeline import traced_run
-
-        doc = traced_run("orsreg1", 0.15, meta={"purpose": "test"})
-        assert validate_document(doc) == []
-        assert doc["meta"]["matrix"] == "orsreg1"
-        assert doc["meta"]["purpose"] == "test"
-        roots = {s["name"] for s in doc["spans"]}
-        assert {"analyze", "factorize", "solve"} <= roots
 
 
 class TestBenchDocument:

@@ -50,14 +50,17 @@ class TestNesting:
         assert first.end <= second.start
 
     def test_current_and_annotate(self):
+        # annotate() lands on the current (innermost open) span, if any.
         tr = Tracer()
-        assert tr.current is None
         tr.annotate(ignored=True)  # no open span: silently dropped
-        with tr.span("stage") as s:
-            assert tr.current is s
+        with tr.span("stage"):
+            with tr.span("inner"):
+                tr.annotate(depth=2)
             tr.annotate(nnz=42)
-        assert tr.current is None
+        tr.annotate(late=True)  # closed again: dropped
         assert tr.roots[0].attrs["nnz"] == 42
+        assert tr.roots[0].children[0].attrs["depth"] == 2
+        assert "late" not in tr.roots[0].attrs
         assert "ignored" not in tr.roots[0].attrs
 
     def test_attrs_via_kwargs_and_set(self):

@@ -7,7 +7,6 @@ from repro.ordering.etree import (
     column_etree,
     forest_children,
     forest_children_arrays,
-    forest_depths,
     forest_roots,
     is_forest_permutation_topological,
     postorder_forest,
@@ -103,36 +102,6 @@ class TestForestUtilities:
         ptr, flat = forest_children_arrays(np.array([], dtype=np.int64))
         assert ptr.tolist() == [0]
         assert flat.size == 0
-
-    def test_depths(self):
-        d = forest_depths(self.parent)
-        assert d.tolist() == [2, 2, 1, 1, 1, 0, 0]
-
-    def test_depths_deep_chain(self):
-        # Exercises the pointer-doubling passes well beyond one hop:
-        # a chain 0 -> 1 -> ... -> n-1 has depth n-1-v at node v.
-        n = 5000
-        parent = np.arange(1, n + 1, dtype=np.int64)
-        parent[-1] = -1
-        d = forest_depths(parent)
-        assert np.array_equal(d, np.arange(n - 1, -1, -1))
-
-    def test_depths_match_naive_walk(self):
-        rng = np.random.default_rng(11)
-        n = 60
-        # Random forest: each node's parent is a strictly larger index.
-        parent = np.full(n, -1, dtype=np.int64)
-        for v in range(n - 1):
-            if rng.random() < 0.8:
-                parent[v] = rng.integers(v + 1, n)
-        naive = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            u, steps = v, 0
-            while parent[u] >= 0:
-                u = parent[u]
-                steps += 1
-            naive[v] = steps
-        assert np.array_equal(forest_depths(parent), naive)
 
     def test_postorder_is_topological(self):
         p = postorder_forest(self.parent)

@@ -1,9 +1,8 @@
 """Direct tests of the generic event engine."""
 
-import numpy as np
 import pytest
 
-from repro.parallel.engine import EngineResult, bottom_levels, run_event_simulation
+from repro.parallel.engine import bottom_levels, run_event_simulation
 from repro.util.errors import SchedulingError
 
 
@@ -126,8 +125,3 @@ class TestEngine:
         assert levels[d] == 1.0
         assert levels[b] == levels[c] == 2.0
         assert levels[a] == 3.0
-
-    def test_speedup_over(self):
-        r1 = EngineResult(10.0, np.array([10.0]), 0, 0, 1)
-        r2 = EngineResult(4.0, np.array([5.0, 5.0]), 0, 0, 2)
-        assert r2.speedup_over(r1) == pytest.approx(2.5)

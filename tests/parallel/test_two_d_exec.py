@@ -116,7 +116,7 @@ class TestBitwiseWithin2D:
             assert_bitwise(replay_2d(s, order=order), ref)
 
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
-    def test_threaded_engine(self, n_threads):
+    def test_threaded_engine_refuses_2d_graph(self, n_threads):
         # The 2-D graph executes as a sequential replay only: the threaded
         # engine runs block steps and refuses it before touching a panel.
         s = analyzed(1)
@@ -125,13 +125,10 @@ class TestBitwiseWithin2D:
             run_engine(eng, build_2d_graph(s.bp), "threaded", n_workers=n_threads)
         assert not eng.panel_facts and eng.n_tasks == 0
 
-    @pytest.mark.parametrize(
-        "seed,grid,n_workers", [(0, None, 2), (2, (2, 2), 4), (3, (1, 2), 2)]
-    )
-    def test_proc_engine(self, seed, grid, n_workers):
-        # ``grid`` is the pr x pc placement these cases once pinned. The
-        # proc engine runs block steps only: a 2-D graph is refused before
-        # the pool binds (no arena, no fork).
+    @pytest.mark.parametrize("seed,n_workers", [(0, 2), (2, 4), (3, 2)])
+    def test_proc_engine_refuses_2d_graph(self, seed, n_workers):
+        # The proc engine runs block steps only: a 2-D graph is refused
+        # before the pool binds (no arena, no fork).
         from repro.parallel.procengine import ProcPool
 
         s = analyzed(seed)
@@ -217,7 +214,7 @@ class TestAnalyzer2D:
 
 
 class TestObservability:
-    def test_proc_span_mapping_and_grid_gauge(self):
+    def test_proc_span_reports_workers_and_no_grid(self):
         # A proc run reports its workers and tasks; there is no grid
         # placement to report (no ``mapping`` attribute, no
         # ``factor.grid_shape`` gauge).
@@ -238,7 +235,7 @@ class TestObservability:
         assert reg.get("engine.tasks").value == count_tasks(s.bp)
         assert reg.get("factor.grid_shape") is None
 
-    def test_proc_span_1d_mapping_label(self):
+    def test_proc_span_counts_units(self):
         # A 1-D run sends one dispatch and gets one reply per unit of its cut.
         from repro.parallel.threads import release_plan
 

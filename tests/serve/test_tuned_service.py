@@ -1,4 +1,5 @@
-"""Tuned-recipe serving path: cache recipe store + SolverService.tune."""
+"""Tuned-recipe serving path: the cache's recipe store, filled by
+``repro.tune.autotune(a, cache=svc.cache)``, steers a service's cold builds."""
 
 import numpy as np
 import pytest
@@ -76,19 +77,20 @@ class TestRecipeStore:
 class TestServiceTune:
     def test_tune_stores_recipe_and_prebuilds(self, sherman):
         svc = SolverService(n_workers=0)
-        result = svc.tune(sherman, quick=True)
+        result = autotune(sherman, cache=svc.cache, quick=True)
         assert result.searched is True
         assert svc.cache.stats()["recipes"] == 1
+        svc.cache.get_or_build_tuned(sherman, svc.options)
         assert len(svc.cache) == 1  # plan pre-built under the recipe
 
-        again = svc.tune(sherman, quick=True)
+        again = autotune(sherman, cache=svc.cache, quick=True)
         assert again.searched is False
         assert again.recipe == result.recipe
         svc.close()
 
     def test_requests_use_tuned_recipe(self, sherman):
         svc = SolverService(n_workers=0)
-        result = svc.tune(sherman, quick=True)
+        result = autotune(sherman, cache=svc.cache, quick=True)
         b = np.ones(sherman.n_rows)
         p = svc.submit(sherman, b)
         svc.process_once()
@@ -108,7 +110,7 @@ class TestRecipesNeverSteerExecution:
 
     def test_plain_lookup_sharing_a_tuned_entry_runs_the_1d_graph(self, sherman):
         cache = PlanCache()
-        recipe = autotune(sherman, quick=True).recipe  # what tune() stores
+        recipe = autotune(sherman, quick=True).recipe  # what the cache stores
         cache.put_recipe(sherman, recipe)
         tuned = cache.get_or_build_tuned(sherman)
         opts = recipe.apply()
@@ -124,7 +126,7 @@ class TestRecipesNeverSteerExecution:
         b = np.ones(a.n_rows)
         tr = Tracer()
         with SolverService(n_workers=0, tracer=tr) as svc:
-            result = svc.tune(a, quick=True)
+            result = autotune(a, cache=svc.cache, quick=True)
             assert "map=" not in result.recipe.spec()
             assert residual(a, svc.solve(a, b), b) < 1e-8
             plan = svc.cache.get(a, result.recipe.apply(svc.options))

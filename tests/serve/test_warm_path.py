@@ -131,10 +131,6 @@ def test_warm_request_skips_positions_csc_and_schedule(monkeypatch):
 
     # Everything that reads the scalar factors still works from them.
     assert np.allclose(fac.solve(b, impl="reference"), x, rtol=1e-9, atol=1e-12)
-    xt = res.solve_transpose(np.ones(a.n_cols))
-    assert np.all(np.isfinite(xt))
-    sign, logdet = res.slogdet()
-    assert sign in (-1.0, 1.0) and np.isfinite(logdet)
     assert condest_1norm(fac.a_work, l, u, res.orig_at) >= 1.0
 
 

@@ -56,12 +56,6 @@ class TestBuild:
         a = b.to_csc()
         assert a.col_rows(1).tolist() == [0, 2, 4]
 
-    def test_n_entries(self):
-        b = COOBuilder(2, 2)
-        b.add(0, 0, 1.0)
-        b.add(0, 0, 1.0)
-        assert b.n_entries == 2
-
 
 class TestValidation:
     def test_out_of_range_row(self):
@@ -86,4 +80,4 @@ class TestValidation:
     def test_empty_extend_is_noop(self):
         b = COOBuilder(3, 3)
         b.extend(np.array([], dtype=int), np.array([], dtype=int), np.array([]))
-        assert b.n_entries == 0
+        assert b.to_csc().nnz == 0

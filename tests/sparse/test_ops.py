@@ -1,11 +1,10 @@
-"""Tests for permutation, matvec, and block extraction."""
+"""Tests for permutation and matvec."""
 
 import numpy as np
 import pytest
 
-from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import random_sparse
-from repro.sparse.ops import extract_dense_block, lower_profile, matvec, permute
+from repro.sparse.ops import matvec, permute
 from repro.util.errors import PatternError, ShapeError
 
 
@@ -71,30 +70,3 @@ class TestMatvec:
         a = random_sparse(5, density=0.3, seed=8).pattern_only()
         with pytest.raises(PatternError):
             matvec(a, np.ones(5))
-
-
-class TestExtractBlock:
-    def test_matches_dense_slice(self):
-        a = random_sparse(15, density=0.3, seed=9)
-        rows = np.array([1, 4, 7, 12])
-        cols = np.array([0, 3, 5])
-        block = extract_dense_block(a, rows, cols)
-        assert np.array_equal(block, a.to_dense()[np.ix_(rows, cols)])
-
-    def test_empty_selection(self):
-        a = random_sparse(5, density=0.3, seed=10)
-        block = extract_dense_block(a, np.array([], dtype=int), np.array([0]))
-        assert block.shape == (0, 1)
-
-
-class TestLowerProfile:
-    def test_counts(self):
-        dense = np.array([[1.0, 2.0], [3.0, 4.0]])
-        n_lower, n_upper = lower_profile(csc_from_dense(dense))
-        assert (n_lower, n_upper) == (1, 1)
-
-    def test_triangular(self):
-        dense = np.triu(np.ones((4, 4)))
-        n_lower, n_upper = lower_profile(csc_from_dense(dense))
-        assert n_lower == 0
-        assert n_upper == 6

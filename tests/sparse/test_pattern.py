@@ -6,11 +6,9 @@ from repro.sparse.convert import csc_from_dense, csc_to_scipy
 from repro.sparse.generators import random_sparse
 from repro.sparse.pattern import (
     ata_pattern,
-    column_patterns,
     has_zero_free_diagonal,
     pattern_contains,
     pattern_equal,
-    row_patterns,
 )
 
 
@@ -69,18 +67,3 @@ class TestContainment:
         a = csc_from_dense(np.array([[1.0, 0.0], [0.0, 0.0]]))
         b = csc_from_dense(np.array([[0.0, 0.0], [0.0, 1.0]]))
         assert not pattern_contains(a, b)
-
-
-class TestRowColPatterns:
-    def test_row_patterns(self):
-        dense = np.array([[1.0, 2.0, 0.0], [0.0, 0.0, 3.0], [4.0, 0.0, 0.0]])
-        rows = row_patterns(csc_from_dense(dense))
-        assert rows[0].tolist() == [0, 1]
-        assert rows[1].tolist() == [2]
-        assert rows[2].tolist() == [0]
-
-    def test_column_patterns(self):
-        dense = np.array([[1.0, 2.0], [3.0, 0.0]])
-        cols = column_patterns(csc_from_dense(dense))
-        assert cols[0].tolist() == [0, 1]
-        assert cols[1].tolist() == [0]

@@ -19,6 +19,7 @@ from repro.analysis import analyze_plan
 from repro.numeric.solver import SolverOptions, run_symbolic_pipeline
 from repro.obs.trace import Tracer
 from repro.ordering.transversal import zero_free_diagonal_permutation
+from repro.serve import SolverService
 from repro.serve.plan import build_plan
 from repro.sparse.generators import (
     PAPER_MATRICES,
@@ -219,8 +220,6 @@ class TestSolverPlumbing:
         plain = SolverOptions()
         knobbed = SolverOptions(symbolic_params=(("chunk", 64),))
         assert plain.symbolic_key() == knobbed.symbolic_key()
-        rebuilt = SolverOptions.from_symbolic_key(knobbed.symbolic_key())
-        assert rebuilt.symbolic_params == ()
 
     def test_pipeline_passes_knobs_to_chunked(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYMBOLIC", "chunked")
@@ -235,6 +234,17 @@ class TestSolverPlumbing:
         assert pattern_equal(art.fill.pattern, baseline.fill.pattern)
         assert np.array_equal(art.row_perm, baseline.row_perm)
         assert np.array_equal(art.col_perm, baseline.col_perm)
+
+    def test_service_cold_build_keeps_symbolic_params(self, monkeypatch):
+        # symbolic_params is outside the batch key, so a cold build must
+        # read it off the request's options, not rebuild them from the key.
+        monkeypatch.setenv("REPRO_SYMBOLIC", "chunked")
+        a = paper_matrix("sherman3", scale=0.1)
+        opts = SolverOptions(symbolic_params=(("chunk", 11),))
+        tr = Tracer()
+        with SolverService(n_workers=0, options=opts, tracer=tr) as svc:
+            svc.solve(a, np.ones(a.n_cols))
+        assert tr.find("symbolic.row_merge").attrs["chunk"] == 11
 
 
 class TestAnalyzerCleanliness:

@@ -75,23 +75,16 @@ class TestTheorems:
 
 
 class TestExtendedForest:
-    def test_subtree_and_ancestor_consistency(self):
+    def test_is_ancestor_matches_parent_walk(self):
         fill = prepared_fill(30, 3)
         forest = extended_eforest(fill)
-        for x in range(0, 30, 5):
-            sub = set(forest.subtree(x).tolist())
-            for v in range(30):
-                assert (v in sub) == forest.is_ancestor(x, v)
-
-    def test_path_to_root(self):
-        fill = prepared_fill(30, 4)
-        forest = extended_eforest(fill)
-        for v in range(0, 30, 7):
-            path = forest.path_to_root(v)
-            assert path[0] == v
-            assert forest.parent[path[-1]] == -1
-            for a, b in zip(path, path[1:]):
-                assert forest.parent[a] == b
+        for v in range(30):
+            path, u = {v}, v
+            while forest.parent[u] != -1:
+                u = int(forest.parent[u])
+                path.add(u)
+            for x in range(30):
+                assert (x in path) == forest.is_ancestor(x, v)
 
     def test_first_l_in_row(self):
         fill = prepared_fill(25, 5)
@@ -104,23 +97,3 @@ class TestExtendedForest:
         for i in range(25):
             expected = first[i] if first[i] < 25 else i
             assert forest.first_l_in_row[i] == expected
-
-    def test_leaves_have_no_children(self):
-        fill = prepared_fill(30, 6)
-        forest = extended_eforest(fill)
-        for leaf in forest.leaves():
-            assert forest.children[int(leaf)] == []
-
-    def test_depth_matches_path(self):
-        fill = prepared_fill(30, 7)
-        forest = extended_eforest(fill)
-        for v in range(0, 30, 4):
-            assert forest.depth(v) == len(forest.path_to_root(v)) - 1
-
-    def test_root_of(self):
-        fill = prepared_fill(20, 8)
-        forest = extended_eforest(fill)
-        for v in range(20):
-            r = forest.root_of(v)
-            assert forest.parent[r] == -1
-            assert forest.is_ancestor(r, v)

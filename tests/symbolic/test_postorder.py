@@ -86,11 +86,17 @@ class TestPostorderStructure:
         # Same number of roots and same multiset of subtree depths.
         before, after = po.parent_before, po.parent_after
         assert (before == -1).sum() == (after == -1).sum()
-        from repro.ordering.etree import forest_depths
 
-        assert sorted(forest_depths(before).tolist()) == sorted(
-            forest_depths(after).tolist()
-        )
+        def depths(parent):
+            out = []
+            for v in range(parent.size):
+                d = 0
+                while parent[v] >= 0:
+                    v, d = parent[v], d + 1
+                out.append(d)
+            return sorted(out)
+
+        assert depths(before) == depths(after)
 
     def test_idempotent(self):
         a = prepared(25, 4)

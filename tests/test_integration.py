@@ -4,10 +4,6 @@ import numpy as np
 import pytest
 
 from repro.numeric.solver import SolverOptions, SparseLUSolver
-from repro.parallel.machine import MachineModel
-from repro.parallel.rapid import rapid_schedule
-from repro.parallel.threads import threaded_factorize
-from repro.numeric.factor import LUFactorization
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
 
 SCALE = 0.1
@@ -40,20 +36,6 @@ def test_postorder_does_not_change_solution():
     x_po = SparseLUSolver(a, SolverOptions(postorder=True)).analyze().factorize().solve(b)
     x_no = SparseLUSolver(a, SolverOptions(postorder=False)).analyze().factorize().solve(b)
     assert np.allclose(x_po, x_no, rtol=1e-8, atol=1e-10)
-
-
-def test_rapid_schedule_threaded_execution_end_to_end():
-    """Inspector -> static schedule -> threaded executor -> solve."""
-    a = paper_matrix("sherman5", scale=SCALE)
-    solver = SparseLUSolver(a).analyze()
-    sched = rapid_schedule(solver.graph, solver.bp, MachineModel(n_procs=4))
-    eng = LUFactorization(solver.a_work, solver.bp)
-    threaded_factorize(eng, n_threads=4)
-    solver.result = eng.extract()
-    b = np.ones(a.n_cols)
-    x = solver.solve(b)
-    assert solver.residual_norm(x, b) < 1e-8
-    assert sched.predicted.makespan > 0
 
 
 def test_multiple_solves_reuse_factorization():

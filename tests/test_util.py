@@ -26,13 +26,6 @@ class TestTimer:
             time.sleep(0.01)
         assert t.elapsed >= 0.005
 
-    def test_running_flag(self):
-        t = Timer()
-        assert not t.running()
-        with t:
-            assert t.running()
-        assert not t.running()
-
     def test_reusable(self):
         t = Timer()
         with t:
