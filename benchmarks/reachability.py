@@ -8,7 +8,8 @@ per selector value (``REPRO_ENGINE``, ``REPRO_SYMBOLIC``, ``REPRO_SOLVE``,
 workers record from inside the child. Then it lists every function never
 entered with its verdict from the one verdict table, the "Reachability
 verdicts" section of docs/architecture.md, and exits 1 when an unreached
-function has no row there::
+function has no row there or a row names nothing left unreached (a
+*stale* row: its unit was deleted or is now reached)::
 
     python benchmarks/reachability.py [--report reachability.txt]
 """
@@ -218,17 +219,18 @@ def main() -> int:
         unlisted += key is None
         used.add(key)
         lines.append(f"{size:5d}  {name}  [{table[key][0] if key else 'NO VERDICT'}]")
-    # Not an error: a unit can leave the list by being reached or deleted.
-    lines += [f"stale verdict row: {key}" for key in sorted(set(table) - used)]
+    stale = sorted(set(table) - used)
+    lines += [f"stale verdict row: {key}" for key in stale]
     lines.append(
         f"{len(units) - len(unreached)}/{len(units)} functions entered; "
         f"{sum(s for _, s in unreached)}/{sum(s for _, s in units.values())} "
-        f"body lines never entered; {unlisted} without a verdict")
+        f"body lines never entered; {unlisted} without a verdict, "
+        f"{len(stale)} stale verdict rows")
     text = "\n".join(lines)
     print(text)
     if args.report:
         Path(args.report).write_text(text + "\n")
-    return 1 if unlisted else 0
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":

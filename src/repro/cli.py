@@ -18,7 +18,7 @@ Commands
 ``generate``   write a synthetic analog to a Matrix Market file.
 ``tune``       autotune the ordering recipe for one pattern (grid over
                ordering × amalgamation tolerance, ranked by the machine-
-               model makespan) and prove the second call is a recipe hit.
+               model makespan); apply the suggestion with ``--recipe``.
 """
 
 from __future__ import annotations
@@ -352,21 +352,13 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     from repro.obs.export import bench_document, validate_bench_document, write_json
-    from repro.serve.cache import PlanCache
     from repro.tune import autotune
 
     scale = 0.06 if args.quick else args.scale
     a = _load_matrix(args.matrix, scale)
-    cache = PlanCache()
-    search = dict(
-        objective=args.objective, n_procs=args.procs, cache=cache, quick=args.quick
+    result = autotune(
+        a, objective=args.objective, n_procs=args.procs, quick=args.quick
     )
-    result = autotune(a, **search)
-    # The amortization the subsystem exists for: a second call against the
-    # same cache must be a recipe hit that skips the search.
-    again = autotune(a, **search)
-    recipe_hit = (not again.searched) and again.recipe.key == result.recipe.key
-    stats = cache.stats()
     data = {
         "matrix": args.matrix,
         "scale": float(scale),
@@ -375,12 +367,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         "n_procs": args.procs,
         "quick": bool(args.quick),
         **result.as_dict(),
-        "second_call": {
-            "searched": again.searched,
-            "recipe_hit": recipe_hit,
-            "seconds": float(again.search_seconds),
-        },
-        "cache": {k: stats[k] for k in ("recipe_hits", "recipe_misses", "recipes")},
     }
     winner = data["winner"]
     text = format_table(
@@ -395,7 +381,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
             ("supernodes", winner["n_supernodes"]),
             ("flops", winner["flops"]),
             ("search seconds", round(data["search_seconds"], 3)),
-            ("second call recipe hit", recipe_hit),
         ],
         title=f"tune: {args.matrix} @ scale {scale}",
     )
@@ -429,10 +414,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
         write_json(args.json, doc)
         print(f"tune artifact written to {args.json}")
     print(text)
-    if not recipe_hit:
-        print("FAIL: second tune call re-searched (recipe store broken)",
-              file=sys.stderr)
-        return 1
     return 0
 
 

@@ -16,12 +16,16 @@ engine) is additionally gated on :attr:`Tracer.detail`, so call sites pass
 ``metrics=None`` when detail is off and pay one ``is None`` branch per
 event. ``tests/obs/test_overhead.py`` pins both properties.
 
-The span *stack* is not thread-safe; executors that run tasks concurrently
+Each thread has its own span stack: a span nests under the innermost
+span its own thread has open, and is a root when that thread has none
+open, so concurrent :class:`~repro.serve.SolverService` workers record
+one tree per flight. Executors that run tasks concurrently
 (``repro.parallel.threads``) record metrics, not spans, from workers.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Iterator, Optional
 
@@ -101,6 +105,13 @@ class _SpanContext:
         self._tracer._close(self._span)
 
 
+class _ThreadStack(threading.local):
+    """One open-span stack per thread (``__init__`` runs once per thread)."""
+
+    def __init__(self) -> None:
+        self.spans: list[Span] = []
+
+
 class Tracer:
     """Collects a forest of spans plus a metrics registry.
 
@@ -121,7 +132,7 @@ class Tracer:
         self.detail = detail
         self.metrics = MetricsRegistry()
         self.roots: list[Span] = []
-        self._stack: list[Span] = []
+        self._local = _ThreadStack()
         self.origin = time.perf_counter()
 
     # ------------------------------------------------------------------
@@ -137,26 +148,29 @@ class Tracer:
         s = Span(name, time.perf_counter())
         if attrs:
             s.attrs.update(attrs)
-        if self._stack:
-            self._stack[-1].children.append(s)
+        stack = self._local.spans
+        if stack:
+            stack[-1].children.append(s)
         else:
             self.roots.append(s)
-        self._stack.append(s)
+        stack.append(s)
         return _SpanContext(self, s)
 
     def _close(self, span: Span) -> None:
         span.end = time.perf_counter()
         # Pop through abandoned children so an exception inside a nested
         # span cannot leave the stack pointing at a closed region.
-        while self._stack:
-            top = self._stack.pop()
-            if top is span:
+        stack = self._local.spans
+        while stack:
+            if stack.pop() is span:
                 break
 
     def annotate(self, **attrs) -> None:
-        """Attach attributes to the innermost open span (no-op otherwise)."""
-        if self._stack:
-            self._stack[-1].attrs.update(attrs)
+        """Attach attributes to the innermost span this thread has open
+        (no-op otherwise)."""
+        stack = self._local.spans
+        if stack:
+            stack[-1].attrs.update(attrs)
 
     # ------------------------------------------------------------------
     # Queries

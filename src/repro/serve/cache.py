@@ -17,14 +17,10 @@ same key while it is being built wait for that build and then find the
 plan in the cache (a counted *hit*). If the build raises, the error goes
 to the builder alone: the waiters wake, and the first of them builds.
 
-Besides plans, the cache keeps a second, cheaper store: the *winning
-ordering recipe* per pattern fingerprint (:mod:`repro.tune`). Plans are
-keyed by (fingerprint, symbolic options) — two recipes for one pattern
-are two distinct plans — while recipes are keyed by fingerprint alone:
-"for this pattern, this is the tuned setting". A recipe entry is a few
-hundred bytes, so the recipe store survives plan evictions and makes a
-cold plan build for a *known* pattern reuse the tuned recipe instead of
-re-running the search.
+Plans are keyed by (fingerprint, symbolic options) and the cache stores
+nothing else: one pattern under two option sets (say, two ordering
+recipes applied with :meth:`repro.tune.OrderingRecipe.apply`) is two
+distinct plans.
 """
 
 from __future__ import annotations
@@ -48,43 +44,30 @@ class PlanCache:
     max_entries:
         Hard capacity; inserting beyond it evicts the least recently used
         plan. Must be >= 1.
-    max_recipes:
-        Capacity of the per-fingerprint recipe store (default: eight
-        recipes per plan slot — recipes are tiny and should outlive plan
-        evictions).
     metrics:
-        Registry receiving ``plan_cache.{hits,misses,evictions,collisions,
-        recipe_hits,recipe_misses}`` counters and the ``plan_cache.size``/
-        ``plan_cache.recipes`` gauges. A private registry is created when
-        omitted.
+        Registry receiving ``plan_cache.{hits,misses,evictions,collisions}``
+        counters and the ``plan_cache.size`` gauge. A private registry is
+        created when omitted.
     """
 
     def __init__(
         self,
         max_entries: int = 32,
         *,
-        max_recipes: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self.max_recipes = max_recipes if max_recipes is not None else 8 * max_entries
-        if self.max_recipes < 1:
-            raise ValueError(f"max_recipes must be >= 1, got {self.max_recipes}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.RLock()
         self._plans: "OrderedDict[tuple, SymbolicPlan]" = OrderedDict()
         self._building: "dict[tuple, threading.Event]" = {}  # keys in flight
-        self._recipes: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._hits = self.metrics.counter("plan_cache.hits")
         self._misses = self.metrics.counter("plan_cache.misses")
         self._evictions = self.metrics.counter("plan_cache.evictions")
         self._collisions = self.metrics.counter("plan_cache.collisions")
         self._size = self.metrics.gauge("plan_cache.size")
-        self._recipe_hits = self.metrics.counter("plan_cache.recipe_hits")
-        self._recipe_misses = self.metrics.counter("plan_cache.recipe_misses")
-        self._recipe_size = self.metrics.gauge("plan_cache.recipes")
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -139,16 +122,28 @@ class PlanCache:
                     self._evictions.inc()
             self._size.set(len(self._plans))
 
-    def _get_or_build(self, a: CSCMatrix, options: SolverOptions, build, fp, tracer):
-        """The plan cached for ``(a, options)``; ``build()`` makes it once.
+    def get_or_build(
+        self,
+        a: CSCMatrix,
+        options: Optional[SolverOptions] = None,
+        *,
+        tracer=None,
+        fp: Optional[PatternFingerprint] = None,
+    ) -> SymbolicPlan:
+        """Return the cached plan for ``a``, building and inserting on miss.
 
-        Single flight per key: whoever finds the key neither cached nor in
-        flight registers an event, builds outside the lock and inserts;
-        everyone else waits on that event and looks again. Which of the
-        three happened is annotated as ``plan_cache=hit|miss|waited`` on
-        the span the caller's ``tracer`` has open.
+        The build runs outside the lock (it can take seconds) and once per
+        key: whoever finds the key neither cached nor in flight registers
+        an event, builds and inserts; everyone else waits on that event
+        and looks again. Which of the three happened is annotated as
+        ``plan_cache=hit|miss|waited`` on the span the caller's ``tracer``
+        has open. ``fp`` is ``fingerprint(a)`` when the caller already
+        computed it — the lookup then hashes nothing, and
+        :meth:`SymbolicPlan.matches` remains the gate that makes a wrong
+        ``fp`` a miss, not a wrong plan.
         """
-        key = self._key(a, options, fp)
+        opts = options or SolverOptions()
+        key = self._key(a, opts, fp)
         decision = "hit"
         while True:
             with self._lock:
@@ -164,7 +159,7 @@ class PlanCache:
                 decision = "waited"
                 continue
             try:
-                plan = build()
+                plan = build_plan(a, opts, tracer=tracer)
                 self.put(plan)
                 decision = "miss"
                 break
@@ -176,104 +171,10 @@ class PlanCache:
             tracer.annotate(plan_cache=decision)
         return plan
 
-    def get_or_build(
-        self,
-        a: CSCMatrix,
-        options: Optional[SolverOptions] = None,
-        *,
-        tracer=None,
-        fp: Optional[PatternFingerprint] = None,
-    ) -> SymbolicPlan:
-        """Return the cached plan for ``a``, building and inserting on miss.
-
-        The build runs outside the lock (it can take seconds) and once:
-        concurrent callers for the same cold pattern wait for it. ``fp``
-        is ``fingerprint(a)`` when the caller already computed it — the
-        lookup then hashes nothing, and :meth:`SymbolicPlan.matches`
-        remains the gate that makes a wrong ``fp`` a miss, not a wrong plan.
-        """
-        opts = options or SolverOptions()
-        return self._get_or_build(
-            a, opts, lambda: build_plan(a, opts, tracer=tracer), fp, tracer
-        )
-
-    def get_or_build_tuned(
-        self,
-        a: CSCMatrix,
-        options: Optional[SolverOptions] = None,
-        *,
-        tracer=None,
-        fp: Optional[PatternFingerprint] = None,
-    ) -> SymbolicPlan:
-        """:meth:`get_or_build`, redirected through the tuned recipe.
-
-        When the recipe store holds a winner for ``a``'s pattern (counted
-        as a recipe hit), its knobs are applied on top of ``options``
-        before the plan lookup/build — a cache miss for a *known* pattern
-        reuses the tuned recipe instead of re-running (or never running)
-        the search. Without a stored recipe this is exactly
-        :meth:`get_or_build`.
-        """
-        opts = options or SolverOptions()
-        entry = self.get_recipe(fp or a)
-        if entry is None:
-            return self.get_or_build(a, opts, tracer=tracer, fp=fp)
-        recipe = entry[0]
-        return self._get_or_build(
-            a,
-            recipe.apply(opts),
-            lambda: build_plan(a, opts, recipe=recipe, tracer=tracer),
-            fp,
-            tracer,
-        )
-
-    # ---- per-fingerprint recipe store (repro.tune) -------------------
-    @staticmethod
-    def _recipe_key(a) -> tuple:
-        """``a`` may be a pattern matrix or a ``PatternFingerprint``."""
-        key = getattr(a, "key", None)
-        if key is not None:
-            return key
-        return fingerprint(a).key
-
-    def get_recipe(self, a):
-        """The tuned ``(recipe, score)`` for ``a``'s pattern, or ``None``.
-
-        ``a`` is a :class:`CSCMatrix` (pattern-only is fine) or an
-        already-computed :class:`~repro.serve.fingerprint.PatternFingerprint`.
-        Counted as ``plan_cache.recipe_hits`` / ``recipe_misses``.
-        """
-        key = self._recipe_key(a)
-        with self._lock:
-            entry = self._recipes.get(key)
-            if entry is not None:
-                self._recipes.move_to_end(key)
-                self._recipe_hits.inc()
-                return entry
-            self._recipe_misses.inc()
-            return None
-
-    def put_recipe(self, a, recipe, score=None) -> None:
-        """Store the winning ``recipe`` (+ optional score) for a pattern.
-
-        ``recipe`` is a :class:`repro.tune.OrderingRecipe`; ``score`` the
-        :class:`repro.tune.RecipeScore` that selected it (kept so recipe
-        hits can report the predicted cost without re-evaluating).
-        """
-        key = self._recipe_key(a)
-        with self._lock:
-            self._recipes[key] = (recipe, score)
-            self._recipes.move_to_end(key)
-            while len(self._recipes) > self.max_recipes:
-                self._recipes.popitem(last=False)
-            self._recipe_size.set(len(self._recipes))
-
     def clear(self) -> None:
         with self._lock:
             self._plans.clear()
-            self._recipes.clear()
             self._size.set(0)
-            self._recipe_size.set(0)
 
     def stats(self) -> dict:
         """Point-in-time counter snapshot (plain numbers, for reports)."""
@@ -289,7 +190,4 @@ class PlanCache:
                 "evictions": int(self._evictions.value),
                 "collisions": int(self._collisions.value),
                 "hit_rate": hits / total if total else 0.0,
-                "recipes": len(self._recipes),
-                "recipe_hits": int(self._recipe_hits.value),
-                "recipe_misses": int(self._recipe_misses.value),
             }

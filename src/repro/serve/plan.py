@@ -22,10 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.tune
-    from repro.tune.recipe import OrderingRecipe
+from typing import Optional
 
 import numpy as np
 
@@ -85,12 +82,6 @@ class SymbolicPlan:
     #: Inverse of ``row_perm``, so every solve permutes its RHS with a
     #: single gather.
     row_perm_inv: np.ndarray
-    #: The tuned :class:`~repro.tune.OrderingRecipe` this plan was built
-    #: from, when one was supplied (``build_plan(recipe=...)`` or the
-    #: autotuned serving path); ``None`` for plain-options builds. The
-    #: recipe's knobs are *also* folded into ``options`` — this field
-    #: records provenance, ``options`` carries the cache identity.
-    recipe: "OrderingRecipe | None" = None
 
     # ---- identity -----------------------------------------------------
     @property
@@ -186,7 +177,6 @@ def build_plan(
     a: CSCMatrix,
     options: Optional[SolverOptions] = None,
     *,
-    recipe: "OrderingRecipe | None" = None,
     tracer: Optional[Tracer] = None,
 ) -> SymbolicPlan:
     """Run the symbolic pipeline on ``a``'s pattern and freeze the result.
@@ -194,24 +184,19 @@ def build_plan(
     The one constructor of plans, and the whole symbolic phase of every
     request path: a cold request is this plus the warm path
     (:func:`repro.serve.refactor.refactorize_with_plan`). ``a`` may be
-    pattern-only. When ``recipe`` (a :class:`repro.tune.OrderingRecipe`) is
-    given, its ordering and amalgamation knobs are applied on top of
-    ``options`` and the plan records the recipe as its provenance. When
-    ``tracer`` is given, the symbolic stages record their usual spans
+    pattern-only; an ordering recipe reaches it as ``recipe.apply(options)``
+    (:meth:`repro.tune.OrderingRecipe.apply`). When ``tracer`` is given, the symbolic stages record their usual spans
     (``transversal`` … ``supernodes``) under an ``analyze`` parent.
     """
     from repro.symbolic.dispatch import resolve_impl
 
     opts = options or SolverOptions()
-    if recipe is not None:
-        opts = recipe.apply(opts)
     tr = tracer if tracer is not None else Tracer(enabled=False)
     with tr.span(
         "analyze",
         n=a.n_cols,
         nnz=a.nnz,
         symbolic_impl=resolve_impl(),
-        recipe=recipe.spec() if recipe is not None else "",
     ) as s:
         art = run_symbolic_pipeline(a.pattern_only(), opts, tr)
         s.set(nnz_filled=art.fill.nnz, fill_ratio=art.fill.fill_ratio)
@@ -223,7 +208,6 @@ def build_plan(
             artifacts=art,
             layout=BlockLayout(art.bp),
             row_perm_inv=_inverse_perm(art.row_perm),
-            recipe=recipe,
         )
     from repro.analysis.runner import analysis_enabled
 

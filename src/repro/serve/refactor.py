@@ -137,8 +137,7 @@ def refactorize_with_plan(
     precedence (argument > ``$REPRO_ENGINE`` > sequential,
     :mod:`repro.parallel.dispatch`); the parallel engines produce factors
     bitwise identical to the sequential order. Every plan runs its block
-    steps under the engine's own placement, tuned recipe or not — a
-    recipe is symbolic and never steers execution. ``order`` instead
+    steps under the engine's own placement. ``order`` instead
     replays an explicit topological order of ``plan.graph`` sequentially
     (:func:`repro.parallel.dispatch.replay_order`) — an order *is* a
     schedule, so it excludes ``engine=``. ``pool``

@@ -139,11 +139,8 @@ class SolverService:
         for its matrix.
     cache:
         Shared :class:`PlanCache`; one is created (with this service's
-        metrics registry) when omitted. A plan-cache miss consults its
-        per-fingerprint recipe store — empty until
-        :func:`repro.tune.autotune` runs against the cache — and builds
-        the plan under the tuned recipe; the solution is the same either
-        way.
+        metrics registry) when omitted. A plan-cache miss builds the plan
+        from the request's own options.
     metrics:
         Registry for the ``service.*`` instruments; shared with the
         default-constructed cache.
@@ -387,9 +384,8 @@ class SolverService:
         """Plan lookup (or build) and numeric factorization of one matrix."""
         # The batch key holds the options' symbolic key, so every request
         # of the batch shares the head's symbolic options; ``symbolic_params``
-        # (outside the key) comes from the head's own options. The recipe
-        # store is empty unless someone ran repro.tune.autotune on the cache.
-        plan = self.cache.get_or_build_tuned(
+        # (outside the key) comes from the head's own options.
+        plan = self.cache.get_or_build(
             head.a, head.options, tracer=self.tracer, fp=head.fp
         )
         return refactorize_with_plan(

@@ -9,10 +9,10 @@ This package closes the loop:
   setting, hashable and serializable;
 * :func:`evaluate_recipe` — symbolic-only scoring: fill, the Luce/Ng
   FLOPs objective, and the α-β machine-model makespan at P processors;
-* :func:`autotune` — deterministic grid search returning the best recipe
-  under the chosen objective, with per-fingerprint recipe reuse through
-  :class:`repro.serve.PlanCache` so the search cost amortizes across the
-  serving workload.
+* :func:`autotune` — deterministic, offline grid search returning the
+  best recipe under the chosen objective; a caller applies it with
+  ``recipe.apply(options)``. The ranking is the simulated Origin-2000
+  makespan, not this host's clock (docs/ordering.md).
 
 CLI: ``repro tune``; per-ordering scores and wall times:
 ``benchmarks/bench_ablation_ordering.py``. Guide: docs/ordering.md.

@@ -3,18 +3,14 @@
 ``autotune(a)`` scores a candidate grid of :class:`OrderingRecipe`\\ s with
 the symbolic-only evaluator (:mod:`repro.tune.cost`) and returns the
 winner under the requested objective (predicted T(P) by default). The
-search is pure pattern analysis — it can run ahead of any numeric work —
-and its cost amortizes across the serving workload: pass a
-:class:`~repro.serve.PlanCache` and the winning recipe is stored per
-pattern fingerprint, so the *next* ``autotune`` (or a
-:class:`~repro.serve.SolverService` cache miss) for the same pattern is a
-recipe hit that skips the whole search.
+search is pure pattern analysis and offline: it suggests a recipe, and a
+caller that wants it builds plans from ``recipe.apply(options)``.
 
 Observability: the search runs under a ``tune.search`` span with one
 ``tune.candidate`` child per evaluation, and feeds ``tune.searches`` /
-``tune.candidates`` / ``tune.recipe_hits`` counters plus the
-``tune.search_seconds`` histogram into the provided metrics registry
-(names catalogued in docs/observability.md).
+``tune.candidates`` counters plus the ``tune.search_seconds`` histogram
+into the provided metrics registry (names catalogued in
+docs/observability.md).
 """
 
 from __future__ import annotations
@@ -76,19 +72,15 @@ class TuneResult:
 
     recipe: OrderingRecipe
     score: RecipeScore
-    #: Every evaluated candidate, best first (just the winner on a hit).
+    #: Every evaluated candidate, best first.
     scores: tuple[RecipeScore, ...]
     objective: str
-    #: False when the recipe came from the cache's per-fingerprint store
-    #: (no candidate was evaluated).
-    searched: bool
     search_seconds: float
 
     def as_dict(self) -> dict:
         return {
             "recipe": self.recipe.spec(),
             "objective": self.objective,
-            "searched": self.searched,
             "search_seconds": float(self.search_seconds),
             "winner": self.score.as_dict(),
             "candidates": [s.as_dict() for s in self.scores],
@@ -102,9 +94,7 @@ def autotune(
     objective: str = "time",
     n_procs: int = 8,
     machine: MachineModel = ORIGIN2000,
-    mapping: str = "cyclic",
     base_options: Optional[SolverOptions] = None,
-    cache=None,
     quick: bool = False,
     tracer: Optional[Tracer] = None,
     metrics: Optional[MetricsRegistry] = None,
@@ -119,11 +109,6 @@ def autotune(
         ``"time"`` (simulator-predicted makespan at ``n_procs``, the
         default), ``"flops"``, or ``"fill"``. Ties break on the remaining
         objectives, then the recipe spec — fully deterministic.
-    cache:
-        Optional :class:`repro.serve.PlanCache`. When given, a stored
-        recipe for this fingerprint short-circuits the search (a *recipe
-        hit* — no candidate evaluation), and a fresh search stores its
-        winner for the next caller.
     quick:
         Use the trimmed candidate grid (CI smoke runs).
     """
@@ -133,35 +118,12 @@ def autotune(
     reg = metrics if metrics is not None else MetricsRegistry()
     m_searches = reg.counter("tune.searches")
     m_candidates = reg.counter("tune.candidates")
-    m_hits = reg.counter("tune.recipe_hits")
     h_seconds = reg.histogram("tune.search_seconds", unit="s", bounds=SEARCH_BOUNDS)
 
     t0 = time.perf_counter()
     with tr.span(
         "tune.search", n=a.n_cols, nnz=a.nnz, objective=objective, n_procs=n_procs
     ) as span:
-        if cache is not None:
-            stored = cache.get_recipe(a)
-            if stored is not None:
-                recipe, score = stored
-                if score is None:
-                    score = evaluate_recipe(
-                        a, recipe, n_procs=n_procs, machine=machine,
-                        mapping=mapping, base_options=base_options, tracer=tr,
-                    )
-                m_hits.inc()
-                elapsed = time.perf_counter() - t0
-                h_seconds.observe(elapsed)
-                span.set(cached=True, recipe=recipe.spec(), n_candidates=0)
-                return TuneResult(
-                    recipe=recipe,
-                    score=score,
-                    scores=(score,),
-                    objective=objective,
-                    searched=False,
-                    search_seconds=elapsed,
-                )
-
         grid = tuple(candidates) if candidates is not None else default_candidates(
             quick=quick
         )
@@ -172,19 +134,16 @@ def autotune(
             scores.append(
                 evaluate_recipe(
                     a, recipe, n_procs=n_procs, machine=machine,
-                    mapping=mapping, base_options=base_options, tracer=tr,
+                    base_options=base_options, tracer=tr,
                 )
             )
             m_candidates.inc()
         scores.sort(key=lambda s: s.sort_key(objective))
         best = scores[0]
         m_searches.inc()
-        if cache is not None:
-            cache.put_recipe(a, best.recipe, best)
         elapsed = time.perf_counter() - t0
         h_seconds.observe(elapsed)
         span.set(
-            cached=False,
             recipe=best.recipe.spec(),
             n_candidates=len(scores),
             predicted_time=best.predicted_time,
@@ -194,6 +153,5 @@ def autotune(
         score=best,
         scores=tuple(scores),
         objective=objective,
-        searched=True,
         search_seconds=elapsed,
     )

@@ -93,24 +93,6 @@ class RecipeScore:
             "comm_bytes": int(self.comm_bytes),
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RecipeScore":
-        return cls(
-            recipe=OrderingRecipe.parse(d["recipe"]),
-            n=int(d["n"]),
-            nnz=int(d["nnz"]),
-            nnz_filled=int(d["nnz_filled"]),
-            fill_ratio=float(d["fill_ratio"]),
-            n_supernodes=int(d["n_supernodes"]),
-            mean_supernode_size=float(d["mean_supernode_size"]),
-            n_tasks=int(d["n_tasks"]),
-            flops=int(d["flops"]),
-            predicted_time=float(d["predicted_time"]),
-            n_procs=int(d["n_procs"]),
-            efficiency=float(d["efficiency"]),
-            comm_bytes=int(d["comm_bytes"]),
-        )
-
 
 def evaluate_recipe(
     a: CSCMatrix,
@@ -118,7 +100,6 @@ def evaluate_recipe(
     *,
     n_procs: int = 8,
     machine: MachineModel = ORIGIN2000,
-    mapping: str = "cyclic",
     base_options: Optional[SolverOptions] = None,
     tracer: Optional[Tracer] = None,
 ) -> RecipeScore:
@@ -126,8 +107,7 @@ def evaluate_recipe(
 
     The simulation setup (cyclic 1-D mapping, ORIGIN2000 model) matches
     the ordering ablation's, so predicted times are directly comparable
-    to ``benchmarks/results/ablation_ordering.txt`` rows; ``mapping``
-    names another 1-D policy of :func:`repro.parallel.mapping.make_mapping`.
+    to ``benchmarks/results/ablation_ordering.txt`` rows.
     """
     tr = tracer if tracer is not None else Tracer(enabled=False)
     opts = recipe.apply(base_options)
@@ -135,7 +115,6 @@ def evaluate_recipe(
         "tune.candidate",
         recipe=recipe.spec(),
         n_procs=n_procs,
-        mapping=mapping,
     ) as s:
         art = run_symbolic_pipeline(a.pattern_only(), opts, tracer=tr)
         model = CostModel(art.bp)
@@ -144,7 +123,7 @@ def evaluate_recipe(
             art.graph,
             art.bp,
             machine.with_procs(n_procs),
-            make_mapping(mapping, art.bp, n_procs),
+            make_mapping("cyclic", art.bp, n_procs),
         )
         score = RecipeScore(
             recipe=recipe,

@@ -1,4 +1,4 @@
-"""Ordering recipes: the unit the autotuner searches over and caches.
+"""Ordering recipes: the unit the autotuner searches over.
 
 An :class:`OrderingRecipe` bundles exactly the symbolic knobs our
 ablations show interact — the fill-reducing ordering (plus its
@@ -7,7 +7,7 @@ halves fill on sherman3 yet *loses* at P=8 because supernodes fragment
 (668 vs 83, ``benchmarks/results/ablation_ordering.txt``); a recipe is
 the joint setting that has to be tuned per pattern, not per knob.
 
-Recipes are frozen, hashable, and round-trip through dicts and a compact
+Recipes are frozen, hashable, and round-trip through a compact
 ``spec`` string (``amd``, ``dissect:leaf_size=96,pad=0.4``) used by the
 ``repro analyze --recipe`` / ``repro tune`` CLIs.
 """
@@ -112,28 +112,6 @@ class OrderingRecipe:
             max_supernode=int(self.max_supernode),
         )
 
-    @classmethod
-    def from_options(cls, options: SolverOptions) -> "OrderingRecipe":
-        """The recipe embedded in ``options`` (inverse of :meth:`apply`)."""
-        return cls(
-            ordering=options.ordering,
-            params=options.ordering_params,
-            amalgamation=options.amalgamation,
-            max_padding=float(options.max_padding),
-            max_supernode=int(options.max_supernode),
-        )
-
-    @property
-    def key(self) -> tuple:
-        """Hashable identity (what the recipe store compares)."""
-        return (
-            self.ordering,
-            self.params,
-            self.amalgamation,
-            float(self.max_padding),
-            int(self.max_supernode),
-        )
-
     # ------------------------------------------------------------------
     def spec(self) -> str:
         """Compact CLI form, parseable by :meth:`parse`."""
@@ -172,32 +150,6 @@ class OrderingRecipe:
                 params.append((name, _coerce(value)))
         kwargs["params"] = tuple(params)
         return cls(**kwargs)
-
-    # ------------------------------------------------------------------
-    def as_dict(self) -> dict:
-        """JSON-ready form (tuples become lists)."""
-        return {
-            "ordering": self.ordering,
-            "params": [[k, v] for k, v in self.params],
-            "amalgamation": self.amalgamation,
-            "max_padding": float(self.max_padding),
-            "max_supernode": int(self.max_supernode),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OrderingRecipe":
-        """Inverse of :meth:`as_dict`. Dicts stored before mappings left
-        recipes carry ``"mapping": "cyclic"`` (the 1-D default every plan
-        still runs under), which is accepted; any other value is refused."""
-        if d.get("mapping", "cyclic") != "cyclic":
-            raise ValueError(_MAPPING_REMOVED.format(d["mapping"]))
-        return cls(
-            ordering=d["ordering"],
-            params=tuple((k, v) for k, v in d.get("params", ())),
-            amalgamation=bool(d.get("amalgamation", True)),
-            max_padding=float(d.get("max_padding", DEFAULT_MAX_PADDING)),
-            max_supernode=int(d.get("max_supernode", DEFAULT_MAX_SUPERNODE)),
-        )
 
     def __str__(self) -> str:
         return self.spec()

@@ -18,7 +18,7 @@ from repro.tune import autotune, default_candidates
 )
 def test_candidate_grid_plans_zero_findings(recipe):
     a = paper_matrix("sherman3", scale=0.08)
-    plan = build_plan(a, recipe=recipe)
+    plan = build_plan(a, recipe.apply())
     report = analyze_plan(plan, name=recipe.spec())
     assert report.ok, report.render()
 
@@ -26,6 +26,6 @@ def test_candidate_grid_plans_zero_findings(recipe):
 def test_autotuned_winner_zero_findings():
     a = paper_matrix("sherman5", scale=0.08)
     result = autotune(a, quick=True)
-    plan = build_plan(a, recipe=result.recipe)
+    plan = build_plan(a, result.recipe.apply())
     report = analyze_plan(plan, name=result.recipe.spec())
     assert report.ok, report.render()

@@ -1,8 +1,14 @@
-"""Span tree mechanics: nesting, ordering, the disabled no-op path."""
+"""Span tree mechanics: nesting, ordering, threads, the disabled no-op path."""
 
+import threading
+
+import numpy as np
 import pytest
 
+import repro.serve.service as service_mod
 from repro.obs.trace import NULL_SPAN, Span, Tracer
+from repro.serve import SolverService, refactorize_with_plan
+from tests.conftest import random_pivot_matrix
 
 
 class TestNesting:
@@ -131,3 +137,74 @@ class TestStageSeconds:
     def test_open_span_counts_zero(self):
         s = Span("open", 0.0)
         assert s.duration == 0.0
+
+
+class TestThreads:
+    """Each thread nests its spans under its own open span, never another's."""
+
+    def test_threads_keep_their_own_stacks(self):
+        tr = Tracer()
+        opened = threading.Barrier(2, timeout=30)
+
+        def work(name):
+            with tr.span(name):
+                opened.wait()  # both roots are open at once
+                with tr.span(name + ".child"):
+                    tr.annotate(owner=name)
+                opened.wait()
+
+        threads = [threading.Thread(target=work, args=(n,)) for n in "ab"]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert sorted(s.name for s in tr.roots) == ["a", "b"]
+        for root in tr.roots:
+            (child,) = root.children
+            assert child.name == root.name + ".child"
+            assert child.attrs == {"owner": root.name}
+
+    def test_concurrent_service_workers_root_every_batch(self, monkeypatch):
+        # Two workers, two patterns: both flights are held open until the
+        # other has started, so their spans are recorded concurrently.
+        both_in_flight = threading.Barrier(2, timeout=30)
+        calls = []
+        lock = threading.Lock()
+
+        def held(plan, a, **kwargs):
+            with lock:
+                calls.append(a)
+                first_two = len(calls) <= 2
+            if first_two:
+                both_in_flight.wait()
+            return refactorize_with_plan(plan, a, **kwargs)
+
+        monkeypatch.setattr(service_mod, "refactorize_with_plan", held)
+        mats = [random_pivot_matrix(30, seed) for seed in (1, 2)]
+        b = np.ones(30)
+        tr = Tracer()
+        with SolverService(n_workers=2, tracer=tr) as svc:
+            first = [svc.submit(a, b) for a in mats]
+            for p in first:
+                p.result(30)
+
+            def client(a):
+                for _ in range(3):
+                    svc.solve(a, b)
+
+            clients = [threading.Thread(target=client, args=(a,)) for a in mats]
+            for t in clients:
+                t.start()
+            for t in clients:
+                t.join(30)
+        assert len(calls) >= 2
+        assert {s.name for s in tr.roots} == {"service.batch"}
+        for root in tr.roots:
+            # One flight: its own cache decision, one factorization, the
+            # solves it served, and an analyze only when it built the plan.
+            assert root.attrs["plan_cache"] in ("hit", "miss", "waited")
+            names = [s.name for s in root.walk()][1:]
+            assert "service.batch" not in names
+            assert names.count("factorize") == 1 and names.count("solve") >= 1
+            assert names.count("analyze") == (root.attrs["plan_cache"] == "miss")
+        assert sum(1 for s in tr.walk() if s.name == "analyze") == len(mats)

@@ -164,19 +164,6 @@ class TestSingleFlightBuilds:
         assert (st["misses"], st["hits"]) == (1, n_threads - 1)
         assert not cache._building
 
-    def test_tuned_path_shares_the_flight(self, monkeypatch):
-        from repro.tune import OrderingRecipe
-
-        calls = self._slow_counting_build(monkeypatch)
-        cache = PlanCache(max_entries=4)
-        a = random_pivot_matrix(30, 12)
-        cache.put_recipe(a, OrderingRecipe(ordering="rcm"))
-        plans, errors = self._race(4, lambda: cache.get_or_build_tuned(a))
-        assert not errors and len(calls) == 1
-        assert all(p is plans[0] for p in plans)
-        assert plans[0].options.ordering == "rcm"
-        assert cache.stats()["misses"] == 1
-
     def test_distinct_patterns_build_concurrently(self, monkeypatch):
         calls = self._slow_counting_build(monkeypatch)
         cache = PlanCache(max_entries=4)

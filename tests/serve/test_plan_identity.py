@@ -1,17 +1,21 @@
 """Plan identity: one pattern under two recipes is two distinct plans.
 
-Regression for the recipe subsystem: before ordering recipes, plan
-identity was effectively the pattern fingerprint; now the cache must key
-on (fingerprint, symbolic options) or a tuned plan would shadow an
-untuned one for the same matrix.
+Plan identity is (fingerprint, symbolic options), not the fingerprint
+alone, so the cache must key on both or a plan built from
+``recipe.apply(options)`` would shadow the default one for the same
+matrix.
 """
 
 import numpy as np
 
 from repro.numeric.solver import SolverOptions
+from repro.obs.trace import Tracer
+from repro.serve import SolverService
 from repro.serve.cache import PlanCache
 from repro.serve.plan import build_plan
 from repro.sparse.generators import paper_matrix
+from repro.sparse.ops import matvec
+from repro.taskgraph.tasks import count_tasks
 from repro.tune import OrderingRecipe
 
 
@@ -31,7 +35,7 @@ class TestPlanIdentity:
     def test_same_pattern_different_recipes_unequal(self):
         a = sherman()
         plain = build_plan(a)
-        tuned = build_plan(a, recipe=OrderingRecipe(ordering="rcm"))
+        tuned = build_plan(a, OrderingRecipe(ordering="rcm").apply())
         assert plain != tuned
         assert plain.identity != tuned.identity
         assert plain.fingerprint.key == tuned.fingerprint.key
@@ -46,13 +50,6 @@ class TestPlanIdentity:
             ordering="dissect", params=(("leaf_size", 128),)
         ).apply(base)
         assert a.symbolic_key() != b.symbolic_key()
-
-    def test_recipe_provenance_recorded(self):
-        a = sherman()
-        r = OrderingRecipe(ordering="amd")
-        plan = build_plan(a, recipe=r)
-        assert plan.recipe == r
-        assert plan.options.ordering == "amd"
 
     def test_not_equal_to_other_types(self):
         plan = build_plan(sherman())
@@ -80,5 +77,19 @@ class TestCacheKeying:
     def test_plans_structurally_differ(self):
         a = sherman()
         plain = build_plan(a)
-        tuned = build_plan(a, recipe=OrderingRecipe(ordering="rcm"))
+        tuned = build_plan(a, OrderingRecipe(ordering="rcm").apply())
         assert not np.array_equal(plain.col_perm, tuned.col_perm)
+
+    def test_service_under_recipe_options_runs_every_step(self):
+        # A recipe is symbolic: a service whose options come from one
+        # caches the plan under those options and runs its 1-D steps.
+        a = paper_matrix("sherman3", scale=0.1)
+        b = np.ones(a.n_rows)
+        opts = OrderingRecipe(ordering="rcm").apply()
+        tr = Tracer()
+        with SolverService(n_workers=0, tracer=tr, options=opts) as svc:
+            x = svc.solve(a, b)
+            plan = svc.cache.get(a, opts)
+        assert np.max(np.abs(matvec(a, x) - b)) < 1e-8 * np.max(np.abs(b))
+        assert plan is not None and plan.options.ordering == "rcm"
+        assert tr.find("factorize").attrs["n_tasks"] == count_tasks(plan.bp)

@@ -1,10 +1,7 @@
-"""Autotuner search, acceptance bar, and per-pattern recipe amortization."""
+"""Autotuner search and its acceptance bar."""
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer
-from repro.serve.cache import PlanCache
 from repro.sparse.generators import paper_matrix
 from repro.tune import (
     OrderingRecipe,
@@ -80,59 +77,9 @@ class TestSearch:
         assert result.recipe == only[0]
         assert len(result.scores) == 1
 
-
-class TestRecipeAmortization:
-    """Second tune call for a known pattern must skip the search."""
-
-    def test_second_call_is_recipe_hit(self, sherman3):
-        reg = MetricsRegistry()
-        tr = Tracer()
-        cache = PlanCache(metrics=reg)
-        first = autotune(
-            sherman3, quick=True, cache=cache, tracer=tr, metrics=reg
-        )
-        second = autotune(
-            sherman3, quick=True, cache=cache, tracer=tr, metrics=reg
-        )
-        assert first.searched is True
-        assert second.searched is False
-        assert second.recipe == first.recipe
-        assert second.score == first.score
-
-        # Metrics: one search, one recipe hit on each ledger.
-        assert reg.get("tune.searches").value == 1
-        assert reg.get("tune.recipe_hits").value == 1
-        assert reg.get("plan_cache.recipe_hits").value == 1
-        assert reg.get("tune.candidates").value == len(first.scores)
-
-        # Spans: the second tune.search is marked cached and evaluated
-        # no candidates (no tune.candidate children).
-        searches = [s for s in tr.walk() if s.name == "tune.search"]
-        assert len(searches) == 2
-        assert searches[0].attrs["cached"] is False
-        assert searches[1].attrs["cached"] is True
-        assert searches[1].attrs["n_candidates"] == 0
-        assert not [
-            c for c in searches[1].walk() if c.name == "tune.candidate"
-        ]
-
-    def test_no_cache_always_searches(self, sherman3):
-        a = autotune(sherman3, quick=True)
-        b = autotune(sherman3, quick=True)
-        assert a.searched and b.searched
-
-    def test_distinct_patterns_distinct_entries(self, sherman3):
-        cache = PlanCache()
-        other = paper_matrix("sherman5", scale=0.08)
-        r3 = autotune(sherman3, quick=True, cache=cache)
-        r5 = autotune(other, quick=True, cache=cache)
-        assert r3.searched and r5.searched
-        assert cache.stats()["recipes"] == 2
-
     def test_as_dict_shape(self, sherman3):
         d = autotune(sherman3, quick=True).as_dict()
         assert set(d) == {
-            "recipe", "objective", "searched", "search_seconds",
-            "winner", "candidates",
+            "recipe", "objective", "search_seconds", "winner", "candidates",
         }
         assert d["winner"]["recipe"] == d["recipe"]

@@ -4,7 +4,7 @@ import pytest
 
 from repro.obs.trace import Tracer
 from repro.sparse.generators import paper_matrix
-from repro.tune import OrderingRecipe, RecipeScore, evaluate_recipe
+from repro.tune import OrderingRecipe, evaluate_recipe
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +43,7 @@ class TestEvaluateRecipe:
         span = tr.find("tune.candidate")
         assert span is not None
         assert span.attrs["recipe"] == "amd"
-        assert span.attrs["mapping"] == "cyclic"
+        assert "mapping" not in span.attrs
         assert span.attrs["predicted_time"] > 0.0
 
     def test_objective_and_sort_key(self, sherman3):
@@ -55,10 +55,6 @@ class TestEvaluateRecipe:
             s.objective("beauty")
         assert s.sort_key("time")[0] == s.predicted_time
         assert s.sort_key("fill")[0] == s.fill_ratio
-
-    def test_dict_roundtrip(self, sherman3):
-        s = evaluate_recipe(sherman3, OrderingRecipe(ordering="rcm"))
-        assert RecipeScore.from_dict(s.as_dict()) == s
 
     def test_n_procs_respected(self, sherman3):
         s1 = evaluate_recipe(sherman3, OrderingRecipe(), n_procs=1)
