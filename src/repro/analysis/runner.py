@@ -103,7 +103,7 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
             "subject": name,
             "n": plan.n,
             "nnz": plan.nnz,
-            "nnz_filled": plan.nnz_filled,
+            "nnz_filled": plan.fill.nnz,
             "n_blocks": plan.bp.n_blocks,
             "options": str(plan.options.symbolic_key()),
         }

@@ -12,44 +12,30 @@ entry point the examples and benchmarks use:
 >>> import numpy as np
 >>> x = solver.solve(np.ones(a.n_cols))
 
-The symbolic half is also exposed as the standalone
-:func:`run_symbolic_pipeline` (pattern in, :class:`SymbolicArtifacts` out) —
-the paper's static-analysis property means those artifacts depend only on
-the sparsity pattern, which is what :mod:`repro.serve` exploits to cache
-and reuse them across numeric refactorizations.
+This module holds what the request path is configured by — the frozen
+:class:`SolverOptions` and their defaults — and the facade. The symbolic
+half runs in :func:`repro.serve.build_plan`, whose
+:class:`repro.serve.SymbolicPlan` depends only on (pattern, options) by the
+paper's static-analysis property; the numeric half is
+:func:`repro.serve.refactorize_with_plan`.
 """
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
 from repro.numeric.factor import FactorResult
 from repro.obs.trace import Tracer
-from repro.ordering.amd import amd_ata
-from repro.ordering.dissect import nested_dissection_ata
-from repro.ordering.mindeg import minimum_degree_ata
-from repro.ordering.rcm import reverse_cuthill_mckee
-from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.ops import permute
-from repro.symbolic.dispatch import resolve_impl
-from repro.symbolic.postorder import postorder_pipeline
-from repro.symbolic.static_fill import StaticFill, static_symbolic_factorization
-from repro.symbolic.supernodes import (
-    BlockPattern,
-    SupernodePartition,
-    amalgamate,
-    block_pattern,
-    supernode_partition,
-)
-from repro.taskgraph.dag import TaskGraph
-from repro.taskgraph.eforest_graph import build_eforest_graph
-from repro.taskgraph.sstar import build_sstar_graph
 from repro.util.errors import ReproError, ShapeError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.symbolic.static_fill import StaticFill
+    from repro.symbolic.supernodes import BlockPattern, SupernodePartition
+    from repro.taskgraph.dag import TaskGraph
 
 #: Fill-reducing orderings the pipeline dispatches on. All operate on the
 #: (row-permuted) pattern and return old-index → elimination-position
@@ -73,9 +59,13 @@ DEFAULT_MAX_PADDING = 0.6
 DEFAULT_MAX_SUPERNODE = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverOptions:
     """Knobs of the pipeline (paper defaults unless noted).
+
+    Frozen: a plan shares the options it was built under, so no caller
+    can rewrite a cached plan's identity in place. Derive variants with
+    :func:`dataclasses.replace`.
 
     Attributes
     ----------
@@ -143,7 +133,7 @@ class SolverOptions:
                 raise ValueError(
                     f"ordering_params values must be scalars, got {v!r}"
                 )
-        self.ordering_params = params
+        object.__setattr__(self, "ordering_params", params)
         sym = tuple(sorted((str(k), v) for k, v in self.symbolic_params))
         for k, v in sym:
             if k != "chunk":
@@ -154,7 +144,7 @@ class SolverOptions:
                 raise ValueError(
                     f"symbolic_params[{k!r}] must be a positive int, got {v!r}"
                 )
-        self.symbolic_params = sym
+        object.__setattr__(self, "symbolic_params", sym)
 
     def ordering_kwargs(self) -> dict:
         """The ``ordering_params`` pairs as a keyword dict."""
@@ -168,8 +158,8 @@ class SolverOptions:
         """Hashable tuple of every option the symbolic phase consumes.
 
         Two matrices with equal patterns and equal symbolic keys produce
-        identical :class:`SymbolicArtifacts` — the cache key contract of
-        :class:`repro.serve.PlanCache`. ``equilibrate`` is included even
+        identical :class:`repro.serve.SymbolicPlan` data — the cache key
+        contract of :class:`repro.serve.PlanCache`. ``equilibrate`` is included even
         though it only scales values, so a cached plan also pins down the
         numeric pre-processing it was built to pair with.
         """
@@ -199,140 +189,6 @@ class AnalysisStats:
     n_btf_blocks: int
     n_tasks: int
     n_edges: int
-
-
-@dataclass
-class SymbolicArtifacts:
-    """Everything the symbolic phase produces for one sparsity pattern.
-
-    Depends only on (pattern, symbolic options) — Theorem 3's postorder
-    invariance is what makes the whole bundle reusable across numeric
-    factorizations. Treat instances as immutable once constructed.
-
-    The §4 task graph is not stored but derived: :attr:`graph` builds it
-    from ``bp`` on first access and keeps it. No engine reads it (only a
-    replayed order and the analysis tools do), so a plan that only serves
-    requests never pays its time or its memory (the dict-of-tuples graph
-    is the largest single object of a plan).
-    """
-
-    row_perm: np.ndarray
-    col_perm: np.ndarray
-    fill: StaticFill
-    partition_raw: SupernodePartition
-    partition: SupernodePartition
-    bp: BlockPattern
-    n_btf_blocks: int
-    #: ``SolverOptions.task_graph`` — which §4 graph :attr:`graph` builds.
-    graph_kind: str = "eforest"
-    _graph: Optional[TaskGraph] = field(default=None, init=False, repr=False)
-    _graph_lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False
-    )
-
-    @property
-    def graph(self) -> TaskGraph:
-        """The task dependence graph over ``bp``, built at most once.
-
-        Serving threads and the threaded engine may ask concurrently for
-        the graph of one shared plan; the lock makes the first of them
-        build it and the others wait for that build.
-        """
-        if self._graph is None:
-            with self._graph_lock:
-                if self._graph is None:
-                    build = (
-                        build_eforest_graph
-                        if self.graph_kind == "eforest"
-                        else build_sstar_graph
-                    )
-                    self._graph = build(self.bp)
-        return self._graph
-
-
-def run_symbolic_pipeline(
-    pattern: CSCMatrix,
-    options: Optional[SolverOptions] = None,
-    tracer: Optional[Tracer] = None,
-) -> SymbolicArtifacts:
-    """Steps (1)-(2) plus §3 postordering and supernodes; the §4 graph
-    is left to :attr:`SymbolicArtifacts.graph`, which builds it on demand.
-
-    Pure pattern analysis: ``pattern`` may be pattern-only (values, if
-    present, are ignored). Every stage runs inside a tracer span
-    (``transversal`` … ``supernodes``, hierarchy in docs/observability.md)
-    carrying the symbolic statistics as attributes.
-    """
-    opts = options or SolverOptions()
-    tr = tracer if tracer is not None else Tracer(enabled=False)
-    n = pattern.n_cols
-    work = pattern.pattern_only()
-
-    with tr.span("transversal"):
-        row_perm = zero_free_diagonal_permutation(work)
-        work = permute(work, row_perm=row_perm)
-    col_perm = np.arange(n, dtype=np.int64)
-
-    with tr.span("ordering", method=opts.ordering):
-        if opts.ordering == "mindeg":
-            q = minimum_degree_ata(work)
-        elif opts.ordering == "amd":
-            q = amd_ata(work, **opts.ordering_kwargs())
-        elif opts.ordering == "dissect":
-            q = nested_dissection_ata(work, **opts.ordering_kwargs())
-        elif opts.ordering == "rcm":
-            q = reverse_cuthill_mckee(work)
-        else:
-            q = np.arange(n, dtype=np.int64)
-    work = permute(work, row_perm=q, col_perm=q)
-    row_perm = q[row_perm]
-    col_perm = q[col_perm]
-
-    impl = resolve_impl()
-    with tr.span("static_fill", impl=impl) as s:
-        fill = static_symbolic_factorization(
-            work, impl=impl, tracer=tr, **opts.symbolic_kwargs()
-        )
-        s.set(nnz_filled=fill.nnz, fill_ratio=fill.fill_ratio)
-
-    n_btf_blocks = 0
-    with tr.span("postorder", enabled=opts.postorder) as s:
-        if opts.postorder:
-            po = postorder_pipeline(fill, impl=impl)
-            row_perm = po.perm[row_perm]
-            col_perm = po.perm[col_perm]
-            fill = po.fill
-            n_btf_blocks = len(po.blocks)
-            s.set(n_btf_blocks=n_btf_blocks)
-
-    with tr.span("supernodes", amalgamation=opts.amalgamation) as s:
-        part_raw = supernode_partition(fill)
-        if opts.amalgamation:
-            part = amalgamate(
-                fill,
-                part_raw,
-                max_padding=opts.max_padding,
-                max_size=opts.max_supernode,
-            )
-        else:
-            part = part_raw
-        bp = block_pattern(fill, part)
-        s.set(
-            n_supernodes_raw=part_raw.n_supernodes,
-            n_supernodes=part.n_supernodes,
-            mean_supernode_size=part.mean_size(),
-        )
-
-    return SymbolicArtifacts(
-        row_perm=row_perm,
-        col_perm=col_perm,
-        fill=fill,
-        partition_raw=part_raw,
-        partition=part,
-        bp=bp,
-        n_btf_blocks=n_btf_blocks,
-        graph_kind=opts.task_graph,
-    )
 
 
 class SparseLUSolver:
@@ -402,7 +258,7 @@ class SparseLUSolver:
 
     @property
     def partition_raw(self) -> Optional[SupernodePartition]:
-        return self._plan.artifacts.partition_raw if self._plan is not None else None
+        return self._plan.partition_raw if self._plan is not None else None
 
     @property
     def bp(self) -> Optional[BlockPattern]:
@@ -414,7 +270,7 @@ class SparseLUSolver:
 
     @property
     def n_btf_blocks(self) -> int:
-        return self._plan.artifacts.n_btf_blocks if self._plan is not None else 0
+        return self._plan.n_btf_blocks if self._plan is not None else 0
 
     # ---- the numeric state ----------------------------------------------
     def _current_values(self):
@@ -501,18 +357,18 @@ class SparseLUSolver:
         return self._require_plan()
 
     def stats(self) -> AnalysisStats:
-        art = self._require_plan().artifacts
+        plan = self._require_plan()
         return AnalysisStats(
-            n=art.fill.n,
+            n=plan.fill.n,
             nnz=self.a.nnz,
-            nnz_filled=art.fill.nnz,
-            fill_ratio=art.fill.fill_ratio,
-            n_supernodes_raw=art.partition_raw.n_supernodes,
-            n_supernodes=art.partition.n_supernodes,
-            mean_supernode_size=art.partition.mean_size(),
-            n_btf_blocks=art.n_btf_blocks,
-            n_tasks=art.graph.n_tasks,
-            n_edges=art.graph.n_edges,
+            nnz_filled=plan.fill.nnz,
+            fill_ratio=plan.fill.fill_ratio,
+            n_supernodes_raw=plan.partition_raw.n_supernodes,
+            n_supernodes=plan.partition.n_supernodes,
+            mean_supernode_size=plan.partition.mean_size(),
+            n_btf_blocks=plan.n_btf_blocks,
+            n_tasks=plan.graph.n_tasks,
+            n_edges=plan.graph.n_edges,
         )
 
     # ------------------------------------------------------------------

@@ -1,25 +1,26 @@
 """Frozen, shareable symbolic plans.
 
-A :class:`SymbolicPlan` freezes one run of the paper's static analysis —
-fill pattern of ``Ā``, composed row/column permutations (transversal +
-ordering + §3 postorder), supernode partition, block pattern, and the
-numeric engine's :class:`~repro.numeric.blockdata.BlockLayout` — keyed by
-the :class:`~repro.serve.fingerprint.PatternFingerprint` of the pattern it
-was built from. What only some executions read is derived from the block
-pattern on first use and then kept: the §4 task graph
+A :class:`SymbolicPlan` is one pattern's static analysis as plain data —
+composed row/column permutations (transversal + ordering + §3
+postorder), fill pattern of ``Ā``, supernode partition, block pattern,
+and the numeric engine's :class:`~repro.numeric.blockdata.BlockLayout` —
+keyed by the :class:`~repro.serve.fingerprint.PatternFingerprint` of the
+pattern it was built from. :func:`build_plan` is its one constructor and
+runs the symbolic stages. What only some executions read is derived from
+the block pattern on first use and then kept: the §4 task graph
 (:attr:`SymbolicPlan.graph`) and the static solve schedule.
 
 Theorem 3 (postordering leaves the static structure invariant) is what
-makes the bundle a pure function of (pattern, symbolic options): any two
+makes the record a pure function of (pattern, symbolic options): any two
 matrices with the same pattern share it, so a plan built once can drive
-arbitrarily many numeric refactorizations, concurrently. To keep that
-safe, the plan stores its *own* read-only copies of the pattern arrays and
-never exposes anything a numeric phase mutates.
+arbitrarily many numeric refactorizations, concurrently, and pickles
+across a process boundary. To keep that safe, the plan stores its *own*
+read-only copies of the pattern arrays and never exposes anything a
+numeric phase mutates.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -27,18 +28,30 @@ from typing import Optional
 import numpy as np
 
 from repro.numeric.blockdata import BlockLayout
-from repro.numeric.solver import (
-    SolverOptions,
-    SymbolicArtifacts,
-    run_symbolic_pipeline,
-)
+from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
+from repro.ordering.amd import amd_ata
+from repro.ordering.dissect import nested_dissection_ata
+from repro.ordering.mindeg import minimum_degree_ata
+from repro.ordering.rcm import reverse_cuthill_mckee
+from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.serve.fingerprint import PatternFingerprint, fingerprint
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.static_fill import StaticFill
-from repro.symbolic.supernodes import BlockPattern, SupernodePartition
+from repro.sparse.ops import permute
+from repro.symbolic.dispatch import resolve_impl
+from repro.symbolic.postorder import postorder_pipeline
+from repro.symbolic.static_fill import StaticFill, static_symbolic_factorization
+from repro.symbolic.supernodes import (
+    BlockPattern,
+    SupernodePartition,
+    amalgamate,
+    block_pattern,
+    supernode_partition,
+)
 from repro.taskgraph.dag import TaskGraph
+from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.taskgraph.solve_graph import SolveSchedule, level_schedule
+from repro.taskgraph.sstar import build_sstar_graph
 from repro.taskgraph.tasks import count_tasks
 
 
@@ -59,10 +72,10 @@ def _inverse_perm(perm: np.ndarray) -> np.ndarray:
 class SymbolicPlan:
     """One pattern's static analysis, frozen for sharing.
 
-    Instances are immutable and safe to share across threads: the numeric
-    phase only ever *reads* the plan (permutations, block pattern, layout)
-    and allocates its own value panels. Build via :func:`build_plan` or
-    :meth:`SparseLUSolver.plan`.
+    Instances are immutable data, safe to share across threads and to
+    pickle: the numeric phase only ever *reads* the plan (permutations,
+    block pattern, layout) and allocates its own value panels. Build via
+    :func:`build_plan` or :meth:`SparseLUSolver.plan`.
 
     Identity (:meth:`identity`, ``__eq__``, ``__hash__``) is
     (pattern fingerprint, symbolic options) — *not* the fingerprint
@@ -77,11 +90,20 @@ class SymbolicPlan:
     options: SolverOptions
     indptr: np.ndarray  # read-only copy of the source pattern, for
     indices: np.ndarray  # entry-for-entry verification on cache hits
-    artifacts: SymbolicArtifacts
-    layout: BlockLayout
+    #: Composed permutations: ``A_work = A[row_perm][:, col_perm]``.
+    row_perm: np.ndarray
+    col_perm: np.ndarray
     #: Inverse of ``row_perm``, so every solve permutes its RHS with a
     #: single gather.
     row_perm_inv: np.ndarray
+    fill: StaticFill
+    #: Fundamental supernodes, before amalgamation.
+    partition_raw: SupernodePartition
+    partition: SupernodePartition
+    bp: BlockPattern
+    #: Diagonal blocks of the BTF the postorder found (0 without it).
+    n_btf_blocks: int
+    layout: BlockLayout
 
     # ---- identity -----------------------------------------------------
     @property
@@ -97,45 +119,26 @@ class SymbolicPlan:
     def __hash__(self) -> int:
         return hash(self.identity)
 
-    # ---- convenience views over the artifact bundle -------------------
-    @property
-    def row_perm(self) -> np.ndarray:
-        return self.artifacts.row_perm
-
-    @property
-    def col_perm(self) -> np.ndarray:
-        return self.artifacts.col_perm
-
-    @property
-    def fill(self) -> StaticFill:
-        return self.artifacts.fill
-
-    @property
-    def partition(self) -> SupernodePartition:
-        return self.artifacts.partition
-
-    @property
-    def bp(self) -> BlockPattern:
-        return self.artifacts.bp
-
-    @property
+    # ---- derived on first read ----------------------------------------
+    # ``cached_property`` writes straight to ``__dict__``, which the frozen
+    # dataclass permits; concurrent first readers may each build a copy.
+    @cached_property
     def graph(self) -> TaskGraph:
-        """The §4 task graph, built on first access and at most once
-        (:attr:`SymbolicArtifacts.graph` holds the lock and the result).
-        A factorization, on any engine, never asks for it; a replayed
-        ``order`` does."""
-        return self.artifacts.graph
+        """The §4 task graph (``options.task_graph``) over ``bp``. No
+        engine reads it — only a replayed ``order`` and the analysis tools
+        do — so a plan that only serves requests never pays its time or
+        its memory (the dict-of-tuples graph is the largest single object
+        of a plan)."""
+        if self.options.task_graph == "eforest":
+            return build_eforest_graph(self.bp)
+        return build_sstar_graph(self.bp)
 
     @cached_property
     def solve_schedule(self) -> SolveSchedule:
         """Static level schedule of the triangular solves
-        (:func:`repro.taskgraph.solve_graph.level_schedule`), for the
-        analyzer and for threaded block solves of factors whose pivots
-        stayed inside the static pattern. Built on first access and
-        cached on the instance (``cached_property`` writes straight to
-        ``__dict__``, which the frozen dataclass permits): the sequential
-        block solve runs in block order and needs no schedule, so a
-        serving request never builds it."""
+        (:func:`repro.taskgraph.solve_graph.level_schedule`). Only the
+        analyzer reads it: every block solve runs in block order and needs
+        no schedule, so a serving request never builds it."""
         return level_schedule(self.bp)
 
     @property
@@ -145,10 +148,6 @@ class SymbolicPlan:
     @property
     def nnz(self) -> int:
         return self.fingerprint.nnz
-
-    @property
-    def nnz_filled(self) -> int:
-        return self.artifacts.fill.nnz
 
     def matches(self, a: CSCMatrix) -> bool:
         """Entry-for-entry pattern check — the collision-safe gate.
@@ -168,7 +167,7 @@ class SymbolicPlan:
     def __str__(self) -> str:
         return (
             f"SymbolicPlan({self.fingerprint}, "
-            f"nnz_filled={self.nnz_filled}, "
+            f"nnz_filled={self.fill.nnz}, "
             f"n_blocks={self.bp.n_blocks}, n_tasks={count_tasks(self.bp)})"
         )
 
@@ -179,35 +178,89 @@ def build_plan(
     *,
     tracer: Optional[Tracer] = None,
 ) -> SymbolicPlan:
-    """Run the symbolic pipeline on ``a``'s pattern and freeze the result.
+    """Run steps (1)-(2) plus §3 postordering and supernodes on ``a``'s
+    pattern and freeze the result; the §4 graph is left to
+    :attr:`SymbolicPlan.graph`, which builds it on demand.
 
     The one constructor of plans, and the whole symbolic phase of every
     request path: a cold request is this plus the warm path
     (:func:`repro.serve.refactor.refactorize_with_plan`). ``a`` may be
     pattern-only; an ordering recipe reaches it as ``recipe.apply(options)``
-    (:meth:`repro.tune.OrderingRecipe.apply`). When ``tracer`` is given, the symbolic stages record their usual spans
-    (``transversal`` … ``supernodes``) under an ``analyze`` parent.
+    (:meth:`repro.tune.OrderingRecipe.apply`). Every stage runs inside a
+    tracer span (``transversal`` … ``supernodes`` under an ``analyze``
+    parent, hierarchy in docs/observability.md) carrying the symbolic
+    statistics as attributes.
     """
-    from repro.symbolic.dispatch import resolve_impl
-
     opts = options or SolverOptions()
     tr = tracer if tracer is not None else Tracer(enabled=False)
-    with tr.span(
-        "analyze",
-        n=a.n_cols,
-        nnz=a.nnz,
-        symbolic_impl=resolve_impl(),
-    ) as s:
-        art = run_symbolic_pipeline(a.pattern_only(), opts, tr)
-        s.set(nnz_filled=art.fill.nnz, fill_ratio=art.fill.fill_ratio)
+    impl = resolve_impl()
+    with tr.span("analyze", n=a.n_cols, nnz=a.nnz, symbolic_impl=impl) as s:
+        work = a.pattern_only()
+        with tr.span("transversal"):
+            row_perm = zero_free_diagonal_permutation(work)
+            work = permute(work, row_perm=row_perm)
+
+        with tr.span("ordering", method=opts.ordering):
+            if opts.ordering == "mindeg":
+                q = minimum_degree_ata(work)
+            elif opts.ordering == "amd":
+                q = amd_ata(work, **opts.ordering_kwargs())
+            elif opts.ordering == "dissect":
+                q = nested_dissection_ata(work, **opts.ordering_kwargs())
+            elif opts.ordering == "rcm":
+                q = reverse_cuthill_mckee(work)
+            else:
+                q = np.arange(a.n_cols, dtype=np.int64)
+        work = permute(work, row_perm=q, col_perm=q)
+        row_perm, col_perm = q[row_perm], q
+
+        with tr.span("static_fill", impl=impl) as sf:
+            fill = static_symbolic_factorization(
+                work, impl=impl, tracer=tr, **opts.symbolic_kwargs()
+            )
+            sf.set(nnz_filled=fill.nnz, fill_ratio=fill.fill_ratio)
+
+        n_btf_blocks = 0
+        with tr.span("postorder", enabled=opts.postorder) as sp:
+            if opts.postorder:
+                po = postorder_pipeline(fill, impl=impl)
+                row_perm, col_perm = po.perm[row_perm], po.perm[col_perm]
+                fill = po.fill
+                n_btf_blocks = len(po.blocks)
+                sp.set(n_btf_blocks=n_btf_blocks)
+
+        with tr.span("supernodes", amalgamation=opts.amalgamation) as ss:
+            part_raw = supernode_partition(fill)
+            part = part_raw
+            if opts.amalgamation:
+                part = amalgamate(
+                    fill,
+                    part_raw,
+                    max_padding=opts.max_padding,
+                    max_size=opts.max_supernode,
+                )
+            bp = block_pattern(fill, part)
+            ss.set(
+                n_supernodes_raw=part_raw.n_supernodes,
+                n_supernodes=part.n_supernodes,
+                mean_supernode_size=part.mean_size(),
+            )
+
+        s.set(nnz_filled=fill.nnz, fill_ratio=fill.fill_ratio)
         plan = SymbolicPlan(
             fingerprint=fingerprint(a),
-            options=dataclasses.replace(opts),
+            options=opts,
             indptr=_frozen_copy(a.indptr, np.int64),
             indices=_frozen_copy(a.indices, np.int32),
-            artifacts=art,
-            layout=BlockLayout(art.bp),
-            row_perm_inv=_inverse_perm(art.row_perm),
+            row_perm=row_perm,
+            col_perm=col_perm,
+            row_perm_inv=_inverse_perm(row_perm),
+            fill=fill,
+            partition_raw=part_raw,
+            partition=part,
+            bp=bp,
+            n_btf_blocks=n_btf_blocks,
+            layout=BlockLayout(bp),
         )
     from repro.analysis.runner import analysis_enabled
 

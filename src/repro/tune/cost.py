@@ -1,7 +1,7 @@
 """Symbolic-only cost evaluation of ordering recipes.
 
-Scores a candidate recipe without touching a single matrix value: run the
-static symbolic pipeline under the recipe, then read off
+Scores a candidate recipe without touching a single matrix value: build
+the recipe's symbolic plan (:func:`repro.serve.build_plan`), then read off
 
 * **fill** — ``|Ā| / |A|``, the classical ordering objective;
 * **FLOPs** — the total factorization flop count over the §4 task graph
@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.numeric.costs import CostModel
-from repro.numeric.solver import SolverOptions, run_symbolic_pipeline
+from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
 from repro.parallel.machine import MachineModel, ORIGIN2000
 from repro.parallel.mapping import make_mapping
 from repro.parallel.simulate import simulate_schedule
+from repro.serve.plan import build_plan
 from repro.sparse.csc import CSCMatrix
 from repro.tune.recipe import OrderingRecipe
 
@@ -116,24 +117,24 @@ def evaluate_recipe(
         recipe=recipe.spec(),
         n_procs=n_procs,
     ) as s:
-        art = run_symbolic_pipeline(a.pattern_only(), opts, tracer=tr)
-        model = CostModel(art.bp)
-        flops = sum(model.flops(t) for t in art.graph.tasks())
+        plan = build_plan(a.pattern_only(), opts, tracer=tr)
+        model = CostModel(plan.bp)
+        flops = sum(model.flops(t) for t in plan.graph.tasks())
         res = simulate_schedule(
-            art.graph,
-            art.bp,
+            plan.graph,
+            plan.bp,
             machine.with_procs(n_procs),
-            make_mapping("cyclic", art.bp, n_procs),
+            make_mapping("cyclic", plan.bp, n_procs),
         )
         score = RecipeScore(
             recipe=recipe,
             n=a.n_cols,
             nnz=a.nnz,
-            nnz_filled=art.fill.nnz,
-            fill_ratio=float(art.fill.fill_ratio),
-            n_supernodes=art.partition.n_supernodes,
-            mean_supernode_size=float(art.partition.mean_size()),
-            n_tasks=art.graph.n_tasks,
+            nnz_filled=plan.fill.nnz,
+            fill_ratio=float(plan.fill.fill_ratio),
+            n_supernodes=plan.partition.n_supernodes,
+            mean_supernode_size=float(plan.partition.mean_size()),
+            n_tasks=plan.graph.n_tasks,
             flops=int(flops),
             predicted_time=float(res.makespan),
             n_procs=n_procs,

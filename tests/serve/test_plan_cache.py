@@ -1,5 +1,6 @@
 """Plan cache tests: LRU bounds, counters, collision safety, plan sharing."""
 
+import dataclasses
 import sys
 import threading
 import time
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro.serve.cache as cache_mod
-from repro.numeric.solver import SolverOptions
+from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import PlanCache
 from repro.serve.plan import build_plan
@@ -214,12 +215,29 @@ class TestPlanImmutability:
         bigger = random_sparse(31, density=0.15, seed=7)
         assert not plan.matches(bigger)
 
-    def test_plan_options_are_a_copy(self):
+    def test_plan_options_are_frozen(self):
         a = random_pivot_matrix(30, 8)
         opts = SolverOptions(ordering="rcm")
         plan = build_plan(a, opts)
-        opts.ordering = "natural"  # caller mutates their copy
+        key = hash(plan)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            opts.ordering = "natural"
         assert plan.options.ordering == "rcm"
+        assert hash(plan) == key
+
+    def test_adopting_a_cached_plan_cannot_rewrite_its_options(self):
+        # The solver takes over the plan's options object; writing through
+        # it would change the cached plan for every later request.
+        a = random_pivot_matrix(30, 10)
+        cache = PlanCache(4)
+        plan = cache.get_or_build(a)
+        key = hash(plan)
+        solver = SparseLUSolver(a).adopt_plan(plan)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            solver.options.equilibrate = True
+        assert plan.options.equilibrate is False
+        assert hash(plan) == key
+        assert cache.get(a) is plan
 
     def test_pattern_only_plan_builds(self):
         a = random_pivot_matrix(30, 9)

@@ -213,7 +213,9 @@ class TestEntryPointEquivalence:
     @pytest.mark.parametrize(
         "seed, zero_diag, equilibrate", [(0, 0, False), (7, 3, False), (2, 0, True)]
     )
-    def test_same_bits_and_span_names(self, seed, zero_diag, equilibrate):
+    def test_same_bits_and_span_names(self, monkeypatch, seed, zero_diag, equilibrate):
+        # The REPRO_ANALYZE hook adds an analysis.verify span to every build.
+        monkeypatch.delenv("REPRO_ANALYZE", raising=False)
         a0 = random_pivot_matrix(35, seed)
         rng = np.random.default_rng(300 + seed)
         a = _random_values(a0, rng, zero_diag_count=zero_diag)

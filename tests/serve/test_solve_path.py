@@ -34,6 +34,8 @@ class TestPlanCarriesSchedule:
 
     def test_refactorization_retains_blocks(self, monkeypatch):
         monkeypatch.delenv("REPRO_SOLVE", raising=False)
+        # The REPRO_ANALYZE hook reads the solve schedule of every plan.
+        monkeypatch.delenv("REPRO_ANALYZE", raising=False)
         a = random_pivot_matrix(30, 1)
         plan = build_plan(a)
         fac = refactorize_with_plan(plan, a)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import analyze_plan
-from repro.numeric.solver import SolverOptions, run_symbolic_pipeline
+from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.serve import SolverService
@@ -226,14 +226,14 @@ class TestSolverPlumbing:
         a = prepared(random_sparse(80, density=0.1, seed=5))
         opts = SolverOptions(symbolic_params=(("chunk", 11),))
         tr = Tracer()
-        art = run_symbolic_pipeline(a, opts, tracer=tr)
+        plan = build_plan(a, opts, tracer=tr)
         assert tr.find("static_fill").attrs["impl"] == "chunked"
         assert tr.find("symbolic.row_merge").attrs["chunk"] == 11
         monkeypatch.setenv("REPRO_SYMBOLIC", "fast")
-        baseline = run_symbolic_pipeline(a, SolverOptions())
-        assert pattern_equal(art.fill.pattern, baseline.fill.pattern)
-        assert np.array_equal(art.row_perm, baseline.row_perm)
-        assert np.array_equal(art.col_perm, baseline.col_perm)
+        baseline = build_plan(a, SolverOptions())
+        assert pattern_equal(plan.fill.pattern, baseline.fill.pattern)
+        assert np.array_equal(plan.row_perm, baseline.row_perm)
+        assert np.array_equal(plan.col_perm, baseline.col_perm)
 
     def test_service_cold_build_keeps_symbolic_params(self, monkeypatch):
         # symbolic_params is outside the batch key, so a cold build must

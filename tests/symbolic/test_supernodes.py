@@ -188,10 +188,11 @@ class TestAmalgamationKeepsTheGraphSound:
     @pytest.mark.parametrize("postorder", [True, False])
     @pytest.mark.parametrize("name", ["sherman3", "sherman5", "goodwin", "orsreg1"])
     def test_paper_bounds_are_the_plain_greedy(self, name, postorder):
-        from repro.numeric.solver import SolverOptions, run_symbolic_pipeline
+        from repro.numeric.solver import SolverOptions
+        from repro.serve import build_plan
         from repro.symbolic.supernodes import _entries, _greedy_merge
 
-        art = run_symbolic_pipeline(
+        plan = build_plan(
             paper_matrix(name, scale=0.12),
             SolverOptions(
                 ordering="mindeg", postorder=postorder,
@@ -199,9 +200,9 @@ class TestAmalgamationKeepsTheGraphSound:
             ),
         )
         greedy = _greedy_merge(
-            art.fill, art.partition_raw, None, 0.25, 48, _entries(art.fill)
+            plan.fill, plan.partition_raw, None, 0.25, 48, _entries(plan.fill)
         )
-        assert np.array_equal(art.partition.starts, greedy.starts)
+        assert np.array_equal(plan.partition.starts, greedy.starts)
 
     def test_empty_matrix(self):
         from repro.sparse.csc import CSCMatrix

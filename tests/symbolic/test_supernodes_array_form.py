@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.numeric.solver import run_symbolic_pipeline
+from repro.serve import build_plan
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import paper_matrix
 from repro.symbolic.eforest import lu_elimination_forest
@@ -128,7 +128,7 @@ def fill(request):
         return FILLS[request.param]
     # The pattern the pipeline hands the supernode stage: ordered, filled,
     # postordered.
-    return run_symbolic_pipeline(paper_matrix(request.param, scale=0.15)).fill
+    return build_plan(paper_matrix(request.param, scale=0.15)).fill
 
 
 # ---- equality --------------------------------------------------------------
