@@ -2,10 +2,10 @@
 
 Factorizes sherman3-class matrices at three sizes (untimed, block panels
 retained — the factors are identical in both paths and would only dilute
-the comparison), then times one multi-RHS ``solve`` through both
-implementations — the scalar per-column CSC loops against the
-level-scheduled gather + GEMM panel solves of
-:mod:`repro.numeric.supersolve` — cross-checking that the solutions agree
+the comparison), then times one multi-RHS solve both ways — the scalar
+per-column CSC loops of :mod:`repro.numeric.triangular`, called directly
+as the oracle, against the request path's ``solve`` and its gather +
+GEMM panel solves of :mod:`repro.numeric.supersolve` — cross-checking that the solutions agree
 to 1e-12 relative, and emits the timings as the ``bench_solve`` paired
 artifact (``results/bench_solve.{txt,json}``).
 
@@ -20,6 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.numeric.solver import SparseLUSolver
+from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
 from repro.sparse.generators import paper_matrix
 from repro.util.tables import format_table
 
@@ -35,26 +36,26 @@ MATRIX = "sherman3"
 
 
 def _prepare(matrix: str, scale: float) -> SparseLUSolver:
-    """Analyzed + factorized solver with the factors retained in panel form.
-
-    ``retain_blocks=True`` is explicit so a ``REPRO_SOLVE=reference``
-    environment cannot silently turn the block timings into a second
-    scalar run.
-    """
-    solver = SparseLUSolver(paper_matrix(matrix, scale=scale))
-    solver.analyze().factorize(retain_blocks=True)
-    return solver
+    """Analyzed + factorized solver (the factors keep their panel form)."""
+    return SparseLUSolver(paper_matrix(matrix, scale=scale)).analyze().factorize()
 
 
-def _time_solve(
-    solver: SparseLUSolver, b: np.ndarray, impl: str, repeats: int
-) -> tuple[float, np.ndarray]:
+def _scalar_solve(solver: SparseLUSolver, b: np.ndarray) -> np.ndarray:
+    """The scalar oracle of ``solver.solve(b)``: CSC substitutions over
+    the assembled factors, through the plan's permutations (the default
+    options do not equilibrate)."""
+    plan, res = solver.plan(), solver.result
+    y = lower_unit_solve_csc(res.l_factor, b[plan.row_perm_inv][res.orig_at])
+    return upper_solve_csc(res.u_factor, y)[plan.col_perm]
+
+
+def _time_solve(solve, b: np.ndarray, repeats: int) -> tuple[float, np.ndarray]:
     """Best-of-``repeats`` wall time of one full ``solve(b)``."""
     best = float("inf")
     x = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        x = solver.solve(b, impl=impl)
+        x = solve(b)
         best = min(best, time.perf_counter() - t0)
     return best, x
 
@@ -74,13 +75,13 @@ def run_solve_benchmark(scales: Sequence[float]) -> dict:
     # Untimed warm-up so first-touch allocator costs stay out of the
     # smallest scale's timings.
     warm = _prepare(MATRIX, min(scales) / 2)
-    _time_solve(warm, np.ones((warm.a.n_cols, N_RHS)), "block", 1)
+    _time_solve(warm.solve, np.ones((warm.a.n_cols, N_RHS)), 1)
     for scale in scales:
         solver = _prepare(MATRIX, scale)
         n = solver.a.n_cols
         b = rng.standard_normal((n, N_RHS))
-        ref_s, x_ref = _time_solve(solver, b, "reference", REPEATS)
-        blk_s, x_blk = _time_solve(solver, b, "block", REPEATS)
+        ref_s, x_ref = _time_solve(lambda b: _scalar_solve(solver, b), b, REPEATS)
+        blk_s, x_blk = _time_solve(solver.solve, b, REPEATS)
         scale_ref = float(np.max(np.abs(x_ref))) or 1.0
         rel_err = float(np.max(np.abs(x_blk - x_ref))) / scale_ref
         if rel_err > 1e-12:

@@ -1,8 +1,10 @@
 """Symbolic-kernel benchmark: reference vs. fast vs. chunked.
 
 Runs the symbolic pipeline (static fill + eforest + postorder) through
-all implementations (see :mod:`repro.symbolic.dispatch`) on the same
-preprocessed sherman3-class patterns at three sizes, cross-checking that
+the ``"fast"`` and ``"chunked"`` implementations (see
+:mod:`repro.symbolic.dispatch`) and through the reference kernels, called
+directly as the oracle, on the same preprocessed sherman3-class patterns
+at three sizes, cross-checking that
 the outputs agree entry-for-entry, and emits the timings as the
 ``bench_symbolic`` paired artifact (``results/bench_symbolic.{txt,json}``).
 The ordering and transversal stages are shared, untimed preparation: they
@@ -28,7 +30,7 @@ import numpy as np
 from bench_proc import available_cpus
 
 from repro.obs.trace import Tracer
-from repro.ordering.etree import column_etree
+from repro.ordering.etree import column_etree, postorder_forest
 from repro.ordering.mindeg import minimum_degree_ata
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.sparse.csc import CSCMatrix
@@ -40,8 +42,12 @@ from repro.sparse.generators import (
 )
 from repro.sparse.ops import permute
 from repro.sparse.pattern import pattern_equal
+from repro.symbolic.eforest import lu_elimination_forest_reference
 from repro.symbolic.postorder import postorder_pipeline
-from repro.symbolic.static_fill import static_symbolic_factorization
+from repro.symbolic.static_fill import (
+    static_symbolic_factorization,
+    static_symbolic_factorization_reference,
+)
 from repro.util.tables import format_table
 
 #: fast-over-reference bar at the largest benched size. It is pinned at
@@ -79,16 +85,34 @@ def _prepare(matrix: str, scale: float) -> CSCMatrix:
     return permute(work, row_perm=q, col_perm=q)
 
 
-def _time_pipeline(work: CSCMatrix, impl: str, repeats: int) -> tuple[float, tuple]:
-    """Best-of-``repeats`` wall time of static fill + eforest + postorder."""
+def _pipeline(impl: str):
+    """Static fill + eforest + postorder through a selectable ``impl``;
+    returns ``(fill, parent, perm, postordered pattern)``."""
+
+    def run(work: CSCMatrix) -> tuple:
+        fill = static_symbolic_factorization(work, impl=impl)
+        po = postorder_pipeline(fill, impl=impl)
+        return fill, po.parent_before, po.perm, po.fill.pattern
+
+    return run
+
+
+def _reference_pipeline(work: CSCMatrix) -> tuple:
+    """The same stages through the reference kernels (the oracle)."""
+    fill = static_symbolic_factorization_reference(work)
+    parent = lu_elimination_forest_reference(fill)
+    perm = postorder_forest(parent)
+    return fill, parent, perm, permute(fill.pattern, row_perm=perm, col_perm=perm)
+
+
+def _time_pipeline(work: CSCMatrix, run, repeats: int) -> tuple[float, tuple]:
+    """Best-of-``repeats`` wall time of ``run(work)``."""
     best = float("inf")
     outcome = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        fill = static_symbolic_factorization(work, impl=impl)
-        po = postorder_pipeline(fill, impl=impl)
+        outcome = run(work)
         best = min(best, time.perf_counter() - t0)
-        outcome = (fill, po)
     return best, outcome
 
 
@@ -125,14 +149,15 @@ def run_symbolic_benchmark(scales: Sequence[float]) -> dict:
     rows = []
     # Untimed warm-up so first-touch allocator costs stay out of the
     # smallest scale's timings.
-    _time_pipeline(_prepare(MATRIX, min(scales) / 2), "fast", 1)
+    _time_pipeline(_prepare(MATRIX, min(scales) / 2), _pipeline("fast"), 1)
     for scale in scales:
         work = _prepare(MATRIX, scale)
-        ref_s, (ref_fill, ref_po) = _time_pipeline(work, "reference", REPEATS)
-        fast_s, (fast_fill, fast_po) = _time_pipeline(work, "fast", REPEATS)
-        chunked_s, (chunked_fill, chunked_po) = _time_pipeline(
-            work, "chunked", REPEATS
-        )
+        ref_s, ref = _time_pipeline(work, _reference_pipeline, REPEATS)
+        fast_s, fast = _time_pipeline(work, _pipeline("fast"), REPEATS)
+        chunked_s, chunked = _time_pipeline(work, _pipeline("chunked"), REPEATS)
+        ref_fill, ref_parent, ref_perm, ref_post = ref
+        fast_fill, fast_parent, fast_perm, fast_post = fast
+        chunked_fill, chunked_perm = chunked[0], chunked[2]
         for what, same in (
             (
                 "static fill patterns differ",
@@ -144,15 +169,19 @@ def run_symbolic_benchmark(scales: Sequence[float]) -> dict:
             ),
             (
                 "eforest parent arrays differ",
-                np.array_equal(ref_po.parent_before, fast_po.parent_before),
+                np.array_equal(ref_parent, fast_parent),
             ),
             (
                 "postorder permutations differ",
-                np.array_equal(ref_po.perm, fast_po.perm),
+                np.array_equal(ref_perm, fast_perm),
+            ),
+            (
+                "postordered static fill patterns differ",
+                pattern_equal(ref_post, fast_post),
             ),
             (
                 "chunked postorder permutation differs",
-                np.array_equal(fast_po.perm, chunked_po.perm),
+                np.array_equal(fast_perm, chunked_perm),
             ),
         ):
             if not same:

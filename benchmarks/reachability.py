@@ -1,9 +1,9 @@
 """Reachability audit: every ``src/repro`` function some entry point enters.
 
 Runs the entry points — every CLI subcommand, every ``repro bench``
-experiment, ``repro.api``, ``SolverService`` and ``refactorize_with_plan``
+experiment, ``repro.api``, ``SolverService``, ``refactorize_with_plan``
 on each engine — under ``sys.setprofile`` / ``threading.setprofile``, once
-per selector value (``REPRO_ENGINE``, ``REPRO_SYMBOLIC``, ``REPRO_SOLVE``,
+per selector value (``REPRO_ENGINE``, ``REPRO_SYMBOLIC``,
 ``REPRO_SANITIZE``, ``REPRO_ANALYZE``) and per request option. Forked proc
 workers record from inside the child. Then it lists every function never
 entered with its verdict from the one verdict table, the "Reachability
@@ -126,8 +126,7 @@ def run_all(tmp: str) -> None:
     cli("solve", "orsreg1", "--scale", "0.06", "--recipe", "auto")
     requests()
     selectors = [("REPRO_ENGINE", e) for e in ("sequential", "threaded", "proc")]
-    selectors += [("REPRO_SYMBOLIC", s) for s in ("fast", "chunked", "reference")]
-    selectors += [("REPRO_SOLVE", s) for s in ("block", "reference")]
+    selectors += [("REPRO_SYMBOLIC", s) for s in ("fast", "chunked")]
     selectors += [("REPRO_SANITIZE", "1"), ("REPRO_ANALYZE", "1")]
     for var, value in selectors:
         os.environ[var] = value

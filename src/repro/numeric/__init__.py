@@ -21,12 +21,6 @@ from repro.numeric.kernels import (
 )
 from repro.numeric.blockdata import BlockColumnData
 from repro.numeric.factor import LUFactorization, FactorResult, LazyStats
-from repro.numeric.solve_dispatch import (
-    DEFAULT_IMPL as DEFAULT_SOLVE_IMPL,
-    ENV_VAR as SOLVE_ENV_VAR,
-    IMPLEMENTATIONS as SOLVE_IMPLEMENTATIONS,
-    resolve_impl as resolve_solve_impl,
-)
 from repro.numeric.supersolve import BlockFactors
 from repro.numeric.costs import CostModel
 from repro.numeric.triangular import (
@@ -55,10 +49,6 @@ __all__ = [
     "FactorResult",
     "LazyStats",
     "BlockFactors",
-    "DEFAULT_SOLVE_IMPL",
-    "SOLVE_ENV_VAR",
-    "SOLVE_IMPLEMENTATIONS",
-    "resolve_solve_impl",
     "CostModel",
     "lower_unit_solve_csc",
     "upper_solve_csc",

@@ -47,7 +47,6 @@ from repro.numeric.kernels import (
     unit_lower_inverse,
     update_flops,
 )
-from repro.numeric.solve_dispatch import resolve_impl as resolve_solve_impl
 from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
 from repro.sparse.coo import COOBuilder
 from repro.sparse.csc import CSCMatrix
@@ -160,17 +159,14 @@ class FactorResult:
     def u_factor(self) -> CSCMatrix:
         return self._scalar_factors()[1]
 
-    def solve(self, b: np.ndarray, *, impl: "str | None" = None) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` via ``L U x = P b`` (vector or multi-RHS).
 
-        ``impl`` selects the solve engine (see
-        :mod:`repro.numeric.solve_dispatch`): ``"block"`` runs the
-        supernodal panel solves when block factors were retained (falling
-        back to the scalar path otherwise), ``"reference"`` always runs
-        the scalar CSC substitutions.
+        Runs the supernodal panel solves when block factors were retained,
+        and the scalar CSC substitutions of
+        :mod:`repro.numeric.triangular` otherwise.
         """
-        choice = resolve_solve_impl(impl)
-        if choice == "block" and self.blocks is not None:
+        if self.blocks is not None:
             return self.blocks.solve(b)
         b = np.asarray(b, dtype=np.float64)
         pb = b[self.orig_at]

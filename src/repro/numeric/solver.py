@@ -104,8 +104,7 @@ class SolverOptions:
         positive int) is the only key. It is deliberately *not* part of
         :meth:`symbolic_key`: every chunk size produces the
         same artifacts bit-for-bit, so keying on it would only fragment
-        the plan cache. Ignored by the ``"fast"``/``"reference"``
-        implementations.
+        the plan cache. Ignored by the ``"fast"`` implementation.
     """
 
     ordering: str = DEFAULT_ORDERING
@@ -386,7 +385,6 @@ class SparseLUSolver:
         self,
         order=None,
         *,
-        retain_blocks=None,
         engine: Optional[str] = None,
         n_workers: int = 4,
         sanitizer=None,
@@ -406,7 +404,6 @@ class SparseLUSolver:
         self._factorize(
             self.a,
             order=order,
-            retain_blocks=retain_blocks,
             engine=engine,
             n_workers=n_workers,
             sanitizer=sanitizer,
@@ -418,7 +415,6 @@ class SparseLUSolver:
         a_new: CSCMatrix,
         order=None,
         *,
-        retain_blocks=None,
         engine: Optional[str] = None,
         n_workers: int = 4,
     ) -> "SparseLUSolver":
@@ -440,20 +436,18 @@ class SparseLUSolver:
         return self._factorize(
             a_new,
             order=order,
-            retain_blocks=retain_blocks,
             engine=engine,
             n_workers=n_workers,
         )
 
-    def solve(self, b: np.ndarray, *, impl: Optional[str] = None) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` using the computed factors (step (4)):
         :meth:`repro.serve.NumericFactorization.solve`.
 
         ``b`` may be a vector of shape ``(n,)`` or a matrix of ``k``
-        right-hand sides of shape ``(n, k)``; ``impl`` selects the solve
-        engine (``"block"`` or ``"reference"``), overriding ``$REPRO_SOLVE``.
+        right-hand sides of shape ``(n, k)``.
         """
-        return self._require_factors().solve(b, impl=impl)
+        return self._require_factors().solve(b)
 
     def solve_refined(self, b: np.ndarray, *, max_iters: int = 5, tol: float = 1e-14):
         """Solve with iterative refinement; returns a ``RefinementResult``.

@@ -1,10 +1,10 @@
 """Numeric engine selection: ``engine=`` arg > ``$REPRO_ENGINE`` > default.
 
-Mirrors the dispatch idiom of :mod:`repro.symbolic.dispatch` and
-:mod:`repro.numeric.solve_dispatch`: an explicit argument wins, an
-environment variable overrides the default, and an unknown name fails
-loudly with the valid choices. Three engines execute the factorization
-for real (the simulators are *models*, not engines):
+Mirrors the dispatch idiom of :mod:`repro.symbolic.dispatch`: an
+explicit argument wins, an environment variable overrides the default,
+and an unknown name fails loudly with the valid choices. Three engines
+execute the factorization for real (the simulators are *models*, not
+engines):
 
 ``sequential``
     One block step per block column, in the calling thread. Default.
@@ -67,9 +67,8 @@ def run_engine(
     ``None``). A 2-D graph replays sequentially in the canonical
     right-looking order (:func:`replay_order`) under ``"sequential"`` and
     is refused by the parallel engines. ``pool`` optionally supplies a
-    shared :class:`repro.parallel.procengine.ProcPool` for the ``proc``
-    engine — the serving layer passes one so concurrent serving threads
-    share a single process pool. Returns the proc engine's
+    :class:`repro.parallel.procengine.ProcPool` for the ``proc`` engine
+    that the caller owns and reuses across runs. Returns the proc engine's
     :class:`~repro.parallel.procengine.ProcStats` or ``None``.
 
     Sanitizing: an explicit ``sanitizer``

@@ -2,12 +2,13 @@
 
 A :class:`SymbolicPlan` is one pattern's static analysis as plain data —
 composed row/column permutations (transversal + ordering + §3
-postorder), fill pattern of ``Ā``, supernode partition, block pattern,
-and the numeric engine's :class:`~repro.numeric.blockdata.BlockLayout` —
-keyed by the :class:`~repro.serve.fingerprint.PatternFingerprint` of the
-pattern it was built from. :func:`build_plan` is its one constructor and
-runs the symbolic stages. What only some executions read is derived from
-the block pattern on first use and then kept: the §4 task graph
+postorder), fill pattern of ``Ā``, supernode partition and block pattern
+— keyed by the :class:`~repro.serve.fingerprint.PatternFingerprint` of
+the pattern it was built from. :func:`build_plan` is its one constructor
+and runs the symbolic stages. What not every caller reads is derived
+from the block pattern on first use and then kept: the numeric engine's
+:class:`~repro.numeric.blockdata.BlockLayout` (:attr:`SymbolicPlan.layout`,
+built by the first factorization), the §4 task graph
 (:attr:`SymbolicPlan.graph`) and the static solve schedule.
 
 Theorem 3 (postordering leaves the static structure invariant) is what
@@ -103,7 +104,6 @@ class SymbolicPlan:
     bp: BlockPattern
     #: Diagonal blocks of the BTF the postorder found (0 without it).
     n_btf_blocks: int
-    layout: BlockLayout
 
     # ---- identity -----------------------------------------------------
     @property
@@ -121,7 +121,18 @@ class SymbolicPlan:
 
     # ---- derived on first read ----------------------------------------
     # ``cached_property`` writes straight to ``__dict__``, which the frozen
-    # dataclass permits; concurrent first readers may each build a copy.
+    # dataclass permits. On Python 3.11 it serialises first reads behind
+    # one lock per descriptor (one build at a time across all plans); from
+    # 3.12 there is no lock and concurrent first readers may each build a
+    # copy. Either way every reader gets an equal value.
+    @cached_property
+    def layout(self) -> BlockLayout:
+        """The numeric engine's structural metadata for ``bp``. The first
+        :func:`~repro.serve.refactor.refactorize_with_plan` builds it and
+        every later one reuses it; a plan that is only scored (the
+        tuner) or analysed never pays for it."""
+        return BlockLayout(self.bp)
+
     @cached_property
     def graph(self) -> TaskGraph:
         """The §4 task graph (``options.task_graph``) over ``bp``. No
@@ -260,7 +271,6 @@ def build_plan(
             partition=part,
             bp=bp,
             n_btf_blocks=n_btf_blocks,
-            layout=BlockLayout(bp),
         )
     from repro.analysis.runner import analysis_enabled
 

@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 
 from repro.numeric.factor import FactorResult, LUFactorization
-from repro.numeric.solve_dispatch import resolve_impl as resolve_solve_impl
 from repro.obs.trace import Tracer
 from repro.serve.plan import SymbolicPlan
 from repro.sparse.csc import CSCMatrix
@@ -66,16 +65,15 @@ class NumericFactorization:
     equil: object = None  # Equilibration | None
     tracer: Optional[Tracer] = None
 
-    def solve(self, b: np.ndarray, *, impl: Optional[str] = None) -> np.ndarray:
+    def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve ``A x = b`` for a vector ``(n,)`` or multi-RHS ``(n, k)``.
 
         Multi-RHS solves are blocked: one pass over each triangular factor
         covers all columns — the kernel the service's request batching
-        relies on. ``impl`` overrides the ``$REPRO_SOLVE`` dispatch
-        (``"block"`` panel solves, ``"reference"`` scalar CSC solves —
-        :mod:`repro.numeric.solve_dispatch`); the block path needs block
-        factors, so when the factorization did not retain them the solve
-        falls back to the reference path.
+        relies on. Factors from :func:`refactorize_with_plan` keep their
+        panels, so this runs the block solves
+        (:mod:`repro.numeric.supersolve`); a result extracted without
+        them runs the scalar CSC solves (:meth:`FactorResult.solve`).
         """
         n = self.plan.n
         b = np.asarray(b, dtype=np.float64)
@@ -83,9 +81,8 @@ class NumericFactorization:
             raise ShapeError(f"rhs has shape {b.shape}, expected ({n},) or ({n}, k)")
         if not np.isfinite(b).all():
             raise NonFiniteInputError("right-hand sides must be finite (no NaN/Inf)")
-        choice = resolve_solve_impl(impl)
-        use_block = choice == "block" and self.result.blocks is not None
-        impl_used = "block" if use_block else "reference"
+        blocks = self.result.blocks
+        impl_used = "block" if blocks is not None else "reference"
         n_rhs = 1 if b.ndim == 1 else int(b.shape[1])
         tr = self.tracer if self.tracer is not None else Tracer(enabled=False)
         with tr.span("solve", n=n, n_rhs=n_rhs, impl=impl_used):
@@ -95,9 +92,9 @@ class NumericFactorization:
                 b = self.equil.scale_rhs(b)
             b_work = b[self.plan.row_perm_inv]
             with tr.span(f"solve.{impl_used}") as s:
-                if use_block:
-                    s.set(n_blocks=self.result.blocks.n_blocks)
-                x_work = self.result.solve(b_work, impl=impl_used)
+                if blocks is not None:
+                    s.set(n_blocks=blocks.n_blocks)
+                x_work = self.result.solve(b_work)
             x = x_work[self.plan.col_perm]
             if self.equil is not None:
                 x = self.equil.unscale_solution(x)
@@ -118,11 +115,9 @@ def refactorize_with_plan(
     tracer: Optional[Tracer] = None,
     check_pattern: bool = True,
     order=None,
-    retain_blocks: Optional[bool] = None,
     sanitizer=None,
     engine: Optional[str] = None,
     n_workers: int = 4,
-    pool=None,
 ) -> NumericFactorization:
     """Numerically factorize ``a`` using ``plan``'s static analysis.
 
@@ -140,16 +135,10 @@ def refactorize_with_plan(
     steps under the engine's own placement. ``order`` instead
     replays an explicit topological order of ``plan.graph`` sequentially
     (:func:`repro.parallel.dispatch.replay_order`) — an order *is* a
-    schedule, so it excludes ``engine=``. ``pool``
-    optionally shares one
-    :class:`repro.parallel.procengine.ProcPool` across calls — the
-    :class:`~repro.serve.service.SolverService` passes its own so serving
-    threads never each spawn a process pool.
+    schedule, so it excludes ``engine=``.
 
-    ``retain_blocks`` controls whether the factors are additionally kept
-    in supernodal panel form for the block solve engine
-    (:mod:`repro.numeric.supersolve`); ``None`` retains them exactly when
-    the resolved solve implementation is ``"block"``.
+    The factors keep their supernodal panel form, so the solve runs the
+    block engine (:mod:`repro.numeric.supersolve`).
 
     ``sanitizer`` optionally attaches a caller-owned
     :class:`repro.analysis.sanitizer.AccessSanitizer` to the run (its
@@ -179,8 +168,6 @@ def refactorize_with_plan(
         )
     if order is not None and engine is not None:
         raise ValueError("pass either an explicit order or engine=, not both")
-    if retain_blocks is None:
-        retain_blocks = resolve_solve_impl() == "block"
     tr = tracer if tracer is not None else Tracer(enabled=False)
     metrics = tr.metrics if tr.detail else None
     if order is None:
@@ -202,11 +189,10 @@ def refactorize_with_plan(
                 n_workers=n_workers,
                 metrics=metrics,
                 tracer=tr,
-                pool=pool,
                 fill=plan.fill,
                 sanitizer=sanitizer,
             )
-        result = eng.extract(retain_blocks=retain_blocks)
+        result = eng.extract(retain_blocks=True)
         ls = eng.lazy_stats
         s.set(
             n_tasks=eng.n_tasks,

@@ -149,16 +149,10 @@ class SolverService:
         deadline).
     options:
         Default :class:`SolverOptions` for requests that do not override.
-    engine:
-        Numeric engine for batch factorizations: ``"sequential"``,
-        ``"threaded"``, or ``"proc"``; resolved once at construction with
-        the usual precedence (argument > ``$REPRO_ENGINE`` > sequential).
-        With ``"proc"``, all serving threads share **one**
-        :class:`~repro.parallel.procengine.ProcPool` (factorizations
-        serialize through it; at most one shared-memory arena exists at a
-        time), and :meth:`close` closes the pool.
-    engine_workers:
-        Threads/processes per factorization for the parallel engines.
+
+    Batches factorize with the sequential engine, whatever
+    ``$REPRO_ENGINE`` says: the service's worker threads are its
+    parallelism, and it forks no processes.
     """
 
     def __init__(
@@ -172,26 +166,13 @@ class SolverService:
         default_deadline_s: Optional[float] = None,
         options: Optional[SolverOptions] = None,
         tracer: Optional[Tracer] = None,
-        engine: Optional[str] = None,
-        engine_workers: int = 4,
     ) -> None:
-        from repro.parallel.dispatch import resolve_engine
-
         if n_workers < 0:
             raise ValueError(f"n_workers must be >= 0, got {n_workers}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if engine_workers < 1:
-            raise ValueError(f"engine_workers must be >= 1, got {engine_workers}")
-        self.engine = resolve_engine(engine)
-        self.engine_workers = engine_workers
-        self._engine_pool = None
-        if self.engine == "proc":
-            from repro.parallel.procengine import ProcPool
-
-            self._engine_pool = ProcPool(engine_workers)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else PlanCache(metrics=self.metrics)
         self.max_queue = max_queue
@@ -393,9 +374,7 @@ class SolverService:
             head.a,
             tracer=self.tracer,
             check_pattern=False,
-            engine=self.engine,
-            n_workers=self.engine_workers,
-            pool=self._engine_pool,
+            engine="sequential",
         )
 
     def _solve_round(self, fac, batch: list[_Request]) -> None:
@@ -520,10 +499,6 @@ class SolverService:
                     req.pending._set_error(ServiceClosedError("service closed"))
                 self._pending.clear()
                 self._m_queue_depth.set(0)
-        # Engine-pool teardown last: every worker has joined, so no
-        # factorization (and no shared-memory arena) can be in flight.
-        if self._engine_pool is not None:
-            self._engine_pool.close()
 
     def __enter__(self) -> "SolverService":
         return self

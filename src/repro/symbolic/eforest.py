@@ -28,18 +28,18 @@ def lu_elimination_forest(
 ) -> np.ndarray:
     """Parent array of the LU eforest of ``Ā`` (``-1`` marks roots).
 
-    ``impl`` selects the vectorized ``"fast"`` kernel or the per-row
-    ``"reference"`` oracle (default: ``$REPRO_SYMBOLIC``, then ``"fast"``);
-    both return identical parent arrays. ``"chunked"`` has no dedicated
-    eforest kernel and routes to ``"fast"``.
+    Every implementation ``impl`` names (default: ``$REPRO_SYMBOLIC``,
+    then ``"fast"``) runs the vectorized kernel: ``"chunked"`` has no
+    dedicated eforest kernel. :func:`lu_elimination_forest_reference` is
+    its oracle.
     """
-    if resolve_impl(impl) != "reference":
-        return lu_elimination_forest_fast(fill)
-    return lu_elimination_forest_reference(fill)
+    resolve_impl(impl)  # an unknown name still raises DispatchError
+    return lu_elimination_forest_fast(fill)
 
 
 def lu_elimination_forest_reference(fill: StaticFill) -> np.ndarray:
-    """Per-row reference implementation (the property-test oracle)."""
+    """Per-row reference implementation (the property-test oracle; no
+    selector reaches it)."""
     n = fill.n
     parent = np.full(n, -1, dtype=np.int64)
     u_rows = fill.u_rows()

@@ -13,11 +13,13 @@ their structures (restricted to columns ``≥ k``). After the union the
 candidates are structurally identical, which is exactly why later row swaps
 among them cannot create structure outside ``Ā``.
 
-Two implementations are provided (see :mod:`repro.symbolic.dispatch`):
+Two implementations are provided:
 
 * :func:`static_symbolic_factorization_reference` — per-element Python
   ``set`` merge, sharing one tail object between merged rows so a later
-  step unions distinct-tail *groups* rather than candidate rows.
+  step unions distinct-tail *groups* rather than candidate rows. The
+  oracle the tests and ``bench_symbolic`` call directly; no selector
+  reaches it.
 * :func:`static_symbolic_factorization_fast` — the same merge on flat
   sorted ``int64`` arrays with a union-find over merge groups (the
   shared-tail-object optimization in array form) and a fully vectorized
@@ -25,8 +27,10 @@ Two implementations are provided (see :mod:`repro.symbolic.dispatch`):
   list appends). This is the production cold path of
   :func:`repro.serve.plan.build_plan`.
 
-``static_symbolic_factorization`` dispatches between them via the
-``impl=`` argument or the ``REPRO_SYMBOLIC`` environment variable.
+``static_symbolic_factorization`` dispatches between the fast kernel and
+the chunked one (:mod:`repro.symbolic.chunked`) via the ``impl=``
+argument or the ``REPRO_SYMBOLIC`` environment variable
+(:mod:`repro.symbolic.dispatch`).
 """
 
 from __future__ import annotations
@@ -122,26 +126,22 @@ def static_symbolic_factorization(
 
     ``a`` must be square with a zero-free diagonal (run the maximum
     transversal first — paper §2 and Duff [3]). ``impl`` selects the
-    ``"fast"`` array kernel, the ``"chunked"`` streaming kernel
-    (:mod:`repro.symbolic.chunked`), or the ``"reference"`` set-based
-    oracle (default: ``$REPRO_SYMBOLIC``, then ``"fast"``); all three
-    produce identical patterns. ``chunk`` is the chunked kernel's
-    column-chunk size (default: sized from ``n`` and ``nnz``) and is
-    ignored by the other implementations. ``tracer`` (a
+    ``"fast"`` array kernel or the ``"chunked"`` streaming kernel
+    (:mod:`repro.symbolic.chunked`) (default: ``$REPRO_SYMBOLIC``, then
+    ``"fast"``); both produce identical patterns. ``chunk`` is the
+    chunked kernel's column-chunk size (default: sized from ``n`` and
+    ``nnz``) and is ignored by ``"fast"``. ``tracer`` (a
     :class:`repro.obs.trace.Tracer`) records ``symbolic.row_merge`` /
     ``symbolic.assemble`` child spans (plus ``symbolic.chunk`` children
     under ``"chunked"``).
     """
-    choice = resolve_impl(impl)
-    if choice == "fast":
+    if resolve_impl(impl) == "fast":
         return static_symbolic_factorization_fast(a, tracer=tracer)
-    if choice == "chunked":
-        # Imported lazily: repro.symbolic.chunked imports StaticFill from
-        # this module, so a top-level import would be circular.
-        from repro.symbolic.chunked import static_symbolic_factorization_chunked
+    # Imported lazily: repro.symbolic.chunked imports StaticFill from
+    # this module, so a top-level import would be circular.
+    from repro.symbolic.chunked import static_symbolic_factorization_chunked
 
-        return static_symbolic_factorization_chunked(a, chunk=chunk, tracer=tracer)
-    return static_symbolic_factorization_reference(a, tracer=tracer)
+    return static_symbolic_factorization_chunked(a, chunk=chunk, tracer=tracer)
 
 
 def _null_tracer(tracer):

@@ -1,8 +1,7 @@
 """Name resolution shared by the implementation selectors.
 
-``repro.symbolic.dispatch``, ``repro.numeric.solve_dispatch`` and
-``repro.parallel.dispatch`` all pick one name out of a fixed set with the
-same precedence — explicit argument, then an environment variable, then a
+``repro.symbolic.dispatch`` and ``repro.parallel.dispatch`` both pick one
+name out of a fixed set with the same precedence — explicit argument, then an environment variable, then a
 default — and must fail the same way on a typo.
 """
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import csc_from_dense
@@ -66,3 +67,20 @@ def small_random_matrix(request) -> CSCMatrix:
 def solve_pipeline(a: CSCMatrix, **opt_kwargs) -> SparseLUSolver:
     """Run the full pipeline; returns the factorized solver."""
     return SparseLUSolver(a, SolverOptions(**opt_kwargs)).analyze().factorize()
+
+
+def scalar_solve(fac, b: np.ndarray) -> np.ndarray:
+    """The scalar oracle of ``fac.solve(b)`` (``fac`` a
+    ``NumericFactorization`` or a factorized ``SparseLUSolver``): the CSC
+    substitutions of ``repro.numeric.triangular`` over the lazily
+    assembled L and U, through the same permutations and equilibration.
+    Column-independent, so a multi-RHS solve is bitwise a stack of
+    single-RHS ones."""
+    plan = fac.plan() if callable(fac.plan) else fac.plan
+    res, equil = fac.result, fac.equil
+    b = np.asarray(b, dtype=np.float64)
+    if equil is not None:
+        b = equil.scale_rhs(b)
+    y = lower_unit_solve_csc(res.l_factor, b[plan.row_perm_inv][res.orig_at])
+    x = upper_solve_csc(res.u_factor, y)[plan.col_perm]
+    return equil.unscale_solution(x) if equil is not None else x

@@ -1,40 +1,42 @@
 """Matrix (multi-column) right-hand-side support in the solver facade."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.sparse.generators import paper_matrix
 from repro.util.errors import ShapeError
-from tests.conftest import random_pivot_matrix, solve_pipeline
+from tests.conftest import random_pivot_matrix, scalar_solve, solve_pipeline
 
 
 class TestMatrixRHS:
     def test_matches_column_by_column(self):
-        # The scalar reference path is column-independent, so a blocked
-        # multi-RHS solve is *bitwise* a stack of single-RHS solves. The
-        # block engine's GEMM may round differently across widths, so it
-        # only promises tight agreement.
+        # The scalar oracle is column-independent, so a blocked multi-RHS
+        # solve is *bitwise* a stack of single-RHS solves. The block
+        # engine's GEMM may round differently across widths, so it only
+        # promises tight agreement.
         a = random_pivot_matrix(30, 0)
         solver = solve_pipeline(a)
         rng = np.random.default_rng(0)
         B = rng.standard_normal((30, 5))
-        X_ref = solver.solve(B, impl="reference")
+        X_ref = scalar_solve(solver, B)
         X = solver.solve(B)
         assert X.shape == (30, 5)
         scale = np.max(np.abs(X_ref))
         assert np.allclose(X, X_ref, rtol=0, atol=1e-12 * scale)
         for k in range(5):
-            xk = solver.solve(B[:, k], impl="reference")
+            xk = scalar_solve(solver, B[:, k])
             assert np.array_equal(X_ref[:, k], xk), f"column {k}"
 
     def test_single_column_matrix_vs_vector(self):
         a = random_pivot_matrix(25, 1)
         solver = solve_pipeline(a)
         b = np.arange(1.0, 26.0)
-        for impl in ("reference", "block"):
-            x_vec = solver.solve(b, impl=impl)
-            x_mat = solver.solve(b[:, None], impl=impl)
+        for solve in (partial(scalar_solve, solver), solver.solve):
+            x_vec = solve(b)
+            x_mat = solve(b[:, None])
             assert x_mat.shape == (25, 1)
             assert np.array_equal(x_mat[:, 0], x_vec)
 

@@ -5,30 +5,38 @@ The block engine (:mod:`repro.numeric.supersolve`) must agree with the
 per-column CSC reference solves to 1e-12 relative on random, multi-RHS,
 deep-chain, and block-triangular systems and on the seven paper analogs —
 where pivot renames carry L rows across block boundaries, outside the
-static pattern — while holding no copy of the factors; and
-``REPRO_SOLVE=reference`` must restore the scalar path bit-for-bit. Also
-covers the ``REPRO_SOLVE`` dispatch precedence.
+static pattern — while holding no copy of the factors. The oracle is
+``tests.conftest.scalar_solve``, called directly. Also pins which
+implementation a solve runs: the block one whenever blocks were
+retained, the scalar one bit-for-bit otherwise.
 """
 
 import numpy as np
 import pytest
 
-from repro.numeric.solve_dispatch import (
-    DEFAULT_IMPL,
-    IMPLEMENTATIONS,
-    resolve_impl,
-)
+from repro.numeric.factor import LUFactorization
+from repro.numeric.solve_dispatch import resolve_impl
 from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.obs.trace import Tracer
+from repro.serve import NumericFactorization, refactorize_with_plan
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
 from repro.util.errors import ShapeError
-from tests.conftest import random_pivot_matrix, solve_pipeline
+from tests.conftest import random_pivot_matrix, scalar_solve
 
 
-def factorized(a, *, retain_blocks=True, **opt_kwargs):
-    solver = SparseLUSolver(a, SolverOptions(**opt_kwargs))
-    solver.analyze().factorize(retain_blocks=retain_blocks)
-    return solver
+def factorized(a, **opt_kwargs):
+    return SparseLUSolver(a, SolverOptions(**opt_kwargs)).analyze().factorize()
+
+
+def unretained(solver, tracer=None):
+    """The solver's factorization re-extracted without block factors."""
+    plan = solver.plan()
+    eng = LUFactorization(solver.a_work, plan.bp, layout=plan.layout)
+    eng.factor_sequential()
+    return NumericFactorization(
+        plan, solver.a, solver.a_work, eng.extract(), solver.equil, tracer
+    )
 
 
 def assert_close(x, x_ref, tol=1e-12):
@@ -85,16 +93,16 @@ class TestBlockVsReference:
         a = random_pivot_matrix(40, seed)
         solver = factorized(a)
         b = np.random.default_rng(seed).standard_normal(40)
-        assert_close(solver.solve(b, impl="block"), solver.solve(b, impl="reference"))
+        assert_close(solver.solve(b), scalar_solve(solver, b))
 
     @pytest.mark.parametrize("n_rhs", [1, 3, 16])
     def test_multi_rhs(self, n_rhs):
         a = random_pivot_matrix(50, 7)
         solver = factorized(a)
         b = np.random.default_rng(7).standard_normal((50, n_rhs))
-        x = solver.solve(b, impl="block")
+        x = solver.solve(b)
         assert x.shape == (50, n_rhs)
-        assert_close(x, solver.solve(b, impl="reference"))
+        assert_close(x, scalar_solve(solver, b))
 
     def test_deep_chain(self):
         a = deep_chain_matrix()
@@ -102,7 +110,7 @@ class TestBlockVsReference:
         sched = solver.plan().solve_schedule
         assert sched.n_fwd_levels > 3  # genuinely sequential structure
         for b in rhs_shapes(a.n_cols, 0):
-            assert_close(solver.solve(b, impl="block"), solver.solve(b, impl="reference"))
+            assert_close(solver.solve(b), scalar_solve(solver, b))
 
     def test_block_triangular(self):
         a = block_triangular_matrix()
@@ -112,14 +120,14 @@ class TestBlockVsReference:
         sched = solver.plan().solve_schedule
         assert max(lv.size for lv in sched.fwd_levels) > 1  # independent trees
         for b in rhs_shapes(a.n_cols, 1):
-            assert_close(solver.solve(b, impl="block"), solver.solve(b, impl="reference"))
+            assert_close(solver.solve(b), scalar_solve(solver, b))
 
     def test_equilibrated(self):
         a = random_pivot_matrix(40, 5)
         a = a.with_values(a.data * 1e4)
         solver = factorized(a, equilibrate=True)
         b = np.random.default_rng(5).standard_normal(40)
-        assert_close(solver.solve(b, impl="block"), solver.solve(b, impl="reference"))
+        assert_close(solver.solve(b), scalar_solve(solver, b))
 
     def test_paper_scale_exact_schedule(self):
         # At generator-matrix scale deferred pivoting renames rows across
@@ -128,7 +136,7 @@ class TestBlockVsReference:
         a = paper_matrix("sherman3", scale=0.15)
         solver = factorized(a)
         b = np.random.default_rng(2).standard_normal((a.n_cols, 4))
-        assert_close(solver.solve(b, impl="block"), solver.solve(b, impl="reference"))
+        assert_close(solver.solve(b), scalar_solve(solver, b))
 
     @pytest.mark.parametrize("name", sorted(PAPER_MATRICES))
     def test_paper_analogs(self, name):
@@ -151,8 +159,8 @@ class TestBlockVsReference:
         if name in ("sherman3", "sherman5"):
             assert escaped  # the witnesses: the case is exercised, not vacuous
         for b in rhs_shapes(a.n_cols, 4):
-            x = solver.solve(b, impl="block")
-            assert_close(x, solver.solve(b, impl="reference"))
+            x = solver.solve(b)
+            assert_close(x, scalar_solve(solver, b))
             assert solver.residual_norm(x, b) < 1e-10
 
     def test_factors_are_views_of_the_engine_buffer(self):
@@ -192,62 +200,56 @@ class TestBlockVsReference:
         a = paper_matrix("sherman3", scale=0.1)
         solver = factorized(a)
         b = np.random.default_rng(3).standard_normal(a.n_cols)
-        x = solver.solve(b, impl="block")
+        x = solver.solve(b)
         assert solver.residual_norm(x, b) < 1e-8
 
 
 class TestDispatch:
-    def test_default_is_block(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE", raising=False)
-        assert DEFAULT_IMPL == "block"
+    def test_default_is_block(self):
         assert resolve_impl() == "block"
 
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE", "block")
-        assert resolve_impl("reference") == "reference"
-
-    @pytest.mark.parametrize("impl", sorted(IMPLEMENTATIONS))
-    def test_env_selects_implementation(self, monkeypatch, impl):
-        monkeypatch.setenv("REPRO_SOLVE", impl)
-        assert resolve_impl() == impl
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE", "")
-        assert resolve_impl() == DEFAULT_IMPL
-
     def test_unknown_argument_raises(self):
-        with pytest.raises(ValueError, match="impl argument"):
-            resolve_impl("turbo")
+        # No solve takes an implementation argument: the factors decide.
+        solver = factorized(random_pivot_matrix(20, 2))
+        fac = refactorize_with_plan(solver.plan(), solver.a)
+        b = np.ones(20)
+        for solve in (solver.solve, fac.solve, fac.result.solve):
+            with pytest.raises(TypeError):
+                solve(b, impl="block")
 
-    def test_unknown_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SOLVE", "typo")
-        with pytest.raises(ValueError, match="REPRO_SOLVE"):
-            resolve_impl()
+    @pytest.mark.parametrize("impl", ["block", "reference"])
+    def test_factor_state_selects_implementation(self, impl):
+        a = random_pivot_matrix(30, 6)
+        solver = factorized(a)
+        tracer = Tracer()
+        if impl == "block":
+            fac = refactorize_with_plan(solver.plan(), a, tracer=tracer)
+        else:
+            fac = unretained(solver, tracer)
+        tracer.roots.clear()
+        fac.solve(np.ones(30))
+        spans = {s.name: s for s in tracer.walk()}
+        assert spans["solve"].attrs["impl"] == impl
+        assert f"solve.{impl}" in spans
+        assert (fac.result.blocks is not None) == (impl == "block")
 
-    def test_reference_env_is_bit_for_bit_scalar(self, monkeypatch):
-        # REPRO_SOLVE=reference must restore the pre-block path exactly:
-        # no blocks retained at factorize time, scalar bits out of solve.
+    def test_unretained_solve_is_bit_for_bit_scalar(self):
+        # Factors extracted without blocks run exactly the scalar path.
         a = random_pivot_matrix(35, 9)
         b = np.random.default_rng(9).standard_normal(35)
-        monkeypatch.setenv("REPRO_SOLVE", "reference")
-        solver_ref = solve_pipeline(a)
-        assert solver_ref.result.blocks is None
-        x_env = solver_ref.solve(b)
-        monkeypatch.delenv("REPRO_SOLVE")
-        solver_blk = solve_pipeline(a)
-        x_scalar = solver_blk.solve(b, impl="reference")
-        assert np.array_equal(x_env, x_scalar)
+        fac = unretained(factorized(a))
+        assert fac.result.blocks is None
+        assert np.array_equal(fac.solve(b), scalar_solve(fac, b))
 
     def test_block_request_falls_back_without_blocks(self):
-        # Blocks not retained: impl="block" degrades to the scalar path
-        # rather than failing.
+        # Blocks not retained: the solve takes the scalar path rather
+        # than failing, and agrees with the block solve of the same matrix.
         a = random_pivot_matrix(30, 4)
-        solver = factorized(a, retain_blocks=False)
-        assert solver.result.blocks is None
+        solver = factorized(a)
+        fac = unretained(solver)
+        assert fac.result.blocks is None
         b = np.ones(30)
-        assert np.array_equal(
-            solver.solve(b, impl="block"), solver.solve(b, impl="reference")
-        )
+        assert_close(fac.solve(b), solver.solve(b))
 
     def test_bad_shapes_rejected(self):
         a = random_pivot_matrix(20, 3)

@@ -43,7 +43,7 @@ class TestWallClock:
     def test_disabled_tracing_under_five_percent(self, monkeypatch):
         """Factorization through the (trace=False) solver vs the same work
         with no tracer in the way, in interleaved pairs."""
-        for var in ("REPRO_ENGINE", "REPRO_SANITIZE", "REPRO_SOLVE", "REPRO_ANALYZE"):
+        for var in ("REPRO_ENGINE", "REPRO_SANITIZE", "REPRO_ANALYZE"):
             monkeypatch.delenv(var, raising=False)
         a = paper_matrix("orsreg1", scale=0.2)
         plan = build_plan(a)

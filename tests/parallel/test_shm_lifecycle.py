@@ -1,9 +1,9 @@
 """Shared-memory arena lifecycle: every segment the proc engine creates
 must be unlinked by the time control returns to the caller — on normal
-exit, on error paths, across many repeated factorizations, and on
-service shutdown. A leaked ``/dev/shm`` segment outlives the process and
-eats machine memory until reboot, so these are regression tests against
-the whole engine surface, not just :class:`SharedArena`."""
+exit, on error paths, and across many repeated factorizations. A leaked
+``/dev/shm`` segment outlives the process and eats machine memory until
+reboot, so these are regression tests against the whole engine surface,
+not just :class:`SharedArena`."""
 
 import os
 
@@ -110,23 +110,4 @@ class TestPoolLifecycle:
                 pool.factorize(eng)
             assert len(shm_segments() - baseline) == 1
             assert np.array_equal(eng.extract().l_factor.to_dense(), ref_l)
-        assert shm_segments() - baseline == set()
-
-
-class TestServiceShutdown:
-    def test_service_close_releases_segments(self, baseline):
-        from repro.serve import SolverService
-
-        a = random_pivot_matrix(30, 3)
-        svc = SolverService(
-            n_workers=0, max_queue=8, engine="proc", engine_workers=2
-        )
-        b = np.ones(30)
-        promises = [svc.submit(a, b) for _ in range(2)]
-        while svc.process_once():
-            pass
-        for p in promises:
-            x = p.result(timeout=10)
-            assert np.all(np.isfinite(x))
-        svc.close()
         assert shm_segments() - baseline == set()

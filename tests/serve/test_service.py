@@ -1,5 +1,6 @@
 """Solver service tests: backpressure, deadlines, batching, threading."""
 
+import multiprocessing
 import threading
 import time
 
@@ -16,6 +17,7 @@ from repro.serve import (
 )
 from repro.sparse.ops import matvec
 from tests.conftest import random_pivot_matrix
+from tests.parallel.test_shm_lifecycle import shm_segments
 
 
 @pytest.fixture
@@ -217,6 +219,21 @@ class TestThreaded:
         st = svc.stats()
         assert st["completed"] == 16
         assert st["cache"]["entries"] <= len(matrices)
+
+    def test_proc_engine_env_forks_nothing(self, a30, monkeypatch):
+        # Batches factorize with the sequential engine on the service's
+        # own threads: $REPRO_ENGINE does not reach them, so serving forks
+        # no process and maps no shared-memory arena.
+        monkeypatch.setenv("REPRO_ENGINE", "proc")
+        children, segments = set(multiprocessing.active_children()), shm_segments()
+        with SolverService(n_workers=2) as svc:
+            b = np.ones(30)
+            pending = [svc.submit(a30, b) for _ in range(3)]
+            for p in pending:
+                assert residual(a30, p.result(timeout=60), b) < 1e-8
+            assert svc.stats()["batches"] >= 1
+            assert set(multiprocessing.active_children()) <= children
+            assert shm_segments() == segments
 
     def test_blocking_solve_helper(self, a30):
         with SolverService(n_workers=1) as svc:

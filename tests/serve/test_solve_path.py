@@ -3,17 +3,22 @@
 A warm :class:`SolverService` request (plan cached, factors retained in
 panel form) must run the supernodal block engine: the ``solve`` span
 carries ``impl="block"``, a ``solve.block`` child span is present, and no
-``solve.reference`` span opens anywhere. A companion test flips
-``REPRO_SOLVE=reference`` and asserts the scalar span *does* appear —
-proving the no-scalar assertion would catch a regression.
+``solve.reference`` span opens anywhere. A companion test solves with
+factors extracted without blocks and asserts the scalar span *does*
+appear — proving the no-scalar assertion would catch a regression.
 """
 
 import numpy as np
 
+from repro.numeric.factor import LUFactorization
 from repro.obs.trace import Tracer
 from repro.serve.cache import PlanCache
 from repro.serve.plan import build_plan
-from repro.serve.refactor import refactorize_with_plan
+from repro.serve.refactor import (
+    NumericFactorization,
+    permuted_values,
+    refactorize_with_plan,
+)
 from repro.serve.service import SolverService
 from tests.conftest import random_pivot_matrix
 
@@ -33,7 +38,6 @@ class TestPlanCarriesSchedule:
         assert np.array_equal(plan.row_perm[inv], np.arange(a.n_cols))
 
     def test_refactorization_retains_blocks(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE", raising=False)
         # The REPRO_ANALYZE hook reads the solve schedule of every plan.
         monkeypatch.delenv("REPRO_ANALYZE", raising=False)
         a = random_pivot_matrix(30, 1)
@@ -62,8 +66,7 @@ class TestWarmServiceSolvesInBlockForm:
         assert stats["cache"]["hits"] >= 1
         return x, a, b
 
-    def test_no_scalar_span_on_warm_request(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE", raising=False)
+    def test_no_scalar_span_on_warm_request(self):
         tracer = Tracer()
         x, a, b = self._run_request(tracer)
         spans = _solve_spans(tracer)
@@ -77,19 +80,23 @@ class TestWarmServiceSolvesInBlockForm:
         fac = refactorize_with_plan(build_plan(a), a)
         assert fac.residual_norm(x[:, 0], b[:, 0]) < 1e-8
 
-    def test_reference_env_reenters_scalar_path(self, monkeypatch):
-        # The detector works: forcing the reference impl makes the scalar
-        # span appear where the previous test asserts its absence.
-        monkeypatch.setenv("REPRO_SOLVE", "reference")
+    def test_unretained_factors_reenter_scalar_path(self):
+        # The detector works: factors extracted without blocks make the
+        # scalar span appear where the previous test asserts its absence.
+        a = random_pivot_matrix(40, 2)
+        plan = build_plan(a)
+        a_work, _ = permuted_values(plan, a)
+        eng = LUFactorization(a_work, plan.bp, layout=plan.layout)
+        eng.factor_sequential()
         tracer = Tracer()
-        self._run_request(tracer)
+        fac = NumericFactorization(plan, a, a_work, eng.extract(), tracer=tracer)
+        fac.solve(np.ones((40, 3)))
         spans = _solve_spans(tracer)
         assert spans["solve"].attrs["impl"] == "reference"
         assert "solve.reference" in spans
         assert "solve.block" not in spans
 
-    def test_n_rhs_histogram_observed(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SOLVE", raising=False)
+    def test_n_rhs_histogram_observed(self):
         a = random_pivot_matrix(30, 3)
         b = np.ones((30, 5))
         with SolverService(n_workers=0, cache=PlanCache()) as svc:

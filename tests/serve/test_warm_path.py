@@ -26,6 +26,7 @@ from repro.numeric.solver import SolverOptions
 from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.coo import COOBuilder
 from repro.sparse.generators import paper_matrix
+from tests.conftest import scalar_solve
 
 # sha256 over the integer structure of sherman3@0.15's factors (L and U
 # indptr/indices, then orig_at) at the parent of the lazy-extraction
@@ -49,7 +50,6 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _warm_request(monkeypatch):
-    monkeypatch.delenv("REPRO_SOLVE", raising=False)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     a = paper_matrix("sherman3", scale=0.15)
     # Exact mindeg and the paper-era amalgamation bounds: the options the
@@ -130,7 +130,7 @@ def test_warm_request_skips_positions_csc_and_schedule(monkeypatch):
     assert h.hexdigest() == SHERMAN3_STRUCTURE_DIGEST
 
     # Everything that reads the scalar factors still works from them.
-    assert np.allclose(fac.solve(b, impl="reference"), x, rtol=1e-9, atol=1e-12)
+    assert np.allclose(scalar_solve(fac, b), x, rtol=1e-9, atol=1e-12)
     assert condest_1norm(fac.a_work, l, u, res.orig_at) >= 1.0
 
 
@@ -185,7 +185,6 @@ def test_factorization_holds_one_copy_of_its_factors(monkeypatch):
     import gc
     import tracemalloc
 
-    monkeypatch.delenv("REPRO_SOLVE", raising=False)
     monkeypatch.delenv("REPRO_ENGINE", raising=False)
     a = paper_matrix("sherman3", scale=0.5)
     plan = build_plan(a)

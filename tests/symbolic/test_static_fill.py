@@ -18,6 +18,8 @@ from repro.symbolic.static_fill import (
     ata_cholesky_bound,
     simulate_elimination_fill,
     static_symbolic_factorization,
+    static_symbolic_factorization_fast,
+    static_symbolic_factorization_reference,
 )
 from repro.util.errors import PatternError, ShapeError
 
@@ -160,38 +162,41 @@ class TestStructure:
         assert l_pat.nnz + u_pat.nnz - fill.n == fill.nnz
 
 
-IMPLS = ("reference", "fast")
+#: The fast kernel and its set-based oracle, called directly.
+IMPLS = {
+    "reference": static_symbolic_factorization_reference,
+    "fast": static_symbolic_factorization_fast,
+}
+over_impls = pytest.mark.parametrize("factor", list(IMPLS.values()), ids=list(IMPLS))
 
 
 class TestEdgeCases:
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_one_by_one(self, impl):
-        fill = static_symbolic_factorization(
-            csc_from_dense(np.ones((1, 1))), impl=impl
-        )
+    @over_impls
+    def test_one_by_one(self, factor):
+        fill = factor(csc_from_dense(np.ones((1, 1))))
         assert fill.n == 1
         assert fill.nnz == 1
         assert fill.pattern.has_entry(0, 0)
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_fully_dense(self, impl):
+    @over_impls
+    def test_fully_dense(self, factor):
         n = 8
         dense = csc_from_dense(np.ones((n, n)))
-        fill = static_symbolic_factorization(dense, impl=impl)
+        fill = factor(dense)
         # A dense matrix is already its own static fill.
         assert pattern_equal(fill.pattern, dense.pattern_only())
         assert fill.fill_ratio == 1.0
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_diagonal_only(self, impl):
+    @over_impls
+    def test_diagonal_only(self, factor):
         n = 9
         diag = csc_from_dense(np.eye(n))
-        fill = static_symbolic_factorization(diag, impl=impl)
+        fill = factor(diag)
         # No off-diagonal structure means no merges and no fill at all.
         assert pattern_equal(fill.pattern, diag.pattern_only())
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_zero_diagonal_fixed_by_transversal(self, impl):
+    @over_impls
+    def test_zero_diagonal_fixed_by_transversal(self, factor):
         # An antidiagonal permutation matrix plus some off-diagonal noise:
         # every diagonal entry is zero, so the raw matrix must be rejected,
         # while the maximum-transversal row permutation repairs it.
@@ -202,34 +207,32 @@ class TestEdgeCases:
         dense[0, n - 1] = 1.0
         a = csc_from_dense(dense)
         with pytest.raises(PatternError, match="zero-free diagonal"):
-            static_symbolic_factorization(a, impl=impl)
+            factor(a)
         fixed = permute(a, row_perm=zero_free_diagonal_permutation(a))
-        fill = static_symbolic_factorization(fixed, impl=impl)
+        fill = factor(fixed)
         for j in range(n):
             assert fill.pattern.has_entry(j, j)
 
 
 class TestErrors:
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_missing_diagonal_raises(self, impl):
+    @over_impls
+    def test_missing_diagonal_raises(self, factor):
         dense = np.array([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(PatternError):
-            static_symbolic_factorization(csc_from_dense(dense), impl=impl)
+            factor(csc_from_dense(dense))
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_rectangular_raises(self, impl):
+    @over_impls
+    def test_rectangular_raises(self, factor):
         with pytest.raises(ShapeError):
-            static_symbolic_factorization(
-                csc_from_dense(np.ones((2, 3))), impl=impl
-            )
+            factor(csc_from_dense(np.ones((2, 3))))
 
     def test_simulate_rejects_bad_pivot_choice(self):
         a = prepared(6, 6)
         with pytest.raises(PatternError):
             simulate_elimination_fill(a, lambda k, cand: -1)
 
-    @pytest.mark.parametrize("impl", IMPLS)
-    def test_empty_matrix(self, impl):
+    @over_impls
+    def test_empty_matrix(self, factor):
         a = csc_from_dense(np.zeros((0, 0)))
-        fill = static_symbolic_factorization(a, impl=impl)
+        fill = factor(a)
         assert fill.nnz == 0

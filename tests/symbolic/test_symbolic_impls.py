@@ -2,15 +2,18 @@
 
 The fast implementations (array-form row merge, vectorized eforest
 parents, iterative postorder) must be bit-exact with the per-element
-reference implementations: identical ``StaticFill`` patterns, identical
-eforest parent arrays, identical postorder permutations — on random,
-dense, tridiagonal, and block-triangular patterns. Also covers the
-``REPRO_SYMBOLIC`` dispatch precedence.
+reference implementations, which the tests call directly: identical
+``StaticFill`` patterns, identical eforest parent arrays, identical
+postorder permutations — on random, dense, tridiagonal, and
+block-triangular patterns. Also covers the ``REPRO_SYMBOLIC`` dispatch
+precedence, which selects ``"fast"`` or ``"chunked"`` and never the
+reference.
 """
 
 import numpy as np
 import pytest
 
+from repro.ordering.etree import postorder_forest, relabel_forest
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
 from repro.sparse.generators import random_sparse
@@ -22,12 +25,13 @@ from repro.symbolic.eforest import (
     lu_elimination_forest_fast,
     lu_elimination_forest_reference,
 )
-from repro.symbolic.postorder import postorder_pipeline
+from repro.symbolic.postorder import block_upper_triangular_blocks, postorder_pipeline
 from repro.symbolic.static_fill import (
     static_symbolic_factorization,
     static_symbolic_factorization_fast,
     static_symbolic_factorization_reference,
 )
+from repro.util.errors import DispatchError
 
 
 def pattern_from_dense_bool(mask):
@@ -113,15 +117,20 @@ class TestImplementationEquality:
 
     @pytest.mark.parametrize("a", CASE_MATRICES, ids=CASE_IDS)
     def test_postorder_permutations_identical(self, a):
-        fill_ref = static_symbolic_factorization(a, impl="reference")
-        fill_fast = static_symbolic_factorization(a, impl="fast")
-        po_ref = postorder_pipeline(fill_ref, impl="reference")
-        po_fast = postorder_pipeline(fill_fast, impl="fast")
-        assert np.array_equal(po_ref.perm, po_fast.perm)
-        assert np.array_equal(po_ref.parent_before, po_fast.parent_before)
-        assert np.array_equal(po_ref.parent_after, po_fast.parent_after)
-        assert pattern_equal(po_ref.fill.pattern, po_fast.fill.pattern)
-        assert po_ref.blocks == po_fast.blocks
+        # The production pipeline against the reference kernels composed
+        # by hand: reference fill -> reference parents -> postorder.
+        fill_ref = static_symbolic_factorization_reference(a)
+        parent_ref = lu_elimination_forest_reference(fill_ref)
+        perm = postorder_forest(parent_ref)
+        parent_after = relabel_forest(parent_ref, perm)
+        po = postorder_pipeline(static_symbolic_factorization_fast(a))
+        assert np.array_equal(po.perm, perm)
+        assert np.array_equal(po.parent_before, parent_ref)
+        assert np.array_equal(po.parent_after, parent_after)
+        assert pattern_equal(
+            po.fill.pattern, permute(fill_ref.pattern, row_perm=perm, col_perm=perm)
+        )
+        assert po.blocks == block_upper_triangular_blocks(parent_after)
 
 
 class TestDispatch:
@@ -132,14 +141,14 @@ class TestDispatch:
 
     def test_argument_wins_over_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYMBOLIC", "fast")
-        assert resolve_impl("reference") == "reference"
+        assert resolve_impl("chunked") == "chunked"
 
     @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
     def test_env_selects_implementation(self, monkeypatch, impl):
         monkeypatch.setenv("REPRO_SYMBOLIC", impl)
         assert resolve_impl() == impl
-        # The dispatcher actually routes on the env var: both settings
-        # produce the (identical) pattern without an explicit impl arg.
+        # The dispatcher actually routes on the env var: every setting
+        # produces the oracle's pattern without an explicit impl arg.
         a = prepared_random(12, seed=3)
         fill = static_symbolic_factorization(a)
         oracle = static_symbolic_factorization_reference(a)
@@ -147,6 +156,19 @@ class TestDispatch:
         assert np.array_equal(
             lu_elimination_forest(fill), lu_elimination_forest_reference(fill)
         )
+
+    def test_reference_is_not_selectable(self, monkeypatch):
+        # The reference kernels are oracles, called directly; neither an
+        # argument nor the environment routes a request to them.
+        assert IMPLEMENTATIONS == ("fast", "chunked")
+        with pytest.raises(DispatchError):
+            resolve_impl("reference")
+        a = prepared_random(6, seed=0)
+        with pytest.raises(DispatchError):
+            lu_elimination_forest(static_symbolic_factorization(a), impl="reference")
+        monkeypatch.setenv("REPRO_SYMBOLIC", "reference")
+        with pytest.raises(DispatchError, match="REPRO_SYMBOLIC"):
+            static_symbolic_factorization(a)
 
     def test_empty_env_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_SYMBOLIC", "")

@@ -105,7 +105,6 @@ class TestErrors:
 
 
 def _selectors():
-    from repro.numeric import solve_dispatch
     from repro.parallel import dispatch as engine_dispatch
     from repro.symbolic import dispatch as symbolic_dispatch
 
@@ -116,13 +115,6 @@ def _selectors():
             symbolic_dispatch.IMPLEMENTATIONS,
             symbolic_dispatch.DEFAULT_IMPL,
             id="symbolic",
-        ),
-        pytest.param(
-            solve_dispatch.resolve_impl,
-            solve_dispatch.ENV_VAR,
-            solve_dispatch.IMPLEMENTATIONS,
-            solve_dispatch.DEFAULT_IMPL,
-            id="solve",
         ),
         pytest.param(
             engine_dispatch.resolve_engine,
@@ -136,7 +128,7 @@ def _selectors():
 
 @pytest.mark.parametrize("resolve, env_var, valid, default", _selectors())
 class TestResolveChoice:
-    """The three selectors are one ``repro.util.resolve_choice``."""
+    """The two selectors are one ``repro.util.resolve_choice``."""
 
     def test_bad_argument_names_source_and_valid_set(
         self, monkeypatch, resolve, env_var, valid, default
