@@ -56,6 +56,23 @@ from repro.taskgraph.sstar import build_sstar_graph
 from repro.taskgraph.tasks import count_tasks
 
 
+def _natural_order(a: CSCMatrix) -> np.ndarray:
+    """The identity ordering."""
+    return np.arange(a.n_cols, dtype=np.int64)
+
+
+#: ``SolverOptions.ordering`` name → fill-reducing ordering. Each is called
+#: with the request's ``ordering_params`` as keywords, so a key the
+#: ordering does not take raises ``TypeError`` instead of keying a plan.
+_ORDERING_FUNCTIONS = {
+    "mindeg": minimum_degree_ata,
+    "amd": amd_ata,
+    "rcm": reverse_cuthill_mckee,
+    "dissect": nested_dissection_ata,
+    "natural": _natural_order,
+}
+
+
 def _frozen_copy(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=dtype).copy()
     out.setflags(write=False)
@@ -212,16 +229,7 @@ def build_plan(
             work = permute(work, row_perm=row_perm)
 
         with tr.span("ordering", method=opts.ordering):
-            if opts.ordering == "mindeg":
-                q = minimum_degree_ata(work)
-            elif opts.ordering == "amd":
-                q = amd_ata(work, **opts.ordering_kwargs())
-            elif opts.ordering == "dissect":
-                q = nested_dissection_ata(work, **opts.ordering_kwargs())
-            elif opts.ordering == "rcm":
-                q = reverse_cuthill_mckee(work)
-            else:
-                q = np.arange(a.n_cols, dtype=np.int64)
+            q = _ORDERING_FUNCTIONS[opts.ordering](work, **opts.ordering_kwargs())
         work = permute(work, row_perm=q, col_perm=q)
         row_perm, col_perm = q[row_perm], q
 

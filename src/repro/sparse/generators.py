@@ -283,9 +283,9 @@ def arrow_pattern(n: int, *, band: int = 1) -> CSCMatrix:
     The banded part builds a chain column etree (``parent[i] = i + 1``) and
     the dense last column then couples every row into it — the worst case
     for the uncompressed etree walk (timed by
-    ``benchmarks/bench_symbolic.py``) and, under the
-    chunked symbolic kernel, for the cross-chunk carry buckets: every
-    elimination step emits a one-entry sliver destined for the final chunk.
+    ``benchmarks/bench_symbolic.py``) and, for the chunked static fill,
+    the most cross-chunk entries: every elimination step emits one entry
+    destined for the final chunk.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

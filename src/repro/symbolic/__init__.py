@@ -25,18 +25,13 @@ from repro.symbolic.dispatch import (
 from repro.symbolic.static_fill import (
     StaticFill,
     static_symbolic_factorization,
-    static_symbolic_factorization_fast,
     static_symbolic_factorization_reference,
     simulate_elimination_fill,
     ata_cholesky_bound,
 )
-from repro.symbolic.chunked import (
-    auto_chunk_size,
-    static_symbolic_factorization_chunked,
-)
+from repro.symbolic.chunked import auto_chunk_size
 from repro.symbolic.eforest import (
     lu_elimination_forest,
-    lu_elimination_forest_fast,
     lu_elimination_forest_reference,
     ExtendedEForest,
     extended_eforest,
@@ -77,14 +72,11 @@ __all__ = [
     "resolve_impl",
     "StaticFill",
     "static_symbolic_factorization",
-    "static_symbolic_factorization_fast",
     "static_symbolic_factorization_reference",
-    "static_symbolic_factorization_chunked",
     "auto_chunk_size",
     "simulate_elimination_fill",
     "ata_cholesky_bound",
     "lu_elimination_forest",
-    "lu_elimination_forest_fast",
     "lu_elimination_forest_reference",
     "ExtendedEForest",
     "extended_eforest",

@@ -1,29 +1,29 @@
 """Implementation selection for the symbolic kernels.
 
-The symbolic pipeline ships two bit-exact implementations of its
-kernels (static fill, eforest parents, postorder):
+The static fill has one George-Ng row-merge kernel
+(:func:`repro.symbolic.chunked.row_merge`), run in one of two modes:
 
-* ``"fast"`` — flat NumPy array kernels (sorted-array row merge with a
-  union-find representative-row scheme, vectorized parent extraction,
-  iterative postorder) that cut the cold-path plan-build latency;
-* ``"chunked"`` — the large-n production path: the same George-Ng merge
-  streamed over column chunks so peak working memory stays bounded by
-  the chunk output plus the merge frontier instead of the total fill
-  (:mod:`repro.symbolic.chunked`). Bit-exact with ``"fast"``. Only the
-  static fill has a dedicated chunked kernel; the eforest/postorder
-  stages reuse the ``"fast"`` array kernels under this name.
+* ``"fast"`` — the whole matrix as one column chunk: the lowest
+  wall-clock time;
+* ``"chunked"`` — the large-n mode: the same merge assembled over column
+  chunks (``chunk=``, default sized from ``n`` and ``nnz``), so peak
+  working memory stays bounded by one chunk's output plus the merge
+  frontier instead of the total fill. Bit-exact with ``"fast"``.
+
+The eforest and postorder stages have one kernel each and run it under
+either name.
 
 Selection order: an explicit ``impl=`` argument wins, then the
 ``REPRO_SYMBOLIC`` environment variable, then the default (``"fast"``).
 Both produce identical :class:`~repro.symbolic.static_fill.StaticFill`
-patterns, eforest parent arrays, and postorder permutations.
+patterns.
 
 The per-element Python data-structure kernels
 (:func:`~repro.symbolic.static_fill.static_symbolic_factorization_reference`,
 :func:`~repro.symbolic.eforest.lu_elimination_forest_reference`) are not
 selectable: they are the readable oracles that
 ``tests/symbolic/test_symbolic_impls.py`` and ``bench_symbolic`` call
-directly to pin ``"fast"``.
+directly to pin the array kernels.
 
 Unknown names raise :class:`repro.util.errors.DispatchError` (a
 ``ValueError`` subclass) naming the valid set and the source of the bad

@@ -14,27 +14,11 @@ task-graph construction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from repro.ordering.etree import forest_children, forest_roots
-from repro.symbolic.dispatch import resolve_impl
 from repro.symbolic.static_fill import StaticFill
-
-
-def lu_elimination_forest(
-    fill: StaticFill, *, impl: Optional[str] = None
-) -> np.ndarray:
-    """Parent array of the LU eforest of ``Ā`` (``-1`` marks roots).
-
-    Every implementation ``impl`` names (default: ``$REPRO_SYMBOLIC``,
-    then ``"fast"``) runs the vectorized kernel: ``"chunked"`` has no
-    dedicated eforest kernel. :func:`lu_elimination_forest_reference` is
-    its oracle.
-    """
-    resolve_impl(impl)  # an unknown name still raises DispatchError
-    return lu_elimination_forest_fast(fill)
 
 
 def lu_elimination_forest_reference(fill: StaticFill) -> np.ndarray:
@@ -55,8 +39,11 @@ def lu_elimination_forest_reference(fill: StaticFill) -> np.ndarray:
     return parent
 
 
-def lu_elimination_forest_fast(fill: StaticFill) -> np.ndarray:
-    """Vectorized parent extraction: one pass over the flat entry arrays.
+def lu_elimination_forest(fill: StaticFill) -> np.ndarray:
+    """Parent array of the LU eforest of ``Ā`` (``-1`` marks roots).
+
+    Vectorized parent extraction, one pass over the flat entry arrays
+    (:func:`lu_elimination_forest_reference` is its oracle).
 
     ``parent[j] = min{ r > j : ū_jr ≠ 0 }`` is the column of the *first*
     strictly-upper entry of row ``j`` in CSC entry order (columns ascend, so
@@ -109,11 +96,9 @@ class ExtendedEForest:
         return bool(self._pre[a] <= self._pre[d] and self._post[a] >= self._post[d])
 
 
-def extended_eforest(
-    fill: StaticFill, *, impl: Optional[str] = None
-) -> ExtendedEForest:
+def extended_eforest(fill: StaticFill) -> ExtendedEForest:
     """Build the extended eforest of ``Ā`` with DFS numbering."""
-    parent = lu_elimination_forest(fill, impl=impl)
+    parent = lu_elimination_forest(fill)
     n = parent.size
     children = forest_children(parent)
 

@@ -35,6 +35,7 @@ from repro.ordering.etree import (
 )
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import permute
+from repro.symbolic.dispatch import resolve_impl
 from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.static_fill import StaticFill
 from repro.util.errors import PatternError
@@ -69,10 +70,14 @@ def postorder_pipeline(
 ) -> PostorderResult:
     """DFS-postorder the LU eforest of ``fill`` and permute symmetrically.
 
-    ``impl`` selects the eforest implementation (see
-    :mod:`repro.symbolic.dispatch`); both yield the same permutation.
+    One kernel runs under every implementation name. ``impl`` is still
+    accepted, and validated (an unknown name raises
+    :class:`~repro.util.errors.DispatchError`), because the staged pass of
+    ``benchmarks/e2e/traced.py`` passes the resolved
+    :func:`~repro.symbolic.dispatch.resolve_impl` name through it.
     """
-    parent = lu_elimination_forest(fill, impl=impl)
+    resolve_impl(impl)
+    parent = lu_elimination_forest(fill)
     perm = postorder_forest(parent)
     permuted = permute(fill.pattern, row_perm=perm, col_perm=perm)
     new_fill = StaticFill(pattern=permuted, nnz_original=fill.nnz_original)

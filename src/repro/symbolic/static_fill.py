@@ -20,17 +20,14 @@ Two implementations are provided:
   step unions distinct-tail *groups* rather than candidate rows. The
   oracle the tests and ``bench_symbolic`` call directly; no selector
   reaches it.
-* :func:`static_symbolic_factorization_fast` — the same merge on flat
-  sorted ``int64`` arrays with a union-find over merge groups (the
-  shared-tail-object optimization in array form) and a fully vectorized
-  column-wise assembly (``np.lexsort``/``np.bincount`` instead of per-row
-  list appends). This is the production cold path of
-  :func:`repro.serve.plan.build_plan`.
-
-``static_symbolic_factorization`` dispatches between the fast kernel and
-the chunked one (:mod:`repro.symbolic.chunked`) via the ``impl=``
-argument or the ``REPRO_SYMBOLIC`` environment variable
-(:mod:`repro.symbolic.dispatch`).
+* :func:`static_symbolic_factorization` — the same merge on flat sorted
+  ``int64`` arrays with a union-find over merge groups (the shared-tail
+  optimization in array form), assembled column chunk by column chunk
+  (:func:`repro.symbolic.chunked.row_merge`). The ``impl=`` argument or
+  the ``REPRO_SYMBOLIC`` environment variable
+  (:mod:`repro.symbolic.dispatch`) picks the chunk size: ``"fast"`` runs
+  one chunk, ``"chunked"`` streams ``chunk=`` columns at a time. This is
+  the production cold path of :func:`repro.serve.plan.build_plan`.
 """
 
 from __future__ import annotations
@@ -42,6 +39,7 @@ import numpy as np
 
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
+from repro.symbolic.chunked import resolve_chunk, row_merge
 from repro.symbolic.dispatch import resolve_impl
 from repro.util.errors import PatternError, ShapeError
 
@@ -125,23 +123,24 @@ def static_symbolic_factorization(
     """Run the George-Ng row-merge scheme on the pattern of ``a``.
 
     ``a`` must be square with a zero-free diagonal (run the maximum
-    transversal first — paper §2 and Duff [3]). ``impl`` selects the
-    ``"fast"`` array kernel or the ``"chunked"`` streaming kernel
-    (:mod:`repro.symbolic.chunked`) (default: ``$REPRO_SYMBOLIC``, then
-    ``"fast"``); both produce identical patterns. ``chunk`` is the
-    chunked kernel's column-chunk size (default: sized from ``n`` and
-    ``nnz``) and is ignored by ``"fast"``. ``tracer`` (a
-    :class:`repro.obs.trace.Tracer`) records ``symbolic.row_merge`` /
-    ``symbolic.assemble`` child spans (plus ``symbolic.chunk`` children
-    under ``"chunked"``).
+    transversal first — paper §2 and Duff [3]). ``impl`` (default:
+    ``$REPRO_SYMBOLIC``, then ``"fast"``) sets how many columns the merge
+    assembles at a time: ``"fast"`` all ``n`` at once, ``"chunked"``
+    ``chunk`` (default: sized from ``n`` and ``nnz`` by
+    :func:`repro.symbolic.chunked.auto_chunk_size`); ``"fast"`` ignores
+    ``chunk``. Every chunk size produces the identical pattern. ``tracer``
+    (a :class:`repro.obs.trace.Tracer`) records ``symbolic.row_merge``
+    (with one ``symbolic.chunk`` child per chunk) and ``symbolic.assemble``
+    child spans.
     """
-    if resolve_impl(impl) == "fast":
-        return static_symbolic_factorization_fast(a, tracer=tracer)
-    # Imported lazily: repro.symbolic.chunked imports StaticFill from
-    # this module, so a top-level import would be circular.
-    from repro.symbolic.chunked import static_symbolic_factorization_chunked
-
-    return static_symbolic_factorization_chunked(a, chunk=chunk, tracer=tracer)
+    impl = resolve_impl(impl)
+    if not a.is_square:
+        raise ShapeError("static symbolic factorization requires a square matrix")
+    pat = a.pattern_only()
+    n = a.n_cols
+    size = max(n, 1) if impl == "fast" else resolve_chunk(chunk, n, pat.nnz)
+    pattern = row_merge(pat, size, impl=impl, tracer=_null_tracer(tracer))
+    return StaticFill(pattern=pattern, nnz_original=a.nnz)
 
 
 def _null_tracer(tracer):
@@ -239,156 +238,6 @@ def static_symbolic_factorization_reference(
         indices = (
             np.concatenate(chunks) if chunks else np.empty(0, dtype=INDEX_DTYPE)
         )
-        pattern = CSCMatrix(n, n, indptr, indices, None, check=False)
-    return StaticFill(pattern=pattern, nnz_original=a.nnz)
-
-
-def static_symbolic_factorization_fast(
-    a: CSCMatrix, *, tracer=None
-) -> StaticFill:
-    """Array-form George-Ng merge: sorted ``int64`` tails + union-find.
-
-    State is kept per *merge group*, not per row: after step ``k`` all
-    candidate rows share one tail, so the reference implementation's
-    shared-``set`` trick becomes a union-find whose roots own one sorted
-    tail array and one live-row array each. Because a merged group's tail
-    is the union of its constituents' tails, the initial column index of
-    ``A`` (resolved through the union-find) always finds every group whose
-    tail contains ``k`` — no per-merge inverted-index maintenance at all.
-    The final pattern is assembled in one vectorized
-    ``np.lexsort``/``np.bincount`` pass over the flat (row, col) entry
-    arrays.
-    """
-    if not a.is_square:
-        raise ShapeError("static symbolic factorization requires a square matrix")
-    tr = _null_tracer(tracer)
-    n = a.n_cols
-    pat = a.pattern_only()
-    if n == 0:
-        empty = CSCMatrix(
-            0, 0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=INDEX_DTYPE),
-            None, check=False,
-        )
-        return StaticFill(pattern=empty, nnz_original=a.nnz)
-
-    # Zero-free diagonal validation, vectorized: an entry (i, j) with i == j
-    # marks column j as having its diagonal stored.
-    col_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(pat.indptr))
-    has_diag = np.zeros(n, dtype=bool)
-    has_diag[col_ids[pat.indices == col_ids]] = True
-    if not bool(has_diag.all()):
-        k = int(np.nonzero(~has_diag)[0][0])
-        raise PatternError(
-            f"zero-free diagonal required: a[{k},{k}] is not stored "
-            "(apply zero_free_diagonal_permutation first)"
-        )
-
-    csr = csc_to_csr(pat)
-    # Union-find over merge groups (group ids start out as row ids). A plain
-    # Python list beats an int64 ndarray here: the walk does scalar reads and
-    # writes, where numpy's per-element boxing dominates.
-    uf = list(range(n))
-
-    empty_i8 = np.empty(0, dtype=np.int64)
-    # Root-group state: sorted tail columns (all >= current step) and the
-    # group's live (unfrozen) rows. Dead/non-root slots hold None. Initial
-    # tails are read-only views into one int64 copy of the CSR index array
-    # (merges always build fresh arrays, never write through a tail).
-    all_cols = csr.indices.astype(np.int64)
-    row_ptr = csr.indptr.tolist()
-    tails: list = [all_cols[row_ptr[i] : row_ptr[i + 1]] for i in range(n)]
-    all_rows = np.arange(n, dtype=np.int64)
-    rows_of: list = [all_rows[i : i + 1] for i in range(n)]
-
-    u_rows: list = [empty_i8] * n  # Ū row structures (cols >= k, sorted)
-    l_chunks: list = [empty_i8] * n  # L̄ column structures below the diagonal
-    u_lens = np.zeros(n, dtype=np.int64)
-    l_lens = np.zeros(n, dtype=np.int64)
-    # mark[g] == k <=> group g already collected as a step-k candidate.
-    mark = [-1] * n
-    # Column iteration over plain ints: one bulk tolist() up front is far
-    # cheaper than n slices of an int32 ndarray.
-    col_entries = pat.indices.tolist()
-    ptr = pat.indptr.tolist()
-    concat = np.concatenate
-    keep_buf = np.empty(n, dtype=bool)
-    keep_buf[0] = True  # position 0 is always kept; the rest is per-step
-
-    with tr.span("symbolic.row_merge", impl="fast"):
-        for k in range(n):
-            # Candidate groups: resolve the rows of column k of A through
-            # the union-find. A group's tail contains k iff some member
-            # row's original structure did, so the initial column index is
-            # complete — merged-away ids just resolve to their root.
-            cand: list[int] = []
-            for r in col_entries[ptr[k] : ptr[k + 1]]:
-                g = uf[r]
-                while uf[g] != g:  # path halving
-                    uf[g] = uf[uf[g]]
-                    g = uf[g]
-                uf[r] = g
-                if mark[g] != k:
-                    mark[g] = k
-                    if rows_of[g] is not None:  # skip dead groups
-                        cand.append(g)
-            if len(cand) == 1:
-                g0 = cand[0]
-                union = tails[g0]
-                live = rows_of[g0]
-            else:
-                # Sorted dedupe without np.unique: sort the concatenated
-                # tails, then an adjacent-difference mask is the whole job
-                # (np.unique re-sorts and carries overhead). keep_buf is
-                # reused across steps to skip the allocation.
-                buf = concat([tails[g] for g in cand])
-                buf.sort()
-                if buf.size > keep_buf.size:  # tails overlap, so the
-                    keep_buf = np.empty(2 * buf.size, dtype=bool)  # concat can
-                    keep_buf[0] = True  # exceed n
-                keep = keep_buf[: buf.size]
-                np.not_equal(buf[1:], buf[:-1], out=keep[1:])
-                union = buf[keep]
-                live = concat([rows_of[g] for g in cand])
-            if union.size == 0 or union[0] != k:
-                raise PatternError(f"diagonal entry ({k},{k}) lost during merge")
-
-            u_rows[k] = union
-            u_lens[k] = union.size
-            if live.size == 1:  # the lone live row must be k itself
-                below = empty_i8
-            else:
-                below = live[live != k]  # live rows are >= k; freeze row k now
-            l_chunks[k] = below
-            l_lens[k] = below.size
-
-            g_new = cand[0]
-            for g in cand[1:]:
-                uf[g] = g_new
-                tails[g] = None
-                rows_of[g] = None
-            if below.size:
-                tails[g_new] = union[1:]  # the shared post-merge tail
-                rows_of[g_new] = below
-            else:
-                tails[g_new] = None  # group is exhausted
-                rows_of[g_new] = None
-
-    # Assemble Ā column-wise in one vectorized pass: U entries are
-    # (i, j in u_rows[i]) with i <= j, L entries are (i in l_chunks[k], k)
-    # with i > k; the two halves are disjoint, so a single lexsort by
-    # (column, row) yields the sorted CSC index array directly.
-    with tr.span("symbolic.assemble", impl="fast"):
-        arange_n = np.arange(n, dtype=np.int64)
-        rows_all = np.concatenate(
-            [np.repeat(arange_n, u_lens), np.concatenate(l_chunks)]
-        )
-        cols_all = np.concatenate(
-            [np.concatenate(u_rows), np.repeat(arange_n, l_lens)]
-        )
-        order = np.lexsort((rows_all, cols_all))
-        indices = rows_all[order].astype(INDEX_DTYPE)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols_all, minlength=n), out=indptr[1:])
         pattern = CSCMatrix(n, n, indptr, indices, None, check=False)
     return StaticFill(pattern=pattern, nnz_original=a.nnz)
 

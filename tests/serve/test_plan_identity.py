@@ -7,8 +7,9 @@ matrix.
 """
 
 import numpy as np
+import pytest
 
-from repro.numeric.solver import SolverOptions
+from repro.numeric.solver import ORDERINGS, SolverOptions
 from repro.obs.trace import Tracer
 from repro.serve import SolverService
 from repro.serve.cache import PlanCache
@@ -50,6 +51,14 @@ class TestPlanIdentity:
             ordering="dissect", params=(("leaf_size", 128),)
         ).apply(base)
         assert a.symbolic_key() != b.symbolic_key()
+
+    @pytest.mark.parametrize("ordering", ORDERINGS)
+    def test_every_ordering_receives_its_params(self, ordering):
+        # A key the ordering does not take must fail, not silently key a
+        # second plan of the same permutation.
+        opts = SolverOptions(ordering=ordering, ordering_params=(("no_such", 1),))
+        with pytest.raises(TypeError, match="no_such"):
+            build_plan(sherman(), opts)
 
     def test_not_equal_to_other_types(self):
         plan = build_plan(sherman())

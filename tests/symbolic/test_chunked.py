@@ -1,15 +1,16 @@
-"""Property tests pinning the chunked symbolic kernel to ``fast``.
+"""Property tests pinning the chunked mode of the row merge to ``fast``.
 
-The ``"chunked"`` implementation streams the George-Ng row merge over
-contiguous column chunks, which is not allowed to change a single output
-bit. This suite checks bit-exactness against ``fast`` across the seven
-paper analogs, synthetic banded/arrow/grid/random patterns, and
-degenerate chunk sizes (1, n, n+7); that the chunk knob never alters the
-pattern and is the kernel's only knob; the chunk resolution (argument,
-else auto-heuristic) with its typed errors; the ``SolverOptions`` plumbing
-(including the symbolic-key exclusion); the emitted spans and the
-``symbolic.peak_bytes`` gauge; and a zero-findings static-analysis run
-on a plan built entirely under ``REPRO_SYMBOLIC=chunked``.
+``impl="fast"`` runs the George-Ng merge as one column chunk and
+``impl="chunked"`` streams it over contiguous column chunks, which is not
+allowed to change a single output bit. This suite checks bit-exactness
+across the seven paper analogs, synthetic banded/arrow/grid/random
+patterns, and degenerate chunk sizes (1, n, n+7); that the chunk knob
+never alters the pattern and is the kernel's only knob; the chunk
+resolution (argument, else auto-heuristic) with its typed errors; the
+``SolverOptions`` plumbing (including the symbolic-key exclusion); the
+emitted spans and the ``symbolic.peak_bytes`` gauge under both modes;
+and a zero-findings static-analysis run on a plan built entirely under
+``REPRO_SYMBOLIC=chunked``.
 """
 
 import numpy as np
@@ -31,16 +32,8 @@ from repro.sparse.generators import (
 )
 from repro.sparse.ops import permute
 from repro.sparse.pattern import pattern_equal
-from repro.symbolic.chunked import (
-    MIN_AUTO_CHUNK,
-    auto_chunk_size,
-    resolve_chunk,
-    static_symbolic_factorization_chunked,
-)
-from repro.symbolic.static_fill import (
-    static_symbolic_factorization,
-    static_symbolic_factorization_fast,
-)
+from repro.symbolic.chunked import MIN_AUTO_CHUNK, auto_chunk_size, resolve_chunk
+from repro.symbolic.static_fill import static_symbolic_factorization
 from repro.util.errors import DispatchError
 
 
@@ -64,8 +57,8 @@ class TestPaperAnalogEquality:
     @pytest.mark.parametrize("name", PAPER_NAMES)
     def test_chunked_matches_fast(self, name):
         work = prepared(paper_matrix(name, scale=0.1))
-        fast = static_symbolic_factorization_fast(work)
-        chunked = static_symbolic_factorization_chunked(work)
+        fast = static_symbolic_factorization(work, impl="fast")
+        chunked = static_symbolic_factorization(work, impl="chunked")
         assert_same_fill(fast, chunked)
 
     def test_degenerate_chunk_sizes(self):
@@ -73,9 +66,9 @@ class TestPaperAnalogEquality:
         # n (a single chunk), and n + 7 (chunk larger than the matrix).
         work = prepared(paper_matrix("orsreg1", scale=0.1))
         n = work.n_cols
-        fast = static_symbolic_factorization_fast(work)
+        fast = static_symbolic_factorization(work, impl="fast")
         for chunk in (1, n, n + 7):
-            chunked = static_symbolic_factorization_chunked(work, chunk=chunk)
+            chunked = static_symbolic_factorization(work, impl="chunked", chunk=chunk)
             assert_same_fill(fast, chunked)
 
 
@@ -91,17 +84,17 @@ class TestSyntheticEquality:
         ids=["banded", "arrow", "grid", "random"],
     )
     def test_chunked_matches_fast(self, pattern):
-        fast = static_symbolic_factorization_fast(pattern)
-        chunked = static_symbolic_factorization_chunked(pattern)
+        fast = static_symbolic_factorization(pattern, impl="fast")
+        chunked = static_symbolic_factorization(pattern, impl="chunked")
         assert_same_fill(fast, chunked)
 
     def test_chunk_size_never_changes_output(self):
         # Satellite regression: the chunk knob is an execution detail.
         work = banded_pattern(600, band=3, keep=0.5, seed=2)
         n = work.n_cols
-        baseline = static_symbolic_factorization_chunked(work)
+        baseline = static_symbolic_factorization(work, impl="chunked")
         for chunk in (1, 17, 64, n, n + 7):
-            other = static_symbolic_factorization_chunked(work, chunk=chunk)
+            other = static_symbolic_factorization(work, impl="chunked", chunk=chunk)
             assert_same_fill(baseline, other)
 
     def test_empty_matrix(self):
@@ -115,7 +108,7 @@ class TestSyntheticEquality:
             None,
             check=False,
         )
-        fill = static_symbolic_factorization_chunked(empty)
+        fill = static_symbolic_factorization(empty, impl="chunked")
         assert fill.pattern.n_cols == 0
         assert fill.pattern.indices.size == 0
 
@@ -133,9 +126,9 @@ class TestSyntheticEquality:
             check=False,
         )
         with pytest.raises(PatternError) as exc_fast:
-            static_symbolic_factorization_fast(bad)
+            static_symbolic_factorization(bad, impl="fast")
         with pytest.raises(PatternError) as exc_chunked:
-            static_symbolic_factorization_chunked(bad)
+            static_symbolic_factorization(bad, impl="chunked")
         assert str(exc_fast.value) == str(exc_chunked.value)
 
 
@@ -156,16 +149,16 @@ class TestKnobResolution:
         with pytest.raises(DispatchError, match="chunk argument"):
             resolve_chunk(0, 10, 10)
         with pytest.raises(DispatchError, match="chunk argument"):
-            static_symbolic_factorization_chunked(
-                banded_pattern(50, band=2, keep=1.0, seed=0), chunk=-3
+            static_symbolic_factorization(
+                banded_pattern(50, band=2, keep=1.0, seed=0),
+                impl="chunked",
+                chunk=-3,
             )
 
     def test_workers_knob_is_gone(self):
         work = prepared(random_sparse(60, density=0.1, seed=3))
         with pytest.raises(TypeError):
             static_symbolic_factorization(work, impl="chunked", workers=2)
-        with pytest.raises(TypeError):
-            static_symbolic_factorization_chunked(work, workers=2)
 
     def test_dispatch_error_is_value_error(self):
         # Old call sites catch ValueError; the typed error must satisfy them.
@@ -178,28 +171,36 @@ class TestKnobResolution:
         tr = Tracer()
         fill = static_symbolic_factorization(work, chunk=13, tracer=tr)
         assert tr.find("symbolic.row_merge").attrs["chunk"] == 13
-        oracle = static_symbolic_factorization_fast(work)
+        oracle = static_symbolic_factorization(work, impl="fast")
         assert_same_fill(oracle, fill)
 
 
 class TestObservability:
     def test_chunk_spans_and_gauge(self):
+        # One span story for both modes: "fast" is the one-chunk case
+        # (chunk= is ignored there).
         work = banded_pattern(500, band=2, keep=0.7, seed=4)
-        tr = Tracer()
-        static_symbolic_factorization_chunked(work, chunk=100, tracer=tr)
-        merge = tr.find("symbolic.row_merge")
-        assert merge is not None
-        assert merge.attrs["impl"] == "chunked"
-        assert merge.attrs["chunk"] == 100
-        chunks = [s for s in tr.walk() if s.name == "symbolic.chunk"]
-        assert len(chunks) == merge.attrs["n_chunks"] == 5
-        assert [s.attrs["index"] for s in chunks] == list(range(5))
-        assert all(s.attrs["entries"] > 0 for s in chunks)
-        assemble = tr.find("symbolic.assemble")
-        assert assemble.attrs["peak_bytes"] > 0
-        gauge = tr.metrics.get("symbolic.peak_bytes")
-        assert gauge is not None
-        assert gauge.value == float(assemble.attrs["peak_bytes"])
+        for impl, chunk, n_chunks in (("chunked", 100, 5), ("fast", 500, 1)):
+            tr = Tracer(detail=True)
+            fill = static_symbolic_factorization(
+                work, impl=impl, chunk=100, tracer=tr
+            )
+            merge = tr.find("symbolic.row_merge")
+            assert merge is not None
+            assert merge.attrs["impl"] == impl
+            assert merge.attrs["chunk"] == chunk
+            chunks = [s for s in tr.walk() if s.name == "symbolic.chunk"]
+            assert len(chunks) == merge.attrs["n_chunks"] == n_chunks
+            assert [s.attrs["index"] for s in chunks] == list(range(n_chunks))
+            assert all(s.attrs["entries"] > 0 for s in chunks)
+            assert sum(s.attrs["entries"] for s in chunks) == fill.nnz
+            assemble = tr.find("symbolic.assemble")
+            assert assemble.attrs["impl"] == impl
+            assert assemble.attrs["nnz"] == fill.nnz
+            assert assemble.attrs["peak_bytes"] > 0
+            gauge = tr.metrics.get("symbolic.peak_bytes")
+            assert gauge is not None
+            assert gauge.value == float(assemble.attrs["peak_bytes"])
 
 
 class TestSolverPlumbing:

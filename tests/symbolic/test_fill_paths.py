@@ -5,7 +5,9 @@ without pivoting, entry ``(i, j)`` of ``L + U`` is nonzero exactly when
 the directed graph of ``A`` has a path from ``i`` to ``j`` whose
 intermediate vertices are all numbered below ``min(i, j)``. George–Ng's
 static structure covers every row interchange partial pivoting can make,
-the identity included, so it must contain that no-pivot fill.
+the identity included, so it must contain that no-pivot fill — under
+``impl="fast"`` (one chunk) and under ``impl="chunked"`` at every chunk
+size, which must all give the same pattern.
 """
 
 import numpy as np
@@ -48,7 +50,11 @@ def zero_free_patterns(draw):
 def test_static_fill_contains_the_no_pivot_fill(case):
     mask, chunk = case
     a = csc_from_dense(np.array(mask, dtype=float))
+    n = a.n_cols
     fast = static_symbolic_factorization(a, impl="fast")
-    assert all(fast.pattern.has_entry(i, j) for i, j in no_pivot_fill(mask))
-    chunked = static_symbolic_factorization(a, impl="chunked", chunk=chunk)
-    assert pattern_equal(fast.pattern, chunked.pattern)
+    paths = no_pivot_fill(mask)
+    for size in (1, chunk, n):  # a chunk per column, a random one, one chunk
+        chunked = static_symbolic_factorization(a, impl="chunked", chunk=size)
+        assert pattern_equal(fast.pattern, chunked.pattern)
+        assert all(chunked.pattern.has_entry(i, j) for i, j in paths)
+    assert all(fast.pattern.has_entry(i, j) for i, j in paths)

@@ -18,7 +18,6 @@ from repro.symbolic.static_fill import (
     ata_cholesky_bound,
     simulate_elimination_fill,
     static_symbolic_factorization,
-    static_symbolic_factorization_fast,
     static_symbolic_factorization_reference,
 )
 from repro.util.errors import PatternError, ShapeError
@@ -162,10 +161,10 @@ class TestStructure:
         assert l_pat.nnz + u_pat.nnz - fill.n == fill.nnz
 
 
-#: The fast kernel and its set-based oracle, called directly.
+#: The array kernel as one chunk and its set-based oracle, called directly.
 IMPLS = {
     "reference": static_symbolic_factorization_reference,
-    "fast": static_symbolic_factorization_fast,
+    "fast": lambda a: static_symbolic_factorization(a, impl="fast"),
 }
 over_impls = pytest.mark.parametrize("factor", list(IMPLS.values()), ids=list(IMPLS))
 

@@ -22,13 +22,11 @@ from repro.sparse.pattern import pattern_equal
 from repro.symbolic.dispatch import DEFAULT_IMPL, IMPLEMENTATIONS, resolve_impl
 from repro.symbolic.eforest import (
     lu_elimination_forest,
-    lu_elimination_forest_fast,
     lu_elimination_forest_reference,
 )
 from repro.symbolic.postorder import block_upper_triangular_blocks, postorder_pipeline
 from repro.symbolic.static_fill import (
     static_symbolic_factorization,
-    static_symbolic_factorization_fast,
     static_symbolic_factorization_reference,
 )
 from repro.util.errors import DispatchError
@@ -104,7 +102,7 @@ class TestImplementationEquality:
     @pytest.mark.parametrize("a", CASE_MATRICES, ids=CASE_IDS)
     def test_static_fill_patterns_identical(self, a):
         ref = static_symbolic_factorization_reference(a)
-        fast = static_symbolic_factorization_fast(a)
+        fast = static_symbolic_factorization(a, impl="fast")
         assert pattern_equal(ref.pattern, fast.pattern)
         assert ref.nnz_original == fast.nnz_original
 
@@ -112,7 +110,7 @@ class TestImplementationEquality:
     def test_eforest_parents_identical(self, a):
         fill = static_symbolic_factorization_reference(a)
         ref = lu_elimination_forest_reference(fill)
-        fast = lu_elimination_forest_fast(fill)
+        fast = lu_elimination_forest(fill)
         assert np.array_equal(ref, fast)
 
     @pytest.mark.parametrize("a", CASE_MATRICES, ids=CASE_IDS)
@@ -123,7 +121,7 @@ class TestImplementationEquality:
         parent_ref = lu_elimination_forest_reference(fill_ref)
         perm = postorder_forest(parent_ref)
         parent_after = relabel_forest(parent_ref, perm)
-        po = postorder_pipeline(static_symbolic_factorization_fast(a))
+        po = postorder_pipeline(static_symbolic_factorization(a, impl="fast"))
         assert np.array_equal(po.perm, perm)
         assert np.array_equal(po.parent_before, parent_ref)
         assert np.array_equal(po.parent_after, parent_after)
@@ -165,7 +163,7 @@ class TestDispatch:
             resolve_impl("reference")
         a = prepared_random(6, seed=0)
         with pytest.raises(DispatchError):
-            lu_elimination_forest(static_symbolic_factorization(a), impl="reference")
+            postorder_pipeline(static_symbolic_factorization(a), impl="reference")
         monkeypatch.setenv("REPRO_SYMBOLIC", "reference")
         with pytest.raises(DispatchError, match="REPRO_SYMBOLIC"):
             static_symbolic_factorization(a)
