@@ -16,10 +16,11 @@ at a fraction of its ordering cost, so the bench asserts both halves.
 import time
 
 from repro.eval.ablations import format_ordering, ordering_comparison
-from repro.numeric.solver import ORDERINGS
+from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
+from repro.ordering import ORDERINGS
 from repro.sparse.generators import paper_matrix
-from repro.tune import OrderingRecipe, evaluate_recipe
+from repro.tune import evaluate_recipe
 from repro.util.tables import format_table
 
 N_PROCS = 8
@@ -72,7 +73,7 @@ def run_ordering_benchmark(matrices, scale: float) -> dict:
             tr = Tracer()
             t0 = time.perf_counter()
             score = evaluate_recipe(
-                a, OrderingRecipe(ordering=ordering), n_procs=N_PROCS, tracer=tr
+                a, SolverOptions(ordering=ordering), n_procs=N_PROCS, tracer=tr
             )
             by[ordering] = {
                 "matrix": name,

@@ -104,7 +104,7 @@ def requests(**opts) -> None:
 
 
 def run_all(tmp: str) -> None:
-    from repro.numeric.solver import ORDERINGS
+    from repro.ordering import ORDERINGS
     from repro.sparse import paper_matrix
     from repro.sparse.io import write_rutherford_boeing
 

@@ -96,7 +96,6 @@ from repro.serve import (
 
 # Recipe autotuning composes the serving + parallel layers.
 from repro.tune import (
-    OrderingRecipe,
     RecipeScore,
     TuneResult,
     autotune,
@@ -156,7 +155,6 @@ __all__ = [
     "build_plan",
     "fingerprint",
     "refactorize_with_plan",
-    "OrderingRecipe",
     "RecipeScore",
     "TuneResult",
     "autotune",

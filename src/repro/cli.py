@@ -31,7 +31,8 @@ import numpy as np
 
 from repro.eval.config import BenchConfig
 from repro.eval.registry import EXPERIMENTS, run_experiment
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import TASK_GRAPHS, SolverOptions, SparseLUSolver
+from repro.ordering import DEFAULT_ORDERING, ORDERINGS
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
 from repro.sparse.io import (
@@ -69,32 +70,29 @@ def _solver_options(
     )
     spec = getattr(args, "recipe", None)
     if spec:
-        from repro.tune import OrderingRecipe, autotune
+        from repro.tune import autotune, parse_recipe, recipe_spec
 
         if spec == "auto":
             if a is None:
                 a = _load_matrix(args.matrix, args.scale)
-            recipe = autotune(a, base_options=opts).recipe
-            print(f"autotuned recipe: {recipe.spec()}")
+            opts = autotune(a, base_options=opts).recipe
+            print(f"autotuned recipe: {recipe_spec(opts)}")
         else:
             try:
-                recipe = OrderingRecipe.parse(spec)
+                opts = parse_recipe(spec, opts)
             except ValueError as exc:
                 print(f"error: bad --recipe {spec!r}: {exc}", file=sys.stderr)
                 raise SystemExit(2) from exc
-        opts = recipe.apply(opts)
     return opts
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
-    from repro.numeric.solver import DEFAULT_ORDERING, ORDERINGS
-
     p.add_argument("matrix", help="matrix file (.mtx/.rua) or analog name")
     p.add_argument("--scale", type=float, default=0.35, help="analog size factor")
     p.add_argument("--ordering", choices=list(ORDERINGS), default=DEFAULT_ORDERING)
     p.add_argument("--no-postorder", action="store_true")
     p.add_argument("--no-amalgamation", action="store_true")
-    p.add_argument("--task-graph", choices=["eforest", "sstar"], default="eforest")
+    p.add_argument("--task-graph", choices=list(TASK_GRAPHS), default="eforest")
     p.add_argument(
         "--equilibrate", action="store_true", help="row/column max-norm scaling"
     )

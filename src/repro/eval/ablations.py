@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.eval.config import BenchConfig
 from repro.eval.pipeline import analyzed_matrix
+from repro.ordering import ORDERINGS
 from repro.parallel.machine import MachineModel, ORIGIN2000
 from repro.parallel.mapping import make_mapping
 from repro.parallel.simulate import simulate_schedule
@@ -165,14 +166,14 @@ class OrderingPoint:
 
 def ordering_comparison(
     name: str,
-    orderings: tuple[str, ...] = ("mindeg", "amd", "rcm", "dissect", "natural"),
     config: BenchConfig | None = None,
     machine: MachineModel = ORIGIN2000,
 ) -> list[OrderingPoint]:
-    """Compare fill-reducing orderings on one matrix."""
+    """Compare every ordering of :data:`repro.ordering.ORDERINGS` on one
+    matrix."""
     config = config or BenchConfig()
     points = []
-    for ordering in orderings:
+    for ordering in ORDERINGS:
         solver = analyzed_matrix(name, config.scale, ordering=ordering)
         assert solver.bp is not None and solver.graph is not None
         st = solver.stats()

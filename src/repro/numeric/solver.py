@@ -22,6 +22,8 @@ paper's static-analysis property; the numeric half is
 
 from __future__ import annotations
 
+import inspect
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -29,24 +31,14 @@ import numpy as np
 
 from repro.numeric.factor import FactorResult
 from repro.obs.trace import Tracer
+from repro.ordering import DEFAULT_ORDERING, ORDERINGS
 from repro.sparse.csc import CSCMatrix
-from repro.util.errors import ReproError, ShapeError
+from repro.util.errors import DispatchError, ReproError, ShapeError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.symbolic.static_fill import StaticFill
     from repro.symbolic.supernodes import BlockPattern, SupernodePartition
     from repro.taskgraph.dag import TaskGraph
-
-#: Fill-reducing orderings the pipeline dispatches on. All operate on the
-#: (row-permuted) pattern and return old-index → elimination-position
-#: permutations applied symmetrically; ``natural`` is the identity.
-ORDERINGS: tuple[str, ...] = ("mindeg", "amd", "rcm", "dissect", "natural")
-
-#: The ordering a request gets when it names none: approximate minimum
-#: degree — close to exact ``mindeg`` in fill at a fraction of its time
-#: (docs/ordering.md). ``SolverOptions``, ``OrderingRecipe`` and the CLI's
-#: ``--ordering`` all default to this one constant.
-DEFAULT_ORDERING = "amd"
 
 #: The amalgamation bounds a request gets when it names none: the point a
 #: wall-clock sweep of the warm request picks on this class of host under
@@ -54,9 +46,13 @@ DEFAULT_ORDERING = "amd"
 #: (``benchmarks/results/ablation_amalgamation.txt``). The paper-era
 #: 0.25 / 48 minimise *simulated* T(P=8) and are what :mod:`repro.eval`
 #: pins, so the paper's tables do not move. ``SolverOptions`` and
-#: ``OrderingRecipe`` both default to these two constants.
+#: recipe specs both default to these two constants.
 DEFAULT_MAX_PADDING = 0.6
 DEFAULT_MAX_SUPERNODE = 32
+
+#: The §4 task graphs ``SolverOptions.task_graph`` names: the paper's
+#: eforest graph and the S* baseline.
+TASK_GRAPHS: tuple[str, ...] = ("eforest", "sstar")
 
 
 @dataclass(frozen=True)
@@ -70,7 +66,8 @@ class SolverOptions:
     Attributes
     ----------
     ordering:
-        Fill-reducing column ordering: ``"amd"`` (approximate minimum
+        Fill-reducing column ordering, a name in the catalog
+        :data:`repro.ordering.ORDERINGS`: ``"amd"`` (approximate minimum
         degree on ``AᵀA``, Amestoy-Davis-Duff style — the default,
         :data:`DEFAULT_ORDERING`), ``"mindeg"`` (exact minimum degree on
         ``AᵀA``, the paper's choice; several times slower, kept as the
@@ -82,8 +79,9 @@ class SolverOptions:
         tuple of ``(name, value)`` pairs so options stay hashable (e.g.
         ``(("leaf_size", 96),)`` for ``dissect``). Part of the symbolic
         cache key: two recipes differing only here produce distinct
-        plans. Use :meth:`repro.tune.OrderingRecipe.apply` to build these
-        from an autotuned recipe.
+        plans. Every key must be a keyword parameter of the ordering's
+        function; :func:`repro.tune.parse_recipe` builds these from a
+        recipe spec.
     postorder:
         Apply the §3 eforest postordering (the paper's contribution; turn
         off to reproduce the "without postordering" rows of Table 3).
@@ -94,7 +92,8 @@ class SolverOptions:
         measured, the paper-era pair is ``max_padding=0.25,
         max_supernode=48``.
     task_graph:
-        ``"eforest"`` (the paper's §4 graph) or ``"sstar"`` (the baseline).
+        ``"eforest"`` (the paper's §4 graph) or ``"sstar"`` (the baseline),
+        from :data:`TASK_GRAPHS`.
     equilibrate:
         Max-norm row/column scaling before the pipeline (SuperLU's
         ``equil``); improves pivoting on badly scaled physical systems.
@@ -118,29 +117,44 @@ class SolverOptions:
     symbolic_params: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        if self.task_graph not in ("eforest", "sstar"):
-            raise ValueError(f"unknown task graph {self.task_graph!r}")
-        if not (0.0 <= self.max_padding < 1.0):
-            raise ValueError(f"max_padding must be in [0, 1), got {self.max_padding}")
-        if self.max_supernode < 1:
-            raise ValueError(f"max_supernode must be >= 1, got {self.max_supernode}")
+        # Every rejection is a DispatchError: a ReproError and a ValueError.
+        if not isinstance(self.ordering, str) or self.ordering not in ORDERINGS:
+            raise DispatchError(
+                f"unknown ordering {self.ordering!r}; valid orderings: "
+                + ", ".join(ORDERINGS)
+            )
+        if self.task_graph not in TASK_GRAPHS:
+            raise DispatchError(
+                f"unknown task graph {self.task_graph!r}; valid task graphs: "
+                + ", ".join(TASK_GRAPHS)
+            )
+        if not (isinstance(self.max_padding, numbers.Real) and 0 <= self.max_padding < 1):
+            raise DispatchError(f"max_padding must be in [0, 1), got {self.max_padding}")
+        if not (isinstance(self.max_supernode, numbers.Real) and self.max_supernode >= 1):
+            raise DispatchError(f"max_supernode must be >= 1, got {self.max_supernode}")
         params = tuple(sorted((str(k), v) for k, v in self.ordering_params))
-        for _, v in params:
-            if not isinstance(v, (bool, int, float, str)):
-                raise ValueError(
-                    f"ordering_params values must be scalars, got {v!r}"
-                )
+        if params:  # a default request inspects no signature
+            sig = inspect.signature(ORDERINGS[self.ordering])
+            valid = [p.name for p in sig.parameters.values() if p.kind == p.KEYWORD_ONLY]
+            for k, v in params:
+                if k not in valid:
+                    raise DispatchError(
+                        f"unknown ordering parameter {k!r} for {self.ordering!r}; "
+                        "valid parameters: " + (", ".join(valid) or "none")
+                    )
+                if not isinstance(v, (bool, int, float, str)):
+                    raise DispatchError(
+                        f"ordering_params values must be scalars, got {v!r}"
+                    )
         object.__setattr__(self, "ordering_params", params)
         sym = tuple(sorted((str(k), v) for k, v in self.symbolic_params))
         for k, v in sym:
             if k != "chunk":
-                raise ValueError(
+                raise DispatchError(
                     f"unknown symbolic_params key {k!r}; expected 'chunk'"
                 )
             if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise ValueError(
+                raise DispatchError(
                     f"symbolic_params[{k!r}] must be a positive int, got {v!r}"
                 )
         object.__setattr__(self, "symbolic_params", sym)

@@ -18,7 +18,13 @@
 * :mod:`repro.ordering.etree` — the column elimination tree (etree of
   ``AᵀA``) that SuperLU postorders, used here as the baseline against the LU
   eforest, plus generic forest utilities (postorder, depths, roots).
+
+:data:`ORDERINGS` is the one catalog of fill-reducing orderings: every
+reader of an ordering name (``SolverOptions``, ``build_plan``, the CLI,
+the autotuner) reads it, so adding one is an edit of this table alone.
 """
+
+import numpy as np
 
 from repro.ordering.transversal import maximum_transversal, zero_free_diagonal_permutation
 from repro.ordering.mindeg import minimum_degree, minimum_degree_ata
@@ -38,8 +44,36 @@ from repro.ordering.etree import (
     forest_children_arrays,
     is_forest_permutation_topological,
 )
+from repro.sparse.csc import CSCMatrix
+
+
+def natural_order(a: CSCMatrix) -> np.ndarray:
+    """The identity ordering."""
+    return np.arange(a.n_cols, dtype=np.int64)
+
+
+#: Ordering name → fill-reducing ordering. Each takes the (row-permuted)
+#: pattern, then the request's ``ordering_params`` as its keyword-only
+#: parameters, and returns an old-index → elimination-position
+#: permutation applied symmetrically.
+ORDERINGS = {
+    "mindeg": minimum_degree_ata,
+    "amd": amd_ata,
+    "rcm": reverse_cuthill_mckee,
+    "dissect": nested_dissection_ata,
+    "natural": natural_order,
+}
+
+#: The ordering a request gets when it names none: approximate minimum
+#: degree — close to exact ``mindeg`` in fill at a fraction of its time
+#: (docs/ordering.md). ``SolverOptions``, recipe specs and the CLI's
+#: ``--ordering`` all default to this one constant.
+DEFAULT_ORDERING = "amd"
 
 __all__ = [
+    "ORDERINGS",
+    "DEFAULT_ORDERING",
+    "natural_order",
     "maximum_transversal",
     "zero_free_diagonal_permutation",
     "minimum_degree",

@@ -19,8 +19,8 @@ to the builder alone: the waiters wake, and the first of them builds.
 
 Plans are keyed by (fingerprint, symbolic options) and the cache stores
 nothing else: one pattern under two option sets (say, two ordering
-recipes applied with :meth:`repro.tune.OrderingRecipe.apply`) is two
-distinct plans.
+recipes parsed with :func:`repro.tune.parse_recipe`) is two distinct
+plans.
 """
 
 from __future__ import annotations

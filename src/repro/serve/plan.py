@@ -31,10 +31,7 @@ import numpy as np
 from repro.numeric.blockdata import BlockLayout
 from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
-from repro.ordering.amd import amd_ata
-from repro.ordering.dissect import nested_dissection_ata
-from repro.ordering.mindeg import minimum_degree_ata
-from repro.ordering.rcm import reverse_cuthill_mckee
+from repro.ordering import ORDERINGS
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.serve.fingerprint import PatternFingerprint, fingerprint
 from repro.sparse.csc import CSCMatrix
@@ -54,23 +51,6 @@ from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.taskgraph.solve_graph import SolveSchedule, level_schedule
 from repro.taskgraph.sstar import build_sstar_graph
 from repro.taskgraph.tasks import count_tasks
-
-
-def _natural_order(a: CSCMatrix) -> np.ndarray:
-    """The identity ordering."""
-    return np.arange(a.n_cols, dtype=np.int64)
-
-
-#: ``SolverOptions.ordering`` name → fill-reducing ordering. Each is called
-#: with the request's ``ordering_params`` as keywords, so a key the
-#: ordering does not take raises ``TypeError`` instead of keying a plan.
-_ORDERING_FUNCTIONS = {
-    "mindeg": minimum_degree_ata,
-    "amd": amd_ata,
-    "rcm": reverse_cuthill_mckee,
-    "dissect": nested_dissection_ata,
-    "natural": _natural_order,
-}
 
 
 def _frozen_copy(arr: np.ndarray, dtype) -> np.ndarray:
@@ -213,11 +193,12 @@ def build_plan(
     The one constructor of plans, and the whole symbolic phase of every
     request path: a cold request is this plus the warm path
     (:func:`repro.serve.refactor.refactorize_with_plan`). ``a`` may be
-    pattern-only; an ordering recipe reaches it as ``recipe.apply(options)``
-    (:meth:`repro.tune.OrderingRecipe.apply`). Every stage runs inside a
-    tracer span (``transversal`` … ``supernodes`` under an ``analyze``
-    parent, hierarchy in docs/observability.md) carrying the symbolic
-    statistics as attributes.
+    pattern-only; an ordering recipe reaches it as the options
+    :func:`repro.tune.parse_recipe` returns, and the ordering is the
+    function :data:`repro.ordering.ORDERINGS` names. Every stage runs
+    inside a tracer span (``transversal`` … ``supernodes`` under an
+    ``analyze`` parent, hierarchy in docs/observability.md) carrying the
+    symbolic statistics as attributes.
     """
     opts = options or SolverOptions()
     tr = tracer if tracer is not None else Tracer(enabled=False)
@@ -229,7 +210,7 @@ def build_plan(
             work = permute(work, row_perm=row_perm)
 
         with tr.span("ordering", method=opts.ordering):
-            q = _ORDERING_FUNCTIONS[opts.ordering](work, **opts.ordering_kwargs())
+            q = ORDERINGS[opts.ordering](work, **opts.ordering_kwargs())
         work = permute(work, row_perm=q, col_perm=q)
         row_perm, col_perm = q[row_perm], q
 

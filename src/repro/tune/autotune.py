@@ -1,10 +1,11 @@
 """Per-pattern autotuning of ordering recipes.
 
-``autotune(a)`` scores a candidate grid of :class:`OrderingRecipe`\\ s with
-the symbolic-only evaluator (:mod:`repro.tune.cost`) and returns the
-winner under the requested objective (predicted T(P) by default). The
-search is pure pattern analysis and offline: it suggests a recipe, and a
-caller that wants it builds plans from ``recipe.apply(options)``.
+``autotune(a)`` scores a candidate grid of :class:`SolverOptions` that
+differ in their recipe (:mod:`repro.tune.recipe`) with the symbolic-only
+evaluator (:mod:`repro.tune.cost`) and returns the winner under the
+requested objective (predicted T(P) by default). The search is pure
+pattern analysis and offline: it suggests options, and a caller that
+wants them builds plans from ``autotune(a).recipe``.
 
 Observability: the search runs under a ``tune.search`` span with one
 ``tune.candidate`` child per evaluation, and feeds ``tune.searches`` /
@@ -15,6 +16,7 @@ docs/observability.md).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -22,55 +24,46 @@ from typing import Optional, Sequence
 from repro.numeric.solver import SolverOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
+from repro.ordering import ORDERINGS
 from repro.parallel.machine import MachineModel, ORIGIN2000
 from repro.sparse.csc import CSCMatrix
 from repro.tune.cost import OBJECTIVES, RecipeScore, evaluate_recipe
-from repro.tune.recipe import OrderingRecipe
+from repro.tune.recipe import parse_recipe, recipe_spec
 
 #: Search-time histogram bounds (seconds).
 SEARCH_BOUNDS: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
 
 
-def default_candidates(*, quick: bool = False) -> tuple[OrderingRecipe, ...]:
+def default_candidates(*, quick: bool = False) -> tuple[SolverOptions, ...]:
     """The default recipe grid: ordering × amalgamation.
 
-    Always contains every ordering at the default amalgamation bounds,
-    so the winner can never be worse than the best fixed ordering — the
-    acceptance bar of the subsystem. ``quick`` stops there, for CI smoke
-    runs.
+    Always contains every ordering of :data:`repro.ordering.ORDERINGS` at
+    the default amalgamation bounds, so the winner can never be worse
+    than the best fixed ordering — the acceptance bar of the subsystem.
+    ``quick`` stops there, for CI smoke runs.
     """
-    recipes = [
-        OrderingRecipe(ordering=ordering)
-        for ordering in ("mindeg", "amd", "rcm", "dissect", "natural")
-    ]
+    specs = list(ORDERINGS)
     if not quick:
         # The simulated objective favours less padding than the wall clock
         # that picked the defaults: the paper-era bounds and one step
         # looser, for the ordering whose blocks are small enough to care.
-        for pad in (0.25, 0.4):
-            recipes.append(
-                OrderingRecipe(ordering="amd", max_padding=pad, max_supernode=48)
-            )
+        specs += ["amd:pad=0.25,max=48", "amd:pad=0.4,max=48"]
         # Wider blocks for the fragmenting orderings (the ablation's
         # mindeg lesson: fill won, fragmentation lost), and a larger
         # dissection leaf so separators stay coarse.
-        recipes.append(
-            OrderingRecipe(ordering="amd", max_padding=0.4, max_supernode=96)
-        )
-        recipes.append(
-            OrderingRecipe(ordering="mindeg", max_padding=0.4, max_supernode=96)
-        )
-        recipes.append(
-            OrderingRecipe(ordering="dissect", params=(("leaf_size", 128),))
-        )
-    return tuple(recipes)
+        specs += ["amd:pad=0.4,max=96", "mindeg:pad=0.4,max=96", "dissect:leaf_size=128"]
+    # A tuned row whose ordering has left the catalog is skipped.
+    return tuple(
+        parse_recipe(spec) for spec in specs if spec.partition(":")[0] in ORDERINGS
+    )
 
 
 @dataclass(frozen=True)
 class TuneResult:
     """Outcome of one ``autotune`` call."""
 
-    recipe: OrderingRecipe
+    #: The winning options (``score.recipe``).
+    recipe: SolverOptions
     score: RecipeScore
     #: Every evaluated candidate, best first.
     scores: tuple[RecipeScore, ...]
@@ -79,7 +72,7 @@ class TuneResult:
 
     def as_dict(self) -> dict:
         return {
-            "recipe": self.recipe.spec(),
+            "recipe": recipe_spec(self.recipe),
             "objective": self.objective,
             "search_seconds": float(self.search_seconds),
             "winner": self.score.as_dict(),
@@ -90,7 +83,7 @@ class TuneResult:
 def autotune(
     a: CSCMatrix,
     *,
-    candidates: Optional[Sequence[OrderingRecipe]] = None,
+    candidates: Optional[Sequence[SolverOptions]] = None,
     objective: str = "time",
     n_procs: int = 8,
     machine: MachineModel = ORIGIN2000,
@@ -104,7 +97,11 @@ def autotune(
     Parameters
     ----------
     candidates:
-        Recipes to score; :func:`default_candidates` when omitted.
+        Options to score; :func:`default_candidates` when omitted.
+    base_options:
+        When given, every candidate's postordering, task graph,
+        equilibration and symbolic params are taken from it: only the
+        recipe (ordering, its params, amalgamation bounds) is searched.
     objective:
         ``"time"`` (simulator-predicted makespan at ``n_procs``, the
         default), ``"flops"``, or ``"fill"``. Ties break on the remaining
@@ -129,12 +126,23 @@ def autotune(
         )
         if not grid:
             raise ValueError("autotune needs at least one candidate recipe")
+        if base_options is not None:
+            grid = tuple(
+                dataclasses.replace(
+                    base_options,
+                    ordering=c.ordering,
+                    ordering_params=c.ordering_params,
+                    amalgamation=c.amalgamation,
+                    max_padding=c.max_padding,
+                    max_supernode=c.max_supernode,
+                )
+                for c in grid
+            )
         scores = []
         for recipe in grid:
             scores.append(
                 evaluate_recipe(
-                    a, recipe, n_procs=n_procs, machine=machine,
-                    base_options=base_options, tracer=tr,
+                    a, recipe, n_procs=n_procs, machine=machine, tracer=tr
                 )
             )
             m_candidates.inc()
@@ -144,7 +152,7 @@ def autotune(
         elapsed = time.perf_counter() - t0
         h_seconds.observe(elapsed)
         span.set(
-            recipe=best.recipe.spec(),
+            recipe=recipe_spec(best.recipe),
             n_candidates=len(scores),
             predicted_time=best.predicted_time,
         )

@@ -33,7 +33,7 @@ from repro.parallel.mapping import make_mapping
 from repro.parallel.simulate import simulate_schedule
 from repro.serve.plan import build_plan
 from repro.sparse.csc import CSCMatrix
-from repro.tune.recipe import OrderingRecipe
+from repro.tune.recipe import recipe_spec
 
 #: Ranking objectives ``evaluate_recipe``'s scores can be sorted by.
 OBJECTIVES: tuple[str, ...] = ("time", "flops", "fill")
@@ -43,7 +43,8 @@ OBJECTIVES: tuple[str, ...] = ("time", "flops", "fill")
 class RecipeScore:
     """One recipe's symbolic-only cost card."""
 
-    recipe: OrderingRecipe
+    #: The options scored; :func:`recipe_spec` prints the recipe part.
+    recipe: SolverOptions
     n: int
     nnz: int
     nnz_filled: int
@@ -74,12 +75,12 @@ class RecipeScore:
             float(self.predicted_time),
             float(self.flops),
             float(self.fill_ratio),
-            self.recipe.spec(),
+            recipe_spec(self.recipe),
         )
 
     def as_dict(self) -> dict:
         return {
-            "recipe": self.recipe.spec(),
+            "recipe": recipe_spec(self.recipe),
             "n": self.n,
             "nnz": self.nnz,
             "nnz_filled": self.nnz_filled,
@@ -97,27 +98,25 @@ class RecipeScore:
 
 def evaluate_recipe(
     a: CSCMatrix,
-    recipe: OrderingRecipe,
+    recipe: SolverOptions,
     *,
     n_procs: int = 8,
     machine: MachineModel = ORIGIN2000,
-    base_options: Optional[SolverOptions] = None,
     tracer: Optional[Tracer] = None,
 ) -> RecipeScore:
-    """Score ``recipe`` on ``a``'s pattern (values ignored).
+    """Score the plan ``recipe`` builds on ``a``'s pattern (values ignored).
 
     The simulation setup (cyclic 1-D mapping, ORIGIN2000 model) matches
     the ordering ablation's, so predicted times are directly comparable
     to ``benchmarks/results/ablation_ordering.txt`` rows.
     """
     tr = tracer if tracer is not None else Tracer(enabled=False)
-    opts = recipe.apply(base_options)
     with tr.span(
         "tune.candidate",
-        recipe=recipe.spec(),
+        recipe=recipe_spec(recipe),
         n_procs=n_procs,
     ) as s:
-        plan = build_plan(a.pattern_only(), opts, tracer=tr)
+        plan = build_plan(a.pattern_only(), recipe, tracer=tr)
         model = CostModel(plan.bp)
         flops = sum(model.flops(t) for t in plan.graph.tasks())
         res = simulate_schedule(

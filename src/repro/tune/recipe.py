@@ -1,27 +1,22 @@
-"""Ordering recipes: the unit the autotuner searches over.
+"""Recipe specs: the text form of what the autotuner searches over.
 
-An :class:`OrderingRecipe` bundles exactly the symbolic knobs our
-ablations show interact — the fill-reducing ordering (plus its
-parameters) and the supernode amalgamation tolerance. ``mindeg`` nearly
-halves fill on sherman3 yet *loses* at P=8 because supernodes fragment
-(668 vs 83, ``benchmarks/results/ablation_ordering.txt``); a recipe is
-the joint setting that has to be tuned per pattern, not per knob.
-
-Recipes are frozen, hashable, and round-trip through a compact
-``spec`` string (``amd``, ``dissect:leaf_size=96,pad=0.4``) used by the
-``repro analyze --recipe`` / ``repro tune`` CLIs.
+A recipe is the joint setting of the symbolic knobs our ablations show
+interact — the fill-reducing ordering (plus its parameters) and the
+supernode amalgamation bounds. ``mindeg`` nearly halves fill on sherman3
+yet *loses* at P=8 because supernodes fragment (668 vs 83,
+``benchmarks/results/ablation_ordering.txt``), so they are tuned jointly.
+A recipe is those five fields of :class:`SolverOptions`; a spec string
+(``amd``, ``dissect:leaf_size=96,pad=0.4``) sets exactly them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from typing import Optional
 
 from repro.numeric.solver import (
     DEFAULT_MAX_PADDING,
     DEFAULT_MAX_SUPERNODE,
-    DEFAULT_ORDERING,
-    ORDERINGS,
     SolverOptions,
 )
 
@@ -31,12 +26,6 @@ _SPEC_ALIASES = {
     "max": "max_supernode",
     "amalg": "amalgamation",
 }
-
-_MAPPING_REMOVED = (
-    "recipes no longer carry a mapping (got {!r}): a recipe is purely "
-    "symbolic, and the task-to-processor mapping is an argument of the "
-    "simulator call (simulate_schedule(..., mapping))"
-)
 
 
 def _coerce(text: str):
@@ -56,100 +45,53 @@ def _coerce(text: str):
         return text
 
 
-@dataclass(frozen=True)
-class OrderingRecipe:
-    """One joint (ordering, ordering params, amalgamation) setting.
+def parse_recipe(spec: str, base: Optional[SolverOptions] = None) -> SolverOptions:
+    """Options from ``ordering[:key=value,...]`` (aliases: pad, max, amalg).
 
-    Attributes
-    ----------
-    ordering:
-        Name from :data:`repro.numeric.solver.ORDERINGS`.
-    params:
-        Sorted tuple of ``(name, value)`` keyword pairs for the ordering
-        (e.g. ``(("leaf_size", 96),)``), kept hashable for cache keys.
-    amalgamation / max_padding / max_supernode:
-        The §3 supernode amalgamation knobs the recipe pins jointly with
-        the ordering.
+    A recipe knob the spec does not name takes its default; every other
+    field is carried over from ``base``. A malformed spec, and any value
+    ``SolverOptions`` rejects, raises ``ValueError``.
 
-    These five fields are exactly what :meth:`apply` folds into
-    :class:`SolverOptions`, so recipe identity is plan identity: how a
-    plan's task graph is *placed* on processors is not a recipe's business.
+    >>> parse_recipe("amd:pad=0.4").max_padding
+    0.4
     """
+    spec = spec.strip()
+    ordering, _, rest = spec.partition(":")
+    if not ordering:
+        raise ValueError(f"empty recipe spec {spec!r}")
+    knobs: dict = {}
+    params: list[tuple[str, object]] = []
+    for part in filter(None, (p.strip() for p in rest.split(","))):
+        name, sep, value = part.partition("=")
+        if not sep:
+            raise ValueError(f"recipe spec field {part!r} is not key=value")
+        name = _SPEC_ALIASES.get(name, name)
+        if name in ("amalgamation", "max_padding", "max_supernode"):
+            knobs[name] = _coerce(value)
+        else:
+            params.append((name, _coerce(value)))
+    return dataclasses.replace(
+        base if base is not None else SolverOptions(),
+        ordering=ordering,
+        ordering_params=tuple(params),
+        amalgamation=knobs.get("amalgamation", True),
+        max_padding=float(knobs.get("max_padding", DEFAULT_MAX_PADDING)),
+        max_supernode=int(knobs.get("max_supernode", DEFAULT_MAX_SUPERNODE)),
+    )
 
-    ordering: str = DEFAULT_ORDERING
-    params: tuple = ()
-    amalgamation: bool = True
-    max_padding: float = DEFAULT_MAX_PADDING
-    max_supernode: int = DEFAULT_MAX_SUPERNODE
 
-    def __post_init__(self) -> None:
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"unknown ordering {self.ordering!r}")
-        object.__setattr__(
-            self, "params", tuple(sorted((str(k), v) for k, v in self.params))
-        )
-        if not (0.0 <= self.max_padding < 1.0):
-            raise ValueError(f"max_padding must be in [0, 1), got {self.max_padding}")
-        if self.max_supernode < 1:
-            raise ValueError(f"max_supernode must be >= 1, got {self.max_supernode}")
+def recipe_spec(options: SolverOptions) -> str:
+    """The spec string of ``options``' recipe, parseable by
+    :func:`parse_recipe`; knobs at their defaults are left out.
 
-    # ------------------------------------------------------------------
-    def apply(self, base: Optional[SolverOptions] = None) -> SolverOptions:
-        """Solver options with this recipe's knobs set.
-
-        Everything the recipe does not own (postordering, task graph,
-        equilibration) is carried over from ``base``.
-        """
-        import dataclasses
-
-        base = base if base is not None else SolverOptions()
-        return dataclasses.replace(
-            base,
-            ordering=self.ordering,
-            ordering_params=self.params,
-            amalgamation=self.amalgamation,
-            max_padding=float(self.max_padding),
-            max_supernode=int(self.max_supernode),
-        )
-
-    # ------------------------------------------------------------------
-    def spec(self) -> str:
-        """Compact CLI form, parseable by :meth:`parse`."""
-        parts = [f"{k}={v}" for k, v in self.params]
-        if not self.amalgamation:
-            parts.append("amalg=false")
-        if self.max_padding != DEFAULT_MAX_PADDING:
-            parts.append(f"pad={self.max_padding:g}")
-        if self.max_supernode != DEFAULT_MAX_SUPERNODE:
-            parts.append(f"max={self.max_supernode}")
-        return self.ordering + (":" + ",".join(parts) if parts else "")
-
-    @classmethod
-    def parse(cls, spec: str) -> "OrderingRecipe":
-        """Parse ``ordering[:key=value,...]`` (aliases: pad, max, amalg).
-
-        >>> OrderingRecipe.parse("amd:pad=0.4").max_padding
-        0.4
-        """
-        spec = spec.strip()
-        ordering, _, rest = spec.partition(":")
-        if not ordering:
-            raise ValueError(f"empty recipe spec {spec!r}")
-        kwargs: dict = {"ordering": ordering}
-        params: list[tuple[str, object]] = []
-        for part in filter(None, (p.strip() for p in rest.split(","))):
-            name, sep, value = part.partition("=")
-            if not sep:
-                raise ValueError(f"recipe spec field {part!r} is not key=value")
-            name = _SPEC_ALIASES.get(name, name)
-            if name in ("map", "mapping"):
-                raise ValueError(_MAPPING_REMOVED.format(part))
-            if name in ("amalgamation", "max_padding", "max_supernode"):
-                kwargs[name] = _coerce(value)
-            else:
-                params.append((name, _coerce(value)))
-        kwargs["params"] = tuple(params)
-        return cls(**kwargs)
-
-    def __str__(self) -> str:
-        return self.spec()
+    >>> recipe_spec(parse_recipe("amd:max=96,pad=0.4"))
+    'amd:pad=0.4,max=96'
+    """
+    parts = [f"{k}={v}" for k, v in options.ordering_params]
+    if not options.amalgamation:
+        parts.append("amalg=false")
+    if options.max_padding != DEFAULT_MAX_PADDING:
+        parts.append(f"pad={options.max_padding:g}")
+    if options.max_supernode != DEFAULT_MAX_SUPERNODE:
+        parts.append(f"max={options.max_supernode}")
+    return options.ordering + (":" + ",".join(parts) if parts else "")

@@ -40,7 +40,10 @@ class DispatchError(ReproError, ValueError):
     (``REPRO_SYMBOLIC``, ...) does not name a known implementation. The
     message always lists the valid names and which source supplied the bad
     one. Subclasses :class:`ValueError` so pre-existing ``except
-    ValueError`` call sites keep working."""
+    ValueError`` call sites keep working.
+
+    ``SolverOptions`` raises it for every option it rejects, from an
+    unknown ordering or ``ordering_params`` key to an out-of-range bound."""
 
 
 class FormatError(ReproError, ValueError):

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from tests.conftest import random_pivot_matrix
-from repro.numeric.solver import DEFAULT_ORDERING, SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.ordering import DEFAULT_ORDERING
 from repro.sparse.convert import csc_from_dense, csc_to_scipy
 from repro.sparse.generators import paper_matrix, random_sparse
-from repro.util.errors import ReproError, ShapeError
+from repro.util.errors import DispatchError, ReproError, ShapeError
 
 
 class TestOptions:
@@ -34,6 +35,40 @@ class TestOptions:
     def test_invalid_max_padding(self, bad):
         with pytest.raises(ValueError, match=r"max_padding must be in \[0, 1\)"):
             SolverOptions(max_padding=bad)
+
+    @pytest.mark.parametrize(
+        "bad, names",
+        [
+            ({"ordering": "metis"}, "'metis'"),
+            ({"ordering_params": (("leaf_size", 96),)}, "'leaf_size'"),
+            ({"ordering": "rcm", "ordering_params": (("leaf_size", 3),)}, "'leaf_size'"),
+            ({"ordering": "mindeg", "ordering_params": (("aggressive", True),)}, "'aggressive'"),
+            ({"ordering": "natural", "ordering_params": (("x", 1),)}, "'x'"),
+            ({"ordering": "dissect", "ordering_params": (("leaf_size", [1]),)}, "scalars"),
+            ({"ordering": ["amd"]}, "unknown ordering"),
+            ({"task_graph": "magic"}, "'magic'"),
+            ({"max_padding": 1.0}, "max_padding"),
+            ({"max_padding": "0.4"}, "max_padding"),
+            ({"max_supernode": 0}, "max_supernode"),
+            ({"max_supernode": None}, "max_supernode"),
+            ({"symbolic_params": (("chunk", 0),)}, "chunk"),
+            ({"symbolic_params": (("stride", 4),)}, "'stride'"),
+        ],
+    )
+    def test_every_rejection_is_typed(self, bad, names):
+        # One type for every option SolverOptions refuses: a library error
+        # that existing ``except ValueError`` callers still catch.
+        with pytest.raises(DispatchError, match=names) as exc:
+            SolverOptions(**bad)
+        assert isinstance(exc.value, ReproError)
+        assert isinstance(exc.value, ValueError)
+
+    def test_known_ordering_params_accepted(self):
+        o = SolverOptions(
+            ordering="dissect", ordering_params=(("refine", False), ("leaf_size", 96))
+        )
+        assert o.ordering_kwargs() == {"leaf_size": 96, "refine": False}
+        assert SolverOptions(ordering_params=(("aggressive", False),)).ordering == "amd"
 
     def test_amalgamation_bounds_at_their_limits_accepted(self):
         o = SolverOptions(max_padding=0.0, max_supernode=1)

@@ -9,7 +9,8 @@ move fill around, never break correctness.
 import numpy as np
 import pytest
 
-from repro.numeric.solver import ORDERINGS, SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.ordering import ORDERINGS
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
 
 SCALE = 0.1  # small analogs: the invariants are scale-free

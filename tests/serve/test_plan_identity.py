@@ -2,22 +2,23 @@
 
 Plan identity is (fingerprint, symbolic options), not the fingerprint
 alone, so the cache must key on both or a plan built from
-``recipe.apply(options)`` would shadow the default one for the same
+``parse_recipe(spec, options)`` would shadow the default one for the same
 matrix.
 """
 
 import numpy as np
 import pytest
 
-from repro.numeric.solver import ORDERINGS, SolverOptions
+from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
+from repro.ordering import ORDERINGS
 from repro.serve import SolverService
 from repro.serve.cache import PlanCache
 from repro.serve.plan import build_plan
 from repro.sparse.generators import paper_matrix
 from repro.sparse.ops import matvec
 from repro.taskgraph.tasks import count_tasks
-from repro.tune import OrderingRecipe
+from repro.tune import parse_recipe
 
 
 def sherman():
@@ -36,29 +37,27 @@ class TestPlanIdentity:
     def test_same_pattern_different_recipes_unequal(self):
         a = sherman()
         plain = build_plan(a)
-        tuned = build_plan(a, OrderingRecipe(ordering="rcm").apply())
+        tuned = build_plan(a, SolverOptions(ordering="rcm"))
         assert plain != tuned
         assert plain.identity != tuned.identity
         assert plain.fingerprint.key == tuned.fingerprint.key
 
     def test_recipe_changes_symbolic_key(self):
         base = SolverOptions()
-        tuned = OrderingRecipe(ordering="amd", max_padding=0.4).apply(base)
+        tuned = parse_recipe("amd:pad=0.4", base)
         assert base.symbolic_key() != tuned.symbolic_key()
         # Ordering params participate too (same ordering, different knob).
-        a = OrderingRecipe(ordering="dissect").apply(base)
-        b = OrderingRecipe(
-            ordering="dissect", params=(("leaf_size", 128),)
-        ).apply(base)
+        a = parse_recipe("dissect", base)
+        b = parse_recipe("dissect:leaf_size=128", base)
         assert a.symbolic_key() != b.symbolic_key()
 
     @pytest.mark.parametrize("ordering", ORDERINGS)
     def test_every_ordering_receives_its_params(self, ordering):
         # A key the ordering does not take must fail, not silently key a
-        # second plan of the same permutation.
-        opts = SolverOptions(ordering=ordering, ordering_params=(("no_such", 1),))
-        with pytest.raises(TypeError, match="no_such"):
-            build_plan(sherman(), opts)
+        # second plan of the same permutation: it fails when the options
+        # are built, so no plan is ever keyed on it.
+        with pytest.raises(ValueError, match="no_such"):
+            SolverOptions(ordering=ordering, ordering_params=(("no_such", 1),))
 
     def test_not_equal_to_other_types(self):
         plan = build_plan(sherman())
@@ -72,21 +71,21 @@ class TestCacheKeying:
         cache = PlanCache()
         plain = cache.get_or_build(a)
         tuned = cache.get_or_build(
-            a, OrderingRecipe(ordering="rcm").apply(SolverOptions())
+            a, SolverOptions(ordering="rcm")
         )
         assert len(cache) == 2
         assert plain != tuned
 
         # Each lookup returns the right plan for its options.
         assert cache.get(a) is plain
-        rcm_opts = OrderingRecipe(ordering="rcm").apply(SolverOptions())
+        rcm_opts = SolverOptions(ordering="rcm")
         assert cache.get(a, rcm_opts) is tuned
         assert cache.stats()["collisions"] == 0
 
     def test_plans_structurally_differ(self):
         a = sherman()
         plain = build_plan(a)
-        tuned = build_plan(a, OrderingRecipe(ordering="rcm").apply())
+        tuned = build_plan(a, SolverOptions(ordering="rcm"))
         assert not np.array_equal(plain.col_perm, tuned.col_perm)
 
     def test_service_under_recipe_options_runs_every_step(self):
@@ -94,7 +93,7 @@ class TestCacheKeying:
         # caches the plan under those options and runs its 1-D steps.
         a = paper_matrix("sherman3", scale=0.1)
         b = np.ones(a.n_rows)
-        opts = OrderingRecipe(ordering="rcm").apply()
+        opts = SolverOptions(ordering="rcm")
         tr = Tracer()
         with SolverService(n_workers=0, tracer=tr, options=opts) as svc:
             x = svc.solve(a, b)

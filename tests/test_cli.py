@@ -239,3 +239,13 @@ class TestRecipeFlag:
     def test_bad_recipe_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["analyze", "sherman3", "--recipe", "metis"])
+
+    def test_unknown_recipe_parameter_rejected(self, capsys):
+        # rcm takes no parameters: the key fails when the options are
+        # built, as a usage error, not as a traceback from the ordering.
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "orsreg1", "--scale", "0.06",
+                  "--recipe", "rcm:leaf_size=3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: bad --recipe" in err and "'leaf_size'" in err

@@ -17,7 +17,8 @@ import pytest
 
 from repro.eval.pipeline import PAPER_AMALGAMATION
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import DEFAULT_ORDERING, SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.ordering import DEFAULT_ORDERING
 from repro.sparse.generators import paper_matrix
 
 SCALE = 0.15

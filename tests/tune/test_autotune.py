@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.numeric.solver import SolverOptions
 from repro.sparse.generators import paper_matrix
 from repro.tune import (
-    OrderingRecipe,
     autotune,
     default_candidates,
     evaluate_recipe,
@@ -29,7 +29,7 @@ class TestDefaultCandidates:
         # orderings, so the winner can never lose to them.
         full = default_candidates()
         for ordering in ("mindeg", "rcm", "natural"):
-            assert OrderingRecipe(ordering=ordering) in full
+            assert SolverOptions(ordering=ordering) in full
         assert len(full) == 10
 
 
@@ -39,7 +39,7 @@ class TestSearch:
         result = autotune(sherman3, quick=True)
         fixed_best = min(
             evaluate_recipe(
-                sherman3, OrderingRecipe(ordering=o)
+                sherman3, SolverOptions(ordering=o)
             ).predicted_time
             for o in ("mindeg", "rcm", "natural")
         )
@@ -72,7 +72,7 @@ class TestSearch:
             autotune(sherman3, candidates=())
 
     def test_explicit_candidates(self, sherman3):
-        only = (OrderingRecipe(ordering="rcm"),)
+        only = (SolverOptions(ordering="rcm"),)
         result = autotune(sherman3, candidates=only)
         assert result.recipe == only[0]
         assert len(result.scores) == 1

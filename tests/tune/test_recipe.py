@@ -1,66 +1,66 @@
-"""OrderingRecipe construction, spec round-trips, and options wiring."""
+"""Recipe specs: parsing into SolverOptions, round-trips, and checks."""
+
+import dataclasses
 
 import pytest
 
-from repro.numeric.solver import ORDERINGS, SolverOptions
-from repro.tune import OrderingRecipe
+from repro.numeric.solver import SolverOptions
+from repro.ordering import DEFAULT_ORDERING, ORDERINGS
+from repro.tune import parse_recipe, recipe_spec
+from repro.util.errors import ReproError
 
 
 class TestConstruction:
     def test_defaults_match_solver_defaults(self):
-        r = OrderingRecipe()
-        opts = SolverOptions()
-        assert r.ordering == opts.ordering
-        assert r.amalgamation == opts.amalgamation
-        assert r.max_padding == opts.max_padding
-        assert r.max_supernode == opts.max_supernode
+        opts = parse_recipe(DEFAULT_ORDERING)
+        assert opts == SolverOptions()
+        assert recipe_spec(SolverOptions()) == DEFAULT_ORDERING
 
     def test_one_default_ordering_constant(self):
         from repro.cli import build_parser
-        from repro.numeric.solver import DEFAULT_ORDERING
 
-        assert OrderingRecipe().apply() == SolverOptions()
-        assert OrderingRecipe().ordering == DEFAULT_ORDERING
+        assert SolverOptions().ordering == DEFAULT_ORDERING
         args = build_parser().parse_args(["analyze", "orsreg1"])
         assert args.ordering == DEFAULT_ORDERING
 
     def test_params_normalized_sorted(self):
-        r = OrderingRecipe(ordering="dissect", params=(("b", 2), ("a", 1)))
-        assert r.params == (("a", 1), ("b", 2))
+        opts = parse_recipe("dissect:refine=false,leaf_size=96")
+        assert opts.ordering_params == (("leaf_size", 96), ("refine", False))
 
     def test_every_known_ordering_accepted(self):
         for ordering in ORDERINGS:
-            assert OrderingRecipe(ordering=ordering).ordering == ordering
+            assert parse_recipe(ordering).ordering == ordering
 
     def test_rejects_unknown_ordering(self):
         with pytest.raises(ValueError):
-            OrderingRecipe(ordering="metis")
+            parse_recipe("metis")
 
     def test_rejects_bad_padding(self):
-        with pytest.raises(ValueError):
-            OrderingRecipe(max_padding=1.0)
-        with pytest.raises(ValueError):
-            OrderingRecipe(max_padding=-0.1)
+        for spec in ("amd:pad=1.0", "amd:pad=-0.1", "amd:pad=wide"):
+            with pytest.raises(ValueError):
+                parse_recipe(spec)
 
     def test_rejects_bad_supernode(self):
         with pytest.raises(ValueError):
-            OrderingRecipe(max_supernode=0)
+            parse_recipe("amd:max=0")
 
     def test_hashable_key(self):
-        a = OrderingRecipe(ordering="amd", max_padding=0.4)
-        b = OrderingRecipe(ordering="amd", max_padding=0.4)
+        a = parse_recipe("amd:pad=0.4")
+        b = parse_recipe("amd:pad=0.4")
         assert a == b and hash(a) == hash(b)
-        assert a != OrderingRecipe(ordering="amd")
-        assert a.apply().symbolic_key() == b.apply().symbolic_key()
+        assert a != parse_recipe("amd")
+        assert a.symbolic_key() == b.symbolic_key()
 
     def test_rejects_bad_mapping(self):
-        # Every mapping is a bad mapping now: the field is gone, and both
-        # text forms refuse it with the message that names the removal.
-        with pytest.raises(TypeError):
-            OrderingRecipe(mapping="2d")
-        for spec in ("amd:map=2d", "amd:pad=0.4,map=2d:2x4", "rcm:mapping=greedy"):
-            with pytest.raises(ValueError, match="no longer carry a mapping"):
-                OrderingRecipe.parse(spec)
+        # Recipes carry no mapping: a stored ``map=`` key is an unknown
+        # ordering parameter, rejected with a message that names it.
+        for spec, key in (
+            ("amd:map=2d", "map"),
+            ("amd:pad=0.4,map=2d:2x4", "map"),
+            ("rcm:mapping=greedy", "mapping"),
+        ):
+            with pytest.raises(ReproError, match=f"parameter '{key}'"):
+                parse_recipe(spec)
 
 
 class TestSpecRoundTrip:
@@ -76,41 +76,39 @@ class TestSpecRoundTrip:
         ],
     )
     def test_roundtrip(self, spec):
-        r = OrderingRecipe.parse(spec)
-        assert OrderingRecipe.parse(r.spec()) == r
+        opts = parse_recipe(spec)
+        assert recipe_spec(opts) == spec
+        assert parse_recipe(recipe_spec(opts)) == opts
 
     def test_parse_aliases(self):
-        r = OrderingRecipe.parse("amd:pad=0.4,max=96,amalg=off")
-        assert r.max_padding == 0.4
-        assert r.max_supernode == 96
-        assert r.amalgamation is False
+        opts = parse_recipe("amd:pad=0.4,max=96,amalg=off")
+        assert opts.max_padding == 0.4
+        assert opts.max_supernode == 96
+        assert opts.amalgamation is False
 
     def test_parse_ordering_params(self):
-        r = OrderingRecipe.parse("dissect:leaf_size=128,refine=false")
-        assert dict(r.params) == {"leaf_size": 128, "refine": False}
+        opts = parse_recipe("dissect:leaf_size=128,refine=false")
+        assert opts.ordering_kwargs() == {"leaf_size": 128, "refine": False}
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
-            OrderingRecipe.parse(":pad=0.4")
+            parse_recipe(":pad=0.4")
         with pytest.raises(ValueError):
-            OrderingRecipe.parse("amd:pad")
+            parse_recipe("amd:pad")
         with pytest.raises(ValueError):
-            OrderingRecipe.parse("metis")
+            parse_recipe("metis")
 
     def test_str_is_spec(self):
-        r = OrderingRecipe(ordering="amd", max_padding=0.4)
-        assert str(r) == r.spec() == "amd:pad=0.4"
+        opts = SolverOptions(ordering="amd", max_padding=0.4)
+        assert recipe_spec(opts) == "amd:pad=0.4"
+        assert parse_recipe("amd:max=96,pad=0.4") == parse_recipe(
+            "amd:pad=0.4,max=96"
+        )
 
 
 class TestOptionsWiring:
     def test_apply_sets_ordering_knobs(self):
-        r = OrderingRecipe(
-            ordering="dissect",
-            params=(("leaf_size", 96),),
-            max_padding=0.4,
-            max_supernode=96,
-        )
-        opts = r.apply()
+        opts = parse_recipe("dissect:leaf_size=96,pad=0.4,max=96")
         assert opts.ordering == "dissect"
         assert opts.ordering_params == (("leaf_size", 96),)
         assert opts.max_padding == 0.4
@@ -118,31 +116,39 @@ class TestOptionsWiring:
         assert opts.ordering_kwargs() == {"leaf_size": 96}
 
     def test_apply_preserves_unowned_knobs(self):
-        base = SolverOptions(postorder=False, equilibrate=True)
-        opts = OrderingRecipe(ordering="amd").apply(base)
+        base = SolverOptions(
+            postorder=False, equilibrate=True, task_graph="sstar",
+            amalgamation=False, max_padding=0.1,
+        )
+        opts = parse_recipe("amd", base)
         assert opts.postorder is False
         assert opts.equilibrate is True
+        assert opts.task_graph == "sstar"
         assert opts.ordering == "amd"
+        # The knobs a spec owns take their defaults when it omits them.
+        assert opts.amalgamation is True
+        assert opts.max_padding == SolverOptions().max_padding
 
     def test_mapping_stays_out_of_solver_options(self):
-        # A recipe is purely symbolic: its fields are exactly the five
-        # apply() folds into SolverOptions, so recipe identity is plan
-        # identity and nothing on it can steer execution.
-        import dataclasses
-
-        assert [f.name for f in dataclasses.fields(OrderingRecipe)] == [
-            "ordering", "params", "amalgamation", "max_padding", "max_supernode",
+        # A recipe is purely symbolic: a spec sets five of the options'
+        # nine fields, all part of the plan's identity, and nothing on it
+        # can steer execution.
+        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
+            "ordering", "ordering_params", "postorder", "amalgamation",
+            "max_padding", "max_supernode", "task_graph", "equilibrate",
+            "symbolic_params",
         ]
-        r = OrderingRecipe(
-            ordering="dissect", params=(("leaf_size", 96),), amalgamation=False,
-            max_padding=0.4, max_supernode=96,
-        )
-        opts = r.apply()
+        opts = parse_recipe("dissect:leaf_size=96,amalg=false,pad=0.4,max=96")
         assert not hasattr(opts, "mapping")
-        assert (
-            opts.ordering, opts.ordering_params, opts.amalgamation,
-            opts.max_padding, opts.max_supernode,
-        ) == tuple(getattr(r, f.name) for f in dataclasses.fields(r))
+        changed = {
+            f.name
+            for f in dataclasses.fields(opts)
+            if getattr(opts, f.name) != getattr(SolverOptions(), f.name)
+        }
+        assert changed == {
+            "ordering", "ordering_params", "amalgamation", "max_padding",
+            "max_supernode",
+        }
 
 
 class TestStoredRecipes:
@@ -154,4 +160,5 @@ class TestStoredRecipes:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "orsreg1", "--scale", "0.06", "--recipe", "amd:map=2d"])
         assert exc.value.code == 2
-        assert "no longer carry a mapping" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error: bad --recipe" in err and "'map'" in err
