@@ -5,8 +5,8 @@ The subsystem has four layers:
 * :mod:`repro.analysis.report` — :class:`Finding` / :class:`AnalysisReport`
   and the versioned ``repro.analysis`` JSON schema with its validator.
 * :mod:`repro.analysis.structure` — invariant lints for CSC patterns,
-  eforests, postorders, supernode partitions, BTF decompositions, solve
-  schedules, and whole :class:`~repro.serve.plan.SymbolicPlan` bundles.
+  eforests, postorders, supernode partitions, BTF decompositions and
+  whole :class:`~repro.serve.plan.SymbolicPlan` bundles.
 * :mod:`repro.analysis.footprints` — static read/write sets of every task
   kind over (region, scalar-row) pairs.
 * :mod:`repro.analysis.races` — DAG-reachability race checking, liveness
@@ -75,7 +75,6 @@ from repro.analysis.structure import (
     check_partition,
     check_plan,
     check_postorder,
-    check_schedule,
 )
 
 __all__ = [
@@ -106,7 +105,6 @@ __all__ = [
     "check_plan",
     "check_postorder",
     "check_races",
-    "check_schedule",
     "expected_2d_tasks",
     "expected_factor_tasks",
     "expected_solve_tasks",

@@ -85,8 +85,9 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     * ``factor-graph-2d`` — the same liveness/race verification of the
       executable 2-D refinement (F/SL/SU/UP over per-block footprints),
       so every schedule a 2-D mapping can produce is covered.
-    * ``solve-graph`` — liveness and races of the solve schedule's graph
-      over RHS block rows.
+    * ``solve-graph`` — liveness and races of the FS/BS solve graph
+      (:func:`~repro.taskgraph.solve_graph.build_solve_graph`, the graph
+      ``simulate_schedule`` prices) over RHS block rows.
     * ``minimality`` — the Theorem-4 report comparing a freshly built S*
       graph against a freshly built eforest graph for the same pattern.
     """
@@ -95,6 +96,7 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     from repro.symbolic.postorder import block_upper_triangular_blocks
     from repro.taskgraph.dag import TaskGraph
     from repro.taskgraph.eforest_graph import block_eforest, build_eforest_graph
+    from repro.taskgraph.solve_graph import build_solve_graph
     from repro.taskgraph.sstar import build_sstar_graph
     from repro.util.errors import ReproError
 
@@ -171,16 +173,14 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
     factor2d.stats["n_edges"] = graph_2d.n_edges
 
     solve = report.subject(f"{name}/solve-graph")
-    schedule = plan.solve_schedule
+    solve_graph = build_solve_graph(plan.bp)
     sfps = solve_footprints(plan.bp)
-    solve.extend(
-        check_liveness(schedule.graph, expected_solve_tasks(plan.bp.n_blocks))
-    )
-    races, stats = check_races(schedule.graph, sfps, label=solve_region_label)
+    solve.extend(check_liveness(solve_graph, expected_solve_tasks(plan.bp.n_blocks)))
+    races, stats = check_races(solve_graph, sfps, label=solve_region_label)
     solve.extend(races)
     solve.stats.update(stats)
-    solve.stats["n_fwd_levels"] = schedule.n_fwd_levels
-    solve.stats["n_bwd_levels"] = schedule.n_bwd_levels
+    solve.stats["n_tasks"] = solve_graph.n_tasks
+    solve.stats["n_edges"] = solve_graph.n_edges
 
     minimality = report.subject(f"{name}/minimality")
     sstar = build_sstar_graph(plan.bp)

@@ -16,13 +16,9 @@ truth. The invariants mirror the paper's definitions:
 * Supernode partitions: consecutive, non-empty, covering ``0..n``.
 * BTF: no stored entry below the block diagonal of the tree-induced
   block upper triangular form (Theorem 3's corollary).
-* Solve schedules: each block exactly once per phase, level numbers
-  consistent with the schedule's own graph, and every edge either
-  strictly level-increasing within its phase or crossing the
-  forward→backward barrier.
 * :class:`~repro.serve.plan.SymbolicPlan`: permutation round-trips,
-  frozen pattern consistency, layout/schedule/task-graph sizes agreeing
-  with the block pattern.
+  frozen pattern consistency, layout and task-graph sizes agreeing with
+  the block pattern.
 """
 
 from __future__ import annotations
@@ -34,11 +30,6 @@ import numpy as np
 from repro.analysis.report import Finding
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import SupernodePartition
-from repro.taskgraph.solve_graph import (
-    SolveSchedule,
-    backward_task,
-    forward_task,
-)
 from repro.taskgraph.tasks import enumerate_tasks
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids an import cycle
@@ -274,125 +265,6 @@ def check_btf(
     return findings
 
 
-def _check_phase_cover(
-    levels: tuple, n_blocks: int, phase: str
-) -> list[Finding]:
-    findings: list[Finding] = []
-    counts = np.zeros(n_blocks, dtype=np.int64)
-    for lev in levels:
-        ids = np.asarray(lev, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= n_blocks):
-            findings.append(
-                Finding(
-                    check="schedule.block_in_range",
-                    message=f"{phase} schedule names blocks outside [0, {n_blocks})",
-                    detail={"phase": phase},
-                )
-            )
-            return findings
-        np.add.at(counts, ids, 1)  # fancy += would drop in-level duplicates
-    wrong = np.nonzero(counts != 1)[0]
-    for b in wrong[:10]:
-        findings.append(
-            Finding(
-                check="schedule.covers_once",
-                message=(
-                    f"{phase} schedule runs block {int(b)} "
-                    f"{int(counts[b])} times (every supernode must be "
-                    "solved exactly once per phase)"
-                ),
-                detail={"phase": phase, "block": int(b), "count": int(counts[b])},
-            )
-        )
-    if wrong.size > 10:
-        findings.append(
-            Finding(
-                check="schedule.covers_once",
-                message=f"{phase} schedule miscovers {int(wrong.size) - 10} further blocks",
-                detail={"phase": phase, "n_blocks": int(wrong.size)},
-            )
-        )
-    return findings
-
-
-def check_schedule(schedule: SolveSchedule) -> list[Finding]:
-    """Validity of a barrier-level :class:`SolveSchedule`.
-
-    The barrier executor runs forward levels in order, then backward
-    levels, with a full barrier between consecutive levels and between the
-    phases. Safety therefore needs: each block exactly once per phase;
-    the per-block level arrays consistent with the level groups; and every
-    dependence edge of the schedule's own graph satisfied — strictly
-    increasing level within a phase, or crossing the forward→backward
-    barrier in that direction (a backward→forward edge can never be
-    honored and is reported).
-    """
-    n = schedule.n_blocks
-    findings = _check_phase_cover(schedule.fwd_levels, n, "forward")
-    findings += _check_phase_cover(schedule.bwd_levels, n, "backward")
-    if findings:
-        return findings
-    for phase, levels, level_of in (
-        ("forward", schedule.fwd_levels, schedule.fwd_level),
-        ("backward", schedule.bwd_levels, schedule.bwd_level),
-    ):
-        # Level groups are ranked by depth value, and ``level_of`` holds
-        # *absolute* longest-path depths (backward depths start above the
-        # forward chain, not at 0), so the consistency condition is: one
-        # depth value per group, strictly increasing across groups.
-        prev_depth = None
-        for li, lev in enumerate(levels):
-            ids = np.asarray(lev, dtype=np.int64)
-            if not ids.size:
-                continue
-            declared = np.unique(level_of[ids])
-            if declared.size != 1 or (
-                prev_depth is not None and int(declared[0]) <= prev_depth
-            ):
-                findings.append(
-                    Finding(
-                        check="schedule.level_arrays_consistent",
-                        message=(
-                            f"{phase} level group {li} disagrees with the "
-                            "per-block level array"
-                        ),
-                        detail={"phase": phase, "level": li},
-                    )
-                )
-            if declared.size:
-                prev_depth = int(declared[-1])
-    graph = schedule.graph
-    for src in graph.tasks():
-        for dst in graph.successors(src):
-            if src.kind == "FS" and dst.kind == "FS":
-                ok = schedule.fwd_level[src.k] < schedule.fwd_level[dst.k]
-                phase = "forward"
-            elif src.kind == "BS" and dst.kind == "BS":
-                ok = schedule.bwd_level[src.k] < schedule.bwd_level[dst.k]
-                phase = "backward"
-            elif src.kind == "FS" and dst.kind == "BS":
-                ok = True  # the phase barrier orders every FS before any BS
-                phase = "cross"
-            else:
-                ok = False  # BS -> FS (or foreign kinds) defeats the barrier
-                phase = "cross"
-            if not ok:
-                findings.append(
-                    Finding(
-                        check="schedule.edge_respects_levels",
-                        message=(
-                            f"edge {src} -> {dst} is not honored by the "
-                            "barrier-level execution order"
-                        ),
-                        tasks=(str(src), str(dst)),
-                        detail={"phase": phase},
-                    )
-                )
-                if len(findings) >= 50:
-                    return findings
-    return findings
-
-
 def check_plan(plan: "SymbolicPlan") -> list[Finding]:
     """Internal consistency of a frozen :class:`SymbolicPlan`."""
     findings: list[Finding] = []
@@ -443,40 +315,6 @@ def check_plan(plan: "SymbolicPlan") -> list[Finding]:
                 detail={"graph": plan.graph.n_tasks, "expected": n_expected},
             )
         )
-    sched = plan.solve_schedule
-    if sched.n_blocks != plan.bp.n_blocks:
-        findings.append(
-            Finding(
-                check="plan.schedule_blocks",
-                message=(
-                    f"solve schedule covers {sched.n_blocks} blocks, "
-                    f"the pattern has {plan.bp.n_blocks}"
-                ),
-                detail={
-                    "schedule": sched.n_blocks,
-                    "bp": plan.bp.n_blocks,
-                },
-            )
-        )
-    else:
-        findings += check_schedule(sched)
-        have = set(sched.graph.tasks())
-        want = {
-            t
-            for k in range(plan.bp.n_blocks)
-            for t in (forward_task(k), backward_task(k))
-        }
-        if have != want:
-            findings.append(
-                Finding(
-                    check="plan.schedule_tasks",
-                    message="solve-schedule graph tasks do not match the block set",
-                    detail={
-                        "missing": len(want - have),
-                        "unknown": len(have - want),
-                    },
-                )
-            )
     return findings
 
 

@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.sparse.csc import CSCMatrix
+from repro.util.errors import DispatchError
 
 
 @dataclass
@@ -113,7 +114,7 @@ def lu(
     exclusive).
     """
     if plan is not None and options:
-        raise ValueError(
+        raise DispatchError(
             "lu(plan=...) uses the plan's options; do not also pass "
             f"option keywords {sorted(options)}"
         )

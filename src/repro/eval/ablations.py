@@ -23,7 +23,7 @@ from repro.ordering import ORDERINGS
 from repro.parallel.machine import MachineModel, ORIGIN2000
 from repro.parallel.mapping import make_mapping
 from repro.parallel.simulate import simulate_schedule
-from repro.symbolic.supernodes import amalgamate, block_pattern
+from repro.symbolic.supernodes import amalgamate, block_pattern, supernode_partition
 from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.util.tables import format_table
 
@@ -46,14 +46,14 @@ def amalgamation_sweep(
     """Sweep the amalgamation padding tolerance on one matrix."""
     config = config or BenchConfig()
     base = analyzed_matrix(name, config.scale)
-    assert base.fill is not None and base.partition_raw is not None
+    assert base.fill is not None
+    raw = supernode_partition(base.fill)
     points = []
-    widths_total = base.fill.n
     for tol in paddings:
         if tol == 0.0:
-            part = base.partition_raw
+            part = raw
         else:
-            part = amalgamate(base.fill, base.partition_raw, max_padding=tol)
+            part = amalgamate(base.fill, raw, max_padding=tol)
         bp = block_pattern(base.fill, part)
         graph = build_eforest_graph(bp)
         m = machine.with_procs(8)

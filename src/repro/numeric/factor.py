@@ -555,8 +555,9 @@ class LUFactorization:
         ``retain_blocks=True`` additionally hands the panels, as they
         stand, to a :class:`~repro.numeric.supersolve.BlockFactors` on the
         result, enabling the supernodal block solve path — views, not
-        copies. ``solve_schedule`` is accepted for callers that stage the
-        plan's static :class:`~repro.taskgraph.solve_graph.SolveSchedule`
+        copies. ``solve_schedule`` is accepted for the end-to-end
+        benchmark's staged pass, the only caller that builds a
+        :class:`~repro.taskgraph.solve_graph.SolveSchedule` and stages it
         next to the factors; the block solve runs in fixed block order and
         does not read it.
         """

@@ -270,10 +270,6 @@ class SparseLUSolver:
         return self._plan.partition if self._plan is not None else None
 
     @property
-    def partition_raw(self) -> Optional[SupernodePartition]:
-        return self._plan.partition_raw if self._plan is not None else None
-
-    @property
     def bp(self) -> Optional[BlockPattern]:
         return self._plan.bp if self._plan is not None else None
 
@@ -370,13 +366,15 @@ class SparseLUSolver:
         return self._require_plan()
 
     def stats(self) -> AnalysisStats:
+        from repro.symbolic.supernodes import supernode_partition
+
         plan = self._require_plan()
         return AnalysisStats(
             n=plan.fill.n,
             nnz=self.a.nnz,
             nnz_filled=plan.fill.nnz,
             fill_ratio=plan.fill.fill_ratio,
-            n_supernodes_raw=plan.partition_raw.n_supernodes,
+            n_supernodes_raw=supernode_partition(plan.fill).n_supernodes,
             n_supernodes=plan.partition.n_supernodes,
             mean_supernode_size=plan.partition.mean_size(),
             n_btf_blocks=plan.n_btf_blocks,

@@ -33,6 +33,7 @@ from typing import Any, Iterable
 from repro.numeric.factor import LUFactorization
 from repro.taskgraph.dag import TaskGraph
 from repro.util.dispatch import resolve_choice
+from repro.util.errors import DispatchError
 
 #: Environment override, weaker than an explicit ``engine=`` argument.
 ENV_VAR = "REPRO_ENGINE"
@@ -85,12 +86,12 @@ def run_engine(
     from repro.parallel.two_d import canonical_2d_order, is_2d_graph
 
     if choice not in ENGINES:
-        raise ValueError(
+        raise DispatchError(
             f"unknown engine {choice!r}; valid engines: " + ", ".join(ENGINES)
         )
     if graph is not None and is_2d_graph(graph):
         if choice != "sequential":
-            raise ValueError(
+            raise DispatchError(
                 f"the {choice!r} engine runs block steps; a 2-D graph only "
                 "replays under 'sequential'"
             )

@@ -34,6 +34,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.fingerprint import PatternFingerprint, fingerprint
 from repro.serve.plan import SymbolicPlan, build_plan
 from repro.sparse.csc import CSCMatrix
+from repro.util.errors import DispatchError
 
 
 class PlanCache:
@@ -57,7 +58,7 @@ class PlanCache:
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
+            raise DispatchError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.RLock()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
+from repro.util.errors import ShapeError
 
 #: Digest size in bytes; 128-bit blake2b keeps keys short while making
 #: accidental collisions (~2^-64 at billions of patterns) a non-issue.
@@ -58,7 +59,7 @@ def values_digest(a: CSCMatrix) -> str:
     Requires values; pattern-only matrices have no numeric identity.
     """
     if not a.has_values:
-        raise ValueError("values_digest() needs a matrix with values")
+        raise ShapeError("values_digest() needs a matrix with values")
     h = hashlib.blake2b(digest_size=_DIGEST_SIZE)
     h.update(np.ascontiguousarray(a.data, dtype=np.float64).tobytes())
     return h.hexdigest()

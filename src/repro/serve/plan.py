@@ -8,8 +8,8 @@ the pattern it was built from. :func:`build_plan` is its one constructor
 and runs the symbolic stages. What not every caller reads is derived
 from the block pattern on first use and then kept: the numeric engine's
 :class:`~repro.numeric.blockdata.BlockLayout` (:attr:`SymbolicPlan.layout`,
-built by the first factorization), the §4 task graph
-(:attr:`SymbolicPlan.graph`) and the static solve schedule.
+built by the first factorization) and the §4 task graph
+(:attr:`SymbolicPlan.graph`).
 
 Theorem 3 (postordering leaves the static structure invariant) is what
 makes the record a pure function of (pattern, symbolic options): any two
@@ -48,7 +48,6 @@ from repro.symbolic.supernodes import (
 )
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.eforest_graph import build_eforest_graph
-from repro.taskgraph.solve_graph import SolveSchedule, level_schedule
 from repro.taskgraph.sstar import build_sstar_graph
 from repro.taskgraph.tasks import count_tasks
 
@@ -95,8 +94,6 @@ class SymbolicPlan:
     #: single gather.
     row_perm_inv: np.ndarray
     fill: StaticFill
-    #: Fundamental supernodes, before amalgamation.
-    partition_raw: SupernodePartition
     partition: SupernodePartition
     bp: BlockPattern
     #: Diagonal blocks of the BTF the postorder found (0 without it).
@@ -140,14 +137,6 @@ class SymbolicPlan:
         if self.options.task_graph == "eforest":
             return build_eforest_graph(self.bp)
         return build_sstar_graph(self.bp)
-
-    @cached_property
-    def solve_schedule(self) -> SolveSchedule:
-        """Static level schedule of the triangular solves
-        (:func:`repro.taskgraph.solve_graph.level_schedule`). Only the
-        analyzer reads it: every block solve runs in block order and needs
-        no schedule, so a serving request never builds it."""
-        return level_schedule(self.bp)
 
     @property
     def n(self) -> int:
@@ -256,7 +245,6 @@ def build_plan(
             col_perm=col_perm,
             row_perm_inv=_inverse_perm(row_perm),
             fill=fill,
-            partition_raw=part_raw,
             partition=part,
             bp=bp,
             n_btf_blocks=n_btf_blocks,

@@ -31,7 +31,12 @@ from repro.obs.trace import Tracer
 from repro.serve.plan import SymbolicPlan
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import matvec, permute
-from repro.util.errors import NonFiniteInputError, PlanMismatchError, ShapeError
+from repro.util.errors import (
+    DispatchError,
+    NonFiniteInputError,
+    PlanMismatchError,
+    ShapeError,
+)
 
 
 def permuted_values(plan: SymbolicPlan, a: CSCMatrix, tracer: Optional[Tracer] = None):
@@ -167,7 +172,7 @@ def refactorize_with_plan(
             f"match the plan's ({plan.fingerprint})"
         )
     if order is not None and engine is not None:
-        raise ValueError("pass either an explicit order or engine=, not both")
+        raise DispatchError("pass either an explicit order or engine=, not both")
     tr = tracer if tracer is not None else Tracer(enabled=False)
     metrics = tr.metrics if tr.detail else None
     if order is None:

@@ -44,6 +44,7 @@ from repro.serve.refactor import refactorize_with_plan
 from repro.sparse.csc import CSCMatrix
 from repro.util.errors import (
     DeadlineExceededError,
+    DispatchError,
     NonFiniteInputError,
     ServiceClosedError,
     ServiceOverloadedError,
@@ -168,11 +169,11 @@ class SolverService:
         tracer: Optional[Tracer] = None,
     ) -> None:
         if n_workers < 0:
-            raise ValueError(f"n_workers must be >= 0, got {n_workers}")
+            raise DispatchError(f"n_workers must be >= 0, got {n_workers}")
         if max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+            raise DispatchError(f"max_queue must be >= 1, got {max_queue}")
         if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+            raise DispatchError(f"max_batch must be >= 1, got {max_batch}")
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.cache = cache if cache is not None else PlanCache(metrics=self.metrics)
         self.max_queue = max_queue

@@ -62,12 +62,14 @@ def build_solve_graph(bp: BlockPattern) -> TaskGraph:
 class SolveSchedule:
     """Barrier-level schedule of one forward+backward solve.
 
-    Derived purely from the *static* block pattern, so it lives on a cached
-    :class:`repro.serve.SymbolicPlan` and is shared by every numeric
-    factorization with that pattern. Blocks inside one level have no
-    dependence on each other (levels come from the longest-path depths of
-    :func:`build_solve_graph`, and every edge strictly increases depth), so
-    a level's tasks may run in any order or concurrently.
+    Derived purely from the *static* block pattern. No plan carries it and
+    no solve or verifier reads it: only the staged pass of the end-to-end
+    benchmark builds one (timing :func:`level_schedule`) and hands it to
+    :meth:`~repro.numeric.factor.LUFactorization.extract`. Blocks inside one
+    level have no dependence on each other (levels come from the
+    longest-path depths of :func:`build_solve_graph`, and every edge
+    strictly increases depth), so a level's tasks may run in any order or
+    concurrently.
 
     Attributes
     ----------
@@ -76,9 +78,7 @@ class SolveSchedule:
         whose ``FS``/``BS`` task sits at depth ``L`` (ascending ids inside
         a level, for a deterministic sequential order).
     fwd_level / bwd_level:
-        Per-block depth arrays (``fwd_level[k]`` is FS(k)'s level), used to
-        validate that every actual data dependence of a computed factor is
-        covered by the static schedule.
+        Per-block depth arrays (``fwd_level[k]`` is FS(k)'s level).
     graph:
         The underlying task graph, for executors that want edge-level
         (rather than barrier-level) concurrency.
@@ -139,10 +139,11 @@ def level_schedule(bp: BlockPattern) -> SolveSchedule:
     of the factorization executors' topological orders).
 
     Describes the static pattern. Deferred pivoting can rename multiplier
-    rows across block boundaries, outside it, so the schedule prices and
-    verifies the solve phase (:func:`~repro.parallel.simulate.simulate_schedule`,
-    ``repro analyze``) but does not drive the block solve, which runs in
-    fixed block order (:mod:`repro.numeric.supersolve`).
+    rows across block boundaries, outside it, so the schedule does not
+    drive the block solve, which runs in fixed block order
+    (:mod:`repro.numeric.supersolve`). The solve phase is priced
+    (:func:`~repro.parallel.simulate.simulate_schedule`) and verified
+    (``repro analyze``) on :func:`build_solve_graph` directly.
     """
     graph = build_solve_graph(bp)
     return _schedule_from_graph(graph, bp.n_blocks)

@@ -43,7 +43,11 @@ class DispatchError(ReproError, ValueError):
     ValueError`` call sites keep working.
 
     ``SolverOptions`` raises it for every option it rejects, from an
-    unknown ordering or ``ordering_params`` key to an out-of-range bound."""
+    unknown ordering or ``ordering_params`` key to an out-of-range bound,
+    and so do the request path's other argument checks: conflicting
+    ``lu`` / ``refactorize_with_plan`` arguments, out-of-range
+    ``SolverService`` / ``PlanCache`` sizes, and an engine that cannot
+    run the graph it was given."""
 
 
 class FormatError(ReproError, ValueError):

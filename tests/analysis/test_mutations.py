@@ -1,11 +1,9 @@
 """Mutation tests: the analyzer must *detect* seeded schedule corruption.
 
 Zero findings on shipped graphs only means something if the checker has
-teeth — these tests delete Theorem-4 dependence edges and reorder solve
-levels, and assert at least one finding every time.
+teeth — these tests delete Theorem-4 and solve-phase dependence edges,
+and assert at least one finding every time.
 """
-
-import dataclasses
 
 import numpy as np
 import pytest
@@ -13,21 +11,33 @@ from hypothesis import given, settings, strategies as st
 
 from tests.conftest import random_pivot_matrix
 from repro.analysis import (
+    analyze_plan,
     check_races,
-    check_schedule,
     factor_footprints,
     minimality_report,
     solve_footprints,
     solve_region_label,
 )
 from repro.numeric.solver import SparseLUSolver
+import repro.taskgraph.solve_graph as solve_graph_mod
 from repro.taskgraph.eforest_graph import build_eforest_graph
-from repro.taskgraph.solve_graph import build_solve_graph, level_schedule
+from repro.taskgraph.solve_graph import build_solve_graph
 from repro.taskgraph.sstar import build_sstar_graph
 
 
 def analyzed(seed=0, n=35):
     return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+
+
+def _essential_fs_edge(g):
+    """An FS -> FS edge of ``g`` that no other path implies (dropping a
+    transitive shortcut would leave the pair ordered)."""
+    kept = set(g.transitive_reduction().edges())
+    return next(
+        (u, v)
+        for u, v in g.edges()
+        if (u, v) in kept and u.kind == "FS" and v.kind == "FS"
+    )
 
 
 class TestFactorEdgeDeletion:
@@ -115,50 +125,30 @@ class TestSolveMutations:
                 assert findings, f"deleting {u} -> {v} went undetected"
             g.add_edge(u, v)
 
-    def test_block_moved_to_earlier_level_detected(self):
-        s = analyzed(3)
-        sched = level_schedule(s.bp)
-        assert len(sched.fwd_levels) >= 2, "matrix too small for the test"
-        # Move one dependent block into the first forward level and patch
-        # the per-block depth to match, so only the edge check can object.
-        b = int(sched.fwd_levels[1][0])
-        fwd = [np.asarray(lev) for lev in sched.fwd_levels]
-        fwd[1] = fwd[1][fwd[1] != b]
-        fwd[0] = np.sort(np.append(fwd[0], b))
-        fwd_level = sched.fwd_level.copy()
-        fwd_level[b] = fwd_level[int(fwd[0][0])]
-        bad = dataclasses.replace(
-            sched,
-            fwd_levels=tuple(lev for lev in fwd if lev.size),
-            fwd_level=fwd_level,
-        )
-        findings = check_schedule(bad)
-        assert any(f.check == "schedule.edge_respects_levels" for f in findings)
-
-    def test_reversed_backward_levels_detected(self):
-        s = analyzed(4)
-        sched = level_schedule(s.bp)
-        assert len(sched.bwd_levels) >= 2
-        bad = dataclasses.replace(
-            sched, bwd_levels=tuple(reversed(sched.bwd_levels))
-        )
-        assert check_schedule(bad)
-
     def test_dropped_structure_dependence_detected(self):
-        # A schedule whose graph lost a dependence must race against the
+        # A solve graph that lost a dependence must race against the
         # footprints re-derived from the block pattern.
         s = analyzed(5)
-        sched = level_schedule(s.bp)
+        g = build_solve_graph(s.bp)
         fps = solve_footprints(s.bp)
-        assert not check_schedule(sched)  # clean baseline
-        assert not check_races(sched.graph, fps, label=solve_region_label)[0]
-        # Drop one non-redundant dependence edge from the schedule's graph
-        # (a transitive shortcut would leave the pair ordered via a path).
-        kept = set(sched.graph.transitive_reduction().edges())
-        u, v = next(
-            (u, v)
-            for u, v in sched.graph.edges()
-            if (u, v) in kept and u.kind == "FS" and v.kind == "FS"
-        )
-        sched.graph.remove_edge(u, v)
-        assert check_races(sched.graph, fps, label=solve_region_label)[0]
+        assert not check_races(g, fps, label=solve_region_label)[0]
+        g.remove_edge(*_essential_fs_edge(g))
+        assert check_races(g, fps, label=solve_region_label)[0]
+
+    def test_dropped_solve_edge_reported_by_analyze_plan(self, monkeypatch):
+        # The solve-graph subject checks the graph build_solve_graph hands
+        # out (the one simulate_schedule prices): plant a dropped
+        # dependence there and the plan's report must name that subject.
+        plan = analyzed(5).plan()
+        assert analyze_plan(plan, name="m").ok
+
+        def planted(bp):
+            g = build_solve_graph(bp)
+            g.remove_edge(*_essential_fs_edge(g))
+            return g
+
+        monkeypatch.setattr(solve_graph_mod, "build_solve_graph", planted)
+        report = analyze_plan(plan, name="m")
+        assert {sub.name for sub in report.subjects if sub.findings} == {
+            "m/solve-graph"
+        }

@@ -13,7 +13,6 @@ from repro.analysis import (
     check_partition,
     check_plan,
     check_postorder,
-    check_schedule,
 )
 from repro.numeric.solver import SparseLUSolver
 from repro.serve.plan import build_plan
@@ -21,7 +20,6 @@ from repro.sparse.csc import CSCMatrix
 from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.postorder import block_upper_triangular_blocks
 from repro.symbolic.supernodes import SupernodePartition
-from repro.taskgraph.solve_graph import level_schedule
 
 
 def analyzed(seed=0, n=35):
@@ -133,46 +131,6 @@ class TestBTF:
         assert "btf.upper_triangular" in checks_of(
             check_btf(a, [(0, 1), (1, 2)])
         )
-
-
-class TestSchedule:
-    def test_pipeline_schedule_clean(self):
-        s = analyzed(4)
-        assert check_schedule(level_schedule(s.bp)) == []
-
-    def test_block_run_twice_flagged(self):
-        s = analyzed(4)
-        sched = level_schedule(s.bp)
-        fwd = list(sched.fwd_levels)
-        fwd[0] = np.concatenate([fwd[0], fwd[0][:1]])
-        bad = dataclasses.replace(sched, fwd_levels=tuple(fwd))
-        assert "schedule.covers_once" in checks_of(check_schedule(bad))
-
-    def test_reversed_forward_levels_flagged(self):
-        s = analyzed(5)
-        sched = level_schedule(s.bp)
-        if len(sched.fwd_levels) < 2:
-            return  # degenerate: nothing to reverse
-        bad = dataclasses.replace(
-            sched, fwd_levels=tuple(reversed(sched.fwd_levels))
-        )
-        assert "schedule.level_arrays_consistent" in checks_of(
-            check_schedule(bad)
-        )
-
-    def test_level_array_mismatch_flagged(self):
-        s = analyzed(6)
-        sched = level_schedule(s.bp)
-        fwd_level = sched.fwd_level.copy()
-        # Claim every FS sits at the same depth: either the per-group
-        # uniqueness or the per-edge level-increase check must fire.
-        fwd_level[:] = fwd_level[0]
-        bad = dataclasses.replace(sched, fwd_level=fwd_level)
-        found = checks_of(check_schedule(bad))
-        assert found & {
-            "schedule.level_arrays_consistent",
-            "schedule.edge_respects_levels",
-        }
 
 
 class TestPlan:

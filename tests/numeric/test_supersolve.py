@@ -21,6 +21,7 @@ from repro.obs.trace import Tracer
 from repro.serve import NumericFactorization, refactorize_with_plan
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
+from repro.taskgraph.solve_graph import level_schedule
 from repro.util.errors import ShapeError
 from tests.conftest import random_pivot_matrix, scalar_solve
 
@@ -107,7 +108,7 @@ class TestBlockVsReference:
     def test_deep_chain(self):
         a = deep_chain_matrix()
         solver = factorized(a, **NARROW)
-        sched = solver.plan().solve_schedule
+        sched = level_schedule(solver.bp)
         assert sched.n_fwd_levels > 3  # genuinely sequential structure
         for b in rhs_shapes(a.n_cols, 0):
             assert_close(solver.solve(b), scalar_solve(solver, b))
@@ -117,7 +118,7 @@ class TestBlockVsReference:
         # The blocks are independent as given; a fill-reducing ordering may
         # chain them (amd does), so keep the natural one.
         solver = factorized(a, ordering="natural", **NARROW)
-        sched = solver.plan().solve_schedule
+        sched = level_schedule(solver.bp)
         assert max(lv.size for lv in sched.fwd_levels) > 1  # independent trees
         for b in rhs_shapes(a.n_cols, 1):
             assert_close(solver.solve(b), scalar_solve(solver, b))

@@ -200,7 +200,8 @@ class TestAmalgamationKeepsTheGraphSound:
             ),
         )
         greedy = _greedy_merge(
-            plan.fill, plan.partition_raw, None, 0.25, 48, _entries(plan.fill)
+            plan.fill, supernode_partition(plan.fill), None, 0.25, 48,
+            _entries(plan.fill),
         )
         assert np.array_equal(plan.partition.starts, greedy.starts)
 

@@ -104,6 +104,50 @@ class TestErrors:
             raise SchedulingError("x")
 
 
+def _bad_calls():
+    """One bad call per request-path entry point that checks its arguments,
+    each taking a small matrix and its plan."""
+    from repro.api import lu
+    from repro.parallel.dispatch import run_engine
+    from repro.parallel.two_d import build_2d_graph
+    from repro.serve import PlanCache, SolverService
+    from repro.serve.fingerprint import values_digest
+    from repro.serve.refactor import refactorize_with_plan
+
+    calls = {
+        "lu-plan-and-options": lambda a, p: lu(a, plan=p, ordering="rcm"),
+        "refactor-order-and-engine": lambda a, p: refactorize_with_plan(
+            p, a, order=[], engine="sequential"
+        ),
+        "service-n_workers": lambda a, p: SolverService(n_workers=-1),
+        "service-max_queue": lambda a, p: SolverService(max_queue=0),
+        "service-max_batch": lambda a, p: SolverService(max_batch=0),
+        "cache-max_entries": lambda a, p: PlanCache(max_entries=0),
+        "values_digest-pattern-only": lambda a, p: values_digest(a.pattern_only()),
+        "run_engine-unknown": lambda a, p: run_engine(None, None, "bogus"),
+        "run_engine-2d-threaded": lambda a, p: run_engine(
+            None, build_2d_graph(p.bp), "threaded"
+        ),
+        "run_engine-2d-proc": lambda a, p: run_engine(
+            None, build_2d_graph(p.bp), "proc"
+        ),
+    }
+    return [pytest.param(call, id=name) for name, call in calls.items()]
+
+
+@pytest.mark.parametrize("call", _bad_calls())
+def test_request_path_argument_errors_are_typed(call):
+    # A caller catching ReproError sees every argument error the request
+    # path raises on purpose; except-ValueError call sites keep working.
+    from repro.serve import build_plan
+    from tests.conftest import random_pivot_matrix
+
+    a = random_pivot_matrix(20, 0)
+    with pytest.raises(ReproError) as info:
+        call(a, build_plan(a))
+    assert isinstance(info.value, ValueError)
+
+
 def _selectors():
     from repro.parallel import dispatch as engine_dispatch
     from repro.symbolic import dispatch as symbolic_dispatch
