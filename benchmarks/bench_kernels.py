@@ -12,8 +12,10 @@ import numpy as np
 
 from repro.numeric.factor import LUFactorization
 from repro.numeric.kernels import lu_panel_inplace
-from repro.numeric.solver import SparseLUSolver
+from repro.api import lu
 from repro.obs.metrics import MetricsRegistry
+from repro.serve import build_plan
+from repro.serve.refactor import permuted_values
 from repro.util.tables import format_table
 from repro.ordering.mindeg import minimum_degree_ata
 from repro.ordering.transversal import zero_free_diagonal_permutation
@@ -21,6 +23,13 @@ from repro.sparse.generators import paper_matrix
 from repro.sparse.ops import permute
 from repro.symbolic.static_fill import static_symbolic_factorization
 from repro.symbolic.postorder import postorder_pipeline
+
+
+def _analyzed(name="orsreg1", scale=0.2):
+    """The plan of ``name`` and the matrix it orders, permuted."""
+    a = paper_matrix(name, scale=scale)
+    plan = build_plan(a)
+    return plan, permuted_values(plan, a)[0]
 
 
 def _prepared(name="orsreg1", scale=0.2):
@@ -61,22 +70,22 @@ def test_bench_panel_lu(benchmark):
 
 
 def test_bench_numeric_factorization(benchmark):
-    solver = SparseLUSolver(paper_matrix("orsreg1", scale=0.2)).analyze()
+    plan, a_work = _analyzed()
 
     def run():
-        eng = LUFactorization(solver.a_work, solver.bp)
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
         return eng
 
     eng = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert eng.n_tasks == solver.graph.n_tasks
+    assert eng.n_tasks == plan.graph.n_tasks
 
 
 def test_kernel_histograms(emit):
     """Kernel-mix profile of one factorization (counts, FLOPs, widths)."""
-    solver = SparseLUSolver(paper_matrix("orsreg1", scale=0.2)).analyze()
+    plan, a_work = _analyzed()
     metrics = MetricsRegistry()
-    eng = LUFactorization(solver.a_work, solver.bp, metrics=metrics)
+    eng = LUFactorization(a_work, plan.bp, metrics=metrics)
     eng.factor_sequential()
     data = metrics.as_dict()
     rows = [
@@ -108,8 +117,8 @@ def test_bench_full_pipeline(benchmark):
     a = paper_matrix("saylr4", scale=0.15)
 
     def run():
-        return SparseLUSolver(a).analyze().factorize()
+        return lu(a).solver
 
-    solver = benchmark.pedantic(run, rounds=2, iterations=1)
+    fac = benchmark.pedantic(run, rounds=2, iterations=1)
     b = np.ones(a.n_cols)
-    assert solver.residual_norm(solver.solve(b), b) < 1e-8
+    assert fac.residual_norm(fac.solve(b), b) < 1e-8

@@ -15,23 +15,25 @@ from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.message_passing import message_passing_factorize
 from repro.parallel.simulate import simulate_schedule
+from repro.serve.refactor import permuted_values
+from repro.sparse.generators import paper_matrix
 from repro.util.tables import format_table
 
 
 def run(config):
     rows = []
     for name in ("orsreg1", "sherman5"):
-        solver = analyzed_matrix(name, config.scale * 0.7)
-        ref = LUFactorization(solver.a_work, solver.bp)
+        scale = config.scale * 0.7
+        plan = analyzed_matrix(name, scale)
+        a_work = permuted_values(plan, paper_matrix(name, scale=scale))[0]
+        ref = LUFactorization(a_work, plan.bp)
         ref.factor_sequential()
         ref_l = ref.extract().l_factor.to_dense()
         for p in (2, 4):
-            owner = cyclic_mapping(solver.bp.n_blocks, p)
-            mp = message_passing_factorize(
-                solver.a_work, solver.bp, solver.graph, owner
-            )
+            owner = cyclic_mapping(plan.bp.n_blocks, p)
+            mp = message_passing_factorize(a_work, plan.bp, plan.graph, owner)
             sim = simulate_schedule(
-                solver.graph, solver.bp, MachineModel(n_procs=p), owner
+                plan.graph, plan.bp, MachineModel(n_procs=p), owner
             )
             same = bool(np.allclose(mp.result.l_factor.to_dense(), ref_l))
             rows.append(

@@ -39,9 +39,10 @@ from typing import Sequence
 import numpy as np
 
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
 from repro.parallel.procengine import ProcPool
 from repro.parallel.threads import threaded_factorize
+from repro.serve import build_plan
+from repro.serve.refactor import permuted_values
 from repro.sparse.generators import paper_matrix
 from repro.util.tables import format_table
 
@@ -72,8 +73,11 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def analyzed(matrix: str, scale: float) -> SparseLUSolver:
-    return SparseLUSolver(paper_matrix(matrix, scale=scale)).analyze()
+def analyzed(matrix: str, scale: float):
+    """``(plan, a_work)``: the plan of the analog and the matrix it factors."""
+    a = paper_matrix(matrix, scale=scale)
+    plan = build_plan(a)
+    return plan, permuted_values(plan, a)[0]
 
 
 def bitwise_equal(res, ref) -> bool:
@@ -102,8 +106,8 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
     """
     rows = []
     for scale in sorted(float(s) for s in scales):
-        solver = analyzed(MATRIX, scale)
-        ref = LUFactorization(solver.a_work, solver.bp)
+        plan, a_work = analyzed(MATRIX, scale)
+        ref = LUFactorization(a_work, plan.bp)
         ref.factor_sequential()
         ref_res = ref.extract()
         pool = ProcPool(N_WORKERS)
@@ -111,24 +115,24 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
             # Untimed warm-up: first threaded call pays thread spawn, first
             # proc call pays bind (arena + fork) — the steady state is what
             # serves.
-            eng = LUFactorization(solver.a_work, solver.bp)
+            eng = LUFactorization(a_work, plan.bp)
             threaded_factorize(eng, n_threads=N_WORKERS)
-            eng = LUFactorization(solver.a_work, solver.bp)
+            eng = LUFactorization(a_work, plan.bp)
             pool.factorize(eng)
             seq_times: list[float] = []
             thr_times: list[float] = []
             proc_times: list[float] = []
             n_messages = n_units = 0
             for _ in range(REPEATS):
-                eng_s = LUFactorization(solver.a_work, solver.bp)
+                eng_s = LUFactorization(a_work, plan.bp)
                 t0 = time.perf_counter()
                 eng_s.factor_sequential()
                 seq_times.append(time.perf_counter() - t0)
-                eng_t = LUFactorization(solver.a_work, solver.bp)
+                eng_t = LUFactorization(a_work, plan.bp)
                 t0 = time.perf_counter()
                 threaded_factorize(eng_t, n_threads=N_WORKERS)
                 thr_times.append(time.perf_counter() - t0)
-                eng_p = LUFactorization(solver.a_work, solver.bp)
+                eng_p = LUFactorization(a_work, plan.bp)
                 t0 = time.perf_counter()
                 stats = pool.factorize(eng_p)
                 proc_times.append(time.perf_counter() - t0)
@@ -148,8 +152,8 @@ def run_proc_benchmark(scales: Sequence[float]) -> dict:
         rows.append(
             {
                 "scale": scale,
-                "n": solver.a.n_cols,
-                "n_tasks": solver.graph.n_tasks,
+                "n": plan.n,
+                "n_tasks": plan.graph.n_tasks,
                 "sequential_s": seq_s,
                 "threaded_s": thr_s,
                 "proc_s": proc_s,

@@ -12,7 +12,8 @@ import numpy as np
 
 from repro.numeric.factor import LUFactorization
 from repro.numeric.scalar_lu import scalar_lu
-from repro.numeric.solver import SparseLUSolver
+from repro.serve import NumericFactorization, build_plan
+from repro.serve.refactor import permuted_values
 from repro.sparse.generators import paper_matrix
 from repro.util.tables import format_table
 from repro.util.timer import Timer
@@ -22,16 +23,16 @@ def run_comparison(scale: float):
     rows = []
     for name in ("orsreg1", "saylr4", "sherman5"):
         a = paper_matrix(name, scale=scale * 0.6)  # scalar path is slower
-        solver = SparseLUSolver(a).analyze()
+        plan = build_plan(a)
         with Timer() as t_super:
-            eng = LUFactorization(solver.a_work, solver.bp)
+            a_work, equil = permuted_values(plan, a)
+            eng = LUFactorization(a_work, plan.bp)
             eng.factor_sequential()
             res_super = eng.extract()
         with Timer() as t_scalar:
             res_scalar = scalar_lu(a)
         b = np.ones(a.n_cols)
-        solver.result = res_super
-        x_super = solver.solve(b)
+        x_super = NumericFactorization(plan, a, a_work, res_super, equil).solve(b)
         x_scalar = res_scalar.solve(b)
         agree = bool(np.allclose(x_super, x_scalar, rtol=1e-7, atol=1e-9))
         rows.append(

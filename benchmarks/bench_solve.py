@@ -19,8 +19,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.numeric.solver import SparseLUSolver
+from repro.api import lu
 from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
+from repro.serve import NumericFactorization
 from repro.sparse.generators import paper_matrix
 from repro.util.tables import format_table
 
@@ -35,16 +36,16 @@ N_RHS = 16
 MATRIX = "sherman3"
 
 
-def _prepare(matrix: str, scale: float) -> SparseLUSolver:
-    """Analyzed + factorized solver (the factors keep their panel form)."""
-    return SparseLUSolver(paper_matrix(matrix, scale=scale)).analyze().factorize()
+def _prepare(matrix: str, scale: float) -> NumericFactorization:
+    """Analyzed + factorized matrix (the factors keep their panel form)."""
+    return lu(paper_matrix(matrix, scale=scale)).solver
 
 
-def _scalar_solve(solver: SparseLUSolver, b: np.ndarray) -> np.ndarray:
-    """The scalar oracle of ``solver.solve(b)``: CSC substitutions over
+def _scalar_solve(fac: NumericFactorization, b: np.ndarray) -> np.ndarray:
+    """The scalar oracle of ``fac.solve(b)``: CSC substitutions over
     the assembled factors, through the plan's permutations (the default
     options do not equilibrate)."""
-    plan, res = solver.plan(), solver.result
+    plan, res = fac.plan, fac.result
     y = lower_unit_solve_csc(res.l_factor, b[plan.row_perm_inv][res.orig_at])
     return upper_solve_csc(res.u_factor, y)[plan.col_perm]
 
@@ -77,11 +78,11 @@ def run_solve_benchmark(scales: Sequence[float]) -> dict:
     warm = _prepare(MATRIX, min(scales) / 2)
     _time_solve(warm.solve, np.ones((warm.a.n_cols, N_RHS)), 1)
     for scale in scales:
-        solver = _prepare(MATRIX, scale)
-        n = solver.a.n_cols
+        fac = _prepare(MATRIX, scale)
+        n = fac.a.n_cols
         b = rng.standard_normal((n, N_RHS))
-        ref_s, x_ref = _time_solve(lambda b: _scalar_solve(solver, b), b, REPEATS)
-        blk_s, x_blk = _time_solve(solver.solve, b, REPEATS)
+        ref_s, x_ref = _time_solve(lambda b: _scalar_solve(fac, b), b, REPEATS)
+        blk_s, x_blk = _time_solve(fac.solve, b, REPEATS)
         scale_ref = float(np.max(np.abs(x_ref))) or 1.0
         rel_err = float(np.max(np.abs(x_blk - x_ref))) / scale_ref
         if rel_err > 1e-12:
@@ -94,7 +95,7 @@ def run_solve_benchmark(scales: Sequence[float]) -> dict:
                 "scale": scale,
                 "n": n,
                 "n_rhs": N_RHS,
-                "n_blocks": solver.result.blocks.n_blocks,
+                "n_blocks": fac.result.blocks.n_blocks,
                 "reference_s": ref_s,
                 "block_s": blk_s,
                 "speedup": ref_s / blk_s if blk_s > 0 else 0.0,

@@ -12,35 +12,37 @@ Run:  python examples/distributed_factorization.py
 
 import numpy as np
 
-from repro import MachineModel, SparseLUSolver, paper_matrix, simulate_schedule
+from repro import MachineModel, build_plan, paper_matrix, simulate_schedule
 from repro.numeric.factor import LUFactorization
 from repro.numeric.memory import memory_report
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.message_passing import message_passing_factorize
+from repro.serve.refactor import permuted_values
 from repro.util.tables import format_table
 
 
 def main() -> None:
     a = paper_matrix("saylr4", scale=0.25)
-    solver = SparseLUSolver(a).analyze()
-    print(f"saylr4 analog: n={a.n_cols}, {solver.bp.n_blocks} block columns")
-    mem = memory_report(solver.fill, solver.bp)
+    plan = build_plan(a)
+    a_work, _ = permuted_values(plan, a)
+    print(f"saylr4 analog: n={a.n_cols}, {plan.bp.n_blocks} block columns")
+    mem = memory_report(plan.fill, plan.bp)
     print(
         format_table(
             ["quantity", "value"], mem.summary_rows(), title="memory report"
         )
     )
 
-    ref = LUFactorization(solver.a_work, solver.bp)
+    ref = LUFactorization(a_work, plan.bp)
     ref.factor_sequential()
     ref_l = ref.extract().l_factor.to_dense()
 
     rows = []
     for p in (1, 2, 4):
-        owner = cyclic_mapping(solver.bp.n_blocks, p)
-        mp = message_passing_factorize(solver.a_work, solver.bp, solver.graph, owner)
+        owner = cyclic_mapping(plan.bp.n_blocks, p)
+        mp = message_passing_factorize(a_work, plan.bp, plan.graph, owner)
         same = bool(np.allclose(mp.result.l_factor.to_dense(), ref_l))
-        sim = simulate_schedule(solver.graph, solver.bp, MachineModel(n_procs=p), owner)
+        sim = simulate_schedule(plan.graph, plan.bp, MachineModel(n_procs=p), owner)
         rows.append(
             (
                 p,

@@ -15,7 +15,8 @@ Run:  python examples/fluid_flow_solver.py
 
 import numpy as np
 
-from repro import SparseLUSolver, minimum_degree_ata, zero_free_diagonal_permutation
+from repro import minimum_degree_ata, zero_free_diagonal_permutation
+from repro.api import lu
 from repro.sparse.convert import csc_to_scipy
 from repro.sparse.generators import fluid_flow_matrix
 from repro.sparse.ops import permute
@@ -42,11 +43,11 @@ def main() -> None:
         "why the paper postorders the LU eforest instead (§3)"
     )
 
-    solver = SparseLUSolver(a).analyze().factorize()
+    fact = lu(a)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(a.n_cols)
-    x = solver.solve(b)
-    print(f"residual: {solver.residual_norm(x, b):.2e}")
+    x = fact.solve(b)
+    print(f"residual: {fact.solver.residual_norm(x, b):.2e}")
 
     import scipy.sparse.linalg as spla
 

@@ -18,28 +18,30 @@ from repro import (
     DynamicRuntime,
     LUFactorization,
     MachineModel,
-    SparseLUSolver,
+    build_plan,
     paper_matrix,
     simulate_schedule,
 )
 from repro.parallel import GridMapping, build_2d_graph, cyclic_mapping
+from repro.serve.refactor import permuted_values
 from repro.taskgraph.solve_graph import build_solve_graph
 from repro.util.tables import format_table
 
 
 def main() -> None:
     a = paper_matrix("sherman3", scale=0.25)
-    solver = SparseLUSolver(a).analyze()
-    print(f"sherman3 analog: n={a.n_cols}, {solver.bp.n_blocks} block columns\n")
+    plan = build_plan(a)
+    a_work, _ = permuted_values(plan, a)
+    print(f"sherman3 analog: n={a.n_cols}, {plan.bp.n_blocks} block columns\n")
 
     # --- 1. 2-D partitioning -------------------------------------------
     # One simulator; the graph shape and the mapping are its arguments.
-    bp, n_blocks = solver.bp, solver.bp.n_blocks
+    bp, n_blocks = plan.bp, plan.bp.n_blocks
     graph_2d = build_2d_graph(bp)
     rows = []
     for p in (4, 8, 16):
         m = MachineModel(n_procs=p)
-        t1 = simulate_schedule(solver.graph, bp, m, cyclic_mapping(n_blocks, p)).makespan
+        t1 = simulate_schedule(plan.graph, bp, m, cyclic_mapping(n_blocks, p)).makespan
         t2 = simulate_schedule(graph_2d, bp, m, GridMapping.for_workers(p)).makespan
         rows.append((p, t1, t2, f"{100 * (1 - t2 / t1):+.1f}%"))
     print(
@@ -52,10 +54,10 @@ def main() -> None:
     )
 
     # --- 2. dynamic runtime --------------------------------------------
-    runtime = DynamicRuntime(solver.bp)
-    eng_dyn = LUFactorization(solver.a_work, solver.bp)
+    runtime = DynamicRuntime(bp)
+    eng_dyn = LUFactorization(a_work, bp)
     order = runtime.run(eng_dyn)
-    eng_ref = LUFactorization(solver.a_work, solver.bp)
+    eng_ref = LUFactorization(a_work, bp)
     eng_ref.factor_sequential()
     same = np.allclose(
         eng_dyn.extract().l_factor.to_dense(),

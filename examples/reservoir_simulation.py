@@ -12,7 +12,7 @@ Run:  python examples/reservoir_simulation.py
 
 import numpy as np
 
-from repro import SparseLUSolver
+from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.generators import reservoir_matrix
 from repro.util.timer import Timer
 
@@ -32,8 +32,8 @@ def main() -> None:
     print(f"reservoir grid 14x14x6 -> n={n}, nnz={a.nnz}")
 
     with Timer() as t_sym:
-        solver = SparseLUSolver(a).analyze()
-    st = solver.stats()
+        plan = build_plan(a)
+    st = plan.stats()
     print(
         f"symbolic analysis: {t_sym.elapsed:.2f}s "
         f"(fill {st.fill_ratio:.1f}x, {st.n_supernodes} supernodes, "
@@ -44,12 +44,12 @@ def main() -> None:
     for step in range(5):
         # Refresh the Jacobian values on the frozen pattern; the static
         # symbolic structure (and therefore the whole task system) is valid
-        # for any values, pivoting included — refactorize() reuses it all.
+        # for any values, pivoting included — the plan serves every step.
         jac = perturb_values(a, rng)
         with Timer() as t_num:
-            solver.refactorize(jac)
+            fac = refactorize_with_plan(plan, jac)
         rhs = rng.standard_normal(n) - pressure
-        delta = solver.solve(rhs)
+        delta = fac.solve(rhs)
         pressure += delta
         from repro.sparse.ops import matvec
 

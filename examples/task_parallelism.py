@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import (
     MachineModel,
-    SparseLUSolver,
+    build_plan,
     build_sstar_graph,
     paper_matrix,
     simulate_schedule,
@@ -23,6 +23,7 @@ from repro import (
 )
 from repro.numeric.factor import LUFactorization
 from repro.parallel.mapping import cyclic_mapping
+from repro.serve.refactor import permuted_values
 from repro.util.tables import format_table
 
 
@@ -32,9 +33,9 @@ def main() -> None:
     a = paper_matrix(name, scale=scale)
     print(f"{name} analog @ scale {scale}: n={a.n_cols}, nnz={a.nnz}")
 
-    solver = SparseLUSolver(a).analyze()
-    g_new = solver.graph
-    g_old = build_sstar_graph(solver.bp)
+    plan = build_plan(a)
+    g_new = plan.graph
+    g_old = build_sstar_graph(plan.bp)
     print(
         f"task graphs: {g_new.n_tasks} tasks; edges new/old = "
         f"{g_new.n_edges}/{g_old.n_edges}"
@@ -44,9 +45,9 @@ def main() -> None:
     t1 = None
     for p in (1, 2, 4, 8):
         m = MachineModel(n_procs=p)
-        owner = cyclic_mapping(solver.bp.n_blocks, p)
-        r_new = simulate_schedule(g_new, solver.bp, m, owner)
-        r_old = simulate_schedule(g_old, solver.bp, m, owner)
+        owner = cyclic_mapping(plan.bp.n_blocks, p)
+        r_new = simulate_schedule(g_new, plan.bp, m, owner)
+        r_old = simulate_schedule(g_old, plan.bp, m, owner)
         if t1 is None:
             t1 = r_new.makespan
         rows.append(
@@ -70,8 +71,8 @@ def main() -> None:
 
     # When each task starts in the simulated 4-processor schedule.
     m4 = MachineModel(n_procs=4)
-    owner4 = cyclic_mapping(solver.bp.n_blocks, 4)
-    trace = simulate_schedule(g_new, solver.bp, m4, owner4, record_trace=True)
+    owner4 = cyclic_mapping(plan.bp.n_blocks, 4)
+    trace = simulate_schedule(g_new, plan.bp, m4, owner4, record_trace=True)
     first = sorted(trace.start_times.items(), key=lambda kv: kv[1])[:12]
     print()
     print(
@@ -84,9 +85,10 @@ def main() -> None:
     )
 
     # Real threaded execution: block steps released over the block eforest.
-    ref = LUFactorization(solver.a_work, solver.bp)
+    a_work, _ = permuted_values(plan, a)
+    ref = LUFactorization(a_work, plan.bp)
     ref.factor_sequential()
-    eng = LUFactorization(solver.a_work, solver.bp)
+    eng = LUFactorization(a_work, plan.bp)
     threaded_factorize(eng, n_threads=4)
     same = np.allclose(
         eng.extract().l_factor.to_dense(), ref.extract().l_factor.to_dense()

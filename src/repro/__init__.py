@@ -17,11 +17,12 @@ Static Symbolic Factorization for Parallel Sparse LU* (IPPS/IPDPS 2000):
 Quickstart
 ----------
 >>> import numpy as np
->>> from repro import SparseLUSolver, paper_matrix
+>>> from repro import paper_matrix
+>>> from repro.api import lu
 >>> a = paper_matrix("sherman3", scale=0.2)
->>> solver = SparseLUSolver(a).analyze().factorize()
->>> x = solver.solve(np.ones(a.n_cols))
->>> solver.residual_norm(x, np.ones(a.n_cols)) < 1e-10
+>>> fact = lu(a)                  # build_plan, then refactorize_with_plan
+>>> x = fact.solve(np.ones(a.n_cols))
+>>> fact.solver.residual_norm(x, np.ones(a.n_cols)) < 1e-10
 True
 """
 
@@ -61,7 +62,6 @@ from repro.taskgraph import (
     block_eforest,
 )
 from repro.numeric import (
-    SparseLUSolver,
     SolverOptions,
     LUFactorization,
     FactorResult,
@@ -132,7 +132,6 @@ __all__ = [
     "build_sstar_graph",
     "build_eforest_graph",
     "block_eforest",
-    "SparseLUSolver",
     "SolverOptions",
     "LUFactorization",
     "FactorResult",

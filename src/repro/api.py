@@ -26,46 +26,66 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions
+from repro.obs.trace import Tracer
+from repro.serve.plan import build_plan
+from repro.serve.refactor import NumericFactorization, refactorize_with_plan
 from repro.sparse.csc import CSCMatrix
-from repro.util.errors import DispatchError
+from repro.util.errors import DispatchError, ShapeError
 
 
 @dataclass
 class LUHandle:
     """A factorized matrix ready for repeated solves."""
 
-    solver: SparseLUSolver
+    #: The factorization: its plan, matrix, factors and tracer. The name
+    #: predates the plan/factorization split and is kept for callers that
+    #: read ``lu(a).solver.result``.
+    solver: NumericFactorization
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve for one RHS ``(n,)`` or a block of them ``(n, k)``."""
         return self.solver.solve(b)
 
-    def solve_refined(self, b: np.ndarray):
-        return self.solver.solve_refined(b)
+    def solve_refined(self, b: np.ndarray, *, max_iters: int = 5, tol: float = 1e-14):
+        """Solve with iterative refinement; returns a ``RefinementResult``.
+
+        Uses the factors for both the initial solve and the residual
+        corrections (fixed-precision refinement, as SuperLU does).
+        """
+        from repro.numeric.refine import iterative_refinement
+
+        fac = self.solver
+        with fac.tracer.span("solve_refined") as s:
+            rr = iterative_refinement(fac.a, fac.solve, b, max_iters=max_iters, tol=tol)
+            s.set(iterations=rr.iterations, converged=rr.converged)
+        return rr
 
     def refactor(self, values) -> "LUHandle":
         """Re-factor with ``values`` replacing the matrix's data array.
 
         ``values`` is either a flat array aligned with the stored pattern
         (``a.data`` order, length ``nnz``) or a full :class:`CSCMatrix`
-        with the identical pattern. Only the numeric phase runs — the
-        symbolic analysis of the original factorization is reused
-        (Theorem 3 makes it a pure function of the pattern).
+        with the identical pattern (else
+        :class:`~repro.util.errors.PlanMismatchError`). Only the numeric
+        phase runs — the symbolic analysis of the original factorization
+        is reused (Theorem 3 makes it a pure function of the pattern).
         """
         if isinstance(values, CSCMatrix):
             a_new = values
         else:
             values = np.asarray(values, dtype=np.float64)
             a_new = self.solver.a.with_values(values)
-        self.solver.refactorize(a_new)
+        self.solver = refactorize_with_plan(
+            self.solver.plan, a_new, tracer=self.solver.tracer
+        )
         return self
 
     @property
     def plan(self):
         """This factorization's symbolic analysis as a frozen, cacheable
         :class:`repro.serve.SymbolicPlan` (see docs/serving.md)."""
-        return self.solver.plan()
+        return self.solver.plan
 
     @property
     def condition_estimate(self) -> float:
@@ -73,11 +93,11 @@ class LUHandle:
 
     @property
     def stats(self):
-        return self.solver.stats()
+        return self.solver.plan.stats()
 
     @property
     def trace(self):
-        """The solver's :class:`repro.obs.Tracer`.
+        """The handle's :class:`repro.obs.Tracer`.
 
         ``trace.export()`` produces the schema-versioned telemetry JSON
         document; ``repro.obs.render_trace`` renders it. Detail metrics
@@ -99,8 +119,11 @@ def lu(
     """Analyze and factorize ``a``; keyword args map to
     :class:`SolverOptions` (``ordering=``, ``postorder=``, ...).
 
-    ``trace=True`` turns on detail tracing (see docs/observability.md);
-    the resulting telemetry is available as ``handle.trace``.
+    :func:`repro.serve.build_plan` then
+    :func:`repro.serve.refactorize_with_plan`, both under one always-on
+    tracer. ``trace=True`` turns on detail tracing (see
+    docs/observability.md); the resulting telemetry is available as
+    ``handle.trace``.
 
     ``engine=`` selects the numeric executor (``"sequential"``,
     ``"threaded"``, or ``"proc"``); it overrides ``$REPRO_ENGINE``, which
@@ -109,20 +132,31 @@ def lu(
     identical factors.
 
     ``plan=`` warm-starts from a cached :class:`repro.serve.SymbolicPlan`
-    built for this pattern: the symbolic phase is skipped and the plan's
-    options apply (so ``plan=`` and option keywords are mutually
-    exclusive).
+    built for this pattern (else
+    :class:`~repro.util.errors.PlanMismatchError`): the symbolic phase is
+    skipped and the plan's options apply (so ``plan=`` and option keywords
+    are mutually exclusive).
     """
     if plan is not None and options:
         raise DispatchError(
             "lu(plan=...) uses the plan's options; do not also pass "
             f"option keywords {sorted(options)}"
         )
+    if not a.has_values:
+        raise ShapeError("lu() requires matrix values")
+    tracer = Tracer(detail=trace)
+    check_pattern = plan is not None
     if plan is None:
-        solver = SparseLUSolver(a, SolverOptions(**options), trace=trace).analyze()
-    else:
-        solver = SparseLUSolver(a, plan.options, trace=trace).adopt_plan(plan)
-    return LUHandle(solver=solver.factorize(engine=engine, n_workers=n_workers))
+        plan = build_plan(a, SolverOptions(**options), tracer=tracer)
+    fac = refactorize_with_plan(
+        plan,
+        a,
+        tracer=tracer,
+        check_pattern=check_pattern,
+        engine=engine,
+        n_workers=n_workers,
+    )
+    return LUHandle(solver=fac)
 
 
 def solve(a: CSCMatrix, b: np.ndarray, **options) -> np.ndarray:

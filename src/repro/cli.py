@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.eval.config import BenchConfig
 from repro.eval.registry import EXPERIMENTS, run_experiment
-from repro.numeric.solver import TASK_GRAPHS, SolverOptions, SparseLUSolver
+from repro.numeric.solver import TASK_GRAPHS, SolverOptions
 from repro.ordering import DEFAULT_ORDERING, ORDERINGS
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
@@ -105,8 +105,10 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
+    from repro.api import lu
+
     a = _load_matrix(args.matrix, args.scale)
-    solver = SparseLUSolver(a, _solver_options(args)).analyze().factorize()
+    handle = lu(a, **vars(_solver_options(args)))
     rng = np.random.default_rng(0)
     if args.rhs == "ones":
         b = np.ones(a.n_cols)
@@ -115,14 +117,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
     else:
         b = np.loadtxt(args.rhs)
     if args.refine:
-        rr = solver.solve_refined(b)
+        rr = handle.solve_refined(b)
         x = rr.x
         print(f"refinement: {rr.iterations} iteration(s), converged={rr.converged}")
     else:
-        x = solver.solve(b)
-    print(f"n={a.n_cols} nnz={a.nnz} residual={solver.residual_norm(x, b):.3e}")
+        x = handle.solve(b)
+    print(f"n={a.n_cols} nnz={a.nnz} residual={handle.solver.residual_norm(x, b):.3e}")
     if args.condest:
-        print(f"condition estimate (1-norm): {solver.condition_estimate():.3e}")
+        print(f"condition estimate (1-norm): {handle.condition_estimate:.3e}")
     if args.output:
         np.savetxt(args.output, x)
         print(f"solution written to {args.output}")
@@ -198,8 +200,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     )
     print()
-    solver = SparseLUSolver(a, _solver_options(args)).analyze()
-    st = solver.stats()
+    from repro.serve.plan import build_plan
+
+    plan = build_plan(a, _solver_options(args))
+    st = plan.stats()
     rows = [
         ("order", st.n),
         ("nnz(A)", st.nnz),
@@ -215,7 +219,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     print(format_table(["quantity", "value"], rows, title=f"analysis: {args.matrix}"))
     from repro.numeric.memory import memory_report
 
-    mem = memory_report(solver.fill, solver.bp)
+    mem = memory_report(plan.fill, plan.bp)
     print()
     print(
         format_table(
@@ -225,25 +229,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
     )
     if args.spy:
+        from repro.serve.refactor import permuted_values
         from repro.symbolic.postorder import block_upper_triangular_blocks
         from repro.symbolic.eforest import lu_elimination_forest
         from repro.util.spy import spy
 
         print("\nA (analyzed ordering):")
-        print(spy(solver.a_work))
+        print(spy(permuted_values(plan, a)[0]))
         blocks = None
-        if solver.options.postorder:
-            blocks = block_upper_triangular_blocks(
-                lu_elimination_forest(solver.fill)
-            )
+        if plan.options.postorder:
+            blocks = block_upper_triangular_blocks(lu_elimination_forest(plan.fill))
         print("\nAbar (static fill):")
-        print(spy(solver.fill.pattern, blocks=blocks))
+        print(spy(plan.fill.pattern, blocks=blocks))
     if args.forest:
         from repro.taskgraph.eforest_graph import block_eforest
         from repro.util.spy import render_forest
 
         print("\nblock LU eforest:")
-        print(render_forest(block_eforest(solver.bp)))
+        print(render_forest(block_eforest(plan.bp)))
     return 0
 
 
@@ -273,8 +276,8 @@ def cmd_matrices(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _simulate_trace(solver: SparseLUSolver, n_procs: int = 4) -> None:
-    """Price the solver's plan on the paper's platform into its trace.
+def _simulate_trace(plan, tracer, n_procs: int = 4) -> None:
+    """Price ``plan`` on the paper's platform into ``tracer``.
 
     Builds the §4 task graph (span ``task_graph``) and event-simulates its
     schedule on an ``n_procs`` Origin 2000 (span ``simulate_schedule``),
@@ -284,9 +287,9 @@ def _simulate_trace(solver: SparseLUSolver, n_procs: int = 4) -> None:
     from repro.parallel.mapping import cyclic_mapping
     from repro.parallel.simulate import simulate_schedule
 
-    tr, bp = solver.tracer, solver.bp
-    with tr.span("task_graph", kind=solver.options.task_graph) as s:
-        graph = solver.graph
+    tr, bp = tracer, plan.bp
+    with tr.span("task_graph", kind=plan.options.task_graph) as s:
+        graph = plan.graph
         s.set(n_tasks=graph.n_tasks, n_edges=graph.n_edges)
     with tr.span("simulate_schedule", n_procs=n_procs) as s:
         result = simulate_schedule(
@@ -303,19 +306,24 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import chrome_trace_events, validate_document, write_json
     from repro.obs.render import render_trace
 
+    from repro.obs.trace import Tracer
+    from repro.serve.plan import build_plan
+    from repro.serve.refactor import refactorize_with_plan
+
     a = _load_matrix(args.matrix, args.scale)
-    solver = SparseLUSolver(a, _solver_options(args), trace=True)
-    solver.analyze().factorize()
-    _simulate_trace(solver)
+    tracer = Tracer(detail=True)
+    plan = build_plan(a, _solver_options(args), tracer=tracer)
+    fac = refactorize_with_plan(plan, a, tracer=tracer, check_pattern=False)
+    _simulate_trace(plan, tracer)
     b = np.ones(a.n_cols)
-    x = solver.solve(b)
-    doc = solver.tracer.export(
+    x = fac.solve(b)
+    doc = tracer.export(
         meta={
             "matrix": args.matrix,
             "scale": args.scale,
             "n": a.n_cols,
             "nnz": a.nnz,
-            "residual": float(solver.residual_norm(x, b)),
+            "residual": float(fac.residual_norm(x, b)),
         }
     )
     errors = validate_document(doc)
@@ -327,9 +335,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         write_json(args.json, doc)
         print(f"telemetry written to {args.json}")
     if args.chrome:
-        write_json(
-            args.chrome, {"traceEvents": chrome_trace_events(solver.tracer)}
-        )
+        write_json(args.chrome, {"traceEvents": chrome_trace_events(tracer)})
         print(f"chrome trace written to {args.chrome} (open in about:tracing)")
     print(render_trace(doc))
     return 0

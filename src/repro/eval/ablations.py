@@ -46,7 +46,6 @@ def amalgamation_sweep(
     """Sweep the amalgamation padding tolerance on one matrix."""
     config = config or BenchConfig()
     base = analyzed_matrix(name, config.scale)
-    assert base.fill is not None
     raw = supernode_partition(base.fill)
     points = []
     for tol in paddings:
@@ -112,7 +111,6 @@ def amalgamation_policy_comparison(
 
     config = config or BenchConfig()
     base = analyzed_matrix(name, config.scale)
-    assert base.fill is not None
     raw = supernode_partition(base.fill)
     parent = lu_elimination_forest(base.fill)
     variants = {
@@ -174,12 +172,11 @@ def ordering_comparison(
     config = config or BenchConfig()
     points = []
     for ordering in ORDERINGS:
-        solver = analyzed_matrix(name, config.scale, ordering=ordering)
-        assert solver.bp is not None and solver.graph is not None
-        st = solver.stats()
+        plan = analyzed_matrix(name, config.scale, ordering=ordering)
+        st = plan.stats()
         m = machine.with_procs(8)
-        owner = make_mapping("cyclic", solver.bp, 8)
-        res = simulate_schedule(solver.graph, solver.bp, m, owner)
+        owner = make_mapping("cyclic", plan.bp, 8)
+        res = simulate_schedule(plan.graph, plan.bp, m, owner)
         points.append(
             OrderingPoint(
                 name=name,
@@ -221,13 +218,12 @@ def mapping_comparison(
 ) -> list[MappingPoint]:
     """Compare 1-D owner-assignment policies on one matrix."""
     config = config or BenchConfig()
-    solver = analyzed_matrix(name, config.scale)
-    assert solver.bp is not None and solver.graph is not None
+    plan = analyzed_matrix(name, config.scale)
     points = []
     for policy in policies:
         m = machine.with_procs(8)
-        owner = make_mapping(policy, solver.bp, 8)
-        res = simulate_schedule(solver.graph, solver.bp, m, owner)
+        owner = make_mapping(policy, plan.bp, 8)
+        res = simulate_schedule(plan.graph, plan.bp, m, owner)
         points.append(
             MappingPoint(
                 name=name,

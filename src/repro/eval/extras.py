@@ -16,17 +16,26 @@ from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import GridMapping, cyclic_mapping
 from repro.parallel.simulate import simulate_schedule
 from repro.parallel.two_d import build_2d_graph
+from repro.serve.refactor import permuted_values
+from repro.sparse.generators import paper_matrix
 from repro.symbolic.coletree_analysis import compare_analyses
 from repro.taskgraph.solve_graph import build_solve_graph
 from repro.taskgraph.sstar import build_sstar_graph
 from repro.util.tables import format_table
 
 
+def _analyzed_values(name: str, scale: float):
+    """``(plan, a_work)``: the cached plan of ``name`` and the analog
+    permuted into its elimination order."""
+    plan = analyzed_matrix(name, scale)
+    return plan, permuted_values(plan, paper_matrix(name, scale=scale))[0]
+
+
 def coletree_rows(config: BenchConfig) -> list[tuple]:
     rows = []
     for name in config.matrices[:5]:
-        solver = analyzed_matrix(name, config.scale)
-        cmp = compare_analyses(solver.a_work, name)
+        a_work = _analyzed_values(name, config.scale)[1]
+        cmp = compare_analyses(a_work, name)
         rows.append(
             (
                 cmp.name,
@@ -52,8 +61,8 @@ def format_coletree(rows: list[tuple]) -> str:
 def lazy_rows(config: BenchConfig) -> list[tuple]:
     rows = []
     for name in config.matrices[:5]:
-        solver = analyzed_matrix(name, config.scale)
-        eng = LUFactorization(solver.a_work, solver.bp)
+        plan, a_work = _analyzed_values(name, config.scale)
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
         ls = eng.lazy_stats
         rows.append(
@@ -75,10 +84,10 @@ def graph_metric_rows(config: BenchConfig) -> list[tuple]:
 
     rows = []
     for name in config.matrices[:4]:
-        solver = analyzed_matrix(name, config.scale)
-        g_new = solver.graph
-        g_old = build_sstar_graph(solver.bp)
-        model = CostModel(solver.bp)
+        plan = analyzed_matrix(name, config.scale)
+        g_new = plan.graph
+        g_old = build_sstar_graph(plan.bp)
+        model = CostModel(plan.bp)
         cost = lambda t: model.flops(t) + 1.0
         par_new = g_new.parallelism_profile(cost)["avg_parallelism"]
         par_old = g_old.parallelism_profile(cost)["avg_parallelism"]
@@ -134,8 +143,8 @@ def simulate_1d_vs_2d(bp, graph_1d, procs=(4, 8, 16)) -> list[tuple]:
 def two_d_rows(config: BenchConfig) -> list[tuple]:
     rows = []
     for name in ("sherman3", "sherman5", "goodwin"):
-        solver = analyzed_matrix(name, config.scale)
-        for p, t1, t2, gain in simulate_1d_vs_2d(solver.bp, solver.graph):
+        plan = analyzed_matrix(name, config.scale)
+        for p, t1, t2, gain in simulate_1d_vs_2d(plan.bp, plan.graph):
             rows.append((name, p, t1, t2, f"{100 * gain:+.1f}%"))
     return rows
 
@@ -152,15 +161,15 @@ def format_two_d(rows: list[tuple]) -> str:
 def solve_phase_rows(config: BenchConfig) -> list[tuple]:
     rows = []
     for name in config.matrices[:4]:
-        solver = analyzed_matrix(name, config.scale)
-        graph = build_solve_graph(solver.bp)
+        plan = analyzed_matrix(name, config.scale)
+        graph = build_solve_graph(plan.bp)
         times = []
         for p in config.procs:
             res = simulate_schedule(
                 graph,
-                solver.bp,
+                plan.bp,
                 MachineModel(n_procs=p),
-                cyclic_mapping(solver.bp.n_blocks, p),
+                cyclic_mapping(plan.bp.n_blocks, p),
             )
             times.append(res.makespan)
         rows.append((name, *times, times[0] / times[-1]))
@@ -181,7 +190,6 @@ def btf_rows(config: BenchConfig) -> list[tuple]:
     """Classical SCC block triangular form vs the eforest decomposition."""
     from repro.ordering.btf import block_triangular_permutation
     from repro.ordering.transversal import zero_free_diagonal_permutation
-    from repro.sparse.generators import paper_matrix
     from repro.sparse.ops import permute
 
     rows = []
@@ -189,8 +197,8 @@ def btf_rows(config: BenchConfig) -> list[tuple]:
         a = paper_matrix(name, scale=config.scale)
         a0 = permute(a, row_perm=zero_free_diagonal_permutation(a))
         _, classical = block_triangular_permutation(a0)
-        solver = analyzed_matrix(name, config.scale)
-        st = solver.stats()
+        plan = analyzed_matrix(name, config.scale)
+        st = plan.stats()
         biggest = max(e - s for s, e in classical)
         rows.append(
             (name, st.n, len(classical), biggest, st.n_btf_blocks)
@@ -213,14 +221,14 @@ def dynamic_rows(config: BenchConfig) -> list[tuple]:
 
     rows = []
     for name in ("sherman3", "orsreg1"):
-        solver = analyzed_matrix(name, config.scale)
+        plan, a_work = _analyzed_values(name, config.scale)
         with Timer() as t_static:
-            graph = build_eforest_graph(solver.bp)
-            eng_s = LUFactorization(solver.a_work, solver.bp)
+            graph = build_eforest_graph(plan.bp)
+            eng_s = LUFactorization(a_work, plan.bp)
             eng_s.run_order(graph.topological_order())
         with Timer() as t_dynamic:
-            eng_d = LUFactorization(solver.a_work, solver.bp)
-            DynamicRuntime(solver.bp).run(eng_d)
+            eng_d = LUFactorization(a_work, plan.bp)
+            DynamicRuntime(plan.bp).run(eng_d)
         same = bool(
             np.allclose(
                 eng_s.extract().l_factor.to_dense(),

@@ -42,15 +42,14 @@ def taskgraph_improvement_series(
     config = config or BenchConfig()
     series = []
     for name in matrices:
-        solver = analyzed_matrix(name, config.scale)
-        assert solver.bp is not None
-        g_new, g_old = both_graphs(solver)
+        plan = analyzed_matrix(name, config.scale)
+        g_new, g_old = both_graphs(plan)
         t_new, t_old = [], []
         for p in config.procs:
             m = machine.with_procs(p)
-            owner = make_mapping(mapping_policy, solver.bp, p)
-            t_new.append(simulate_schedule(g_new, solver.bp, m, owner).makespan)
-            t_old.append(simulate_schedule(g_old, solver.bp, m, owner).makespan)
+            owner = make_mapping(mapping_policy, plan.bp, p)
+            t_new.append(simulate_schedule(g_new, plan.bp, m, owner).makespan)
+            t_old.append(simulate_schedule(g_old, plan.bp, m, owner).makespan)
         series.append(
             ImprovementSeries(
                 name=name,

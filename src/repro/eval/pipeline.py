@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions
+from repro.serve.plan import SymbolicPlan, build_plan
 from repro.sparse.generators import paper_matrix
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.sstar import build_sstar_graph
@@ -28,8 +29,10 @@ def analyzed_matrix(
     postorder: bool = True,
     amalgamation: bool = True,
     ordering: str = "mindeg",
-) -> SparseLUSolver:
-    """Generate the analog of ``name`` and run the symbolic pipeline."""
+) -> SymbolicPlan:
+    """Generate the analog of ``name`` and run the symbolic pipeline.
+    The analyzed matrix is ``permuted_values(plan, paper_matrix(name,
+    scale))[0]`` (:func:`repro.serve.refactor.permuted_values`)."""
     a = paper_matrix(name, scale=scale)
     opts = SolverOptions(
         ordering=ordering,
@@ -37,12 +40,9 @@ def analyzed_matrix(
         amalgamation=amalgamation,
         **PAPER_AMALGAMATION,
     )
-    return SparseLUSolver(a, opts).analyze()
+    return build_plan(a, opts)
 
 
-def both_graphs(solver: SparseLUSolver) -> tuple[TaskGraph, TaskGraph]:
-    """(eforest graph, S* graph) over the solver's block pattern."""
-    assert solver.bp is not None and solver.graph is not None
-    new_graph = solver.graph
-    old_graph = build_sstar_graph(solver.bp)
-    return new_graph, old_graph
+def both_graphs(plan: SymbolicPlan) -> tuple[TaskGraph, TaskGraph]:
+    """(eforest graph, S* graph) over the plan's block pattern."""
+    return plan.graph, build_sstar_graph(plan.bp)

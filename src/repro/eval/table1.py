@@ -30,9 +30,9 @@ def table1_rows(config: BenchConfig | None = None) -> list[Table1Row]:
     config = config or BenchConfig()
     rows = []
     for name in config.matrices:
-        solver = analyzed_matrix(name, config.scale)
+        plan = analyzed_matrix(name, config.scale)
         spec = PAPER_MATRICES[name]
-        st = solver.stats()
+        st = plan.stats()
         rows.append(
             Table1Row(
                 name=name,

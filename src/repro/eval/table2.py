@@ -39,13 +39,12 @@ def table2_rows(
     config = config or BenchConfig()
     rows = []
     for name in config.matrices:
-        solver = analyzed_matrix(name, config.scale)
-        assert solver.graph is not None and solver.bp is not None
+        plan = analyzed_matrix(name, config.scale)
         times = []
         for p in config.procs:
             m = machine.with_procs(p)
-            owner = make_mapping(mapping_policy, solver.bp, p)
-            res = simulate_schedule(solver.graph, solver.bp, m, owner)
+            owner = make_mapping(mapping_policy, plan.bp, p)
+            res = simulate_schedule(plan.graph, plan.bp, m, owner)
             times.append(res.makespan)
         rows.append(Table2Row(name=name, times=tuple(times), procs=config.procs))
     return rows

@@ -30,7 +30,7 @@ from repro.numeric.triangular import (
     upper_transpose_solve_csc,
 )
 from repro.numeric.scaling import Equilibration, equilibrate
-from repro.numeric.solver import SparseLUSolver, SolverOptions
+from repro.numeric.solver import SolverOptions
 from repro.numeric.scalar_lu import ScalarLUResult, scalar_lu
 from repro.numeric.memory import MemoryReport, memory_report
 from repro.numeric.refine import (
@@ -56,7 +56,6 @@ __all__ = [
     "upper_transpose_solve_csc",
     "Equilibration",
     "equilibrate",
-    "SparseLUSolver",
     "SolverOptions",
     "ScalarLUResult",
     "scalar_lu",

@@ -69,8 +69,8 @@ def iterative_refinement(
     a:
         The original matrix (used for residuals).
     solve:
-        A solver for ``A z = r`` — typically ``SparseLUSolver.solve`` or
-        ``FactorResult.solve`` with the permutations already folded in.
+        A solver for ``A z = r`` — typically
+        :meth:`repro.serve.NumericFactorization.solve`.
     b:
         Right-hand side.
     max_iters:

@@ -6,8 +6,9 @@ wildly scaled physical systems (reservoir models mix transmissibilities and
 well terms spanning many orders of magnitude) before pivoting sees them.
 
 Solving then goes through ``A' y = D_r b`` and ``x = D_c y``;
-:class:`SparseLUSolver` applies this transparently when
-``SolverOptions.equilibrate`` is on.
+:func:`repro.serve.refactorize_with_plan` and
+:meth:`repro.serve.NumericFactorization.solve` apply this transparently
+when ``SolverOptions.equilibrate`` is on.
 """
 
 from __future__ import annotations

@@ -1,23 +1,19 @@
-"""High-level solver facade: the paper's full pipeline behind one API.
+"""What a request is configured by: :class:`SolverOptions` and its defaults.
 
-:class:`SparseLUSolver` chains the four steps of §1 — fill-reducing ordering,
-static symbolic factorization, numerical factorization, triangular solves —
-with the paper's §3 postordering and §4 task graph in between. It is the
-entry point the examples and benchmarks use:
-
->>> from repro.sparse import paper_matrix
->>> from repro.numeric import SparseLUSolver
->>> a = paper_matrix("orsreg1", scale=0.3)
->>> solver = SparseLUSolver(a).analyze().factorize()
->>> import numpy as np
->>> x = solver.solve(np.ones(a.n_cols))
-
-This module holds what the request path is configured by — the frozen
-:class:`SolverOptions` and their defaults — and the facade. The symbolic
-half runs in :func:`repro.serve.build_plan`, whose
+A request runs the four steps of §1 — fill-reducing ordering, static
+symbolic factorization, numerical factorization, triangular solves — with
+the paper's §3 postordering and §4 task graph in between, in two halves.
+The symbolic half is :func:`repro.serve.build_plan`, whose
 :class:`repro.serve.SymbolicPlan` depends only on (pattern, options) by the
 paper's static-analysis property; the numeric half is
-:func:`repro.serve.refactorize_with_plan`.
+:func:`repro.serve.refactorize_with_plan`. :func:`repro.api.lu` runs both:
+
+>>> import numpy as np
+>>> from repro.api import lu
+>>> from repro.sparse import paper_matrix
+>>> a = paper_matrix("orsreg1", scale=0.3)
+>>> fact = lu(a, ordering="amd")  # keywords are SolverOptions fields
+>>> x = fact.solve(np.ones(a.n_cols))
 """
 
 from __future__ import annotations
@@ -25,20 +21,9 @@ from __future__ import annotations
 import inspect
 import numbers
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from repro.numeric.factor import FactorResult
-from repro.obs.trace import Tracer
 from repro.ordering import DEFAULT_ORDERING, ORDERINGS
-from repro.sparse.csc import CSCMatrix
-from repro.util.errors import DispatchError, ReproError, ShapeError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.symbolic.static_fill import StaticFill
-    from repro.symbolic.supernodes import BlockPattern, SupernodePartition
-    from repro.taskgraph.dag import TaskGraph
+from repro.util.errors import DispatchError
 
 #: The amalgamation bounds a request gets when it names none: the point a
 #: wall-clock sweep of the warm request picks on this class of host under
@@ -186,308 +171,3 @@ class SolverOptions:
             self.task_graph,
             self.equilibrate,
         )
-
-
-@dataclass
-class AnalysisStats:
-    """Symbolic-phase measurements (the raw material of Tables 1 and 3)."""
-
-    n: int
-    nnz: int
-    nnz_filled: int
-    fill_ratio: float
-    n_supernodes_raw: int
-    n_supernodes: int
-    mean_supernode_size: float
-    n_btf_blocks: int
-    n_tasks: int
-    n_edges: int
-
-
-class SparseLUSolver:
-    """One-stop solver for ``A x = b`` by the paper's parallel sparse LU.
-
-    Call :meth:`analyze` (symbolic pipeline), then :meth:`factorize`
-    (numeric), then :meth:`solve`. A facade over the one request path of
-    the library: it holds the :class:`repro.serve.SymbolicPlan` that
-    :meth:`analyze` builds (or :meth:`adopt_plan` is handed) and the
-    :class:`repro.serve.NumericFactorization` that
-    :func:`repro.serve.refactorize_with_plan` makes of it. The plan's
-    artefacts (static fill, partition, block pattern, task graph) stay
-    readable as attributes for the benchmarks and the parallel executors.
-    """
-
-    def __init__(
-        self,
-        a: CSCMatrix,
-        options: Optional[SolverOptions] = None,
-        *,
-        trace: bool = False,
-        tracer: Optional[Tracer] = None,
-    ) -> None:
-        if not a.is_square:
-            raise ShapeError("solver requires a square matrix")
-        if not a.has_values:
-            raise ShapeError("solver requires matrix values")
-        self.a = a
-        self.options = options or SolverOptions()
-        # Observability (docs/observability.md). The tracer always records
-        # the coarse stage spans (~10 per solve); ``trace=True`` additionally
-        # turns on fine-grained detail: per-kernel counters/histograms in
-        # the numeric engine.
-        self.tracer = tracer if tracer is not None else Tracer(detail=bool(trace))
-        self._plan = None  # SymbolicPlan, from analyze() / adopt_plan()
-        self._fac = None  # NumericFactorization, from factorize() / refactorize()
-        # (a_work, equil) for callers that read them after analyze() and
-        # drive an engine themselves; the factorization carries its own.
-        self._values = None
-
-    def _require_plan(self):
-        if self._plan is None:
-            raise ReproError("call analyze() first")
-        return self._plan
-
-    def _require_factors(self):
-        if self._fac is None:
-            raise ReproError("call factorize() first")
-        return self._fac
-
-    # ---- the plan's artefacts (None before analyze()) -------------------
-    @property
-    def row_perm(self) -> Optional[np.ndarray]:
-        return self._plan.row_perm if self._plan is not None else None
-
-    @property
-    def col_perm(self) -> Optional[np.ndarray]:
-        return self._plan.col_perm if self._plan is not None else None
-
-    @property
-    def fill(self) -> Optional[StaticFill]:
-        return self._plan.fill if self._plan is not None else None
-
-    @property
-    def partition(self) -> Optional[SupernodePartition]:
-        return self._plan.partition if self._plan is not None else None
-
-    @property
-    def bp(self) -> Optional[BlockPattern]:
-        return self._plan.bp if self._plan is not None else None
-
-    @property
-    def graph(self) -> Optional[TaskGraph]:
-        return self._plan.graph if self._plan is not None else None
-
-    @property
-    def n_btf_blocks(self) -> int:
-        return self._plan.n_btf_blocks if self._plan is not None else 0
-
-    # ---- the numeric state ----------------------------------------------
-    def _current_values(self):
-        if self._fac is not None:
-            return self._fac.a_work, self._fac.equil
-        if self._plan is None:
-            return None, None
-        if self._values is None:
-            from repro.serve.refactor import permuted_values
-
-            self._values = permuted_values(self._plan, self.a)
-        return self._values
-
-    @property
-    def a_work(self) -> Optional[CSCMatrix]:
-        """The matrix the engines factor: ``a`` equilibrated (when the
-        options ask for it) and permuted by the plan."""
-        return self._current_values()[0]
-
-    @property
-    def equil(self):
-        """The :class:`~repro.numeric.scaling.Equilibration` applied to
-        ``a``, or ``None`` without ``options.equilibrate``."""
-        return self._current_values()[1]
-
-    @property
-    def result(self) -> Optional[FactorResult]:
-        return self._fac.result if self._fac is not None else None
-
-    @result.setter
-    def result(self, result: FactorResult) -> None:
-        """Adopt factors of ``a_work`` computed outside :meth:`factorize`
-        (callers that drive an executor themselves), so :meth:`solve` works."""
-        from repro.serve.refactor import NumericFactorization
-
-        a_work, equil = self._current_values()
-        self._fac = NumericFactorization(
-            self._require_plan(), self.a, a_work, result, equil, self.tracer
-        )
-
-    # ------------------------------------------------------------------
-    def analyze(self) -> "SparseLUSolver":
-        """Steps (1)-(2) plus §3 postordering/supernodes
-        (:func:`repro.serve.build_plan` on this matrix's pattern); the §4
-        graph is built when :attr:`graph` is first read.
-
-        Every stage runs inside a tracer span nested under ``analyze``
-        (hierarchy documented in docs/observability.md); the spans carry
-        the symbolic statistics as attributes.
-        """
-        from repro.serve.plan import build_plan
-
-        self._plan = build_plan(self.a, self.options, tracer=self.tracer)
-        self._fac = self._values = None
-        return self
-
-    def adopt_plan(self, plan) -> "SparseLUSolver":
-        """Adopt a prebuilt :class:`repro.serve.SymbolicPlan` instead of
-        running :meth:`analyze`.
-
-        The plan's pattern must equal this matrix's pattern (verified
-        entry-for-entry, not just by fingerprint). The solver takes over
-        the plan's options, so numeric pre-processing (equilibration)
-        matches what the plan was built for. No span is opened — this is
-        the warm path of the serving subsystem.
-        """
-        from repro.util.errors import PlanMismatchError
-
-        if not plan.matches(self.a):
-            raise PlanMismatchError(
-                "plan was built for a different sparsity pattern "
-                f"({plan.fingerprint} vs this {self.a.n_rows}x{self.a.n_cols} "
-                f"matrix with nnz={self.a.nnz})"
-            )
-        self.options = plan.options
-        self._plan = plan
-        self._fac = self._values = None
-        return self
-
-    def plan(self):
-        """This solver's symbolic analysis — the frozen, shareable
-        :class:`repro.serve.SymbolicPlan` it holds (requires
-        :meth:`analyze` or :meth:`adopt_plan`)."""
-        return self._require_plan()
-
-    def stats(self) -> AnalysisStats:
-        from repro.symbolic.supernodes import supernode_partition
-
-        plan = self._require_plan()
-        return AnalysisStats(
-            n=plan.fill.n,
-            nnz=self.a.nnz,
-            nnz_filled=plan.fill.nnz,
-            fill_ratio=plan.fill.fill_ratio,
-            n_supernodes_raw=supernode_partition(plan.fill).n_supernodes,
-            n_supernodes=plan.partition.n_supernodes,
-            mean_supernode_size=plan.partition.mean_size(),
-            n_btf_blocks=plan.n_btf_blocks,
-            n_tasks=plan.graph.n_tasks,
-            n_edges=plan.graph.n_edges,
-        )
-
-    # ------------------------------------------------------------------
-    def _factorize(self, a: CSCMatrix, **kwargs) -> "SparseLUSolver":
-        from repro.serve.refactor import refactorize_with_plan
-
-        self._fac = refactorize_with_plan(
-            self._require_plan(), a, tracer=self.tracer, check_pattern=False, **kwargs
-        )
-        self.a = a
-        self._values = None
-        return self
-
-    def factorize(
-        self,
-        order=None,
-        *,
-        engine: Optional[str] = None,
-        n_workers: int = 4,
-        sanitizer=None,
-    ) -> "SparseLUSolver":
-        """Numerical factorization (step (3)):
-        :func:`repro.serve.refactorize_with_plan` against the held plan,
-        which documents the arguments.
-
-        ``order`` may be any topological order of the task graph; ``None``
-        uses the execution engine instead — ``engine`` selects
-        ``"sequential"`` (default), ``"threaded"``, or ``"proc"``, with
-        ``n_workers`` threads/processes.
-
-        With detail tracing on, the numeric engine feeds per-kernel
-        counters/histograms into ``tracer.metrics``.
-        """
-        self._factorize(
-            self.a,
-            order=order,
-            engine=engine,
-            n_workers=n_workers,
-            sanitizer=sanitizer,
-        )
-        return self
-
-    def refactorize(
-        self,
-        a_new: CSCMatrix,
-        order=None,
-        *,
-        engine: Optional[str] = None,
-        n_workers: int = 4,
-    ) -> "SparseLUSolver":
-        """Numeric factorization of *new values* on the same pattern.
-
-        The static symbolic analysis depends only on the pattern, so a
-        sequence of systems with a frozen sparsity structure — Newton steps
-        of a reservoir simulation, time steps of a transient solve — pays
-        for ``analyze()`` once and calls this per step. ``a_new`` must have
-        exactly the pattern of the original matrix (values free, pivoting
-        handled anew); no symbolic or structural work runs at all. The
-        other arguments are :meth:`factorize`'s.
-        """
-        if not self._require_plan().matches(a_new):
-            raise ShapeError(
-                "refactorize() requires the original sparsity pattern; run a "
-                "fresh SparseLUSolver for a different structure"
-            )
-        return self._factorize(
-            a_new,
-            order=order,
-            engine=engine,
-            n_workers=n_workers,
-        )
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Solve ``A x = b`` using the computed factors (step (4)):
-        :meth:`repro.serve.NumericFactorization.solve`.
-
-        ``b`` may be a vector of shape ``(n,)`` or a matrix of ``k``
-        right-hand sides of shape ``(n, k)``.
-        """
-        return self._require_factors().solve(b)
-
-    def solve_refined(self, b: np.ndarray, *, max_iters: int = 5, tol: float = 1e-14):
-        """Solve with iterative refinement; returns a ``RefinementResult``.
-
-        Uses the already-computed factors for both the initial solve and the
-        residual corrections (fixed-precision refinement, as SuperLU does).
-        """
-        from repro.numeric.refine import iterative_refinement
-
-        fac = self._require_factors()
-        with self.tracer.span("solve_refined") as s:
-            rr = iterative_refinement(
-                self.a, fac.solve, b, max_iters=max_iters, tol=tol
-            )
-            s.set(iterations=rr.iterations, converged=rr.converged)
-        return rr
-
-    def condition_estimate(self) -> float:
-        """Hager-Higham 1-norm condition estimate from the factors."""
-        from repro.numeric.refine import condest_1norm
-
-        fac = self._require_factors()
-        # Fold the symbolic permutations into a factor-level solve: the
-        # estimator works on A_work, whose conditioning equals A's.
-        res = fac.result
-        return condest_1norm(fac.a_work, res.l_factor, res.u_factor, res.orig_at)
-
-    def residual_norm(self, x: np.ndarray, b: np.ndarray) -> float:
-        """``‖A x − b‖_∞ / ‖b‖_∞`` — the acceptance metric of the tests:
-        :meth:`repro.serve.NumericFactorization.residual_norm`."""
-        return self._require_factors().residual_norm(x, b)

@@ -122,8 +122,9 @@ class Tracer:
         shared :data:`NULL_SPAN` (one branch, zero allocation).
     detail:
         Opt-in for fine-grained instrumentation. The tracer itself does not
-        consult it; pipeline components do — e.g. ``SparseLUSolver`` passes
-        its registry into the numeric kernels only when ``detail`` is set,
+        consult it; pipeline components do — e.g.
+        :func:`repro.serve.refactorize_with_plan` passes its registry into
+        the numeric kernels only when ``detail`` is set,
         keeping per-task counters out of untraced runs.
     """
 
@@ -192,7 +193,7 @@ class Tracer:
         The flat per-stage view (``transversal``, ``ordering``,
         ``static_fill``, ``postorder``, ``supernodes``, ``task_graph``,
         ``factorize``, ...). Values are cumulative across repeated calls
-        (e.g. several refactorize() rounds).
+        (e.g. several ``LUHandle.refactor`` rounds).
         """
         out: dict[str, float] = {}
         for s in self.walk():

@@ -77,7 +77,7 @@ def run_engine(
     the engine for the run, ordering the steps by the block eforest, and
     left for the caller to inspect — the caller owns the verdict. With
     ``REPRO_SANITIZE=1`` and no explicit sanitizer, one is built from
-    ``fill`` (the static fill the solver passes alongside its block
+    ``fill`` (the static fill ``refactorize_with_plan`` passes alongside its block
     pattern) and any finding raises
     :class:`~repro.util.errors.SanitizerError` after the run — the
     strict gate mode. A parallel engine annotates ``tracer``'s open span

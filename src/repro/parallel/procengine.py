@@ -47,7 +47,7 @@ import numpy as np
 from repro.numeric.blockdata import BlockLayout
 from repro.numeric.factor import LUFactorization
 from repro.parallel.engine import record_engine_metrics
-from repro.util.errors import EngineError
+from repro.util.errors import DispatchError, EngineError
 
 _FLOAT = np.dtype(np.float64)
 _INT = np.dtype(np.int64)
@@ -279,7 +279,7 @@ class ProcPool:
 
     def __init__(self, n_workers: int = 4) -> None:
         if n_workers < 1:
-            raise ValueError(f"n_workers must be >= 1, got {n_workers}")
+            raise DispatchError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = n_workers
         self._lock = threading.Lock()
         self._closed = False

@@ -31,7 +31,7 @@ from repro.numeric.costs import CostModel
 from repro.numeric.factor import LUFactorization
 from repro.symbolic.supernodes import BlockPattern
 from repro.taskgraph.eforest_graph import block_eforest
-from repro.util.errors import SchedulingError
+from repro.util.errors import DispatchError, SchedulingError
 
 #: A block step's fixed cost in flops: ≈ 85 µs of interpreter time at the
 #: kernels' ≈ 7 Gflop/s (sherman3 @ 0.5's steps, 2-CPU x86-64 host).
@@ -82,7 +82,7 @@ def release_plan(bp: BlockPattern, n_workers: int) -> UnitCut:
     lowest. A step costs its tasks' :class:`CostModel` flops plus
     :data:`STEP_FLOPS`."""
     if n_workers < 1:
-        raise ValueError(f"need at least one worker, got {n_workers}")
+        raise DispatchError(f"need at least one worker, got {n_workers}")
     cuts = vars(bp).setdefault("_unit_cuts", {})
     if n_workers in cuts:
         return cuts[n_workers]

@@ -65,6 +65,22 @@ def _inverse_perm(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
+@dataclass
+class AnalysisStats:
+    """Symbolic-phase measurements (the raw material of Tables 1 and 3)."""
+
+    n: int
+    nnz: int
+    nnz_filled: int
+    fill_ratio: float
+    n_supernodes_raw: int
+    n_supernodes: int
+    mean_supernode_size: float
+    n_btf_blocks: int
+    n_tasks: int
+    n_edges: int
+
+
 @dataclass(frozen=True, eq=False)
 class SymbolicPlan:
     """One pattern's static analysis, frozen for sharing.
@@ -72,7 +88,7 @@ class SymbolicPlan:
     Instances are immutable data, safe to share across threads and to
     pickle: the numeric phase only ever *reads* the plan (permutations,
     block pattern, layout) and allocates its own value panels. Build via
-    :func:`build_plan` or :meth:`SparseLUSolver.plan`.
+    :func:`build_plan`.
 
     Identity (:meth:`identity`, ``__eq__``, ``__hash__``) is
     (pattern fingerprint, symbolic options) — *not* the fingerprint
@@ -159,6 +175,21 @@ class SymbolicPlan:
         return bool(
             np.array_equal(self.indptr, a.indptr)
             and np.array_equal(self.indices, a.indices)
+        )
+
+    def stats(self) -> AnalysisStats:
+        """The plan's symbolic statistics; reads (and so builds) :attr:`graph`."""
+        return AnalysisStats(
+            n=self.fill.n,
+            nnz=self.nnz,
+            nnz_filled=self.fill.nnz,
+            fill_ratio=self.fill.fill_ratio,
+            n_supernodes_raw=supernode_partition(self.fill).n_supernodes,
+            n_supernodes=self.partition.n_supernodes,
+            mean_supernode_size=self.partition.mean_size(),
+            n_btf_blocks=self.n_btf_blocks,
+            n_tasks=self.graph.n_tasks,
+            n_edges=self.graph.n_edges,
         )
 
     def __str__(self) -> str:

@@ -5,11 +5,10 @@ matrix carrying values on the plan's pattern, :func:`refactorize_with_plan`
 runs value permutation, panel scatter, supernodal elimination and factor
 extraction, and returns a self-contained :class:`NumericFactorization`
 whose :meth:`~NumericFactorization.solve` is the only permuted/equilibrated
-solve. Every entry point lands here — ``lu(a)`` and
-``SparseLUSolver.factorize`` after building a plan, ``lu(a, plan=)``,
-``LUHandle.refactor``, ``SparseLUSolver.refactorize`` and
-``SolverService`` with a plan already in hand — so a cold request is
-*build the plan, then the warm request*. No ordering, fill, postorder,
+solve. Every entry point lands here — ``lu(a)`` after building a plan,
+``lu(a, plan=)``, ``LUHandle.refactor`` and ``SolverService`` with a plan
+already in hand — so a cold request is *build the plan, then the warm
+request*. No ordering, fill, postorder,
 supernode, or task-graph work happens here; the ``factorize`` tracer span
 contains no symbolic child span, which the test suite pins as the
 subsystem's core guarantee.
@@ -111,6 +110,14 @@ class NumericFactorization:
         r = matvec(self.a, x) - b
         denom = float(np.max(np.abs(b))) or 1.0
         return float(np.max(np.abs(r))) / denom
+
+    def condition_estimate(self) -> float:
+        """Hager-Higham 1-norm condition estimate from the factors, of
+        ``a_work``: the permutations leave the conditioning as it is."""
+        from repro.numeric.refine import condest_1norm
+
+        res = self.result
+        return condest_1norm(self.a_work, res.l_factor, res.u_factor, res.orig_at)
 
 
 def refactorize_with_plan(

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.ordering.etree import postorder_forest
 from repro.symbolic.static_fill import StaticFill
-from repro.util.errors import PatternError
+from repro.util.errors import DispatchError, PatternError
 
 
 @dataclass
@@ -199,7 +199,7 @@ def _greedy_merge(fill, partition, parent, max_padding, max_size, entries):
     i.e. iff the previous entry of its row lies left of ``lo``.
     """
     if not (0.0 <= max_padding < 1.0):
-        raise ValueError(f"max_padding must be in [0, 1), got {max_padding}")
+        raise DispatchError(f"max_padding must be in [0, 1), got {max_padding}")
     n = fill.n
     rows, cols, by_row = entries
     # Column of the previous entry in each entry's row (-1: none), found in

@@ -29,6 +29,7 @@ from repro.parallel.machine import MachineModel, ORIGIN2000
 from repro.sparse.csc import CSCMatrix
 from repro.tune.cost import OBJECTIVES, RecipeScore, evaluate_recipe
 from repro.tune.recipe import parse_recipe, recipe_spec
+from repro.util.errors import DispatchError
 
 #: Search-time histogram bounds (seconds).
 SEARCH_BOUNDS: tuple[float, ...] = (0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
@@ -110,7 +111,7 @@ def autotune(
         Use the trimmed candidate grid (CI smoke runs).
     """
     if objective not in OBJECTIVES:
-        raise ValueError(f"unknown objective {objective!r} (want one of {OBJECTIVES})")
+        raise DispatchError(f"unknown objective {objective!r} (want one of {OBJECTIVES})")
     tr = tracer if tracer is not None else Tracer(enabled=False)
     reg = metrics if metrics is not None else MetricsRegistry()
     m_searches = reg.counter("tune.searches")
@@ -125,7 +126,7 @@ def autotune(
             quick=quick
         )
         if not grid:
-            raise ValueError("autotune needs at least one candidate recipe")
+            raise DispatchError("autotune needs at least one candidate recipe")
         if base_options is not None:
             grid = tuple(
                 dataclasses.replace(

@@ -34,6 +34,7 @@ from repro.parallel.simulate import simulate_schedule
 from repro.serve.plan import build_plan
 from repro.sparse.csc import CSCMatrix
 from repro.tune.recipe import recipe_spec
+from repro.util.errors import DispatchError
 
 #: Ranking objectives ``evaluate_recipe``'s scores can be sorted by.
 OBJECTIVES: tuple[str, ...] = ("time", "flops", "fill")
@@ -66,7 +67,7 @@ class RecipeScore:
             return float(self.flops)
         if name == "fill":
             return float(self.fill_ratio)
-        raise ValueError(f"unknown objective {name!r} (want one of {OBJECTIVES})")
+        raise DispatchError(f"unknown objective {name!r} (want one of {OBJECTIVES})")
 
     def sort_key(self, name: str = "time") -> tuple:
         """Deterministic total order: objective, then the tie-breakers."""

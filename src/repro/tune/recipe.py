@@ -19,6 +19,7 @@ from repro.numeric.solver import (
     DEFAULT_MAX_SUPERNODE,
     SolverOptions,
 )
+from repro.util.errors import DispatchError
 
 #: Short spec-string aliases for the amalgamation knobs.
 _SPEC_ALIASES = {
@@ -50,7 +51,8 @@ def parse_recipe(spec: str, base: Optional[SolverOptions] = None) -> SolverOptio
 
     A recipe knob the spec does not name takes its default; every other
     field is carried over from ``base``. A malformed spec, and any value
-    ``SolverOptions`` rejects, raises ``ValueError``.
+    ``SolverOptions`` rejects, raises
+    :class:`~repro.util.errors.DispatchError` (a ``ValueError``).
 
     >>> parse_recipe("amd:pad=0.4").max_padding
     0.4
@@ -58,13 +60,13 @@ def parse_recipe(spec: str, base: Optional[SolverOptions] = None) -> SolverOptio
     spec = spec.strip()
     ordering, _, rest = spec.partition(":")
     if not ordering:
-        raise ValueError(f"empty recipe spec {spec!r}")
+        raise DispatchError(f"empty recipe spec {spec!r}")
     knobs: dict = {}
     params: list[tuple[str, object]] = []
     for part in filter(None, (p.strip() for p in rest.split(","))):
         name, sep, value = part.partition("=")
         if not sep:
-            raise ValueError(f"recipe spec field {part!r} is not key=value")
+            raise DispatchError(f"recipe spec field {part!r} is not key=value")
         name = _SPEC_ALIASES.get(name, name)
         if name in ("amalgamation", "max_padding", "max_supernode"):
             knobs[name] = _coerce(value)

@@ -79,13 +79,15 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
     from repro.numeric.factor import LUFactorization
     from repro.numeric.refine import backward_error
     from repro.numeric.scalar_lu import scalar_lu
-    from repro.numeric.solver import SparseLUSolver
+    from repro.obs.trace import Tracer
     from repro.ordering.etree import is_forest_permutation_topological
     from repro.parallel.machine import MachineModel
     from repro.parallel.mapping import cyclic_mapping
     from repro.parallel.message_passing import message_passing_factorize
     from repro.parallel.simulate import simulate_schedule
     from repro.parallel.threads import threaded_factorize
+    from repro.serve.plan import build_plan
+    from repro.serve.refactor import permuted_values, refactorize_with_plan
     from repro.sparse.coo import COOBuilder
     from repro.sparse.pattern import pattern_contains, pattern_equal
     from repro.sparse.ops import permute
@@ -106,12 +108,14 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
     builder.extend(ids, ids, 0.01 + 0.01 * rng.random(n))  # weak diagonal
     a = builder.to_csc()
 
-    solver = SparseLUSolver(a).analyze()
-    fill = solver.fill
+    tracer = Tracer()
+    plan = build_plan(a, tracer=tracer)
+    a_work, _ = permuted_values(plan, a)
+    fill = plan.fill
     report.add("pipeline analyzes", fill is not None, f"fill {fill.fill_ratio:.1f}x")
 
     exact = simulate_elimination_fill(
-        solver.a_work, lambda k, cand: cand[rng.integers(len(cand))]
+        a_work, lambda k, cand: cand[rng.integers(len(cand))]
     )
     report.add(
         "George-Ng containment (random pivots)",
@@ -125,7 +129,7 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
     from repro.symbolic.postorder import postorder_pipeline
 
     po = postorder_pipeline(fill)
-    a2 = permute(solver.a_work, row_perm=po.perm, col_perm=po.perm)
+    a2 = permute(a_work, row_perm=po.perm, col_perm=po.perm)
     report.add(
         "Theorem 3 (postorder invariance)",
         pattern_equal(static_symbolic_factorization(a2).pattern, po.fill.pattern),
@@ -146,25 +150,25 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
         not csc_findings,
         "; ".join(str(f) for f in csc_findings[:2]),
     )
-    post_findings = check_postorder(lu_elimination_forest(solver.fill))
+    post_findings = check_postorder(lu_elimination_forest(plan.fill))
     report.add(
         "pipeline eforest is a postorder (analysis.structure)",
         not post_findings,
         "; ".join(str(f) for f in post_findings[:2]),
     )
 
-    ref = LUFactorization(solver.a_work, solver.bp)
+    ref = LUFactorization(a_work, plan.bp)
     ref.factor_sequential()
     ref_l = ref.extract().l_factor.to_dense()
 
-    thr = LUFactorization(solver.a_work, solver.bp)
+    thr = LUFactorization(a_work, plan.bp)
     threaded_factorize(thr, n_threads=4)
     report.add(
         "threaded == sequential", np.allclose(thr.extract().l_factor.to_dense(), ref_l)
     )
 
     mp = message_passing_factorize(
-        solver.a_work, solver.bp, solver.graph, cyclic_mapping(solver.bp.n_blocks, 3)
+        a_work, plan.bp, plan.graph, cyclic_mapping(plan.bp.n_blocks, 3)
     )
     report.add(
         "message-passing == sequential",
@@ -172,9 +176,9 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
         f"{mp.n_messages} messages",
     )
 
-    solver.factorize()
+    fac = refactorize_with_plan(plan, a, tracer=tracer, check_pattern=False)
     b = np.ones(n)
-    x = solver.solve(b)
+    x = fac.solve(b)
     be = backward_error(a, x, b)
     report.add("solve backward error", be < 1e-10, f"{be:.1e}")
 
@@ -184,9 +188,9 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
     )
 
     m = MachineModel(n_procs=4)
-    owner = cyclic_mapping(solver.bp.n_blocks, 4)
-    r1 = simulate_schedule(solver.graph, solver.bp, m, owner)
-    r2 = simulate_schedule(solver.graph, solver.bp, m, owner)
+    owner = cyclic_mapping(plan.bp.n_blocks, 4)
+    r1 = simulate_schedule(plan.graph, plan.bp, m, owner)
+    r2 = simulate_schedule(plan.graph, plan.bp, m, owner)
     report.add(
         "simulation deterministic",
         r1.makespan == r2.makespan,
@@ -195,7 +199,7 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
 
     from repro.analysis import analyze_plan
 
-    analysis = analyze_plan(solver.plan(), name="selfcheck")
+    analysis = analyze_plan(plan, name="selfcheck")
     report.add(
         "static analyzer finds no races or broken invariants",
         analysis.ok,
@@ -204,10 +208,10 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
 
     from repro.obs.export import validate_document
 
-    doc = solver.tracer.export(meta={"source": "selfcheck", "n": n})
+    doc = tracer.export(meta={"source": "selfcheck", "n": n})
     report.add(
         "telemetry export is schema-valid",
         not validate_document(doc),
         f"schema v{doc['schema_version']}, {len(doc['spans'])} root spans",
     )
-    report.trace_summary = solver.tracer.stage_seconds()
+    report.trace_summary = tracer.stage_seconds()

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.analysis import (
     analyze_plan,
@@ -18,7 +19,6 @@ from repro.analysis import (
     solve_footprints,
     solve_region_label,
 )
-from repro.numeric.solver import SparseLUSolver
 import repro.taskgraph.solve_graph as solve_graph_mod
 from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.taskgraph.solve_graph import build_solve_graph
@@ -26,7 +26,7 @@ from repro.taskgraph.sstar import build_sstar_graph
 
 
 def analyzed(seed=0, n=35):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed))
 
 
 def _essential_fs_edge(g):
@@ -46,9 +46,9 @@ class TestFactorEdgeDeletion:
         # The eforest graph mechanizes Theorem 4's chains with no slack:
         # removing ANY single edge must leave some conflicting pair
         # unordered, and the race checker must say so.
-        s = analyzed(seed)
-        g = build_eforest_graph(s.bp)
-        fps = factor_footprints(s.bp, s.fill)
+        plan, _ = analyzed(seed)
+        g = build_eforest_graph(plan.bp)
+        fps = factor_footprints(plan.bp, plan.fill)
         for u, v in g.edges():
             g.remove_edge(u, v)
             findings, _ = check_races(g, fps)
@@ -60,9 +60,9 @@ class TestFactorEdgeDeletion:
         # be exactly one the footprint model proves to be a false
         # dependence (the paper's extra parallelism) or transitively
         # covered; everything else must race.
-        s = analyzed(seed)
-        g = build_sstar_graph(s.bp)
-        fps = factor_footprints(s.bp, s.fill)
+        plan, _ = analyzed(seed)
+        g = build_sstar_graph(plan.bp)
+        fps = factor_footprints(plan.bp, plan.fill)
         for u, v in g.edges():
             g.remove_edge(u, v)
             findings, _ = check_races(g, fps)
@@ -83,10 +83,10 @@ class TestFactorEdgeDeletion:
     def test_deleted_edge_also_breaks_minimality_coverage(self):
         # Deleting an eforest edge that covered an S* conflict must show
         # up in the minimality report too.
-        s = analyzed(1)
-        fps = factor_footprints(s.bp, s.fill)
-        sstar = build_sstar_graph(s.bp)
-        eforest = build_eforest_graph(s.bp)
+        plan, _ = analyzed(1)
+        fps = factor_footprints(plan.bp, plan.fill)
+        sstar = build_sstar_graph(plan.bp)
+        eforest = build_eforest_graph(plan.bp)
         broke_coverage = 0
         for u, v in eforest.edges():
             eforest.remove_edge(u, v)
@@ -98,21 +98,21 @@ class TestFactorEdgeDeletion:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 10**6), pick=st.integers(0, 10**6))
     def test_random_edge_deletion_detected(self, seed, pick):
-        s = analyzed(seed % 50, n=25)
-        g = build_eforest_graph(s.bp)
+        plan, _ = analyzed(seed % 50, n=25)
+        g = build_eforest_graph(plan.bp)
         edges = g.edges()
         u, v = edges[pick % len(edges)]
         g.remove_edge(u, v)
-        findings, _ = check_races(g, factor_footprints(s.bp, s.fill))
+        findings, _ = check_races(g, factor_footprints(plan.bp, plan.fill))
         assert findings
 
 
 class TestSolveMutations:
     @pytest.mark.parametrize("seed", range(3))
     def test_every_solve_edge_deletion_detected(self, seed):
-        s = analyzed(seed)
-        g = build_solve_graph(s.bp)
-        fps = solve_footprints(s.bp)
+        plan, _ = analyzed(seed)
+        g = build_solve_graph(plan.bp)
+        fps = solve_footprints(plan.bp)
         red = set(g.edges()) - set(g.transitive_reduction().edges())
         for u, v in g.edges():
             g.remove_edge(u, v)
@@ -128,9 +128,9 @@ class TestSolveMutations:
     def test_dropped_structure_dependence_detected(self):
         # A solve graph that lost a dependence must race against the
         # footprints re-derived from the block pattern.
-        s = analyzed(5)
-        g = build_solve_graph(s.bp)
-        fps = solve_footprints(s.bp)
+        plan, _ = analyzed(5)
+        g = build_solve_graph(plan.bp)
+        fps = solve_footprints(plan.bp)
         assert not check_races(g, fps, label=solve_region_label)[0]
         g.remove_edge(*_essential_fs_edge(g))
         assert check_races(g, fps, label=solve_region_label)[0]
@@ -139,7 +139,7 @@ class TestSolveMutations:
         # The solve-graph subject checks the graph build_solve_graph hands
         # out (the one simulate_schedule prices): plant a dropped
         # dependence there and the plan's report must name that subject.
-        plan = analyzed(5).plan()
+        plan, _ = analyzed(5)
         assert analyze_plan(plan, name="m").ok
 
         def planted(bp):

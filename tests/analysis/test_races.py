@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.analysis import (
     Reachability,
@@ -11,7 +12,6 @@ from repro.analysis import (
     minimality_report,
     solve_footprints,
 )
-from repro.numeric.solver import SparseLUSolver
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.taskgraph.solve_graph import build_solve_graph
@@ -20,7 +20,7 @@ from repro.taskgraph.tasks import Task
 
 
 def analyzed(seed=0, n=35):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed))
 
 
 def checks_of(findings):
@@ -29,8 +29,8 @@ def checks_of(findings):
 
 class TestReachability:
     def test_matches_has_path(self):
-        s = analyzed()
-        g = build_eforest_graph(s.bp)
+        plan, _ = analyzed()
+        g = build_eforest_graph(plan.bp)
         reach = Reachability(g)
         tasks = g.tasks()
         rng = np.random.default_rng(0)
@@ -42,8 +42,8 @@ class TestReachability:
             assert reach.ordered(a, b) == expect
 
     def test_contains(self):
-        s = analyzed(1)
-        g = build_eforest_graph(s.bp)
+        plan, _ = analyzed(1)
+        g = build_eforest_graph(plan.bp)
         reach = Reachability(g)
         assert g.tasks()[0] in reach
         assert Task("F", 9999, 9999) not in reach
@@ -51,17 +51,17 @@ class TestReachability:
 
 class TestCheckRaces:
     def test_shipped_graphs_race_free(self):
-        s = analyzed(2)
-        fps = factor_footprints(s.bp, s.fill)
+        plan, _ = analyzed(2)
+        fps = factor_footprints(plan.bp, plan.fill)
         for builder in (build_eforest_graph, build_sstar_graph):
-            findings, stats = check_races(builder(s.bp), fps)
+            findings, stats = check_races(builder(plan.bp), fps)
             assert findings == []
             assert stats["n_unordered_pairs"] == 0
             assert stats["n_conflicting_pairs"] > 0
 
     def test_edgeless_graph_reports_races(self):
-        s = analyzed(3)
-        fps = factor_footprints(s.bp, s.fill)
+        plan, _ = analyzed(3)
+        fps = factor_footprints(plan.bp, plan.fill)
         g = TaskGraph()
         for t in fps:
             g.add_task(t)
@@ -73,8 +73,8 @@ class TestCheckRaces:
     def test_suggested_edge_follows_sequential_order(self):
         # F(k) races U(k, j) when unordered; the fix must be F(k) -> U(k, j),
         # never the reverse (which could create a cycle elsewhere).
-        s = analyzed(3)
-        fps = factor_footprints(s.bp, s.fill)
+        plan, _ = analyzed(3)
+        fps = factor_footprints(plan.bp, plan.fill)
         g = TaskGraph()
         for t in fps:
             g.add_task(t)
@@ -84,8 +84,8 @@ class TestCheckRaces:
                 assert f.tasks == ("F(0)", "U(0,1)")
 
     def test_max_findings_cap(self):
-        s = analyzed(4, n=60)
-        fps = factor_footprints(s.bp, s.fill)
+        plan, _ = analyzed(4, n=60)
+        fps = factor_footprints(plan.bp, plan.fill)
         g = TaskGraph()
         for t in fps:
             g.add_task(t)
@@ -96,9 +96,9 @@ class TestCheckRaces:
     def test_brute_force_oracle(self):
         # check_races must agree exactly with the naive quadratic check
         # (pairwise footprint intersection + has_path in both directions).
-        s = analyzed(5, n=25)
-        fps = factor_footprints(s.bp, s.fill)
-        g = build_eforest_graph(s.bp)
+        plan, _ = analyzed(5, n=25)
+        fps = factor_footprints(plan.bp, plan.fill)
+        g = build_eforest_graph(plan.bp)
         # Drop a couple of edges to create known races.
         edges = g.edges()
         for u, v in edges[:: max(1, len(edges) // 3)]:
@@ -127,8 +127,8 @@ class TestCheckRaces:
 
 class TestLiveness:
     def test_clean_graph(self):
-        s = analyzed(6)
-        g = build_solve_graph(s.bp)
+        plan, _ = analyzed(6)
+        g = build_solve_graph(plan.bp)
         assert check_liveness(g) == []
 
     def test_cycle_detected(self):
@@ -160,10 +160,10 @@ class TestMinimality:
         # Theorem 4: the eforest graph strictly refines S* — every S* edge
         # whose endpoints truly conflict must be ordered by the eforest DAG.
         for seed in range(3):
-            s = analyzed(seed)
-            fps = factor_footprints(s.bp, s.fill)
+            plan, _ = analyzed(seed)
+            fps = factor_footprints(plan.bp, plan.fill)
             findings, stats = minimality_report(
-                build_sstar_graph(s.bp), build_eforest_graph(s.bp), fps
+                build_sstar_graph(plan.bp), build_eforest_graph(plan.bp), fps
             )
             assert findings == []
             assert (
@@ -173,9 +173,9 @@ class TestMinimality:
             )
 
     def test_dropped_coverage_reported(self):
-        s = analyzed(1)
-        fps = factor_footprints(s.bp, s.fill)
-        sstar = build_sstar_graph(s.bp)
+        plan, _ = analyzed(1)
+        fps = factor_footprints(plan.bp, plan.fill)
+        sstar = build_sstar_graph(plan.bp)
         # An eforest "refinement" with no edges at all covers nothing.
         empty = TaskGraph()
         for t in sstar.tasks():
@@ -187,8 +187,8 @@ class TestMinimality:
 
 class TestSolveRaces:
     def test_solve_graph_race_free(self):
-        s = analyzed(7)
-        g = build_solve_graph(s.bp)
-        findings, stats = check_races(g, solve_footprints(s.bp))
+        plan, _ = analyzed(7)
+        g = build_solve_graph(plan.bp)
+        findings, stats = check_races(g, solve_footprints(plan.bp))
         assert findings == []
         assert stats["n_unordered_pairs"] == 0

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import random_pivot_matrix, solve_pipeline
 from repro.analysis import (
     analysis_enabled,
     analyze_matrix,
@@ -15,7 +15,7 @@ from repro.analysis import (
     verify_plan,
 )
 from repro.analysis.runner import ENV_VAR
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions
 from repro.serve.plan import build_plan
 from repro.util.errors import AnalysisError
 
@@ -104,7 +104,7 @@ class TestHooks:
     def test_full_solve_under_hook(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "1")
         a = random_pivot_matrix(40, 8)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         b = np.ones(a.n_cols)
         x = s.solve(b)
         assert s.residual_norm(x, b) < 1e-8
@@ -136,6 +136,6 @@ class TestCLI:
 
 class TestAnalyzePlanFromSolver:
     def test_plan_from_solver_analyzes_clean(self):
-        s = SparseLUSolver(random_pivot_matrix(40, 9)).analyze().factorize()
-        report = analyze_plan(s.plan(), name="solver")
+        s = solve_pipeline(random_pivot_matrix(40, 9))
+        report = analyze_plan(s.plan, name="solver")
         assert report.ok, report.render()

@@ -27,7 +27,6 @@ from repro.analysis import (
 )
 from repro.analysis.footprints import ORIG_AT_REGION, TaskFootprint
 from repro.analysis.sanitizer import pivot_region, task_predecessors
-from repro.numeric.solver import SparseLUSolver
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.generators import paper_matrix
@@ -36,12 +35,14 @@ from repro.taskgraph.tasks import Task, enumerate_tasks
 from repro.util.errors import SanitizerError
 
 
-def analyzed(n=40, seed=0):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+def planned(n=40, seed=0):
+    """A random pivoting matrix and its plan."""
+    a = random_pivot_matrix(n, seed)
+    return a, build_plan(a)
 
 
-def factor_payload(solver):
-    r = solver.result
+def factor_payload(fact):
+    r = fact.result
     return (
         r.l_factor.indptr,
         r.l_factor.indices,
@@ -56,14 +57,16 @@ def factor_payload(solver):
 class TestSoundness:
     @pytest.mark.parametrize("engine", ["sequential", "threaded"])
     def test_zero_escapes_and_bitwise_factors(self, engine):
-        base = analyzed(seed=1)
-        base.factorize(engine=engine, n_workers=2)
-        s = SparseLUSolver(random_pivot_matrix(40, 1)).analyze()
-        san = build_sanitizer(s.bp, s.fill)
-        s.factorize(engine=engine, n_workers=2, sanitizer=san)
+        a, plan = planned(seed=1)
+        base = refactorize_with_plan(plan, a, engine=engine, n_workers=2)
+        a, plan = planned(seed=1)
+        san = build_sanitizer(plan.bp, plan.fill)
+        fact = refactorize_with_plan(
+            plan, a, engine=engine, n_workers=2, sanitizer=san
+        )
         assert san.findings == [], [str(f) for f in san.findings]
         assert san.n_accesses > 0 and san.n_tasks > 0
-        for got, want in zip(factor_payload(s), factor_payload(base)):
+        for got, want in zip(factor_payload(fact), factor_payload(base)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["sherman3", "lns3937"])
@@ -83,8 +86,8 @@ class TestSoundness:
     def test_untasked_accesses_ungoverned(self):
         # Copy-in/extraction run outside any task extent and are not
         # checked (or counted) — only task-attributed accesses are.
-        s = analyzed()
-        san = build_sanitizer(s.bp, s.fill)
+        _, plan = planned()
+        san = build_sanitizer(plan.bp, plan.fill)
         san.record_write(0, np.array([10**9]))
         assert san.findings == []
         assert san.n_accesses == 0
@@ -95,7 +98,7 @@ class TestCorruptedFootprints:
         # Record the real write sets once, then re-run against a
         # footprint model missing one below-diagonal (GEMM) write row of
         # one block step's update: the sanitizer must flag that escape.
-        s = analyzed(seed=2)
+        a, plan = planned(seed=2)
         recorded = {}
 
         class Recording(AccessSanitizer):
@@ -106,9 +109,9 @@ class TestCorruptedFootprints:
                     seen.update(np.asarray(rows).ravel().tolist())
                 super()._record(region, rows, write=write)
 
-        fps = sanitizer_footprints(s.bp, s.fill)
+        fps = sanitizer_footprints(plan.bp, plan.fill)
         san = Recording(fps)
-        s.factorize(engine="sequential", sanitizer=san)
+        refactorize_with_plan(plan, a, engine="sequential", sanitizer=san)
         assert san.findings == []
         assert recorded, "no update writes observed"
         # Deepest recorded row of the widest write set: a GEMM-updated
@@ -122,9 +125,9 @@ class TestCorruptedFootprints:
             reads=dict(fp.reads), writes={**fp.writes, region: keep}
         )
 
-        s2 = SparseLUSolver(random_pivot_matrix(40, 2)).analyze()
+        a2, plan2 = planned(seed=2)
         san2 = AccessSanitizer(corrupted)
-        s2.factorize(engine="sequential", sanitizer=san2)
+        refactorize_with_plan(plan2, a2, engine="sequential", sanitizer=san2)
         escapes = [
             f for f in san2.findings if f.check == "sanitizer.write_escape"
         ]
@@ -272,8 +275,8 @@ class TestHappensBefore:
 
 class TestPivotSlots:
     def test_footprints_extended_with_pivot_regions(self):
-        s = analyzed()
-        fps = sanitizer_footprints(s.bp, s.fill)
+        _, plan = planned()
+        fps = sanitizer_footprints(plan.bp, plan.fill)
         f_tasks = [t for t in fps if isinstance(t, Task) and t.kind == "F"]
         u_tasks = [t for t in fps if isinstance(t, Task) and t.kind == "U"]
         assert f_tasks and u_tasks
@@ -282,7 +285,7 @@ class TestPivotSlots:
         for t in u_tasks:
             assert pivot_region(t.k) in fps[t].reads
         # Step k is F(k) plus its updates: it writes and reads slot k.
-        for k in range(s.bp.n_blocks):
+        for k in range(plan.bp.n_blocks):
             assert pivot_region(k) in fps[k].writes
         # Pivot-slot ids stay disjoint from panel regions and orig_at.
         assert pivot_region(0) < ORIG_AT_REGION < 0

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.analysis import (
     check_btf,
@@ -14,7 +15,6 @@ from repro.analysis import (
     check_plan,
     check_postorder,
 )
-from repro.numeric.solver import SparseLUSolver
 from repro.serve.plan import build_plan
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.eforest import lu_elimination_forest
@@ -23,7 +23,7 @@ from repro.symbolic.supernodes import SupernodePartition
 
 
 def analyzed(seed=0, n=35):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed))
 
 
 def checks_of(findings):
@@ -32,8 +32,8 @@ def checks_of(findings):
 
 class TestCSC:
     def test_clean_pattern(self):
-        s = analyzed()
-        assert check_csc(s.fill.pattern) == []
+        plan, _ = analyzed()
+        assert check_csc(plan.fill.pattern) == []
 
     def test_unsorted_column_flagged(self):
         a = CSCMatrix(
@@ -60,8 +60,8 @@ class TestCSC:
 
 class TestForestAndPostorder:
     def test_pipeline_eforest_clean(self):
-        s = analyzed(1)
-        parent = lu_elimination_forest(s.fill)
+        plan, _ = analyzed(1)
+        parent = lu_elimination_forest(plan.fill)
         assert check_forest(parent) == []
         assert check_postorder(parent) == []
 
@@ -94,8 +94,8 @@ class TestForestAndPostorder:
 
 class TestPartition:
     def test_clean(self):
-        s = analyzed(2)
-        assert check_partition(s.bp.partition, s.bp.partition.n) == []
+        plan, _ = analyzed(2)
+        assert check_partition(plan.bp.partition, plan.bp.partition.n) == []
 
     def test_wrong_cover_flagged(self):
         # SupernodePartition itself enforces zero-start and monotonicity,
@@ -114,15 +114,15 @@ class TestPartition:
 
 class TestBTF:
     def test_pipeline_btf_clean(self):
-        s = analyzed(3)
-        parent = lu_elimination_forest(s.fill)
+        plan, _ = analyzed(3)
+        parent = lu_elimination_forest(plan.fill)
         blocks = block_upper_triangular_blocks(parent)
-        assert check_btf(s.fill.pattern, blocks) == []
+        assert check_btf(plan.fill.pattern, blocks) == []
 
     def test_gap_in_blocks_flagged(self):
-        s = analyzed(3)
+        plan, _ = analyzed(3)
         assert "btf.blocks_cover" in checks_of(
-            check_btf(s.fill.pattern, [(0, 2), (3, s.fill.n)])
+            check_btf(plan.fill.pattern, [(0, 2), (3, plan.fill.n)])
         )
 
     def test_entry_below_diagonal_flagged(self):

@@ -5,9 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.api import lu
+from repro.numeric.solver import SolverOptions
 from repro.numeric.triangular import lower_unit_solve_csc, upper_solve_csc
 from repro.ordering.transversal import zero_free_diagonal_permutation
+from repro.serve.plan import SymbolicPlan, build_plan
+from repro.serve.refactor import NumericFactorization, permuted_values
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import random_sparse
@@ -64,20 +67,25 @@ def small_random_matrix(request) -> CSCMatrix:
     return permute(a, row_perm=zero_free_diagonal_permutation(a))
 
 
-def solve_pipeline(a: CSCMatrix, **opt_kwargs) -> SparseLUSolver:
-    """Run the full pipeline; returns the factorized solver."""
-    return SparseLUSolver(a, SolverOptions(**opt_kwargs)).analyze().factorize()
+def solve_pipeline(a: CSCMatrix, **opt_kwargs) -> NumericFactorization:
+    """Run the full pipeline (``lu``); returns the factorization."""
+    return lu(a, **opt_kwargs).solver
 
 
-def scalar_solve(fac, b: np.ndarray) -> np.ndarray:
-    """The scalar oracle of ``fac.solve(b)`` (``fac`` a
-    ``NumericFactorization`` or a factorized ``SparseLUSolver``): the CSC
-    substitutions of ``repro.numeric.triangular`` over the lazily
-    assembled L and U, through the same permutations and equilibration.
-    Column-independent, so a multi-RHS solve is bitwise a stack of
-    single-RHS ones."""
-    plan = fac.plan() if callable(fac.plan) else fac.plan
-    res, equil = fac.result, fac.equil
+def analyzed(a: CSCMatrix, **opt_kwargs) -> tuple[SymbolicPlan, CSCMatrix]:
+    """``(plan, a_work)``: the symbolic plan of ``a`` and the matrix the
+    engines factor under it (``a`` equilibrated when the options ask for
+    it, then permuted)."""
+    plan = build_plan(a, SolverOptions(**opt_kwargs))
+    return plan, permuted_values(plan, a)[0]
+
+
+def scalar_solve(fac: NumericFactorization, b: np.ndarray) -> np.ndarray:
+    """The scalar oracle of ``fac.solve(b)``: the CSC substitutions of
+    ``repro.numeric.triangular`` over the lazily assembled L and U,
+    through the same permutations and equilibration. Column-independent,
+    so a multi-RHS solve is bitwise a stack of single-RHS ones."""
+    plan, res, equil = fac.plan, fac.result, fac.equil
     b = np.asarray(b, dtype=np.float64)
     if equil is not None:
         b = equil.scale_rhs(b)

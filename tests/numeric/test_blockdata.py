@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix
 from tests.numeric.test_supersolve import block_triangular_matrix
 from repro.numeric.blockdata import BlockColumnData, BlockLayout
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import paper_matrix, random_sparse
 from repro.symbolic.supernodes import block_pattern, supernode_partition
@@ -17,15 +16,15 @@ from repro.util.errors import PatternError, SchedulingError, ShapeError
 
 
 def make_data(n=25, seed=0):
-    solver = SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
-    return BlockColumnData(solver.a_work, solver.bp), solver
+    plan, a_work = analyzed(random_pivot_matrix(n, seed))
+    return BlockColumnData(a_work, plan.bp), plan, a_work
 
 
 class TestConstruction:
     def test_panels_hold_matrix_values(self):
-        data, solver = make_data()
-        dense = solver.a_work.to_dense()
-        for col in range(solver.a_work.n_cols):
+        data, plan, a_work = make_data()
+        dense = a_work.to_dense()
+        for col in range(a_work.n_cols):
             k = int(data.block_of_row[col])
             local = col - int(data.starts[k])
             rows = np.nonzero(dense[:, col])[0]
@@ -34,15 +33,15 @@ class TestConstruction:
             assert np.allclose(data.panels[k][pos, local], dense[rows, col])
 
     def test_rejects_pattern_only(self):
-        data, solver = make_data()
+        data, plan, a_work = make_data()
         with pytest.raises(PatternError):
-            BlockColumnData(solver.a_work.pattern_only(), solver.bp)
+            BlockColumnData(a_work.pattern_only(), plan.bp)
 
     def test_rejects_shape_mismatch(self):
-        _, solver = make_data()
+        _, plan, _ = make_data()
         other = random_sparse(10, density=0.3, seed=1)
         with pytest.raises(ShapeError):
-            BlockColumnData(other, solver.bp)
+            BlockColumnData(other, plan.bp)
 
     def test_rejects_uncovered_entries(self):
         from repro.ordering.transversal import zero_free_diagonal_permutation
@@ -68,7 +67,7 @@ class TestConstruction:
 
 class TestQueries:
     def test_positions_absent_rows(self):
-        data, solver = make_data()
+        data, *_ = make_data()
         k = data.n_blocks - 1
         stored = set()
         for b in data.layout.col_blocks[k]:
@@ -79,14 +78,14 @@ class TestQueries:
             assert not present.any()
 
     def test_sub_rows_sorted_starts_at_diag(self):
-        data, _ = make_data()
+        data, *_ = make_data()
         for k in range(data.n_blocks):
             subs = data.sub_rows(k)
             assert subs[0] == data.starts[k]
             assert (np.diff(subs) > 0).all()
 
     def test_sub_panel_is_bottom_slice(self):
-        data, _ = make_data()
+        data, *_ = make_data()
         for k in range(data.n_blocks):
             sub = data.sub_panel(k)
             assert sub.shape[0] == data.sub_rows(k).size
@@ -95,7 +94,7 @@ class TestQueries:
             assert data.panels[k][data.layout.diag_offset(k), 0] == 123.456
 
     def test_width(self):
-        data, solver = make_data()
+        data, *_ = make_data()
         assert sum(data.width(k) for k in range(data.n_blocks)) == data.n
 
 
@@ -104,11 +103,13 @@ class TestPanelStore:
     two flat buffers the engine addresses only through the store's views."""
 
     @pytest.fixture(scope="class")
-    def solver(self):
-        return SparseLUSolver(paper_matrix("sherman3", scale=0.1)).analyze()
+    def sherman3(self):
+        """``(plan, a_work)`` of a small sherman3 analog."""
+        return analyzed(paper_matrix("sherman3", scale=0.1))
 
-    def test_pivot_slots_mirror_sub_rows_and_read_unset_until_factored(self, solver):
-        eng = LUFactorization(solver.a_work, solver.bp)
+    def test_pivot_slots_mirror_sub_rows_and_read_unset_until_factored(self, sherman3):
+        plan, a_work = sherman3
+        eng = LUFactorization(a_work, plan.bp)
         data, ptr = eng.data, eng.data.layout.sub_ptr
         assert [p.size for p in data.pivots] == [
             data.sub_rows(k).size for k in range(data.n_blocks)
@@ -116,7 +117,7 @@ class TestPanelStore:
         assert data.pivot_ids.size == ptr[-1] and (data.pivot_ids == -1).all()
         for views, buf in ((data.panels, data.values), (data.pivots, data.pivot_ids)):
             assert all(np.shares_memory(v, buf) for v in views)
-        for task in enumerate_tasks(solver.bp):
+        for task in enumerate_tasks(plan.bp):
             eng.run_task(task)
             if task.kind == "F":
                 # F(k) published a renaming of its own candidate rows and
@@ -126,10 +127,11 @@ class TestPanelStore:
                 assert (data.pivot_ids[ptr[k + 1] :] == -1).all()
         assert (data.pivot_ids >= 0).all()
 
-    def test_engine_on_attached_buffers_gives_the_same_bits(self, solver):
-        ref = LUFactorization(solver.a_work, solver.bp)
+    def test_engine_on_attached_buffers_gives_the_same_bits(self, sherman3):
+        plan, a_work = sherman3
+        ref = LUFactorization(a_work, plan.bp)
         ref.factor_sequential()
-        eng = LUFactorization(solver.a_work, solver.bp)
+        eng = LUFactorization(a_work, plan.bp)
         own = eng.data.values
         values, pivot_ids = own.copy(), eng.data.pivot_ids.copy()
         eng.data.attach(values, pivot_ids)
@@ -137,16 +139,17 @@ class TestPanelStore:
         assert np.array_equal(values, ref.data.values)
         assert np.array_equal(pivot_ids, ref.data.pivot_ids)
         # The buffers the store allocated for itself were left as scattered.
-        assert np.array_equal(own, LUFactorization(solver.a_work, solver.bp).data.values)
+        assert np.array_equal(own, LUFactorization(a_work, plan.bp).data.values)
         got, want = eng.extract(retain_blocks=True), ref.extract(retain_blocks=True)
         assert np.array_equal(got.orig_at, want.orig_at)
         assert np.array_equal(got.l_factor.data, want.l_factor.data)
         assert np.array_equal(got.u_factor.data, want.u_factor.data)
-        b = np.arange(1.0, solver.a.n_cols + 1)
+        b = np.arange(1.0, a_work.n_cols + 1)
         assert np.array_equal(got.solve(b), want.solve(b))
 
-    def test_attach_rejects_buffers_of_another_size(self, solver):
-        data = BlockColumnData(solver.a_work, solver.bp)
+    def test_attach_rejects_buffers_of_another_size(self, sherman3):
+        plan, a_work = sherman3
+        data = BlockColumnData(a_work, plan.bp)
         with pytest.raises(ShapeError):
             data.attach(data.values[:-1], data.pivot_ids)
         with pytest.raises(ShapeError):
@@ -198,9 +201,9 @@ def scatter_reference(a, layout, owned=None):
 @pytest.mark.parametrize("name", sorted(PATTERNS))
 class TestRelativeIndices:
     def test_every_update_matches_positions(self, name):
-        solver = SparseLUSolver(PATTERNS[name]()).analyze()
-        layout = BlockLayout(solver.bp)
-        updates = [t for t in enumerate_tasks(solver.bp) if t.kind == "U"]
+        plan, _ = analyzed(PATTERNS[name]())
+        layout = BlockLayout(plan.bp)
+        updates = [t for t in enumerate_tasks(plan.bp) if t.kind == "U"]
         # One row per update, grouped by source: a step's rows are one view.
         assert layout._rel.size == sum(layout.sub_rows(t.k).size for t in updates)
         for k in range(layout.n_blocks):
@@ -220,7 +223,7 @@ class TestRelativeIndices:
             assert np.array_equal(rel[:w], rel[0] + np.arange(w))
 
     def test_block_offsets_match_positions(self, name):
-        layout = BlockLayout(SparseLUSolver(PATTERNS[name]()).analyze().bp)
+        layout = BlockLayout(analyzed(PATTERNS[name]())[0].bp)
         for j in range(layout.n_blocks):
             for i in layout.col_blocks[j].tolist():
                 pos, present = layout.positions(j, np.array([layout.starts[i]]))
@@ -232,22 +235,22 @@ class TestRelativeIndices:
         )
 
     def test_one_pass_scatter_matches_column_loop(self, name):
-        solver = SparseLUSolver(PATTERNS[name]()).analyze()
-        layout = solver.plan().layout
-        data = BlockColumnData(solver.a_work, solver.bp, layout=layout)
-        for got, want in zip(data.panels, scatter_reference(solver.a_work, layout)):
+        plan, a_work = analyzed(PATTERNS[name]())
+        layout = plan.layout
+        data = BlockColumnData(a_work, plan.bp, layout=layout)
+        for got, want in zip(data.panels, scatter_reference(a_work, layout)):
             assert np.array_equal(got, want)
         owned = set(range(0, layout.n_blocks, 2))
-        part = BlockColumnData(solver.a_work, solver.bp, owned, layout=layout)
+        part = BlockColumnData(a_work, plan.bp, owned, layout=layout)
         for got, want in zip(
-            part.panels, scatter_reference(solver.a_work, layout, owned)
+            part.panels, scatter_reference(a_work, layout, owned)
         ):
             assert (got is None and want is None) or np.array_equal(got, want)
 
 
 class TestRelativeIndexErrors:
     def test_unstored_update_is_a_scheduling_error(self):
-        data, _ = make_data()
+        data, *_ = make_data()
         k = data.n_blocks - 1
         with pytest.raises(SchedulingError):
             data.layout.relative_rows(k, k)  # no block above its own diagonal
@@ -261,15 +264,15 @@ class TestRelativeIndexErrors:
         """Entries outside ``Ā`` still raise, like the column loop did."""
         from repro.symbolic.supernodes import BlockPattern
 
-        solver = SparseLUSolver(random_pivot_matrix(30, 4)).analyze()
-        part = solver.bp.partition
+        plan, a_work = analyzed(random_pivot_matrix(30, 4))
+        part = plan.bp.partition
         diag_only = BlockPattern(
             partition=part,
             blocks=[np.array([k]) for k in range(part.n_supernodes)],
         )
         layout = BlockLayout(diag_only)
         with pytest.raises(PatternError) as loop_err:
-            scatter_reference(solver.a_work, layout)
+            scatter_reference(a_work, layout)
         with pytest.raises(PatternError) as err:
-            BlockColumnData(solver.a_work, diag_only, layout=layout)
+            BlockColumnData(a_work, diag_only, layout=layout)
         assert f"entries of {loop_err.value} fall outside" in str(err.value)

@@ -3,36 +3,35 @@
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import replay_order
 from repro.taskgraph.tasks import enumerate_tasks, factor_task, update_task
 from repro.util.errors import SchedulingError
 
 
 def factorize(n=30, seed=0, **opts):
-    solver = SparseLUSolver(random_pivot_matrix(n, seed), SolverOptions(**opts)).analyze()
-    eng = LUFactorization(solver.a_work, solver.bp)
+    plan, a_work = analyzed(random_pivot_matrix(n, seed), **opts)
+    eng = LUFactorization(a_work, plan.bp)
     eng.factor_sequential()
-    return solver, eng
+    return a_work, eng
 
 
-def sanitized_replay(solver, order):
-    """The finding kinds of ``order`` replayed against the solver's graph."""
-    san = build_sanitizer(solver.bp, solver.fill)
-    eng = LUFactorization(solver.a_work, solver.bp)
-    replay_order(eng, order, solver.graph, sanitizer=san)
+def sanitized_replay(plan, a_work, order):
+    """The finding kinds of ``order`` replayed against the plan's graph."""
+    san = build_sanitizer(plan.bp, plan.fill)
+    eng = LUFactorization(a_work, plan.bp)
+    replay_order(eng, order, plan.graph, sanitizer=san)
     return [f.check for f in san.findings]
 
 
 class TestPALU:
     @pytest.mark.parametrize("seed", range(10))
     def test_pa_equals_lu(self, seed):
-        solver, eng = factorize(seed=seed)
+        a_work, eng = factorize(seed=seed)
         res = eng.extract()
-        aw = solver.a_work.to_dense()
+        aw = a_work.to_dense()
         pa = aw[res.orig_at, :]
         lu = res.l_factor.to_dense() @ res.u_factor.to_dense()
         scale = max(1.0, np.abs(aw).max())
@@ -49,9 +48,9 @@ class TestPALU:
         ],
     )
     def test_pa_equals_lu_across_options(self, kwargs):
-        solver, eng = factorize(seed=3, **kwargs)
+        a_work, eng = factorize(seed=3, **kwargs)
         res = eng.extract()
-        aw = solver.a_work.to_dense()
+        aw = a_work.to_dense()
         pa = aw[res.orig_at, :]
         lu = res.l_factor.to_dense() @ res.u_factor.to_dense()
         assert np.max(np.abs(pa - lu)) / max(1.0, np.abs(aw).max()) < 1e-12
@@ -87,14 +86,12 @@ class TestPALU:
         """
         from repro.symbolic.supernodes import SupernodePartition, block_pattern
 
-        solver = SparseLUSolver(
-            random_pivot_matrix(30, seed), SolverOptions(postorder=False)
-        ).analyze()
-        part = SupernodePartition(starts=np.arange(solver.fill.n + 1))
-        bp = block_pattern(solver.fill, part)
-        eng = LUFactorization(solver.a_work, bp)
+        plan, a_work = analyzed(random_pivot_matrix(30, seed), postorder=False)
+        part = SupernodePartition(starts=np.arange(plan.fill.n + 1))
+        bp = block_pattern(plan.fill, part)
+        eng = LUFactorization(a_work, bp)
         eng.factor_sequential()
-        fill = solver.fill.pattern.to_dense() != 0
+        fill = plan.fill.pattern.to_dense() != 0
         tol = 1e-12
         for k in range(bp.n_blocks):
             col = eng.data.sub_panel(k)[:, 0]
@@ -107,9 +104,9 @@ class TestPALU:
 
 class TestSolve:
     def test_factor_result_solve(self):
-        solver, eng = factorize(seed=6)
+        a_work, eng = factorize(seed=6)
         res = eng.extract()
-        aw = solver.a_work.to_dense()
+        aw = a_work.to_dense()
         b = np.arange(1.0, 31.0)
         x = res.solve(b)
         assert np.allclose(aw @ x, b, atol=1e-8 * np.abs(aw).max())
@@ -117,16 +114,16 @@ class TestSolve:
 
 class TestErrorPaths:
     def test_double_execution_rejected(self):
-        solver = SparseLUSolver(random_pivot_matrix(20, 7)).analyze()
-        eng = LUFactorization(solver.a_work, solver.bp)
+        plan, a_work = analyzed(random_pivot_matrix(20, 7))
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
         with pytest.raises(SchedulingError):
             eng.run_task(factor_task(0))
 
     def test_extract_before_completion_rejected(self):
-        solver = SparseLUSolver(random_pivot_matrix(20, 8)).analyze()
-        eng = LUFactorization(solver.a_work, solver.bp)
-        n_blocks = solver.bp.n_blocks
+        plan, a_work = analyzed(random_pivot_matrix(20, 8))
+        eng = LUFactorization(a_work, plan.bp)
+        n_blocks = plan.bp.n_blocks
         with pytest.raises(SchedulingError, match=f"^{n_blocks} block columns"):
             eng.extract()
         eng.run_task(factor_task(0))
@@ -136,37 +133,33 @@ class TestErrorPaths:
     def test_check_dependencies_catches_early_factor(self):
         """A sanitized replay flags an F(k) moved ahead of its updates and
         passes the reference order."""
-        solver = SparseLUSolver(
-            random_pivot_matrix(25, 9), SolverOptions(max_supernode=4)
-        ).analyze()
-        order = enumerate_tasks(solver.bp)
-        assert sanitized_replay(solver, order) == []
+        plan, a_work = analyzed(random_pivot_matrix(25, 9), max_supernode=4)
+        order = enumerate_tasks(plan.bp)
+        assert sanitized_replay(plan, a_work, order) == []
         # A block column with at least one incoming update.
         target = next(
-            k for k in range(solver.bp.n_blocks)
-            if any(int(i) < k for i in solver.bp.col_blocks(k))
+            k for k in range(plan.bp.n_blocks)
+            if any(int(i) < k for i in plan.bp.col_blocks(k))
         )
         f = factor_task(target)
-        checks = sanitized_replay(solver, [f] + [t for t in order if t != f])
+        checks = sanitized_replay(plan, a_work, [f] + [t for t in order if t != f])
         assert "sanitizer.missing_happens_before" in checks
 
     def test_check_dependencies_catches_update_before_factor(self):
         """A sanitized replay flags a U(k, j) run before its F(k)."""
-        solver = SparseLUSolver(
-            random_pivot_matrix(25, 10), SolverOptions(max_supernode=4)
-        ).analyze()
-        order = enumerate_tasks(solver.bp)
+        plan, a_work = analyzed(random_pivot_matrix(25, 10), max_supernode=4)
+        order = enumerate_tasks(plan.bp)
         u = next(t for t in order if t.kind == "U")
         bad = [u] + [t for t in order if t != u]
-        assert "sanitizer.missing_happens_before" in sanitized_replay(solver, bad)
+        assert "sanitizer.missing_happens_before" in sanitized_replay(plan, a_work, bad)
 
     def test_update_unstored_block_rejected(self):
-        solver = SparseLUSolver(random_pivot_matrix(25, 11)).analyze()
-        eng = LUFactorization(solver.a_work, solver.bp)
+        plan, a_work = analyzed(random_pivot_matrix(25, 11))
+        eng = LUFactorization(a_work, plan.bp)
         eng.run_task(factor_task(0))
         # Find a j with no block (0, j).
-        for j in range(1, solver.bp.n_blocks):
-            if not solver.bp.has_block(0, j):
+        for j in range(1, plan.bp.n_blocks):
+            if not plan.bp.has_block(0, j):
                 with pytest.raises(SchedulingError):
                     eng.run_task(update_task(0, j))
                 break

@@ -2,18 +2,17 @@
 
 import numpy as np
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix, solve_pipeline
 from repro.numeric.factor import LUFactorization, LazyStats
-from repro.numeric.solver import SparseLUSolver
 from repro.sparse.generators import paper_matrix
 
 
 class TestLazyStats:
     def test_counters_cover_all_updates(self):
-        s = SparseLUSolver(random_pivot_matrix(35, 0)).analyze()
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(random_pivot_matrix(35, 0))
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
-        n_updates = sum(1 for t in s.graph.tasks() if t.kind == "U")
+        n_updates = sum(1 for t in plan.graph.tasks() if t.kind == "U")
         ls = eng.lazy_stats
         assert ls.n_updates_skipped + ls.n_updates_run == n_updates
         assert 0.0 <= ls.saved_fraction <= 1.0
@@ -26,7 +25,7 @@ class TestLazyStats:
         from repro.sparse.convert import csc_to_scipy
 
         a = paper_matrix("sherman3", scale=0.12)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         b = np.ones(a.n_cols)
         x = s.solve(b)
         x_ref = spla.spsolve(csc_to_scipy(a), b)
@@ -36,8 +35,8 @@ class TestLazyStats:
         """The §2 LazyS+ motivation: a large share of the conservative
         static structure never carries numerical work."""
         a = paper_matrix("sherman3", scale=0.15)
-        s = SparseLUSolver(a).analyze()
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(a)
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
         assert eng.lazy_stats.saved_fraction > 0.2
 
@@ -46,8 +45,8 @@ class TestLazyStats:
 
         rng = np.random.default_rng(0)
         a = csc_from_dense(rng.standard_normal((20, 20)))
-        s = SparseLUSolver(a).analyze()
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(a)
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
         assert eng.lazy_stats.n_updates_skipped == 0
 

@@ -1,15 +1,14 @@
 """Memory-report tests."""
 
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.numeric.memory import memory_report
-from repro.numeric.solver import SparseLUSolver
 
 
 class TestMemoryReport:
     def test_basic_invariants(self):
-        s = SparseLUSolver(random_pivot_matrix(30, 0)).analyze()
-        mem = memory_report(s.fill, s.bp)
+        plan, _ = analyzed(random_pivot_matrix(30, 0))
+        mem = memory_report(plan.fill, plan.bp)
         assert mem.n == 30
         assert mem.nnz_fill >= mem.nnz_a
         # Block storage covers at least Ā's entries (padding only adds).
@@ -18,22 +17,22 @@ class TestMemoryReport:
         assert mem.panel_bytes == mem.panel_entries * 8
 
     def test_largest_panel_bounded_by_total(self):
-        s = SparseLUSolver(random_pivot_matrix(25, 1)).analyze()
-        mem = memory_report(s.fill, s.bp)
+        plan, _ = analyzed(random_pivot_matrix(25, 1))
+        mem = memory_report(plan.fill, plan.bp)
         assert 0 < mem.largest_panel_bytes <= mem.panel_bytes
 
     def test_amalgamation_adds_padding(self):
         from repro.numeric.solver import SolverOptions
 
         a = random_pivot_matrix(40, 2)
-        raw = SparseLUSolver(a, SolverOptions(amalgamation=False)).analyze()
-        merged = SparseLUSolver(a, SolverOptions(amalgamation=True)).analyze()
-        mem_raw = memory_report(raw.fill, raw.bp)
-        mem_merged = memory_report(merged.fill, merged.bp)
+        plan, a_work = analyzed(a, amalgamation=False)
+        plan, a_work = analyzed(a, amalgamation=True)
+        mem_raw = memory_report(plan.fill, plan.bp)
+        mem_merged = memory_report(plan.fill, plan.bp)
         assert mem_merged.panel_entries >= mem_raw.panel_entries
 
     def test_summary_rows(self):
-        s = SparseLUSolver(random_pivot_matrix(20, 3)).analyze()
-        rows = dict(memory_report(s.fill, s.bp).summary_rows())
+        plan, _ = analyzed(random_pivot_matrix(20, 3))
+        rows = dict(memory_report(plan.fill, plan.bp).summary_rows())
         assert rows["order"] == 20
         assert "block storage (MB)" in rows

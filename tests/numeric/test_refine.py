@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import random_pivot_matrix, solve_pipeline
+from repro.api import lu
 from repro.numeric.refine import backward_error, condest_1norm, iterative_refinement
-from repro.numeric.solver import SparseLUSolver
 from repro.sparse.convert import csc_from_dense
 
 
@@ -28,15 +28,14 @@ class TestBackwardError:
 class TestIterativeRefinement:
     def test_already_converged(self):
         a = random_pivot_matrix(30, 0)
-        s = SparseLUSolver(a).analyze().factorize()
-        rr = s.solve_refined(np.ones(30))
+        rr = lu(a).solve_refined(np.ones(30))
         assert rr.converged
         assert rr.backward_errors[-1] < 1e-13
 
     def test_improves_degraded_solver(self):
         """Feed refinement a deliberately inexact solve; it must recover."""
         a = random_pivot_matrix(25, 1)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         rng = np.random.default_rng(1)
 
         def sloppy(v):
@@ -49,14 +48,13 @@ class TestIterativeRefinement:
 
     def test_iteration_cap(self):
         a = random_pivot_matrix(20, 2)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         rr = iterative_refinement(a, s.solve, np.ones(20), max_iters=2)
         assert rr.iterations <= 2
 
     def test_error_history_recorded(self):
         a = random_pivot_matrix(20, 3)
-        s = SparseLUSolver(a).analyze().factorize()
-        rr = s.solve_refined(np.ones(20))
+        rr = lu(a).solve_refined(np.ones(20))
         assert len(rr.backward_errors) >= 1
 
 
@@ -64,7 +62,7 @@ class TestCondest:
     @pytest.mark.parametrize("seed", range(5))
     def test_within_factor_of_true_cond(self, seed):
         a = random_pivot_matrix(40, seed)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         est = s.condition_estimate()
         true = np.linalg.cond(s.a_work.to_dense(), 1)
         # Hager-Higham is a lower bound, usually within a small factor.
@@ -73,20 +71,12 @@ class TestCondest:
 
     def test_identity_is_one(self):
         a = csc_from_dense(np.eye(8))
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         assert s.condition_estimate() == pytest.approx(1.0)
-
-    def test_requires_factorization(self):
-        from repro.util.errors import ReproError
-
-        a = random_pivot_matrix(10, 9)
-        s = SparseLUSolver(a).analyze()
-        with pytest.raises(ReproError):
-            s.condition_estimate()
 
     def test_direct_call(self):
         a = random_pivot_matrix(25, 7)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         est = condest_1norm(
             s.a_work, s.result.l_factor, s.result.u_factor, s.result.orig_at
         )

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import random_pivot_matrix, solve_pipeline
 from repro.numeric.scalar_lu import scalar_lu
-from repro.numeric.solver import SparseLUSolver
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import paper_matrix, random_sparse
 from repro.sparse.ops import matvec
@@ -59,7 +58,7 @@ class TestAgainstSupernodal:
         a = random_pivot_matrix(40, seed)
         b = np.arange(1.0, 41.0)
         x_scalar = scalar_lu(a).solve(b)
-        x_super = SparseLUSolver(a).analyze().factorize().solve(b)
+        x_super = solve_pipeline(a).solve(b)
         assert np.allclose(x_scalar, x_super, rtol=1e-8, atol=1e-10)
 
 

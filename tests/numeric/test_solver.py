@@ -1,11 +1,13 @@
-"""High-level SparseLUSolver tests, including the SciPy oracle."""
+"""Solver options and the full pipeline (``lu``), including the SciPy oracle."""
 
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from tests.conftest import analyzed, random_pivot_matrix, solve_pipeline
+from repro.api import lu
+from repro.numeric.solver import SolverOptions
 from repro.ordering import DEFAULT_ORDERING
+from repro.serve import refactorize_with_plan
 from repro.sparse.convert import csc_from_dense, csc_to_scipy
 from repro.sparse.generators import paper_matrix, random_sparse
 from repro.util.errors import DispatchError, ReproError, ShapeError
@@ -76,25 +78,16 @@ class TestOptions:
 
 
 class TestLifecycle:
-    def test_solve_before_analyze_raises(self):
-        s = SparseLUSolver(random_pivot_matrix(10, 0))
-        with pytest.raises(ReproError):
-            s.factorize()
-        with pytest.raises(ReproError):
-            s.solve(np.ones(10))
-        with pytest.raises(ReproError):
-            s.stats()
-
     def test_rejects_rectangular(self):
         with pytest.raises(ShapeError):
-            SparseLUSolver(csc_from_dense(np.ones((2, 3))))
+            lu(csc_from_dense(np.ones((2, 3))))
 
     def test_rejects_pattern_only(self):
         with pytest.raises(ShapeError):
-            SparseLUSolver(random_sparse(5, density=0.5, seed=0).pattern_only())
+            lu(random_sparse(5, density=0.5, seed=0).pattern_only())
 
     def test_rhs_shape_checked(self):
-        s = SparseLUSolver(random_pivot_matrix(10, 1)).analyze().factorize()
+        s = solve_pipeline(random_pivot_matrix(10, 1))
         with pytest.raises(ShapeError):
             s.solve(np.ones(11))
 
@@ -103,7 +96,7 @@ class TestAccuracy:
     @pytest.mark.parametrize("seed", range(6))
     def test_residual_small(self, seed):
         a = random_pivot_matrix(40, seed)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         b = np.arange(1.0, 41.0)
         x = s.solve(b)
         assert s.residual_norm(x, b) < 1e-9
@@ -112,9 +105,7 @@ class TestAccuracy:
     @pytest.mark.parametrize("postorder", [True, False])
     def test_residual_across_options(self, task_graph, postorder):
         a = random_pivot_matrix(30, 5)
-        s = SparseLUSolver(
-            a, SolverOptions(task_graph=task_graph, postorder=postorder)
-        ).analyze().factorize()
+        s = solve_pipeline(a, task_graph=task_graph, postorder=postorder)
         b = np.ones(30)
         assert s.residual_norm(s.solve(b), b) < 1e-9
 
@@ -122,7 +113,7 @@ class TestAccuracy:
         import scipy.sparse.linalg as spla
 
         a = paper_matrix("orsreg1", scale=0.15)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         b = np.sin(np.arange(a.n_cols))
         x = s.solve(b)
         x_ref = spla.spsolve(csc_to_scipy(a), b)
@@ -131,7 +122,7 @@ class TestAccuracy:
     @pytest.mark.parametrize("name", ["sherman3", "lnsp3937", "goodwin"])
     def test_paper_analogs_solve(self, name):
         a = paper_matrix(name, scale=0.1)
-        s = SparseLUSolver(a).analyze().factorize()
+        s = solve_pipeline(a)
         b = np.ones(a.n_cols)
         assert s.residual_norm(s.solve(b), b) < 1e-8
 
@@ -139,26 +130,26 @@ class TestAccuracy:
 class TestStats:
     def test_stats_fields(self):
         a = random_pivot_matrix(30, 6)
-        s = SparseLUSolver(a).analyze()
-        st = s.stats()
+        plan, _ = analyzed(a)
+        st = plan.stats()
         assert st.n == 30
         assert st.nnz == a.nnz
         assert st.nnz_filled >= st.nnz
         assert st.fill_ratio >= 1.0
         assert 1 <= st.n_supernodes <= st.n_supernodes_raw
         assert st.n_btf_blocks >= 1
-        assert st.n_tasks >= s.bp.n_blocks
+        assert st.n_tasks >= plan.bp.n_blocks
         assert st.mean_supernode_size >= 1.0
 
     def test_no_postorder_has_zero_btf(self):
         a = random_pivot_matrix(20, 7)
-        s = SparseLUSolver(a, SolverOptions(postorder=False)).analyze()
-        assert s.stats().n_btf_blocks == 0
+        plan, _ = analyzed(a, postorder=False)
+        assert plan.stats().n_btf_blocks == 0
 
     def test_factorize_with_explicit_order(self):
         a = random_pivot_matrix(25, 8)
-        s = SparseLUSolver(a).analyze()
-        order = s.graph.topological_order()
-        s.factorize(order=order)
+        plan, _ = analyzed(a)
+        order = plan.graph.topological_order()
+        s = refactorize_with_plan(plan, a, order=order)
         b = np.ones(25)
         assert s.residual_norm(s.solve(b), b) < 1e-9

@@ -4,9 +4,8 @@ timings."""
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import random_pivot_matrix, solve_pipeline
 from repro.numeric.scaling import Equilibration, equilibrate
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.sparse.convert import csc_from_dense
 from repro.util.errors import SingularMatrixError
 
@@ -35,7 +34,7 @@ class TestEquilibration:
         from repro.numeric.refine import backward_error
 
         a = self.badly_scaled(1)
-        s = SparseLUSolver(a, SolverOptions(equilibrate=True)).analyze().factorize()
+        s = solve_pipeline(a, equilibrate=True)
         b = np.ones(a.n_cols)
         x = s.solve(b)
         # On a matrix spanning 16 orders of magnitude, the meaningful
@@ -48,8 +47,8 @@ class TestEquilibration:
 
         a = self.badly_scaled(2)
         b = np.ones(a.n_cols)
-        plain = SparseLUSolver(a).analyze().factorize()
-        eq = SparseLUSolver(a, SolverOptions(equilibrate=True)).analyze().factorize()
+        plain = solve_pipeline(a)
+        eq = solve_pipeline(a, equilibrate=True)
         e_plain = backward_error(a, plain.solve(b), b)
         e_eq = backward_error(a, eq.solve(b), b)
         assert e_eq <= max(e_plain * 10, 1e-12)
@@ -73,7 +72,7 @@ class TestEquilibration:
 class TestTimings:
     def test_stage_timings_recorded(self):
         a = random_pivot_matrix(25, 0)
-        seconds = SparseLUSolver(a).analyze().factorize().tracer.stage_seconds()
+        seconds = solve_pipeline(a).tracer.stage_seconds()
         for stage in (
             "transversal",
             "ordering",
@@ -87,5 +86,5 @@ class TestTimings:
         # does not build it, detail-traced or not (``repro trace`` prices
         # the graph as an explicit step of its own).
         assert "task_graph" not in seconds
-        traced = SparseLUSolver(a, trace=True).analyze().factorize().tracer
+        traced = solve_pipeline(a, trace=True).tracer
         assert [s.name for s in traced.roots] == ["analyze", "factorize"]

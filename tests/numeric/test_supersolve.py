@@ -16,27 +16,22 @@ import pytest
 
 from repro.numeric.factor import LUFactorization
 from repro.numeric.solve_dispatch import resolve_impl
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.trace import Tracer
 from repro.serve import NumericFactorization, refactorize_with_plan
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
 from repro.taskgraph.solve_graph import level_schedule
 from repro.util.errors import ShapeError
-from tests.conftest import random_pivot_matrix, scalar_solve
+from tests.conftest import analyzed, random_pivot_matrix, scalar_solve, solve_pipeline
 
 
-def factorized(a, **opt_kwargs):
-    return SparseLUSolver(a, SolverOptions(**opt_kwargs)).analyze().factorize()
-
-
-def unretained(solver, tracer=None):
-    """The solver's factorization re-extracted without block factors."""
-    plan = solver.plan()
-    eng = LUFactorization(solver.a_work, plan.bp, layout=plan.layout)
+def unretained(fact, tracer=None):
+    """``fact`` re-extracted without block factors."""
+    plan = fact.plan
+    eng = LUFactorization(fact.a_work, plan.bp, layout=plan.layout)
     eng.factor_sequential()
     return NumericFactorization(
-        plan, solver.a, solver.a_work, eng.extract(), solver.equil, tracer
+        plan, fact.a, fact.a_work, eng.extract(), fact.equil, tracer
     )
 
 
@@ -92,64 +87,64 @@ class TestBlockVsReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_vector(self, seed):
         a = random_pivot_matrix(40, seed)
-        solver = factorized(a)
+        fact = solve_pipeline(a)
         b = np.random.default_rng(seed).standard_normal(40)
-        assert_close(solver.solve(b), scalar_solve(solver, b))
+        assert_close(fact.solve(b), scalar_solve(fact, b))
 
     @pytest.mark.parametrize("n_rhs", [1, 3, 16])
     def test_multi_rhs(self, n_rhs):
         a = random_pivot_matrix(50, 7)
-        solver = factorized(a)
+        fact = solve_pipeline(a)
         b = np.random.default_rng(7).standard_normal((50, n_rhs))
-        x = solver.solve(b)
+        x = fact.solve(b)
         assert x.shape == (50, n_rhs)
-        assert_close(x, scalar_solve(solver, b))
+        assert_close(x, scalar_solve(fact, b))
 
     def test_deep_chain(self):
         a = deep_chain_matrix()
-        solver = factorized(a, **NARROW)
-        sched = level_schedule(solver.bp)
+        fact = solve_pipeline(a, **NARROW)
+        sched = level_schedule(fact.plan.bp)
         assert sched.n_fwd_levels > 3  # genuinely sequential structure
         for b in rhs_shapes(a.n_cols, 0):
-            assert_close(solver.solve(b), scalar_solve(solver, b))
+            assert_close(fact.solve(b), scalar_solve(fact, b))
 
     def test_block_triangular(self):
         a = block_triangular_matrix()
         # The blocks are independent as given; a fill-reducing ordering may
         # chain them (amd does), so keep the natural one.
-        solver = factorized(a, ordering="natural", **NARROW)
-        sched = level_schedule(solver.bp)
+        fact = solve_pipeline(a, ordering="natural", **NARROW)
+        sched = level_schedule(fact.plan.bp)
         assert max(lv.size for lv in sched.fwd_levels) > 1  # independent trees
         for b in rhs_shapes(a.n_cols, 1):
-            assert_close(solver.solve(b), scalar_solve(solver, b))
+            assert_close(fact.solve(b), scalar_solve(fact, b))
 
     def test_equilibrated(self):
         a = random_pivot_matrix(40, 5)
         a = a.with_values(a.data * 1e4)
-        solver = factorized(a, equilibrate=True)
+        fact = solve_pipeline(a, equilibrate=True)
         b = np.random.default_rng(5).standard_normal(40)
-        assert_close(solver.solve(b), scalar_solve(solver, b))
+        assert_close(fact.solve(b), scalar_solve(fact, b))
 
     def test_paper_scale_exact_schedule(self):
         # At generator-matrix scale deferred pivoting renames rows across
         # block boundaries, outside the static block pattern; the fixed
         # block order covers them and the solutions must still agree.
         a = paper_matrix("sherman3", scale=0.15)
-        solver = factorized(a)
+        fact = solve_pipeline(a)
         b = np.random.default_rng(2).standard_normal((a.n_cols, 4))
-        assert_close(solver.solve(b), scalar_solve(solver, b))
+        assert_close(fact.solve(b), scalar_solve(fact, b))
 
     @pytest.mark.parametrize("name", sorted(PAPER_MATRICES))
     def test_paper_analogs(self, name):
         a = paper_matrix(name, scale=0.05 if name == "goodwin" else 0.1)
-        solver = factorized(a)
-        bf = solver.result.blocks
+        fact = solve_pipeline(a)
+        bf = fact.result.blocks
         # The renames that matter here: some L row of some block ends up
         # labelled outside that block column's static block rows.
         from repro.numeric.factor import _final_l_labels
 
-        layout = solver.plan().layout
-        renames = solver.result._assemble.args[-2]
+        layout = fact.plan.layout
+        renames = fact.result._assemble.args[-2]
         labels = _final_l_labels(layout, renames)
         escaped = any(
             not layout.has_blocks(
@@ -160,18 +155,17 @@ class TestBlockVsReference:
         if name in ("sherman3", "sherman5"):
             assert escaped  # the witnesses: the case is exercised, not vacuous
         for b in rhs_shapes(a.n_cols, 4):
-            x = solver.solve(b)
-            assert_close(x, scalar_solve(solver, b))
-            assert solver.residual_norm(x, b) < 1e-10
+            x = fact.solve(b)
+            assert_close(x, scalar_solve(fact, b))
+            assert fact.residual_norm(x, b) < 1e-10
 
     def test_factors_are_views_of_the_engine_buffer(self):
         from repro.numeric.factor import LUFactorization
 
         a = paper_matrix("sherman3", scale=0.1)
-        solver = SparseLUSolver(a).analyze()
-        plan = solver.plan()
+        plan, a_work = analyzed(a)
         layout = plan.layout
-        eng = LUFactorization(solver.a_work, plan.bp, layout=layout)
+        eng = LUFactorization(a_work, plan.bp, layout=layout)
         eng.factor_sequential()
         bf = eng.extract(retain_blocks=True).blocks
         buf = eng.data.panels[0].base
@@ -199,10 +193,10 @@ class TestBlockVsReference:
 
     def test_residual_small(self):
         a = paper_matrix("sherman3", scale=0.1)
-        solver = factorized(a)
+        fact = solve_pipeline(a)
         b = np.random.default_rng(3).standard_normal(a.n_cols)
-        x = solver.solve(b)
-        assert solver.residual_norm(x, b) < 1e-8
+        x = fact.solve(b)
+        assert fact.residual_norm(x, b) < 1e-8
 
 
 class TestDispatch:
@@ -211,22 +205,22 @@ class TestDispatch:
 
     def test_unknown_argument_raises(self):
         # No solve takes an implementation argument: the factors decide.
-        solver = factorized(random_pivot_matrix(20, 2))
-        fac = refactorize_with_plan(solver.plan(), solver.a)
+        fact = solve_pipeline(random_pivot_matrix(20, 2))
+        fac = refactorize_with_plan(fact.plan, fact.a)
         b = np.ones(20)
-        for solve in (solver.solve, fac.solve, fac.result.solve):
+        for solve in (fact.solve, fac.solve, fac.result.solve):
             with pytest.raises(TypeError):
                 solve(b, impl="block")
 
     @pytest.mark.parametrize("impl", ["block", "reference"])
     def test_factor_state_selects_implementation(self, impl):
         a = random_pivot_matrix(30, 6)
-        solver = factorized(a)
+        fact = solve_pipeline(a)
         tracer = Tracer()
         if impl == "block":
-            fac = refactorize_with_plan(solver.plan(), a, tracer=tracer)
+            fac = refactorize_with_plan(fact.plan, a, tracer=tracer)
         else:
-            fac = unretained(solver, tracer)
+            fac = unretained(fact, tracer)
         tracer.roots.clear()
         fac.solve(np.ones(30))
         spans = {s.name: s for s in tracer.walk()}
@@ -238,7 +232,7 @@ class TestDispatch:
         # Factors extracted without blocks run exactly the scalar path.
         a = random_pivot_matrix(35, 9)
         b = np.random.default_rng(9).standard_normal(35)
-        fac = unretained(factorized(a))
+        fac = unretained(solve_pipeline(a))
         assert fac.result.blocks is None
         assert np.array_equal(fac.solve(b), scalar_solve(fac, b))
 
@@ -246,14 +240,14 @@ class TestDispatch:
         # Blocks not retained: the solve takes the scalar path rather
         # than failing, and agrees with the block solve of the same matrix.
         a = random_pivot_matrix(30, 4)
-        solver = factorized(a)
-        fac = unretained(solver)
+        fact = solve_pipeline(a)
+        fac = unretained(fact)
         assert fac.result.blocks is None
         b = np.ones(30)
-        assert_close(fac.solve(b), solver.solve(b))
+        assert_close(fac.solve(b), fact.solve(b))
 
     def test_bad_shapes_rejected(self):
         a = random_pivot_matrix(20, 3)
-        solver = factorized(a)
+        fact = solve_pipeline(a)
         with pytest.raises(ShapeError):
-            solver.result.blocks.solve(np.ones(21))
+            fact.result.blocks.solve(np.ones(21))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
 from repro.numeric.triangular import (
     lower_transpose_unit_solve_csc,
     lower_unit_solve_csc,
@@ -56,11 +55,11 @@ class TestMultiRHS:
 
     def test_factor_result_multirhs(self):
         a = random_pivot_matrix(25, 0)
-        s = SparseLUSolver(a).analyze()
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(a)
+        eng = LUFactorization(a_work, plan.bp)
         eng.factor_sequential()
         res = eng.extract()
-        aw = s.a_work.to_dense()
+        aw = a_work.to_dense()
         b = np.random.default_rng(0).standard_normal((25, 5))
         x = res.solve(b)
         assert x.shape == (25, 5)

@@ -3,27 +3,27 @@ between the exported counters and the simulation's own result object."""
 
 import pytest
 
-from repro.numeric.solver import SparseLUSolver
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.simulate import simulate_schedule
+from repro.serve import build_plan
 from repro.sparse.generators import paper_matrix
 from repro.taskgraph.solve_graph import build_solve_graph
 
 
 @pytest.fixture(scope="module")
-def analyzed():
-    return SparseLUSolver(paper_matrix("orsreg1", scale=0.2)).analyze()
+def plan():
+    return build_plan(paper_matrix("orsreg1", scale=0.2))
 
 
 @pytest.fixture(scope="module")
-def simulated(analyzed):
+def simulated(plan):
     machine = MachineModel(n_procs=4)
-    owner = cyclic_mapping(analyzed.bp.n_blocks, machine.n_procs)
+    owner = cyclic_mapping(plan.bp.n_blocks, machine.n_procs)
     metrics = MetricsRegistry()
     result = simulate_schedule(
-        analyzed.graph, analyzed.bp, machine, owner, metrics=metrics
+        plan.graph, plan.bp, machine, owner, metrics=metrics
     )
     return result, metrics
 
@@ -37,17 +37,17 @@ class TestAccountingIdentity:
         n_procs = metrics.get("engine.n_procs").value
         assert busy + idle == pytest.approx(n_procs * makespan, rel=1e-9)
 
-    def test_busy_matches_independent_task_cost_sum(self, analyzed, simulated):
+    def test_busy_matches_independent_task_cost_sum(self, plan, simulated):
         # Independent recomputation: every task contributes its compute time
         # to exactly one processor's busy total.
         from repro.numeric.costs import CostModel
 
         result, metrics = simulated
         machine = MachineModel(n_procs=4)
-        model = CostModel(analyzed.bp)
+        model = CostModel(plan.bp)
         expected = sum(
             machine.compute_time(model.flops(t), model.width(t))
-            for t in analyzed.graph.tasks()
+            for t in plan.graph.tasks()
         )
         assert metrics.get("engine.busy_seconds").value == pytest.approx(
             expected, rel=1e-9
@@ -74,24 +74,24 @@ class TestCountersMatchResult:
         assert hist.count == result.n_tasks
         assert hist.min >= 0
 
-    def test_metrics_do_not_change_the_schedule(self, analyzed):
+    def test_metrics_do_not_change_the_schedule(self, plan):
         machine = MachineModel(n_procs=4)
-        owner = cyclic_mapping(analyzed.bp.n_blocks, machine.n_procs)
-        bare = simulate_schedule(analyzed.graph, analyzed.bp, machine, owner)
+        owner = cyclic_mapping(plan.bp.n_blocks, machine.n_procs)
+        bare = simulate_schedule(plan.graph, plan.bp, machine, owner)
         instrumented = simulate_schedule(
-            analyzed.graph, analyzed.bp, machine, owner, metrics=MetricsRegistry()
+            plan.graph, plan.bp, machine, owner, metrics=MetricsRegistry()
         )
         assert bare.makespan == instrumented.makespan
         assert bare.n_messages == instrumented.n_messages
 
 
 class TestSolvePhase:
-    def test_solve_phase_identity(self, analyzed):
+    def test_solve_phase_identity(self, plan):
         machine = MachineModel(n_procs=4)
-        owner = cyclic_mapping(analyzed.bp.n_blocks, machine.n_procs)
+        owner = cyclic_mapping(plan.bp.n_blocks, machine.n_procs)
         metrics = MetricsRegistry()
         result = simulate_schedule(
-            build_solve_graph(analyzed.bp), analyzed.bp, machine, owner, metrics=metrics
+            build_solve_graph(plan.bp), plan.bp, machine, owner, metrics=metrics
         )
         busy = metrics.get("engine.busy_seconds").value
         idle = metrics.get("engine.idle_seconds").value
@@ -101,11 +101,11 @@ class TestSolvePhase:
 
 
 class TestRecordedSchedule:
-    def test_record_trace_covers_every_task(self, analyzed):
+    def test_record_trace_covers_every_task(self, plan):
         machine = MachineModel(n_procs=4)
-        owner = cyclic_mapping(analyzed.bp.n_blocks, machine.n_procs)
+        owner = cyclic_mapping(plan.bp.n_blocks, machine.n_procs)
         result = simulate_schedule(
-            analyzed.graph, analyzed.bp, machine, owner, record_trace=True
+            plan.graph, plan.bp, machine, owner, record_trace=True
         )
         assert len(result.start_times) == result.n_tasks
         assert set(result.owners.values()) <= set(range(machine.n_procs))

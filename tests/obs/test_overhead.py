@@ -10,11 +10,11 @@ import numpy as np
 import pytest
 
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
 from repro.obs.trace import NULL_SPAN, Tracer
-from repro.serve import build_plan
+from repro.serve import build_plan, refactorize_with_plan
 from repro.serve.refactor import permuted_values
 from repro.sparse.generators import paper_matrix
+from tests.conftest import solve_pipeline
 
 
 class TestStructural:
@@ -25,34 +25,35 @@ class TestStructural:
 
     def test_default_solver_records_no_detail_metrics(self):
         a = paper_matrix("orsreg1", scale=0.15)
-        solver = SparseLUSolver(a).analyze().factorize()
-        assert solver.tracer.detail is False
+        fact = solve_pipeline(a)
+        assert fact.tracer.detail is False
         # Stage spans exist...
-        assert "factorize" in solver.tracer.stage_seconds()
+        assert "factorize" in fact.tracer.stage_seconds()
         # ...but no per-kernel counters were allocated, let alone updated.
-        assert solver.tracer.metrics.empty
+        assert fact.tracer.metrics.empty
 
     def test_traced_solver_records_detail_metrics(self):
         a = paper_matrix("orsreg1", scale=0.15)
-        solver = SparseLUSolver(a, trace=True).analyze().factorize()
-        assert solver.tracer.metrics.get("kernel.factor.calls").value > 0
+        fact = solve_pipeline(a, trace=True)
+        assert fact.tracer.metrics.get("kernel.factor.calls").value > 0
 
 
 @pytest.mark.slow
 class TestWallClock:
     def test_disabled_tracing_under_five_percent(self, monkeypatch):
-        """Factorization through the (trace=False) solver vs the same work
-        with no tracer in the way, in interleaved pairs."""
+        """Factorization through ``refactorize_with_plan`` under the tracer
+        ``lu(a)`` gets (enabled, no detail) vs the same work with no tracer
+        in the way, in interleaved pairs."""
         for var in ("REPRO_ENGINE", "REPRO_SANITIZE", "REPRO_ANALYZE"):
             monkeypatch.delenv(var, raising=False)
         a = paper_matrix("orsreg1", scale=0.2)
         plan = build_plan(a)
-        solver = SparseLUSolver(a).adopt_plan(plan)
+        tracer = Tracer()
 
         def bare() -> float:
-            # Mirrors solver.factorize() (refactorize_with_plan on the
-            # sequential engine) minus spans and metrics: same checks, same
-            # value permutation, same layout, same retained blocks.
+            # Mirrors refactorize_with_plan on the sequential engine minus
+            # spans and metrics: same checks, same value permutation, same
+            # layout, same retained blocks.
             t0 = time.perf_counter()
             assert np.isfinite(a.data).all()
             a_work, _ = permuted_values(plan, a)
@@ -63,7 +64,7 @@ class TestWallClock:
 
         def instrumented() -> float:
             t0 = time.perf_counter()
-            solver.factorize()
+            refactorize_with_plan(plan, a, tracer=tracer, check_pattern=False)
             return time.perf_counter() - t0
 
         # Warm up, then time interleaved pairs, alternating which side runs

@@ -69,11 +69,11 @@ class TestBTFPermutation:
     def test_finest_vs_eforest_blocks(self):
         """The classical SCC decomposition of A is at least as fine as the
         eforest tree decomposition of the filled Ā (fill only couples)."""
-        from repro.numeric.solver import SparseLUSolver
+        from tests.conftest import analyzed
 
         for name in ("sherman3", "goodwin"):
             a = paper_matrix(name, scale=0.1)
             a0 = permute(a, row_perm=zero_free_diagonal_permutation(a))
             _, classical = block_triangular_permutation(a0)
-            s = SparseLUSolver(a).analyze()
-            assert len(classical) >= s.stats().n_btf_blocks, name
+            plan, _ = analyzed(a)
+            assert len(classical) >= plan.stats().n_btf_blocks, name

@@ -9,9 +9,9 @@ move fill around, never break correctness.
 import numpy as np
 import pytest
 
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.ordering import ORDERINGS
 from repro.sparse.generators import PAPER_MATRICES, paper_matrix
+from tests.conftest import solve_pipeline
 
 SCALE = 0.1  # small analogs: the invariants are scale-free
 
@@ -45,9 +45,8 @@ def test_valid_permutation(name, ordering):
 @pytest.mark.parametrize("name", sorted(PAPER_MATRICES))
 def test_pipeline_factorizes(name, ordering):
     a = paper_matrix(name, scale=SCALE)
-    solver = SparseLUSolver(a, SolverOptions(ordering=ordering))
-    solver.analyze().factorize()
+    fact = solve_pipeline(a, ordering=ordering)
     rng = np.random.default_rng(0)
     b = rng.standard_normal(a.n_rows)
-    x = solver.solve(b)
-    assert solver.residual_norm(x, b) <= 1e-10, (name, ordering)
+    x = fact.solve(b)
+    assert fact.residual_norm(x, b) <= 1e-10, (name, ordering)

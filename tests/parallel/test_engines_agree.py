@@ -13,7 +13,6 @@ import pytest
 
 from repro.numeric.factor import LUFactorization
 from repro.numeric.kernels import _BASE_WIDTH
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import run_engine
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.message_passing import message_passing_factorize
@@ -21,6 +20,7 @@ from repro.parallel.procengine import proc_factorize
 from repro.parallel.threads import threaded_factorize
 from repro.parallel.two_d import build_2d_graph, canonical_2d_order
 from repro.sparse.generators import paper_matrix
+from tests import conftest
 
 
 def assert_bitwise(res, ref):
@@ -33,27 +33,29 @@ def assert_bitwise(res, ref):
 
 @pytest.fixture(scope="module", params=[("sherman3", 0.1), ("goodwin", 0.05)])
 def analyzed(request):
+    """``(plan, a_work)`` of one analog."""
     name, scale = request.param
-    s = SparseLUSolver(paper_matrix(name, scale=scale), SolverOptions()).analyze()
-    assert s.plan().layout.widths.max() > 2 * _BASE_WIDTH  # the recursion recurses
-    return s
+    plan, a_work = conftest.analyzed(paper_matrix(name, scale=scale))
+    assert plan.layout.widths.max() > 2 * _BASE_WIDTH  # the recursion recurses
+    return plan, a_work
 
 
-def fresh(s):
-    return LUFactorization(s.a_work, s.bp, layout=s.plan().layout)
+def fresh(analyzed):
+    plan, a_work = analyzed
+    return LUFactorization(a_work, plan.bp, layout=plan.layout)
 
 
 def test_1d_graph_bitwise_across_engines(analyzed):
-    s = analyzed
-    rhs = np.random.default_rng(0).standard_normal((s.a.n_cols, 3))
-    seq = fresh(s)
+    plan, a_work = analyzed
+    rhs = np.random.default_rng(0).standard_normal((plan.n, 3))
+    seq = fresh(analyzed)
     seq.factor_sequential()
     ref = seq.extract(retain_blocks=True)
     x_ref = ref.solve(rhs)
 
-    thr = fresh(s)
+    thr = fresh(analyzed)
     threaded_factorize(thr, n_threads=4)
-    prc = fresh(s)
+    prc = fresh(analyzed)
     proc_factorize(prc, 2)
     assert not prc.panel_facts  # gathered: the parent factored nothing itself
     for eng in (thr, prc):
@@ -61,8 +63,8 @@ def test_1d_graph_bitwise_across_engines(analyzed):
         assert_bitwise(res, ref)
         assert np.array_equal(res.solve(rhs), x_ref)
 
-    owner = cyclic_mapping(s.bp.n_blocks, 3)
-    mp = message_passing_factorize(s.a_work, s.bp, s.graph, owner)
+    owner = cyclic_mapping(plan.bp.n_blocks, 3)
+    mp = message_passing_factorize(a_work, plan.bp, plan.graph, owner)
     assert_bitwise(mp.result, ref)
 
     # The invariant, one level down: whatever ran the tasks, and wherever
@@ -73,14 +75,13 @@ def test_1d_graph_bitwise_across_engines(analyzed):
 
 
 def test_2d_graph_bitwise_across_engines(analyzed):
-    s = analyzed
-    g2 = build_2d_graph(s.bp)
-    seq = fresh(s)
+    g2 = build_2d_graph(analyzed[0].bp)
+    seq = fresh(analyzed)
     seq.run_order(canonical_2d_order(g2))
     ref = seq.extract()
 
     # The 2-D graph executes as a sequential replay only (the parallel
     # engines run block steps): through the dispatcher, the same bits.
-    rep = fresh(s)
+    rep = fresh(analyzed)
     run_engine(rep, g2, "sequential")
     assert_bitwise(rep.extract(), ref)

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.costs import CostModel
-from repro.numeric.solver import SparseLUSolver
 from repro.parallel.mapping import (
     blocked_mapping,
     cyclic_mapping,
@@ -16,7 +16,7 @@ from repro.taskgraph.tasks import enumerate_tasks
 
 
 def analyzed(seed=0):
-    return SparseLUSolver(random_pivot_matrix(30, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(30, seed))
 
 
 class TestCyclic:
@@ -40,39 +40,39 @@ class TestBlocked:
 
 class TestGreedy:
     def test_balances_load(self):
-        s = analyzed()
-        owner = greedy_mapping(s.bp, 4)
-        model = CostModel(s.bp)
+        plan, _ = analyzed()
+        owner = greedy_mapping(plan.bp, 4)
+        model = CostModel(plan.bp)
         load = np.zeros(4)
-        for t in enumerate_tasks(s.bp):
+        for t in enumerate_tasks(plan.bp):
             load[owner[t.target]] += model.flops(t)
         # LPT-style bound: the heaviest processor exceeds the lightest by at
         # most one column's worth of work.
-        col_work = np.zeros(s.bp.n_blocks)
-        for t in enumerate_tasks(s.bp):
+        col_work = np.zeros(plan.bp.n_blocks)
+        for t in enumerate_tasks(plan.bp):
             col_work[t.target] += model.flops(t)
         assert load.max() - load.min() <= col_work.max() + 1e-9
         # And greedy beats cyclic on imbalance.
         cyc = np.zeros(4)
-        for t in enumerate_tasks(s.bp):
+        for t in enumerate_tasks(plan.bp):
             cyc[t.target % 4] += model.flops(t)
         assert load.max() <= cyc.max() + 1e-9
 
     def test_valid_range(self):
-        s = analyzed(1)
-        owner = greedy_mapping(s.bp, 3)
+        plan, _ = analyzed(1)
+        owner = greedy_mapping(plan.bp, 3)
         assert owner.min() >= 0 and owner.max() < 3
-        assert owner.size == s.bp.n_blocks
+        assert owner.size == plan.bp.n_blocks
 
 
 class TestMakeMapping:
     def test_dispatch(self):
-        s = analyzed(2)
+        plan, _ = analyzed(2)
         for policy in ("cyclic", "blocked", "greedy"):
-            owner = make_mapping(policy, s.bp, 2)
-            assert owner.size == s.bp.n_blocks
+            owner = make_mapping(policy, plan.bp, 2)
+            assert owner.size == plan.bp.n_blocks
 
     def test_unknown_policy(self):
-        s = analyzed(3)
+        plan, _ = analyzed(3)
         with pytest.raises(ValueError):
-            make_mapping("random", s.bp, 2)
+            make_mapping("random", plan.bp, 2)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.serve import NumericFactorization
 from repro.parallel.mapping import cyclic_mapping, greedy_mapping
 from repro.parallel.message_passing import (
     ProcessEngine,
@@ -15,11 +16,11 @@ from repro.util.errors import PatternError, SchedulingError
 
 
 def analyzed(seed=0, n=35, **opts):
-    return SparseLUSolver(random_pivot_matrix(n, seed), SolverOptions(**opts)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed), **opts)
 
 
-def reference(solver):
-    eng = LUFactorization(solver.a_work, solver.bp)
+def reference(plan, a_work):
+    eng = LUFactorization(a_work, plan.bp)
     eng.factor_sequential()
     return eng.extract()
 
@@ -27,10 +28,10 @@ def reference(solver):
 class TestCorrectness:
     @pytest.mark.parametrize("n_procs", [1, 2, 3, 4])
     def test_matches_sequential(self, n_procs):
-        s = analyzed()
-        ref = reference(s)
-        owner = cyclic_mapping(s.bp.n_blocks, n_procs)
-        mp = message_passing_factorize(s.a_work, s.bp, s.graph, owner)
+        plan, a_work = analyzed()
+        ref = reference(plan, a_work)
+        owner = cyclic_mapping(plan.bp.n_blocks, n_procs)
+        mp = message_passing_factorize(a_work, plan.bp, plan.graph, owner)
         assert np.allclose(
             mp.result.l_factor.to_dense(), ref.l_factor.to_dense()
         )
@@ -40,113 +41,113 @@ class TestCorrectness:
         assert np.array_equal(mp.result.orig_at, ref.orig_at)
 
     def test_sstar_graph_too(self):
-        s = analyzed(1, task_graph="sstar")
-        ref = reference(s)
+        plan, a_work = analyzed(1, task_graph="sstar")
+        ref = reference(plan, a_work)
         mp = message_passing_factorize(
-            s.a_work, s.bp, s.graph, cyclic_mapping(s.bp.n_blocks, 3)
+            a_work, plan.bp, plan.graph, cyclic_mapping(plan.bp.n_blocks, 3)
         )
         assert np.allclose(mp.result.l_factor.to_dense(), ref.l_factor.to_dense())
 
     def test_greedy_mapping(self):
-        s = analyzed(2)
-        ref = reference(s)
-        owner = greedy_mapping(s.bp, 3)
-        mp = message_passing_factorize(s.a_work, s.bp, s.graph, owner)
+        plan, a_work = analyzed(2)
+        ref = reference(plan, a_work)
+        owner = greedy_mapping(plan.bp, 3)
+        mp = message_passing_factorize(a_work, plan.bp, plan.graph, owner)
         assert np.allclose(mp.result.l_factor.to_dense(), ref.l_factor.to_dense())
 
     def test_solution_residual(self):
         a = random_pivot_matrix(30, 3)
-        s = SparseLUSolver(a).analyze()
+        plan, a_work = conftest.analyzed(a)
         mp = message_passing_factorize(
-            s.a_work, s.bp, s.graph, cyclic_mapping(s.bp.n_blocks, 4)
+            a_work, plan.bp, plan.graph, cyclic_mapping(plan.bp.n_blocks, 4)
         )
-        s.result = mp.result
+        fact = NumericFactorization(plan, a, a_work, mp.result)
         b = np.ones(30)
         # This seed is ill-conditioned (planted weak pivots); the point here
         # is that the distributed factors solve, not the conditioning.
-        assert s.residual_norm(s.solve(b), b) < 1e-6
+        assert fact.residual_norm(fact.solve(b), b) < 1e-6
 
 
 class TestMessageAccounting:
     def test_single_proc_sends_nothing(self):
-        s = analyzed(4)
+        plan, a_work = analyzed(4)
         mp = message_passing_factorize(
-            s.a_work, s.bp, s.graph, cyclic_mapping(s.bp.n_blocks, 1)
+            a_work, plan.bp, plan.graph, cyclic_mapping(plan.bp.n_blocks, 1)
         )
         assert mp.n_messages == 0
         assert mp.bytes_moved == 0
 
     def test_messages_bounded_by_cross_pairs(self):
-        s = analyzed(5)
-        owner = cyclic_mapping(s.bp.n_blocks, 2)
-        mp = message_passing_factorize(s.a_work, s.bp, s.graph, owner)
+        plan, a_work = analyzed(5)
+        owner = cyclic_mapping(plan.bp.n_blocks, 2)
+        mp = message_passing_factorize(a_work, plan.bp, plan.graph, owner)
         cross = {
             (t.k, int(owner[t.j]))
-            for t in s.graph.tasks()
+            for t in plan.graph.tasks()
             if t.kind == "U" and owner[t.k] != owner[t.j]
         }
         assert mp.n_messages == len(cross)
 
     def test_task_counts_cover_graph(self):
-        s = analyzed(6)
+        plan, a_work = analyzed(6)
         mp = message_passing_factorize(
-            s.a_work, s.bp, s.graph, cyclic_mapping(s.bp.n_blocks, 3)
+            a_work, plan.bp, plan.graph, cyclic_mapping(plan.bp.n_blocks, 3)
         )
-        assert sum(mp.per_rank_tasks) == s.graph.n_tasks
+        assert sum(mp.per_rank_tasks) == plan.graph.n_tasks
 
 
 class TestIsolation:
     def test_unowned_panel_not_materialized(self):
-        s = analyzed(7)
+        plan, a_work = analyzed(7)
         owned = {0}
-        eng = ProcessEngine(0, s.a_work, s.bp, owned)
-        for k in range(1, s.bp.n_blocks):
+        eng = ProcessEngine(0, a_work, plan.bp, owned)
+        for k in range(1, plan.bp.n_blocks):
             assert eng.data.panels[k] is None
         with pytest.raises(PatternError):
             eng.data.sub_panel(1)
 
     def test_factor_of_unowned_column_rejected(self):
-        s = analyzed(8)
-        eng = ProcessEngine(0, s.a_work, s.bp, {0})
+        plan, a_work = analyzed(8)
+        eng = ProcessEngine(0, a_work, plan.bp, {0})
         with pytest.raises(SchedulingError):
             eng.run_factor(1)
 
     def test_update_without_message_rejected(self):
-        s = analyzed(9)
+        plan, a_work = analyzed(9)
         # Find an update whose source lives elsewhere.
         target = None
-        for t in s.graph.tasks():
+        for t in plan.graph.tasks():
             if t.kind == "U":
                 target = t
                 break
         assert target is not None
-        eng = ProcessEngine(0, s.a_work, s.bp, {target.j})
+        eng = ProcessEngine(0, a_work, plan.bp, {target.j})
         with pytest.raises(SchedulingError):
             eng.run_update(target.k, target.j)
 
     def test_receive_then_update_works(self):
-        s = analyzed(10)
-        ref_eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(10)
+        ref_eng = LUFactorization(a_work, plan.bp)
         # Pick U(k, j) with distinct blocks; run F(k) on one process, ship
         # the panel, run U(k, j) on another.
-        target = next(t for t in s.graph.tasks() if t.kind == "U")
+        target = next(t for t in plan.graph.tasks() if t.kind == "U")
         k, j = target.k, target.j
         # All updates into k and j first, sequentially, on the reference —
         # simplest: only valid if k has no predecessors; find such a task.
         cand = None
-        for t in s.graph.tasks():
-            if t.kind == "U" and s.graph.in_degree(t) == 1:  # only F(k)
+        for t in plan.graph.tasks():
+            if t.kind == "U" and plan.graph.in_degree(t) == 1:  # only F(k)
                 f = next(
-                    p for p in s.graph.tasks() if p.kind == "F" and p.k == t.k
+                    p for p in plan.graph.tasks() if p.kind == "F" and p.k == t.k
                 )
-                if s.graph.in_degree(f) == 0:
+                if plan.graph.in_degree(f) == 0:
                     cand = t
                     break
         if cand is None:
             pytest.skip("no isolated update task in this instance")
         k, j = cand.k, cand.j
-        p0 = ProcessEngine(0, s.a_work, s.bp, {k})
-        p1 = ProcessEngine(1, s.a_work, s.bp, {j})
+        p0 = ProcessEngine(0, a_work, plan.bp, {k})
+        p1 = ProcessEngine(1, a_work, plan.bp, {j})
         msg = p0.run_factor(k)
         p1.receive(msg)
         p1.run_update(k, j)  # must not raise

@@ -6,9 +6,9 @@ import os
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import resolve_engine
 from repro.parallel.procengine import ProcPool, SharedArena, proc_factorize
 from repro.parallel.threads import release_plan, threaded_factorize
@@ -16,13 +16,11 @@ from repro.util.errors import EngineError, SingularMatrixError
 
 
 def analyzed(seed=0, n=35, **opts):
-    return SparseLUSolver(
-        random_pivot_matrix(n, seed), SolverOptions(**opts)
-    ).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed), **opts)
 
 
-def sequential_reference(s):
-    ref = LUFactorization(s.a_work, s.bp)
+def sequential_reference(plan, a_work):
+    ref = LUFactorization(a_work, plan.bp)
     ref.factor_sequential()
     return ref.extract()
 
@@ -37,41 +35,41 @@ class TestBitwiseIdentity:
     @pytest.mark.parametrize("n_workers", [1, 2, 4])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_sequential_exactly(self, seed, n_workers):
-        s = analyzed(seed)
-        ref = sequential_reference(s)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(seed)
+        ref = sequential_reference(plan, a_work)
+        eng = LUFactorization(a_work, plan.bp)
         stats = proc_factorize(eng, n_workers)
         assert_bitwise(eng.extract(), ref)
-        assert stats.n_tasks == s.graph.n_tasks
+        assert stats.n_tasks == plan.graph.n_tasks
         assert stats.n_procs == n_workers
-        assert sum(stats.per_rank_units) == len(release_plan(s.bp, n_workers).units)
+        assert sum(stats.per_rank_units) == len(release_plan(plan.bp, n_workers).units)
 
     def test_matches_threaded_reference(self):
-        s = analyzed(3)
-        thr = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(3)
+        thr = LUFactorization(a_work, plan.bp)
         threaded_factorize(thr, n_threads=4)
-        prc = LUFactorization(s.a_work, s.bp)
+        prc = LUFactorization(a_work, plan.bp)
         proc_factorize(prc, 4)
         assert_bitwise(prc.extract(), thr.extract())
 
     def test_explicit_cyclic_mapping(self):
         # No placement to pin any more: whichever worker is free runs the
         # released unit, and the per-rank counts cover every unit.
-        s = analyzed(5)
-        ref = sequential_reference(s)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(5)
+        ref = sequential_reference(plan, a_work)
+        eng = LUFactorization(a_work, plan.bp)
         stats = proc_factorize(eng, 3)
         assert_bitwise(eng.extract(), ref)
         assert len(stats.per_rank_units) == 3
-        assert sum(stats.per_rank_units) == len(release_plan(s.bp, 3).units)
+        assert sum(stats.per_rank_units) == len(release_plan(plan.bp, 3).units)
 
     def test_single_worker_sends_no_messages(self):
         # One worker runs every unit; its only messages are the parent's
         # dispatches and its replies — none between workers.
-        s = analyzed(6)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(6)
+        eng = LUFactorization(a_work, plan.bp)
         stats = proc_factorize(eng, 1)
-        n_units = len(release_plan(s.bp, 1).units)
+        n_units = len(release_plan(plan.bp, 1).units)
         assert stats.per_rank_units == [n_units]
         assert stats.n_messages == 2 * n_units
         assert stats.message_bytes == 8 * n_units  # one int64 per unit
@@ -79,8 +77,8 @@ class TestBitwiseIdentity:
 
 class TestAbortHygiene:
     def test_killed_worker_raises_engine_error(self):
-        s = analyzed(7)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(7)
+        eng = LUFactorization(a_work, plan.bp)
 
         def killer(rank, unit):
             os._exit(17)
@@ -89,8 +87,8 @@ class TestAbortHygiene:
             proc_factorize(eng, 3, _fault_hook=killer)
 
     def test_worker_exception_keeps_original_type(self):
-        s = analyzed(8)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(8)
+        eng = LUFactorization(a_work, plan.bp)
 
         def boom(rank, unit):
             raise SingularMatrixError("injected failure")
@@ -99,44 +97,44 @@ class TestAbortHygiene:
             proc_factorize(eng, 3, _fault_hook=boom)
 
     def test_invalid_worker_count(self):
-        s = analyzed(0)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(0)
+        eng = LUFactorization(a_work, plan.bp)
         with pytest.raises(ValueError):
             proc_factorize(eng, 0)
 
 
 class TestProcPool:
     def test_warm_reuse_same_plan_keeps_workers(self):
-        s = analyzed(1)
-        ref = sequential_reference(s)
+        plan, a_work = analyzed(1)
+        ref = sequential_reference(plan, a_work)
         with ProcPool(2) as pool:
-            eng = LUFactorization(s.a_work, s.bp)
+            eng = LUFactorization(a_work, plan.bp)
             pool.factorize(eng)
             pids = [p.pid for p in pool._state["procs"]]
             for _ in range(2):
-                eng = LUFactorization(s.a_work, s.bp)
+                eng = LUFactorization(a_work, plan.bp)
                 pool.factorize(eng)
                 assert_bitwise(eng.extract(), ref)
             assert [p.pid for p in pool._state["procs"]] == pids
 
     def test_rebinds_on_different_plan(self):
-        s1 = analyzed(2)
-        s2 = analyzed(3, n=42)
+        plan1, a_work1 = analyzed(2)
+        plan2, a_work2 = analyzed(3, n=42)
         with ProcPool(2) as pool:
-            eng = LUFactorization(s1.a_work, s1.bp)
+            eng = LUFactorization(a_work1, plan1.bp)
             pool.factorize(eng)
             pids = [p.pid for p in pool._state["procs"]]
-            eng = LUFactorization(s2.a_work, s2.bp)
+            eng = LUFactorization(a_work2, plan2.bp)
             pool.factorize(eng)
             assert [p.pid for p in pool._state["procs"]] != pids
-            assert_bitwise(eng.extract(), sequential_reference(s2))
+            assert_bitwise(eng.extract(), sequential_reference(plan2, a_work2))
 
     def test_closed_pool_raises(self):
-        s = analyzed(4)
+        plan, a_work = analyzed(4)
         pool = ProcPool(2)
         pool.close()
         assert pool.closed
-        eng = LUFactorization(s.a_work, s.bp)
+        eng = LUFactorization(a_work, plan.bp)
         with pytest.raises(EngineError, match="closed"):
             pool.factorize(eng)
 
@@ -146,20 +144,20 @@ class TestProcPool:
         pool.close()
 
     def test_pool_recovers_after_worker_failure(self):
-        s = analyzed(5)
+        plan, a_work = analyzed(5)
 
         def boom(rank, unit):
             raise RuntimeError("transient fault")
 
         pool = ProcPool(2)
         try:
-            eng = LUFactorization(s.a_work, s.bp)
+            eng = LUFactorization(a_work, plan.bp)
             with pytest.raises(RuntimeError):
                 pool.factorize(eng, _fault_hook=boom)
             # The failed pool was torn down; the next call rebinds.
-            eng = LUFactorization(s.a_work, s.bp)
+            eng = LUFactorization(a_work, plan.bp)
             pool.factorize(eng)
-            assert_bitwise(eng.extract(), sequential_reference(s))
+            assert_bitwise(eng.extract(), sequential_reference(plan, a_work))
         finally:
             pool.close()
 
@@ -170,10 +168,10 @@ class TestProcPool:
 
 class TestStatsAndObservability:
     def test_stats_accounting(self):
-        s = analyzed(6)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(6)
+        eng = LUFactorization(a_work, plan.bp)
         stats = proc_factorize(eng, 2)
-        assert stats.n_tasks == s.graph.n_tasks
+        assert stats.n_tasks == plan.graph.n_tasks
         assert len(stats.per_rank_units) == 2
         assert stats.makespan_seconds > 0
         assert 0.0 <= stats.efficiency <= 1.0
@@ -184,19 +182,19 @@ class TestStatsAndObservability:
     def test_engine_metrics_exported(self):
         from repro.obs.metrics import MetricsRegistry
 
-        s = analyzed(7)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(7)
+        eng = LUFactorization(a_work, plan.bp)
         reg = MetricsRegistry()
         proc_factorize(eng, 2, metrics=reg)
-        assert reg.get("engine.tasks").value == s.graph.n_tasks
+        assert reg.get("engine.tasks").value == plan.graph.n_tasks
         assert reg.get("engine.n_procs").value == 2
         assert reg.get("engine.makespan_seconds").value > 0
 
     def test_traced_span(self):
         from repro.obs.trace import Tracer
 
-        s = analyzed(8)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(8)
+        eng = LUFactorization(a_work, plan.bp)
         tr = Tracer()
         proc_factorize(eng, 2, tracer=tr)
         names = [sp.name for root in tr.roots for sp in root.walk()]
@@ -205,8 +203,8 @@ class TestStatsAndObservability:
 
 class TestSharedArena:
     def test_roundtrip_and_snapshot(self):
-        s = analyzed(9)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(9)
+        eng = LUFactorization(a_work, plan.bp)
         layout = eng.data.layout
         arena = SharedArena(layout)
         try:

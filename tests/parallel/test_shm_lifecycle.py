@@ -10,9 +10,8 @@ import os
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
 from repro.parallel.procengine import ProcPool, SharedArena, proc_factorize
 from repro.util.errors import EngineError
 
@@ -26,8 +25,14 @@ def shm_segments() -> set:
 
 
 @pytest.fixture
-def analyzed():
-    return SparseLUSolver(random_pivot_matrix(35, 0)).analyze()
+def work():
+    """``(a_work, bp)``: what an engine factors."""
+    return engine_inputs(35, 0)
+
+
+def engine_inputs(n, seed):
+    plan, a_work = analyzed(random_pivot_matrix(n, seed))
+    return a_work, plan.bp
 
 
 @pytest.fixture
@@ -36,15 +41,15 @@ def baseline():
 
 
 class TestArenaLifecycle:
-    def test_destroy_unlinks(self, analyzed, baseline):
-        layout = LUFactorization(analyzed.a_work, analyzed.bp).data.layout
+    def test_destroy_unlinks(self, work, baseline):
+        layout = LUFactorization(*work).data.layout
         arena = SharedArena(layout)
         assert len(shm_segments() - baseline) == 1
         arena.destroy()
         assert shm_segments() - baseline == set()
 
-    def test_destroy_is_idempotent(self, analyzed, baseline):
-        layout = LUFactorization(analyzed.a_work, analyzed.bp).data.layout
+    def test_destroy_is_idempotent(self, work, baseline):
+        layout = LUFactorization(*work).data.layout
         arena = SharedArena(layout)
         arena.destroy()
         arena.destroy()
@@ -52,36 +57,36 @@ class TestArenaLifecycle:
 
 
 class TestEngineExitPaths:
-    def test_normal_run_leaves_nothing(self, analyzed, baseline):
-        eng = LUFactorization(analyzed.a_work, analyzed.bp)
+    def test_normal_run_leaves_nothing(self, work, baseline):
+        eng = LUFactorization(*work)
         proc_factorize(eng, 2)
         assert shm_segments() - baseline == set()
 
-    def test_worker_exception_leaves_nothing(self, analyzed, baseline):
+    def test_worker_exception_leaves_nothing(self, work, baseline):
         def boom(rank, unit):
             raise RuntimeError("injected")
 
-        eng = LUFactorization(analyzed.a_work, analyzed.bp)
+        eng = LUFactorization(*work)
         with pytest.raises(RuntimeError):
             proc_factorize(eng, 2, _fault_hook=boom)
         assert shm_segments() - baseline == set()
 
-    def test_killed_worker_leaves_nothing(self, analyzed, baseline):
+    def test_killed_worker_leaves_nothing(self, work, baseline):
         def killer(rank, unit):
             os._exit(3)
 
-        eng = LUFactorization(analyzed.a_work, analyzed.bp)
+        eng = LUFactorization(*work)
         with pytest.raises(EngineError):
             proc_factorize(eng, 2, _fault_hook=killer)
         assert shm_segments() - baseline == set()
 
 
 class TestPoolLifecycle:
-    def test_bound_pool_holds_exactly_one_segment(self, analyzed, baseline):
+    def test_bound_pool_holds_exactly_one_segment(self, work, baseline):
         pool = ProcPool(2)
         try:
             for _ in range(3):
-                eng = LUFactorization(analyzed.a_work, analyzed.bp)
+                eng = LUFactorization(*work)
                 pool.factorize(eng)
                 assert len(shm_segments() - baseline) == 1
         finally:
@@ -89,24 +94,23 @@ class TestPoolLifecycle:
         assert shm_segments() - baseline == set()
 
     def test_rebind_swaps_segments_without_leaking(self, baseline):
-        s1 = SparseLUSolver(random_pivot_matrix(30, 1)).analyze()
-        s2 = SparseLUSolver(random_pivot_matrix(44, 2)).analyze()
+        w1, w2 = engine_inputs(30, 1), engine_inputs(44, 2)
         with ProcPool(2) as pool:
-            for s in (s1, s2, s1):
-                eng = LUFactorization(s.a_work, s.bp)
+            for w in (w1, w2, w1):
+                eng = LUFactorization(*w)
                 pool.factorize(eng)
                 assert len(shm_segments() - baseline) == 1
         assert shm_segments() - baseline == set()
 
-    def test_fifty_factorizations_no_accumulation(self, analyzed, baseline):
+    def test_fifty_factorizations_no_accumulation(self, work, baseline):
         """The acceptance criterion: no leaked segments across a long
         repeated-refactorization run (the serving workload)."""
-        ref = LUFactorization(analyzed.a_work, analyzed.bp)
+        ref = LUFactorization(*work)
         ref.factor_sequential()
         ref_l = ref.extract().l_factor.to_dense()
         with ProcPool(2) as pool:
             for _ in range(50):
-                eng = LUFactorization(analyzed.a_work, analyzed.bp)
+                eng = LUFactorization(*work)
                 pool.factorize(eng)
             assert len(shm_segments() - baseline) == 1
             assert np.array_equal(eng.extract().l_factor.to_dense(), ref_l)

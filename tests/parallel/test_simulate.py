@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.costs import CostModel
-from repro.numeric.solver import SparseLUSolver
+from repro.numeric.solver import SolverOptions
 from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.simulate import simulate_schedule
@@ -14,116 +15,116 @@ from repro.util.errors import SchedulingError
 
 
 def analyzed(seed=0, n=35):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed))
 
 
 class TestInvariants:
     def test_p1_makespan_is_total_compute(self):
-        s = analyzed()
+        plan, _ = analyzed()
         m = MachineModel(n_procs=1)
-        res = simulate_schedule(s.graph, s.bp, m, cyclic_mapping(s.bp.n_blocks, 1))
-        model = CostModel(s.bp)
-        total = sum(m.compute_time(model.flops(t), model.width(t)) for t in enumerate_tasks(s.bp))
+        res = simulate_schedule(plan.graph, plan.bp, m, cyclic_mapping(plan.bp.n_blocks, 1))
+        model = CostModel(plan.bp)
+        total = sum(m.compute_time(model.flops(t), model.width(t)) for t in enumerate_tasks(plan.bp))
         assert res.makespan == pytest.approx(total)
         assert res.n_messages == 0
 
     def test_busy_conserved(self):
-        s = analyzed(1)
+        plan, _ = analyzed(1)
         for p in (1, 2, 4):
             m = MachineModel(n_procs=p)
-            res = simulate_schedule(s.graph, s.bp, m, cyclic_mapping(s.bp.n_blocks, p))
-            model = CostModel(s.bp)
-            total = sum(m.compute_time(model.flops(t), model.width(t)) for t in enumerate_tasks(s.bp))
+            res = simulate_schedule(plan.graph, plan.bp, m, cyclic_mapping(plan.bp.n_blocks, p))
+            model = CostModel(plan.bp)
+            total = sum(m.compute_time(model.flops(t), model.width(t)) for t in enumerate_tasks(plan.bp))
             assert float(res.busy.sum()) == pytest.approx(total)
 
     def test_makespan_at_least_critical_path(self):
-        s = analyzed(2)
+        plan, _ = analyzed(2)
         m = MachineModel(n_procs=8)
-        model = CostModel(s.bp)
-        cp = s.graph.critical_path(lambda t: m.compute_time(model.flops(t), model.width(t)))
-        res = simulate_schedule(s.graph, s.bp, m, cyclic_mapping(s.bp.n_blocks, 8))
+        model = CostModel(plan.bp)
+        cp = plan.graph.critical_path(lambda t: m.compute_time(model.flops(t), model.width(t)))
+        res = simulate_schedule(plan.graph, plan.bp, m, cyclic_mapping(plan.bp.n_blocks, 8))
         assert res.makespan >= cp - 1e-12
 
     def test_makespan_at_most_serial(self):
-        s = analyzed(3)
+        plan, _ = analyzed(3)
         m1 = MachineModel(n_procs=1)
-        serial = simulate_schedule(s.graph, s.bp, m1, cyclic_mapping(s.bp.n_blocks, 1))
+        serial = simulate_schedule(plan.graph, plan.bp, m1, cyclic_mapping(plan.bp.n_blocks, 1))
         for p in (2, 4, 8):
             mp = MachineModel(n_procs=p)
-            res = simulate_schedule(s.graph, s.bp, mp, cyclic_mapping(s.bp.n_blocks, p))
+            res = simulate_schedule(plan.graph, plan.bp, mp, cyclic_mapping(plan.bp.n_blocks, p))
             # Communication could in principle exceed serial on tiny inputs,
             # but with the default machine the parallel run never loses.
             assert res.makespan <= serial.makespan * 1.05
             assert serial.makespan / res.makespan > 0.9
 
     def test_deterministic(self):
-        s = analyzed(4)
+        plan, _ = analyzed(4)
         m = MachineModel(n_procs=4)
-        owner = cyclic_mapping(s.bp.n_blocks, 4)
-        r1 = simulate_schedule(s.graph, s.bp, m, owner)
-        r2 = simulate_schedule(s.graph, s.bp, m, owner)
+        owner = cyclic_mapping(plan.bp.n_blocks, 4)
+        r1 = simulate_schedule(plan.graph, plan.bp, m, owner)
+        r2 = simulate_schedule(plan.graph, plan.bp, m, owner)
         assert r1.makespan == r2.makespan
         assert r1.n_messages == r2.n_messages
 
     def test_efficiency_bounds(self):
-        s = analyzed(5)
+        plan, _ = analyzed(5)
         m = MachineModel(n_procs=4)
-        res = simulate_schedule(s.graph, s.bp, m, cyclic_mapping(s.bp.n_blocks, 4))
+        res = simulate_schedule(plan.graph, plan.bp, m, cyclic_mapping(plan.bp.n_blocks, 4))
         assert 0.0 < res.efficiency <= 1.0
 
 
 class TestCommunication:
     def test_messages_deduplicated_per_destination(self):
-        s = analyzed(6)
+        plan, _ = analyzed(6)
         m = MachineModel(n_procs=2)
-        res = simulate_schedule(s.graph, s.bp, m, cyclic_mapping(s.bp.n_blocks, 2))
+        res = simulate_schedule(plan.graph, plan.bp, m, cyclic_mapping(plan.bp.n_blocks, 2))
         # At most one message per (source column, destination processor).
         n_cross = len(
             {
                 (t.k, t.j % 2)
-                for t in enumerate_tasks(s.bp)
+                for t in enumerate_tasks(plan.bp)
                 if t.kind == "U" and (t.k % 2) != (t.j % 2)
             }
         )
         assert res.n_messages <= n_cross
 
     def test_zero_comm_on_one_proc(self):
-        s = analyzed(7)
+        plan, _ = analyzed(7)
         m = MachineModel(n_procs=1)
-        res = simulate_schedule(s.graph, s.bp, m, np.zeros(s.bp.n_blocks, dtype=int))
+        res = simulate_schedule(plan.graph, plan.bp, m, np.zeros(plan.bp.n_blocks, dtype=int))
         assert res.comm_bytes == 0
 
     def test_slower_network_slower_makespan(self):
-        s = analyzed(8)
+        plan, _ = analyzed(8)
         fast = MachineModel(n_procs=4, beta=1e-9)
         slow = MachineModel(n_procs=4, beta=1e-5)
-        owner = cyclic_mapping(s.bp.n_blocks, 4)
-        rf = simulate_schedule(s.graph, s.bp, fast, owner)
-        rs = simulate_schedule(s.graph, s.bp, slow, owner)
+        owner = cyclic_mapping(plan.bp.n_blocks, 4)
+        rf = simulate_schedule(plan.graph, plan.bp, fast, owner)
+        rs = simulate_schedule(plan.graph, plan.bp, slow, owner)
         assert rs.makespan >= rf.makespan
 
 
 class TestValidation:
     def test_bad_mapping_size(self):
-        s = analyzed(9)
+        plan, _ = analyzed(9)
         m = MachineModel(n_procs=2)
         with pytest.raises(SchedulingError):
-            simulate_schedule(s.graph, s.bp, m, np.zeros(3, dtype=int))
+            simulate_schedule(plan.graph, plan.bp, m, np.zeros(3, dtype=int))
 
     def test_mapping_out_of_range(self):
-        s = analyzed(10)
+        plan, _ = analyzed(10)
         m = MachineModel(n_procs=2)
-        owner = np.full(s.bp.n_blocks, 5)
+        owner = np.full(plan.bp.n_blocks, 5)
         with pytest.raises(SchedulingError):
-            simulate_schedule(s.graph, s.bp, m, owner)
+            simulate_schedule(plan.graph, plan.bp, m, owner)
 
     def test_trace_recording(self):
-        s = analyzed(11)
+        plan, _ = analyzed(11)
         m = MachineModel(n_procs=2)
         res = simulate_schedule(
-            s.graph, s.bp, m, cyclic_mapping(s.bp.n_blocks, 2), record_trace=True
+            plan.graph, plan.bp, m, cyclic_mapping(plan.bp.n_blocks, 2), record_trace=True
         )
-        assert len(res.start_times) == s.graph.n_tasks
+        assert len(res.start_times) == plan.graph.n_tasks
         assert all(t >= 0 for t in res.start_times.values())
 
 
@@ -136,28 +137,28 @@ class TestGoldens:
     amalgamation bounds moved (306 supernodes then, 120 now)."""
 
     @pytest.fixture(scope="class")
-    def s(self):
-        from repro.numeric.solver import SolverOptions
+    def plan(self):
+        from repro.serve import build_plan
         from repro.sparse.generators import paper_matrix
 
         a = paper_matrix("sherman3", scale=0.15)
-        return SparseLUSolver(a, SolverOptions(ordering="mindeg")).analyze()
+        return build_plan(a, SolverOptions(ordering="mindeg"))
 
-    def test_1d_graph(self, s):
+    def test_1d_graph(self, plan):
         res = simulate_schedule(
-            s.graph, s.bp, MachineModel(n_procs=4), cyclic_mapping(s.bp.n_blocks, 4)
+            plan.graph, plan.bp, MachineModel(n_procs=4), cyclic_mapping(plan.bp.n_blocks, 4)
         )
         assert (res.n_tasks, res.n_messages, res.comm_bytes) == (608, 287, 1509104)
         assert res.makespan == pytest.approx(0.05655584333333334, rel=1e-12)
 
-    def test_solve_graph(self, s):
+    def test_solve_graph(self, plan):
         from repro.taskgraph.solve_graph import build_solve_graph
 
         res = simulate_schedule(
-            build_solve_graph(s.bp),
-            s.bp,
+            build_solve_graph(plan.bp),
+            plan.bp,
             MachineModel(n_procs=4),
-            cyclic_mapping(s.bp.n_blocks, 4),
+            cyclic_mapping(plan.bp.n_blocks, 4),
         )
         assert (res.n_tasks, res.n_messages, res.comm_bytes) == (240, 376, 28824)
         assert res.makespan == pytest.approx(0.0028731366666666664, rel=1e-12)

@@ -11,7 +11,6 @@ import pytest
 
 from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.obs.trace import Tracer
 from repro.parallel.dispatch import ENGINES, run_engine
 from repro.parallel.threads import release_plan, threaded_factorize
@@ -19,16 +18,19 @@ from repro.serve import build_plan, refactorize_with_plan
 from repro.sparse.generators import paper_matrix
 from repro.taskgraph.tasks import count_tasks, enumerate_tasks, factor_task
 from repro.util.errors import SchedulingError
+from tests import conftest
 
 
 @pytest.fixture(scope="module", params=[("sherman3", 0.1), ("goodwin", 0.05)])
 def analyzed(request):
+    """``(plan, a_work)`` of one analog."""
     name, scale = request.param
-    return SparseLUSolver(paper_matrix(name, scale=scale), SolverOptions()).analyze()
+    return conftest.analyzed(paper_matrix(name, scale=scale))
 
 
-def fresh(s, **kw):
-    return LUFactorization(s.a_work, s.bp, layout=s.plan().layout, **kw)
+def fresh(analyzed, **kw):
+    plan, a_work = analyzed
+    return LUFactorization(a_work, plan.bp, layout=plan.layout, **kw)
 
 
 def same_store(x, y):
@@ -40,12 +42,13 @@ def same_store(x, y):
 
 
 def test_steps_leave_the_bytes_tasks_leave(analyzed):
+    bp = analyzed[0].bp
     steps, tasks = fresh(analyzed), fresh(analyzed)
     steps.factor_sequential()
-    tasks.run_order(enumerate_tasks(analyzed.bp))
+    tasks.run_order(enumerate_tasks(bp))
     assert same_store(steps, tasks)
     assert steps.lazy_stats == tasks.lazy_stats
-    assert steps.n_tasks == tasks.n_tasks == count_tasks(analyzed.bp)
+    assert steps.n_tasks == tasks.n_tasks == count_tasks(bp)
     assert not steps.done  # no per-task bookkeeping on the step path
 
 
@@ -61,11 +64,12 @@ def test_threaded_lazy_stats_are_exact(analyzed):
 
 def test_checked_runs_see_every_task(analyzed):
     """A sanitized sequential run brackets every step, and only steps."""
+    plan = analyzed[0]
     eng = fresh(analyzed)
-    san = build_sanitizer(analyzed.bp, analyzed.fill)
+    san = build_sanitizer(plan.bp, plan.fill)
     run_engine(eng, None, "sequential", sanitizer=san)
     assert san.findings == []
-    assert san.n_tasks == san.stats()["n_tasks_sanitized"] == analyzed.bp.n_blocks
+    assert san.n_tasks == san.stats()["n_tasks_sanitized"] == plan.bp.n_blocks
     assert not eng.done  # no task ran one by one
     ref = fresh(analyzed)
     ref.factor_sequential()
@@ -73,7 +77,7 @@ def test_checked_runs_see_every_task(analyzed):
 
 
 def test_a_step_runs_once():
-    s = SparseLUSolver(paper_matrix("sherman3", scale=0.05)).analyze()
+    s = conftest.analyzed(paper_matrix("sherman3", scale=0.05))
     eng = fresh(s)
     eng.step(0)
     with pytest.raises(SchedulingError):

@@ -3,24 +3,24 @@
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.threads import _run_pool, release_plan, threaded_factorize
 
 
 def analyzed(seed=0, n=35, **opts):
-    return SparseLUSolver(random_pivot_matrix(n, seed), SolverOptions(**opts)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed), **opts)
 
 
 class TestThreadedExecution:
     @pytest.mark.parametrize("n_threads", [1, 2, 4, 8])
     def test_matches_sequential(self, n_threads):
-        s = analyzed()
-        ref = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed()
+        ref = LUFactorization(a_work, plan.bp)
         ref.factor_sequential()
         ref_res = ref.extract()
-        eng = LUFactorization(s.a_work, s.bp)
+        eng = LUFactorization(a_work, plan.bp)
         threaded_factorize(eng, n_threads=n_threads)
         res = eng.extract()
         assert np.allclose(res.l_factor.to_dense(), ref_res.l_factor.to_dense())
@@ -28,37 +28,37 @@ class TestThreadedExecution:
         assert np.array_equal(res.orig_at, ref_res.orig_at)
 
     def test_repeated_runs_stable(self):
-        s = analyzed(1)
-        ref = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(1)
+        ref = LUFactorization(a_work, plan.bp)
         ref.factor_sequential()
         ref_l = ref.extract().l_factor.to_dense()
         for _ in range(3):
-            eng = LUFactorization(s.a_work, s.bp)
+            eng = LUFactorization(a_work, plan.bp)
             threaded_factorize(eng, n_threads=6)
             assert np.allclose(eng.extract().l_factor.to_dense(), ref_l)
 
     def test_metrics_count_units(self):
         from repro.obs.metrics import MetricsRegistry
 
-        s = analyzed(2)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(2)
+        eng = LUFactorization(a_work, plan.bp)
         reg = MetricsRegistry()
         threaded_factorize(eng, n_threads=2, metrics=reg)
-        n_units = len(release_plan(s.bp, 2).units)
+        n_units = len(release_plan(plan.bp, 2).units)
         assert reg.get("threads.tasks_executed").value == n_units
         assert reg.get("threads.workers").value == 2
 
     def test_invalid_thread_count(self):
-        s = analyzed(3)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(3)
+        eng = LUFactorization(a_work, plan.bp)
         with pytest.raises(ValueError):
             threaded_factorize(eng, n_threads=0)
 
     def test_error_propagation(self):
         from repro.util.errors import SchedulingError
 
-        s = analyzed(4)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(4)
+        eng = LUFactorization(a_work, plan.bp)
         threaded_factorize(eng, n_threads=2)
         # Every step of a finished engine raises "executed twice" in a
         # worker; the exception must surface in the caller.

@@ -19,12 +19,12 @@ The promises under test (docs/parallel.md):
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.analysis.footprints import expected_2d_tasks, two_d_footprints
 from repro.analysis.races import check_liveness, check_races
 from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SparseLUSolver
 from repro.parallel.dispatch import replay_order, run_engine
 from repro.parallel.procengine import proc_factorize
 from repro.parallel.two_d import build_2d_graph, canonical_2d_order, is_2d_graph
@@ -38,21 +38,21 @@ PAPER_ANALOGS = (
 
 
 def analyzed(seed=0, n=40):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed))
 
 
-def sequential_reference(s):
-    ref = LUFactorization(s.a_work, s.bp)
+def sequential_reference(plan, a_work):
+    ref = LUFactorization(a_work, plan.bp)
     ref.factor_sequential()
     return ref.extract()
 
 
-def replay_2d(s, order=None, sanitizer=None):
-    g2 = build_2d_graph(s.bp)
-    eng = LUFactorization(s.a_work, s.bp)
+def replay_2d(plan, a_work, order=None, sanitizer=None):
+    g2 = build_2d_graph(plan.bp)
+    eng = LUFactorization(a_work, plan.bp)
     if order is None:
         order = canonical_2d_order(g2)
-    replay_order(eng, order, g2, fill=s.fill, sanitizer=sanitizer)
+    replay_order(eng, order, g2, fill=plan.fill, sanitizer=sanitizer)
     return eng.extract()
 
 
@@ -95,34 +95,34 @@ def random_topological_order(graph, seed):
 class TestMatchesSequential:
     @pytest.mark.parametrize("seed", range(6))
     def test_random_matrices(self, seed):
-        s = analyzed(seed)
-        assert_close(replay_2d(s), sequential_reference(s))
+        plan, a_work = analyzed(seed)
+        assert_close(replay_2d(plan, a_work), sequential_reference(plan, a_work))
 
     @pytest.mark.parametrize("name", PAPER_ANALOGS)
     def test_paper_analogs(self, name):
-        s = SparseLUSolver(paper_matrix(name, scale=0.06)).analyze()
-        assert_close(replay_2d(s), sequential_reference(s))
+        plan, a_work = conftest.analyzed(paper_matrix(name, scale=0.06))
+        assert_close(replay_2d(plan, a_work), sequential_reference(plan, a_work))
 
 
 class TestBitwiseWithin2D:
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_random_interleavings(self, seed):
-        s = analyzed(seed)
-        g2 = build_2d_graph(s.bp)
+        plan, a_work = analyzed(seed)
+        g2 = build_2d_graph(plan.bp)
         assert is_2d_graph(g2)
-        ref = replay_2d(s)
+        ref = replay_2d(plan, a_work)
         for i in range(4):
             order = random_topological_order(g2, 100 * seed + i)
-            assert_bitwise(replay_2d(s, order=order), ref)
+            assert_bitwise(replay_2d(plan, a_work, order=order), ref)
 
     @pytest.mark.parametrize("n_threads", [1, 2, 4])
     def test_threaded_engine_refuses_2d_graph(self, n_threads):
         # The 2-D graph executes as a sequential replay only: the threaded
         # engine runs block steps and refuses it before touching a panel.
-        s = analyzed(1)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(1)
+        eng = LUFactorization(a_work, plan.bp)
         with pytest.raises(ValueError, match="2-D graph"):
-            run_engine(eng, build_2d_graph(s.bp), "threaded", n_workers=n_threads)
+            run_engine(eng, build_2d_graph(plan.bp), "threaded", n_workers=n_threads)
         assert not eng.panel_facts and eng.n_tasks == 0
 
     @pytest.mark.parametrize("seed,n_workers", [(0, 2), (2, 4), (3, 2)])
@@ -131,22 +131,22 @@ class TestBitwiseWithin2D:
         # before the pool binds (no arena, no fork).
         from repro.parallel.procengine import ProcPool
 
-        s = analyzed(seed)
-        eng = LUFactorization(s.a_work, s.bp)
+        plan, a_work = analyzed(seed)
+        eng = LUFactorization(a_work, plan.bp)
         with ProcPool(n_workers) as pool:
             with pytest.raises(ValueError, match="2-D graph"):
-                run_engine(eng, build_2d_graph(s.bp), "proc", pool=pool)
+                run_engine(eng, build_2d_graph(plan.bp), "proc", pool=pool)
             assert pool._state is None
         assert eng.n_tasks == 0
 
     def test_dep_checked_interleavings(self):
         """A sanitized replay accepts an admissible schedule: zero findings."""
-        s = analyzed(5)
-        g2 = build_2d_graph(s.bp)
-        ref = replay_2d(s)
+        plan, a_work = analyzed(5)
+        g2 = build_2d_graph(plan.bp)
+        ref = replay_2d(plan, a_work)
         order = random_topological_order(g2, 7)
-        san = build_sanitizer(s.bp, s.fill)
-        assert_bitwise(replay_2d(s, order=order, sanitizer=san), ref)
+        san = build_sanitizer(plan.bp, plan.fill)
+        assert_bitwise(replay_2d(plan, a_work, order=order, sanitizer=san), ref)
         assert san.findings == [], [str(f) for f in san.findings]
         assert san.n_tasks == g2.n_tasks
 
@@ -154,12 +154,12 @@ class TestBitwiseWithin2D:
 class TestAnalyzer2D:
     @pytest.mark.parametrize("seed", range(4))
     def test_zero_findings(self, seed):
-        s = analyzed(seed)
-        g2 = build_2d_graph(s.bp)
-        fps = two_d_footprints(s.bp, s.fill)
+        plan, a_work = analyzed(seed)
+        g2 = build_2d_graph(plan.bp)
+        fps = two_d_footprints(plan.bp, plan.fill)
         races, _ = check_races(g2, fps)
         assert races == []
-        assert check_liveness(g2, expected_2d_tasks(s.bp)) == []
+        assert check_liveness(g2, expected_2d_tasks(plan.bp)) == []
 
     def test_edge_deletion_detected_or_redundant(self):
         """Mutation coverage: every dependence edge between *conflicting*
@@ -169,9 +169,9 @@ class TestAnalyzer2D:
         SL -> UP, carry no shared-memory conflict: SL only memoizes an
         engine-private row mask, so the race model rightly ignores them.)
         """
-        s = analyzed(3)
-        g2 = build_2d_graph(s.bp)
-        fps = two_d_footprints(s.bp, s.fill)
+        plan, a_work = analyzed(3)
+        g2 = build_2d_graph(plan.bp)
+        fps = two_d_footprints(plan.bp, plan.fill)
         detected = 0
         for u, v in list(g2.edges()):
             g2.remove_edge(u, v)
@@ -190,14 +190,14 @@ class TestAnalyzer2D:
     def test_engine_detects_missing_dependence(self):
         """A sanitized replay flags a schedule that violates an edge (the
         dynamic complement of the static finding)."""
-        s = analyzed(2)
-        g2 = build_2d_graph(s.bp)
+        plan, a_work = analyzed(2)
+        g2 = build_2d_graph(plan.bp)
         order = canonical_2d_order(g2)
         su = next(t for t in order if t.kind == "SU")
         f = next(t for t in order if t.kind == "F" and t.k == su.k)
         bad = [su if t == f else f if t == su else t for t in order]
-        san = build_sanitizer(s.bp, s.fill)
-        eng = LUFactorization(s.a_work, s.bp)
+        san = build_sanitizer(plan.bp, plan.fill)
+        eng = LUFactorization(a_work, plan.bp)
         replay_order(eng, bad, g2, sanitizer=san)
         hb = [x for x in san.findings if x.check == "sanitizer.missing_happens_before"]
         assert hb and hb[0].tasks[:2] == (str(su), str(f))
@@ -221,10 +221,10 @@ class TestObservability:
         from repro.obs.metrics import MetricsRegistry
         from repro.obs.trace import Tracer
 
-        s = analyzed(7)
+        plan, a_work = analyzed(7)
         reg = MetricsRegistry()
         tr = Tracer()
-        eng = LUFactorization(s.a_work, s.bp)
+        eng = LUFactorization(a_work, plan.bp)
         proc_factorize(eng, 2, metrics=reg, tracer=tr)
         span = next(
             sp for root in tr.roots for sp in root.walk()
@@ -232,7 +232,7 @@ class TestObservability:
         )
         assert span.attrs["n_workers"] == 2
         assert "mapping" not in span.attrs
-        assert reg.get("engine.tasks").value == count_tasks(s.bp)
+        assert reg.get("engine.tasks").value == count_tasks(plan.bp)
         assert reg.get("factor.grid_shape") is None
 
     def test_proc_span_counts_units(self):
@@ -241,16 +241,16 @@ class TestObservability:
 
         from repro.obs.trace import Tracer
 
-        s = analyzed(8)
+        plan, a_work = analyzed(8)
         tr = Tracer()
-        eng = LUFactorization(s.a_work, s.bp)
+        eng = LUFactorization(a_work, plan.bp)
         proc_factorize(eng, 2, tracer=tr)
         span = next(
             sp for root in tr.roots for sp in root.walk()
             if sp.name == "engine.proc"
         )
         assert "mapping" not in span.attrs
-        n_units = len(release_plan(s.bp, 2).units)
+        n_units = len(release_plan(plan.bp, 2).units)
         assert span.attrs["n_messages"] == 2 * n_units
         assert span.attrs["n_units"] == n_units
         assert span.attrs["makespan"] > 0

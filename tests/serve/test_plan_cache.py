@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import repro.serve.cache as cache_mod
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.api import lu
+from repro.numeric.solver import SolverOptions
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import PlanCache
 from repro.serve.plan import build_plan
@@ -226,15 +227,15 @@ class TestPlanImmutability:
         assert hash(plan) == key
 
     def test_adopting_a_cached_plan_cannot_rewrite_its_options(self):
-        # The solver takes over the plan's options object; writing through
+        # A warm handle shares the plan's options object; writing through
         # it would change the cached plan for every later request.
         a = random_pivot_matrix(30, 10)
         cache = PlanCache(4)
         plan = cache.get_or_build(a)
         key = hash(plan)
-        solver = SparseLUSolver(a).adopt_plan(plan)
+        handle = lu(a, plan=plan)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            solver.options.equilibrate = True
+            handle.plan.options.equilibrate = True
         assert plan.options.equilibrate is False
         assert hash(plan) == key
         assert cache.get(a) is plan

@@ -12,22 +12,23 @@ Two pinned properties:
    symbolic or task-graph span: the symbolic phase is skipped entirely,
    not merely accelerated.
 3. *One request path* — every entry point (``lu``, ``lu(plan=)``,
-   ``LUHandle.refactor``, ``SparseLUSolver.refactorize``,
-   ``refactorize_with_plan``, ``SolverService``) gives the same bits under
-   the same three root span names (the service's sit under its
-   ``service.batch`` span), including with ``REPRO_SANITIZE=1``.
+   ``LUHandle.refactor``, ``refactorize_with_plan``, ``SolverService``)
+   gives the same bits under the same three root span names (the
+   service's sit under its ``service.batch`` span), including with
+   ``REPRO_SANITIZE=1``; ``lu`` opens the same span tree as
+   ``build_plan`` + ``refactorize_with_plan`` + ``solve``.
 """
 
 import numpy as np
 import pytest
 
 from repro.api import lu
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions
 from repro.obs.trace import Tracer
 from repro.serve import PlanCache, SolverService, build_plan, refactorize_with_plan
 from repro.serve.plan import SymbolicPlan
 from repro.sparse.generators import random_sparse
-from repro.util.errors import PlanMismatchError, ShapeError
+from repro.util.errors import PlanMismatchError
 from tests.conftest import random_pivot_matrix
 
 #: Span names of the symbolic/task-graph pipeline; none of these may
@@ -173,6 +174,15 @@ class TestWarmPathSkipsSymbolic:
 ROOT_SPANS = frozenset({"analyze", "factorize", "solve", "solve_refined"})
 
 
+def _span_tree(tracer):
+    """``tracer``'s spans as nested ``(name, children)`` tuples."""
+
+    def node(span):
+        return span.name, tuple(node(c) for c in span.children)
+
+    return tuple(node(s) for s in tracer.roots)
+
+
 def _served(plan, a, b, tracer=None):
     """``x`` from a ``SolverService`` whose cache already holds ``plan``."""
     cache = PlanCache(max_entries=4)
@@ -194,11 +204,6 @@ def _warm_entry_points(a0, a, plan, b):
     handle.trace.roots.clear()  # drop the cold spans of the first lu()
     handle.refactor(a.data)
     out["LUHandle.refactor"] = (handle.solver.result, handle.solve(b), handle.trace)
-
-    solver = SparseLUSolver(a0, opts).analyze()
-    solver.tracer.roots.clear()
-    solver.refactorize(a)
-    out["SparseLUSolver.refactorize"] = (solver.result, solver.solve(b), solver.tracer)
 
     tracer = Tracer()
     fac = refactorize_with_plan(plan, a, tracer=tracer)
@@ -239,6 +244,12 @@ class TestEntryPointEquivalence:
                 assert flight.name == "service.batch"
                 roots = flight.children
             assert {s.name for s in roots} == {"factorize", "solve"}, name
+        # lu() is build_plan + refactorize_with_plan, span for span.
+        tracer = Tracer()
+        staged = build_plan(a, SolverOptions(equilibrate=equilibrate), tracer=tracer)
+        x_staged = refactorize_with_plan(staged, a, tracer=tracer).solve(b)
+        assert np.array_equal(x_staged, x_cold)
+        assert _span_tree(tracer) == _span_tree(cold.trace)
         cold.solve_refined(b)
         assert {s.name for s in cold.trace.roots} <= ROOT_SPANS
 
@@ -246,12 +257,13 @@ class TestEntryPointEquivalence:
         a = random_pivot_matrix(30, 3)
         other = random_sparse(30, density=0.15, seed=11)
         plan = build_plan(a)
-        with pytest.raises(ShapeError):
-            SparseLUSolver(a).analyze().refactorize(other)
+        # One error for one condition, whichever entry point meets it.
+        with pytest.raises(PlanMismatchError):
+            lu(a).refactor(other)
         with pytest.raises(PlanMismatchError):
             lu(other, plan=plan)
         with pytest.raises(PlanMismatchError):
-            SparseLUSolver(other).adopt_plan(plan)
+            refactorize_with_plan(plan, other)
 
     def test_sanitized_warm_paths_run_clean(self, monkeypatch):
         # REPRO_SANITIZE=1 needs the plan's static fill at every engine call,

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.supernodes import (
     _padding_cost,
@@ -15,12 +14,10 @@ from repro.symbolic.supernodes import (
 
 
 def setup(seed=0, n=50):
-    s = SparseLUSolver(
-        random_pivot_matrix(n, seed), SolverOptions(amalgamation=False)
-    ).analyze()
-    raw = supernode_partition(s.fill)
-    parent = lu_elimination_forest(s.fill)
-    return s.fill, raw, parent
+    plan, _ = analyzed(random_pivot_matrix(n, seed), amalgamation=False)
+    raw = supernode_partition(plan.fill)
+    parent = lu_elimination_forest(plan.fill)
+    return plan.fill, raw, parent
 
 
 def total_padding(fill, part):
@@ -78,16 +75,14 @@ class TestChainsAmalgamation:
         from repro.symbolic.supernodes import block_pattern
 
         fill, raw, parent = setup(4)
-        s = SparseLUSolver(
-            random_pivot_matrix(50, 4), SolverOptions(amalgamation=False)
-        ).analyze()
-        part = amalgamate_chains(s.fill, supernode_partition(s.fill),
-                                 lu_elimination_forest(s.fill))
-        bp = block_pattern(s.fill, part)
-        eng = LUFactorization(s.a_work, bp)
+        plan, a_work = analyzed(random_pivot_matrix(50, 4), amalgamation=False)
+        part = amalgamate_chains(plan.fill, supernode_partition(plan.fill),
+                                 lu_elimination_forest(plan.fill))
+        bp = block_pattern(plan.fill, part)
+        eng = LUFactorization(a_work, bp)
         eng.factor_sequential()
         res = eng.extract()
-        aw = s.a_work.to_dense()
+        aw = a_work.to_dense()
         pa = aw[res.orig_at, :]
         lu_dense = res.l_factor.to_dense() @ res.u_factor.to_dense()
         assert np.max(np.abs(pa - lu_dense)) / max(1.0, np.abs(aw).max()) < 1e-12

@@ -11,10 +11,9 @@ import random
 import numpy as np
 import pytest
 
-from tests.conftest import random_pivot_matrix
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.analysis.sanitizer import build_sanitizer
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
 from repro.parallel.dispatch import replay_order
 from repro.taskgraph.sstar import build_sstar_graph
 
@@ -35,8 +34,8 @@ def random_topological_order(graph, seed):
     return out
 
 
-def factors_for_order(solver, order):
-    eng = LUFactorization(solver.a_work, solver.bp)
+def factors_for_order(plan, a_work, order):
+    eng = LUFactorization(a_work, plan.bp)
     eng.run_order(order)
     res = eng.extract()
     return res.l_factor.to_dense(), res.u_factor.to_dense(), res.orig_at
@@ -45,13 +44,13 @@ def factors_for_order(solver, order):
 @pytest.mark.parametrize("seed", range(6))
 def test_eforest_graph_random_orders(seed):
     a = random_pivot_matrix(35, seed)
-    solver = SparseLUSolver(a).analyze()
-    ref_eng = LUFactorization(solver.a_work, solver.bp)
+    plan, a_work = analyzed(a)
+    ref_eng = LUFactorization(a_work, plan.bp)
     ref_eng.factor_sequential()
     ref = ref_eng.extract()
     for trial in range(3):
-        order = random_topological_order(solver.graph, 100 * seed + trial)
-        l, u, orig = factors_for_order(solver, order)
+        order = random_topological_order(plan.graph, 100 * seed + trial)
+        l, u, orig = factors_for_order(plan, a_work, order)
         assert np.allclose(l, ref.l_factor.to_dense()), f"L differs (trial {trial})"
         assert np.allclose(u, ref.u_factor.to_dense()), f"U differs (trial {trial})"
         assert np.array_equal(orig, ref.orig_at)
@@ -60,14 +59,14 @@ def test_eforest_graph_random_orders(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_sstar_graph_random_orders(seed):
     a = random_pivot_matrix(30, seed + 50)
-    solver = SparseLUSolver(a, SolverOptions(task_graph="sstar")).analyze()
-    g = build_sstar_graph(solver.bp)
-    ref_eng = LUFactorization(solver.a_work, solver.bp)
+    plan, a_work = analyzed(a, task_graph="sstar")
+    g = build_sstar_graph(plan.bp)
+    ref_eng = LUFactorization(a_work, plan.bp)
     ref_eng.factor_sequential()
     ref = ref_eng.extract()
     for trial in range(2):
         order = random_topological_order(g, 7 * seed + trial)
-        l, u, orig = factors_for_order(solver, order)
+        l, u, orig = factors_for_order(plan, a_work, order)
         assert np.allclose(l, ref.l_factor.to_dense())
         assert np.allclose(u, ref.u_factor.to_dense())
 
@@ -76,14 +75,12 @@ def test_sstar_graph_random_orders(seed):
 @pytest.mark.parametrize("amalgamation", [True, False])
 def test_random_orders_across_pipeline_options(postorder, amalgamation):
     a = random_pivot_matrix(30, 7)
-    solver = SparseLUSolver(
-        a, SolverOptions(postorder=postorder, amalgamation=amalgamation)
-    ).analyze()
-    ref_eng = LUFactorization(solver.a_work, solver.bp)
+    plan, a_work = analyzed(a, postorder=postorder, amalgamation=amalgamation)
+    ref_eng = LUFactorization(a_work, plan.bp)
     ref_eng.factor_sequential()
     ref_l = ref_eng.extract().l_factor.to_dense()
-    order = random_topological_order(solver.graph, 42)
-    l, _, _ = factors_for_order(solver, order)
+    order = random_topological_order(plan.graph, 42)
+    l, _, _ = factors_for_order(plan, a_work, order)
     assert np.allclose(l, ref_l)
 
 
@@ -91,13 +88,13 @@ def test_paper_analog_random_orders():
     from repro.sparse.generators import paper_matrix
 
     a = paper_matrix("sherman5", scale=0.12)
-    solver = SparseLUSolver(a).analyze()
-    ref_eng = LUFactorization(solver.a_work, solver.bp)
+    plan, a_work = analyzed(a)
+    ref_eng = LUFactorization(a_work, plan.bp)
     ref_eng.factor_sequential()
     ref_l = ref_eng.extract().l_factor.to_dense()
     for trial in range(2):
-        order = random_topological_order(solver.graph, trial)
-        l, _, _ = factors_for_order(solver, order)
+        order = random_topological_order(plan.graph, trial)
+        l, _, _ = factors_for_order(plan, a_work, order)
         assert np.allclose(l, ref_l)
 
 
@@ -111,8 +108,8 @@ def test_updates_last_order_passes_the_dependency_check():
     """
     from repro.sparse.generators import paper_matrix
 
-    solver = SparseLUSolver(paper_matrix("sherman3", scale=0.1)).analyze()
-    g = solver.graph
+    plan, a_work = analyzed(paper_matrix("sherman3", scale=0.1))
+    g = plan.graph
     indeg = {t: g.in_degree(t) for t in g.tasks()}
     ready = [t for t, d in indeg.items() if d == 0]
     order = []
@@ -125,11 +122,11 @@ def test_updates_last_order_passes_the_dependency_check():
             if indeg[s] == 0:
                 ready.append(s)
     assert len(order) == g.n_tasks
-    ref_eng = LUFactorization(solver.a_work, solver.bp)
+    ref_eng = LUFactorization(a_work, plan.bp)
     ref_eng.factor_sequential()
     ref = ref_eng.extract()
-    san = build_sanitizer(solver.bp, solver.fill)
-    eng = LUFactorization(solver.a_work, solver.bp)
+    san = build_sanitizer(plan.bp, plan.fill)
+    eng = LUFactorization(a_work, plan.bp)
     replay_order(eng, order, g, sanitizer=san)
     assert san.findings == [], [str(f) for f in san.findings]
     res = eng.extract()

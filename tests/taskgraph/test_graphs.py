@@ -170,10 +170,10 @@ class TestEforestGraph:
         assert g.successors(update_task(0, 1)) == []
 
     def test_acyclic_on_analogs(self):
-        from repro.numeric.solver import SparseLUSolver
+        from tests.conftest import analyzed
         from repro.sparse.generators import paper_matrix
 
         for name in ("sherman3", "orsreg1"):
-            s = SparseLUSolver(paper_matrix(name, scale=0.1)).analyze()
-            s.graph.validate()
-            assert s.graph.is_refinement_of(build_sstar_graph(s.bp))
+            plan, _ = analyzed(paper_matrix(name, scale=0.1))
+            plan.graph.validate()
+            assert plan.graph.is_refinement_of(build_sstar_graph(plan.bp))

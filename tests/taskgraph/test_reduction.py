@@ -1,8 +1,7 @@
 """Transitive reduction and parallelism-metric tests."""
 
 
-from tests.conftest import random_pivot_matrix
-from repro.numeric.solver import SparseLUSolver
+from tests.conftest import analyzed, random_pivot_matrix
 from repro.taskgraph.dag import TaskGraph
 from repro.taskgraph.sstar import build_sstar_graph
 from repro.taskgraph.tasks import factor_task
@@ -30,8 +29,8 @@ class TestTransitiveReduction:
         assert r.n_edges == g.n_edges
 
     def test_preserves_reachability(self):
-        s = SparseLUSolver(random_pivot_matrix(25, 0)).analyze()
-        g = s.graph
+        plan, _ = analyzed(random_pivot_matrix(25, 0))
+        g = plan.graph
         r = g.transitive_reduction()
         assert r.n_edges <= g.n_edges
         for t in g.tasks():
@@ -73,9 +72,9 @@ class TestConcurrentPairs:
         """§4 quantified: the eforest graph never orders more pairs than
         S* does."""
         for seed in range(3):
-            s = SparseLUSolver(random_pivot_matrix(30, seed)).analyze()
-            g_new = s.graph
-            g_old = build_sstar_graph(s.bp)
+            plan, _ = analyzed(random_pivot_matrix(30, seed))
+            g_new = plan.graph
+            g_old = build_sstar_graph(plan.bp)
             assert (
                 g_new.count_concurrent_pairs() >= g_old.count_concurrent_pairs()
             )

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
+from tests import conftest
 from tests.conftest import random_pivot_matrix
 from repro.numeric.costs import CostModel
-from repro.numeric.solver import SparseLUSolver
 from repro.parallel.machine import MachineModel
 from repro.parallel.mapping import cyclic_mapping
 from repro.parallel.simulate import simulate_schedule
+from repro.serve import refactorize_with_plan
 from repro.sparse.csc import CSCMatrix
 from repro.symbolic.supernodes import BlockPattern, SupernodePartition
 from repro.taskgraph.solve_graph import (
@@ -33,52 +34,52 @@ def solve_task_flops(bp):
 
 
 def analyzed(seed=0, n=35):
-    return SparseLUSolver(random_pivot_matrix(n, seed)).analyze()
+    return conftest.analyzed(random_pivot_matrix(n, seed))
 
 
 class TestGraphStructure:
     def test_two_tasks_per_block(self):
-        s = analyzed()
-        g = build_solve_graph(s.bp)
-        assert g.n_tasks == 2 * s.bp.n_blocks
+        plan, _ = analyzed()
+        g = build_solve_graph(plan.bp)
+        assert g.n_tasks == 2 * plan.bp.n_blocks
 
     def test_forward_before_backward(self):
-        s = analyzed(1)
-        g = build_solve_graph(s.bp)
-        for k in range(s.bp.n_blocks):
+        plan, _ = analyzed(1)
+        g = build_solve_graph(plan.bp)
+        for k in range(plan.bp.n_blocks):
             assert g.has_edge(forward_task(k), backward_task(k))
 
     def test_forward_respects_lower_structure(self):
-        s = analyzed(2)
-        g = build_solve_graph(s.bp)
-        for i in range(s.bp.n_blocks):
-            col = s.bp.col_blocks(i)
+        plan, _ = analyzed(2)
+        g = build_solve_graph(plan.bp)
+        for i in range(plan.bp.n_blocks):
+            col = plan.bp.col_blocks(i)
             for k in col[col > i]:
                 assert g.has_edge(forward_task(i), forward_task(int(k)))
 
     def test_backward_respects_upper_structure(self):
-        s = analyzed(3)
-        g = build_solve_graph(s.bp)
-        for j in range(s.bp.n_blocks):
-            for i in s.bp.col_blocks(j):
+        plan, _ = analyzed(3)
+        g = build_solve_graph(plan.bp)
+        for j in range(plan.bp.n_blocks):
+            for i in plan.bp.col_blocks(j):
                 i = int(i)
                 if i < j:
                     assert g.has_edge(backward_task(j), backward_task(i))
 
     def test_acyclic(self):
-        s = analyzed(4)
-        build_solve_graph(s.bp).validate()
+        plan, _ = analyzed(4)
+        build_solve_graph(plan.bp).validate()
 
     def test_flops_cover_all_tasks(self):
-        s = analyzed(5)
-        g = build_solve_graph(s.bp)
-        flops = solve_task_flops(s.bp)
+        plan, _ = analyzed(5)
+        g = build_solve_graph(plan.bp)
+        flops = solve_task_flops(plan.bp)
         assert set(flops) == set(g.tasks())
         assert all(f > 0 for f in flops.values())
 
     def test_flops_are_diagonal_solve_plus_row_gemvs(self):
-        s = analyzed(5)
-        bp = s.bp
+        plan, _ = analyzed(5)
+        bp = plan.bp
         w = np.diff(bp.partition.starts)
         flops = solve_task_flops(bp)
         for k in range(bp.n_blocks):
@@ -91,11 +92,11 @@ class TestGraphStructure:
 
 class TestSolveSimulation:
     def test_p1_is_serial(self):
-        s = analyzed(6)
+        plan, _ = analyzed(6)
         machine = MachineModel(n_procs=1)
-        res = simulate_solve(s.bp, machine, cyclic_mapping(s.bp.n_blocks, 1))
-        flops = solve_task_flops(s.bp)
-        widths = np.diff(s.bp.partition.starts)
+        res = simulate_solve(plan.bp, machine, cyclic_mapping(plan.bp.n_blocks, 1))
+        flops = solve_task_flops(plan.bp)
+        widths = np.diff(plan.bp.partition.starts)
         total = sum(
             machine.compute_time(f, int(widths[t.k])) for t, f in flops.items()
         )
@@ -104,18 +105,18 @@ class TestSolveSimulation:
     def test_parallel_helps(self):
         from repro.sparse.generators import paper_matrix
 
-        s = SparseLUSolver(paper_matrix("sherman3", scale=0.15)).analyze()
-        r1 = simulate_solve(s.bp, MachineModel(n_procs=1), cyclic_mapping(s.bp.n_blocks, 1))
-        r4 = simulate_solve(s.bp, MachineModel(n_procs=4), cyclic_mapping(s.bp.n_blocks, 4))
+        plan, _ = conftest.analyzed(paper_matrix("sherman3", scale=0.15))
+        r1 = simulate_solve(plan.bp, MachineModel(n_procs=1), cyclic_mapping(plan.bp.n_blocks, 1))
+        r4 = simulate_solve(plan.bp, MachineModel(n_procs=4), cyclic_mapping(plan.bp.n_blocks, 4))
         assert r4.makespan < r1.makespan
 
     def test_bad_mapping(self):
         from repro.util.errors import SchedulingError
 
-        s = analyzed(7)
+        plan, _ = analyzed(7)
         with pytest.raises(SchedulingError):
             simulate_solve(
-                s.bp, MachineModel(n_procs=2), np.zeros(s.bp.n_blocks + 1, dtype=int)
+                plan.bp, MachineModel(n_procs=2), np.zeros(plan.bp.n_blocks + 1, dtype=int)
             )
 
 
@@ -141,12 +142,12 @@ class TestEdgeCases:
             np.tile(np.arange(4), 4),
             dense.T.ravel(),
         )
-        s = SparseLUSolver(a).analyze()
-        assert s.bp.n_blocks == 1
-        g = build_solve_graph(s.bp)
+        plan, _ = conftest.analyzed(a)
+        assert plan.bp.n_blocks == 1
+        g = build_solve_graph(plan.bp)
         assert g.n_tasks == 2
         assert g.has_edge(forward_task(0), backward_task(0))
-        sched = level_schedule(s.bp)
+        sched = level_schedule(plan.bp)
         assert sched.n_fwd_levels == 1
         assert sched.n_bwd_levels == 1
 
@@ -155,17 +156,17 @@ class TestEdgeCases:
         # every solve task independent inside its phase.
         n = 8
         a = CSCMatrix(n, n, np.arange(n + 1), np.arange(n), 2.0 * np.ones(n))
-        s = SparseLUSolver(a).analyze()
-        g = build_solve_graph(s.bp)
-        nb = s.bp.n_blocks
+        plan, _ = conftest.analyzed(a)
+        g = build_solve_graph(plan.bp)
+        nb = plan.bp.n_blocks
         # Only the FS(k) -> BS(k) phase edges survive.
         assert g.n_edges == nb
         for k in range(nb):
             assert g.has_edge(forward_task(k), backward_task(k))
-        sched = level_schedule(s.bp)
+        sched = level_schedule(plan.bp)
         assert sched.n_fwd_levels == 1
         assert sched.n_bwd_levels == 1
-        x = s.factorize().solve(np.arange(1.0, n + 1))
+        x = refactorize_with_plan(plan, a).solve(np.arange(1.0, n + 1))
         assert np.allclose(x, np.arange(1.0, n + 1) / 2.0)
 
     def test_one_level_schedule_runs_any_order(self):
@@ -176,10 +177,10 @@ class TestEdgeCases:
 
         n = 6
         a = CSCMatrix(n, n, np.arange(n + 1), np.arange(n), np.ones(n))
-        s = SparseLUSolver(a).analyze()
-        sched = level_schedule(s.bp)
+        plan, _ = conftest.analyzed(a)
+        sched = level_schedule(plan.bp)
         assert sched.n_fwd_levels == 1
-        g = build_solve_graph(s.bp)
+        g = build_solve_graph(plan.bp)
         level = [forward_task(int(k)) for k in sched.fwd_levels[0]]
         assert not any(g.has_edge(u, v) for u in level for v in level)
-        assert check_races(g, solve_footprints(s.bp))[0] == []
+        assert check_races(g, solve_footprints(plan.bp))[0] == []

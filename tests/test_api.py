@@ -30,8 +30,8 @@ class TestConvenienceAPI:
     def test_options_forwarded(self):
         a = random_pivot_matrix(20, 2)
         handle = lu(a, ordering="rcm", postorder=False, task_graph="sstar")
-        assert handle.solver.options.ordering == "rcm"
-        assert not handle.solver.options.postorder
+        assert handle.plan.options.ordering == "rcm"
+        assert not handle.plan.options.postorder
 
     def test_invalid_option_rejected(self):
         a = random_pivot_matrix(10, 3)

@@ -105,16 +105,16 @@ def test_task_graphs_acyclic_and_refined(a):
 @given(sparse_matrices(max_n=14))
 @settings(max_examples=25, deadline=None)
 def test_factorization_solves(a):
-    from repro.numeric.solver import SparseLUSolver
+    from tests.conftest import solve_pipeline
     from repro.util.errors import SingularMatrixError
 
     try:
-        solver = SparseLUSolver(a).analyze().factorize()
+        fact = solve_pipeline(a)
     except SingularMatrixError:
         return  # numerically singular random instance: a legitimate outcome
     b = np.ones(a.n_cols)
-    x = solver.solve(b)
-    assert solver.residual_norm(x, b) < 1e-6
+    x = fact.solve(b)
+    assert fact.residual_norm(x, b) < 1e-6
 
 
 @st.composite

@@ -17,9 +17,10 @@ import pytest
 
 from repro.eval.pipeline import PAPER_AMALGAMATION
 from repro.numeric.factor import LUFactorization
-from repro.numeric.solver import SolverOptions, SparseLUSolver
+from repro.numeric.solver import SolverOptions
 from repro.ordering import DEFAULT_ORDERING
 from repro.sparse.generators import paper_matrix
+from tests import conftest
 
 SCALE = 0.15
 
@@ -58,17 +59,17 @@ GOLDEN_LAZY_DEFAULT = {
 }
 
 
-def analyzed(name: str, ordering: str) -> SparseLUSolver:
+def analyzed(name: str, ordering: str) -> tuple:
     """``mindeg`` rows are the paper's configuration, amalgamation bounds
     included (what :mod:`repro.eval` pins); the default-ordering rows take
     every default as it stands."""
     a = paper_matrix(name, scale=SCALE)
     bounds = PAPER_AMALGAMATION if ordering == "mindeg" else {}
-    return SparseLUSolver(a, SolverOptions(ordering=ordering, **bounds)).analyze()
+    return conftest.analyzed(a, ordering=ordering, **bounds)
 
 
 def current_stats(name: str, ordering: str = "mindeg") -> dict:
-    st = analyzed(name, ordering).stats()
+    st = analyzed(name, ordering)[0].stats()
     return dict(
         n=st.n,
         nnz=st.nnz,
@@ -82,8 +83,8 @@ def current_stats(name: str, ordering: str = "mindeg") -> dict:
 
 
 def current_lazy(name: str, ordering: str = "mindeg") -> dict:
-    solver = analyzed(name, ordering)
-    eng = LUFactorization(solver.a_work, solver.bp, layout=solver.plan().layout)
+    plan, a_work = analyzed(name, ordering)
+    eng = LUFactorization(a_work, plan.bp, layout=plan.layout)
     eng.factor_sequential()
     return dataclasses.asdict(eng.lazy_stats)
 

@@ -58,14 +58,13 @@ class TestRenderForest:
         assert render_forest(np.array([-1])).strip() == "0"
 
     def test_from_real_eforest(self):
-        from tests.conftest import random_pivot_matrix
-        from repro.numeric.solver import SparseLUSolver
+        from tests.conftest import analyzed, random_pivot_matrix
         from repro.taskgraph.eforest_graph import block_eforest
 
-        s = SparseLUSolver(random_pivot_matrix(20, 0)).analyze()
-        out = render_forest(block_eforest(s.bp), max_nodes=1000)
+        plan, _ = analyzed(random_pivot_matrix(20, 0))
+        out = render_forest(block_eforest(plan.bp), max_nodes=1000)
         # Every block appears exactly once.
         import re
 
         nums = re.findall(r"\b\d+\b", out)
-        assert sorted(set(int(x) for x in nums)) == list(range(s.bp.n_blocks))
+        assert sorted(set(int(x) for x in nums)) == list(range(plan.bp.n_blocks))

@@ -105,14 +105,18 @@ class TestErrors:
 
 
 def _bad_calls():
-    """One bad call per request-path entry point that checks its arguments,
+    """One bad call per entry point that checks its arguments, on the
+    request path and off it (engines, recipes, amalgamation, the tuner),
     each taking a small matrix and its plan."""
     from repro.api import lu
     from repro.parallel.dispatch import run_engine
+    from repro.parallel.procengine import ProcPool
     from repro.parallel.two_d import build_2d_graph
     from repro.serve import PlanCache, SolverService
     from repro.serve.fingerprint import values_digest
     from repro.serve.refactor import refactorize_with_plan
+    from repro.symbolic.supernodes import amalgamate, supernode_partition
+    from repro.tune import autotune, evaluate_recipe, parse_recipe
 
     calls = {
         "lu-plan-and-options": lambda a, p: lu(a, plan=p, ordering="rcm"),
@@ -131,14 +135,28 @@ def _bad_calls():
         "run_engine-2d-proc": lambda a, p: run_engine(
             None, build_2d_graph(p.bp), "proc"
         ),
+        "lu-threaded-no-worker": lambda a, p: lu(a, engine="threaded", n_workers=0),
+        "lu-threaded-negative": lambda a, p: lu(a, engine="threaded", n_workers=-1),
+        "lu-proc-no-worker": lambda a, p: lu(a, engine="proc", n_workers=0),
+        "procpool-no-worker": lambda a, p: ProcPool(n_workers=0),
+        "recipe-empty": lambda a, p: parse_recipe(""),
+        "recipe-not-key-value": lambda a, p: parse_recipe("amd:foo"),
+        "amalgamate-max_padding": lambda a, p: amalgamate(
+            p.fill, supernode_partition(p.fill), max_padding=1.5
+        ),
+        "autotune-objective": lambda a, p: autotune(a, objective="bogus"),
+        "autotune-no-candidates": lambda a, p: autotune(a, candidates=[]),
+        "score-objective": lambda a, p: evaluate_recipe(a, p.options).objective(
+            "bogus"
+        ),
     }
     return [pytest.param(call, id=name) for name, call in calls.items()]
 
 
 @pytest.mark.parametrize("call", _bad_calls())
 def test_request_path_argument_errors_are_typed(call):
-    # A caller catching ReproError sees every argument error the request
-    # path raises on purpose; except-ValueError call sites keep working.
+    # A caller catching ReproError sees every argument error the library
+    # raises on purpose; except-ValueError call sites keep working.
     from repro.serve import build_plan
     from tests.conftest import random_pivot_matrix
 
@@ -197,3 +215,4 @@ class TestResolveChoice:
     ):
         monkeypatch.setenv(env_var, "")
         assert resolve() == default
+

@@ -55,15 +55,14 @@ class TestParallelismProfile:
         assert p["avg_parallelism"] == pytest.approx(5.0)
 
     def test_eforest_at_least_sstar(self):
-        from tests.conftest import random_pivot_matrix
+        from tests.conftest import analyzed, random_pivot_matrix
         from repro.numeric.costs import CostModel
-        from repro.numeric.solver import SparseLUSolver
         from repro.taskgraph.sstar import build_sstar_graph
 
-        s = SparseLUSolver(random_pivot_matrix(30, 0)).analyze()
-        model = CostModel(s.bp)
-        p_new = s.graph.parallelism_profile(lambda t: model.flops(t) + 1.0)
-        p_old = build_sstar_graph(s.bp).parallelism_profile(
+        plan, _ = analyzed(random_pivot_matrix(30, 0))
+        model = CostModel(plan.bp)
+        p_new = plan.graph.parallelism_profile(lambda t: model.flops(t) + 1.0)
+        p_old = build_sstar_graph(plan.bp).parallelism_profile(
             lambda t: model.flops(t) + 1.0
         )
         assert p_new["work"] == pytest.approx(p_old["work"])
