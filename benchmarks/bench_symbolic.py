@@ -1,12 +1,12 @@
-"""Symbolic-kernel benchmark: reference vs. fast vs. chunked.
+"""Symbolic-kernel benchmark: reference vs. fast, and the large-n pipeline.
 
 Runs the symbolic pipeline (static fill + eforest + postorder) through
-the ``"fast"`` (one chunk) and ``"chunked"`` (auto chunk size) modes of
-the one row-merge kernel (see :mod:`repro.symbolic.chunked`) and through
-the reference kernels, called directly as the oracle, on the same
-preprocessed sherman3-class patterns at three sizes, cross-checking that
-the outputs agree entry-for-entry, and emits the timings as the
-``bench_symbolic`` paired artifact (``results/bench_symbolic.{txt,json}``).
+the array kernels (the row merge of
+:func:`repro.symbolic.static_fill.row_merge`) and through the reference
+kernels, called directly as the oracle, on the same preprocessed
+sherman3-class patterns at three sizes, cross-checking that the outputs
+agree entry-for-entry, and emits the timings as the ``bench_symbolic``
+paired artifact (``results/bench_symbolic.{txt,json}``).
 The ordering and transversal stages are shared, untimed preparation: they
 are identical in all paths and would only dilute the comparison.
 
@@ -16,11 +16,12 @@ Two assertions pin the classic acceptance bars: the fast path must be
 (chain-etree) pattern where the latter is quadratic.
 
 A second test runs the large-n tier (banded/arrow/grid patterns around
-n = 2x10^5), recording wall time *and* allocator-level peak memory
-(``tracemalloc``) per mode plus the chunked run's own
-``symbolic.peak_bytes`` model gauge, and pins the chunked mode's bar:
-peak memory <= ``MAX_PEAK_FRACTION`` of fast at the largest benched size.
-Its ``chunked_over_fast`` time ratio is reported, not gated.
+n = 2x10^5) through the pipeline from the static fill to the block
+pattern, recording per stage — static fill, postorder, supernodes +
+amalgamate (default bounds), block pattern — its wall time and its
+allocator-level peak memory (``tracemalloc``), plus the pipeline's peak
+and the fill's own ``symbolic.peak_bytes`` model gauge. It gates nothing
+on time or memory.
 """
 
 import time
@@ -30,6 +31,7 @@ from typing import Sequence
 import numpy as np
 from bench_proc import available_cpus
 
+from repro.numeric.solver import DEFAULT_MAX_PADDING, DEFAULT_MAX_SUPERNODE
 from repro.obs.trace import Tracer
 from repro.ordering.etree import column_etree, postorder_forest
 from repro.ordering.mindeg import minimum_degree_ata
@@ -49,6 +51,7 @@ from repro.symbolic.static_fill import (
     static_symbolic_factorization,
     static_symbolic_factorization_reference,
 )
+from repro.symbolic.supernodes import amalgamate, block_pattern, supernode_partition
 from repro.util.tables import format_table
 
 #: fast-over-reference bar at the largest benched size. It is pinned at
@@ -58,10 +61,6 @@ from repro.util.tables import format_table
 #: only.
 MIN_SPEEDUP = 3.0
 BAR_SCALE = 1.0
-
-#: Large-n tier bar: chunked peak memory <= this fraction of fast's peak
-#: at the largest benched size.
-MAX_PEAK_FRACTION = 0.5
 
 #: Best-of-5 per (scale, impl): one noisy repeat cannot move the minimum,
 #: which keeps the >= 3x bar stable under background machine load.
@@ -86,16 +85,12 @@ def _prepare(matrix: str, scale: float) -> CSCMatrix:
     return permute(work, row_perm=q, col_perm=q)
 
 
-def _pipeline(impl: str):
-    """Static fill + eforest + postorder through a selectable ``impl``;
+def _pipeline(work: CSCMatrix) -> tuple:
+    """Static fill + eforest + postorder through the array kernels;
     returns ``(fill, parent, perm, postordered pattern)``."""
-
-    def run(work: CSCMatrix) -> tuple:
-        fill = static_symbolic_factorization(work, impl=impl)
-        po = postorder_pipeline(fill, impl=impl)
-        return fill, po.parent_before, po.perm, po.fill.pattern
-
-    return run
+    fill = static_symbolic_factorization(work)
+    po = postorder_pipeline(fill)
+    return fill, po.parent_before, po.perm, po.fill.pattern
 
 
 def _reference_pipeline(work: CSCMatrix) -> tuple:
@@ -138,9 +133,9 @@ def etree_compression_bench(n: int, repeats: int) -> dict:
 
 
 def run_symbolic_benchmark(scales: Sequence[float]) -> dict:
-    """Reference/fast/chunked timings (artifact ``data``).
+    """Reference/fast timings (artifact ``data``).
 
-    Each scale runs all three implementations on the identical preprocessed
+    Each scale runs both implementations on the identical preprocessed
     pattern (best-of-``REPEATS`` wall time) and cross-checks that the
     static-fill patterns, eforest parent arrays, and postorder permutations
     match exactly — the benchmark doubles as an end-to-end equality check
@@ -150,23 +145,17 @@ def run_symbolic_benchmark(scales: Sequence[float]) -> dict:
     rows = []
     # Untimed warm-up so first-touch allocator costs stay out of the
     # smallest scale's timings.
-    _time_pipeline(_prepare(MATRIX, min(scales) / 2), _pipeline("fast"), 1)
+    _time_pipeline(_prepare(MATRIX, min(scales) / 2), _pipeline, 1)
     for scale in scales:
         work = _prepare(MATRIX, scale)
         ref_s, ref = _time_pipeline(work, _reference_pipeline, REPEATS)
-        fast_s, fast = _time_pipeline(work, _pipeline("fast"), REPEATS)
-        chunked_s, chunked = _time_pipeline(work, _pipeline("chunked"), REPEATS)
+        fast_s, fast = _time_pipeline(work, _pipeline, REPEATS)
         ref_fill, ref_parent, ref_perm, ref_post = ref
         fast_fill, fast_parent, fast_perm, fast_post = fast
-        chunked_fill, chunked_perm = chunked[0], chunked[2]
         for what, same in (
             (
                 "static fill patterns differ",
                 pattern_equal(ref_fill.pattern, fast_fill.pattern),
-            ),
-            (
-                "chunked static fill differs from fast",
-                pattern_equal(fast_fill.pattern, chunked_fill.pattern),
             ),
             (
                 "eforest parent arrays differ",
@@ -180,10 +169,6 @@ def run_symbolic_benchmark(scales: Sequence[float]) -> dict:
                 "postordered static fill patterns differ",
                 pattern_equal(ref_post, fast_post),
             ),
-            (
-                "chunked postorder permutation differs",
-                np.array_equal(fast_perm, chunked_perm),
-            ),
         ):
             if not same:
                 raise AssertionError(f"{what} at scale {scale}")
@@ -195,7 +180,6 @@ def run_symbolic_benchmark(scales: Sequence[float]) -> dict:
                 "nnz_filled": fast_fill.nnz,
                 "reference_s": ref_s,
                 "fast_s": fast_s,
-                "chunked_s": chunked_s,
                 "speedup": ref_s / fast_s if fast_s > 0 else 0.0,
             }
         )
@@ -220,8 +204,7 @@ def summary_rows(data: dict) -> list:
             (
                 f"{data['matrix']} scale {row['scale']:g} (n={row['n']})",
                 f"ref {row['reference_s'] * 1e3:.1f} ms / "
-                f"fast {row['fast_s'] * 1e3:.1f} ms / "
-                f"chunked {row['chunked_s'] * 1e3:.1f} ms = "
+                f"fast {row['fast_s'] * 1e3:.1f} ms = "
                 f"{row['speedup']:.2f}x",
             )
         )
@@ -246,82 +229,110 @@ def summary_rows(data: dict) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Large-n tier (chunked-vs-fast time and peak memory)
+# Large-n tier (per-stage time and peak memory of the symbolic pipeline)
 # ---------------------------------------------------------------------------
 
-def _timed_fill(work: CSCMatrix, impl: str):
+#: The stages from the static fill to the block pattern, in pipeline order.
+LARGE_N_STAGES = ("static_fill", "postorder", "supernodes", "block_pattern")
+
+
+def _large_n_pipeline(work: CSCMatrix, tracer=None):
+    """Yield ``(stage, result)`` through :data:`LARGE_N_STAGES`, as
+    :func:`repro.serve.build_plan` runs them after the ordering."""
+    fill = static_symbolic_factorization(work, tracer=tracer)
+    yield "static_fill", fill
+    fill = postorder_pipeline(fill).fill
+    yield "postorder", fill
+    part = amalgamate(
+        fill,
+        supernode_partition(fill),
+        max_padding=DEFAULT_MAX_PADDING,
+        max_size=DEFAULT_MAX_SUPERNODE,
+    )
+    yield "supernodes", part
+    yield "block_pattern", block_pattern(fill, part)
+
+
+def _timed_stages(work: CSCMatrix) -> tuple[dict, list]:
+    """Wall seconds per stage, and the stage results."""
+    seconds, results = {}, []
     t0 = time.perf_counter()
-    fill = static_symbolic_factorization(work, impl=impl)
-    return time.perf_counter() - t0, fill
+    for stage, result in _large_n_pipeline(work):
+        t1 = time.perf_counter()
+        seconds[stage] = t1 - t0
+        results.append(result)
+        t0 = time.perf_counter()
+    return seconds, results
 
 
-def _traced_peak(work: CSCMatrix, impl: str, tracer=None) -> int:
-    """Allocator-level peak bytes of one static fill, via ``tracemalloc``.
+def _traced_stages(work: CSCMatrix, tracer=None) -> tuple[dict, int]:
+    """Allocator-level peak bytes per stage and over the whole pipeline,
+    via ``tracemalloc``, each above the bytes live when it started.
 
     Run as a separate untimed pass: tracing slows the merge loop several
-    fold, so the timing columns never run under it. NumPy ≥ 1.22 reports
+    fold, so the timing columns never run under it. NumPy >= 1.22 reports
     its buffer allocations to tracemalloc, so array peaks are included.
     """
+    peaks = {}
+    pipeline_peak = 0
     tracemalloc.start()
     try:
-        tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        static_symbolic_factorization(work, impl=impl, tracer=tracer)
-        peak = tracemalloc.get_traced_memory()[1] - base
+        start = base
+        tracemalloc.reset_peak()
+        for stage, result in _large_n_pipeline(work, tracer=tracer):
+            peak = tracemalloc.get_traced_memory()[1]
+            peaks[stage] = int(peak - start)
+            pipeline_peak = max(pipeline_peak, int(peak - base))
+            del result
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
     finally:
         tracemalloc.stop()
-    return int(peak)
+    return peaks, pipeline_peak
 
 
 def run_large_n_benchmark() -> dict:
-    """Fast-vs-chunked scaling tier (artifact ``data``).
+    """Per-stage pipeline tier (artifact ``data``).
 
-    For every pattern of :data:`LARGE_N_PATTERNS`: time the fast and
-    chunked static fill, cross-check the patterns entry-for-entry, and
-    record each implementation's ``tracemalloc`` peak plus the chunked
-    kernel's ``symbolic.peak_bytes`` model gauge.
+    For every pattern of :data:`LARGE_N_PATTERNS`: time each stage of
+    :data:`LARGE_N_STAGES`, check Theorem 3 (the postorder keeps the
+    fill's nnz), and record each stage's ``tracemalloc`` peak, the
+    pipeline's peak and the static fill's ``symbolic.peak_bytes`` model
+    gauge.
     """
     rows = []
     for name, build in LARGE_N_PATTERNS:
         work = build()
-        fast_s, fast_fill = _timed_fill(work, "fast")
-        chunked_s, chunked_fill = _timed_fill(work, "chunked")
-        if not pattern_equal(fast_fill.pattern, chunked_fill.pattern):
-            raise AssertionError(f"chunked static fill differs from fast on {name}")
-        fast_peak = _traced_peak(work, "fast")
+        seconds, (fill, post, part, bp) = _timed_stages(work)
+        if post.nnz != fill.nnz:
+            raise AssertionError(f"postorder changed the fill's nnz on {name}")
         gauge_tr = Tracer(detail=True)
-        chunked_peak = _traced_peak(work, "chunked", tracer=gauge_tr)
+        peaks, pipeline_peak = _traced_stages(work, tracer=gauge_tr)
         gauge = gauge_tr.metrics.get("symbolic.peak_bytes")
         rows.append(
             {
                 "pattern": name,
                 "n": work.n_cols,
                 "nnz": work.nnz,
-                "nnz_filled": fast_fill.nnz,
-                "fast_s": fast_s,
-                "chunked_s": chunked_s,
-                "chunked_over_fast": chunked_s / fast_s if fast_s > 0 else 0.0,
-                "equal": True,
-                "fast_peak_bytes": fast_peak,
-                "chunked_peak_bytes": chunked_peak,
-                "peak_ratio": chunked_peak / fast_peak if fast_peak > 0 else 0.0,
+                "nnz_filled": fill.nnz,
+                "n_supernodes": part.n_supernodes,
+                "n_blocks": bp.n_blocks,
+                "stage_s": seconds,
+                "pipeline_s": sum(seconds.values()),
+                "stage_peak_bytes": peaks,
+                "pipeline_peak_bytes": pipeline_peak,
                 "model_peak_bytes": int(gauge.value) if gauge is not None else 0,
             }
         )
-    largest = max(rows, key=lambda r: r["n"])
     return {
         "tier": "quick",
-        "chunk": "auto",
+        "stages": list(LARGE_N_STAGES),
+        "max_padding": DEFAULT_MAX_PADDING,
+        "max_supernode": DEFAULT_MAX_SUPERNODE,
         "patterns": rows,
-        "largest": {
-            "pattern": largest["pattern"],
-            "n": largest["n"],
-            "peak_ratio": largest["peak_ratio"],
-        },
-        "max_peak_fraction": MAX_PEAK_FRACTION,
         "cpu_count": available_cpus(),
         "memory_measured": True,
-        "patterns_equal": True,
     }
 
 
@@ -329,30 +340,23 @@ def large_summary_rows(data: dict) -> list:
     """``(quantity, value)`` rows for the large-n table."""
     out = []
     for row in data["patterns"]:
+        label = f"{row['pattern']} (n={row['n']})"
+        for stage in data["stages"]:
+            out.append(
+                (
+                    f"{label} {stage}",
+                    f"{row['stage_s'][stage]:.2f} s / "
+                    f"peak {row['stage_peak_bytes'][stage] / 1e6:.1f} MB",
+                )
+            )
         out.append(
             (
-                f"{row['pattern']} (n={row['n']})",
-                f"fast {row['fast_s']:.2f} s / chunked {row['chunked_s']:.2f} s"
-                f" = {row['chunked_over_fast']:.2f}x",
+                f"{label} pipeline",
+                f"{row['pipeline_s']:.2f} s / "
+                f"peak {row['pipeline_peak_bytes'] / 1e6:.1f} MB "
+                f"(fill model {row['model_peak_bytes'] / 1e6:.1f} MB)",
             )
         )
-        out.append(
-            (
-                f"{row['pattern']} peak memory",
-                f"fast {row['fast_peak_bytes'] / 1e6:.1f} MB / "
-                f"chunked {row['chunked_peak_bytes'] / 1e6:.1f} MB = "
-                f"{row['peak_ratio']:.3f}x",
-            )
-        )
-    largest = data["largest"]
-    out.append(
-        (
-            f"largest-size peak fraction ({largest['pattern']})",
-            f"{largest['peak_ratio']:.3f} "
-            f"(<= {data['max_peak_fraction']:g} required)",
-        )
-    )
-    out.append(("implementations agree", str(data["patterns_equal"]).lower()))
     return out
 
 
@@ -382,13 +386,12 @@ def test_bench_symbolic_large_n(emit):
     text = format_table(
         ["quantity", "value"],
         large_summary_rows(data),
-        title="symbolic large-n tier: fast vs chunked",
+        title="symbolic large-n tier: per-stage time and peak memory",
     )
     emit("bench_symbolic_large_n", text, data)
 
-    # Chunked produced the same fill pattern as fast on every family
-    # (run_large_n_benchmark raises otherwise).
-    assert data["patterns_equal"]
-    # The streaming kernel pays the memory bar at the largest size.
-    largest = data["largest"]
-    assert largest["peak_ratio"] <= MAX_PEAK_FRACTION, largest
+    # Every stage ran on every family, and the postorder kept the fill's
+    # nnz (run_large_n_benchmark raises otherwise).
+    for row in data["patterns"]:
+        assert list(row["stage_s"]) == data["stages"], row["pattern"]
+        assert row["pipeline_peak_bytes"] > 0, row["pattern"]

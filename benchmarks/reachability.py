@@ -3,8 +3,8 @@
 Runs the entry points — every CLI subcommand, every ``repro bench``
 experiment, ``repro.api``, ``SolverService``, ``refactorize_with_plan``
 on each engine — under ``sys.setprofile`` / ``threading.setprofile``, once
-per selector value (``REPRO_ENGINE``, ``REPRO_SYMBOLIC``,
-``REPRO_SANITIZE``, ``REPRO_ANALYZE``) and per request option. Forked proc
+per selector value (``REPRO_ENGINE``, ``REPRO_SANITIZE``,
+``REPRO_ANALYZE``) and per request option. Forked proc
 workers record from inside the child. Then it lists every function never
 entered with its verdict from the one verdict table, the "Reachability
 verdicts" section of docs/architecture.md, and exits 1 when an unreached
@@ -126,7 +126,6 @@ def run_all(tmp: str) -> None:
     cli("solve", "orsreg1", "--scale", "0.06", "--recipe", "auto")
     requests()
     selectors = [("REPRO_ENGINE", e) for e in ("sequential", "threaded", "proc")]
-    selectors += [("REPRO_SYMBOLIC", s) for s in ("fast", "chunked")]
     selectors += [("REPRO_SANITIZE", "1"), ("REPRO_ANALYZE", "1")]
     for var, value in selectors:
         os.environ[var] = value

@@ -82,13 +82,6 @@ class SolverOptions:
     equilibrate:
         Max-norm row/column scaling before the pipeline (SuperLU's
         ``equil``); improves pivoting on badly scaled physical systems.
-    symbolic_params:
-        Execution knob of the ``"chunked"`` static-fill kernel as a tuple
-        of ``(name, value)`` pairs — ``"chunk"`` (column chunk size, a
-        positive int) is the only key. It is deliberately *not* part of
-        :meth:`symbolic_key`: every chunk size produces the
-        same artifacts bit-for-bit, so keying on it would only fragment
-        the plan cache. Ignored by the ``"fast"`` implementation.
     """
 
     ordering: str = DEFAULT_ORDERING
@@ -99,7 +92,6 @@ class SolverOptions:
     max_supernode: int = DEFAULT_MAX_SUPERNODE
     task_graph: str = "eforest"
     equilibrate: bool = False
-    symbolic_params: tuple = ()
 
     def __post_init__(self) -> None:
         # Every rejection is a DispatchError: a ReproError and a ValueError.
@@ -132,25 +124,16 @@ class SolverOptions:
                         f"ordering_params values must be scalars, got {v!r}"
                     )
         object.__setattr__(self, "ordering_params", params)
-        sym = tuple(sorted((str(k), v) for k, v in self.symbolic_params))
-        for k, v in sym:
-            if k != "chunk":
-                raise DispatchError(
-                    f"unknown symbolic_params key {k!r}; expected 'chunk'"
-                )
-            if not isinstance(v, int) or isinstance(v, bool) or v < 1:
-                raise DispatchError(
-                    f"symbolic_params[{k!r}] must be a positive int, got {v!r}"
-                )
-        object.__setattr__(self, "symbolic_params", sym)
 
     def ordering_kwargs(self) -> dict:
         """The ``ordering_params`` pairs as a keyword dict."""
         return dict(self.ordering_params)
 
     def symbolic_kwargs(self) -> dict:
-        """The ``symbolic_params`` pairs as a keyword dict."""
-        return dict(self.symbolic_params)
+        """Always ``{}``: the static fill takes no execution knob. Kept
+        because the staged pass of ``benchmarks/e2e/traced.py`` splats it
+        into :func:`repro.symbolic.static_fill.static_symbolic_factorization`."""
+        return {}
 
     def symbolic_key(self) -> tuple:
         """Hashable tuple of every option the symbolic phase consumes.

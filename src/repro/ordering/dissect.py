@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.pattern import ata_pattern
-from repro.util.errors import ShapeError
+from repro.util.errors import DispatchError, ShapeError
 
 
 def _adjacency(sym_pattern: CSCMatrix) -> list[np.ndarray]:
@@ -149,7 +149,7 @@ def nested_dissection(
     if not sym_pattern.is_square:
         raise ShapeError("nested dissection needs a square (symmetric) pattern")
     if leaf_size < 1:
-        raise ValueError(f"leaf_size must be >= 1, got {leaf_size}")
+        raise DispatchError(f"leaf_size must be >= 1, got {leaf_size}")
     n = sym_pattern.n_cols
     perm = np.empty(n, dtype=np.int64)
     if n == 0:

@@ -1,10 +1,9 @@
 """Numeric engine selection: ``engine=`` arg > ``$REPRO_ENGINE`` > default.
 
-Mirrors the dispatch idiom of :mod:`repro.symbolic.dispatch`: an
-explicit argument wins, an environment variable overrides the default,
-and an unknown name fails loudly with the valid choices. Three engines
-execute the factorization for real (the simulators are *models*, not
-engines):
+An explicit argument wins, an environment variable overrides the
+default, and an unknown name fails loudly with the valid choices. Three
+engines execute the factorization for real (the simulators are *models*,
+not engines):
 
 ``sequential``
     One block step per block column, in the calling thread. Default.
@@ -26,13 +25,13 @@ docs/parallel.md. Tasks run one by one only in a sequential replay
 
 from __future__ import annotations
 
+import os
 from contextlib import contextmanager
 from functools import partial
 from typing import Any, Iterable
 
 from repro.numeric.factor import LUFactorization
 from repro.taskgraph.dag import TaskGraph
-from repro.util.dispatch import resolve_choice
 from repro.util.errors import DispatchError
 
 #: Environment override, weaker than an explicit ``engine=`` argument.
@@ -46,8 +45,22 @@ DEFAULT_ENGINE = "sequential"
 
 def resolve_engine(choice: "str | None" = None) -> str:
     """The numeric engine to use: ``choice`` (an ``engine=`` argument) >
-    ``$REPRO_ENGINE`` > ``"sequential"`` (:func:`repro.util.resolve_choice`)."""
-    return resolve_choice(choice, ENV_VAR, ENGINES, DEFAULT_ENGINE, "engine")
+    ``$REPRO_ENGINE`` > ``"sequential"``.
+
+    An unset or empty environment variable falls through to the default.
+    A name outside :data:`ENGINES` raises
+    :class:`~repro.util.errors.DispatchError` (a ``ValueError``) naming the
+    source of the bad value and the valid set, so a typo fails here
+    instead of deep inside the pipeline.
+    """
+    name = choice if choice is not None else os.environ.get(ENV_VAR) or DEFAULT_ENGINE
+    if name not in ENGINES:
+        source = "the engine argument" if choice is not None else f"${ENV_VAR}"
+        raise DispatchError(
+            f"unknown engine {name!r} (from {source}); valid engines: "
+            + ", ".join(ENGINES)
+        )
+    return name
 
 
 def run_engine(

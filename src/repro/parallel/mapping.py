@@ -20,6 +20,7 @@ import numpy as np
 from repro.numeric.costs import CostModel
 from repro.symbolic.supernodes import BlockPattern
 from repro.taskgraph.tasks import enumerate_tasks
+from repro.util.errors import DispatchError
 
 
 class GridMapping:
@@ -107,4 +108,4 @@ def make_mapping(policy: str, bp: BlockPattern, n_procs: int) -> np.ndarray:
         return blocked_mapping(bp.n_blocks, n_procs)
     if policy == "greedy":
         return greedy_mapping(bp, n_procs)
-    raise ValueError(f"unknown mapping policy {policy!r}")
+    raise DispatchError(f"unknown mapping policy {policy!r}")

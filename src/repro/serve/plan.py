@@ -36,7 +36,6 @@ from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.serve.fingerprint import PatternFingerprint, fingerprint
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import permute
-from repro.symbolic.dispatch import resolve_impl
 from repro.symbolic.postorder import postorder_pipeline
 from repro.symbolic.static_fill import StaticFill, static_symbolic_factorization
 from repro.symbolic.supernodes import (
@@ -222,8 +221,7 @@ def build_plan(
     """
     opts = options or SolverOptions()
     tr = tracer if tracer is not None else Tracer(enabled=False)
-    impl = resolve_impl()
-    with tr.span("analyze", n=a.n_cols, nnz=a.nnz, symbolic_impl=impl) as s:
+    with tr.span("analyze", n=a.n_cols, nnz=a.nnz) as s:
         work = a.pattern_only()
         with tr.span("transversal"):
             row_perm = zero_free_diagonal_permutation(work)
@@ -234,16 +232,14 @@ def build_plan(
         work = permute(work, row_perm=q, col_perm=q)
         row_perm, col_perm = q[row_perm], q
 
-        with tr.span("static_fill", impl=impl) as sf:
-            fill = static_symbolic_factorization(
-                work, impl=impl, tracer=tr, **opts.symbolic_kwargs()
-            )
+        with tr.span("static_fill") as sf:
+            fill = static_symbolic_factorization(work, tracer=tr)
             sf.set(nnz_filled=fill.nnz, fill_ratio=fill.fill_ratio)
 
         n_btf_blocks = 0
         with tr.span("postorder", enabled=opts.postorder) as sp:
             if opts.postorder:
-                po = postorder_pipeline(fill, impl=impl)
+                po = postorder_pipeline(fill)
                 row_perm, col_perm = po.perm[row_perm], po.perm[col_perm]
                 fill = po.fill
                 n_btf_blocks = len(po.blocks)

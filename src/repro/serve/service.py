@@ -365,8 +365,7 @@ class SolverService:
     def _factorize(self, head: _Request):
         """Plan lookup (or build) and numeric factorization of one matrix."""
         # The batch key holds the options' symbolic key, so every request
-        # of the batch shares the head's symbolic options; ``symbolic_params``
-        # (outside the key) comes from the head's own options.
+        # of the batch shares the head's symbolic options.
         plan = self.cache.get_or_build(
             head.a, head.options, tracer=self.tracer, fp=head.fp
         )

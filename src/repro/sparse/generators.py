@@ -221,14 +221,14 @@ def finite_element_matrix(
 # The three families below are *pattern-only* (no values) and built fully
 # vectorized so n = 10⁶ instances assemble in well under a second. Each has
 # a zero-free diagonal by construction, so the large-n symbolic benchmarks
-# skip the maximum-transversal stage entirely. They stress the chunked
-# symbolic kernel in complementary ways:
+# skip the maximum-transversal stage entirely. They stress the symbolic
+# pipeline in complementary ways:
 #
-# * banded — chain column etree, fill confined near the diagonal: pure
-#   streaming, minimal cross-chunk carry.
+# * banded — chain column etree, fill confined near the diagonal: the
+#   least fill per column.
 # * arrow — chain etree plus a dense last column: every elimination step
-#   emits a sliver into the final chunk, the worst case for the carry
-#   buckets (and, historically, for the uncompressed column etree).
+#   adds one entry to the last column (historically the worst case for the
+#   uncompressed column etree).
 # * grid — tiled 5-point stencil whose interior tiles are independent
 #   column-etree subtrees: the widest merge frontier of the three.
 
@@ -283,9 +283,8 @@ def arrow_pattern(n: int, *, band: int = 1) -> CSCMatrix:
     The banded part builds a chain column etree (``parent[i] = i + 1``) and
     the dense last column then couples every row into it — the worst case
     for the uncompressed etree walk (timed by
-    ``benchmarks/bench_symbolic.py``) and, for the chunked static fill,
-    the most cross-chunk entries: every elimination step emits one entry
-    destined for the final chunk.
+    ``benchmarks/bench_symbolic.py``); in the static fill every
+    elimination step emits one entry of the last column.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -16,12 +16,6 @@
   graphs.
 """
 
-from repro.symbolic.dispatch import (
-    DEFAULT_IMPL,
-    ENV_VAR,
-    IMPLEMENTATIONS,
-    resolve_impl,
-)
 from repro.symbolic.static_fill import (
     StaticFill,
     static_symbolic_factorization,
@@ -29,7 +23,6 @@ from repro.symbolic.static_fill import (
     simulate_elimination_fill,
     ata_cholesky_bound,
 )
-from repro.symbolic.chunked import auto_chunk_size
 from repro.symbolic.eforest import (
     lu_elimination_forest,
     lu_elimination_forest_reference,
@@ -66,14 +59,9 @@ from repro.symbolic.coletree_analysis import (
 )
 
 __all__ = [
-    "DEFAULT_IMPL",
-    "ENV_VAR",
-    "IMPLEMENTATIONS",
-    "resolve_impl",
     "StaticFill",
     "static_symbolic_factorization",
     "static_symbolic_factorization_reference",
-    "auto_chunk_size",
     "simulate_elimination_fill",
     "ata_cholesky_bound",
     "lu_elimination_forest",

@@ -1,51 +1,27 @@
-"""Implementation selection for the symbolic kernels.
+"""The symbolic implementation name, kept for the benchmark harness.
 
-The static fill has one George-Ng row-merge kernel
-(:func:`repro.symbolic.chunked.row_merge`), run in one of two modes:
-
-* ``"fast"`` — the whole matrix as one column chunk: the lowest
-  wall-clock time;
-* ``"chunked"`` — the large-n mode: the same merge assembled over column
-  chunks (``chunk=``, default sized from ``n`` and ``nnz``), so peak
-  working memory stays bounded by one chunk's output plus the merge
-  frontier instead of the total fill. Bit-exact with ``"fast"``.
-
-The eforest and postorder stages have one kernel each and run it under
-either name.
-
-Selection order: an explicit ``impl=`` argument wins, then the
-``REPRO_SYMBOLIC`` environment variable, then the default (``"fast"``).
-Both produce identical :class:`~repro.symbolic.static_fill.StaticFill`
-patterns.
-
-The per-element Python data-structure kernels
-(:func:`~repro.symbolic.static_fill.static_symbolic_factorization_reference`,
-:func:`~repro.symbolic.eforest.lu_elimination_forest_reference`) are not
-selectable: they are the readable oracles that
-``tests/symbolic/test_symbolic_impls.py`` and ``bench_symbolic`` call
-directly to pin the array kernels.
-
-Unknown names raise :class:`repro.util.errors.DispatchError` (a
-``ValueError`` subclass) naming the valid set and the source of the bad
-value, so a typo'd environment variable fails at resolution time instead
-of surfacing deep inside the pipeline.
+The static fill has one kernel, the George-Ng row merge of
+:func:`repro.symbolic.static_fill.row_merge`, and the eforest and
+postorder stages have one each. The staged pass of
+``benchmarks/e2e/traced.py`` still resolves a name here and passes it as
+``impl=`` to :func:`~repro.symbolic.static_fill.static_symbolic_factorization`
+and :func:`~repro.symbolic.postorder.postorder_pipeline`, so the one name
+stays accepted (as :func:`repro.numeric.solve_dispatch.resolve_impl` does
+for the solve). The per-element reference kernels are oracles that the
+tests and ``bench_symbolic`` call directly; no name selects them.
 """
 
 from __future__ import annotations
 
-from repro.util.dispatch import resolve_choice
-
-#: Environment variable consulted when no explicit ``impl`` is passed.
-ENV_VAR = "REPRO_SYMBOLIC"
-
-#: Recognized implementation names.
-IMPLEMENTATIONS = ("fast", "chunked")
-
-#: Used when neither the argument nor the environment selects one.
-DEFAULT_IMPL = "fast"
+from repro.util.errors import DispatchError
 
 
 def resolve_impl(impl: str | None = None) -> str:
-    """The symbolic implementation to use: ``impl`` > ``$REPRO_SYMBOLIC`` >
-    ``"fast"`` (:func:`repro.util.resolve_choice`)."""
-    return resolve_choice(impl, ENV_VAR, IMPLEMENTATIONS, DEFAULT_IMPL, "symbolic impl")
+    """The symbolic implementation: always ``"fast"``. Any other name
+    raises :class:`~repro.util.errors.DispatchError` (a ``ValueError``)."""
+    if impl not in (None, "fast"):
+        raise DispatchError(
+            f"unknown symbolic impl {impl!r} (from the impl argument); "
+            "valid symbolic impls: fast"
+        )
+    return "fast"

@@ -70,13 +70,13 @@ def postorder_pipeline(
 ) -> PostorderResult:
     """DFS-postorder the LU eforest of ``fill`` and permute symmetrically.
 
-    One kernel runs under every implementation name. ``impl`` is still
-    accepted, and validated (an unknown name raises
-    :class:`~repro.util.errors.DispatchError`), because the staged pass of
-    ``benchmarks/e2e/traced.py`` passes the resolved
+    ``impl`` accepts only ``"fast"`` (any other name raises
+    :class:`~repro.util.errors.DispatchError`): the staged pass of
+    ``benchmarks/e2e/traced.py`` passes the
     :func:`~repro.symbolic.dispatch.resolve_impl` name through it.
     """
-    resolve_impl(impl)
+    if impl is not None:
+        resolve_impl(impl)
     parent = lu_elimination_forest(fill)
     perm = postorder_forest(parent)
     permuted = permute(fill.pattern, row_perm=perm, col_perm=perm)

@@ -22,12 +22,9 @@ Two implementations are provided:
   reaches it.
 * :func:`static_symbolic_factorization` — the same merge on flat sorted
   ``int64`` arrays with a union-find over merge groups (the shared-tail
-  optimization in array form), assembled column chunk by column chunk
-  (:func:`repro.symbolic.chunked.row_merge`). The ``impl=`` argument or
-  the ``REPRO_SYMBOLIC`` environment variable
-  (:mod:`repro.symbolic.dispatch`) picks the chunk size: ``"fast"`` runs
-  one chunk, ``"chunked"`` streams ``chunk=`` columns at a time. This is
-  the production cold path of :func:`repro.serve.plan.build_plan`.
+  optimization in array form, :func:`row_merge`), assembled by one sort
+  at the end. This is the production cold path of
+  :func:`repro.serve.plan.build_plan`.
 """
 
 from __future__ import annotations
@@ -39,9 +36,14 @@ import numpy as np
 
 from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
-from repro.symbolic.chunked import resolve_chunk, row_merge
 from repro.symbolic.dispatch import resolve_impl
 from repro.util.errors import PatternError, ShapeError
+
+_EMPTY_I8 = np.empty(0, dtype=np.int64)
+
+#: Latent initial-group marker in the ``tails`` / ``rows_of`` slots of
+#: :func:`row_merge` — distinct from ``None`` (a dead group).
+_INITIAL = object()
 
 
 @dataclass
@@ -117,30 +119,166 @@ def static_symbolic_factorization(
     a: CSCMatrix,
     *,
     impl: Optional[str] = None,
-    chunk: Optional[int] = None,
     tracer=None,
 ) -> StaticFill:
     """Run the George-Ng row-merge scheme on the pattern of ``a``.
 
     ``a`` must be square with a zero-free diagonal (run the maximum
-    transversal first — paper §2 and Duff [3]). ``impl`` (default:
-    ``$REPRO_SYMBOLIC``, then ``"fast"``) sets how many columns the merge
-    assembles at a time: ``"fast"`` all ``n`` at once, ``"chunked"``
-    ``chunk`` (default: sized from ``n`` and ``nnz`` by
-    :func:`repro.symbolic.chunked.auto_chunk_size`); ``"fast"`` ignores
-    ``chunk``. Every chunk size produces the identical pattern. ``tracer``
-    (a :class:`repro.obs.trace.Tracer`) records ``symbolic.row_merge``
-    (with one ``symbolic.chunk`` child per chunk) and ``symbolic.assemble``
-    child spans.
+    transversal first — paper §2 and Duff [3]). ``impl`` accepts only
+    ``"fast"``, the one kernel's name (:mod:`repro.symbolic.dispatch`).
+    ``tracer`` (a :class:`repro.obs.trace.Tracer`) records
+    ``symbolic.row_merge`` and ``symbolic.assemble`` child spans.
     """
-    impl = resolve_impl(impl)
+    if impl is not None:
+        resolve_impl(impl)
     if not a.is_square:
         raise ShapeError("static symbolic factorization requires a square matrix")
-    pat = a.pattern_only()
-    n = a.n_cols
-    size = max(n, 1) if impl == "fast" else resolve_chunk(chunk, n, pat.nnz)
-    pattern = row_merge(pat, size, impl=impl, tracer=_null_tracer(tracer))
+    pattern = row_merge(a.pattern_only(), tracer=_null_tracer(tracer))
     return StaticFill(pattern=pattern, nnz_original=a.nnz)
+
+
+def row_merge(pat: CSCMatrix, *, tracer) -> CSCMatrix:
+    """Pattern of ``Ā`` for the square pattern ``pat``.
+
+    State is kept per *merge group*, not per row: after step ``k`` all
+    candidate rows share one tail, so the shared-``set`` trick of the
+    reference kernel becomes a union-find whose roots own one sorted
+    ``int64`` tail and one array of live rows each. A merged group's tail
+    is the union of its constituents' tails, so the initial column index
+    of ``A`` (resolved through the union-find) always finds every group
+    whose tail contains ``k``: there is no inverted index to maintain.
+    Initial groups stay *latent* until their first merge (their arrays are
+    sliced out of one flat copy of the CSR indices on demand), so no
+    Python object is held per untouched row. Step ``k`` emits Ū row ``k``
+    and L̄ column ``k``; one sort of their ``(col, row)`` keys assembles
+    the CSC pattern.
+
+    The ``symbolic.assemble`` span carries ``nnz`` and the kernel's model
+    of its peak live entry bytes, also published as the
+    ``symbolic.peak_bytes`` gauge when the tracer records detail metrics.
+    """
+    n = pat.n_cols
+    # Zero-free diagonal validation, vectorized: an entry (i, j) with
+    # i == j marks column j as having its diagonal stored.
+    col_ids = np.repeat(np.arange(n, dtype=np.int64), np.diff(pat.indptr))
+    has_diag = np.zeros(n, dtype=bool)
+    has_diag[col_ids[pat.indices == col_ids]] = True
+    if not bool(has_diag.all()):
+        k = int(np.nonzero(~has_diag)[0][0])
+        raise PatternError(
+            f"zero-free diagonal required: a[{k},{k}] is not stored "
+            "(apply zero_free_diagonal_permutation first)"
+        )
+    del col_ids, has_diag
+    if n == 0:
+        return CSCMatrix(
+            0, 0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=INDEX_DTYPE),
+            None, check=False,
+        )
+
+    csr = csc_to_csr(pat)
+    all_cols = csr.indices.astype(np.int64)
+    row_ptr = csr.indptr
+    all_rows = np.arange(n, dtype=np.int64)
+    # Union-find over merge groups (group ids start out as row ids). Plain
+    # Python lists beat int64 ndarrays for the scalar walk, where numpy's
+    # per-element boxing dominates.
+    uf = list(range(n))
+    tails: list = [_INITIAL] * n  # root group -> sorted tail columns (>= k)
+    rows_of: list = [_INITIAL] * n  # root group -> its live (unfrozen) rows
+    mark = [-1] * n  # mark[g] == k <=> g already collected at step k
+    keep_buf = np.empty(n, dtype=bool)  # reused dedupe mask
+    keep_buf[0] = True
+    concat = np.concatenate
+    # Column k's rows of A, as plain ints: one tolist() is far cheaper
+    # than a slice of the int32 array per step.
+    col_rows = pat.indices.tolist()
+    col_ptr = pat.indptr.tolist()
+    u_out: list = []  # Ū row k
+    l_out: list = []  # L̄ column k below the diagonal
+
+    with tracer.span("symbolic.row_merge"):
+        for k, lo, hi in zip(range(n), col_ptr, col_ptr[1:]):
+            cand: list[int] = []
+            for r in col_rows[lo:hi]:
+                g = uf[r]
+                while uf[g] != g:  # path halving
+                    uf[g] = uf[uf[g]]
+                    g = uf[g]
+                uf[r] = g
+                if mark[g] != k:
+                    mark[g] = k
+                    if rows_of[g] is not None:  # skip dead groups
+                        cand.append(g)
+            g_new = cand[0]
+            if len(cand) == 1:
+                union = tails[g_new]
+                if union is _INITIAL:  # a lone untouched row is k
+                    union = all_cols[row_ptr[g_new] : row_ptr[g_new + 1]]
+                    below = _EMPTY_I8
+                else:
+                    live = rows_of[g_new]
+                    # Live rows are >= k; row k freezes now.
+                    below = live[live != k] if live.size > 1 else _EMPTY_I8
+            else:
+                parts_t = []
+                parts_r = []
+                for g in cand:
+                    t = tails[g]
+                    if t is _INITIAL:
+                        parts_t.append(all_cols[row_ptr[g] : row_ptr[g + 1]])
+                        parts_r.append(all_rows[g : g + 1])
+                    else:
+                        parts_t.append(t)
+                        parts_r.append(rows_of[g])
+                    uf[g] = g_new  # a no-op for the root g_new
+                    tails[g] = rows_of[g] = None
+                # Sorted dedupe without np.unique: sort the concatenated
+                # tails, then an adjacent-difference mask is the whole job.
+                buf = concat(parts_t)
+                buf.sort()
+                if buf.size > keep_buf.size:  # tails overlap, so the
+                    keep_buf = np.empty(2 * buf.size, dtype=bool)
+                    keep_buf[0] = True  # concat can exceed n
+                keep = keep_buf[: buf.size]
+                np.not_equal(buf[1:], buf[:-1], out=keep[1:])
+                union = buf[keep]
+                live = concat(parts_r)
+                below = live[live != k]
+            if union.size == 0 or union[0] != k:
+                raise PatternError(f"diagonal entry ({k},{k}) lost during merge")
+            u_out.append(union)
+            l_out.append(below)
+            if below.size:
+                tails[g_new] = union[1:]  # the shared post-merge tail
+                rows_of[g_new] = below
+            else:  # the group is exhausted
+                tails[g_new] = rows_of[g_new] = None
+
+    with tracer.span("symbolic.assemble") as s:
+        steps = np.arange(n, dtype=np.int64)
+        u_rows = np.repeat(steps, [u.size for u in u_out])
+        u_cols = concat(u_out)
+        del u_out
+        l_cols = np.repeat(steps, [l.size for l in l_out])
+        emitted = u_cols.size + l_cols.size
+        # (col, row) pairs are unique — U contributes i <= j, L i > j,
+        # each once — so one sort of the packed key col * n + row orders
+        # the pattern column-major.
+        key = concat([u_cols * n + u_rows, l_cols * n + concat(l_out)])
+        del u_rows, u_cols, l_cols, l_out
+        key.sort()
+        indices = (key % n).astype(INDEX_DTYPE)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+        # Peak-bytes model, taken at the sort: the input copies, 8 B per
+        # emitted fragment entry, and 24 B per entry of the packed sort
+        # keys and their decode scratch.
+        peak = all_cols.nbytes + all_rows.nbytes + 8 * emitted + 3 * key.nbytes
+        s.set(nnz=int(indices.size), peak_bytes=int(peak))
+    if tracer.enabled and tracer.detail:
+        tracer.metrics.gauge("symbolic.peak_bytes", unit="bytes").set(float(peak))
+    return CSCMatrix(n, n, indptr, indices, None, check=False)
 
 
 def _null_tracer(tracer):
@@ -180,7 +318,7 @@ def static_symbolic_factorization_reference(
     l_rows: list[list[int]] = [[] for _ in range(n)]  # L entries per row (< i)
     u_rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
 
-    with tr.span("symbolic.row_merge", impl="reference"):
+    with tr.span("symbolic.row_merge"):
         for k in range(n):
             candidates = [i for i in col_rows[k] if i >= k]
             col_rows[k] = set()  # never needed again
@@ -222,7 +360,7 @@ def static_symbolic_factorization_reference(
     # Assemble Ā column-wise: column j = {L entries below j} ∪ {U entries
     # above j} ∪ {j}; we already have both halves by rows, so transpose the
     # row-wise union.
-    with tr.span("symbolic.assemble", impl="reference"):
+    with tr.span("symbolic.assemble"):
         cols: list[list[int]] = [[] for _ in range(n)]
         for i in range(n):
             for j in l_rows[i]:

@@ -14,7 +14,6 @@ from repro.util.errors import (
     SchedulingError,
     FormatError,
 )
-from repro.util.dispatch import resolve_choice
 from repro.util.timer import Timer
 from repro.util.tables import format_table
 from repro.util.rng import make_rng
@@ -27,7 +26,6 @@ __all__ = [
     "StructurallySingularError",
     "SchedulingError",
     "FormatError",
-    "resolve_choice",
     "Timer",
     "format_table",
     "make_rng",

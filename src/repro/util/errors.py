@@ -35,11 +35,11 @@ class SchedulingError(ReproError, ValueError):
 class DispatchError(ReproError, ValueError):
     """An implementation selector named an unknown implementation.
 
-    Raised by the dispatch layers (``repro.symbolic.dispatch`` and friends)
-    when an explicit ``impl=`` argument or a selector environment variable
-    (``REPRO_SYMBOLIC``, ...) does not name a known implementation. The
-    message always lists the valid names and which source supplied the bad
-    one. Subclasses :class:`ValueError` so pre-existing ``except
+    Raised by the dispatch layers (``repro.parallel.dispatch`` and
+    friends) when an explicit ``engine=`` / ``impl=`` argument or a
+    selector environment variable (``REPRO_ENGINE``) does not name a known
+    implementation. The message always lists the valid names and which
+    source supplied the bad one. Subclasses :class:`ValueError` so pre-existing ``except
     ValueError`` call sites keep working.
 
     ``SolverOptions`` raises it for every option it rejects, from an

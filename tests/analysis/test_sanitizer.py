@@ -70,11 +70,10 @@ class TestSoundness:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["sherman3", "lns3937"])
-    def test_paper_analogs_proc_chunked_zero_escapes(self, name, monkeypatch):
-        # The acceptance configuration: chunked symbolic kernel producing
-        # the pattern, multi-process engine executing it, happens-before
-        # checked in the parent and containment merged back across forks.
-        monkeypatch.setenv("REPRO_SYMBOLIC", "chunked")
+    def test_paper_analogs_proc_zero_escapes(self, name):
+        # The acceptance configuration: multi-process engine executing the
+        # plan, happens-before checked in the parent and containment
+        # merged back across forks.
         a = paper_matrix(name, scale=0.15)
         report = sanitize_matrix(a, name=name, engine="proc", n_workers=2)
         assert report.ok, report.render()

@@ -53,8 +53,6 @@ class TestOptions:
             ({"max_padding": "0.4"}, "max_padding"),
             ({"max_supernode": 0}, "max_supernode"),
             ({"max_supernode": None}, "max_supernode"),
-            ({"symbolic_params": (("chunk", 0),)}, "chunk"),
-            ({"symbolic_params": (("stride", 4),)}, "'stride'"),
         ],
     )
     def test_every_rejection_is_typed(self, bad, names):

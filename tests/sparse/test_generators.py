@@ -182,9 +182,8 @@ class TestScalingPatterns:
         assert counts.max() <= 5 and counts.min() >= 3
 
     def test_grid_interiors_decouple_across_tiles(self):
-        # Interior columns of different tiles must never share a row:
-        # that independence is what the chunked kernel's parallel subtree
-        # merge relies on.
+        # Interior columns of different tiles must never share a row, so
+        # each tile's interior is an independent column-etree subtree.
         from repro.ordering.etree import column_etree
 
         a = grid_pattern(40, 4, tiles=4)

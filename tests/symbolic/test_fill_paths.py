@@ -5,16 +5,13 @@ without pivoting, entry ``(i, j)`` of ``L + U`` is nonzero exactly when
 the directed graph of ``A`` has a path from ``i`` to ``j`` whose
 intermediate vertices are all numbered below ``min(i, j)``. George–Ng's
 static structure covers every row interchange partial pivoting can make,
-the identity included, so it must contain that no-pivot fill — under
-``impl="fast"`` (one chunk) and under ``impl="chunked"`` at every chunk
-size, which must all give the same pattern.
+the identity included, so it must contain that no-pivot fill.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse.convert import csc_from_dense
-from repro.sparse.pattern import pattern_equal
 from repro.symbolic.static_fill import static_symbolic_factorization
 
 
@@ -41,20 +38,11 @@ def no_pivot_fill(mask):
 def zero_free_patterns(draw):
     n = draw(st.integers(1, 9))
     cells = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
-    mask = [[cells[i * n + j] or i == j for j in range(n)] for i in range(n)]
-    return mask, draw(st.integers(1, n))
+    return [[cells[i * n + j] or i == j for j in range(n)] for i in range(n)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(zero_free_patterns())
-def test_static_fill_contains_the_no_pivot_fill(case):
-    mask, chunk = case
-    a = csc_from_dense(np.array(mask, dtype=float))
-    n = a.n_cols
-    fast = static_symbolic_factorization(a, impl="fast")
-    paths = no_pivot_fill(mask)
-    for size in (1, chunk, n):  # a chunk per column, a random one, one chunk
-        chunked = static_symbolic_factorization(a, impl="chunked", chunk=size)
-        assert pattern_equal(fast.pattern, chunked.pattern)
-        assert all(chunked.pattern.has_entry(i, j) for i, j in paths)
-    assert all(fast.pattern.has_entry(i, j) for i, j in paths)
+def test_static_fill_contains_the_no_pivot_fill(mask):
+    fill = static_symbolic_factorization(csc_from_dense(np.array(mask, dtype=float)))
+    assert all(fill.pattern.has_entry(i, j) for i, j in no_pivot_fill(mask))

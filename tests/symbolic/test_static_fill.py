@@ -9,8 +9,10 @@ exhaustively; on larger ones we sample random sequences.
 import numpy as np
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.sparse.convert import csc_from_dense
-from repro.sparse.generators import random_sparse
+from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
+from repro.sparse.generators import banded_pattern, random_sparse
 from repro.sparse.ops import permute
 from repro.sparse.pattern import pattern_contains, pattern_equal
 from repro.ordering.transversal import zero_free_diagonal_permutation
@@ -161,10 +163,10 @@ class TestStructure:
         assert l_pat.nnz + u_pat.nnz - fill.n == fill.nnz
 
 
-#: The array kernel as one chunk and its set-based oracle, called directly.
+#: The array kernel and its set-based oracle, called directly.
 IMPLS = {
     "reference": static_symbolic_factorization_reference,
-    "fast": lambda a: static_symbolic_factorization(a, impl="fast"),
+    "fast": static_symbolic_factorization,
 }
 over_impls = pytest.mark.parametrize("factor", list(IMPLS.values()), ids=list(IMPLS))
 
@@ -219,6 +221,13 @@ class TestErrors:
         dense = np.array([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(PatternError):
             factor(csc_from_dense(dense))
+        # An empty second column: both kernels name the missing entry.
+        bad = CSCMatrix(
+            2, 2, np.array([0, 1, 1], dtype=np.int64),
+            np.array([0], dtype=INDEX_DTYPE), None, check=False,
+        )
+        with pytest.raises(PatternError, match=r"a\[1,1\] is not stored"):
+            factor(bad)
 
     @over_impls
     def test_rectangular_raises(self, factor):
@@ -235,3 +244,18 @@ class TestErrors:
         a = csc_from_dense(np.zeros((0, 0)))
         fill = factor(a)
         assert fill.nnz == 0
+
+
+class TestObservability:
+    def test_merge_spans_and_gauge(self):
+        work = banded_pattern(500, band=2, keep=0.7, seed=4)
+        tr = Tracer(detail=True)
+        fill = static_symbolic_factorization(work, tracer=tr)
+        assert tr.find("symbolic.row_merge") is not None
+        assemble = tr.find("symbolic.assemble")
+        assert assemble.attrs["nnz"] == fill.nnz
+        # The model counts at least the packed sort keys and their scratch.
+        assert assemble.attrs["peak_bytes"] >= 24 * fill.nnz
+        gauge = tr.metrics.get("symbolic.peak_bytes")
+        assert gauge is not None
+        assert gauge.value == float(assemble.attrs["peak_bytes"])

@@ -5,9 +5,9 @@ parents, iterative postorder) must be bit-exact with the per-element
 reference implementations, which the tests call directly: identical
 ``StaticFill`` patterns, identical eforest parent arrays, identical
 postorder permutations — on random, dense, tridiagonal, and
-block-triangular patterns. Also covers the ``REPRO_SYMBOLIC`` dispatch
-precedence, which selects ``"fast"`` or ``"chunked"`` and never the
-reference.
+block-triangular patterns and small instances of the large-n families,
+and the static fill also on the seven paper analogs. Also covers the one implementation name the ``impl=`` arguments accept,
+which never selects the reference.
 """
 
 import numpy as np
@@ -16,10 +16,17 @@ import pytest
 from repro.ordering.etree import postorder_forest, relabel_forest
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
-from repro.sparse.generators import random_sparse
+from repro.sparse.generators import (
+    PAPER_MATRICES,
+    arrow_pattern,
+    banded_pattern,
+    grid_pattern,
+    paper_matrix,
+    random_sparse,
+)
 from repro.sparse.ops import permute
 from repro.sparse.pattern import pattern_equal
-from repro.symbolic.dispatch import DEFAULT_IMPL, IMPLEMENTATIONS, resolve_impl
+from repro.symbolic.dispatch import resolve_impl
 from repro.symbolic.eforest import (
     lu_elimination_forest,
     lu_elimination_forest_reference,
@@ -83,6 +90,9 @@ def case_matrices():
         ("block_triangular", block_triangular_pattern([4, 3, 6, 2])),
         ("identity", pattern_from_dense_bool(np.eye(9, dtype=bool))),
         ("one_by_one", pattern_from_dense_bool(np.ones((1, 1), dtype=bool))),
+        ("banded", banded_pattern(60, band=3, keep=0.6, seed=1)),
+        ("arrow", arrow_pattern(40)),
+        ("grid", grid_pattern(6, 4, tiles=2)),
     ]
     for seed in range(8):
         cases.append((f"random_{seed}", prepared_random(14 + seed, seed)))
@@ -105,6 +115,18 @@ class TestImplementationEquality:
         fast = static_symbolic_factorization(a, impl="fast")
         assert pattern_equal(ref.pattern, fast.pattern)
         assert ref.nnz_original == fast.nnz_original
+
+    @pytest.mark.parametrize("name", sorted(PAPER_MATRICES))
+    def test_static_fill_on_paper_analogs(self, name):
+        # Bit for bit, as the pipeline's transversal hands the kernel
+        # each analog.
+        a = paper_matrix(name, scale=0.1)
+        work = permute(a.pattern_only(), row_perm=zero_free_diagonal_permutation(a))
+        ref = static_symbolic_factorization_reference(work)
+        fast = static_symbolic_factorization(work)
+        assert np.array_equal(ref.pattern.indptr, fast.pattern.indptr)
+        assert np.array_equal(ref.pattern.indices, fast.pattern.indices)
+        assert ref.pattern.indices.dtype == fast.pattern.indices.dtype
 
     @pytest.mark.parametrize("a", CASE_MATRICES, ids=CASE_IDS)
     def test_eforest_parents_identical(self, a):
@@ -132,52 +154,21 @@ class TestImplementationEquality:
 
 
 class TestDispatch:
-    def test_default_is_fast(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SYMBOLIC", raising=False)
-        assert DEFAULT_IMPL == "fast"
+    def test_default_is_fast(self):
         assert resolve_impl() == "fast"
+        assert resolve_impl("fast") == "fast"
 
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYMBOLIC", "fast")
-        assert resolve_impl("chunked") == "chunked"
-
-    @pytest.mark.parametrize("impl", IMPLEMENTATIONS)
-    def test_env_selects_implementation(self, monkeypatch, impl):
-        monkeypatch.setenv("REPRO_SYMBOLIC", impl)
-        assert resolve_impl() == impl
-        # The dispatcher actually routes on the env var: every setting
-        # produces the oracle's pattern without an explicit impl arg.
-        a = prepared_random(12, seed=3)
-        fill = static_symbolic_factorization(a)
-        oracle = static_symbolic_factorization_reference(a)
-        assert pattern_equal(fill.pattern, oracle.pattern)
-        assert np.array_equal(
-            lu_elimination_forest(fill), lu_elimination_forest_reference(fill)
-        )
-
-    def test_reference_is_not_selectable(self, monkeypatch):
-        # The reference kernels are oracles, called directly; neither an
-        # argument nor the environment routes a request to them.
-        assert IMPLEMENTATIONS == ("fast", "chunked")
+    def test_reference_is_not_selectable(self):
+        # The reference kernels are oracles, called directly; no name
+        # routes a request to them.
         with pytest.raises(DispatchError):
             resolve_impl("reference")
         a = prepared_random(6, seed=0)
         with pytest.raises(DispatchError):
+            static_symbolic_factorization(a, impl="reference")
+        with pytest.raises(DispatchError):
             postorder_pipeline(static_symbolic_factorization(a), impl="reference")
-        monkeypatch.setenv("REPRO_SYMBOLIC", "reference")
-        with pytest.raises(DispatchError, match="REPRO_SYMBOLIC"):
-            static_symbolic_factorization(a)
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYMBOLIC", "")
-        assert resolve_impl() == DEFAULT_IMPL
 
     def test_unknown_argument_raises(self):
         with pytest.raises(ValueError, match="impl argument"):
             resolve_impl("turbo")
-
-    def test_unknown_env_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SYMBOLIC", "typo")
-        with pytest.raises(ValueError, match="REPRO_SYMBOLIC"):
-            a = prepared_random(6, seed=0)
-            static_symbolic_factorization(a)

@@ -110,6 +110,7 @@ def _bad_calls():
     each taking a small matrix and its plan."""
     from repro.api import lu
     from repro.parallel.dispatch import run_engine
+    from repro.parallel.mapping import make_mapping
     from repro.parallel.procengine import ProcPool
     from repro.parallel.two_d import build_2d_graph
     from repro.serve import PlanCache, SolverService
@@ -120,6 +121,10 @@ def _bad_calls():
 
     calls = {
         "lu-plan-and-options": lambda a, p: lu(a, plan=p, ordering="rcm"),
+        "lu-dissect-leaf_size": lambda a, p: lu(
+            a, ordering="dissect", ordering_params=(("leaf_size", 0),)
+        ),
+        "make_mapping-unknown": lambda a, p: make_mapping("bogus", p.bp, 2),
         "refactor-order-and-engine": lambda a, p: refactorize_with_plan(
             p, a, order=[], engine="sequential"
         ),
@@ -168,16 +173,8 @@ def test_request_path_argument_errors_are_typed(call):
 
 def _selectors():
     from repro.parallel import dispatch as engine_dispatch
-    from repro.symbolic import dispatch as symbolic_dispatch
 
     return [
-        pytest.param(
-            symbolic_dispatch.resolve_impl,
-            symbolic_dispatch.ENV_VAR,
-            symbolic_dispatch.IMPLEMENTATIONS,
-            symbolic_dispatch.DEFAULT_IMPL,
-            id="symbolic",
-        ),
         pytest.param(
             engine_dispatch.resolve_engine,
             engine_dispatch.ENV_VAR,
@@ -190,7 +187,7 @@ def _selectors():
 
 @pytest.mark.parametrize("resolve, env_var, valid, default", _selectors())
 class TestResolveChoice:
-    """The two selectors are one ``repro.util.resolve_choice``."""
+    """The engine selector: argument > environment variable > default."""
 
     def test_bad_argument_names_source_and_valid_set(
         self, monkeypatch, resolve, env_var, valid, default

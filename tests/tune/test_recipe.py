@@ -131,13 +131,24 @@ class TestOptionsWiring:
 
     def test_mapping_stays_out_of_solver_options(self):
         # A recipe is purely symbolic: a spec sets five of the options'
-        # nine fields, all part of the plan's identity, and nothing on it
-        # can steer execution.
-        assert [f.name for f in dataclasses.fields(SolverOptions)] == [
-            "ordering", "ordering_params", "postorder", "amalgamation",
-            "max_padding", "max_supernode", "task_graph", "equilibrate",
-            "symbolic_params",
-        ]
+        # eight fields, all part of the plan's identity, and nothing on it
+        # can steer execution. Every field is keyed, so an execution-only
+        # field cannot come back without failing here.
+        non_default = {
+            "ordering": "rcm",
+            "ordering_params": (("aggressive", False),),
+            "postorder": False,
+            "amalgamation": False,
+            "max_padding": 0.1,
+            "max_supernode": 8,
+            "task_graph": "sstar",
+            "equilibrate": True,
+        }
+        assert list(non_default) == [f.name for f in dataclasses.fields(SolverOptions)]
+        base = SolverOptions()
+        for name, value in non_default.items():
+            changed = dataclasses.replace(base, **{name: value})
+            assert changed.symbolic_key() != base.symbolic_key(), name
         opts = parse_recipe("dissect:leaf_size=96,amalg=false,pad=0.4,max=96")
         assert not hasattr(opts, "mapping")
         changed = {
