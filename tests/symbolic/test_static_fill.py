@@ -221,6 +221,9 @@ class TestErrors:
         dense = np.array([[0.0, 1.0], [1.0, 1.0]])
         with pytest.raises(PatternError):
             factor(csc_from_dense(dense))
+
+    @over_impls
+    def test_empty_column_raises(self, factor):
         # An empty second column: both kernels name the missing entry.
         bad = CSCMatrix(
             2, 2, np.array([0, 1, 1], dtype=np.int64),
@@ -244,6 +247,19 @@ class TestErrors:
         a = csc_from_dense(np.zeros((0, 0)))
         fill = factor(a)
         assert fill.nnz == 0
+
+    @over_impls
+    def test_empty_pattern_built_unchecked(self, factor):
+        # A 0 x 0 pattern assembled without validation, as callers that
+        # skip the checks hand it over: an empty fill of the index dtype.
+        empty = CSCMatrix(
+            0, 0, np.zeros(1, dtype=np.int64),
+            np.empty(0, dtype=INDEX_DTYPE), None, check=False,
+        )
+        fill = factor(empty)
+        assert fill.pattern.n_cols == 0
+        assert fill.pattern.indices.size == 0
+        assert fill.pattern.indices.dtype == INDEX_DTYPE
 
 
 class TestObservability:

@@ -6,8 +6,9 @@ reference implementations, which the tests call directly: identical
 ``StaticFill`` patterns, identical eforest parent arrays, identical
 postorder permutations — on random, dense, tridiagonal, and
 block-triangular patterns and small instances of the large-n families,
-and the static fill also on the seven paper analogs. Also covers the one implementation name the ``impl=`` arguments accept,
-which never selects the reference.
+and the static fill also on the seven paper analogs and full-size
+instances of those families. Also covers the one implementation name
+the ``impl=`` arguments accept, which never selects the reference.
 """
 
 import numpy as np
@@ -83,6 +84,20 @@ def prepared_random(n, seed, density=0.2):
     return permute(a, row_perm=zero_free_diagonal_permutation(a))
 
 
+def prepared_pattern(a):
+    """Pattern with a zero-free diagonal, as the pipeline feeds the kernel."""
+    return permute(a.pattern_only(), row_perm=zero_free_diagonal_permutation(a))
+
+
+def assert_bitwise_same_fill(work):
+    ref = static_symbolic_factorization_reference(work)
+    fast = static_symbolic_factorization(work)
+    assert np.array_equal(ref.pattern.indptr, fast.pattern.indptr)
+    assert np.array_equal(ref.pattern.indices, fast.pattern.indices)
+    assert ref.pattern.indices.dtype == fast.pattern.indices.dtype
+    assert ref.nnz_original == fast.nnz_original
+
+
 def case_matrices():
     cases = [
         ("dense", pattern_from_dense_bool(np.ones((7, 7), dtype=bool))),
@@ -117,16 +132,26 @@ class TestImplementationEquality:
         assert ref.nnz_original == fast.nnz_original
 
     @pytest.mark.parametrize("name", sorted(PAPER_MATRICES))
-    def test_static_fill_on_paper_analogs(self, name):
+    def test_fill_on_analogs(self, name):
         # Bit for bit, as the pipeline's transversal hands the kernel
         # each analog.
         a = paper_matrix(name, scale=0.1)
-        work = permute(a.pattern_only(), row_perm=zero_free_diagonal_permutation(a))
-        ref = static_symbolic_factorization_reference(work)
-        fast = static_symbolic_factorization(work)
-        assert np.array_equal(ref.pattern.indptr, fast.pattern.indptr)
-        assert np.array_equal(ref.pattern.indices, fast.pattern.indices)
-        assert ref.pattern.indices.dtype == fast.pattern.indices.dtype
+        assert_bitwise_same_fill(prepared_pattern(a))
+
+    @pytest.mark.parametrize(
+        "pattern",
+        [
+            banded_pattern(4000, band=4, keep=0.6, seed=1),
+            arrow_pattern(1500, band=1),
+            grid_pattern(120, 8, tiles=4),
+            prepared_pattern(random_sparse(300, density=0.02, seed=7)),
+        ],
+        ids=["banded", "arrow", "grid", "random"],
+    )
+    def test_fill_on_families(self, pattern):
+        # The large-n families at thousands of columns, beyond the small
+        # instances of the sweep above.
+        assert_bitwise_same_fill(pattern)
 
     @pytest.mark.parametrize("a", CASE_MATRICES, ids=CASE_IDS)
     def test_eforest_parents_identical(self, a):
