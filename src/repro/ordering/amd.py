@@ -37,7 +37,7 @@ import heapq
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.pattern import ata_pattern
+from repro.sparse.pattern import ata_adjacency, symmetrized_adjacency
 from repro.util.errors import ShapeError
 
 
@@ -50,7 +50,8 @@ def approximate_minimum_degree(
     ----------
     sym_pattern:
         Pattern of a structurally symmetric matrix (values, if present,
-        are ignored; the diagonal may or may not be stored).
+        are ignored; the diagonal may or may not be stored; an unsymmetric
+        pattern is symmetrized).
     aggressive:
         Also absorb elements that become subsets of the pivot element
         even when the pivot was not adjacent to them (AMD's "aggressive
@@ -65,7 +66,27 @@ def approximate_minimum_degree(
     """
     if not sym_pattern.is_square:
         raise ShapeError("approximate minimum degree needs a square pattern")
-    n = sym_pattern.n_cols
+    return _eliminate(symmetrized_adjacency(sym_pattern), aggressive)
+
+
+def amd_ata(a: CSCMatrix, *, aggressive: bool = True) -> np.ndarray:
+    """AMD on the pattern of ``AᵀA`` (drop-in for ``minimum_degree_ata``).
+
+    Returns a permutation usable as both the column and row permutation
+    of ``A`` (applied symmetrically it preserves a zero-free diagonal).
+    The neighbour sets of :func:`repro.sparse.pattern.ata_adjacency` go
+    straight into the elimination loop, with no CSC round trip.
+    """
+    return _eliminate(ata_adjacency(a), aggressive)
+
+
+def _eliminate(adj: list[set[int]], aggressive: bool) -> np.ndarray:
+    """The AMD elimination loop on neighbour sets (consumed in place).
+
+    ``adj[v]`` holds v's neighbours, without v itself, and must be
+    symmetric. Returns the old-to-new permutation.
+    """
+    n = len(adj)
     if n == 0:
         return np.empty(0, dtype=np.int64)
 
@@ -77,19 +98,6 @@ def approximate_minimum_degree(
     # elements leave every live list the moment they die, so no liveness
     # filter is needed when the lists are read; a dead variable's own
     # lists are never read again.
-    cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(sym_pattern.indptr))
-    rows = sym_pattern.indices.astype(np.int64)
-    if not np.array_equal(np.sort(rows * n + cols), cols * n + rows):
-        # Not symmetric as stored: add the mirror of every entry.
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-        by_col = np.argsort(cols, kind="stable")
-        rows, cols = rows[by_col], cols[by_col]
-    ptr = np.searchsorted(cols, np.arange(n + 1)).tolist()
-    rows = rows.tolist()
-    adj = [set(rows[ptr[v] : ptr[v + 1]]) for v in range(n)]
-    for v in range(n):
-        adj[v].discard(v)
-
     elems: list[set[int]] = [set() for _ in range(n)]
     elem_verts: list[set[int] | None] = []
     elem_weight: list[int] = []  # total weight of each element's variables
@@ -99,19 +107,31 @@ def approximate_minimum_degree(
     alive = [True] * n
     n_live = n  # total weight of the live principal variables
 
-    # Lazy-deletion heap of (approx degree, principal variable); an entry
-    # is valid only while its degree matches cur_deg. Ties break toward
-    # the smallest vertex index (tuple comparison), deterministically.
+    # Pivot queues: ``queues[d]`` is a lazy-deletion heap of the vertex
+    # ids whose approximate degree was set to d; an entry is valid only
+    # while its vertex is alive with cur_deg still d. Every live vertex
+    # has a valid entry (a vertex is pushed whenever its degree changes),
+    # and no queue below ``min_deg`` holds one: the pointer steps up past
+    # empty queues and moves down only when a push lands below it. So
+    # the first valid pop is the smallest live (degree, index), and ties
+    # break toward the smallest vertex index, deterministically. Degrees
+    # stay below n: each is capped by the live weight outside the vertex.
     cur_deg = [len(s) for s in adj]
-    heap = list(zip(cur_deg, range(n)))
-    heapq.heapify(heap)
+    queues: list[list[int]] = [[] for _ in range(n)]
+    for v, d in enumerate(cur_deg):
+        queues[d].append(v)  # ascending ids: already a heap
+    min_deg = min(cur_deg)
     heappush, heappop = heapq.heappush, heapq.heappop
     order: list[int] = []  # original columns in elimination order
 
     while len(order) < n:
         while True:
-            deg, p = heappop(heap)
-            if alive[p] and deg == cur_deg[p]:
+            queue = queues[min_deg]
+            if not queue:
+                min_deg += 1
+                continue
+            p = heappop(queue)
+            if alive[p] and cur_deg[p] == min_deg:
                 break
 
         # ---- pivot neighbourhood Lp (principal variables only) --------
@@ -173,8 +193,11 @@ def approximate_minimum_degree(
             if n_live - w < d:
                 d = n_live - w
             ei.add(eid)
-            cur_deg[i] = d  # >= 0: all three bounds are
-            heappush(heap, (d, i))
+            if d != cur_deg[i]:
+                cur_deg[i] = d  # >= 0: all three bounds are
+                heappush(queues[d], i)
+                if d < min_deg:
+                    min_deg = d
 
         # The element shrinks; degrees of the remaining members are upper
         # bounds still (they only got smaller), which AMD allows.
@@ -202,18 +225,13 @@ def approximate_minimum_degree(
                 elem_verts[e].discard(i)
             # rep's approximate degree loses i's weight (i is no longer
             # an external neighbour — it *is* rep now).
-            cur_deg[rep] = d = max(cur_deg[rep] - w, 0)
-            heappush(heap, (d, rep))
+            d = max(cur_deg[rep] - w, 0)
+            if d != cur_deg[rep]:
+                cur_deg[rep] = d
+                heappush(queues[d], rep)
+                if d < min_deg:
+                    min_deg = d
 
     perm = np.empty(n, dtype=np.int64)
     perm[order] = np.arange(n, dtype=np.int64)
     return perm
-
-
-def amd_ata(a: CSCMatrix, *, aggressive: bool = True) -> np.ndarray:
-    """AMD on the pattern of ``AᵀA`` (drop-in for ``minimum_degree_ata``).
-
-    Returns a permutation usable as both the column and row permutation
-    of ``A`` (applied symmetrically it preserves a zero-free diagonal).
-    """
-    return approximate_minimum_degree(ata_pattern(a), aggressive=aggressive)

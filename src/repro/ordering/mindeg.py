@@ -17,7 +17,7 @@ import heapq
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
-from repro.sparse.pattern import ata_pattern
+from repro.sparse.pattern import ata_adjacency, symmetrized_adjacency
 from repro.util.errors import ShapeError
 
 
@@ -39,15 +39,22 @@ def minimum_degree(sym_pattern: CSCMatrix) -> np.ndarray:
     """
     if not sym_pattern.is_square:
         raise ShapeError("minimum degree needs a square (symmetric) pattern")
-    n = sym_pattern.n_cols
-    # Variable-variable adjacency (excluding self), and element lists.
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for j in range(n):
-        for i in sym_pattern.col_rows(j):
-            if i != j:
-                adj[j].add(int(i))
-                adj[int(i)].add(j)
+    return _eliminate(symmetrized_adjacency(sym_pattern))
 
+
+def minimum_degree_ata(a: CSCMatrix) -> np.ndarray:
+    """Minimum degree on the pattern of ``AᵀA`` (the paper's step (1)).
+
+    Returns a permutation usable as both the column and row permutation of
+    ``A`` (applied symmetrically it preserves a zero-free diagonal).
+    """
+    return _eliminate(ata_adjacency(a))
+
+
+def _eliminate(adj: list[set[int]]) -> np.ndarray:
+    """The elimination loop on symmetric neighbour sets without self loops
+    (``adj`` is consumed in place); returns the old-to-new permutation."""
+    n = len(adj)
     elements: list[set[int]] = []  # element id -> live vertices it covers
     vertex_elems: list[set[int]] = [set() for _ in range(n)]  # vertex -> element ids
     alive = np.ones(n, dtype=bool)
@@ -98,12 +105,3 @@ def minimum_degree(sym_pattern: CSCMatrix) -> np.ndarray:
             cur_deg[u] = d
             heapq.heappush(heap, (d, u))
     return perm
-
-
-def minimum_degree_ata(a: CSCMatrix) -> np.ndarray:
-    """Minimum degree on the pattern of ``AᵀA`` (the paper's step (1)).
-
-    Returns a permutation usable as both the column and row permutation of
-    ``A`` (applied symmetrically it preserves a zero-free diagonal).
-    """
-    return minimum_degree(ata_pattern(a))

@@ -12,17 +12,8 @@ from collections import deque
 import numpy as np
 
 from repro.sparse.csc import CSCMatrix
+from repro.sparse.pattern import symmetrized_adjacency
 from repro.util.errors import ShapeError
-
-
-def _symmetrized_adjacency(a: CSCMatrix) -> list[np.ndarray]:
-    adj: list[set[int]] = [set() for _ in range(a.n_cols)]
-    for j in range(a.n_cols):
-        for i in a.col_rows(j):
-            if i != j:
-                adj[j].add(int(i))
-                adj[int(i)].add(j)
-    return [np.fromiter(s, dtype=np.int64, count=len(s)) for s in adj]
 
 
 def reverse_cuthill_mckee(a: CSCMatrix) -> np.ndarray:
@@ -31,30 +22,33 @@ def reverse_cuthill_mckee(a: CSCMatrix) -> np.ndarray:
     Returns ``perm`` mapping old index to new position. Each connected
     component is seeded from a minimum-degree vertex (a cheap pseudo-
     peripheral choice) and traversed breadth-first with neighbours sorted by
-    degree; the final order is reversed.
+    degree; the final order is reversed. Degree ties keep the iteration
+    order of the neighbour sets (Python's sort is stable).
     """
     if not a.is_square:
         raise ShapeError("RCM needs a square matrix")
     n = a.n_cols
-    adj = _symmetrized_adjacency(a)
-    degree = np.array([arr.size for arr in adj])
-    visited = np.zeros(n, dtype=bool)
+    adj = symmetrized_adjacency(a)
+    degree = [len(s) for s in adj]
+    by_degree = degree.__getitem__
+    visited = [False] * n
     order: list[int] = []
 
-    for seed in np.argsort(degree, kind="stable"):
+    for seed in sorted(range(n), key=by_degree):
         if visited[seed]:
             continue
         visited[seed] = True
-        queue = deque([int(seed)])
+        queue = deque([seed])
         while queue:
             v = queue.popleft()
             order.append(v)
-            nbrs = adj[v][~visited[adj[v]]]
-            visited[nbrs] = True
-            for u in nbrs[np.argsort(degree[nbrs], kind="stable")]:
-                queue.append(int(u))
+            nbrs = [u for u in adj[v] if not visited[u]]
+            for u in nbrs:
+                visited[u] = True
+            nbrs.sort(key=by_degree)
+            queue.extend(nbrs)
 
     order.reverse()
     perm = np.empty(n, dtype=np.int64)
-    perm[np.array(order)] = np.arange(n)
+    perm[order] = np.arange(n)
     return perm

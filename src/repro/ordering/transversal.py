@@ -14,34 +14,35 @@ from repro.sparse.csc import CSCMatrix
 from repro.util.errors import ShapeError, StructurallySingularError
 
 
-def _augment(a: CSCMatrix, j0: int, match_row: np.ndarray, match_col: np.ndarray) -> bool:
+def _augment(
+    ptr: list[int], rows: list[int], j0: int, match_row: list[int], match_col: list[int]
+) -> bool:
     """Try to match column ``j0`` with an iterative alternating-path DFS.
 
-    ``via[r]`` records the column whose scan discovered row ``r``; when a
-    free row is found, the alternating path is rewound through ``via`` and
-    every column on it swaps to the next row down the path.
+    The pattern comes as plain ``indptr`` / ``indices`` lists. ``via[r]``
+    records the column whose scan discovered row ``r``; when a free row is
+    found, the alternating path is rewound through ``via`` and every column
+    on it swaps to the next row down the path. ``scan_pos[j]`` is the next
+    position of ``rows`` that column ``j``'s scan reads.
     """
     via: dict[int, int] = {}
-    scan_pos: dict[int, int] = {j0: 0}
+    scan_pos: dict[int, int] = {j0: ptr[j0]}
     stack = [j0]
     while stack:
         j = stack[-1]
-        rows = a.col_rows(j)
-        k = scan_pos[j]
-        descended = False
-        while k < rows.size:
-            r = int(rows[k])
+        k, end = scan_pos[j], ptr[j + 1]
+        while k < end:
+            r = rows[k]
             k += 1
             if r in via:
                 continue
             via[r] = j
-            owner = int(match_col[r])
+            owner = match_col[r]
             if owner == -1:
                 # Free row: augment along the alternating path back to j0.
-                scan_pos[j] = k
                 while True:
                     c = via[r]
-                    prev_r = int(match_row[c])
+                    prev_r = match_row[c]
                     match_col[r] = c
                     match_row[c] = r
                     if prev_r == -1:
@@ -49,14 +50,11 @@ def _augment(a: CSCMatrix, j0: int, match_row: np.ndarray, match_col: np.ndarray
                     r = prev_r
             if owner not in scan_pos:
                 scan_pos[j] = k
-                scan_pos[owner] = 0
+                scan_pos[owner] = ptr[owner]
                 stack.append(owner)
-                descended = True
                 break
-        if not descended:
-            scan_pos[j] = k
-            if k >= rows.size:
-                stack.pop()
+        else:
+            stack.pop()
     return False
 
 
@@ -68,14 +66,17 @@ def maximum_transversal(a: CSCMatrix) -> np.ndarray:
     column unmatched, i.e. the matrix is structurally singular).
 
     This is Kuhn's augmenting-path algorithm with the "cheap assignment"
-    first pass of MC21; worst case ``O(n * nnz)``.
+    first pass of MC21; worst case ``O(n * nnz)``. Both passes run on plain
+    lists: one ndarray element read per step would cost more than the step.
     """
-    match_row = np.full(a.n_cols, -1, dtype=np.int64)  # column -> row
-    match_col = np.full(a.n_rows, -1, dtype=np.int64)  # row -> column
+    ptr = a.indptr.tolist()
+    rows = a.indices.tolist()
+    match_row = [-1] * a.n_cols  # column -> row
+    match_col = [-1] * a.n_rows  # row -> column
 
     # Cheap pass: take the first free row of each column.
     for j in range(a.n_cols):
-        for i in a.col_rows(j):
+        for i in rows[ptr[j] : ptr[j + 1]]:
             if match_col[i] == -1:
                 match_col[i] = j
                 match_row[j] = i
@@ -83,8 +84,8 @@ def maximum_transversal(a: CSCMatrix) -> np.ndarray:
 
     for j in range(a.n_cols):
         if match_row[j] == -1:
-            _augment(a, j, match_row, match_col)
-    return match_row
+            _augment(ptr, rows, j, match_row, match_col)
+    return np.array(match_row, dtype=np.int64)
 
 
 def zero_free_diagonal_permutation(a: CSCMatrix) -> np.ndarray:

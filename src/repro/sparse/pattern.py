@@ -1,16 +1,20 @@
 """Sparsity-pattern algebra.
 
 The symbolic half of the pipeline never looks at values; these helpers
-manipulate patterns as arrays of sorted indices. The most important one is
-:func:`ata_pattern`: the fill-reducing ordering (minimum degree on ``AᵀA``)
-and the SuperLU-baseline column elimination tree both consume the pattern of
-``AᵀA`` without its values.
+manipulate patterns as arrays of sorted indices or as per-vertex neighbour
+sets. The most important one is :func:`ata_adjacency`: the fill-reducing
+orderings (minimum degree on ``AᵀA``) eliminate on its sets, and
+:func:`ata_pattern`, its CSC rendering, feeds the SuperLU-baseline column
+elimination tree.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
+from repro.sparse.convert import csc_to_csr
 from repro.sparse.csc import CSCMatrix, INDEX_DTYPE
 from repro.util.errors import ShapeError
 
@@ -25,37 +29,75 @@ def has_zero_free_diagonal(a: CSCMatrix) -> bool:
     return True
 
 
+def ata_adjacency(a: CSCMatrix) -> list[set[int]]:
+    """Neighbour sets of the graph of ``AᵀA``, without the diagonal.
+
+    ``(AᵀA)_ij ≠ 0`` iff columns ``i`` and ``j`` of ``A`` share a nonzero
+    row, so each row of ``A`` with nonzero columns ``S`` contributes the
+    clique ``S × S``. The rows are read as plain lists and every clique is
+    folded into per-column sets, so a dense row costs one set union per
+    member rather than a quadratic edge list. A row whose column set was
+    already folded is skipped: finite-element matrices repeat one pattern
+    per degree of freedom of a node (the goodwin analog has 469 distinct
+    rows in 1 104). This is the one construction of ``AᵀA`` in the
+    codebase: the minimum-degree orderings eliminate on these sets directly
+    and :func:`ata_pattern` renders them as CSC.
+    """
+    at = csc_to_csr(a.pattern_only())
+    ptr = at.indptr.tolist()
+    cols = at.indices.tolist()
+    adj: list[set[int]] = [set() for _ in range(a.n_cols)]
+    folded: set[tuple[int, ...]] = set()
+    for i in range(a.n_rows):
+        lo, hi = ptr[i], ptr[i + 1]
+        if hi - lo < 2:
+            continue
+        members = cols[lo:hi]
+        key = tuple(members)
+        if key in folded:
+            continue
+        folded.add(key)
+        for j in members:
+            adj[j].update(members)
+    for j, s in enumerate(adj):
+        s.discard(j)
+    return adj
+
+
+def symmetrized_adjacency(a: CSCMatrix) -> list[set[int]]:
+    """Neighbour sets of the graph of ``A + Aᵀ``, without the diagonal.
+
+    Entries are inserted column by column in ascending row order, so the
+    sets (and hence their iteration order) are a pure function of the
+    stored pattern.
+    """
+    ptr = a.indptr.tolist()
+    rows = a.indices.tolist()
+    adj: list[set[int]] = [set() for _ in range(a.n_cols)]
+    for j in range(a.n_cols):
+        aj = adj[j]
+        for i in rows[ptr[j] : ptr[j + 1]]:
+            if i != j:
+                aj.add(i)
+                adj[i].add(j)
+    return adj
+
+
 def ata_pattern(a: CSCMatrix) -> CSCMatrix:
     """Pattern of ``AᵀA`` as a pattern-only CSC matrix.
 
-    Column ``j`` of ``AᵀA`` is the union of the rows of ``A`` hit by column
-    ``j`` of ``A``: ``(AᵀA)_ij ≠ 0`` iff columns ``i`` and ``j`` of ``A``
-    share a nonzero row. We build it row-by-row of ``A``: each row of ``A``
-    with nonzero columns ``S`` contributes the clique ``S × S``. To avoid
-    quadratic blow-up on dense rows we accumulate per-column unions.
+    The CSC rendering of :func:`ata_adjacency` plus the diagonal entry of
+    every nonempty column of ``A`` (an empty column has ``(AᵀA)_jj = 0``).
     """
-    from repro.sparse.convert import csc_to_csr
-
-    at = csc_to_csr(a.pattern_only())
     n = a.n_cols
-    cols: list[set[int]] = [set() for _ in range(n)]
-    for i in range(a.n_rows):
-        s = at.row_cols(i)
-        if s.size == 0:
-            continue
-        members = s.tolist()
-        for j in members:
-            cols[j].update(members)
-    nnz = sum(len(c) for c in cols)
+    adj = ata_adjacency(a)
+    for j in np.flatnonzero(np.diff(a.indptr)).tolist():
+        adj[j].add(j)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    indices = np.empty(nnz, dtype=INDEX_DTYPE)
-    pos = 0
-    for j in range(n):
-        arr = np.fromiter(cols[j], dtype=INDEX_DTYPE, count=len(cols[j]))
-        arr.sort()
-        indptr[j + 1] = indptr[j] + arr.size
-        indices[pos : pos + arr.size] = arr
-        pos += arr.size
+    np.cumsum(list(map(len, adj)), out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(map(sorted, adj)), dtype=INDEX_DTYPE, count=int(indptr[-1])
+    )
     return CSCMatrix(n, n, indptr, indices, None, check=False)
 
 

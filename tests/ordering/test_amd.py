@@ -89,26 +89,46 @@ class TestApproximateMinimumDegree:
         )
 
 
-# sha256 of ``amd_ata(paper_matrix(name, scale))`` as int64 bytes, taken on
-# the commit before the quotient-graph loop moved to Python-native ints:
-# the rewrite is a speed-up, the permutation must not move by one position.
+# sha256 of ``amd_ata(paper_matrix(name, scale, seed=seed))`` as int64
+# bytes (seed None: the library default), taken on the commit before the
+# quotient-graph loop moved to Python-native ints, and for the three
+# ``cold_sweep`` classes on the commit before AMD took AᵀA as neighbour sets
+# and its pivots from per-degree queues: each rewrite is a speed-up, the
+# permutation must not move by one position.
 AMD_DIGESTS = {
-    ("sherman3", 0.15): "89bbec2129ee42350b632a6fed0c827398eec8cf495af8b9953bc7631c7eecbf",
-    ("sherman5", 0.15): "94ec656222ae1170027ad27cd114510ee4240dac0e3044fc0da34dd647cee6a9",
-    ("lnsp3937", 0.15): "3dbb884f3cfe997edca48e823c4aee3a32708c6aa3aa3eef72b38a98618d6a30",
-    ("lns3937", 0.15): "4931493eaf1514e340efab7da0ac2ee7adcdeffb97644ba745fe5efb217af043",
-    ("orsreg1", 0.15): "65e6b580e03671121f79b46aa56276b48fb372f3f6637ff269bc5d41dba29926",
-    ("saylr4", 0.15): "5315d69b85102b09f319194e2db0541d507f26558482c970254d3f743ee2d6fc",
-    ("goodwin", 0.15): "b4dec398a2b5be7ffb6ca0dc0d272307c9e87ef243f56a09b0841c0bf15bc991",
-    ("sherman3", 0.5): "2122b79cc30868c14832d5795c0fc52d375023e852a9b633b98db69ec79e57cf",
+    ("sherman3", 0.15, None): "89bbec2129ee42350b632a6fed0c827398eec8cf495af8b9953bc7631c7eecbf",
+    ("sherman5", 0.15, None): "94ec656222ae1170027ad27cd114510ee4240dac0e3044fc0da34dd647cee6a9",
+    ("lnsp3937", 0.15, None): "3dbb884f3cfe997edca48e823c4aee3a32708c6aa3aa3eef72b38a98618d6a30",
+    ("lns3937", 0.15, None): "4931493eaf1514e340efab7da0ac2ee7adcdeffb97644ba745fe5efb217af043",
+    ("orsreg1", 0.15, None): "65e6b580e03671121f79b46aa56276b48fb372f3f6637ff269bc5d41dba29926",
+    ("saylr4", 0.15, None): "5315d69b85102b09f319194e2db0541d507f26558482c970254d3f743ee2d6fc",
+    ("goodwin", 0.15, None): "b4dec398a2b5be7ffb6ca0dc0d272307c9e87ef243f56a09b0841c0bf15bc991",
+    ("sherman3", 0.5, None): "2122b79cc30868c14832d5795c0fc52d375023e852a9b633b98db69ec79e57cf",
+    ("sherman3", 0.30, 0): "360d60fe56e082fd19bde249adab9b576dd559ccecc597ea86c5518d49df0047",
+    ("sherman3", 0.30, 1): "947e333e544b31d275c24aec73b5f91c3a2115986240b4b483f1c3f09bfc1a13",
+    ("sherman3", 0.30, 2): "99c193a186706f6c7671947df1cac940b8c9c33b7bce2252689a2664834bf6b7",
+    ("lnsp3937", 0.40, 0): "48d665076933652152bad6a6614fa8a2ea27ae7d357c33f44cfc8c71fcc83b94",
+    ("lnsp3937", 0.40, 1): "2761a7b4f01aedd2b8a86bd9053ddf0a93bb08cb23156b9d38cfb811c3c800d2",
+    ("lnsp3937", 0.40, 2): "f8b6702e280d90bbb2527af8973abaef17bbc9afc71e2e27a63334376c862013",
+    # The finite-element class has one pattern; the seed moves its values.
+    ("goodwin", 0.15, 0): "b4dec398a2b5be7ffb6ca0dc0d272307c9e87ef243f56a09b0841c0bf15bc991",
+    ("goodwin", 0.15, 1): "b4dec398a2b5be7ffb6ca0dc0d272307c9e87ef243f56a09b0841c0bf15bc991",
+    ("goodwin", 0.15, 2): "b4dec398a2b5be7ffb6ca0dc0d272307c9e87ef243f56a09b0841c0bf15bc991",
 }
 
 
-@pytest.mark.parametrize("name,scale", sorted(AMD_DIGESTS))
-def test_permutation_is_the_pinned_one(name, scale):
-    p = amd_ata(paper_matrix(name, scale=scale))
+PINS = sorted(AMD_DIGESTS, key=str)
+
+
+@pytest.mark.parametrize(
+    "name,scale,seed",
+    PINS,
+    ids=[f"{n}-{s}" if seed is None else f"{n}-{s}-seed{seed}" for n, s, seed in PINS],
+)
+def test_permutation_is_the_pinned_one(name, scale, seed):
+    p = amd_ata(paper_matrix(name, scale=scale, seed=seed))
     assert p.dtype == np.int64
-    assert hashlib.sha256(p.tobytes()).hexdigest() == AMD_DIGESTS[name, scale]
+    assert hashlib.sha256(p.tobytes()).hexdigest() == AMD_DIGESTS[name, scale, seed]
 
 
 ANALOGS = ("sherman3", "sherman5", "lnsp3937", "lns3937", "orsreg1", "saylr4", "goodwin")
