@@ -21,7 +21,9 @@ pattern, recording per stage — static fill, postorder, supernodes +
 amalgamate (default bounds), block pattern — its wall time and its
 allocator-level peak memory (``tracemalloc``), plus the pipeline's peak
 and the fill's own ``symbolic.peak_bytes`` model gauge. It gates nothing
-on time or memory.
+on time; on memory it asserts that the grid's supernodes stage peaks
+below its static fill stage (``tracemalloc`` peaks do not depend on
+timing).
 """
 
 import time
@@ -86,11 +88,11 @@ def _prepare(matrix: str, scale: float) -> CSCMatrix:
 
 
 def _pipeline(work: CSCMatrix) -> tuple:
-    """Static fill + eforest + postorder through the array kernels;
-    returns ``(fill, parent, perm, postordered pattern)``."""
+    """Static fill (which emits the eforest) + postorder through the array
+    kernels; returns ``(fill, parent, perm, postordered pattern)``."""
     fill = static_symbolic_factorization(work)
     po = postorder_pipeline(fill)
-    return fill, po.parent_before, po.perm, po.fill.pattern
+    return fill, fill.parent, po.perm, po.fill.pattern
 
 
 def _reference_pipeline(work: CSCMatrix) -> tuple:
@@ -395,3 +397,7 @@ def test_bench_symbolic_large_n(emit):
     for row in data["patterns"]:
         assert list(row["stage_s"]) == data["stages"], row["pattern"]
         assert row["pipeline_peak_bytes"] > 0, row["pattern"]
+    # Amalgamation's transient arrays stay below the fill it partitions.
+    grid = next(r for r in data["patterns"] if r["pattern"] == "grid")
+    peaks = grid["stage_peak_bytes"]
+    assert peaks["supernodes"] < peaks["static_fill"], peaks

@@ -46,7 +46,6 @@ from repro.ordering import (
 )
 from repro.symbolic import (
     static_symbolic_factorization,
-    lu_elimination_forest,
     extended_eforest,
     postorder_pipeline,
     supernode_partition,
@@ -120,7 +119,6 @@ __all__ = [
     "column_etree",
     "postorder_forest",
     "static_symbolic_factorization",
-    "lu_elimination_forest",
     "extended_eforest",
     "postorder_pipeline",
     "supernode_partition",

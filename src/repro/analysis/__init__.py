@@ -72,6 +72,7 @@ from repro.analysis.structure import (
     check_btf,
     check_csc,
     check_forest,
+    check_forest_matches,
     check_partition,
     check_plan,
     check_postorder,
@@ -100,6 +101,7 @@ __all__ = [
     "check_btf",
     "check_csc",
     "check_forest",
+    "check_forest_matches",
     "check_liveness",
     "check_partition",
     "check_plan",

@@ -36,7 +36,9 @@ from repro.analysis.footprints import (
 )
 from repro.analysis.races import check_liveness, check_races, minimality_report
 from repro.analysis.report import AnalysisReport
-from repro.analysis.structure import check_plan, check_postorder, check_btf
+from repro.analysis.structure import (
+    check_btf, check_forest_matches, check_plan, check_postorder,
+)
 from repro.util.errors import AnalysisError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only; avoids import cycles
@@ -74,8 +76,9 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
 
     Subjects (one per aspect, named ``{name}/{aspect}``):
 
-    * ``structure`` — :func:`~repro.analysis.structure.check_plan` plus the
-      eforest/postorder/BTF lints recomputed from the plan's fill.
+    * ``structure`` — :func:`~repro.analysis.structure.check_plan`, the
+      plan's ``fill.parent`` against the eforest Definition 1 derives from
+      ``fill.pattern``, and the postorder/BTF lints on the derived one.
     * ``factor-graph`` — liveness and footprint races of the plan's task
       graph against the enumerated F/U task set.
     * ``factor-steps`` — footprint races of the block steps every engine
@@ -92,13 +95,12 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
       graph against a freshly built eforest graph for the same pattern.
     """
     from repro.parallel.two_d import build_2d_graph  # lazy: import cycle
-    from repro.symbolic.eforest import lu_elimination_forest
+    from repro.symbolic.eforest import lu_elimination_forest_reference
     from repro.symbolic.postorder import block_upper_triangular_blocks
     from repro.taskgraph.dag import TaskGraph
     from repro.taskgraph.eforest_graph import block_eforest, build_eforest_graph
     from repro.taskgraph.solve_graph import build_solve_graph
     from repro.taskgraph.sstar import build_sstar_graph
-    from repro.util.errors import ReproError
 
     report = AnalysisReport(
         meta={
@@ -113,24 +115,19 @@ def analyze_plan(plan: "SymbolicPlan", *, name: str = "plan") -> AnalysisReport:
 
     structure = report.subject(f"{name}/structure")
     structure.extend(check_plan(plan))
-    parent = lu_elimination_forest(plan.fill)
+    # The forest every stage read came out of the merge; derive it again
+    # from the pattern alone, compare, and lint the derived one.
+    parent = lu_elimination_forest_reference(plan.fill)
+    structure.extend(check_forest_matches(plan.fill.parent, parent))
     if plan.options.postorder:
         # The pipeline postordered the fill, so its eforest must be a
         # valid postorder and induce a clean BTF decomposition.
         post = check_postorder(parent)
         structure.extend(post)
-        if not post:
-            try:
-                blocks = block_upper_triangular_blocks(parent)
-            except ReproError as exc:
-                from repro.analysis.report import Finding
-
-                structure.findings.append(
-                    Finding(check="btf.blocks_cover", message=str(exc))
-                )
-            else:
-                structure.extend(check_btf(plan.fill.pattern, blocks))
-                structure.stats["n_btf_blocks"] = len(blocks)
+        if not post:  # contiguous subtrees: the trees tile 0..n
+            blocks = block_upper_triangular_blocks(parent)
+            structure.extend(check_btf(plan.fill.pattern, blocks))
+            structure.stats["n_btf_blocks"] = len(blocks)
     else:
         from repro.analysis.structure import check_forest
 

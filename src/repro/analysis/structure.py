@@ -10,6 +10,8 @@ truth. The invariants mirror the paper's definitions:
   indices per column (sorted + unique).
 * Elimination forests: ``parent(j) > j`` or ``-1`` (Definition 1 makes
   the parent the first *later* column of row ``j`` of ``Ū``).
+  The forest a fill carries (the merge emitted it) must equal the one
+  Definition 1 derives from the fill's pattern.
 * Postorder: every subtree occupies a contiguous label interval ending at
   its root (§3 — what makes supernodes mergeable and the BTF blocks
   contiguous).
@@ -125,6 +127,28 @@ def check_forest(parent: np.ndarray, *, name: str = "eforest") -> list[Finding]:
             )
         )
     return findings
+
+
+def check_forest_matches(stored: np.ndarray, derived: np.ndarray) -> list[Finding]:
+    """``stored`` (the forest a fill carries) equals ``derived`` (the one
+    Definition 1 reads off the fill's pattern), node for node."""
+    if np.array_equal(stored, derived):
+        return []
+    stored = np.asarray(stored)
+    if stored.shape == np.shape(derived):
+        bad = np.flatnonzero(stored != derived)
+    else:
+        bad = np.arange(stored.size)
+    return [
+        Finding(
+            check="forest.matches_pattern",
+            message=(
+                "fill.parent differs from Definition 1 on the fill pattern at "
+                f"{bad.size} of {np.size(derived)} nodes (first: {bad[:5].tolist()})"
+            ),
+            detail={"n_nodes": int(bad.size), "nodes": bad[:10].tolist()},
+        )
+    ]
 
 
 def check_postorder(parent: np.ndarray, *, name: str = "eforest") -> list[Finding]:

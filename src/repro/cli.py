@@ -231,14 +231,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.spy:
         from repro.serve.refactor import permuted_values
         from repro.symbolic.postorder import block_upper_triangular_blocks
-        from repro.symbolic.eforest import lu_elimination_forest
         from repro.util.spy import spy
 
         print("\nA (analyzed ordering):")
         print(spy(permuted_values(plan, a)[0]))
         blocks = None
         if plan.options.postorder:
-            blocks = block_upper_triangular_blocks(lu_elimination_forest(plan.fill))
+            blocks = block_upper_triangular_blocks(plan.fill.parent)
         print("\nAbar (static fill):")
         print(spy(plan.fill.pattern, blocks=blocks))
     if args.forest:

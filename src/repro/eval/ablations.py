@@ -102,7 +102,6 @@ def amalgamation_policy_comparison(
     machine: MachineModel = ORIGIN2000,
 ) -> list[PolicyPoint]:
     """Greedy adjacent vs eforest-chain amalgamation on one matrix."""
-    from repro.symbolic.eforest import lu_elimination_forest
     from repro.symbolic.supernodes import (
         _padding_cost,
         amalgamate_chains,
@@ -112,11 +111,10 @@ def amalgamation_policy_comparison(
     config = config or BenchConfig()
     base = analyzed_matrix(name, config.scale)
     raw = supernode_partition(base.fill)
-    parent = lu_elimination_forest(base.fill)
     variants = {
         "none": raw,
         "greedy": amalgamate(base.fill, raw),
-        "chains": amalgamate_chains(base.fill, raw, parent),
+        "chains": amalgamate_chains(base.fill, raw),
     }
     points = []
     for policy, part in variants.items():

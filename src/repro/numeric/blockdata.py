@@ -320,7 +320,8 @@ class BlockColumnData:
             owned[:] = False
             owned[list(owned_columns)] = True
         # Panel k is the (height, width) view of ``values`` at _base[k].
-        sizes = np.where(owned, np.asarray(layout.panel_heights) * layout.widths, 0)
+        heights = np.asarray(layout.panel_heights, dtype=np.int64)
+        sizes = np.where(owned, heights * layout.widths, 0)
         self._base = base = np.concatenate(([0], np.cumsum(sizes)))
         self._owned: list[bool] = owned.tolist()
         self.attach(

@@ -24,7 +24,6 @@ from repro.symbolic.static_fill import (
     ata_cholesky_bound,
 )
 from repro.symbolic.eforest import (
-    lu_elimination_forest,
     lu_elimination_forest_reference,
     ExtendedEForest,
     extended_eforest,
@@ -64,7 +63,6 @@ __all__ = [
     "static_symbolic_factorization_reference",
     "simulate_elimination_fill",
     "ata_cholesky_bound",
-    "lu_elimination_forest",
     "lu_elimination_forest_reference",
     "ExtendedEForest",
     "extended_eforest",

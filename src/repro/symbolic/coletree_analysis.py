@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ordering.etree import column_etree, postorder_forest
+from repro.ordering.etree import column_etree, postorder_forest, relabel_forest
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import permute
 from repro.symbolic.postorder import postorder_pipeline
@@ -60,8 +60,12 @@ def coletree_analysis(a: CSCMatrix) -> ColetreeAnalysis:
     bound = ata_cholesky_bound(work)
     exact = static_symbolic_factorization(work)
     # Supernodes as the bound sees them: same partitioning rule, applied to
-    # the (overestimated) structure.
-    bound_fill = StaticFill(pattern=bound, nnz_original=a.nnz)
+    # the (overestimated) structure. The bound is symmetric, so its
+    # Definition-1 forest is the elimination tree of AᵀA: the column etree,
+    # under the postorder's labels.
+    bound_fill = StaticFill(
+        pattern=bound, nnz_original=a.nnz, parent=relabel_forest(parent, perm)
+    )
     part = amalgamate(bound_fill, supernode_partition(bound_fill))
     return ColetreeAnalysis(
         perm=perm, bound_pattern=bound, exact_fill=exact, partition=part

@@ -1,8 +1,8 @@
 """The symbolic implementation name, kept for the benchmark harness.
 
 The static fill has one kernel, the George-Ng row merge of
-:func:`repro.symbolic.static_fill.row_merge`, and the eforest and
-postorder stages have one each. The staged pass of
+:func:`repro.symbolic.static_fill.row_merge`, which also emits the
+eforest, and the postorder stage has one. The staged pass of
 ``benchmarks/e2e/traced.py`` still resolves a name here and passes it as
 ``impl=`` to :func:`~repro.symbolic.static_fill.static_symbolic_factorization`
 and :func:`~repro.symbolic.postorder.postorder_pipeline`, so the one name

@@ -9,6 +9,10 @@ The *extended* eforest of Figure 1 additionally annotates each node with the
 first nonzero of its ``L̄`` row (the deepest node of the row's branch) and
 exposes subtree queries used by the Theorem 1-2 characterization and by the
 task-graph construction.
+
+The forest itself is built once, by the George-Ng merge that computes
+``Ā`` (:attr:`repro.symbolic.static_fill.StaticFill.parent`); every later
+stage reads it from there.
 """
 
 from __future__ import annotations
@@ -17,13 +21,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ordering.etree import forest_children, forest_roots
+from repro.ordering.etree import forest_children, postorder_forest
 from repro.symbolic.static_fill import StaticFill
 
 
 def lu_elimination_forest_reference(fill: StaticFill) -> np.ndarray:
-    """Per-row reference implementation (the property-test oracle; no
-    selector reaches it)."""
+    """Definition 1 read off the finished pattern, row by row: the oracle
+    of ``fill.parent``, which the merge emits (no request path calls it;
+    the tests and the verifiers do)."""
     n = fill.n
     parent = np.full(n, -1, dtype=np.int64)
     u_rows = fill.u_rows()
@@ -39,41 +44,9 @@ def lu_elimination_forest_reference(fill: StaticFill) -> np.ndarray:
     return parent
 
 
-def lu_elimination_forest(fill: StaticFill) -> np.ndarray:
-    """Parent array of the LU eforest of ``Ā`` (``-1`` marks roots).
-
-    Vectorized parent extraction, one pass over the flat entry arrays
-    (:func:`lu_elimination_forest_reference` is its oracle).
-
-    ``parent[j] = min{ r > j : ū_jr ≠ 0 }`` is the column of the *first*
-    strictly-upper entry of row ``j`` in CSC entry order (columns ascend, so
-    the first occurrence per row is the minimum column). Scattering the
-    entries in reverse order makes the first occurrence the one that
-    sticks — no sort at all. The ``|L̄_*j| > 1`` gate is a boolean scatter
-    from the strictly-lower entries.
-    """
-    pat = fill.pattern
-    n = fill.n
-    parent = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return parent
-    entry_rows = pat.indices.astype(np.int64, copy=False)
-    entry_cols = np.repeat(np.arange(n, dtype=np.int64), np.diff(pat.indptr))
-
-    has_below = np.zeros(n, dtype=bool)
-    has_below[entry_cols[entry_rows > entry_cols]] = True
-
-    upper = entry_cols > entry_rows  # strictly upper entries of Ū
-    rows_u = entry_rows[upper]
-    cols_u = entry_cols[upper]
-    parent[rows_u[::-1]] = cols_u[::-1]  # first (minimum) column wins
-    parent[~has_below] = -1
-    return parent
-
-
 @dataclass
 class ExtendedEForest:
-    """LU eforest with DFS numbering and the Figure 1 annotations.
+    """LU eforest with postorder numbering and the Figure 1 annotations.
 
     Attributes
     ----------
@@ -88,38 +61,23 @@ class ExtendedEForest:
     parent: np.ndarray
     first_l_in_row: np.ndarray
     children: list[list[int]] = field(repr=False)
-    _pre: np.ndarray = field(repr=False)
     _post: np.ndarray = field(repr=False)
+    _size: np.ndarray = field(repr=False)
 
     def is_ancestor(self, a: int, d: int) -> bool:
-        """True when ``a`` is an ancestor of ``d`` (or ``a == d``)."""
-        return bool(self._pre[a] <= self._pre[d] and self._post[a] >= self._post[d])
+        """True when ``a`` is an ancestor of ``d`` (or ``a == d``): a
+        postorder numbers ``T[a]`` ``post[a] - |T[a]| + 1 .. post[a]``."""
+        return bool(0 <= self._post[a] - self._post[d] < self._size[a])
 
 
 def extended_eforest(fill: StaticFill) -> ExtendedEForest:
-    """Build the extended eforest of ``Ā`` with DFS numbering."""
-    parent = lu_elimination_forest(fill)
+    """Build the extended eforest of ``Ā`` with postorder numbering."""
+    parent = fill.parent
     n = parent.size
-    children = forest_children(parent)
-
-    pre = np.empty(n, dtype=np.int64)
-    post = np.empty(n, dtype=np.int64)
-    clock = 0
-    for root in forest_roots(parent):
-        stack: list[tuple[int, int]] = [(int(root), 0)]
-        pre[root] = clock
-        clock += 1
-        while stack:
-            node, next_child = stack.pop()
-            if next_child < len(children[node]):
-                stack.append((node, next_child + 1))
-                child = children[node][next_child]
-                pre[child] = clock
-                clock += 1
-                stack.append((child, 0))
-            else:
-                post[node] = clock
-                clock += 1
+    size = np.ones(n, dtype=np.int64)
+    for v, p in enumerate(parent.tolist()):  # Definition 1: p > v
+        if p >= 0:
+            size[p] += size[v]
 
     # Left italics of Figure 1: first L̄ nonzero per row — the column of the
     # first strictly-lower entry of each row in CSC entry order (columns
@@ -136,7 +94,7 @@ def extended_eforest(fill: StaticFill) -> ExtendedEForest:
     return ExtendedEForest(
         parent=parent,
         first_l_in_row=first_l,
-        children=children,
-        _pre=pre,
-        _post=post,
+        children=forest_children(parent),
+        _post=postorder_forest(parent),
+        _size=size,
     )

@@ -36,7 +36,6 @@ from repro.ordering.etree import (
 from repro.sparse.csc import CSCMatrix
 from repro.sparse.ops import permute
 from repro.symbolic.dispatch import resolve_impl
-from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.static_fill import StaticFill
 from repro.util.errors import PatternError
 
@@ -50,9 +49,8 @@ class PostorderResult:
     perm:
         Symmetric permutation, old label → new label.
     fill:
-        The permuted static fill ``PᵀĀP`` (Theorem 3: identical nnz).
-    parent_before, parent_after:
-        The eforest before and after relabeling (same shape, new labels).
+        The permuted static fill ``PᵀĀP`` (Theorem 3: identical nnz); its
+        ``parent`` is the input's eforest under the new labels.
     blocks:
         Diagonal blocks ``(start, stop)`` of the block upper triangular
         decomposition — one per eforest tree, in label order.
@@ -60,8 +58,6 @@ class PostorderResult:
 
     perm: np.ndarray
     fill: StaticFill
-    parent_before: np.ndarray
-    parent_after: np.ndarray
     blocks: list[tuple[int, int]]
 
 
@@ -77,19 +73,14 @@ def postorder_pipeline(
     """
     if impl is not None:
         resolve_impl(impl)
-    parent = lu_elimination_forest(fill)
-    perm = postorder_forest(parent)
-    permuted = permute(fill.pattern, row_perm=perm, col_perm=perm)
-    new_fill = StaticFill(pattern=permuted, nnz_original=fill.nnz_original)
-    parent_after = relabel_forest(parent, perm)
-    blocks = block_upper_triangular_blocks(parent_after)
-    return PostorderResult(
-        perm=perm,
-        fill=new_fill,
-        parent_before=parent,
-        parent_after=parent_after,
-        blocks=blocks,
+    perm = postorder_forest(fill.parent)
+    new_fill = StaticFill(
+        pattern=permute(fill.pattern, row_perm=perm, col_perm=perm),
+        nnz_original=fill.nnz_original,
+        parent=relabel_forest(fill.parent, perm),
     )
+    blocks = block_upper_triangular_blocks(new_fill.parent)
+    return PostorderResult(perm=perm, fill=new_fill, blocks=blocks)
 
 
 def block_upper_triangular_blocks(parent_postordered: np.ndarray) -> list[tuple[int, int]]:

@@ -57,10 +57,18 @@ class StaticFill:
         stored).
     nnz_original:
         Stored entries of the input ``A``.
+    parent:
+        The LU eforest of ``Ā`` (Definition 1, ``-1`` marks roots), as the
+        merge that built the pattern emitted it; read-only.
     """
 
     pattern: CSCMatrix
     nnz_original: int
+    parent: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.parent = np.array(self.parent, dtype=np.int64)
+        self.parent.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -133,12 +141,12 @@ def static_symbolic_factorization(
         resolve_impl(impl)
     if not a.is_square:
         raise ShapeError("static symbolic factorization requires a square matrix")
-    pattern = row_merge(a.pattern_only(), tracer=_null_tracer(tracer))
-    return StaticFill(pattern=pattern, nnz_original=a.nnz)
+    pattern, parent = row_merge(a.pattern_only(), tracer=_null_tracer(tracer))
+    return StaticFill(pattern=pattern, nnz_original=a.nnz, parent=parent)
 
 
-def row_merge(pat: CSCMatrix, *, tracer) -> CSCMatrix:
-    """Pattern of ``Ā`` for the square pattern ``pat``.
+def row_merge(pat: CSCMatrix, *, tracer) -> tuple[CSCMatrix, np.ndarray]:
+    """Pattern of ``Ā`` and its LU eforest for the square pattern ``pat``.
 
     State is kept per *merge group*, not per row: after step ``k`` all
     candidate rows share one tail, so the shared-``set`` trick of the
@@ -151,7 +159,9 @@ def row_merge(pat: CSCMatrix, *, tracer) -> CSCMatrix:
     sliced out of one flat copy of the CSR indices on demand), so no
     Python object is held per untouched row. Step ``k`` emits Ū row ``k``
     and L̄ column ``k``; one sort of their ``(col, row)`` keys assembles
-    the CSC pattern.
+    the CSC pattern. The two are all Definition 1 asks of node ``k``, so
+    the step also emits ``parent[k]``: the first column after ``k`` of
+    Ū row ``k`` when L̄ column ``k`` has an entry below the diagonal.
 
     The ``symbolic.assemble`` span carries ``nnz`` and the kernel's model
     of its peak live entry bytes, also published as the
@@ -170,11 +180,12 @@ def row_merge(pat: CSCMatrix, *, tracer) -> CSCMatrix:
             "(apply zero_free_diagonal_permutation first)"
         )
     del col_ids, has_diag
+    parent = np.full(n, -1, dtype=np.int64)
     if n == 0:
         return CSCMatrix(
             0, 0, np.zeros(1, dtype=np.int64), np.empty(0, dtype=INDEX_DTYPE),
             None, check=False,
-        )
+        ), parent
 
     csr = csc_to_csr(pat)
     all_cols = csr.indices.astype(np.int64)
@@ -252,6 +263,9 @@ def row_merge(pat: CSCMatrix, *, tracer) -> CSCMatrix:
             if below.size:
                 tails[g_new] = union[1:]  # the shared post-merge tail
                 rows_of[g_new] = below
+                # Every row of below keeps its own diagonal (> k) in
+                # the tail, so union[1] exists.
+                parent[k] = union[1]
             else:  # the group is exhausted
                 tails[g_new] = rows_of[g_new] = None
 
@@ -278,7 +292,7 @@ def row_merge(pat: CSCMatrix, *, tracer) -> CSCMatrix:
         s.set(nnz=int(indices.size), peak_bytes=int(peak))
     if tracer.enabled and tracer.detail:
         tracer.metrics.gauge("symbolic.peak_bytes", unit="bytes").set(float(peak))
-    return CSCMatrix(n, n, indptr, indices, None, check=False)
+    return CSCMatrix(n, n, indptr, indices, None, check=False), parent
 
 
 def _null_tracer(tracer):
@@ -317,6 +331,7 @@ def static_symbolic_factorization_reference(
 
     l_rows: list[list[int]] = [[] for _ in range(n)]  # L entries per row (< i)
     u_rows: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
+    parent = [-1] * n  # Definition 1, from this loop's own union and below
 
     with tr.span("symbolic.row_merge"):
         for k in range(n):
@@ -345,6 +360,7 @@ def static_symbolic_factorization_reference(
             if below:
                 new_tail = set(union)
                 new_tail.discard(k)
+                parent[k] = min(new_tail)
                 for old in tail_objs:
                     added = new_tail - old
                     if not added:
@@ -377,7 +393,7 @@ def static_symbolic_factorization_reference(
             np.concatenate(chunks) if chunks else np.empty(0, dtype=INDEX_DTYPE)
         )
         pattern = CSCMatrix(n, n, indptr, indices, None, check=False)
-    return StaticFill(pattern=pattern, nnz_original=a.nnz)
+    return StaticFill(pattern=pattern, nnz_original=a.nnz, parent=parent)
 
 
 def simulate_elimination_fill(

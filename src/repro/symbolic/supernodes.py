@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ordering.etree import postorder_forest
+from repro.sparse.csc import INDEX_DTYPE
 from repro.symbolic.static_fill import StaticFill
 from repro.util.errors import DispatchError, PatternError
 
@@ -66,7 +67,7 @@ class SupernodePartition:
 
 def _column_ids(fill: StaticFill) -> np.ndarray:
     """Column index of every stored entry of ``Ā``, in CSC order."""
-    return np.repeat(np.arange(fill.n, dtype=np.int64), np.diff(fill.pattern.indptr))
+    return np.repeat(np.arange(fill.n, dtype=INDEX_DTYPE), np.diff(fill.pattern.indptr))
 
 
 def supernode_partition(fill: StaticFill) -> SupernodePartition:
@@ -137,16 +138,13 @@ def amalgamate(
     last column does, so a partition into chains is a quotient of ``Ā``
     along eforest paths, which the graph is built for.
     """
-    from repro.symbolic.eforest import lu_elimination_forest  # lazy: import cycle
-
     entries = _entries(fill)
-    merged = _greedy_merge(fill, partition, None, max_padding, max_size, entries)
-    parent = lu_elimination_forest(fill)
+    merged = _greedy_merge(fill, partition, False, max_padding, max_size, entries)
     cuts = None
-    while (bad := _unordered_groups(fill, merged, entries, parent)).size:
+    while (bad := _unordered_groups(fill, merged, entries)).size:
         if cuts is None:
             cuts = _greedy_merge(
-                fill, partition, parent, max_padding, max_size, entries
+                fill, partition, True, max_padding, max_size, entries
             ).starts[:-1]
         in_bad = np.isin(merged.member_of()[cuts], bad)
         if np.isin(cuts[in_bad], merged.starts).all():  # a chain cannot be unordered
@@ -158,7 +156,6 @@ def amalgamate(
 def amalgamate_chains(
     fill: StaticFill,
     partition: SupernodePartition,
-    parent: np.ndarray,
     *,
     max_padding: float = 0.25,
     max_size: int = 48,
@@ -172,44 +169,43 @@ def amalgamate_chains(
     forest. Compared to the unrestricted greedy
     (:func:`amalgamate`), this forbids gluing structurally unrelated
     neighbours, typically costing a few more supernodes but strictly less
-    padding.
-
-    ``parent`` is the *scalar* LU eforest of ``fill``.
+    padding. The chains are those of the scalar eforest ``fill.parent``.
     """
-    return _greedy_merge(
-        fill, partition, np.asarray(parent), max_padding, max_size, _entries(fill)
-    )
+    return _greedy_merge(fill, partition, True, max_padding, max_size, _entries(fill))
 
 
-def _entries(fill: StaticFill) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, by_row)`` of the stored entries of ``Ā``: CSC order,
-    and the permutation that lists them row-major."""
+def _entries(fill: StaticFill) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, prev_col)`` of the stored entries of ``Ā``, in CSC order:
+    each entry's row, and the column of the previous entry in its row
+    (``-1``: none)."""
+    rows = fill.pattern.indices
     cols = _column_ids(fill)
-    rows = fill.pattern.indices.astype(np.int64)
-    return rows, cols, np.argsort(rows * fill.n + cols)
+    # CSC entries ascend by column, so a stable sort by row alone lists
+    # them row-major.
+    by_row = np.argsort(rows, kind="stable")
+    prev_col = np.full(rows.size, -1, dtype=INDEX_DTYPE)
+    same_row = rows[by_row[1:]] == rows[by_row[:-1]]
+    prev_col[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
+    return rows, prev_col
 
 
-def _greedy_merge(fill, partition, parent, max_padding, max_size, entries):
+def _greedy_merge(fill, partition, chains, max_padding, max_size, entries):
     """The left-to-right greedy behind both amalgamation rules.
 
     For a group of columns ``lo:hi`` the L part stores the entries with row
     ``≥ lo`` and pads every column to the union of those rows. Both counts
     grow by a slice count per absorbed supernode: an entry adds a row to
     the union iff it is the first of its row at or after column ``lo``,
-    i.e. iff the previous entry of its row lies left of ``lo``.
+    i.e. iff the previous entry of its row lies left of ``lo``. With
+    ``chains`` a group also ends where ``fill.parent`` leaves it.
     """
     if not (0.0 <= max_padding < 1.0):
         raise DispatchError(f"max_padding must be in [0, 1), got {max_padding}")
     n = fill.n
-    rows, cols, by_row = entries
-    # Column of the previous entry in each entry's row (-1: none), found in
-    # row-major order and scattered back to CSC order.
-    prev_col = np.full(rows.size, -1, dtype=np.int64)
-    same_row = rows[by_row[1:]] == rows[by_row[:-1]]
-    prev_col[by_row[1:][same_row]] = cols[by_row[:-1][same_row]]
+    rows, prev_col = entries
     starts = partition.starts.tolist()
     ptr = fill.pattern.indptr[partition.starts].tolist()
-    chained = None if parent is None else (parent[:n] == np.arange(1, n + 1)).tolist()
+    chained = (fill.parent == np.arange(1, n + 1)).tolist() if chains else None
     merged = [starts[0]]
     i, last = 0, len(starts) - 1
     while i < last:
@@ -237,14 +233,14 @@ def _greedy_merge(fill, partition, parent, max_padding, max_size, entries):
     return SupernodePartition(starts=np.asarray(merged, dtype=np.int64))
 
 
-def _unordered_groups(fill, partition, entries, parent) -> np.ndarray:
+def _unordered_groups(fill, partition, entries) -> np.ndarray:
     """Block columns of ``partition`` with a conflict that its block eforest
     leaves unordered (empty when the §4 graph is sound).
 
     Two block columns ``a < b`` conflict when a scalar row at or below
     ``b``'s diagonal has stored entries in both (pivot renames of either
     may move it) — rows of ``L̄`` are branches of the scalar eforest
-    ``parent``, so its edges are all there is to test — or when ``U(a, b)``
+    ``fill.parent``, so its edges are all there is to test — or when ``U(a, b)``
     exists and both store a block row below ``b`` (the update writes rows
     ``F(b)`` searches). The §4 graph orders ``a`` before ``b`` exactly when
     ``b`` is an ancestor of ``a``; when it is not, ``a`` mixes columns that
@@ -274,6 +270,7 @@ def _unordered_groups(fill, partition, entries, parent) -> np.ndarray:
     def unordered(a, b):
         return (post[a] <= post[b] - size[b]) | (post[a] > post[b])
 
+    parent = fill.parent
     child = member[np.flatnonzero(parent >= 0)]
     bad = [child[unordered(child, member[parent[parent >= 0]])]]
     loose = (top[src] > dst) & (top[dst] > dst)

@@ -130,19 +130,21 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
 
     po = postorder_pipeline(fill)
     a2 = permute(a_work, row_perm=po.perm, col_perm=po.perm)
+    fill2 = static_symbolic_factorization(a2)
     report.add(
         "Theorem 3 (postorder invariance)",
-        pattern_equal(static_symbolic_factorization(a2).pattern, po.fill.pattern),
+        pattern_equal(fill2.pattern, po.fill.pattern)
+        and np.array_equal(fill2.parent, po.fill.parent),
     )
     report.add(
         "postorder is topological",
-        is_forest_permutation_topological(po.parent_before, po.perm),
+        is_forest_permutation_topological(fill.parent, po.perm),
     )
 
     # Structural invariants are owned by repro.analysis.structure — the
     # selfcheck delegates instead of re-implementing them.
-    from repro.analysis import check_csc, check_postorder
-    from repro.symbolic.eforest import lu_elimination_forest
+    from repro.analysis import check_csc, check_forest_matches, check_postorder
+    from repro.symbolic.eforest import lu_elimination_forest_reference
 
     csc_findings = check_csc(fill.pattern, name="Abar")
     report.add(
@@ -150,7 +152,14 @@ def _run_checks(report: SelfCheckReport, n: int, seed: int) -> None:
         not csc_findings,
         "; ".join(str(f) for f in csc_findings[:2]),
     )
-    post_findings = check_postorder(lu_elimination_forest(plan.fill))
+    parent = lu_elimination_forest_reference(plan.fill)
+    match_findings = check_forest_matches(plan.fill.parent, parent)
+    report.add(
+        "merge eforest is Definition 1's (analysis.structure)",
+        not match_findings,
+        "; ".join(str(f) for f in match_findings[:2]),
+    )
+    post_findings = check_postorder(parent)
     report.add(
         "pipeline eforest is a postorder (analysis.structure)",
         not post_findings,

@@ -2,8 +2,11 @@
 
 Zero findings on shipped graphs only means something if the checker has
 teeth — these tests delete Theorem-4 and solve-phase dependence edges,
-and assert at least one finding every time.
+and corrupt the eforest a plan's fill carries, and assert at least one
+finding every time.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from repro.analysis import (
     solve_region_label,
 )
 import repro.taskgraph.solve_graph as solve_graph_mod
+from repro.symbolic.static_fill import StaticFill
 from repro.taskgraph.eforest_graph import build_eforest_graph
 from repro.taskgraph.solve_graph import build_solve_graph
 from repro.taskgraph.sstar import build_sstar_graph
@@ -152,3 +156,30 @@ class TestSolveMutations:
         assert {sub.name for sub in report.subjects if sub.findings} == {
             "m/solve-graph"
         }
+
+
+class TestEforestCorruption:
+    @pytest.mark.parametrize("seed", range(3))
+    def test_corrupted_fill_parent_detected(self, seed):
+        # Every stage after the merge reads fill.parent; the analyzer
+        # derives the forest from the pattern alone, so one wrong entry of
+        # the carried forest must be reported, in the structure subject.
+        plan, _ = analyzed(seed)
+        parent = plan.fill.parent
+        for j in (int(np.flatnonzero(parent >= 0)[0]), plan.n - 2):
+            bad = parent.copy()
+            bad[j] = -1 if bad[j] >= 0 else plan.n - 1
+            fill = StaticFill(
+                pattern=plan.fill.pattern,
+                nnz_original=plan.fill.nnz_original,
+                parent=bad,
+            )
+            report = analyze_plan(dataclasses.replace(plan, fill=fill), name="m")
+            hits = [
+                f
+                for sub in report.subjects
+                if sub.name == "m/structure"
+                for f in sub.findings
+                if f.check == "forest.matches_pattern"
+            ]
+            assert hits and hits[0].detail["nodes"] == [j], report.render()

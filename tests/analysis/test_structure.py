@@ -11,13 +11,13 @@ from repro.analysis import (
     check_btf,
     check_csc,
     check_forest,
+    check_forest_matches,
     check_partition,
     check_plan,
     check_postorder,
 )
 from repro.serve.plan import build_plan
 from repro.sparse.csc import CSCMatrix
-from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.postorder import block_upper_triangular_blocks
 from repro.symbolic.supernodes import SupernodePartition
 
@@ -61,9 +61,22 @@ class TestCSC:
 class TestForestAndPostorder:
     def test_pipeline_eforest_clean(self):
         plan, _ = analyzed(1)
-        parent = lu_elimination_forest(plan.fill)
+        parent = plan.fill.parent
         assert check_forest(parent) == []
         assert check_postorder(parent) == []
+
+    def test_carried_forest_matches_pattern(self):
+        from repro.symbolic.eforest import lu_elimination_forest_reference
+
+        plan, _ = analyzed(1)
+        derived = lu_elimination_forest_reference(plan.fill)
+        assert check_forest_matches(plan.fill.parent, derived) == []
+        bad = plan.fill.parent.copy()
+        bad[3] = -2
+        (finding,) = check_forest_matches(bad, derived)
+        assert finding.check == "forest.matches_pattern"
+        assert finding.detail["nodes"] == [3]
+        assert check_forest_matches(bad[:-1], derived)
 
     def test_non_monotone_parent_flagged(self):
         parent = np.array([2, 0, -1])  # parent(1) = 0 < 1
@@ -115,7 +128,7 @@ class TestPartition:
 class TestBTF:
     def test_pipeline_btf_clean(self):
         plan, _ = analyzed(3)
-        parent = lu_elimination_forest(plan.fill)
+        parent = plan.fill.parent
         blocks = block_upper_triangular_blocks(parent)
         assert check_btf(plan.fill.pattern, blocks) == []
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from tests.conftest import analyzed, random_pivot_matrix
-from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.supernodes import (
     _padding_cost,
     amalgamate,
@@ -16,8 +15,7 @@ from repro.symbolic.supernodes import (
 def setup(seed=0, n=50):
     plan, _ = analyzed(random_pivot_matrix(n, seed), amalgamation=False)
     raw = supernode_partition(plan.fill)
-    parent = lu_elimination_forest(plan.fill)
-    return plan.fill, raw, parent
+    return plan.fill, raw, plan.fill.parent
 
 
 def total_padding(fill, part):
@@ -33,7 +31,7 @@ class TestChainsAmalgamation:
     @pytest.mark.parametrize("seed", range(5))
     def test_never_merges_across_non_edges(self, seed):
         fill, raw, parent = setup(seed)
-        merged = amalgamate_chains(fill, raw, parent, max_padding=0.9)
+        merged = amalgamate_chains(fill, raw, max_padding=0.9)
         raw_starts = set(raw.starts.tolist())
         for s in range(merged.n_supernodes):
             lo, hi = merged.span(s)
@@ -47,18 +45,18 @@ class TestChainsAmalgamation:
     def test_at_most_greedy_merging(self, seed):
         fill, raw, parent = setup(seed)
         greedy = amalgamate(fill, raw, max_padding=0.25)
-        chains = amalgamate_chains(fill, raw, parent, max_padding=0.25)
+        chains = amalgamate_chains(fill, raw, max_padding=0.25)
         assert chains.n_supernodes >= greedy.n_supernodes
         assert total_padding(fill, chains) <= total_padding(fill, greedy)
 
     def test_still_reduces_count(self):
         fill, raw, parent = setup(1)
-        chains = amalgamate_chains(fill, raw, parent)
+        chains = amalgamate_chains(fill, raw)
         assert chains.n_supernodes <= raw.n_supernodes
 
     def test_respects_max_size(self):
         fill, raw, parent = setup(2)
-        merged = amalgamate_chains(fill, raw, parent, max_padding=0.9, max_size=3)
+        merged = amalgamate_chains(fill, raw, max_padding=0.9, max_size=3)
         raw_starts = set(raw.starts.tolist())
         for s in range(merged.n_supernodes):
             lo, hi = merged.span(s)
@@ -68,7 +66,7 @@ class TestChainsAmalgamation:
     def test_invalid_tolerance(self):
         fill, raw, parent = setup(3)
         with pytest.raises(ValueError):
-            amalgamate_chains(fill, raw, parent, max_padding=1.0)
+            amalgamate_chains(fill, raw, max_padding=1.0)
 
     def test_factorization_works_on_chain_partition(self):
         from repro.numeric.factor import LUFactorization
@@ -76,8 +74,7 @@ class TestChainsAmalgamation:
 
         fill, raw, parent = setup(4)
         plan, a_work = analyzed(random_pivot_matrix(50, 4), amalgamation=False)
-        part = amalgamate_chains(plan.fill, supernode_partition(plan.fill),
-                                 lu_elimination_forest(plan.fill))
+        part = amalgamate_chains(plan.fill, supernode_partition(plan.fill))
         bp = block_pattern(plan.fill, part)
         eng = LUFactorization(a_work, bp)
         eng.factor_sequential()

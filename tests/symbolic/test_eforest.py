@@ -8,7 +8,7 @@ from repro.sparse.generators import random_sparse
 from repro.sparse.ops import permute
 from repro.ordering.transversal import zero_free_diagonal_permutation
 from repro.symbolic.characterization import verify_theorem1, verify_theorem2
-from repro.symbolic.eforest import extended_eforest, lu_elimination_forest
+from repro.symbolic.eforest import extended_eforest
 from repro.symbolic.static_fill import static_symbolic_factorization
 
 
@@ -35,7 +35,7 @@ class TestDefinition:
             ]
         )
         fill = static_symbolic_factorization(csc_from_dense(dense))
-        parent = lu_elimination_forest(fill)
+        parent = fill.parent
         # Column 0 of L has row 2 => parent(0) = min{r>0: u_0r != 0} = 2.
         assert parent[0] == 2
         # Column 1 of L has row 3; the step-1 merge of rows {1,3} puts
@@ -44,7 +44,7 @@ class TestDefinition:
 
     def test_parent_greater_than_child(self):
         fill = prepared_fill(30, 0)
-        parent = lu_elimination_forest(fill)
+        parent = fill.parent
         for j in range(30):
             assert parent[j] == -1 or parent[j] > j
 
@@ -52,12 +52,12 @@ class TestDefinition:
         # Upper triangular matrix: every L column is a lone diagonal.
         dense = np.triu(np.ones((5, 5)))
         fill = static_symbolic_factorization(csc_from_dense(dense))
-        parent = lu_elimination_forest(fill)
+        parent = fill.parent
         assert (parent == -1).all()
 
     def test_diagonal_matrix_all_roots(self):
         fill = static_symbolic_factorization(csc_from_dense(np.eye(4)))
-        assert (lu_elimination_forest(fill) == -1).all()
+        assert (fill.parent == -1).all()
 
 
 class TestTheorems:

@@ -5,13 +5,17 @@ without pivoting, entry ``(i, j)`` of ``L + U`` is nonzero exactly when
 the directed graph of ``A`` has a path from ``i`` to ``j`` whose
 intermediate vertices are all numbered below ``min(i, j)``. George–Ng's
 static structure covers every row interchange partial pivoting can make,
-the identity included, so it must contain that no-pivot fill.
+the identity included, so it must contain that no-pivot fill. The same
+patterns pin the eforest the merge emits to Definition 1 read off the
+finished pattern (``lu_elimination_forest_reference``).
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.sparse.convert import csc_from_dense
+from repro.symbolic.eforest import lu_elimination_forest_reference
+from repro.symbolic.postorder import postorder_pipeline
 from repro.symbolic.static_fill import static_symbolic_factorization
 
 
@@ -46,3 +50,14 @@ def zero_free_patterns(draw):
 def test_static_fill_contains_the_no_pivot_fill(mask):
     fill = static_symbolic_factorization(csc_from_dense(np.array(mask, dtype=float)))
     assert all(fill.pattern.has_entry(i, j) for i, j in no_pivot_fill(mask))
+
+
+@settings(max_examples=60, deadline=None)
+@given(zero_free_patterns())
+def test_merge_parent_is_definition_1_before_and_after_postorder(mask):
+    # The merge emits the eforest and the postorder relabels it; both must
+    # equal the forest Definition 1 reads off the finished pattern.
+    fill = static_symbolic_factorization(csc_from_dense(np.array(mask, dtype=float)))
+    assert np.array_equal(fill.parent, lu_elimination_forest_reference(fill))
+    po = postorder_pipeline(fill)
+    assert np.array_equal(po.fill.parent, lu_elimination_forest_reference(po.fill))

@@ -40,7 +40,7 @@ class TestTheorem3:
         a = prepared(20, seed)
         fill = static_symbolic_factorization(a)
         po = postorder_pipeline(fill)
-        perm = paper_postorder_interchanges(po.parent_before)
+        perm = paper_postorder_interchanges(fill.parent)
         a2 = permute(a, row_perm=perm, col_perm=perm)
         fill2 = static_symbolic_factorization(a2)
         assert fill2.nnz == fill.nnz
@@ -51,7 +51,7 @@ class TestPostorderStructure:
         a = prepared(30, 1)
         fill = static_symbolic_factorization(a)
         po = postorder_pipeline(fill)
-        assert is_forest_permutation_topological(po.parent_before, po.perm)
+        assert is_forest_permutation_topological(fill.parent, po.perm)
 
     def test_blocks_cover_matrix(self):
         a = prepared(30, 2)
@@ -82,9 +82,10 @@ class TestPostorderStructure:
 
     def test_forest_shape_preserved(self):
         a = prepared(25, 3)
-        po = postorder_pipeline(static_symbolic_factorization(a))
+        fill = static_symbolic_factorization(a)
+        po = postorder_pipeline(fill)
         # Same number of roots and same multiset of subtree depths.
-        before, after = po.parent_before, po.parent_after
+        before, after = fill.parent, po.fill.parent
         assert (before == -1).sum() == (after == -1).sum()
 
         def depths(parent):
@@ -117,24 +118,24 @@ class TestInterchangeAlgorithm:
     @pytest.mark.parametrize("seed", range(5))
     def test_produces_topological_labeling(self, seed):
         a = prepared(20, seed)
-        po = postorder_pipeline(static_symbolic_factorization(a))
-        perm = paper_postorder_interchanges(po.parent_before)
-        assert is_forest_permutation_topological(po.parent_before, perm)
+        fill = static_symbolic_factorization(a)
+        perm = paper_postorder_interchanges(fill.parent)
+        assert is_forest_permutation_topological(fill.parent, perm)
 
     def test_subtrees_contiguous(self):
         a = prepared(20, 7)
-        po = postorder_pipeline(static_symbolic_factorization(a))
-        perm = paper_postorder_interchanges(po.parent_before)
+        fill = static_symbolic_factorization(a)
+        perm = paper_postorder_interchanges(fill.parent)
         from repro.ordering.etree import relabel_forest
 
-        relabeled = relabel_forest(po.parent_before, perm)
+        relabeled = relabel_forest(fill.parent, perm)
         blocks = block_upper_triangular_blocks(relabeled)  # raises if not
         assert blocks[-1][1] == 20
 
     def test_identity_on_postordered_forest(self):
         a = prepared(20, 8)
         po = postorder_pipeline(static_symbolic_factorization(a))
-        perm = paper_postorder_interchanges(po.parent_after)
+        perm = paper_postorder_interchanges(po.fill.parent)
         assert np.array_equal(perm, np.arange(20))
 
     def test_deep_chain_exceeds_recursion_limit(self):

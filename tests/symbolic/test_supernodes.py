@@ -161,7 +161,6 @@ class TestAmalgamationKeepsTheGraphSound:
         from repro.analysis import analyze_plan
         from repro.numeric.solver import SolverOptions
         from repro.serve import build_plan
-        from repro.symbolic.eforest import lu_elimination_forest
         from repro.symbolic.supernodes import (
             _entries,
             _greedy_merge,
@@ -173,11 +172,10 @@ class TestAmalgamationKeepsTheGraphSound:
         fill, entries = plan.fill, _entries(plan.fill)
         raw = supernode_partition(fill)
         greedy = _greedy_merge(
-            fill, raw, None, options.max_padding, options.max_supernode, entries
+            fill, raw, False, options.max_padding, options.max_supernode, entries
         )
-        parent = lu_elimination_forest(fill)
-        assert _unordered_groups(fill, greedy, entries, parent).size
-        assert not _unordered_groups(fill, plan.partition, entries, parent).size
+        assert _unordered_groups(fill, greedy, entries).size
+        assert not _unordered_groups(fill, plan.partition, entries).size
         # Only the offending groups were cut, and only at raw boundaries.
         assert set(greedy.starts) <= set(plan.partition.starts) <= set(raw.starts)
         if options.postorder:
@@ -200,7 +198,7 @@ class TestAmalgamationKeepsTheGraphSound:
             ),
         )
         greedy = _greedy_merge(
-            plan.fill, supernode_partition(plan.fill), None, 0.25, 48,
+            plan.fill, supernode_partition(plan.fill), False, 0.25, 48,
             _entries(plan.fill),
         )
         assert np.array_equal(plan.partition.starts, greedy.starts)

@@ -16,7 +16,6 @@ import pytest
 from repro.serve import build_plan
 from repro.sparse.convert import csc_from_dense
 from repro.sparse.generators import paper_matrix
-from repro.symbolic.eforest import lu_elimination_forest
 from repro.symbolic.static_fill import static_symbolic_factorization
 from repro.symbolic.supernodes import (
     SupernodePartition,
@@ -143,12 +142,12 @@ def test_partition_and_member_of(fill):
 
 def test_amalgamations_and_block_patterns(fill):
     raw = supernode_partition(fill)
-    parent = lu_elimination_forest(fill)
+    parent = fill.parent
     for max_padding, max_size in itertools.product(PADDINGS, SIZES):
         knobs = dict(max_padding=max_padding, max_size=max_size)
         merged = amalgamate(fill, raw, **knobs)
         assert merged.starts.tolist() == loop_amalgamate(fill, raw, **knobs), knobs
-        chains = amalgamate_chains(fill, raw, parent, **knobs)
+        chains = amalgamate_chains(fill, raw, **knobs)
         assert chains.starts.tolist() == loop_amalgamate(fill, raw, parent, **knobs), knobs
         bp = block_pattern(fill, merged)
         assert all(b.dtype == np.int64 for b in bp.blocks)
@@ -180,7 +179,7 @@ def test_bad_padding_is_a_value_error(max_padding):
     with pytest.raises(ValueError):
         amalgamate(fill, raw, max_padding=max_padding)
     with pytest.raises(ValueError):
-        amalgamate_chains(fill, raw, lu_elimination_forest(fill), max_padding=max_padding)
+        amalgamate_chains(fill, raw, max_padding=max_padding)
 
 
 def test_pattern_errors():

@@ -52,6 +52,17 @@ class TestConvenienceAPI:
         rr = handle.solve_refined(np.ones(20))
         assert rr.backward_errors[-1] < 1e-10
 
+    def test_empty_matrix_solves(self):
+        # Every symbolic stage accepts n = 0, so the numeric phase must too.
+        from repro.serve import SolverService
+        from repro.sparse.convert import csc_from_dense
+
+        a = csc_from_dense(np.zeros((0, 0)))
+        x = lu(a).solve(np.zeros(0))
+        assert x.shape == (0,)
+        with SolverService() as svc:
+            assert svc.solve(a, np.zeros(0)).shape == (0,)
+
     def test_doctest_example(self):
         import doctest
 

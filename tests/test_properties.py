@@ -74,7 +74,7 @@ def test_theorems_1_and_2_hold(a):
 def test_postorder_invariance_and_btf(a):
     fill = static_symbolic_factorization(a)
     po = postorder_pipeline(fill)
-    assert is_forest_permutation_topological(po.parent_before, po.perm)
+    assert is_forest_permutation_topological(fill.parent, po.perm)
     a2 = permute(a, row_perm=po.perm, col_perm=po.perm)
     assert pattern_equal(static_symbolic_factorization(a2).pattern, po.fill.pattern)
     assert is_block_upper_triangular(po.fill.pattern, po.blocks)
